@@ -75,7 +75,8 @@ def tune_brute_force(evaluator: Evaluator, network: CellularNetwork,
         group = [base] + [base.with_power(last_sector, p)
                           for p in last_axis[1:]]
         scores = [evaluator.utility_of(group[0])]
-        scores.extend(evaluator.score_candidates(group[1:]))
+        scores.extend(evaluator.score_candidates(group[1:],
+                                                 parent=group[0]))
         winner = int(np.argmax(scores))
         f = evaluator.utility_of(group[winner])
         if f > best_utility:

@@ -194,8 +194,9 @@ class Evaluator:
         self.close()
 
     # ------------------------------------------------------------------
-    def score_candidates(self,
-                         configs: Sequence[Configuration]) -> List[float]:
+    def score_candidates(self, configs: Sequence[Configuration],
+                         parent: Optional[Configuration] = None
+                         ) -> List[float]:
         """``f(C)`` for each candidate, batched where possible.
 
         Candidates that differ from a recent incumbent in exactly one
@@ -206,6 +207,13 @@ class Evaluator:
         to the canonical value except when an SINR lands exactly on a
         CQI threshold — and are **not** cached, so callers must confirm
         the winning candidate via :meth:`utility_of` before accepting.
+
+        ``parent`` is the configuration the candidates were derived
+        from.  When no delta anchor holds it (a memo-cache hit whose
+        anchor was evicted), it is anchored once here — otherwise
+        every candidate, two sectors from any anchor, would pay its
+        own full evaluation.  ``magus.evaluator.reanchors`` counts
+        these.
         """
         configs = list(configs)
         scores: List[Optional[float]] = [None] * len(configs)
@@ -220,6 +228,12 @@ class Evaluator:
             else:
                 remaining.append(i)
         if remaining and self._batchable():
+            epoch = self.engine.pathloss.cache_epoch
+            if parent is not None and not any(
+                    inc.config == parent and inc.epoch == epoch
+                    for inc in self._incumbents):
+                registry.counter("magus.evaluator.reanchors").inc()
+                self._anchor(parent)
             for incumbent in list(self._incumbents):
                 group: List[int] = []
                 changed_map: Dict[int, int] = {}
@@ -360,7 +374,8 @@ class Evaluator:
             self._roi_baselines.move_to_end(key)
             return hit
         baseline = _roi.RoiBaseline.from_incumbent(
-            incumbent, self.utility, self.ue_density)
+            incumbent, self.utility, self.ue_density,
+            self.engine.sector_boxes(incumbent.config))
         if baseline is None:
             return None
         self._roi_baselines[key] = baseline
@@ -396,23 +411,29 @@ class Evaluator:
         return entry
 
     def _evaluate_delta(self, config: Configuration) -> NetworkState:
-        """Incremental evaluation against a recent incumbent.
+        """Incremental evaluation against a recent incumbent."""
+        return self._anchor(config).state
 
-        Falls back to (and re-anchors on) a full evaluation when no
-        incumbent is a single-sector parent of ``config``.
+    def _anchor(self, config: Configuration) -> DeltaIncumbent:
+        """Evaluate ``config`` into the delta-anchor ring.
+
+        Incremental when a recent incumbent is a single-sector parent
+        of ``config``; otherwise a full evaluation
+        (``magus.engine.delta_fallbacks``).  Leaves the memo cache and
+        the distinct-evaluation counter to the caller.
         """
         for incumbent in list(self._incumbents):
             result = self.engine.evaluate_delta(incumbent, config,
                                                 self.ue_density)
             if result is not None:
-                state, child = result
+                child = result[1]
                 self._remember(incumbent, child)
-                return state
+                return child
         get_registry().counter("magus.engine.delta_fallbacks").inc()
-        state, incumbent = self.engine.evaluate_with_incumbent(
+        _, incumbent = self.engine.evaluate_with_incumbent(
             config, self.ue_density)
         self._remember(None, incumbent)
-        return state
+        return incumbent
 
     def _remember(self, parent: Optional[DeltaIncumbent],
                   child: DeltaIncumbent) -> None:
@@ -430,11 +451,14 @@ class Evaluator:
         self._incumbents = ring[:2]
 
     # ------------------------------------------------------------------
-    def received_power_tensor(self, config: Configuration) -> np.ndarray:
+    def received_power_tensor(self, config: Configuration,
+                              sectors: Optional[Sequence[int]] = None
+                              ) -> np.ndarray:
         """Per-sector RP planes for ``config`` (candidate pre-filtering).
 
         Exposed for Algorithm 1's cheap "can sector b possibly improve
-        an affected grid?" test, which needs every sector's received
-        power, not just the serving one.
+        an affected grid?" test, which needs each candidate sector's
+        received power, not just the serving one.  ``sectors`` selects
+        rows (default: every sector, in order).
         """
-        return self.engine._received_power_dbm(config)
+        return self.engine._received_power_dbm(config, sectors)

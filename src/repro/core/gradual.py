@@ -275,7 +275,7 @@ def _compensate(evaluator: Evaluator, network: CellularNetwork,
     for change in pending[:run_len]:
         config = _apply_change(config, change, network)
         prefixes.append(config)
-    scores = evaluator.score_candidates(prefixes)
+    scores = evaluator.score_candidates(prefixes, parent=trial)
     chosen = next((j for j, s in enumerate(scores)
                    if s >= floor - _EPS), run_len - 1)
     del pending[:chosen + 1]

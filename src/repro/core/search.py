@@ -164,9 +164,9 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
                     unit: float, prefilter: str
                     ) -> Optional[Tuple[int, float, Configuration]]:
     """``argmax_{b in beta} f(C (+) P_b(T))`` or None if beta is empty."""
-    if prefilter == "sinr":
-        rp = evaluator.received_power_tensor(config)
-        candidates = [b for b in candidates
+    if prefilter == "sinr" and candidates:
+        rows = evaluator.received_power_tensor(config, candidates)
+        candidates = [b for b, rp in zip(candidates, rows)
                       if _can_help(rp, state, affected, b, unit)]
     if prefilter == "rate":
         # The paper-literal filter needs each candidate's full state
@@ -198,22 +198,23 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
         return None
     # One vectorized pass over all neighbors; the winner is confirmed
     # through the canonical path (batch scores are never cached).
-    scores = evaluator.score_candidates([t for _, t in trials])
+    scores = evaluator.score_candidates([t for _, t in trials],
+                                        parent=config)
     winner = int(np.argmax(scores))
     b, trial = trials[winner]
     return b, evaluator.utility_of(trial), trial
 
 
-def _can_help(rp_tensor: np.ndarray, state: NetworkState,
+def _can_help(rp: np.ndarray, state: NetworkState,
               affected: np.ndarray, sector_id: int, unit: float) -> bool:
     """Whether +``unit`` dB on ``sector_id`` can raise an affected grid.
 
     True iff the sector already serves an affected grid (its signal, and
     hence SINR, rises) or the boost would let it capture one (its RP
-    would exceed the current best server's).
+    plane ``rp`` would exceed the current best server's).
     """
     serves = (state.serving == sector_id) & affected
     if serves.any():
         return True
-    captures = (rp_tensor[sector_id] + unit > state.rp_best_dbm) & affected
+    captures = (rp + unit > state.rp_best_dbm) & affected
     return bool(captures.any())

@@ -105,7 +105,7 @@ def _sweep_sector(evaluator: Evaluator, network: CellularNetwork,
     if not ladder:
         return config, f_current
     trials = [config.with_tilt(sector_id, t) for t in ladder]
-    scores = evaluator.score_candidates(trials)
+    scores = evaluator.score_candidates(trials, parent=config)
     for new_tilt, trial, score in zip(ladder, trials, scores):
         if score <= f_current + _EPS:      # worse (or flat): revert, stop
             break

@@ -84,44 +84,52 @@ class DeltaIncumbent:
         self.state: Optional[NetworkState] = None
         self._runner: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def runner_up(self) -> Tuple[np.ndarray, np.ndarray]:
+    def runner_up(self, boxes: Optional[Sequence[Optional[Box]]] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Second-best plane value and its (first-index) sector per grid.
 
         The batch scorer's comparator for grids currently served by the
         changed sector.  With a single sector there is no competitor:
         the value is ``-inf`` so the changed sector always wins.
+
+        ``boxes`` gives each sector's footprint under this incumbent's
+        configuration (``None`` entries — or no list at all — mean "not
+        known": the whole grid; :data:`EMPTY_BOX` means off-air).  A
+        plane is exactly zero outside its box, so the walk only visits
+        the boxes.  The result is bitwise identical to masking the
+        serving row out of the plane stack and taking the first-index
+        argmax, whatever boxes are given (see DESIGN.md, "Evaluation
+        strategies").
         """
         if self._runner is None:
-            n_sectors = self.planes.shape[0]
+            n_sectors, rows, cols = self.planes.shape
+            serving = self.raw_serving
             if n_sectors == 1:
-                runner_val = np.full(self.raw_serving.shape, -np.inf)
-                runner_idx = self.raw_serving.copy()
+                runner_val = np.full(serving.shape, -np.inf)
+                runner_idx = serving.copy()
             else:
-                # Streaming top-2 selection, one plane at a time:
-                # O(H*W) scratch instead of copying the whole stack
-                # (the copy is GBs for packed markets).  Pure selection
-                # of existing plane values with first-index tie-breaks,
-                # so the result is bitwise identical to masking the
-                # serving row out of a stack copy and taking argmax.
-                best = self.planes[0].copy()
-                best_idx = np.zeros(best.shape, dtype=np.int32)
-                runner_val = np.full(best.shape, -np.inf,
-                                     dtype=self.planes.dtype)
-                runner_idx = np.zeros(best.shape, dtype=np.int32)
-                for s in range(1, n_sectors):
-                    plane = self.planes[s]
-                    promote = plane > best
-                    # The demoted best becomes the runner-up...
-                    runner_val = np.where(promote, best, runner_val)
-                    runner_idx = np.where(promote, best_idx, runner_idx)
-                    # ...and a non-promoting plane may still beat it
-                    # (strict >: equal values keep the earlier index).
-                    challenge = ~promote & (plane > runner_val)
-                    runner_val = np.where(challenge, plane, runner_val)
-                    runner_idx = np.where(challenge, np.int32(s),
-                                          runner_idx)
-                    best = np.where(promote, plane, best)
-                    best_idx = np.where(promote, np.int32(s), best_idx)
+                # Running max over the non-serving planes, from 0 / idx 0
+                # and in sector order with strict >, so ties keep the
+                # first index; O(H*W) scratch, never a stack copy.
+                runner_val = np.zeros((rows, cols), dtype=self.planes.dtype)
+                runner_idx = np.zeros((rows, cols), dtype=np.int32)
+                full = (0, rows, 0, cols)
+                for s in range(n_sectors):
+                    box = boxes[s] if boxes is not None else None
+                    r0, r1, c0, c1 = full if box is None else box
+                    if r0 >= r1 or c0 >= c1:
+                        continue
+                    win = (slice(r0, r1), slice(c0, c1))
+                    plane = self.planes[s][win]
+                    val = runner_val[win]
+                    beats = (plane > val) & (serving[win] != s)
+                    np.copyto(val, plane, where=beats)
+                    np.copyto(runner_idx[win], np.int32(s), where=beats)
+                # Zero-tie rule: where every non-serving plane is zero
+                # the walk never moved, but the stack argmax picks the
+                # first non-serving sector: 0, or 1 where 0 serves.
+                np.copyto(runner_idx, (serving == 0).astype(np.int32),
+                          where=runner_val == 0)
             self._runner = (runner_val, runner_idx)
         return self._runner
 
@@ -249,10 +257,19 @@ class AnalysisEngine:
             return None
         if config.n_sectors != incumbent.config.n_sectors:
             return None
-        diff = incumbent.config.diff(config)
-        if len(diff) != 1:
-            return None
-        return next(iter(diff))
+        # Searches derive candidates by copying the incumbent's setting
+        # tuple, so identity settles most sectors before ``==`` runs;
+        # stop at the second difference (``Configuration.diff`` would
+        # build the whole mapping).
+        changed = None
+        for i, (old, new) in enumerate(zip(incumbent.config.settings,
+                                           config.settings)):
+            if old is new or old == new:
+                continue
+            if changed is not None:
+                return None
+            changed = i
+        return changed
 
     def evaluate_delta(self, incumbent: DeltaIncumbent,
                        config: Configuration, ue_density: np.ndarray
@@ -405,6 +422,12 @@ class AnalysisEngine:
         return self.pathloss.footprint(sector_id, setting.tilt_deg,
                                        setting.azimuth_offset_deg)
 
+    def sector_boxes(self, config: Configuration) -> List[Optional[Box]]:
+        """Every sector's footprint under ``config`` (``None``: unknown),
+        the walk list of :meth:`DeltaIncumbent.runner_up`."""
+        return [self._setting_footprint(s, setting)
+                for s, setting in enumerate(config.settings)]
+
     # ------------------------------------------------------------------
     # batched candidate scoring
     # ------------------------------------------------------------------
@@ -441,7 +464,8 @@ class AnalysisEngine:
             total_mw = incumbent.total_mw[None] + (new_rows - old_rows)
 
             serving0 = incumbent.raw_serving
-            runner_val, runner_idx = incumbent.runner_up()
+            runner_val, runner_idx = incumbent.runner_up(
+                self.sector_boxes(incumbent.config))
             # Comparator per grid: for grids the changed sector already
             # serves, the runner-up; for the rest, the incumbent best.
             mask = serving0[None] == b_idx[:, None, None]
@@ -654,22 +678,28 @@ class AnalysisEngine:
         return np.where(config.active_mask(), factors, 0.0)
 
     # ------------------------------------------------------------------
-    def _received_power_dbm(self, config: Configuration) -> np.ndarray:
+    def _received_power_dbm(self, config: Configuration,
+                            sectors: Optional[Sequence[int]] = None
+                            ) -> np.ndarray:
         """Formula 1 per sector: ``RP_b(g) = P_b + L_b(T_b, g)``.
 
-        The dB-domain tensor, kept for the SINR pre-filter and hand
-        verification; the evaluation paths work in the linear domain.
+        The dB-domain rows of ``sectors`` (default: all, in order), kept
+        for the SINR pre-filter and hand verification; the evaluation
+        paths work in the linear domain.  Only the requested rows of
+        the cached gain tensor are touched, with the same elementwise
+        add, so a row is bitwise equal whichever rows are asked for.
         Off-air sectors radiate nothing: their plane is set to -inf so
         they can neither serve nor interfere.
         """
         gains = self.pathloss.gain_tensor(config.tilts(),
                                            config.azimuth_offsets())
-        powers = config.powers()[:, None, None]
-        rp = powers + gains
+        powers = config.powers()
         inactive = ~config.active_mask()
-        if inactive.any():
-            rp = rp.copy()
-            rp[inactive] = -np.inf
+        if sectors is not None:
+            rows = np.asarray(sectors, dtype=np.intp)
+            gains, powers, inactive = gains[rows], powers[rows], inactive[rows]
+        rp = powers[:, None, None] + gains
+        rp[inactive] = -np.inf
         return rp
 
     @staticmethod

@@ -247,6 +247,25 @@ class Configuration:
                 for i, (a, b) in enumerate(zip(self.settings, other.settings))
                 if a != b}
 
+    def __hash__(self) -> int:
+        # Every memo, anchor-ring and ROI-baseline lookup hashes the
+        # whole settings tuple; compute it once.  Defining __hash__
+        # here keeps the dataclass from generating one, and the cache
+        # is an attribute outside the fields, so eq/repr ignore it.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.settings,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the settings only; the receiving process
+        # re-hashes in its own interpreter.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 class CellularNetwork:
     """The static radio topology: sectors, sites and neighbor relations.

@@ -111,17 +111,19 @@ class RoiBaseline:
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def from_incumbent(cls, incumbent, utility,
-                       ue_density: np.ndarray) -> Optional["RoiBaseline"]:
+    def from_incumbent(cls, incumbent, utility, ue_density: np.ndarray,
+                       boxes=None) -> Optional["RoiBaseline"]:
         """Build from a finished incumbent, or ``None`` without one.
 
         Worker-attached incumbents carry no :attr:`state` (they never
         ran ``_finish``); the caller falls back to dense scoring.
+        ``boxes`` are the sector footprints the runner-up walk visits
+        (see :meth:`~repro.model.engine.DeltaIncumbent.runner_up`).
         """
         state = getattr(incumbent, "state", None)
         if state is None:
             return None
-        runner_val, runner_idx = incumbent.runner_up()
+        runner_val, runner_idx = incumbent.runner_up(boxes)
         weighted = utility.per_ue(state.rate_bps) * ue_density
         return cls(config=incumbent.config, epoch=incumbent.epoch,
                    total_mw=incumbent.total_mw,

@@ -223,12 +223,15 @@ class RunReport:
 
         ``magus.engine.delta_evaluations`` / ``delta_fallbacks`` /
         ``batched_candidates`` expose the hit rate of the incremental
-        path; empty under ``--no-delta`` (or when nothing was
-        evaluated), keeping full-strategy reports unchanged.
+        path, and ``magus.evaluator.reanchors`` how often candidate
+        scoring had to re-anchor on its parent; empty under
+        ``--no-delta`` (or when nothing was evaluated), keeping
+        full-strategy reports unchanged.
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.delta_evaluations",
                      "magus.engine.delta_fallbacks",
+                     "magus.evaluator.reanchors",
                      "magus.engine.batched_candidates"):
             stats = self.metrics.get(name)
             if stats is not None:

@@ -411,7 +411,8 @@ class EvaluationService:
         cached = self._store.handles(key)
         if cached is not None:
             return cached
-        runner_val, runner_idx = incumbent.runner_up()
+        runner_val, runner_idx = incumbent.runner_up(
+            self.engine.sector_boxes(incumbent.config))
         return self._store.export(key, {
             "planes": incumbent.planes,
             "total_mw": incumbent.total_mw,

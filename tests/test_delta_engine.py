@@ -280,6 +280,115 @@ class TestEvaluatorStrategies:
             set_registry(previous)
 
 
+class TestParentReanchor:
+    """Candidate scoring anchors on the caller's parent configuration.
+
+    A search's current configuration can be a memo-cache hit whose
+    delta anchor the two-entry ring already evicted.  Its one-sector
+    candidates are then two sectors from every anchor; scoring must
+    re-anchor the parent once rather than pay a full evaluation per
+    candidate.
+    """
+
+    @pytest.fixture
+    def registry(self):
+        from repro.obs import MetricsRegistry, set_registry
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        yield registry
+        set_registry(previous)
+
+    @staticmethod
+    def _evicted_start(evaluator, area, targets):
+        """``C_upgrade``, memoized but pushed out of the anchor ring by
+        two configurations three sectors away from it and each other."""
+        planned = area.planned_config
+        start = planned.with_offline(targets)
+        evaluator.utility_of(start)
+        others = [s for s in range(area.network.n_sectors)
+                  if s not in targets][:3]
+        for delta in (-3.0, -6.0):
+            far = planned
+            for s in others:
+                far = far.with_power(s, planned.power_dbm(s) + delta)
+            evaluator.utility_of(far)
+        assert all(inc.config != start for inc in evaluator._incumbents)
+        return start
+
+    def test_one_full_anchor_per_iteration(self, registry, small_area,
+                                           monkeypatch):
+        from repro.core.search import tune_power
+        area = small_area
+        site = min(area.network.sites.values(),
+                   key=lambda s: s.x ** 2 + s.y ** 2)
+        targets = list(site.sector_ids)
+        evaluator = Evaluator(area.engine, area.ue_density, "performance")
+        start = self._evicted_start(evaluator, area, targets)
+
+        anchors = []
+        per_call = []
+        anchor = area.engine.evaluate_with_incumbent
+        score = evaluator.score_candidates
+
+        def counting_anchor(*args, **kwargs):
+            anchors.append(args[0])
+            return anchor(*args, **kwargs)
+
+        def counting_score(*args, **kwargs):
+            before = len(anchors)
+            out = score(*args, **kwargs)
+            per_call.append(len(anchors) - before)
+            return out
+
+        monkeypatch.setattr(area.engine, "evaluate_with_incumbent",
+                            counting_anchor)
+        monkeypatch.setattr(evaluator, "score_candidates", counting_score)
+        got = tune_power(evaluator, area.network, start, area.baseline,
+                         targets)
+        monkeypatch.undo()
+
+        snap = registry.snapshot()
+        iterations = snap["magus.search.power.iterations"]["value"]
+        assert iterations >= 2 and per_call
+        assert len(anchors) <= iterations + 1
+        assert max(per_call) <= 1           # one anchor per search step
+        assert snap["magus.evaluator.reanchors"]["value"] >= 1
+
+        full = Evaluator(area.engine, area.ue_density, "performance",
+                         strategy="full")
+        want = tune_power(full, area.network, start, area.baseline,
+                          targets)
+        assert got.final_config == want.final_config
+        assert got.final_utility == want.final_utility
+        assert ([s.change for s in got.steps]
+                == [s.change for s in want.steps])
+        assert ([s.utility for s in got.steps]
+                == [s.utility for s in want.steps])
+
+    def test_anchored_parent_is_not_reanchored(self, registry,
+                                               toy_evaluator, toy_network):
+        base = toy_network.planned_configuration()
+        toy_evaluator.utility_of(base)
+        toy_evaluator.score_candidates([base.with_power(0, 38.0)],
+                                       parent=base)
+        assert "magus.evaluator.reanchors" not in registry.snapshot()
+
+    def test_reanchor_in_report(self, registry, toy_evaluator,
+                                toy_network):
+        from repro.obs.report import RunReport
+        base = toy_network.planned_configuration()
+        toy_evaluator.utility_of(base)
+        for power in (30.0, 25.0):           # evict base's anchor
+            toy_evaluator.utility_of(base.with_power(0, power)
+                                     .with_power(2, power))
+        scores = toy_evaluator.score_candidates(
+            [base.with_power(1, 38.0)], parent=base)
+        assert scores == [toy_evaluator.utility_of(base.with_power(1, 38.0))]
+        report = RunReport.from_registry("test", registry=registry)
+        assert report.delta_metrics()["magus.evaluator.reanchors"] == 1
+        assert "magus.evaluator.reanchors" in report.to_table()
+
+
 class TestSearchParityEndToEnd:
     """Full mitigation plans agree across strategies on the toy world."""
 

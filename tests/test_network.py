@@ -120,6 +120,24 @@ class TestConfiguration:
         same = config.with_power(0, 44.0).with_power(0, 43.0)
         assert cache[same] == 1
 
+    def test_cached_hash_consistent_with_eq(self, config):
+        same = config.with_power(0, 44.0).with_power(0, 43.0)
+        other = config.with_power(0, 44.0)
+        assert hash(config) == hash(config) == hash(same)
+        assert hash(config) == hash((config.settings,))
+        assert config == same and config != other
+        # The cache is not a field: it stays out of eq and repr.
+        assert "_hash" not in repr(config)
+        assert config == Configuration(config.settings)
+
+    def test_cached_hash_survives_pickling(self, config):
+        import pickle
+        hash(config)                        # populate the cache
+        copy = pickle.loads(pickle.dumps(config))
+        assert "_hash" not in copy.__dict__  # re-hashed by the receiver
+        assert copy == config and hash(copy) == hash(config)
+        assert {config: 1}[copy] == 1
+
 
 class TestConfigurationValidation:
     @pytest.fixture

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility, UtilityFunction
-from repro.model.engine import AnalysisEngine
+from repro.model.engine import AnalysisEngine, DeltaIncumbent
 from repro.model.linkrate import LinkAdaptation
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
                                   plane_footprint)
@@ -337,6 +337,125 @@ class TestRoiParallelParity:
                        min_parallel_batch=2) as pooled:
             pooled.utility_of(config)
             assert pooled.score_candidates(candidates) == want
+
+
+# ----------------------------------------------------------------------
+def _masked_argmax_runner_up(planes, serving):
+    """Reference runner-up: blank each cell's serving row, argmax."""
+    if planes.shape[0] == 1:
+        return np.full(serving.shape, -np.inf), serving.copy()
+    masked = planes.copy()
+    np.put_along_axis(masked, serving[None].astype(np.intp), -np.inf,
+                      axis=0)
+    idx = masked.argmax(axis=0)
+    val = np.take_along_axis(masked, idx[None], axis=0)[0]
+    return val, idx.astype(np.int32)
+
+
+def _stack_incumbent(planes) -> DeltaIncumbent:
+    serving = planes.argmax(axis=0).astype(np.int32)
+    best = np.take_along_axis(planes, serving[None], axis=0)[0]
+    return DeltaIncumbent(None, planes, planes.sum(axis=0), serving, best,
+                          epoch=0)
+
+
+def _assert_runner_equal(got, want):
+    (got_val, got_idx), (want_val, want_idx) = got, want
+    assert got_val.dtype == want_val.dtype
+    assert got_val.tobytes() == want_val.tobytes()
+    assert np.array_equal(got_idx, want_idx)
+
+
+@st.composite
+def _sparse_stacks(draw):
+    """Small plane stacks full of exact zeros and ties: zero-tie cells
+    (sector 0 serving or not), all-zero (off-air) planes, S == 1."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 3.0]),
+                           min_size=n * rows * cols,
+                           max_size=n * rows * cols))
+    planes = np.asarray(values, dtype=dtype).reshape(n, rows, cols)
+    off_air = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    planes[np.asarray(off_air)] = 0.0
+    # Each plane is exactly zero outside a random box (a footprint).
+    for s in range(n):
+        r0 = draw(st.integers(0, rows - 1))
+        c0 = draw(st.integers(0, cols - 1))
+        r1 = draw(st.integers(r0 + 1, rows))
+        c1 = draw(st.integers(c0 + 1, cols))
+        keep = np.zeros((rows, cols), dtype=bool)
+        keep[r0:r1, c0:c1] = True
+        planes[s][~keep] = 0.0
+    return planes
+
+
+class TestRunnerUpParity:
+    """The boxed runner-up walk == masked argmax over the stack, bitwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(planes=_sparse_stacks(),
+           boxes=st.sampled_from(["tight", "none", "unknown", "mixed"]))
+    def test_boxed_matches_masked_argmax(self, planes, boxes):
+        incumbent = _stack_incumbent(planes)
+        tight = [plane_footprint(plane) for plane in planes]
+        walk = {"tight": tight,                      # EMPTY_BOX off-air
+                "none": None,                        # no list at all
+                "unknown": [None] * len(tight),      # full-grid boxes
+                "mixed": [b if s % 2 else None
+                          for s, b in enumerate(tight)]}[boxes]
+        _assert_runner_equal(
+            incumbent.runner_up(walk),
+            _masked_argmax_runner_up(planes, incumbent.raw_serving))
+
+    def test_zero_tie_cells(self):
+        planes = np.zeros((3, 1, 3))
+        planes[2, 0, 1] = 1.0        # sector 2 serves alone: runner 0
+        planes[0, 0, 2] = 1.0        # sector 0 serves alone: runner 1
+        incumbent = _stack_incumbent(planes)    # cell 0: all zero
+        boxes = [plane_footprint(plane) for plane in planes]
+        assert boxes[1] == EMPTY_BOX
+        val, idx = incumbent.runner_up(boxes)
+        assert idx.tolist() == [[1, 0, 1]]
+        assert val.tolist() == [[0.0, 0.0, 0.0]]
+        _assert_runner_equal(
+            (val, idx),
+            _masked_argmax_runner_up(planes, incumbent.raw_serving))
+
+    def test_single_sector(self):
+        planes = np.array([[[0.0, 2.0]]], dtype=np.float32)
+        val, idx = _stack_incumbent(planes).runner_up([EMPTY_BOX])
+        assert np.all(np.isneginf(val))
+        assert idx.tolist() == [[0, 0]]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(moves=_MOVES)
+    def test_engine_footprints(self, moves, roi_engine, toy_network,
+                               density):
+        """Clipped footprints and off-air sectors (EMPTY_BOX)."""
+        config = toy_network.planned_configuration()
+        for move in moves:
+            config = _apply_move(toy_network, config, move)
+        _, incumbent = roi_engine.evaluate_with_incumbent(config, density)
+        _assert_runner_equal(
+            incumbent.runner_up(roi_engine.sector_boxes(config)),
+            _masked_argmax_runner_up(incumbent.planes,
+                                     incumbent.raw_serving))
+
+    def test_unclipped_dict_walks_full_grid(self, toy_engine, toy_network,
+                                            toy_density):
+        config = toy_network.planned_configuration().with_offline([0])
+        boxes = toy_engine.sector_boxes(config)
+        assert boxes[0] == EMPTY_BOX and boxes[1:] == [None, None]
+        _, incumbent = toy_engine.evaluate_with_incumbent(config,
+                                                          toy_density)
+        _assert_runner_equal(
+            incumbent.runner_up(boxes),
+            _masked_argmax_runner_up(incumbent.planes,
+                                     incumbent.raw_serving))
 
 
 # ----------------------------------------------------------------------
