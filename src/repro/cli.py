@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "genuinely sparse; 'none' disables "
                            "clipping (default: -150)")
     pack.add_argument("--no-checksums", action="store_true",
-                      help="skip the per-section CRC32C checksums "
-                           "(writes a v2 file whose sections simply "
+                      help="skip the per-section CRC-32 checksums "
+                           "(writes a file whose sections simply "
                            "carry no checksum stamps)")
 
     testbed = sub.add_parser("testbed", help="run a Section-3 scenario")

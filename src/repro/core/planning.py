@@ -51,6 +51,14 @@ def optimize_planned_configuration(evaluator: Evaluator,
     (and, if enabled, one tilt step either way), keeping the best
     improving move.  Stops when a full pass makes no progress or after
     ``max_passes``.
+
+    A step's trials all differ from ``config`` in one sector, so they
+    are screened in one batched pass (windowed on clipped packs, dense
+    otherwise); only the winner is confirmed through the canonical
+    memoized path before it is committed.  Batch scores are bitwise
+    equal to the canonical ones except when an SINR lands exactly on a
+    CQI threshold — if the confirmation disagrees with the screen, the
+    sector's line search stops, as the search passes' ladders do.
     """
     settings = settings or PlanningSettings()
     f_current = evaluator.utility_of(config)
@@ -63,17 +71,21 @@ def optimize_planned_configuration(evaluator: Evaluator,
             # move — powers often need to travel many dB, and one step
             # per pass would take dozens of passes to converge.
             for _step in range(settings.max_steps_per_sector):
+                trials = _moves(network, config, sector_id, settings)
+                scores = evaluator.score_candidates(trials, parent=config)
                 best_trial = None
                 best_f = f_current
-                for trial in _moves(network, config, sector_id, settings):
-                    f_trial = evaluator.utility_of(trial)
+                for trial, f_trial in zip(trials, scores):
                     if f_trial > best_f + _EPS:
                         best_f = f_trial
                         best_trial = trial
                 if best_trial is None:
                     break
+                f_best = evaluator.utility_of(best_trial)
+                if f_best <= f_current + _EPS:  # screen disagreed: stop
+                    break
                 config = best_trial
-                f_current = best_f
+                f_current = f_best
                 improved = True
         if not improved:
             break

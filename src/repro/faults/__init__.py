@@ -18,9 +18,10 @@ Two further layers extend the modeled network faults to *real*
 process- and storage-level faults:
 
 * **durability** — :mod:`repro.faults.durable`: crash-atomic artifact
-  writes (temp + fsync + rename) and CRC32C payload checksums, adopted
-  by checkpoints, packed path-loss files, and every observability
-  artifact;
+  writes (temp + fsync + rename) and stdlib CRC-32 payload checksums
+  (``crc32:`` stamps; ``crc32c:`` stamps from older builds are still
+  verified), adopted by checkpoints, packed path-loss files, and every
+  observability artifact;
 * **chaos** — :mod:`repro.faults.chaos`: a seeded, JSON-serializable
   :class:`ChaosPlan` that SIGKILLs pool workers mid-dispatch, delays
   chunks past their deadline, and corrupts freshly written artifacts,

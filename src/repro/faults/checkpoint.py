@@ -12,9 +12,10 @@ active, azimuth_offset_deg]`` per sector with floats round-tripped via
 configuration is byte-identical to an uninterrupted one.
 
 Durability: :meth:`RolloutCheckpoint.save` goes through
-:func:`repro.faults.durable.atomic_write` and stamps a CRC32C over the
-canonical payload encoding; before each save the previous file rotates
-to ``<path>.prev``.  On resume a checkpoint that fails its checksum
+:func:`repro.faults.durable.atomic_write` and stamps a CRC-32
+(``crc32:``; ``crc32c:`` stamps from older builds still verify) over
+the canonical payload encoding; before each save the previous file
+rotates to ``<path>.prev``.  On resume a checkpoint that fails its checksum
 (or was torn mid-rotation) falls back to the ``.prev`` last-known-good
 instead of aborting the rollout.  Checkpoints written by older builds
 carry no ``checksum`` field and still load.
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..model.network import Configuration, SectorSetting
-from .durable import atomic_write, checksum_hex, verify_checksum
+from .durable import (ChecksumError, atomic_write, checksum_hex,
+                      verify_checksum)
 
 __all__ = ["RolloutCheckpoint", "CHECKPOINT_SCHEMA", "encode_config",
            "decode_config", "schedule_run_id"]
@@ -142,9 +144,15 @@ class RolloutCheckpoint:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise ValueError(
                 f"cannot load checkpoint {path!r}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # A flipped bit that breaks the encoding or the JSON syntax
+            # is storage corruption, same as one the checksum catches.
+            raise ChecksumError(
+                f"checkpoint {path!r} is corrupt: not valid JSON/UTF-8 "
+                f"({exc})") from exc
         stamp = data.get("checksum")
         if stamp is not None:
             verify_checksum(_canonical_bytes(data), str(stamp),

@@ -1,4 +1,4 @@
-"""Durable artifact primitives: atomic writes and CRC32C checksums.
+"""Durable artifact primitives: atomic writes and checksums.
 
 Everything Magus leaves on disk mid-run — checkpoints, packed path-loss
 databases, run reports, flight-recorder dumps — must survive the
@@ -9,16 +9,18 @@ process dying at *any* instruction.  Two primitives provide that:
     ``os.replace`` + directory ``fsync``: readers see either the old
     complete file or the new complete file, never a torn one.
 
-:func:`crc32c`
-    the Castagnoli CRC (the checksum ext4/iSCSI/NVMe use), so silent
-    bit rot in an artifact fails loudly at load instead of feeding the
-    planner garbage.  Small payloads go through a table-driven scalar
-    loop; large payloads (packed path-loss sections are gigabytes) use
-    a block-parallel numpy pass — 1024 interleaved CRC states updated
-    in lockstep, folded with precomputed GF(2) shift operators — which
-    runs ~25x faster than the byte loop while computing the *same*
-    polynomial (asserted against the RFC 3720 test vector and
-    cross-checked scalar-vs-vector in the test suite).
+:func:`checksum_hex` / :func:`verify_checksum`
+    ``"algorithm:xxxxxxxx"`` stamps, so silent bit rot in an artifact
+    fails loudly at load instead of feeding the planner garbage.  New
+    artifacts are stamped ``crc32:`` by the stdlib :func:`zlib.crc32`
+    (C speed, GB/s).  Verification dispatches on the stamp's tag:
+    ``crc32c:`` stamps — written by older builds — are checked with
+    :func:`crc32c`, the Castagnoli CRC kept as a legacy read path so
+    market-scale packs on disk stay loadable without a rebuild.  Small
+    payloads go through a table-driven scalar loop; large ones through
+    a block-parallel numpy pass (1024 interleaved CRC states updated
+    in lockstep, folded with precomputed GF(2) shift operators).  Any
+    other tag fails loudly.
 
 This module deliberately imports nothing from the rest of ``repro``
 (only stdlib + numpy), so the observability layer can call into it
@@ -37,18 +39,24 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
-    "atomic_write", "atomic_write_json", "crc32c", "checksum_hex",
-    "verify_checksum", "ChecksumError", "add_post_write_hook",
-    "remove_post_write_hook", "CHECKSUM_ALGORITHM",
+    "atomic_write", "atomic_write_json", "crc32", "crc32c",
+    "checksum_value", "checksum_hex", "verify_checksum", "ChecksumError",
+    "add_post_write_hook", "remove_post_write_hook", "CHECKSUM_ALGORITHM",
+    "SUPPORTED_CHECKSUMS",
 ]
 
-#: Algorithm tag stamped into checksum strings: ``"crc32c:xxxxxxxx"``.
-CHECKSUM_ALGORITHM = "crc32c"
+#: Algorithm tag stamped into new checksum strings: ``"crc32:xxxxxxxx"``.
+CHECKSUM_ALGORITHM = "crc32"
+#: Tags :func:`verify_checksum` accepts; ``crc32c`` is the legacy stamp
+#: of artifacts written by older builds.
+SUPPORTED_CHECKSUMS = ("crc32", "crc32c")
+_SUPPORTED_TEXT = ", ".join(map(repr, SUPPORTED_CHECKSUMS))
 
 #: Payloads below this go through the scalar loop; above it the
 #: block-parallel numpy pass wins (state setup costs ~1 ms).
@@ -162,6 +170,9 @@ def _crc_raw_vector(arr: np.ndarray, state: int) -> int:
 def crc32c(data, value: int = 0) -> int:
     """CRC-32C (Castagnoli) of ``data``, continuing from ``value``.
 
+    The legacy checksum: it verifies ``crc32c:`` stamps written by
+    older builds; new artifacts are stamped with :func:`crc32`.
+
     ``data`` is bytes-like or a contiguous uint8-viewable numpy array.
     ``crc32c(b, crc32c(a))`` equals ``crc32c(a + b)``, so callers can
     stream large payloads chunk by chunk.
@@ -178,32 +189,60 @@ def crc32c(data, value: int = 0) -> int:
     return state ^ 0xFFFFFFFF
 
 
-def checksum_hex(data, value: int = 0) -> str:
-    """``"crc32c:xxxxxxxx"`` — the stamp artifacts carry on disk."""
-    return f"{CHECKSUM_ALGORITHM}:{crc32c(data, value):08x}"
+def crc32(data, value: int = 0) -> int:
+    """CRC-32 (zlib's polynomial) of ``data``, continuing from ``value``.
+
+    Same input contract and chaining law as :func:`crc32c`; numpy
+    arrays are hashed through a flat uint8 view of their bytes.
+    """
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+    return zlib.crc32(data, value)
 
 
 class ChecksumError(ValueError):
     """An artifact's payload does not match its recorded checksum."""
 
 
+def checksum_value(algorithm: str, data, value: int = 0) -> int:
+    """The ``algorithm`` CRC of ``data``, continuing from ``value``.
+
+    Raises :class:`ChecksumError` for a tag outside
+    :data:`SUPPORTED_CHECKSUMS`.  Both functions are looked up at call
+    time, so wrappers installed on this module see every call.
+    """
+    if algorithm == "crc32":
+        return crc32(data, value)
+    if algorithm == "crc32c":
+        return crc32c(data, value)
+    raise ChecksumError(
+        f"unsupported checksum algorithm {algorithm!r}; this build "
+        f"verifies {_SUPPORTED_TEXT}")
+
+
+def checksum_hex(data, value: int = 0) -> str:
+    """``"crc32:xxxxxxxx"`` — the stamp new artifacts carry on disk."""
+    return f"{CHECKSUM_ALGORITHM}:{crc32(data, value):08x}"
+
+
 def verify_checksum(data, stamp: str, *, what: str = "artifact") -> None:
     """Raise :class:`ChecksumError` unless ``data`` matches ``stamp``.
 
-    Unknown algorithm prefixes fail loudly too — a file claiming a
-    checksum we cannot verify is not a file we can trust.
+    The stamp's tag picks the algorithm.  Unknown tags fail loudly too
+    — a file claiming a checksum we cannot verify is not a file we can
+    trust.
     """
     algorithm, _, expected = stamp.partition(":")
-    if algorithm != CHECKSUM_ALGORITHM or not expected:
+    if algorithm not in SUPPORTED_CHECKSUMS or not expected:
         raise ChecksumError(
             f"{what}: unsupported checksum {stamp!r}; this build "
-            f"verifies {CHECKSUM_ALGORITHM!r}")
-    actual = f"{crc32c(data):08x}"
+            f"verifies {_SUPPORTED_TEXT}")
+    actual = f"{checksum_value(algorithm, data):08x}"
     if actual != expected:
         raise ChecksumError(
             f"{what}: checksum mismatch — recorded "
-            f"{CHECKSUM_ALGORITHM}:{expected}, computed "
-            f"{CHECKSUM_ALGORITHM}:{actual}; the file is corrupt "
+            f"{algorithm}:{expected}, computed "
+            f"{algorithm}:{actual}; the file is corrupt "
             f"(torn write or bit rot)")
 
 

@@ -38,14 +38,19 @@ The header is written *last*: an interrupted build leaves zeroed magic
 bytes, so partial files fail loudly at load instead of parsing as an
 all-zero market.
 
-Version 2 adds a CRC32C per section (``"checksum": "crc32c:…"`` in
+Version 2 adds a checksum per section (``"checksum": "crc32:…"`` in
 each section-table entry), computed over the raw section bytes when
-the writer closes.  :func:`load_packed` verifies small files
-automatically and big ones on request (``verify=True``), failing with
-the section name and byte range so a flipped bit in a 23 GB market is
-a diagnosis, not a mystery mitigation plan.  Version-1 files (no
-checksums) still load; checksum-less v2 builds are available via
-``checksums=False`` / ``repro-magus pack --no-checksums``.
+the writer closes.  New files are stamped with the stdlib CRC-32
+(:func:`zlib.crc32`, GB/s); files stamped ``crc32c:`` by older builds
+are verified with the legacy Castagnoli CRC, so packs already on disk
+load without a rebuild.  Verification follows each stamp's tag, and
+an unknown tag fails loudly.  :func:`load_packed` verifies small
+files automatically and big ones on request (``verify=True``),
+failing with the section name and byte range so a flipped bit in a
+23 GB market is a diagnosis, not a mystery mitigation plan.
+Version-1 files (no checksums) still load; checksum-less builds are
+available via ``checksums=False`` / ``repro-magus pack
+--no-checksums``.
 
 Version 3 adds the sparse region-of-influence (ROI) sidecar: a
 ``clip_floor_db`` header field (gains below the floor are zeroed at
@@ -69,6 +74,8 @@ from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..faults.durable import (CHECKSUM_ALGORITHM, SUPPORTED_CHECKSUMS,
+                              ChecksumError, checksum_value)
 from .antenna import AntennaPattern, TiltRange
 from .geometry import GridSpec, Region
 from .network import CellularNetwork, Sector
@@ -101,7 +108,7 @@ _CRC_BLOCK_BYTES = 64 * 1024 * 1024
 #: Fixed-width placeholder stamped into section specs at layout time;
 #: the real CRC (same encoded width) replaces it when the writer
 #: closes, so the header's byte length never shifts.
-_CHECKSUM_PLACEHOLDER = "crc32c:00000000"
+_CHECKSUM_PLACEHOLDER = f"{CHECKSUM_ALGORITHM}:00000000"
 
 #: Sidecar raster planes persisted alongside the gains tensor, in
 #: section order.  Field names match ``_SectorRaster``.
@@ -544,19 +551,19 @@ class PackedDatabaseWriter:
             self.close()
 
 
-def _stream_checksum(fh: IO[bytes], offset: int, nbytes: int) -> str:
-    """``"crc32c:…"`` over ``nbytes`` of ``fh`` starting at ``offset``,
-    read in bounded blocks so checksumming never materializes a
-    section."""
-    from ..faults.durable import checksum_hex, crc32c
-
+def _stream_checksum(fh: IO[bytes], offset: int, nbytes: int,
+                     algorithm: str = CHECKSUM_ALGORITHM) -> str:
+    """``"<algorithm>:…"`` over ``nbytes`` of ``fh`` starting at
+    ``offset``, read in bounded blocks so checksumming never
+    materializes a section."""
     fh.seek(offset)
     value = 0
     remaining = nbytes
-    while remaining > _CRC_BLOCK_BYTES:
-        value = crc32c(fh.read(_CRC_BLOCK_BYTES), value)
+    while remaining > 0:
+        block = fh.read(min(remaining, _CRC_BLOCK_BYTES))
+        value = checksum_value(algorithm, block, value)
         remaining -= _CRC_BLOCK_BYTES
-    return checksum_hex(fh.read(remaining), value)
+    return f"{algorithm}:{value:08x}"
 
 
 def save_packed(db: PathLossDatabase, path: str,
@@ -726,10 +733,16 @@ def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
             stamp = spec.get("checksum")
             if stamp is None:
                 continue
+            algorithm = str(stamp).partition(":")[0]
+            if algorithm not in SUPPORTED_CHECKSUMS:
+                raise ChecksumError(
+                    f"{path}: section {name!r} carries unsupported "
+                    f"checksum {stamp!r}; this build verifies "
+                    f"{', '.join(map(repr, SUPPORTED_CHECKSUMS))}")
             offset, nbytes = int(spec["offset"]), int(spec["nbytes"])
-            actual = _stream_checksum(fh, offset, nbytes)
+            actual = _stream_checksum(fh, offset, nbytes, algorithm)
             if actual != stamp:
-                raise ValueError(
+                raise ChecksumError(
                     f"{path}: section {name!r} (bytes {offset}.."
                     f"{offset + nbytes}) fails its checksum — recorded "
                     f"{stamp}, computed {actual}.  The file is corrupt "
@@ -748,9 +761,9 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
     Construction-time ``validate()`` is skipped (it would fault in the
     whole tensor); call it explicitly to scan a suspect file.
 
-    ``verify`` controls checksum verification of v2 files: ``True``
-    always streams every section through its CRC32C, ``False`` never
-    does, and ``"auto"`` (default) verifies only files small enough
+    ``verify`` controls checksum verification of v2+ files: ``True``
+    always streams every section through the CRC its stamp names
+    (``crc32``, or the legacy ``crc32c``), ``False`` never does, and ``"auto"`` (default) verifies only files small enough
     (≤256 MB of sections) that the scan doesn't compromise the
     milliseconds-load contract — run :func:`verify_sections` (or
     ``verify=True``) explicitly for market-scale files.

@@ -1,6 +1,6 @@
 """Crash-safe execution: durable artifacts, supervision, chaos harness.
 
-Three layers of the robustness PR, bottom-up: the CRC32C/atomic-write
+Three layers of the robustness PR, bottom-up: the checksum/atomic-write
 primitives in :mod:`repro.faults.durable`, the checksummed artifacts
 built on them (rollout checkpoints with ``.prev`` rotation, plossdb v2
 per-section checksums), and the seeded :class:`ChaosPlan` harness that
@@ -29,9 +29,11 @@ from repro.faults import (ArtifactFaults, ChaosInjector, ChaosPlan,
                           RolloutCheckpoint, WorkerKill, atomic_write,
                           checksum_hex, crc32c, encode_config,
                           schedule_run_id, verify_checksum)
-from repro.faults.checkpoint import previous_path
+from repro.faults import durable
+from repro.faults.checkpoint import _canonical_bytes, previous_path
 from repro.faults.durable import (add_post_write_hook, atomic_write_json,
-                                  remove_post_write_hook)
+                                  crc32, remove_post_write_hook)
+from repro.model import plossdb
 from repro.model.plossdb import (load_packed, read_header, save_packed,
                                  verify_sections)
 from repro.obs import (FlightRecorder, MetricsRegistry, use_flight_recorder,
@@ -89,7 +91,7 @@ class TestCRC32C:
 
     def test_checksum_hex_format(self):
         stamp = checksum_hex(b"123456789")
-        assert stamp == "crc32c:e3069283"
+        assert stamp == "crc32:cbf43926"
 
     def test_verify_checksum_accepts_and_rejects(self):
         data = b"payload"
@@ -105,6 +107,76 @@ class TestCRC32C:
         data = os.urandom(4096)
         assert zlib.crc32(data[2048:], zlib.crc32(data[:2048])) \
             == zlib.crc32(data)
+
+
+# ----------------------------------------------------------------------
+def _flip_byte(path, offset, mask=0x10):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ mask]))
+
+
+class TestCRC32:
+    """The stamp new artifacts carry: stdlib CRC-32 behind ``crc32:``."""
+
+    def test_check_vector(self):
+        # The CRC-32 (ISO-HDLC / zlib) check value.
+        assert crc32(b"123456789") == 0xCBF43926
+        assert crc32(b"") == 0
+
+    def test_ndarray_input_hashes_raw_bytes(self):
+        for arr in (np.arange(100, dtype=np.uint8),
+                    np.linspace(-3, 3, 77, dtype=np.float32),
+                    np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2]):
+            assert crc32(arr) \
+                == zlib.crc32(np.ascontiguousarray(arr).tobytes())
+
+    def test_chain_law(self):
+        data = os.urandom(10_001)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        for cut in (0, 1, 4096, 10_001):
+            assert crc32(data[cut:], crc32(data[:cut])) == crc32(data)
+            assert crc32(arr[cut:], crc32(arr[:cut])) == crc32(arr)
+
+    def test_stream_checksum_across_block_boundaries(self, tmp_path,
+                                                     monkeypatch):
+        # A payload spanning several (shrunken) streaming blocks, with
+        # a ragged tail, must hash to the one-shot stamp — for the new
+        # algorithm and the legacy one alike.
+        monkeypatch.setattr(plossdb, "_CRC_BLOCK_BYTES", 1000)
+        arr = np.random.default_rng(3).standard_normal(
+            1234).astype(np.float32)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"head" + arr.tobytes())
+        with open(path, "rb") as fh:
+            streamed = plossdb._stream_checksum(fh, 4, arr.nbytes)
+            legacy = plossdb._stream_checksum(fh, 4, arr.nbytes, "crc32c")
+        assert streamed == checksum_hex(arr) == checksum_hex(arr.tobytes())
+        assert legacy == f"crc32c:{crc32c(arr.tobytes()):08x}"
+
+    def test_packed_stamps_do_not_depend_on_block_size(
+            self, tmp_path, toy_pathloss, monkeypatch):
+        save_packed(toy_pathloss, tmp_path / "big.plossdb")
+        monkeypatch.setattr(plossdb, "_CRC_BLOCK_BYTES", 4096 + 7)
+        save_packed(toy_pathloss, tmp_path / "small.plossdb")
+        big = read_header(tmp_path / "big.plossdb")["sections"]
+        small = read_header(tmp_path / "small.plossdb")["sections"]
+        assert {n: s["checksum"] for n, s in big.items()} \
+            == {n: s["checksum"] for n, s in small.items()}
+        assert verify_sections(tmp_path / "small.plossdb") == list(small)
+
+    def test_unknown_tag_raises_checksum_error(self):
+        for stamp in ("md5:00000000", "crc32:", "crc32c", "sha1:cbf43926"):
+            with pytest.raises(ChecksumError, match="'crc32', 'crc32c'"):
+                verify_checksum(b"123456789", stamp)
+
+    def test_legacy_crc32c_stamp_verifies(self):
+        data = b"123456789"
+        verify_checksum(data, "crc32c:e3069283")
+        with pytest.raises(ChecksumError, match="crc32c:"):
+            verify_checksum(data + b"!", "crc32c:e3069283")
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +440,7 @@ class TestCheckpointDurability:
         path = str(tmp_path / "run.ckpt")
         self._checkpoint(toy_network).save(path)
         doc = json.loads(open(path).read())
-        assert doc["checksum"].startswith("crc32c:")
+        assert doc["checksum"].startswith("crc32:")
         assert RolloutCheckpoint.load(path).step == 1
 
     def test_bitflipped_checkpoint_is_actionable(self, toy_network,
@@ -387,6 +459,62 @@ class TestCheckpointDurability:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         assert RolloutCheckpoint.load(path).step == 1
+
+    def _legacy_stamped(self, network, path):
+        """A checkpoint as older builds wrote it: stamped ``crc32c:``."""
+        doc = self._checkpoint(network).to_dict()
+        doc["checksum"] = f"crc32c:{crc32c(_canonical_bytes(doc)):08x}"
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+
+    def test_legacy_crc32c_checkpoint_loads(self, toy_network, tmp_path,
+                                            monkeypatch):
+        path = str(tmp_path / "legacy.ckpt")
+        self._legacy_stamped(toy_network, path)
+        calls = []
+        real = durable.crc32c
+        monkeypatch.setattr(durable, "crc32c",
+                            lambda *a: calls.append(1) or real(*a))
+        assert RolloutCheckpoint.load(path).step == 1
+        assert calls            # verified by the legacy algorithm
+
+    def test_legacy_crc32c_checkpoint_bitflip_raises(self, toy_network,
+                                                     tmp_path):
+        path = str(tmp_path / "legacy.ckpt")
+        self._legacy_stamped(toy_network, path)
+        # '"step": 1' -> '"step": 3' is a single flipped bit.
+        _flip_byte(path, open(path, "rb").read().index(b'"step": 1') + 8,
+                   mask=0x02)
+        with pytest.raises(ChecksumError, match="mismatch"):
+            RolloutCheckpoint.load(path)
+
+    def test_unknown_checksum_tag_raises(self, toy_network, tmp_path):
+        path = str(tmp_path / "odd.ckpt")
+        doc = self._checkpoint(toy_network).to_dict()
+        doc["checksum"] = "md5:00000000"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ChecksumError, match="unsupported"):
+            RolloutCheckpoint.load(path)
+
+    def test_json_breaking_corruption_is_checksum_error(self, toy_network,
+                                                        tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        self._checkpoint(toy_network).save(path)
+        data = bytearray(open(path, "rb").read())
+        data[data.index(b"{")] ^= 0x01          # '{' -> 'z'
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ChecksumError, match="not valid JSON"):
+            RolloutCheckpoint.load(path)
+        data[0:1] = b"\xff"                      # not UTF-8 either
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ChecksumError, match="not valid JSON"):
+            RolloutCheckpoint.load(path)
+
+    def test_unreadable_checkpoint_is_plain_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot load") as info:
+            RolloutCheckpoint.load(str(tmp_path))     # a directory
+        assert not isinstance(info.value, ChecksumError)
 
     def test_rotation_keeps_last_known_good(self, toy_network, tmp_path):
         path = str(tmp_path / "run.ckpt")
@@ -448,7 +576,7 @@ class TestPlossdbChecksums:
         save_packed(toy_pathloss, path)
         header = read_header(path)
         sections = header["sections"]
-        assert all(s.get("checksum", "").startswith("crc32c:")
+        assert all(s.get("checksum", "").startswith("crc32:")
                    for s in sections.values())
         assert verify_sections(path) == list(sections)
 
@@ -469,6 +597,50 @@ class TestPlossdbChecksums:
             verify_sections(path)
         # verify=False still permits forensic inspection.
         assert load_packed(path, verify=False) is not None
+
+    @staticmethod
+    def _save_legacy(pathloss, path, monkeypatch):
+        """Pack ``path`` the way older builds did: ``crc32c:`` stamps."""
+        stream = plossdb._stream_checksum
+        with monkeypatch.context() as m:
+            m.setattr(plossdb, "_CHECKSUM_PLACEHOLDER", "crc32c:00000000")
+            m.setattr(plossdb, "_stream_checksum",
+                      lambda fh, offset, nbytes: stream(
+                          fh, offset, nbytes, "crc32c"))
+            save_packed(pathloss, path)
+
+    def test_legacy_crc32c_sections_still_load(self, tmp_path,
+                                               toy_pathloss, monkeypatch):
+        path = tmp_path / "legacy.plossdb"
+        self._save_legacy(toy_pathloss, path, monkeypatch)
+        sections = read_header(path)["sections"]
+        assert all(s["checksum"].startswith("crc32c:")
+                   for s in sections.values())
+        calls = []
+        real = durable.crc32c
+        monkeypatch.setattr(durable, "crc32c",
+                            lambda *a: calls.append(1) or real(*a))
+        assert verify_sections(path) == list(sections)
+        assert len(calls) >= len(sections)
+        assert load_packed(path) is not None
+
+    def test_legacy_crc32c_bitflip_raises(self, tmp_path, toy_pathloss,
+                                          monkeypatch):
+        path = tmp_path / "legacy.plossdb"
+        self._save_legacy(toy_pathloss, path, monkeypatch)
+        name, section = list(read_header(path)["sections"].items())[0]
+        _flip_byte(path, section["offset"] + section["nbytes"] // 3)
+        with pytest.raises(ChecksumError, match=name):
+            load_packed(path)
+
+    def test_unknown_section_tag_raises(self, tmp_path, toy_pathloss):
+        path = tmp_path / "toy.plossdb"
+        save_packed(toy_pathloss, path)
+        header = read_header(path)
+        name = next(iter(header["sections"]))
+        header["sections"][name]["checksum"] = "sha1:00000000"
+        with pytest.raises(ChecksumError, match="unsupported"):
+            verify_sections(path, header)
 
     def test_truncated_section_is_actionable(self, tmp_path,
                                              toy_pathloss):
