@@ -1,13 +1,14 @@
 """PR-10 perf harness: sparse region-of-influence candidate scoring.
 
-Times ROI-windowed candidate scoring against the dense batch path and
-probes the paper-scale market:
+Times ROI-windowed candidate scoring against the dense batch reference
+(``AnalysisEngine.evaluate_batch`` + the per-candidate reduction, see
+:func:`_dense_scorer`) and probes the paper-scale market:
 
 * ``test_roi_scoring_speedup`` — the 60-sector 120x120 bench area is
   re-clipped at ``-110`` dB (at the default ``-150`` dB floor the
-  suburban footprints stay full-grid and ROI falls back) and packed;
+  suburban footprints stay full-grid) and packed;
   ``Evaluator.score_candidates`` over a 57-candidate power ladder must
-  be a >=2x median speedup with ROI on vs. off, after a bitwise parity
+  be a >=2x speedup over the dense reference, after a bitwise parity
   gate.  The CI perf-smoke step runs exactly this with ``--quick``.
 * ``test_packed_roi_parity_subprocess`` — a fresh process builds a
   small clipped v3 market, memory-maps it back and asserts the header
@@ -46,8 +47,7 @@ _OUT_PATH = Path(os.environ.get("BENCH_PR10_OUT",
                                 str(_REPO_ROOT / "BENCH_pr10.json")))
 _FULL = os.environ.get("BENCH_PR10_FULL") == "1"
 #: Clip floor for the CI quick scenario.  Measured on the 120x120
-#: suburban bench area: mean footprint 0.14 of the grid (max 0.85 —
-#: one straddling sector honestly falls back past ``roi_max_fraction``).
+#: suburban bench area: mean footprint 0.14 of the grid (max 0.85).
 _QUICK_FLOOR_DB = -110.0
 #: Clip floor for the paper-scale point (mean footprint ~0.08).
 _FULL_FLOOR_DB = -115.0
@@ -107,6 +107,29 @@ def _power_trials(network, config, batch: int) -> list:
     return trials
 
 
+def _dense_scorer(engine, config, density, utility):
+    """The dense reference for candidates one sector off ``config``.
+
+    Anchors ``config`` once, then scores candidates through
+    ``engine.evaluate_batch`` and the per-candidate weighted reduction,
+    64 at a time — what ``Evaluator.score_candidates`` ran before every
+    candidate went through a window.
+    """
+    _, incumbent = engine.evaluate_with_incumbent(config, density)
+
+    def score(cands) -> list:
+        out = []
+        for start in range(0, len(cands), 64):
+            chunk = cands[start:start + 64]
+            batch = engine.evaluate_batch(incumbent, chunk, density)
+            weighted = utility.per_ue(batch.rate_bps) * density
+            out.extend(float(u) for u in
+                       weighted.reshape(len(chunk), -1).sum(axis=1))
+        return out
+
+    return score
+
+
 def _roi_counters(registry) -> dict:
     """The ``magus.engine.roi_*`` counter values from one registry."""
     snap = registry.snapshot()
@@ -156,8 +179,7 @@ def _probe_score(args) -> dict:
     Anchors one delta incumbent per evaluator, parity-gates the two
     score vectors (must be *bitwise* equal), then times
     ``score_candidates`` over the same single-sector power trials —
-    the Algorithm-1 inner loop.  ROI fallbacks (footprints past
-    ``roi_max_fraction``) are recorded, not hidden.
+    the Algorithm-1 inner loop.
     """
     import numpy as np
 
@@ -177,22 +199,16 @@ def _probe_score(args) -> dict:
     config = network.planned_configuration()
     trials = _power_trials(network, config, args.batch)
 
-    def make(roi: bool) -> Evaluator:
-        engine = AnalysisEngine(db, roi=roi)
-        return Evaluator(engine, density, cache_size=0,
-                         strategy="delta", roi=roi)
-
-    ev_dense, ev_roi = make(False), make(True)
+    ev_roi = Evaluator(AnalysisEngine(db), density, cache_size=0,
+                       strategy="delta")
     t0 = time.perf_counter()
-    ev_dense.utility_of(config)
-    anchor_s = time.perf_counter() - t0
     ev_roi.utility_of(config)
-    dense_scores = ev_dense.score_candidates(trials)
-    roi_scores = ev_roi.score_candidates(trials)
-    parity = dense_scores == roi_scores
+    anchor_s = time.perf_counter() - t0
+    dense = _dense_scorer(AnalysisEngine(db), config, density,
+                          ev_roi.utility)
+    parity = dense(trials) == ev_roi.score_candidates(trials)
 
-    dense_s = _best_s(lambda: ev_dense.score_candidates(trials),
-                      args.rounds)
+    dense_s = _best_s(lambda: dense(trials), args.rounds)
     roi_s = _best_s(lambda: ev_roi.score_candidates(trials),
                     args.rounds)
     return {"probe": "score", "n_sectors": network.n_sectors,
@@ -247,14 +263,12 @@ def _probe_parity(args) -> dict:
                 if t != config.settings[0].tilt_deg)
     trials.append(config.with_tilt(0, tilt))
 
-    ev_dense = Evaluator(AnalysisEngine(db, roi=False), density,
-                         cache_size=0, strategy="delta", roi=False)
-    ev_roi = Evaluator(AnalysisEngine(db, roi=True), density,
-                       cache_size=0, strategy="delta", roi=True)
-    ev_dense.utility_of(config)
+    ev_roi = Evaluator(AnalysisEngine(db), density, cache_size=0,
+                       strategy="delta")
     ev_roi.utility_of(config)
-    scores_equal = (ev_dense.score_candidates(trials)
-                    == ev_roi.score_candidates(trials))
+    dense = _dense_scorer(AnalysisEngine(db), config, density,
+                          ev_roi.utility)
+    scores_equal = dense(trials) == ev_roi.score_candidates(trials)
 
     # Windowed delta vs. the full evaluation on the mapped planes.
     engine = ev_roi.engine
@@ -321,17 +335,14 @@ def test_roi_scoring_speedup(bench_area_120, quick):
     config, cands = neighbor_power_ladder(
         area, units=(1.0, 2.0, -1.0, -2.0))
     link = area.engine.link
-    ev_dense = Evaluator(AnalysisEngine(db, link=link, roi=False),
-                         area.ue_density, cache_size=0,
-                         strategy="delta", roi=False)
-    ev_roi = Evaluator(AnalysisEngine(db, link=link, roi=True),
-                       area.ue_density, cache_size=0,
-                       strategy="delta", roi=True)
-    ev_dense.utility_of(config)
+    ev_roi = Evaluator(AnalysisEngine(db, link=link), area.ue_density,
+                       cache_size=0, strategy="delta")
     ev_roi.utility_of(config)
+    dense = _dense_scorer(AnalysisEngine(db, link=link), config,
+                          area.ue_density, ev_roi.utility)
 
     # Parity gate before timing (bitwise, not approximate).
-    dense_scores = ev_dense.score_candidates(cands)
+    dense_scores = dense(cands)
     roi_scores = ev_roi.score_candidates(cands)
     assert dense_scores == roi_scores, (
         "ROI scores diverged from the dense batch path")
@@ -340,7 +351,7 @@ def test_roi_scoring_speedup(bench_area_120, quick):
         "ROI path never took a window — footprints did not resolve")
 
     rounds = 5 if quick else 7
-    dense_s = _best_s(lambda: ev_dense.score_candidates(cands), rounds)
+    dense_s = _best_s(lambda: dense(cands), rounds)
     roi_s = _best_s(lambda: ev_roi.score_candidates(cands), rounds)
     speedup = dense_s / roi_s if roi_s > 0 else float("inf")
     row = {
@@ -365,8 +376,7 @@ def test_roi_scoring_speedup(bench_area_120, quick):
            f"floor {_QUICK_FLOOR_DB:g} dB): "
            f"dense {dense_s * 1e3:.1f} ms, roi {roi_s * 1e3:.1f} ms "
            f"-> {speedup:.2f}x "
-           f"(windows {counters.get('roi_evaluations', 0)}, "
-           f"fallbacks {counters.get('roi_fallbacks', 0)})")
+           f"(windows {counters.get('roi_evaluations', 0)})")
     assert speedup >= 2.0, (
         f"ROI scoring speedup {speedup:.2f}x is below the 2x "
         f"acceptance bar")
@@ -429,18 +439,15 @@ def test_parallel_roi_bar(bench_area_120, quick):
     config, cands = neighbor_power_ladder(
         area, units=(1.0, 2.0, -1.0, -2.0))
     link = area.engine.link
-    ev_dense = Evaluator(AnalysisEngine(db, link=link, roi=False),
-                         area.ue_density, cache_size=0,
-                         strategy="delta", roi=False)
-    ev_dense.utility_of(config)
     rounds = 3 if quick else 7
-    dense_s = _best_s(lambda: ev_dense.score_candidates(cands), rounds)
-    with Evaluator(AnalysisEngine(db, link=link, roi=True),
+    with Evaluator(AnalysisEngine(db, link=link),
                    area.ue_density, cache_size=0, strategy="parallel",
-                   workers=8, min_parallel_batch=2, roi=True) as ev_par:
+                   workers=8, min_parallel_batch=2) as ev_par:
+        dense = _dense_scorer(AnalysisEngine(db, link=link), config,
+                              area.ue_density, ev_par.utility)
+        dense_s = _best_s(lambda: dense(cands), rounds)
         ev_par.utility_of(config)
-        assert ev_par.score_candidates(cands) == \
-            ev_dense.score_candidates(cands)
+        assert ev_par.score_candidates(cands) == dense(cands)
         par_s = _best_s(lambda: ev_par.score_candidates(cands), rounds)
     speedup = dense_s / par_s if par_s > 0 else float("inf")
     _RESULTS.append({

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also compute the gradual migration schedule")
     mitigate.add_argument("--workers", type=int, default=1, metavar="N",
                           help="score candidate batches on N worker "
-                               "processes over shared-memory planes "
+                               "processes over shared-memory rasters "
                                "(evaluation strategy 'parallel'; "
                                "default 1 = serial; requires the "
                                "delta engine)")
@@ -90,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disable the incremental delta-evaluation "
                                "engine and run every candidate through "
                                "the full Formula 1-4 pass (ablation "
-                               "baseline)")
-    mitigate.add_argument("--no-roi", action="store_true",
-                          help="disable sparse region-of-influence "
-                               "windows and score every candidate over "
-                               "the full grid (results are bitwise "
-                               "identical either way; ablation "
                                "baseline)")
     mitigate.add_argument("--faults", metavar="PLAN.json", default=None,
                           help="inject the failure scenario described by "
@@ -390,8 +384,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
         # batches to parallelize — so it always stays serial.
         area = build_area(AreaType(args.area_type), seed=args.seed,
                           evaluation_strategy=strategy,
-                          plossdb=args.plossdb,
-                          roi=not args.no_roi)
+                          plossdb=args.plossdb)
     if args.plossdb:
         print(f"path-loss database memory-mapped from {args.plossdb} "
               f"({area.pathloss.packed_store.nbytes / 1e6:.0f} MB packed, "
@@ -404,8 +397,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
                             evaluation_strategy=magus_strategy,
                             workers=args.workers,
                             chunk_deadline_s=args.chunk_deadline_s,
-                            chaos=chaos,
-                            roi=False if args.no_roi else None)
+                            chaos=chaos)
     status = 0
     # Everything below runs under the close() guarantee: whatever path
     # exits — including the structured aborts with exit codes 3/4 —
@@ -468,7 +460,6 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
                   "scenario": args.scenario, "tuning": args.tuning,
                   "evaluation_strategy": magus_strategy,
                   "workers": args.workers,
-                  "roi": not args.no_roi,
                   "fault_plan": args.faults,
                   "chaos_plan": args.chaos})
         _emit_report(report, args, sink)

@@ -11,7 +11,7 @@ search algorithms freely re-ask about configurations they have seen
 The evaluator also counts *distinct* model evaluations, which is the
 cost metric of the search-heuristic ablation.
 
-Two evaluation strategies are supported (``strategy=`` knob):
+Three evaluation strategies are supported (``strategy=`` knob):
 
 ``"delta"`` (default)
     Cache-missing configurations are answered incrementally when they
@@ -28,12 +28,13 @@ Two evaluation strategies are supported (``strategy=`` knob):
     The delta strategy, plus a process-pool
     :class:`~repro.parallel.EvaluationService` (``workers=N``) that
     fans large :meth:`score_candidates` batches across cores over
-    shared-memory mW planes.  Results are bitwise identical to
+    shared-memory baseline rasters.  Results are bitwise identical to
     ``"delta"``; batches below the service's threshold — and every
     single-configuration query — stay on the serial path.
 
-:meth:`score_candidates` additionally batches K single-sector
-candidates into one vectorized engine pass; batch scores are never
+:meth:`score_candidates` scores single-sector candidates through their
+region-of-influence windows (:func:`repro.model.roi.score_candidate`,
+the whole grid where a footprint is unknown); these scores are never
 cached, so accepted candidates are always confirmed canonically.
 
 A parallel evaluator owns worker processes: call :meth:`close` (or use
@@ -44,7 +45,7 @@ make both a no-op.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +60,6 @@ __all__ = ["Evaluator", "EVALUATION_STRATEGIES"]
 
 EVALUATION_STRATEGIES = ("full", "delta", "parallel")
 
-#: Largest number of candidates scored in one vectorized engine pass;
-#: bigger requests are chunked to bound peak memory (K * raster each
-#: for half a dozen intermediates).
-_BATCH_CHUNK = 64
-
 
 class Evaluator:
     """Memoizing ``f(C)`` oracle over a fixed engine + UE population."""
@@ -75,8 +71,7 @@ class Evaluator:
                  workers: Optional[int] = None,
                  min_parallel_batch: Optional[int] = None,
                  chunk_deadline_s: Optional[float] = None,
-                 chaos=None,
-                 roi: Optional[bool] = None) -> None:
+                 chaos=None) -> None:
         if ue_density.shape != engine.grid.shape:
             raise ValueError("UE raster does not match engine grid")
         if cache_size < 0:
@@ -86,11 +81,6 @@ class Evaluator:
                 f"unknown evaluation strategy {strategy!r}; "
                 f"expected one of {EVALUATION_STRATEGIES}")
         self.engine = engine
-        # ``None`` keeps the engine's default (on); an explicit bool
-        # flips the engine-level knob so delta *and* batch windows
-        # follow one switch (the CLI's --no-roi lands here).
-        if roi is not None:
-            engine.roi = bool(roi)
         self.ue_density = np.asarray(ue_density, dtype=float)
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
@@ -197,16 +187,20 @@ class Evaluator:
     def score_candidates(self, configs: Sequence[Configuration],
                          parent: Optional[Configuration] = None
                          ) -> List[float]:
-        """``f(C)`` for each candidate, batched where possible.
+        """``f(C)`` for each candidate, windowed where possible.
 
         Candidates that differ from a recent incumbent in exactly one
-        sector are stacked and scored in one vectorized engine pass;
-        the rest (and everything under ``strategy="full"`` or a custom
+        sector are scored through their region-of-influence windows
+        against that incumbent's :class:`~repro.model.roi.RoiBaseline`
+        (on the pool when the strategy is ``"parallel"``); the rest
+        (and everything under ``strategy="full"`` or a custom
         ``UtilityFunction.evaluate`` override) go through the canonical
-        memoized path.  Batch scores are ranking-grade — bitwise equal
-        to the canonical value except when an SINR lands exactly on a
-        CQI threshold — and are **not** cached, so callers must confirm
-        the winning candidate via :meth:`utility_of` before accepting.
+        memoized path.  Windowed scores equal the dense batch reference
+        (:meth:`AnalysisEngine.evaluate_batch`) bit for bit; they are
+        ranking-grade — bitwise equal to the canonical value except
+        when an SINR lands exactly on a CQI threshold — and are **not**
+        cached, so callers must confirm the winning candidate via
+        :meth:`utility_of` before accepting.
 
         ``parent`` is the configuration the candidates were derived
         from.  When no delta anchor holds it (a memo-cache hit whose
@@ -236,47 +230,22 @@ class Evaluator:
                 self._anchor(parent)
             for incumbent in list(self._incumbents):
                 group: List[int] = []
-                changed_map: Dict[int, int] = {}
+                changed: List[int] = []
                 for i in remaining:
                     sector = self.engine.single_sector_change(
                         incumbent, configs[i])
                     if sector is not None:
                         group.append(i)
-                        changed_map[i] = sector
+                        changed.append(sector)
                 if not group:
                     continue
-                # Windowed ROI scoring answers whatever it can (the
-                # footprint-resolvable candidates); the rest of the
-                # group stays on the dense batch path.  Either way the
-                # values are bitwise identical.
-                roi_scores = self._score_roi(incumbent, configs, group,
-                                             changed_map)
-                if roi_scores:
-                    for i, value in roi_scores.items():
-                        scores[i] = value
-                dense_group = [i for i in group if scores[i] is None]
-                if dense_group:
-                    parallel = self._score_parallel(
-                        incumbent, [configs[i] for i in dense_group])
-                    if parallel is not None:
-                        for i, value in zip(dense_group, parallel):
-                            scores[i] = value
-                    else:
-                        for start in range(0, len(dense_group),
-                                           _BATCH_CHUNK):
-                            chunk = dense_group[start:start + _BATCH_CHUNK]
-                            batch = self.engine.evaluate_batch(
-                                incumbent, [configs[i] for i in chunk],
-                                self.ue_density)
-                            if batch is None:  # defensive; checked above
-                                break
-                            for i, value in zip(
-                                    chunk, self._batch_utilities(batch)):
-                                scores[i] = value
-                scored = [i for i in group if scores[i] is not None]
-                self._eval_counter.inc(len(scored))
+                values = self._score_windowed(
+                    incumbent, [configs[i] for i in group], changed)
+                for i, value in zip(group, values):
+                    scores[i] = value
+                self._eval_counter.inc(len(group))
                 registry.counter(
-                    "magus.evaluator.model_evaluations").inc(len(scored))
+                    "magus.evaluator.model_evaluations").inc(len(group))
                 remaining = [i for i in remaining if scores[i] is None]
                 if not remaining:
                     break
@@ -286,88 +255,39 @@ class Evaluator:
 
     def _batchable(self) -> bool:
         # A custom ``evaluate`` override may inspect the whole state;
-        # the batch path only materializes stacked rate rasters.
+        # the windowed scorer only reduces per-UE rate terms.
         return (self.strategy in ("delta", "parallel")
                 and type(self.utility).evaluate is UtilityFunction.evaluate)
 
-    def _score_parallel(self, incumbent: DeltaIncumbent,
-                        configs: List[Configuration]
-                        ) -> Optional[List[float]]:
-        """Fan one incumbent's candidate group out to the pool.
+    def _score_windowed(self, incumbent: DeltaIncumbent,
+                        configs: Sequence[Configuration],
+                        changed: Sequence[int]) -> List[float]:
+        """Score single-sector ``configs`` through their ROI windows.
 
-        ``None`` means "score serially": no service, batch under the
-        threshold, or the service declined (stale epoch, worker
-        failure, daemonic process...).
+        ``changed`` names the sector each config flips vs.
+        ``incumbent``.  The pool answers when it takes the batch;
+        otherwise every candidate runs :func:`roi.score_candidate`
+        here.
         """
-        if self._service is None:
-            return None
-        return self._service.score_batch(incumbent, configs)
-
-    def _score_roi(self, incumbent: DeltaIncumbent,
-                   configs: Sequence[Configuration],
-                   group: Sequence[int],
-                   changed_map: Optional[Dict[int, int]] = None
-                   ) -> Optional[dict]:
-        """Score ``group``'s ROI-eligible members through their windows.
-
-        Returns ``{index: utility}`` for the candidates whose footprint
-        window resolved (possibly empty), or ``None`` when ROI is off
-        or no baseline exists — every unanswered index falls through to
-        the dense batch path with identical results.
-        ``magus.engine.roi_fallbacks`` counts candidates that needed
-        the dense path while ROI was on.
-        """
-        engine = self.engine
-        if not engine.roi:
-            return None
-        registry = get_registry()
         baseline = self._roi_baseline(incumbent)
-        if baseline is None:
-            registry.counter(
-                "magus.engine.roi_fallbacks").inc(len(group))
-            return None
-        items = []
-        fallbacks = 0
-        for i in group:
-            changed = (changed_map.get(i) if changed_map is not None
-                       else engine.single_sector_change(
-                           incumbent, configs[i]))
-            box = (None if changed is None
-                   else engine.roi_window(incumbent, configs[i], changed))
-            if box is None:
-                fallbacks += 1
-                continue
-            items.append((i, changed, box))
-        if fallbacks:
-            registry.counter(
-                "magus.engine.roi_fallbacks").inc(fallbacks)
-        out: dict = {}
-        if not items:
-            return out
+        windows = [(sector, self.engine.roi_window(incumbent, config,
+                                                   sector))
+                   for config, sector in zip(configs, changed)]
         if self._service is not None:
-            values = self._service.score_batch_roi(
-                baseline, [configs[i] for i, _, _ in items],
-                [(changed, box) for _, changed, box in items])
+            values = self._service.score_batch_roi(baseline, configs,
+                                                   windows)
             if values is not None:
-                for (i, _, _), value in zip(items, values):
-                    out[i] = value
-                return out      # service did the engine accounting
-        cells = 0
-        for i, changed, box in items:
-            out[i] = _roi.score_candidate(
-                engine, baseline, configs[i], changed, box,
-                self.ue_density, self.utility)
-            cells += _roi.box_area(box)
-        k = len(items)
-        engine._eval_counter.inc(k)
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.roi_evaluations").inc(k)
-        registry.counter("magus.engine.roi_cells").inc(cells)
-        return out
+                return values   # service did the engine accounting
+        values = [_roi.score_candidate(self.engine, baseline, config,
+                                       sector, box, self.ue_density,
+                                       self.utility)
+                  for config, (sector, box) in zip(configs, windows)]
+        _roi.count_windowed(self.engine, [box for _, box in windows])
+        return values
 
     def _roi_baseline(self,
-                      incumbent: DeltaIncumbent
-                      ) -> Optional[_roi.RoiBaseline]:
+                      incumbent: DeltaIncumbent) -> _roi.RoiBaseline:
+        # Ring incumbents all ran ``_finish``, so the baseline exists.
         key = (incumbent.config, incumbent.epoch)
         hit = self._roi_baselines.get(key)
         if hit is not None:
@@ -376,18 +296,11 @@ class Evaluator:
         baseline = _roi.RoiBaseline.from_incumbent(
             incumbent, self.utility, self.ue_density,
             self.engine.sector_boxes(incumbent.config))
-        if baseline is None:
-            return None
         self._roi_baselines[key] = baseline
         # Mirror the two-anchor incumbent ring.
         while len(self._roi_baselines) > 2:
             self._roi_baselines.popitem(last=False)
         return baseline
-
-    def _batch_utilities(self, batch) -> np.ndarray:
-        values = self.utility.per_ue(batch.rate_bps)      # (K, H, W)
-        weighted = values * self.ue_density
-        return weighted.reshape(weighted.shape[0], -1).sum(axis=1)
 
     # ------------------------------------------------------------------
     def _lookup(self, config: Configuration) -> Tuple[NetworkState, float]:

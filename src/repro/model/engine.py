@@ -15,20 +15,21 @@ incremental evaluation sit on top of the canonical pass:
 * **single-sector delta evaluation** — :meth:`evaluate_delta` reuses a
   :class:`DeltaIncumbent` (the incumbent's per-sector mW planes plus
   derived serving/best arrays) and recomputes the serving assignment
-  only where the one changed sector can flip the winner.  The result is
+  and the transcendental rasters only inside the changed sector's
+  region-of-influence window (:meth:`roi_window`).  The result is
   *bitwise identical* to :meth:`evaluate` (see DESIGN.md, "Evaluation
   strategies", for the invariants).
-* **batched candidate scoring** — :meth:`evaluate_batch` stacks K
+* **region-of-influence windows** — with footprint boxes available
+  (``clip_floor_db`` zeroed sub-floor gains at packing, see
+  :meth:`PathLossDatabase.footprint`) the window is the union of the
+  changed sector's old and new footprints; where a footprint is
+  unknown (unclipped dict backend, rotated pattern) it is the whole
+  grid.  :func:`repro.model.roi.score_candidate` scores candidates
+  through the same windows.
+* **the dense batch reference** — :meth:`evaluate_batch` stacks K
   single-sector neighbors along a batch axis and scores them in one
-  vectorized pass against the incumbent.
-* **sparse region-of-influence windows** — with footprint boxes
-  available (``clip_floor_db`` zeroed sub-floor gains at packing, see
-  :meth:`PathLossDatabase.footprint`), :meth:`evaluate_delta` confines
-  the serving repair and the transcendental rasters to the union of
-  the changed sector's old and new footprints (:meth:`roi_window`),
-  and :func:`repro.model.roi.score_candidate` scores batch candidates
-  at O(|ROI|) transcendental cost.  Both stay bitwise identical to the
-  dense paths; ``roi=False`` (CLI ``--no-roi``) disables them.
+  vectorized pass against the incumbent.  No search path calls it;
+  it is the reference the windowed scorer is proven bitwise equal to.
 
 The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
 which owns strategy selection and fallback accounting.
@@ -64,9 +65,8 @@ class DeltaIncumbent:
     with its winning values.  ``planes`` is owned by this object and
     mutated never — delta evaluations copy it.  ``state`` is the
     finished :class:`NetworkState` this incumbent was evaluated into
-    (set by ``_finish``); windowed ROI paths copy its rasters and
-    recompute only the window.  Worker-attached incumbents carry
-    ``None`` — they never ran ``_finish`` — and fall back to dense.
+    (set by ``_finish``); windowed delta evaluations copy its rasters
+    and recompute only the window.
     """
 
     __slots__ = ("config", "planes", "total_mw", "raw_serving",
@@ -169,29 +169,16 @@ class AnalysisEngine:
         this are treated as unservable regardless of SINR; planning
         tools apply the same RSRP-style floor (and the paper's Figure 4
         black pixels use "receive power below a threshold").
-    roi:
-        Use sparse region-of-influence windows where footprint boxes
-        are available (default on — a no-op, falling back to dense,
-        when the backend has no ``clip_floor_db``).  Results are
-        bitwise identical either way.
-    roi_max_fraction:
-        Dense fallback threshold: windows covering more than this
-        fraction of the grid are scored densely (a near-global window
-        pays the windowing overhead without the savings).
     """
 
     def __init__(self, pathloss: PathLossDatabase,
                  link: Optional[LinkAdaptation] = None,
                  noise_dbm: float = DEFAULT_NOISE_DBM,
-                 min_rp_dbm: float = -120.0,
-                 roi: bool = True,
-                 roi_max_fraction: float = 0.5) -> None:
+                 min_rp_dbm: float = -120.0) -> None:
         self.pathloss = pathloss
         self.link = link or LinkAdaptation()
         self.noise_dbm = noise_dbm
         self.min_rp_dbm = min_rp_dbm
-        self.roi = roi
-        self.roi_max_fraction = roi_max_fraction
         self.grid = pathloss.grid
         # Always-on per-engine evaluation counter (ablation benches read
         # it through the ``evaluations`` property); the active metrics
@@ -276,17 +263,14 @@ class AnalysisEngine:
                        ) -> Optional[Tuple[NetworkState, DeltaIncumbent]]:
         """Re-evaluate ``config`` incrementally from ``incumbent``.
 
-        Only the changed sector's mW plane is rebuilt; the serving
-        argmax is repaired locally (a changed plane can only capture
-        grids from the old winner or release the grids it served).  The
-        total-power plane is re-summed over the swapped plane stack —
-        *not* updated incrementally — so every derived raster is
-        bitwise identical to :meth:`evaluate`.  With :attr:`roi` on and
-        a footprint window available, the repair, the re-sum and the
-        transcendental rasters are confined to the window (still
-        bitwise identical — outside it the changed plane is exactly
-        zero before and after).  Returns ``None`` when the change is
-        not a single-sector one (caller falls back).
+        Only the changed sector's mW plane is rebuilt, inside its
+        :meth:`roi_window`; the serving argmax is repaired locally (a
+        changed plane can only capture grids from the old winner or
+        release the grids it served), and the total-power plane is
+        re-summed over the swapped plane stack — *not* updated
+        incrementally — so every derived raster is bitwise identical
+        to :meth:`evaluate`.  Returns ``None`` when the change is not a
+        single-sector one (caller falls back).
         """
         changed = self.single_sector_change(incumbent, config)
         if changed is None:
@@ -297,52 +281,17 @@ class AnalysisEngine:
         registry.counter("magus.engine.delta_evaluations").inc()
         with registry.timer("magus.engine.evaluate").time():
             self._validate(config, ue_density)
-            box = None
-            if self.roi:
-                box = self.roi_window(incumbent, config, changed)
-                if box is not None and incumbent.state is None:
-                    box = None
-                if box is None:
-                    registry.counter("magus.engine.roi_fallbacks").inc()
-                else:
-                    registry.counter("magus.engine.roi_evaluations").inc()
-                    registry.counter(
-                        "magus.engine.roi_cells").inc(box_area(box))
-            if box is not None:
-                return self._evaluate_delta_windowed(
-                    incumbent, config, changed, box, ue_density)
-            new_row = self._sector_plane_mw(config, changed)
-            planes = incumbent.planes.copy()
-            planes[changed] = new_row
-            total_mw = _accumulate_planes(planes)
-
-            serving0 = incumbent.raw_serving
-            best0 = incumbent.best_mw
-            # Grids served by someone else: the changed sector wins iff
-            # it now beats the old best (first-index tie-break).
-            wins = (new_row > best0) | ((new_row == best0)
-                                        & (changed < serving0))
-            raw_serving = np.where(wins, np.int32(changed), serving0)
-            best_mw = np.where(wins, new_row, best0)
-            # Grids the changed sector was serving: full (restricted)
-            # argmax — its plane may have dropped below any competitor.
-            mask = serving0 == changed
-            if mask.any():
-                sub = planes[:, mask]
-                sub_arg = sub.argmax(axis=0)
-                raw_serving[mask] = sub_arg.astype(np.int32)
-                best_mw[mask] = sub[sub_arg, np.arange(sub.shape[1])]
-
-            new_incumbent = DeltaIncumbent(
-                config, planes, total_mw, raw_serving, best_mw,
-                self.pathloss.cache_epoch)
-            return self._finish(new_incumbent, ue_density), new_incumbent
+            box = self.roi_window(incumbent, config, changed)
+            registry.counter("magus.engine.roi_evaluations").inc()
+            registry.counter("magus.engine.roi_cells").inc(box_area(box))
+            return self._evaluate_delta_windowed(
+                incumbent, config, changed, box, ue_density)
 
     def _evaluate_delta_windowed(
             self, incumbent: DeltaIncumbent, config: Configuration,
             changed: int, box: Box, ue_density: np.ndarray
             ) -> Tuple[NetworkState, DeltaIncumbent]:
-        """The windowed delta body (bitwise identical to the dense one).
+        """The delta body, confined to ``box``.
 
         Outside ``box`` the changed sector's plane is exactly zero in
         both configurations, so the stack is elementwise unchanged
@@ -382,37 +331,30 @@ class AnalysisEngine:
         new_incumbent = DeltaIncumbent(
             config, planes, total_mw, raw_serving, best_mw,
             self.pathloss.cache_epoch)
-        state = self._finish_windowed(new_incumbent, incumbent.state,
-                                      box, ue_density)
+        state = self._finish(new_incumbent, ue_density,
+                             prior=incumbent.state, box=box)
         return state, new_incumbent
 
     # ------------------------------------------------------------------
     # region-of-influence windows
     # ------------------------------------------------------------------
     def roi_window(self, incumbent: DeltaIncumbent,
-                   config: Configuration,
-                   changed: int) -> Optional[Box]:
-        """The changed sector's region of influence, if exactly known.
+                   config: Configuration, changed: int) -> Box:
+        """The changed sector's region of influence.
 
         The union of the sector's footprint under the incumbent and
         candidate settings — every cell whose received power can move.
-        ``None`` (dense fallback) when either footprint is unknown
-        (no clip floor, rotated pattern) or the union exceeds
-        :attr:`roi_max_fraction` of the grid.
+        The whole grid when either footprint is unknown (no clip
+        floor, rotated pattern).
         """
         old_box = self._setting_footprint(
             changed, incumbent.config.settings[changed])
-        if old_box is None:
-            return None
         new_box = self._setting_footprint(changed,
                                           config.settings[changed])
-        if new_box is None:
-            return None
-        box = box_union(old_box, new_box)
-        rows, cols = self.grid.shape
-        if box_area(box) > self.roi_max_fraction * rows * cols:
-            return None
-        return box
+        if old_box is None or new_box is None:
+            rows, cols = self.grid.shape
+            return (0, rows, 0, cols)
+        return box_union(old_box, new_box)
 
     def _setting_footprint(self, sector_id: int,
                            setting) -> Optional[Box]:
@@ -515,64 +457,41 @@ class AnalysisEngine:
         return DeltaIncumbent(config, planes, total_mw, raw_serving,
                               best_mw, self.pathloss.cache_epoch)
 
-    def _finish(self, incumbent: DeltaIncumbent,
-                ue_density: np.ndarray) -> NetworkState:
-        """Formulae 2-4 from the prepared linear-domain arrays."""
-        total_mw = incumbent.total_mw
-        best_mw = incumbent.best_mw
-        raw_serving = incumbent.raw_serving
-        sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
-            total_mw, best_mw)
-        rmax = self.link.max_rate_bps(sinr_db)
-        # The RSRP-style floor, compared in the linear domain.
-        rmax = np.where(best_mw >= _dbm_to_mw_scalar(self.min_rp_dbm),
-                        rmax, 0.0)
-        serving = np.where(rmax > 0.0, raw_serving, NO_SERVICE)
-        n_ue = self._shared_load(serving, ue_density)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
-        state = NetworkState(
-            grid=self.grid, config=incumbent.config, serving=serving,
-            rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
-            sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
-            rate_bps=rate, ue_density=np.asarray(ue_density, dtype=float),
-            raw_serving=raw_serving)
-        incumbent.state = state
-        return state
+    def _finish(self, incumbent: DeltaIncumbent, ue_density: np.ndarray,
+                prior: Optional[NetworkState] = None,
+                box: Optional[Box] = None) -> NetworkState:
+        """Formulae 2-4 from the prepared linear-domain arrays.
 
-    def _finish_windowed(self, incumbent: DeltaIncumbent,
-                         state0: NetworkState, box: Box,
-                         ue_density: np.ndarray) -> NetworkState:
-        """Formulae 2-4 recomputed only inside ``box``.
-
-        The dB rasters and the single-user rate are elementwise in
-        ``total_mw``/``best_mw``, which are untouched outside the box,
-        so the previous state's values are bitwise reusable there.
-        Loads and shared rates couple globally through Formula 3 and
-        are rebuilt over the whole grid (cheap, non-transcendental).
+        With a ``prior`` state and a ``box`` smaller than the grid, the
+        dB rasters and the single-user rate are recomputed only inside
+        the box: they are elementwise in ``total_mw``/``best_mw``,
+        which are untouched outside it, so the prior state's values
+        are bitwise reusable there.  Otherwise every raster is computed
+        fresh.  Loads and shared rates couple globally through
+        Formula 3 and are always rebuilt over the whole grid (cheap,
+        non-transcendental).
         """
+        rows, cols = self.grid.shape
+        if prior is None or box is None or box_area(box) == rows * cols:
+            prior, box = None, (0, rows, 0, cols)
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        total_mw = incumbent.total_mw
-        best_mw = incumbent.best_mw
-        raw_serving = incumbent.raw_serving
-        sinr_db = state0.sinr_db.copy()
-        rp_best_dbm = state0.rp_best_dbm.copy()
-        interference_dbm = state0.interference_dbm.copy()
-        sinr_w, rp_w, itf_w = self._radio_rasters(total_mw[win],
-                                                  best_mw[win])
-        sinr_db[win] = sinr_w
-        rp_best_dbm[win] = rp_w
-        interference_dbm[win] = itf_w
-        rmax = state0.max_rate_bps.copy()
-        rmax_w = self.link.max_rate_bps(sinr_w)
-        rmax_w = np.where(
-            best_mw[win] >= _dbm_to_mw_scalar(self.min_rp_dbm),
-            rmax_w, 0.0)
-        rmax[win] = rmax_w
-        serving = state0.serving.copy()
-        serving[win] = np.where(rmax_w > 0.0, raw_serving[win],
-                                NO_SERVICE)
+        best_w = incumbent.best_mw[win]
+        sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
+            incumbent.total_mw[win], best_w)
+        rmax = self.link.max_rate_bps(sinr_db)
+        # The RSRP-style floor, compared in the linear domain.
+        rmax = np.where(best_w >= _dbm_to_mw_scalar(self.min_rp_dbm),
+                        rmax, 0.0)
+        serving = np.where(rmax > 0.0, incumbent.raw_serving[win],
+                           NO_SERVICE)
+        if prior is not None:
+            sinr_db = _patched(prior.sinr_db, win, sinr_db)
+            rp_best_dbm = _patched(prior.rp_best_dbm, win, rp_best_dbm)
+            interference_dbm = _patched(prior.interference_dbm, win,
+                                        interference_dbm)
+            rmax = _patched(prior.max_rate_bps, win, rmax)
+            serving = _patched(prior.serving, win, serving)
         n_ue = self._shared_load(serving, ue_density)
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
@@ -581,7 +500,7 @@ class AnalysisEngine:
             rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
             sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
             rate_bps=rate, ue_density=np.asarray(ue_density, dtype=float),
-            raw_serving=raw_serving)
+            raw_serving=incumbent.raw_serving)
         incumbent.state = state
         return state
 
@@ -769,6 +688,13 @@ def _accumulate_planes(planes: np.ndarray,
     for s in range(view.shape[0]):
         np.add(total, view[s], out=total)
     return total
+
+
+def _patched(base: np.ndarray, win, part: np.ndarray) -> np.ndarray:
+    """A copy of ``base`` with ``part`` written into window ``win``."""
+    out = base.copy()
+    out[win] = part
+    return out
 
 
 def _dbm_to_mw_scalar(dbm: float) -> float:

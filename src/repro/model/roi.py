@@ -18,10 +18,13 @@ division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
 cached ``per_ue(rate)*density`` raster everywhere else.  Because
 ``per_ue`` is elementwise-pure and the final reduction runs over the
-same contiguous full-grid layout as the dense batch path, the returned
-utility is bitwise identical to
-``Evaluator._batch_utilities(engine.evaluate_batch(...))`` — at
-O(|ROI| + |rate-changed|) transcendental cost instead of O(H*W).
+same contiguous full-grid layout as the dense batch reference, the
+returned utility is bitwise identical to
+:meth:`~repro.model.engine.AnalysisEngine.evaluate_batch` followed by
+the per-candidate weighted reduction — at O(|ROI| + |rate-changed|)
+transcendental cost instead of O(H*W).  Where a footprint is unknown
+(unclipped dict backend, rotated pattern) the window is the whole grid
+and the same function is the dense scorer.
 
 The exactness argument (including why windowed totals must not re-sum
 a sliced plane stack) is laid out in DESIGN.md, "Sparse ROI
@@ -35,11 +38,12 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..obs import get_registry
 from .network import Configuration
 from .snapshot import NO_SERVICE
 
 __all__ = ["EMPTY_BOX", "Box", "RoiBaseline", "box_area", "box_is_empty",
-           "box_union", "score_candidate"]
+           "box_union", "count_windowed", "score_candidate"]
 
 #: Half-open ``(row0, row1, col0, col1)`` bounding box in grid coords.
 Box = Tuple[int, int, int, int]
@@ -67,8 +71,7 @@ def box_union(a: Box, b: Box) -> Box:
 
 
 #: The arrays a worker needs to score ROI candidates against one
-#: incumbent — nine (H, W) rasters instead of the (S, H, W) plane
-#: stack the dense pool path ships (~100x smaller at paper scale).
+#: incumbent — nine (H, W) rasters, never the (S, H, W) plane stack.
 _BASELINE_ARRAYS = ("total_mw", "raw_serving", "best_mw", "runner_val",
                     "runner_idx", "serving", "max_rate_bps", "rate_bps",
                     "weighted")
@@ -115,10 +118,10 @@ class RoiBaseline:
                        boxes=None) -> Optional["RoiBaseline"]:
         """Build from a finished incumbent, or ``None`` without one.
 
-        Worker-attached incumbents carry no :attr:`state` (they never
-        ran ``_finish``); the caller falls back to dense scoring.
-        ``boxes`` are the sector footprints the runner-up walk visits
-        (see :meth:`~repro.model.engine.DeltaIncumbent.runner_up`).
+        An incumbent that never ran ``_finish`` carries no
+        :attr:`state` to build from.  ``boxes`` are the sector
+        footprints the runner-up walk visits (see
+        :meth:`~repro.model.engine.DeltaIncumbent.runner_up`).
         """
         state = getattr(incumbent, "state", None)
         if state is None:
@@ -146,6 +149,22 @@ class RoiBaseline:
                    **{name: views[name] for name in _BASELINE_ARRAYS})
 
 
+def count_windowed(engine, boxes) -> None:
+    """Account for one windowed candidate per box.
+
+    Every candidate counts as an engine evaluation and a ROI
+    evaluation; full-grid windows too, so ``roi_cells / (roi_evaluations
+    * H * W)`` stays the true mean window fraction.
+    """
+    k = len(boxes)
+    engine._eval_counter.inc(k)
+    registry = get_registry()
+    registry.counter("magus.engine.evaluations").inc(k)
+    registry.counter("magus.engine.roi_evaluations").inc(k)
+    registry.counter("magus.engine.roi_cells").inc(
+        sum(box_area(box) for box in boxes))
+
+
 def score_candidate(engine, baseline: RoiBaseline,
                     config: Configuration, changed: int, box: Box,
                     ue_density: np.ndarray, utility) -> float:
@@ -154,8 +173,9 @@ def score_candidate(engine, baseline: RoiBaseline,
     Bitwise identical to scoring ``config`` through
     ``engine.evaluate_batch`` + the per-candidate weighted reduction.
     ``changed`` is the one sector ``config`` flips vs.
-    ``baseline.config``; ``box`` is the union of that sector's old and
-    new footprints (so both plane rows are exactly zero outside it).
+    ``baseline.config``; ``box`` is its ``engine.roi_window`` — the
+    union of that sector's old and new footprints (so both plane rows
+    are exactly zero outside it), or the whole grid.
     """
     r0, r1, c0, c1 = box
     win = (slice(r0, r1), slice(c0, c1))
@@ -196,10 +216,13 @@ def score_candidate(engine, baseline: RoiBaseline,
     # the window (a serving flip changes the shared rate of every
     # cell on the affected sectors), so loads and rates are rebuilt
     # over the whole grid — cheap passes only, no transcendentals.
-    serving_k = baseline.serving.copy()
-    serving_k[win] = serving_w
-    rmax_k = baseline.max_rate_bps.copy()
-    rmax_k[win] = rmax_w
+    if serving_w.shape == baseline.serving.shape:   # whole-grid window
+        serving_k, rmax_k = serving_w, rmax_w
+    else:
+        serving_k = baseline.serving.copy()
+        serving_k[win] = serving_w
+        rmax_k = baseline.max_rate_bps.copy()
+        rmax_k[win] = rmax_w
     n_ue = engine._shared_load(serving_k, ue_density)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate_k = np.where(n_ue > 0, rmax_k / np.maximum(n_ue, 1e-12),

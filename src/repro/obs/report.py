@@ -221,9 +221,8 @@ class RunReport:
     def delta_metrics(self) -> Dict[str, object]:
         """Incremental-evaluation counters, if the delta engine ran.
 
-        ``magus.engine.delta_evaluations`` / ``delta_fallbacks`` /
-        ``batched_candidates`` expose the hit rate of the incremental
-        path, and ``magus.evaluator.reanchors`` how often candidate
+        ``magus.engine.delta_evaluations`` / ``delta_fallbacks``
+        expose the hit rate of the incremental path, and ``magus.evaluator.reanchors`` how often candidate
         scoring had to re-anchor on its parent; empty under
         ``--no-delta`` (or when nothing was evaluated), keeping
         full-strategy reports unchanged.
@@ -231,8 +230,7 @@ class RunReport:
         out: Dict[str, object] = {}
         for name in ("magus.engine.delta_evaluations",
                      "magus.engine.delta_fallbacks",
-                     "magus.evaluator.reanchors",
-                     "magus.engine.batched_candidates"):
+                     "magus.evaluator.reanchors"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")
@@ -241,17 +239,16 @@ class RunReport:
     def roi_metrics(self) -> Dict[str, object]:
         """Region-of-influence counters, if windowed scoring ran.
 
-        ``magus.engine.roi_evaluations`` / ``roi_cells`` /
-        ``roi_fallbacks`` expose how many candidates took the sparse
-        window path and how much of the grid it actually touched
+        ``magus.engine.roi_evaluations`` / ``roi_cells`` expose how
+        many delta evaluations and scored candidates ran through a
+        window and how much of the grid it actually touched
         (``roi_cells / (roi_evaluations * H * W)`` is the mean window
-        fraction); empty under ``--no-roi`` or a backend without
-        footprints, keeping dense reports unchanged.
+        fraction; full-grid windows count too); empty when nothing
+        single-sector was evaluated.
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.roi_evaluations",
-                     "magus.engine.roi_cells",
-                     "magus.engine.roi_fallbacks"):
+                     "magus.engine.roi_cells"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")

@@ -4,16 +4,18 @@
 out across a pool of worker processes.  Design constraints, in order:
 
 1. **Bitwise identity with the serial path.**  Chunks are fixed by a
-   deterministic partition of the candidate list, each candidate's
-   utility is reduced over its own raster inside the worker (exactly
-   ``Evaluator._batch_utilities``), and results are reassembled in
-   candidate order — so neither the chunking nor completion order can
-   perturb a single bit.  Winner confirmation stays canonical in the
-   caller.
-2. **Zero-copy inputs.**  The incumbent's mW planes are exported once
-   per anchor through a :class:`~repro.parallel.shm.SharedPlaneStore`;
-   tasks carry only array *handles* plus compact ``(sector, setting)``
-   moves.  Under the ``fork`` start method the engine itself (path-
+   deterministic partition of the candidate list, each candidate is
+   scored inside the worker by :func:`repro.model.roi.score_candidate`
+   — the function the serial path runs — and results are reassembled
+   in candidate order, so neither the chunking nor completion order
+   can perturb a single bit.  Winner confirmation stays canonical in
+   the caller.
+2. **Zero-copy inputs.**  The incumbent's
+   :class:`~repro.model.roi.RoiBaseline` rasters (nine (H, W) arrays,
+   never the plane stack) are exported once per anchor through a
+   :class:`~repro.parallel.shm.SharedPlaneStore`; tasks carry only
+   array *handles* plus compact ``(sector, setting)`` moves and their
+   windows.  Under the ``fork`` start method the engine itself (path-
    loss rasters included) is inherited copy-on-write at pool start.
 3. **Load balancing.**  Candidates are split into several chunks per
    worker, pulled from the pool's shared task queue: a worker that
@@ -152,10 +154,9 @@ class EvaluationService:
         # doubling the footprint in /dev/shm.
         spill = 0 if getattr(engine.pathloss, "is_file_backed", False) \
             else None
-        # Capacity 4: up to two incumbents, each potentially exported
-        # twice (dense plane stack + ROI baseline rasters) when a
-        # batch mixes windowed and fallback candidates.
-        self._store = SharedPlaneStore(capacity=4, spill_bytes=spill)
+        # Capacity 2: one baseline per incumbent of the evaluator's
+        # two-anchor ring.
+        self._store = SharedPlaneStore(capacity=2, spill_bytes=spill)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -240,79 +241,32 @@ class EvaluationService:
                     ) -> Optional[List[float]]:
         """Utilities for single-sector ``configs`` vs. ``incumbent``.
 
-        Returns ``None`` whenever the serial path should answer
-        instead: batch below the threshold, unusable pool, stale
-        incumbent, or any worker-side refusal/failure.  On success the
-        values are bitwise identical to
-        ``Evaluator._batch_utilities(engine.evaluate_batch(...))``.
+        Resolves each candidate's changed sector and ROI window and
+        scores them through :meth:`score_batch_roi` against the
+        incumbent's baseline.  Returns ``None`` whenever the serial
+        path should answer instead: batch below the threshold,
+        unusable pool, stale incumbent, a candidate that is not a
+        single-sector change, or any worker-side failure.  On success
+        the values are bitwise identical to
+        ``engine.evaluate_batch`` + the per-candidate reduction.
         """
-        k = len(configs)
-        if k == 0:
+        if not configs:
             return []
-        if not self.usable() or k < self.min_parallel_batch:
+        if not self.usable() or len(configs) < self.min_parallel_batch:
             return None
-        if incumbent.epoch != self.engine.pathloss.cache_epoch:
-            get_flight_recorder().record(
-                "pool_fallback", reason="stale_incumbent_epoch",
-                candidates=k)
-            return None
-        moves = self._encode_moves(incumbent.config, configs)
-        if moves is None:
-            return None
-        self._ensure_pool()
-        if self._pool is None:
-            return None
-        handles = self._export_incumbent(incumbent)
-        chunk_count = min(k, self.workers * self.chunks_per_worker)
-        chunk_count = max(chunk_count, math.ceil(k / _MAX_CHUNK))
-        bounds = np.linspace(0, k, chunk_count + 1).astype(int)
-        tasks = [
-            _worker.ScoreTask(chunk_index=i, config=incumbent.config,
-                              handles=handles,
-                              moves=tuple(moves[bounds[i]:bounds[i + 1]]))
-            for i in range(chunk_count) if bounds[i] < bounds[i + 1]]
-
-        def rescore_serially(task: _worker.ScoreTask):
-            # Quarantine path: score one chunk in the parent through
-            # the very same evaluate_batch + per-candidate reduction
-            # the worker runs, so a rescued chunk is still bitwise
-            # identical to a pool-scored one.
-            base = list(task.config.settings)
-            chunk_configs = []
-            for sector_id, setting in task.moves:
-                settings = list(base)
-                settings[sector_id] = setting
-                chunk_configs.append(Configuration(tuple(settings)))
-            batch = self.engine.evaluate_batch(incumbent, chunk_configs,
-                                               self.ue_density)
-            if batch is None:
-                return task.chunk_index, None, None
-            values = self.utility.per_ue(batch.rate_bps) * self.ue_density
-            sums = values.reshape(values.shape[0], -1).sum(axis=1)
-            return task.chunk_index, [float(u) for u in sums], None
-
-        results = self._dispatch(_worker._score_chunk, tasks,
-                                 serial_fn=rescore_serially)
-        if results is None:
-            return None
-        ordered: List[Optional[List[float]]] = [None] * len(tasks)
-        for chunk_index, utilities, _telemetry in results:
-            if utilities is None:
-                get_flight_recorder().record(
-                    "pool_fallback", reason="worker_refused_chunk",
-                    chunk=chunk_index, candidates=k)
+        windows = []
+        for config in configs:
+            changed = self.engine.single_sector_change(incumbent, config)
+            if changed is None:
                 return None
-            ordered[chunk_index] = utilities
-        scores: List[float] = []
-        for part in ordered:
-            scores.extend(part)
-        # Keep the engine-level accounting identical to a serial
-        # batched pass (workers count into their own forked copies).
-        self.engine._eval_counter.inc(k)
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.batched_candidates").inc(k)
-        return scores
+            windows.append((changed, self.engine.roi_window(
+                incumbent, config, changed)))
+        baseline = _roi.RoiBaseline.from_incumbent(
+            incumbent, self.utility, self.ue_density,
+            self.engine.sector_boxes(incumbent.config))
+        if baseline is None:
+            return None
+        return self.score_batch_roi(baseline, configs, windows)
 
     def score_batch_roi(self, baseline: "_roi.RoiBaseline",
                         configs: Sequence[Configuration],
@@ -320,13 +274,14 @@ class EvaluationService:
                         ) -> Optional[List[float]]:
         """Windowed utilities for single-sector ``configs``.
 
-        ``windows`` pairs each config with its ``(changed, box)`` ROI
-        as resolved by ``AnalysisEngine.roi_window``.  The pool chunks
-        the candidates exactly like :meth:`score_batch` but ships the
-        baseline's nine (H, W) rasters instead of the (S, H, W) plane
-        stack.  Returns ``None`` for the same serial-fallback reasons
-        as the dense path; on success the values are bitwise identical
-        to :func:`repro.model.roi.score_candidate` run serially.
+        ``windows`` pairs each config with its ``(changed, box)`` as
+        resolved by ``AnalysisEngine.single_sector_change`` and
+        ``AnalysisEngine.roi_window``.  The pool ships the baseline's
+        nine (H, W) rasters once and splits the candidates into a
+        deterministic set of chunks.  Returns ``None`` for the
+        serial-fallback reasons of :meth:`score_batch`; on success the
+        values are bitwise identical to
+        :func:`repro.model.roi.score_candidate` run serially.
         """
         k = len(configs)
         if k == 0:
@@ -338,13 +293,12 @@ class EvaluationService:
                 "pool_fallback", reason="stale_baseline_epoch",
                 candidates=k)
             return None
-        moves = self._encode_moves(baseline.config, configs)
-        if moves is None:
-            return None
         self._ensure_pool()
         if self._pool is None:
             return None
         handles = self._export_roi_baseline(baseline)
+        moves = [(changed, config.settings[changed])
+                 for config, (changed, _) in zip(configs, windows)]
         boxes = [box for _, box in windows]
         chunk_count = min(k, self.workers * self.chunks_per_worker)
         chunk_count = max(chunk_count, math.ceil(k / _MAX_CHUNK))
@@ -359,71 +313,25 @@ class EvaluationService:
         def rescore_serially(task: _worker.RoiScoreTask):
             # Quarantine path: same per-candidate score_candidate loop
             # as the worker, run in the parent.
-            base = list(task.config.settings)
-            utilities = []
-            for (sector_id, setting), box in zip(task.moves, task.boxes):
-                settings = list(base)
-                settings[sector_id] = setting
-                config = Configuration(tuple(settings))
-                utilities.append(_roi.score_candidate(
-                    self.engine, baseline, config, sector_id, box,
-                    self.ue_density, self.utility))
-            return task.chunk_index, utilities, None
+            return (task.chunk_index,
+                    _worker.score_moves(self.engine, baseline, task,
+                                        self.ue_density, self.utility),
+                    None)
 
         results = self._dispatch(_worker._score_roi_chunk, tasks,
                                  serial_fn=rescore_serially)
         if results is None:
             return None
-        ordered: List[Optional[List[float]]] = [None] * len(tasks)
+        ordered: List[List[float]] = [[] for _ in tasks]
         for chunk_index, utilities, _telemetry in results:
-            if utilities is None:  # pragma: no cover — defensive
-                get_flight_recorder().record(
-                    "pool_fallback", reason="worker_refused_chunk",
-                    chunk=chunk_index, candidates=k)
-                return None
             ordered[chunk_index] = utilities
-        scores: List[float] = []
-        for part in ordered:
-            scores.extend(part)
-        # Same parent-side accounting as the serial ROI path (workers
+        # Same parent-side accounting as the serial path (workers
         # count into their own forked registries).
-        self.engine._eval_counter.inc(k)
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.roi_evaluations").inc(k)
-        registry.counter("magus.engine.roi_cells").inc(
-            sum(_roi.box_area(box) for box in boxes))
-        return scores
-
-    def _encode_moves(self, base_config: Configuration,
-                      configs: Sequence[Configuration]):
-        moves = []
-        for config in configs:
-            diff = base_config.diff(config)
-            if len(diff) != 1:
-                return None
-            sector_id, (_, setting) = next(iter(diff.items()))
-            moves.append((sector_id, setting))
-        return moves
-
-    def _export_incumbent(self, incumbent: DeltaIncumbent):
-        key = (incumbent.config, incumbent.epoch)
-        cached = self._store.handles(key)
-        if cached is not None:
-            return cached
-        runner_val, runner_idx = incumbent.runner_up(
-            self.engine.sector_boxes(incumbent.config))
-        return self._store.export(key, {
-            "planes": incumbent.planes,
-            "total_mw": incumbent.total_mw,
-            "raw_serving": incumbent.raw_serving,
-            "best_mw": incumbent.best_mw,
-            "runner_val": runner_val,
-            "runner_idx": runner_idx,
-        })
+        _roi.count_windowed(self.engine, boxes)
+        return [value for part in ordered for value in part]
 
     def _export_roi_baseline(self, baseline: "_roi.RoiBaseline"):
-        key = (baseline.config, baseline.epoch, "roi")
+        key = (baseline.config, baseline.epoch)
         cached = self._store.handles(key)
         if cached is not None:
             return cached

@@ -8,14 +8,12 @@ with :mod:`repro.parallel.service`:
   :data:`_SWEEP_STATE`) **before** creating the pool, so ``fork``
   children inherit the engine / planner copy-on-write — no pickling;
   under ``spawn`` the same payload arrives through the initializer;
-* a :class:`ScoreTask` carries only the incumbent's *handles* into
-  shared memory plus compact single-sector moves; the worker maps the
-  planes once per incumbent (cached by block name) and scores its
-  chunk with the standard :meth:`AnalysisEngine.evaluate_batch`;
-* utilities are reduced in-worker exactly as
-  ``Evaluator._batch_utilities`` does — per-candidate sums over the
-  candidate's own raster — so the returned floats are bitwise
-  identical to the serial batched path regardless of chunking.
+* a :class:`RoiScoreTask` carries only the baseline's *handles* into
+  shared memory plus compact single-sector moves and their windows;
+  the worker maps the rasters once per baseline (cached by block name)
+  and scores its chunk with :func:`repro.model.roi.score_candidate`,
+  the function the serial path runs — so the returned floats are
+  bitwise identical to serial scoring regardless of chunking.
 """
 
 from __future__ import annotations
@@ -23,21 +21,21 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..model import roi as _roi
-from ..model.engine import AnalysisEngine, DeltaIncumbent
+from ..model.engine import AnalysisEngine
 from ..model.network import Configuration, SectorSetting
 from ..obs import get_registry, trace
 from ..obs.telemetry import (WorkerTelemetry, drain_worker_telemetry,
                              reset_worker_observability)
 from .shm import SharedArrayHandle, attach_array, attach_handle_block
 
-__all__ = ["RoiScoreTask", "ScoreTask", "WorkerState"]
+__all__ = ["RoiScoreTask", "WorkerState", "score_moves"]
 
-#: Attached incumbents kept per worker (mirrors the store capacity).
+#: Attached baselines kept per worker (mirrors the store capacity).
 _WORKER_CACHE_SIZE = 2
 
 
@@ -51,16 +49,6 @@ class WorkerState:
     #: Optional :class:`~repro.faults.chaos.ChaosInjector`; when set,
     #: workers offer each chunk to it (which may SIGKILL this process).
     chaos: object = None
-
-
-@dataclass(frozen=True)
-class ScoreTask:
-    """One chunk of single-sector candidates against one incumbent."""
-
-    chunk_index: int
-    config: Configuration                   # the incumbent configuration
-    handles: Dict[str, SharedArrayHandle]   # planes/serving/runner arrays
-    moves: Tuple[Tuple[int, SectorSetting], ...]  # (sector, new setting)
 
 
 @dataclass(frozen=True)
@@ -87,8 +75,6 @@ _FORK_STATE: Optional[WorkerState] = None
 _SWEEP_STATE: Optional[tuple] = None
 #: The child's bound state (established by :func:`_init_worker`).
 _STATE: Optional[WorkerState] = None
-#: Attached incumbents: planes block name -> (incumbent, shm blocks).
-_INCUMBENTS: "OrderedDict[str, tuple]" = OrderedDict()
 #: Attached ROI baselines: total_mw block name -> (baseline, blocks).
 _ROI_BASELINES: "OrderedDict[str, tuple]" = OrderedDict()
 
@@ -104,38 +90,8 @@ def _init_worker(payload: Optional[WorkerState] = None) -> None:
     """
     global _STATE
     _STATE = payload if payload is not None else _FORK_STATE
-    _INCUMBENTS.clear()
     _ROI_BASELINES.clear()
     reset_worker_observability()
-
-
-def _attach_incumbent(task: ScoreTask) -> DeltaIncumbent:
-    """Map the task's incumbent from shared memory (cached per block)."""
-    key = task.handles["planes"].block
-    cached = _INCUMBENTS.get(key)
-    if cached is not None:
-        _INCUMBENTS.move_to_end(key)
-        return cached[0]
-    blocks = {}
-    views = {}
-    for name, handle in task.handles.items():
-        # ``handle.block`` is the shm segment name or the spill-file
-        # path; attach_handle_block dispatches on ``handle.path``.
-        block = blocks.get(handle.block)
-        if block is None:
-            block = blocks[handle.block] = attach_handle_block(handle)
-        views[name] = attach_array(handle, block)
-    incumbent = DeltaIncumbent(
-        task.config, views["planes"], views["total_mw"],
-        views["raw_serving"], views["best_mw"],
-        _STATE.engine.pathloss.cache_epoch)
-    incumbent._runner = (views["runner_val"], views["runner_idx"])
-    _INCUMBENTS[key] = (incumbent, list(blocks.values()))
-    while len(_INCUMBENTS) > _WORKER_CACHE_SIZE:
-        _, (_, old_blocks) = _INCUMBENTS.popitem(last=False)
-        for block in old_blocks:
-            block.close()
-    return incumbent
 
 
 def _attach_views(handles: Dict[str, SharedArrayHandle]
@@ -169,48 +125,30 @@ def _attach_roi_baseline(task: RoiScoreTask) -> "_roi.RoiBaseline":
     return baseline
 
 
+def score_moves(engine, baseline: "_roi.RoiBaseline", task: RoiScoreTask,
+                ue_density: np.ndarray, utility) -> List[float]:
+    """Utilities of one chunk's moves, in move order."""
+    base = list(task.config.settings)
+    utilities = []
+    for (sector_id, setting), box in zip(task.moves, task.boxes):
+        settings = list(base)
+        settings[sector_id] = setting
+        utilities.append(_roi.score_candidate(
+            engine, baseline, Configuration(tuple(settings)), sector_id,
+            box, ue_density, utility))
+    return utilities
+
+
 def _score_roi_chunk(task: RoiScoreTask
-                     ) -> Tuple[int, Optional[list], WorkerTelemetry]:
+                     ) -> Tuple[int, List[float], WorkerTelemetry]:
     """Score one windowed candidate chunk.
 
-    The per-candidate loop runs :func:`repro.model.roi.score_candidate`
-    — the same function the serial ROI path and the parent-side
-    quarantine rescue use, so chunk placement cannot perturb a bit.
-    """
-    t0 = time.perf_counter_ns()
-    state = _STATE
-    if state.chaos is not None:
-        state.chaos.on_chunk(task.chunk_index)
-    with trace.span("magus.parallel.score_roi_chunk",
-                    chunk=task.chunk_index, candidates=len(task.moves)):
-        baseline = _attach_roi_baseline(task)
-        base = list(task.config.settings)
-        utilities = []
-        for (sector_id, setting), box in zip(task.moves, task.boxes):
-            settings = list(base)
-            settings[sector_id] = setting
-            config = Configuration(tuple(settings))
-            utilities.append(_roi.score_candidate(
-                state.engine, baseline, config, sector_id, box,
-                state.ue_density, state.utility))
-    busy_ns = time.perf_counter_ns() - t0
-    registry = get_registry()
-    registry.counter("magus.parallel.chunks").inc()
-    registry.counter("magus.parallel.worker_busy_ns").inc(busy_ns)
-    return task.chunk_index, utilities, drain_worker_telemetry(busy_ns)
-
-
-def _score_chunk(task: ScoreTask
-                 ) -> Tuple[int, Optional[list], WorkerTelemetry]:
-    """Score one candidate chunk.
-
-    Returns ``(index, utilities, telemetry)``: ``utilities`` is
-    ``None`` when the engine refused the batch (e.g. a move that is
-    not a single-sector change arrived anyway — the parent then
-    rescores the whole request serially), and ``telemetry`` is this
-    chunk's :class:`WorkerTelemetry` — the worker registry's
-    capture-and-reset delta plus any completed spans — which the
-    parent merges pid/worker-labeled.
+    Returns ``(index, utilities, telemetry)``.  The per-candidate loop
+    is :func:`score_moves` — the same loop the parent-side quarantine
+    rescue runs, so chunk placement cannot perturb a bit — and
+    ``telemetry`` is this chunk's :class:`WorkerTelemetry` (the worker
+    registry's capture-and-reset delta plus any completed spans),
+    which the parent merges pid/worker-labeled.
     """
     t0 = time.perf_counter_ns()
     state = _STATE
@@ -218,26 +156,11 @@ def _score_chunk(task: ScoreTask
         # Chaos injection point: may SIGKILL this worker or stall the
         # chunk past its deadline (the supervision tests' trigger).
         state.chaos.on_chunk(task.chunk_index)
-    utilities = None
-    with trace.span("magus.parallel.score_chunk",
+    with trace.span("magus.parallel.score_roi_chunk",
                     chunk=task.chunk_index, candidates=len(task.moves)):
-        incumbent = _attach_incumbent(task)
-        base = list(task.config.settings)
-        configs = []
-        for sector_id, setting in task.moves:
-            settings = list(base)
-            settings[sector_id] = setting
-            configs.append(Configuration(tuple(settings)))
-        batch = state.engine.evaluate_batch(incumbent, configs,
-                                            state.ue_density)
-        if batch is not None:
-            # Identical reduction to Evaluator._batch_utilities: each
-            # candidate's utility is summed over its own raster only,
-            # so chunk boundaries cannot perturb the result.
-            values = (state.utility.per_ue(batch.rate_bps)
-                      * state.ue_density)
-            sums = values.reshape(values.shape[0], -1).sum(axis=1)
-            utilities = [float(u) for u in sums]
+        utilities = score_moves(state.engine, _attach_roi_baseline(task),
+                                task, state.ue_density, state.utility)
+        _roi.count_windowed(state.engine, task.boxes)
     busy_ns = time.perf_counter_ns() - t0
     registry = get_registry()
     registry.counter("magus.parallel.chunks").inc()

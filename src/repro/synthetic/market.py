@@ -129,8 +129,7 @@ def build_area(area_type: AreaType, seed: int = 0,
                name: Optional[str] = None,
                evaluation_strategy: str = "delta",
                pathloss_backend: str = "dict",
-               plossdb: Optional[str] = None,
-               roi: bool = True) -> StudyArea:
+               plossdb: Optional[str] = None) -> StudyArea:
     """Construct a reproducible :class:`StudyArea`.
 
     The pipeline mirrors how the paper's data feeds compose: place
@@ -163,7 +162,7 @@ def build_area(area_type: AreaType, seed: int = 0,
         pathloss = PathLossDatabase.from_environment(
             network, environment, seed=seed, tilt_model=tilt_model,
             backend=pathloss_backend)
-    engine = AnalysisEngine(pathloss, link=link, roi=roi)
+    engine = AnalysisEngine(pathloss, link=link)
 
     # Two-pass density: footprints first, then per-sector totals spread
     # uniformly (paper Section 4.2).

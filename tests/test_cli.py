@@ -362,10 +362,6 @@ class TestFaultFlags:
 
 
 class TestRoiCli:
-    def test_no_roi_flag_parses(self):
-        assert not build_parser().parse_args(["mitigate"]).no_roi
-        assert build_parser().parse_args(["mitigate", "--no-roi"]).no_roi
-
     def test_clip_floor_flag_parses(self):
         args = build_parser().parse_args(
             ["pack", "--out", "x.plossdb", "--clip-floor-db", "-120"])
@@ -401,16 +397,3 @@ class TestRoiCli:
         assert main(["pack", "--out", str(path),
                      "--clip-floor-db", "none"]) == 0
         assert read_header(path)["clip_floor_db"] is None
-
-    def test_mitigate_no_roi_report(self, capsys, monkeypatch, tmp_path):
-        import json
-        from repro.synthetic import market
-        from conftest import SMALL_DIMS
-        monkeypatch.setattr(market.AreaDimensions, "for_area",
-                            classmethod(lambda cls, area: SMALL_DIMS))
-        path = tmp_path / "run.json"
-        assert main(["mitigate", "--tuning", "power", "--seed", "1",
-                     "--no-roi", "--metrics-out", str(path)]) == 0
-        data = json.loads(path.read_text())
-        assert data["meta"]["roi"] is False
-        assert not any("roi" in name for name in data["metrics"])

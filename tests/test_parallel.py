@@ -240,7 +240,7 @@ class TestEvaluationService:
         reg = get_registry()
         assert reg.counter("magus.parallel.tasks").value > 0
         assert reg.counter("magus.parallel.worker_busy_ns").value > 0
-        assert reg.counter("magus.engine.batched_candidates").value \
+        assert reg.counter("magus.engine.roi_evaluations").value \
             == len(many)
         # S1: shm accounting balances — everything allocated was
         # released on close and the resident gauge is back to zero.

@@ -98,8 +98,14 @@ class TestBatchedPlanningParity:
                 small_area.engine, small_area.ue_density,
                 small_area.network,
                 small_area.network.planned_configuration())
-            assert registry.counter(
-                "magus.engine.roi_evaluations").value == 0
+            # No footprints on the unclipped dict backend: every window
+            # is the whole grid.
+            evaluations = registry.counter(
+                "magus.engine.roi_evaluations").value
+            H, W = small_area.grid.shape
+            assert evaluations > 0
+            assert (registry.counter("magus.engine.roi_cells").value
+                    == evaluations * H * W)
 
     def test_one_canonical_call_per_committed_move(self, toy_evaluator,
                                                    toy_network,

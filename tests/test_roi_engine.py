@@ -1,13 +1,16 @@
-"""Sparse region-of-influence evaluation (PR 10).
+"""Sparse region-of-influence evaluation.
 
 The windowed engine's contract is *bitwise* agreement with the dense
-path: footprint boxes bound exactly the nonzero gain cells, and every
-scoring route — delta snapshots, batched candidate scoring, the
-process pool — produces identical floats with ROI windows on or off.
-The property tests below drive random perturbation chains through a
-clipped backend (floor high enough that windows are genuinely small on
-the toy grid) and through every fallback trigger (unclipped dicts,
-azimuth offsets, full-grid footprints, custom utilities).
+references: footprint boxes bound exactly the nonzero gain cells,
+delta snapshots equal a full :meth:`AnalysisEngine.evaluate` on every
+raster, and every scoring route — serial candidate scoring, the
+process pool — produces the floats of :meth:`evaluate_batch` plus the
+per-candidate reduction.  The property tests below drive random
+perturbation chains through a clipped backend (floor high enough that
+windows are genuinely small on the toy grid) and through every case
+where the window is wide or the whole grid (unclipped dicts, azimuth
+offsets, windows past half the grid, a single sector, full-grid
+footprints, custom utilities).
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility, UtilityFunction
+from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
 from repro.model.engine import AnalysisEngine, DeltaIncumbent
 from repro.model.linkrate import LinkAdaptation
+from repro.model.load import uniform_per_sector_density
+from repro.model.network import CellularNetwork
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
                                   plane_footprint)
 from repro.model.plossdb import load_packed, save_packed
@@ -28,17 +34,22 @@ from repro.model.roi import (EMPTY_BOX, RoiBaseline, box_area,
                              box_is_empty, box_union)
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.report import RunReport
+from repro.parallel import EvaluationService
 
 from conftest import make_sectors
 from test_delta_engine import _MOVES, _apply_move, _assert_states_equal
 
 _UTILITY = PerformanceUtility()
 
-#: On the 20x20 toy grid the default -150 dB floor leaves every
-#: footprint covering the whole grid (so ROI would only ever fall
-#: back); -110 dB shrinks the boxes to ~20-35% of the grid, which is
-#: the regime the windowed kernels must be exercised in.
+#: On the 15x15 toy grid the default -150 dB floor leaves every
+#: footprint covering the whole grid; -110 dB shrinks the boxes to
+#: ~15-60% of the grid, which is the regime the windowed kernels must
+#: be exercised in.
 _FLOOR = -110.0
+
+#: -120 dB leaves footprints of 40-80% of the grid: windows past half
+#: the grid that still stop short of it.
+_WIDE_FLOOR = -120.0
 
 
 def _clipped_pathloss(toy_grid, toy_network,
@@ -55,19 +66,73 @@ def clipped_pathloss(toy_grid, toy_network) -> PathLossDatabase:
 
 @pytest.fixture
 def roi_engine(clipped_pathloss) -> AnalysisEngine:
-    return AnalysisEngine(clipped_pathloss, link=LinkAdaptation(), roi=True)
+    return AnalysisEngine(clipped_pathloss, link=LinkAdaptation())
 
 
 @pytest.fixture
 def dense_engine(toy_grid, toy_network) -> AnalysisEngine:
-    """A dense comparator over an identical (but separate) database."""
+    """The reference engine over an identical (but separate) database;
+    score through :class:`_DenseEvaluator`."""
     return AnalysisEngine(_clipped_pathloss(toy_grid, toy_network),
-                          link=LinkAdaptation(), roi=False)
+                          link=LinkAdaptation())
+
+
+def _dense_utilities(engine, incumbent, configs, density,
+                     utility=_UTILITY):
+    """The dense reference: ``evaluate_batch`` + the per-candidate
+    weighted reduction over each candidate's own raster."""
+    batch = engine.evaluate_batch(incumbent, configs, density)
+    weighted = utility.per_ue(batch.rate_bps) * density
+    return [float(u)
+            for u in weighted.reshape(len(configs), -1).sum(axis=1)]
+
+
+class _DenseEvaluator(Evaluator):
+    """An evaluator whose candidate scores come from the dense
+    ``evaluate_batch`` reference instead of the windowed scorer."""
+
+    def _score_windowed(self, incumbent, configs, changed):
+        return _dense_utilities(self.engine, incumbent, list(configs),
+                                self.ue_density, self.utility)
+
+
+class _World:
+    """One parity case: an engine, its network and a UE raster."""
+
+    def __init__(self, name, network, pathloss):
+        self.name = name
+        self.network = network
+        self.engine = AnalysisEngine(pathloss, link=LinkAdaptation())
+        self.density = uniform_per_sector_density(
+            self.engine.evaluate(network.planned_configuration(),
+                                 np.zeros(self.engine.grid.shape)), 90.0)
+
+    def apply(self, config, move):
+        kind, sector, value = move
+        return _apply_move(self.network, config,
+                           (kind, sector % self.network.n_sectors, value))
+
+
+@pytest.fixture
+def worlds(toy_grid, toy_network, toy_pathloss, clipped_pathloss):
+    """Every case the windowed kernels must hold on: small clipped
+    windows; the unclipped dict backend (every window the whole grid);
+    windows past half the grid; a single-sector network (no runner-up).
+    Azimuth moves add rotated candidates (whole-grid windows) to each.
+    """
+    single = CellularNetwork(make_sectors([(0.0, 0.0)], power_dbm=35.0,
+                                          max_power_dbm=41.0))
+    return [
+        _World("clipped", toy_network, clipped_pathloss),
+        _World("unclipped", toy_network, toy_pathloss),
+        _World("wide", toy_network, _clipped_pathloss(
+            toy_grid, toy_network, floor=_WIDE_FLOOR)),
+        _World("single", single, _clipped_pathloss(toy_grid, single)),
+    ]
 
 
 @pytest.fixture
 def density(roi_engine, toy_network) -> np.ndarray:
-    from repro.model.load import uniform_per_sector_density
     baseline = roi_engine.evaluate(toy_network.planned_configuration(),
                                    np.zeros(roi_engine.grid.shape))
     return uniform_per_sector_density(baseline, 90.0)
@@ -154,22 +219,39 @@ class TestRoiDeltaParity:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(moves=_MOVES)
-    def test_random_perturbation_chain(self, moves, roi_engine,
-                                       toy_network, density):
-        config = toy_network.planned_configuration()
-        _, incumbent = roi_engine.evaluate_with_incumbent(config, density)
-        for move in moves:
-            new_config = _apply_move(toy_network, config, move)
-            if new_config == config:
-                config = new_config
-                continue
-            result = roi_engine.evaluate_delta(incumbent, new_config,
+    def test_random_perturbation_chain(self, moves, worlds):
+        for world in worlds:
+            engine, density = world.engine, world.density
+            config = world.network.planned_configuration()
+            _, incumbent = engine.evaluate_with_incumbent(config, density)
+            # A rotated pattern first: a whole-grid window in every world.
+            for move in [("azimuth", 0, 2.0)] + list(moves):
+                new_config = world.apply(config, move)
+                if new_config == config:
+                    continue
+                result = engine.evaluate_delta(incumbent, new_config,
                                                density)
-            assert result is not None
-            state, incumbent = result
-            _assert_states_equal(state,
-                                 roi_engine.evaluate(new_config, density))
-            config = new_config
+                assert result is not None
+                state, incumbent = result
+                _assert_states_equal(state,
+                                     engine.evaluate(new_config, density))
+                config = new_config
+
+    def test_wide_world_has_wide_windows(self, worlds):
+        """The "wide" case is not vacuous: some window covers more
+        than half the grid without covering all of it."""
+        world = next(w for w in worlds if w.name == "wide")
+        engine = world.engine
+        base = world.network.planned_configuration()
+        _, incumbent = engine.evaluate_with_incumbent(base, world.density)
+        H, W = engine.grid.shape
+        areas = []
+        for candidate in _candidate_fan(world.network, base):
+            changed = engine.single_sector_change(incumbent, candidate)
+            if changed is not None:
+                areas.append(box_area(
+                    engine.roi_window(incumbent, candidate, changed)))
+        assert any(H * W / 2 < area < H * W for area in areas)
 
     def test_windowed_path_taken(self, registry, roi_engine, toy_network,
                                  density):
@@ -196,39 +278,43 @@ class TestRoiDeltaParity:
 
     def test_azimuth_move_falls_back_correctly(self, registry, roi_engine,
                                                toy_network, density):
-        """Rotated patterns have no stored box — dense path, same result."""
+        """Rotated patterns have no stored box — a whole-grid window,
+        same result."""
         base = toy_network.planned_configuration()
         _, incumbent = roi_engine.evaluate_with_incumbent(base, density)
         turned = base.with_azimuth_offset(1, 10.0)
         state, _ = roi_engine.evaluate_delta(incumbent, turned, density)
         _assert_states_equal(state, roi_engine.evaluate(turned, density))
         snap = registry.snapshot()
-        assert snap["magus.engine.roi_fallbacks"]["value"] == 1
-        assert "magus.engine.roi_evaluations" not in snap
+        H, W = roi_engine.grid.shape
+        assert snap["magus.engine.roi_evaluations"]["value"] == 1
+        assert snap["magus.engine.roi_cells"]["value"] == H * W
 
 
 # ----------------------------------------------------------------------
 class TestRoiScoreParity:
-    """score_candidates: ROI on == ROI off, exact floats."""
+    """score_candidates == the evaluate_batch reference, exact floats."""
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(moves=_MOVES)
-    def test_random_candidates_bitwise(self, moves, roi_engine,
-                                       dense_engine, toy_network, density):
-        base = toy_network.planned_configuration()
-        configs = []
-        for move in moves:
-            candidate = _apply_move(toy_network, base, move)
-            if candidate != base:
-                configs.append(candidate)
-        if not configs:
-            return
-        roi_ev = Evaluator(roi_engine, density, "performance")
-        dense_ev = Evaluator(dense_engine, density, "performance")
-        assert roi_ev.utility_of(base) == dense_ev.utility_of(base)
-        assert (roi_ev.score_candidates(configs)
-                == dense_ev.score_candidates(configs))
+    def test_random_candidates_bitwise(self, moves, worlds):
+        for world in worlds:
+            base = world.network.planned_configuration()
+            # A rotated pattern: a whole-grid window in every world.
+            configs = [base.with_azimuth_offset(0, 10.0)]
+            for move in moves:
+                candidate = world.apply(base, move)
+                if candidate != base:
+                    configs.append(candidate)
+            _, incumbent = world.engine.evaluate_with_incumbent(
+                base, world.density)
+            evaluator = Evaluator(world.engine, world.density,
+                                  "performance")
+            evaluator.utility_of(base)
+            assert (evaluator.score_candidates(configs)
+                    == _dense_utilities(world.engine, incumbent, configs,
+                                        world.density))
 
     def test_windowed_path_taken(self, registry, roi_engine, toy_network,
                                  density):
@@ -246,15 +332,13 @@ class TestRoiScoreParity:
         path = str(tmp_path / "toy.plossdb")
         save_packed(clipped_pathloss, path)
         roi_db, dense_db = load_packed(path), load_packed(path)
-        roi_eng = AnalysisEngine(roi_db, link=LinkAdaptation(), roi=True)
-        dense_eng = AnalysisEngine(dense_db, link=LinkAdaptation(),
-                                   roi=False)
+        roi_eng = AnalysisEngine(roi_db, link=LinkAdaptation())
+        dense_eng = AnalysisEngine(dense_db, link=LinkAdaptation())
         base = toy_network.planned_configuration()
-        from repro.model.load import uniform_per_sector_density
         density = uniform_per_sector_density(
             roi_eng.evaluate(base, np.zeros(roi_eng.grid.shape)), 90.0)
         roi_ev = Evaluator(roi_eng, density, "performance")
-        dense_ev = Evaluator(dense_eng, density, "performance")
+        dense_ev = _DenseEvaluator(dense_eng, density, "performance")
         assert roi_ev.utility_of(base) == dense_ev.utility_of(base)
         candidates = _candidate_fan(toy_network, base)
         assert (roi_ev.score_candidates(candidates)
@@ -264,10 +348,9 @@ class TestRoiScoreParity:
 
     def test_custom_utility_exact(self, registry, roi_engine,
                                   toy_network, density):
-        """A non-additive utility skips the partial-sum scorer (no
-        batch path), but the windowed delta underneath ``utility_of``
-        builds the full state, so any ``evaluate`` override stays
-        exact."""
+        """A non-additive utility skips the partial-sum scorer, but the
+        windowed delta underneath ``utility_of`` builds the full state,
+        so any ``evaluate`` override stays exact."""
         class WorstGrid(UtilityFunction):
             name = "worst-grid"
 
@@ -284,8 +367,11 @@ class TestRoiScoreParity:
         candidates = [base.with_power(0, 38.0)]
         scores = evaluator.score_candidates(candidates)
         assert scores == [evaluator.utility_of(candidates[0])]
-        assert ("magus.engine.batched_candidates"
-                not in registry.snapshot())
+        # Every window counted was a delta evaluation's: no candidate
+        # went through the partial-sum scorer.
+        snap = registry.snapshot()
+        assert (snap["magus.engine.roi_evaluations"]["value"]
+                == snap["magus.engine.delta_evaluations"]["value"])
 
     def test_plans_agree_with_and_without_roi(self, roi_engine,
                                               dense_engine, toy_network,
@@ -294,6 +380,9 @@ class TestRoiScoreParity:
         plans = {}
         for name, engine in (("roi", roi_engine), ("dense", dense_engine)):
             magus = Magus(toy_network, engine, density)
+            if name == "dense":
+                magus.evaluator = _DenseEvaluator(engine, density,
+                                                  "performance")
             plans[name] = magus.plan_mitigation([1], tuning="joint")
         assert plans["roi"].c_after == plans["dense"].c_after
         assert plans["roi"].f_after == plans["dense"].f_after
@@ -308,7 +397,7 @@ class TestRoiParallelParity:
                                  dense_engine, toy_network, density):
         base = toy_network.planned_configuration()
         candidates = _candidate_fan(toy_network, base)
-        serial = Evaluator(dense_engine, density, _UTILITY)
+        serial = _DenseEvaluator(dense_engine, density, _UTILITY)
         serial.utility_of(base)
         want = serial.score_candidates(candidates)
         with Evaluator(roi_engine, density, _UTILITY,
@@ -329,7 +418,7 @@ class TestRoiParallelParity:
         for move in moves:
             config = _apply_move(toy_network, config, move)
         candidates = _candidate_fan(toy_network, config)
-        serial = Evaluator(dense_engine, density, _UTILITY)
+        serial = _DenseEvaluator(dense_engine, density, _UTILITY)
         serial.utility_of(config)
         want = serial.score_candidates(candidates)
         with Evaluator(roi_engine, density, _UTILITY,
@@ -337,6 +426,33 @@ class TestRoiParallelParity:
                        min_parallel_batch=2) as pooled:
             pooled.utility_of(config)
             assert pooled.score_candidates(candidates) == want
+
+    @pytest.mark.parametrize("chaos", [False, True],
+                             ids=["no-chaos", "kill-chunk-0"])
+    def test_unclipped_score_batch_matches_serial(
+            self, chaos, tmp_path, toy_engine, toy_network, toy_density):
+        """The unclipped dict backend scores every candidate through a
+        whole-grid window on the pool too, and a worker SIGKILLed at
+        chunk 0 does not move a bit."""
+        base = toy_network.planned_configuration()
+        candidates = _candidate_fan(toy_network, base) + [
+            base.with_azimuth_offset(0, 10.0)]
+        _, incumbent = toy_engine.evaluate_with_incumbent(base,
+                                                          toy_density)
+        serial = Evaluator(toy_engine, toy_density, _UTILITY)
+        serial.utility_of(base)
+        want = serial.score_candidates(candidates)
+        assert want == _dense_utilities(toy_engine, incumbent, candidates,
+                                        toy_density)
+        injector = (ChaosInjector(ChaosPlan(kill=WorkerKill(at_chunk=0)),
+                                  str(tmp_path / "scratch"))
+                    if chaos else None)
+        with EvaluationService(toy_engine, toy_density, _UTILITY, 2,
+                               min_parallel_batch=2, chaos=injector,
+                               chunk_deadline_s=30.0) as service:
+            assert service.score_batch(incumbent, candidates) == want
+        if chaos:
+            assert injector.spent("kill") == 1
 
 
 # ----------------------------------------------------------------------
@@ -459,62 +575,49 @@ class TestRunnerUpParity:
 
 
 # ----------------------------------------------------------------------
+def _assert_whole_grid_scoring(registry, engine, network, density):
+    """Windowed scores equal the dense reference bit for bit, and each
+    candidate is counted as one whole-grid window."""
+    evaluator = Evaluator(engine, density, "performance")
+    base = network.planned_configuration()
+    evaluator.utility_of(base)
+    _, incumbent = engine.evaluate_with_incumbent(base, density)
+    candidates = _candidate_fan(network, base)
+    scores = evaluator.score_candidates(candidates)
+    assert scores == _dense_utilities(engine, incumbent, candidates,
+                                      density)
+    snap = registry.snapshot()
+    H, W = engine.grid.shape
+    k = len(candidates)
+    assert snap["magus.engine.roi_evaluations"]["value"] == k
+    assert snap["magus.engine.roi_cells"]["value"] == k * H * W
+    assert scores == [evaluator.utility_of(c) for c in candidates]
+
+
 class TestRoiFallbacks:
-    """Every trigger degrades to the dense path, never to a wrong answer."""
+    """Where no footprint bounds a change, the window is the whole
+    grid — never a wrong answer."""
 
     def test_unclipped_dict_always_falls_back(self, registry, toy_engine,
                                               toy_network, toy_density):
-        assert toy_engine.roi           # default-on ...
-        evaluator = Evaluator(toy_engine, toy_density, "performance")
-        base = toy_network.planned_configuration()
-        evaluator.utility_of(base)
-        candidates = _candidate_fan(toy_network, base)
-        scores = evaluator.score_candidates(candidates)
-        reference = [evaluator.utility_of(c) for c in candidates]
-        assert scores == reference
-        snap = registry.snapshot()
-        # ... but footprints are unavailable, so nothing is windowed.
-        assert "magus.engine.roi_evaluations" not in snap
-        assert snap["magus.engine.roi_fallbacks"]["value"] > 0
+        # No footprints on an unclipped dict: every window is the grid.
+        assert toy_engine.pathloss.clip_floor_db is None
+        _assert_whole_grid_scoring(registry, toy_engine, toy_network,
+                                   toy_density)
 
     def test_full_grid_footprint_falls_back(self, registry, toy_grid,
                                             toy_network):
-        """At the -150 dB default floor the toy boxes cover the grid —
-        the roi_max_fraction guard must route every candidate densely."""
+        """At the -150 dB default floor the toy boxes cover the grid."""
         db = _clipped_pathloss(toy_grid, toy_network,
                                floor=DEFAULT_CLIP_FLOOR_DB)
         H, W = db.grid.shape
         tilt = toy_network.sector(0).tilt_range.normal_deg
         assert box_area(db.footprint(0, tilt)) == H * W
-        engine = AnalysisEngine(db, link=LinkAdaptation(), roi=True)
-        from repro.model.load import uniform_per_sector_density
+        engine = AnalysisEngine(db, link=LinkAdaptation())
         base = toy_network.planned_configuration()
         density = uniform_per_sector_density(
             engine.evaluate(base, np.zeros(engine.grid.shape)), 90.0)
-        evaluator = Evaluator(engine, density, "performance")
-        evaluator.utility_of(base)
-        candidates = _candidate_fan(toy_network, base)
-        scores = evaluator.score_candidates(candidates)
-        assert scores == [evaluator.utility_of(c) for c in candidates]
-        snap = registry.snapshot()
-        assert "magus.engine.roi_evaluations" not in snap
-        assert snap["magus.engine.roi_fallbacks"]["value"] > 0
-
-    def test_roi_opt_out(self, registry, roi_engine, toy_network, density):
-        evaluator = Evaluator(roi_engine, density, "performance",
-                              roi=False)
-        assert not roi_engine.roi       # the knob lands on the engine
-        base = toy_network.planned_configuration()
-        evaluator.utility_of(base)
-        evaluator.score_candidates(_candidate_fan(toy_network, base))
-        snap = registry.snapshot()
-        assert not any("roi" in name for name in snap)
-
-    def test_roi_default_leaves_engine_setting(self, roi_engine, density):
-        Evaluator(roi_engine, density, "performance")        # roi=None
-        assert roi_engine.roi
-        Evaluator(roi_engine, density, "performance", roi=True)
-        assert roi_engine.roi
+        _assert_whole_grid_scoring(registry, engine, toy_network, density)
 
     def test_baseline_requires_anchored_state(self, roi_engine,
                                               toy_network, density):
@@ -522,7 +625,7 @@ class TestRoiFallbacks:
             toy_network.planned_configuration(), density)
         baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
         assert baseline is not None
-        incumbent.state = None          # e.g. a worker-attached incumbent
+        incumbent.state = None          # as if it never ran _finish
         assert RoiBaseline.from_incumbent(incumbent, _UTILITY,
                                           density) is None
 
