@@ -258,7 +258,7 @@ def test_packed_query_speedup(bench_area_120, quick):
     """
     import numpy as np
 
-    from repro.model.pathloss import PathLossDatabase
+    from repro.model.pathloss import PathLossDatabase, clip_gains_mw
     from repro.model.plossdb import pack_database
 
     from conftest import median_s, report
@@ -277,10 +277,14 @@ def test_packed_query_speedup(bench_area_120, quick):
         for j in range(len(ladder))]
 
     # Parity gate before timing: packed gather must be bitwise equal to
-    # the float32-quantized dict recompute (the PR-7 storage contract).
+    # the float32-quantized dict recompute (the PR-7 storage contract),
+    # clipped at the pack's floor right after quantization as every
+    # path does (the PR-10 storage contract).
     for tilts in assignments[:1 if quick else 3]:
-        want = np.power(10.0, dict_db.gain_tensor(tilts) / 10.0
-                        ).astype(np.float32)
+        want = clip_gains_mw(
+            np.power(10.0, dict_db.gain_tensor(tilts) / 10.0
+                     ).astype(np.float32),
+            packed_db.packed_store.clip_floor_db)
         got = packed_db.gain_tensor_mw(tilts)
         assert got.dtype == np.float32
         assert np.array_equal(got, want), (

@@ -14,9 +14,6 @@ Times ROI-windowed candidate scoring against the dense batch reference
   small clipped v3 market, memory-maps it back and asserts the header
   carries the clip floor + footprint table and that dense and ROI
   scoring (batch and delta) agree bitwise.
-* ``test_parallel_roi_bar`` — the >=3x @ 8-worker parallel-ROI bar;
-  recorded as an explicit skip on hosts with fewer than 8 CPUs so the
-  checked-in JSON cannot be mistaken for a pass.
 * ``test_paper_scale_roi`` — the 1000+-sector 600x600 16-tilt market
   packed at ``-115`` dB (measured mean footprint ~0.08 of the grid;
   the default floor keeps boxes full-grid at this scale, see
@@ -405,62 +402,6 @@ def test_packed_roi_parity_subprocess(tmp_path):
         "windowed delta diverged from the full evaluation")
     assert row.get("roi_evaluations", 0) > 0, (
         "parity probe never exercised the windowed path")
-
-
-def test_parallel_roi_bar(bench_area_120, quick):
-    """>=3x @ 8 workers: parallel ROI scoring vs. serial dense.
-
-    Asserted only where it can honestly run; on smaller hosts the JSON
-    records an explicit skip (the serial >=2x bar above still gates).
-    """
-    from conftest import neighbor_power_ladder, report
-
-    cores = os.cpu_count() or 1
-    if cores < 8:
-        _RESULTS.append({
-            "scenario": "suburban-60s-120x120-power-ladder",
-            "mode": "roi-parallel-speedup-bar-3x-at-8-workers",
-            "status": f"skipped (needs >=8 cores, have {cores}; "
-                      f"serial roi-vs-dense bar asserted above)"})
-        report(f"\n(parallel ROI bar not run: {cores} core(s) < 8)")
-        return
-
-    from repro.core.evaluation import Evaluator
-    from repro.model.engine import AnalysisEngine
-    from repro.model.pathloss import PathLossDatabase
-    from repro.model.plossdb import pack_database
-
-    area = bench_area_120
-    base = area.pathloss
-    db = PathLossDatabase(area.grid, area.network, base._rasters,
-                          base.tilt_model, validate=False,
-                          clip_floor_db=_QUICK_FLOOR_DB)
-    db.attach_packed(pack_database(db))
-    config, cands = neighbor_power_ladder(
-        area, units=(1.0, 2.0, -1.0, -2.0))
-    link = area.engine.link
-    rounds = 3 if quick else 7
-    with Evaluator(AnalysisEngine(db, link=link),
-                   area.ue_density, cache_size=0, strategy="parallel",
-                   workers=8, min_parallel_batch=2) as ev_par:
-        dense = _dense_scorer(AnalysisEngine(db, link=link), config,
-                              area.ue_density, ev_par.utility)
-        dense_s = _best_s(lambda: dense(cands), rounds)
-        ev_par.utility_of(config)
-        assert ev_par.score_candidates(cands) == dense(cands)
-        par_s = _best_s(lambda: ev_par.score_candidates(cands), rounds)
-    speedup = dense_s / par_s if par_s > 0 else float("inf")
-    _RESULTS.append({
-        "scenario": "suburban-60s-120x120-power-ladder",
-        "mode": "roi-parallel-speedup-bar-3x-at-8-workers",
-        "status": "asserted", "workers": 8, "rounds": rounds,
-        "timing": f"best-of-{rounds}",
-        "dense_best_s": dense_s, "parallel_roi_best_s": par_s,
-        "speedup": speedup})
-    report(f"\nparallel ROI (8 workers): dense {dense_s * 1e3:.1f} ms, "
-           f"parallel roi {par_s * 1e3:.1f} ms -> {speedup:.2f}x")
-    assert speedup >= 3.0, (
-        f"parallel ROI speedup {speedup:.2f}x below the 3x bar")
 
 
 def test_paper_scale_roi(quick):

@@ -29,7 +29,7 @@ from repro.upgrades.scenario import UpgradeScenario, select_targets
 #: Tunings swept for Table 1 / Figure 13 (naive is the Fig-13 baseline).
 SWEEP_TUNINGS = ("power", "tilt", "joint", "naive")
 
-# -- shared perf scenarios (bench_delta_engine + bench_parallel_engine) --
+# -- shared perf scenarios (bench_delta_engine, bench_roi_engine, ...) --
 #: The acceptance scenario: the suburban deployment (~60 sectors) on a
 #: 120x120 raster — same 7 km x 7 km analysis region as the default
 #: suburban area, finer cells.
@@ -95,8 +95,7 @@ def neighbor_power_ladder(area, units=(1.0,)):
     Returns ``(config, trials)``: the single-sector-down incumbent and
     the unique +N dB single-sector trials for every involved neighbor
     and every step in ``units``.  ``units=(1.0,)`` is the inner loop
-    the delta bench times; the parallel bench widens the ladder so one
-    batch carries enough work to amortize pool dispatch.
+    the delta bench times; the ROI bench widens the ladder.
     """
     settings = PowerSearchSettings()
     targets = select_targets(area, UpgradeScenario.SINGLE_SECTOR)

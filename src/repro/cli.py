@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from .analysis.ascii_map import render_serving_map
 from .analysis.report import format_series, format_table
-from .core.magus import Magus, TUNING_STRATEGIES
+from .core.magus import TUNING_STRATEGIES
 from .faults import FaultInjector, FaultPlan
 from .obs import (FlightRecorder, MetricsRegistry, RunReport,
                   export_chrome_trace, get_flight_recorder, get_logger,
@@ -43,6 +43,7 @@ from .synthetic.market import build_area
 from .synthetic.placement import AreaType
 from .testbed.experiment import run_upgrade_experiment
 from .testbed.testbed import build_scenario_one, build_scenario_two
+from .upgrades.planner import UpgradePlanner
 from .upgrades.scenario import UpgradeScenario, select_targets
 
 __all__ = ["main", "build_parser", "EXIT_ROLLOUT_ABORTED",
@@ -72,7 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     mitigate = sub.add_parser("mitigate",
                               help="plan mitigation for an upgrade scenario")
     _add_area_args(mitigate)
-    mitigate.add_argument("--scenario", choices=["a", "b", "c"], default="a")
+    mitigate.add_argument("--scenario", choices=["a", "b", "c"], default="a",
+                          nargs="+",
+                          help="upgrade scenario label(s); several labels "
+                               "are planned as one sweep and printed in "
+                               "the given order")
     mitigate.add_argument("--tuning", choices=list(TUNING_STRATEGIES),
                           default="joint")
     mitigate.add_argument("--utility",
@@ -81,11 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     mitigate.add_argument("--gradual", action="store_true",
                           help="also compute the gradual migration schedule")
     mitigate.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="score candidate batches on N worker "
-                               "processes over shared-memory rasters "
-                               "(evaluation strategy 'parallel'; "
-                               "default 1 = serial; requires the "
-                               "delta engine)")
+                          help="plan several --scenario labels on N "
+                               "worker processes, one whole mitigation "
+                               "per worker (default 1 = serial); one "
+                               "scenario always plans in-process")
     mitigate.add_argument("--no-delta", action="store_true",
                           help="disable the incremental delta-evaluation "
                                "engine and run every candidate through "
@@ -105,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "evaluation to float32 planes")
     mitigate.add_argument("--chunk-deadline-s", type=float, default=None,
                           metavar="S",
-                          help="per-chunk scoring deadline for --workers; "
-                               "a chunk that misses it is retried on a "
-                               "respawned pool, then quarantined to "
-                               "serial rescoring (default 600)")
+                          help="per-scenario deadline for --workers; a "
+                               "scenario that misses it is retried on a "
+                               "respawned pool, then quarantined to a "
+                               "serial re-run (default 600)")
     mitigate.add_argument("--chaos", metavar="PLAN.json", default=None,
                           help="inject the process/storage faults "
                                "described by a magus.chaos-plan/1 file "
-                               "(worker SIGKILL, chunk stalls, artifact "
+                               "(worker SIGKILL, item stalls, artifact "
                                "corruption) to exercise the supervision "
                                "and durability layers")
     _add_obs_args(mitigate)
@@ -373,15 +377,16 @@ def _cmd_mitigate(args, sink: _ObsSink) -> int:
 
 def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
                   chaos) -> int:
-    if args.no_delta and args.workers > 1:
-        print("--workers requires the delta engine; drop --no-delta",
+    # The default is the bare label; given labels arrive as a list.
+    labels = (args.scenario if isinstance(args.scenario, list)
+              else [args.scenario])
+    run_rollout = bool(args.faults or args.checkpoint)
+    if len(labels) > 1 and run_rollout:
+        print("--faults and --checkpoint take a single --scenario",
               file=sys.stderr)
         return 2
     strategy = "full" if args.no_delta else "delta"
-    magus_strategy = "parallel" if args.workers > 1 else strategy
     with trace.span("magus.build_area", area_type=args.area_type):
-        # The area's own baseline evaluation is one full pass — no
-        # batches to parallelize — so it always stays serial.
         area = build_area(AreaType(args.area_type), seed=args.seed,
                           evaluation_strategy=strategy,
                           plossdb=args.plossdb)
@@ -391,81 +396,99 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
               f"float32 planes)")
     if injector is not None and fault_plan.pathloss is not None:
         injector.corrupt_pathloss(area.engine.pathloss)
-    scenario = UpgradeScenario.from_label(args.scenario)
-    targets = select_targets(area, scenario)
-    magus = Magus.from_area(area, utility=args.utility,
-                            evaluation_strategy=magus_strategy,
-                            workers=args.workers,
-                            chunk_deadline_s=args.chunk_deadline_s,
-                            chaos=chaos)
-    status = 0
-    # Everything below runs under the close() guarantee: whatever path
-    # exits — including the structured aborts with exit codes 3/4 —
-    # the worker pool is shut down, never orphaned.
-    try:
-        try:
-            plan = magus.plan_mitigation(targets, tuning=args.tuning)
-        except ValueError as exc:
-            if injector is None:
-                raise
-            # Fault-injected corrupt inputs: the model guards rejected
-            # them — report structurally, not as a traceback.
-            _LOG.error("mitigation rejected corrupt inputs: %s", exc)
-            print(f"input-rejected command=mitigate seed={args.seed} "
-                  f"error={exc}", file=sys.stderr)
-            return EXIT_INPUT_REJECTED
-        for line in plan.describe():
-            print(line)
-        run_rollout = bool(args.faults or args.checkpoint)
-        if args.gradual or run_rollout:
-            gradual = magus.gradual_schedule(plan)
-            direct = magus.direct_migration_stats(plan)
-            stats = gradual.stats()
-            print()
-            for line in stats.describe():
-                print(line)
-            print(f"direct-tuning peak: "
-                  f"{direct.peak_simultaneous_ues:.0f} UEs "
-                  f"(x{gradual.reduction_vs(direct):.1f} reduction)")
-            if run_rollout:
-                from .faults import ResilientExecutor
-                executor = ResilientExecutor(
-                    magus.evaluator, network=magus.network,
-                    injector=injector, checkpoint_path=args.checkpoint)
-                rollout = executor.execute(gradual)
+    scenarios = [UpgradeScenario.from_label(label) for label in labels]
+    planner = UpgradePlanner(area, utility=args.utility,
+                             evaluation_strategy=strategy,
+                             workers=args.workers,
+                             chunk_deadline_s=args.chunk_deadline_s,
+                             chaos=chaos)
+    magus = planner.magus
+    meta = {"area_type": args.area_type, "seed": args.seed,
+            "scenario": args.scenario, "tuning": args.tuning,
+            "evaluation_strategy": strategy, "workers": args.workers,
+            "fault_plan": args.faults, "chaos_plan": args.chaos}
+    if len(scenarios) > 1:
+        outcomes = planner.sweep_scenarios(scenarios, tuning=args.tuning,
+                                           with_gradual=args.gradual)
+        for i, outcome in enumerate(outcomes):
+            if i:
                 print()
-                for line in rollout.describe():
-                    print(line)
-                if not rollout.completed:
-                    _LOG.error(
-                        "rollout aborted reason=%s steps_applied=%d "
-                        "retries=%d fallback=last-known-good",
-                        rollout.reason, rollout.steps_applied,
-                        rollout.retries)
-                    print(f"rollout-aborted reason={rollout.reason} "
-                          f"steps_applied={rollout.steps_applied} "
-                          f"retries={rollout.retries} "
-                          f"fallback=last-known-good", file=sys.stderr)
-                    status = EXIT_ROLLOUT_ABORTED
-    finally:
-        magus.close()
-    if args.metrics_out or args.trace or args.trace_out:
-        # Chrome trace first: it peeks at the finished spans, while the
-        # report construction below drains them.
-        sink.write_trace()
-        report = RunReport.from_mitigation(
-            plan, command="mitigate", registry=get_registry(),
-            tracer=trace,
-            meta={"area_type": args.area_type, "seed": args.seed,
-                  "scenario": args.scenario, "tuning": args.tuning,
-                  "evaluation_strategy": magus_strategy,
-                  "workers": args.workers,
-                  "fault_plan": args.faults,
-                  "chaos_plan": args.chaos})
-        _emit_report(report, args, sink)
-        if args.trace_out:
-            print(f"chrome trace written to {args.trace_out}")
+            print(f"scenario ({outcome.scenario.value}):")
+            _print_plan(outcome.plan, outcome.gradual, outcome.direct_stats)
+        _emit_mitigate_artifacts(args, sink, lambda: RunReport.from_registry(
+            command="mitigate", registry=get_registry(), tracer=trace,
+            total_model_evaluations=sum(
+                o.plan.tuning.total_evaluations for o in outcomes),
+            meta=meta))
+        return 0
+    targets = select_targets(area, scenarios[0])
+    status = 0
+    try:
+        plan = magus.plan_mitigation(targets, tuning=args.tuning)
+    except ValueError as exc:
+        if injector is None:
+            raise
+        # Fault-injected corrupt inputs: the model guards rejected
+        # them — report structurally, not as a traceback.
+        _LOG.error("mitigation rejected corrupt inputs: %s", exc)
+        print(f"input-rejected command=mitigate seed={args.seed} "
+              f"error={exc}", file=sys.stderr)
+        return EXIT_INPUT_REJECTED
+    if args.gradual or run_rollout:
+        gradual = magus.gradual_schedule(plan)
+        _print_plan(plan, gradual, magus.direct_migration_stats(plan))
+    else:
+        _print_plan(plan, None, None)
+    if run_rollout:
+        from .faults import ResilientExecutor
+        executor = ResilientExecutor(
+            magus.evaluator, network=magus.network,
+            injector=injector, checkpoint_path=args.checkpoint)
+        rollout = executor.execute(gradual)
+        print()
+        for line in rollout.describe():
+            print(line)
+        if not rollout.completed:
+            _LOG.error(
+                "rollout aborted reason=%s steps_applied=%d "
+                "retries=%d fallback=last-known-good",
+                rollout.reason, rollout.steps_applied,
+                rollout.retries)
+            print(f"rollout-aborted reason={rollout.reason} "
+                  f"steps_applied={rollout.steps_applied} "
+                  f"retries={rollout.retries} "
+                  f"fallback=last-known-good", file=sys.stderr)
+            status = EXIT_ROLLOUT_ABORTED
+    _emit_mitigate_artifacts(args, sink, lambda: RunReport.from_mitigation(
+        plan, command="mitigate", registry=get_registry(), tracer=trace,
+        meta=meta))
     return status
+
+
+def _emit_mitigate_artifacts(args, sink: _ObsSink, make_report) -> None:
+    """Write the trace, then the report ``make_report()`` builds."""
+    if not (args.metrics_out or args.trace or args.trace_out):
+        return
+    # Chrome trace first: it peeks at the finished spans, while the
+    # report construction drains them.
+    sink.write_trace()
+    _emit_report(make_report(), args, sink)
+    if args.trace_out:
+        print(f"chrome trace written to {args.trace_out}")
+
+
+def _print_plan(plan, gradual, direct) -> None:
+    """The plan, then (when scheduled) its gradual-migration summary."""
+    for line in plan.describe():
+        print(line)
+    if gradual is None:
+        return
+    print()
+    for line in gradual.stats().describe():
+        print(line)
+    print(f"direct-tuning peak: "
+          f"{direct.peak_simultaneous_ues:.0f} UEs "
+          f"(x{gradual.reduction_vs(direct):.1f} reduction)")
 
 
 def _cmd_testbed(args, sink: _ObsSink) -> int:

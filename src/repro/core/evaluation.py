@@ -11,7 +11,7 @@ search algorithms freely re-ask about configurations they have seen
 The evaluator also counts *distinct* model evaluations, which is the
 cost metric of the search-heuristic ablation.
 
-Three evaluation strategies are supported (``strategy=`` knob):
+Three evaluation strategy names are accepted (``strategy=`` knob):
 
 ``"delta"`` (default)
     Cache-missing configurations are answered incrementally when they
@@ -25,21 +25,16 @@ Three evaluation strategies are supported (``strategy=`` knob):
     baseline, also reachable via the CLI's ``--no-delta``.
 
 ``"parallel"``
-    The delta strategy, plus a process-pool
-    :class:`~repro.parallel.EvaluationService` (``workers=N``) that
-    fans large :meth:`score_candidates` batches across cores over
-    shared-memory baseline rasters.  Results are bitwise identical to
-    ``"delta"``; batches below the service's threshold — and every
-    single-configuration query — stay on the serial path.
+    An alias of ``"delta"``, kept so that callers which pair it with
+    ``Magus(workers=N)`` keep working.  Parallelism lives one level up,
+    at the grain of whole mitigations
+    (:meth:`UpgradePlanner.sweep_scenarios`); an evaluator always
+    scores in-process.
 
 :meth:`score_candidates` scores single-sector candidates through their
 region-of-influence windows (:func:`repro.model.roi.score_candidate`,
 the whole grid where a footprint is unknown); these scores are never
 cached, so accepted candidates are always confirmed canonically.
-
-A parallel evaluator owns worker processes: call :meth:`close` (or use
-the evaluator as a context manager) when done.  The serial strategies
-make both a no-op.
 """
 
 from __future__ import annotations
@@ -67,11 +62,7 @@ class Evaluator:
     def __init__(self, engine: AnalysisEngine, ue_density: np.ndarray,
                  utility: UtilityFunction | str = "performance",
                  cache_size: int = 512,
-                 strategy: str = "delta",
-                 workers: Optional[int] = None,
-                 min_parallel_batch: Optional[int] = None,
-                 chunk_deadline_s: Optional[float] = None,
-                 chaos=None) -> None:
+                 strategy: str = "delta") -> None:
         if ue_density.shape != engine.grid.shape:
             raise ValueError("UE raster does not match engine grid")
         if cache_size < 0:
@@ -85,24 +76,6 @@ class Evaluator:
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
         self.strategy = strategy
-        self.workers = workers
-        self.min_parallel_batch = min_parallel_batch
-        self.chunk_deadline_s = chunk_deadline_s
-        self.chaos = chaos
-        self._service = None
-        if strategy == "parallel":
-            # Construction is cheap — the pool forks lazily on the
-            # first batch above the threshold.
-            from ..parallel import EvaluationService
-            kwargs = {}
-            if min_parallel_batch is not None:
-                kwargs["min_parallel_batch"] = min_parallel_batch
-            if chunk_deadline_s is not None:
-                kwargs["chunk_deadline_s"] = chunk_deadline_s
-            if chaos is not None:
-                kwargs["chaos"] = chaos
-            self._service = EvaluationService(
-                engine, self.ue_density, self.utility, workers, **kwargs)
         self._cache: "OrderedDict[Configuration, Tuple[NetworkState, float]]" = \
             OrderedDict()
         self._cache_size = cache_size
@@ -158,30 +131,10 @@ class Evaluator:
         return other.evaluate(self.state_of(config))
 
     def with_utility(self, utility: UtilityFunction | str) -> "Evaluator":
-        """A sibling evaluator sharing the engine and UE raster.
-
-        The sibling owns its own (lazily forked) worker pool when the
-        strategy is ``"parallel"``; close both when done.
-        """
+        """A sibling evaluator sharing the engine and UE raster."""
         return Evaluator(self.engine, self.ue_density, utility,
                          cache_size=self._cache_size,
-                         strategy=self.strategy,
-                         workers=self.workers,
-                         min_parallel_batch=self.min_parallel_batch,
-                         chunk_deadline_s=self.chunk_deadline_s,
-                         chaos=self.chaos)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the parallel service, if any (idempotent)."""
-        if self._service is not None:
-            self._service.close()
-
-    def __enter__(self) -> "Evaluator":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+                         strategy=self.strategy)
 
     # ------------------------------------------------------------------
     def score_candidates(self, configs: Sequence[Configuration],
@@ -191,9 +144,8 @@ class Evaluator:
 
         Candidates that differ from a recent incumbent in exactly one
         sector are scored through their region-of-influence windows
-        against that incumbent's :class:`~repro.model.roi.RoiBaseline`
-        (on the pool when the strategy is ``"parallel"``); the rest
-        (and everything under ``strategy="full"`` or a custom
+        against that incumbent's :class:`~repro.model.roi.RoiBaseline`;
+        the rest (and everything under ``strategy="full"`` or a custom
         ``UtilityFunction.evaluate`` override) go through the canonical
         memoized path.  Windowed scores equal the dense batch reference
         (:meth:`AnalysisEngine.evaluate_batch`) bit for bit; they are
@@ -265,25 +217,14 @@ class Evaluator:
         """Score single-sector ``configs`` through their ROI windows.
 
         ``changed`` names the sector each config flips vs.
-        ``incumbent``.  The pool answers when it takes the batch;
-        otherwise every candidate runs :func:`roi.score_candidate`
-        here.
+        ``incumbent``.
         """
         baseline = self._roi_baseline(incumbent)
         windows = [(sector, self.engine.roi_window(incumbent, config,
                                                    sector))
                    for config, sector in zip(configs, changed)]
-        if self._service is not None:
-            values = self._service.score_batch_roi(baseline, configs,
-                                                   windows)
-            if values is not None:
-                return values   # service did the engine accounting
-        values = [_roi.score_candidate(self.engine, baseline, config,
-                                       sector, box, self.ue_density,
-                                       self.utility)
-                  for config, (sector, box) in zip(configs, windows)]
-        _roi.count_windowed(self.engine, [box for _, box in windows])
-        return values
+        return _roi.score_windows(self.engine, baseline, configs, windows,
+                                  self.ue_density, self.utility)
 
     def _roi_baseline(self,
                       incumbent: DeltaIncumbent) -> _roi.RoiBaseline:

@@ -15,6 +15,10 @@ mitigation for a set of sectors being upgraded:
 
 Every quantity of the paper's evaluation (recovery ratio, handover
 peaks, convergence traces) falls out of the returned value objects.
+
+One :meth:`Magus.plan_mitigation` always runs in-process.  ``workers``,
+``chunk_deadline_s`` and ``chaos`` configure the scenario pool that
+:meth:`UpgradePlanner.sweep_scenarios` fans whole mitigations out on.
 """
 
 from __future__ import annotations
@@ -62,10 +66,12 @@ class Magus:
                  chaos=None) -> None:
         self.network = network
         self.evaluator = Evaluator(engine, ue_density, utility,
-                                   strategy=evaluation_strategy,
-                                   workers=workers,
-                                   chunk_deadline_s=chunk_deadline_s,
-                                   chaos=chaos)
+                                   strategy=evaluation_strategy)
+        #: Scenario-pool settings, handed to the pool by
+        #: :meth:`UpgradePlanner.sweep_scenarios`.
+        self.workers = workers
+        self.chunk_deadline_s = chunk_deadline_s
+        self.chaos = chaos
         self.power_settings = power_settings or PowerSearchSettings()
         self.tilt_settings = tilt_settings or TiltSearchSettings()
         self.default_config = (default_config
@@ -85,8 +91,7 @@ class Magus:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release evaluator resources (the parallel worker pool)."""
-        self.evaluator.close()
+        """Nothing to release: a plan runs in-process (idempotent)."""
 
     def __enter__(self) -> "Magus":
         return self

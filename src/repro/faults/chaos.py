@@ -6,9 +6,9 @@ the mitigation machinery itself* — the process- and storage-level
 disasters the crash-safe execution layer exists to absorb:
 
 * :class:`WorkerKill` — a pool worker SIGKILLs itself the moment it
-  picks up chunk ``at_chunk`` of a parallel dispatch, exactly the
-  silent in-flight-task loss an OOM kill produces;
-* :class:`ChunkDelay` — a worker sleeps past the chunk deadline, the
+  picks up item ``at_chunk`` of a pool dispatch, exactly the silent
+  in-flight-task loss an OOM kill produces;
+* :class:`ChunkDelay` — a worker sleeps past the item deadline, the
   hung-NFS / paused-cgroup shape of the same failure;
 * :class:`ArtifactFaults` — the Nth freshly written artifact of a
   given kind (checkpoint, report, flight, trace, plossdb) gets a bit
@@ -50,11 +50,15 @@ _ARTIFACT_MODES = ("bitflip", "truncate")
 
 @dataclass(frozen=True)
 class WorkerKill:
-    """SIGKILL the worker that picks up dispatch chunk ``at_chunk``.
+    """SIGKILL the worker that picks up dispatch item ``at_chunk``.
 
-    Fires ``times`` times in total across the whole run (pool respawns
-    included), so supervision's bounded retry budget is actually
-    exercised rather than starved.
+    ``at_chunk`` is the item's index in its
+    :meth:`~repro.parallel.EvaluationService.run_tasks` dispatch — in a
+    scenario sweep, the scenario's position in the sweep (the field
+    keeps its ``magus.chaos-plan/1`` name).  Fires ``times`` times in
+    total across the whole run (pool respawns included), so
+    supervision's bounded retry budget is actually exercised rather
+    than starved.
     """
 
     at_chunk: int = 0
@@ -69,7 +73,7 @@ class WorkerKill:
 
 @dataclass(frozen=True)
 class ChunkDelay:
-    """Stall chunk ``at_chunk`` for ``seconds`` before scoring it."""
+    """Stall dispatch item ``at_chunk`` for ``seconds`` before running it."""
 
     at_chunk: int = 0
     seconds: float = 1.0
@@ -183,11 +187,10 @@ class ChaosPlan:
 class ChaosInjector:
     """Realizes a :class:`ChaosPlan` with cross-process once semantics.
 
-    The injector is constructed in the parent *before* the pool forks
-    (so workers inherit it through
-    :class:`~repro.parallel.worker.WorkerState`) and is a plain
-    picklable value — all mutable coordination lives in the marker
-    directory, never in Python state.
+    The injector is constructed in the parent and handed to each pool
+    worker by the pool initializer; it is a plain picklable value —
+    all mutable coordination lives in the marker directory, never in
+    Python state.
     """
 
     def __init__(self, plan: ChaosPlan, scratch_dir: str) -> None:
@@ -224,7 +227,7 @@ class ChaosInjector:
 
     # -- worker-side chunk injection ------------------------------------
     def on_chunk(self, chunk_index: int) -> None:
-        """Called by a pool worker as it picks up ``chunk_index``.
+        """Called by a pool worker as it picks up item ``chunk_index``.
 
         May never return (SIGKILL is delivered to *this* process) —
         the parent's supervision loop is what turns that into a retry.

@@ -351,11 +351,6 @@ class ResilientExecutor:
                 _LOG.error("fallback push failed; network state unknown")
         if self.checkpoint_path is not None:
             self._write_checkpoint(result)
-        # An aborted run exits soon after: make sure a parallel
-        # evaluator's worker pool dies with it, not as orphans.
-        close = getattr(self.evaluator, "close", None)
-        if close is not None:
-            close()
         # An abort is exactly when the operator needs the event ring:
         # dump it now (exactly-once — the CLI's exit flush is a no-op
         # unless more events landed after this point).

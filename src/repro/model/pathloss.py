@@ -120,9 +120,7 @@ class LRUCache:
     ``gain_tensor_mw`` callers cannot corrupt the OrderedDict.  It is
     *not* shared across processes — each pool worker inherits (fork)
     or rebuilds (spawn) a private copy and is that copy's single
-    owner; cross-process sharing of the cached planes goes through
-    :mod:`repro.parallel.shm` instead.  Pickling drops the lock and
-    recreates a fresh one on load.
+    owner.  Pickling drops the lock and recreates a fresh one on load.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -167,8 +165,8 @@ class LRUCache:
         with self._lock:
             self._data.clear()
 
-    # Locks do not pickle: the spawn start method ships a WorkerState
-    # (engine included) to each child, which then owns a private cache.
+    # Locks do not pickle: a pickled database (or an engine holding
+    # one) arrives with a private cache and a fresh lock.
     def __getstate__(self) -> dict:
         with self._lock:
             state = self.__dict__.copy()

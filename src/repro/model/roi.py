@@ -34,7 +34,7 @@ evaluation".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from .network import Configuration
 from .snapshot import NO_SERVICE
 
 __all__ = ["EMPTY_BOX", "Box", "RoiBaseline", "box_area", "box_is_empty",
-           "box_union", "count_windowed", "score_candidate"]
+           "box_union", "count_windowed", "score_candidate",
+           "score_windows"]
 
 #: Half-open ``(row0, row1, col0, col1)`` bounding box in grid coords.
 Box = Tuple[int, int, int, int]
@@ -68,13 +69,6 @@ def box_union(a: Box, b: Box) -> Box:
         return a
     return (min(a[0], b[0]), max(a[1], b[1]),
             min(a[2], b[2]), max(a[3], b[3]))
-
-
-#: The arrays a worker needs to score ROI candidates against one
-#: incumbent — nine (H, W) rasters, never the (S, H, W) plane stack.
-_BASELINE_ARRAYS = ("total_mw", "raw_serving", "best_mw", "runner_val",
-                    "runner_idx", "serving", "max_rate_bps", "rate_bps",
-                    "weighted")
 
 
 @dataclass
@@ -107,8 +101,7 @@ class RoiBaseline:
     #: old plane window and the serving comparator pair are identical
     #: for every candidate that flips the same sector within the same
     #: ROI (a power ladder), so they are computed once per sector
-    #: rather than once per candidate.  Local to each process — never
-    #: shipped through shared memory.
+    #: rather than once per candidate.
     window_cache: Dict[Tuple[int, Box], Tuple[np.ndarray, np.ndarray,
                                               np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
@@ -136,17 +129,6 @@ class RoiBaseline:
                    serving=state.serving,
                    max_rate_bps=state.max_rate_bps,
                    rate_bps=state.rate_bps, weighted=weighted)
-
-    def export_arrays(self) -> Dict[str, np.ndarray]:
-        """The shm-exportable raster set (see ``_BASELINE_ARRAYS``)."""
-        return {name: getattr(self, name) for name in _BASELINE_ARRAYS}
-
-    @classmethod
-    def from_arrays(cls, config: Configuration, epoch: int,
-                    views: Mapping[str, np.ndarray]) -> "RoiBaseline":
-        """Rebuild from attached shared-memory views (worker side)."""
-        return cls(config=config, epoch=epoch,
-                   **{name: views[name] for name in _BASELINE_ARRAYS})
 
 
 def count_windowed(engine, boxes) -> None:
@@ -238,3 +220,18 @@ def score_candidate(engine, baseline: RoiBaseline,
     if stale.any():
         weighted[stale] = utility.per_ue(rate_k[stale]) * ue_density[stale]
     return float(weighted.sum())
+
+
+def score_windows(engine, baseline: RoiBaseline,
+                  configs: Sequence[Configuration],
+                  windows: Sequence[Tuple[int, Box]],
+                  ue_density: np.ndarray, utility) -> List[float]:
+    """:func:`score_candidate` for each config, plus the accounting.
+
+    ``windows`` pairs each config with its ``(changed, box)``.
+    """
+    values = [score_candidate(engine, baseline, config, changed, box,
+                              ue_density, utility)
+              for config, (changed, box) in zip(configs, windows)]
+    count_windowed(engine, [box for _, box in windows])
+    return values

@@ -1,46 +1,38 @@
-"""The process-pool evaluation service (parent side).
+"""The supervised process pool (parent side).
 
-:class:`EvaluationService` fans batches of single-sector candidates
-out across a pool of worker processes.  Design constraints, in order:
+:class:`EvaluationService` runs whole work items — one scenario
+mitigation each, see :meth:`UpgradePlanner.sweep_scenarios` — on a
+pool of worker processes.  Design constraints, in order:
 
-1. **Bitwise identity with the serial path.**  Chunks are fixed by a
-   deterministic partition of the candidate list, each candidate is
-   scored inside the worker by :func:`repro.model.roi.score_candidate`
-   — the function the serial path runs — and results are reassembled
-   in candidate order, so neither the chunking nor completion order
-   can perturb a single bit.  Winner confirmation stays canonical in
-   the caller.
-2. **Zero-copy inputs.**  The incumbent's
-   :class:`~repro.model.roi.RoiBaseline` rasters (nine (H, W) arrays,
-   never the plane stack) are exported once per anchor through a
-   :class:`~repro.parallel.shm.SharedPlaneStore`; tasks carry only
-   array *handles* plus compact ``(sector, setting)`` moves and their
-   windows.  Under the ``fork`` start method the engine itself (path-
-   loss rasters included) is inherited copy-on-write at pool start.
-3. **Load balancing.**  Candidates are split into several chunks per
-   worker, pulled from the pool's shared task queue: a worker that
-   finishes early simply takes the next chunk — work stealing without
-   a bespoke scheduler.  ``magus.parallel.steals`` counts the chunks
-   workers absorbed beyond their even share.
-4. **Supervised degradation.**  Every dispatched chunk runs under a
-   deadline (``chunk_deadline_s``); a chunk whose worker dies (SIGKILL
+1. **Identity with the serial loop.**  Each item is a full,
+   self-contained computation whose result does not depend on where it
+   ran; results are returned in item order, so neither placement nor
+   completion order can perturb a bit.
+2. **Fork-inherited inputs.**  Under the ``fork`` start method the
+   engine (path-loss rasters included) and the caller's payload are
+   inherited copy-on-write at pool start; an item travels as a small
+   picklable value.
+3. **Supervised degradation.**  Every dispatched item runs under a
+   deadline (``chunk_deadline_s``); an item whose worker dies (SIGKILL
    leaves its ``AsyncResult`` forever un-ready — detected by polling
    the pool's worker pids) or times out is re-dispatched to a freshly
-   respawned pool, bounded by a respawn budget.  A chunk that fails
-   twice is *quarantined*: re-scored serially in the parent while the
-   rest of the dispatch stays on the pool, so one poisoned chunk
-   degrades only itself.  Completed chunks are never recomputed.
+   respawned pool, bounded by a respawn budget.  An item that fails
+   twice is *quarantined*: re-run serially in the parent while the
+   rest of the dispatch stays on the pool, so one poisoned item
+   degrades only itself.  Completed items are never recomputed.
    Every decision lands in the flight recorder and the
    ``magus.parallel.{chunk_retries,pool_respawns,chunks_quarantined}``
    counters (rendered in the run report's ``parallel:`` section).
-   Batches below ``min_parallel_batch``, a single-worker service, a
-   daemonic caller or a stale path-loss epoch still return ``None`` —
-   the caller's serial delta path answers instead, with identical
-   results.
+   A single-worker service or a daemonic caller returns ``None`` — the
+   caller's serial loop answers instead, with identical results.
+
+Candidate scoring inside one mitigation is not pooled: at a few
+candidates of well under a millisecond each per call, dispatch cost
+more than it saved on every workload measured.
 
 The service is a context manager; :meth:`close` terminates the pool
-and unlinks every shared-memory block, and is always safe to call
-again (the pool restarts lazily on the next large batch).
+and is always safe to call again (the pool forks lazily on the next
+dispatch).
 """
 
 from __future__ import annotations
@@ -57,40 +49,24 @@ from ..model import roi as _roi
 from ..model.engine import AnalysisEngine, DeltaIncumbent
 from ..model.network import Configuration
 from ..obs import get_flight_recorder, get_logger, get_registry
-from ..obs.telemetry import WorkerTelemetry, merge_worker_telemetry
+from ..obs.telemetry import merge_worker_telemetry
 from . import worker as _worker
-from .shm import SharedPlaneStore
 
-__all__ = ["DEFAULT_MIN_PARALLEL_BATCH", "EvaluationService",
-           "resolve_workers"]
+__all__ = ["EvaluationService", "resolve_workers"]
 
 _LOG = get_logger("parallel.service")
 
-#: Below this many candidates one vectorized in-process pass beats the
-#: pool round-trip (dispatch + result pickling) on every machine we
-#: measured; the bench's fallback-threshold check keeps this honest.
-DEFAULT_MIN_PARALLEL_BATCH = 8
-
-#: Chunks submitted per worker: >1 so the shared task queue can
-#: rebalance when chunks run at different speeds (work stealing), not
-#: so many that per-chunk dispatch overhead dominates.
-DEFAULT_CHUNKS_PER_WORKER = 4
-
-#: Upper bound on candidates per chunk — same peak-memory bound as the
-#: evaluator's serial batching.
-_MAX_CHUNK = 64
-
-#: Default per-chunk deadline; override with ``chunk_deadline_s`` (or
+#: Default per-item deadline; override with ``chunk_deadline_s`` (or
 #: `--chunk-deadline-s` on the CLI).
 _RESULT_TIMEOUT_S = 600.0
 
-#: Full-pool respawns allowed per dispatch before failed chunks go
+#: Full-pool respawns allowed per dispatch before failed items go
 #: straight to serial quarantine.
 DEFAULT_MAX_POOL_RESPAWNS = 2
 
-#: After a worker death is detected, chunks still in flight get this
+#: After a worker death is detected, items still in flight get this
 #: long to land before being declared lost with it (the dead worker's
-#: chunk can never land; its siblings usually finish in milliseconds).
+#: item can never land; its siblings usually finish well within it).
 _DEATH_GRACE_S = 5.0
 
 #: Poll interval of the supervision loop.
@@ -115,19 +91,13 @@ def _in_daemon() -> bool:
 
 
 class EvaluationService:
-    """Scores candidate batches on a process pool over shared planes."""
+    """Runs independent work items on a supervised process pool."""
 
     def __init__(self, engine: AnalysisEngine, ue_density: np.ndarray,
                  utility, workers: Optional[int] = None, *,
-                 min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
-                 chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
                  chunk_deadline_s: Optional[float] = None,
                  max_pool_respawns: int = DEFAULT_MAX_POOL_RESPAWNS,
                  chaos=None) -> None:
-        if min_parallel_batch < 1:
-            raise ValueError("min_parallel_batch must be >= 1")
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         if chunk_deadline_s is not None and chunk_deadline_s <= 0:
             raise ValueError("chunk_deadline_s must be positive")
         if max_pool_respawns < 0:
@@ -136,27 +106,16 @@ class EvaluationService:
         self.ue_density = np.asarray(ue_density, dtype=float)
         self.utility = utility
         self.workers = resolve_workers(workers)
-        self.min_parallel_batch = min_parallel_batch
-        self.chunks_per_worker = chunks_per_worker
         self.chunk_deadline_s = (chunk_deadline_s
                                  if chunk_deadline_s is not None
                                  else _RESULT_TIMEOUT_S)
         self.max_pool_respawns = max_pool_respawns
         #: Optional :class:`~repro.faults.chaos.ChaosInjector` handed
-        #: to workers (via WorkerState) so chaos plans can SIGKILL or
-        #: stall chunks from inside the pool.
+        #: to workers at pool start so chaos plans can SIGKILL or stall
+        #: dispatch items from inside the pool.
         self.chaos = chaos
         self._pool = None
         self._pool_epoch: Optional[int] = None
-        # Memory-mapped (packed) databases produce float32 incumbents
-        # whose planes already live in the kernel page cache; spill
-        # every export to a temp file the workers mmap instead of
-        # doubling the footprint in /dev/shm.
-        spill = 0 if getattr(engine.pathloss, "is_file_backed", False) \
-            else None
-        # Capacity 2: one baseline per incumbent of the evaluator's
-        # two-anchor ring.
-        self._store = SharedPlaneStore(capacity=2, spill_bytes=spill)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -169,24 +128,9 @@ class EvaluationService:
         """Whether this process can ever profit from the pool."""
         return self.workers >= 2 and not _in_daemon()
 
-    def start(self) -> None:
-        """Fork the pool now (normally done lazily on the first batch)."""
-        self._ensure_pool()
-
-    def restart(self) -> None:
-        """Tear the pool down and fork a fresh one.
-
-        Needed when fork-inherited state must be refreshed — new
-        path-loss rasters after :meth:`invalidate_caches`, or a
-        just-installed scenario-sweep payload.
-        """
-        self._shutdown_pool()
-        self._ensure_pool()
-
     def close(self) -> None:
-        """Terminate workers and unlink shared memory (idempotent)."""
+        """Terminate the workers (idempotent)."""
         self._shutdown_pool()
-        self._store.close()
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -206,23 +150,12 @@ class EvaluationService:
             _LOG.info("pathloss epoch changed (%s -> %s); restarting "
                       "worker pool", self._pool_epoch, epoch)
             self._shutdown_pool()
-        methods = multiprocessing.get_all_start_methods()
-        state = _worker.WorkerState(engine=self.engine,
-                                    ue_density=self.ue_density,
-                                    utility=self.utility,
-                                    chaos=self.chaos)
-        if "fork" in methods:
-            ctx = multiprocessing.get_context("fork")
-            # Children inherit the engine (path-loss rasters included)
-            # copy-on-write: set the module global before forking.
-            _worker._FORK_STATE = state
-            initargs = (None,)
-        else:  # pragma: no cover — non-fork platforms
-            ctx = multiprocessing.get_context()
-            initargs = (state,)
+        ctx = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods()
+               else multiprocessing.get_context())
         self._pool = ctx.Pool(processes=self.workers,
                               initializer=_worker._init_worker,
-                              initargs=initargs)
+                              initargs=(self.chaos,))
         self._pool_epoch = epoch
 
     def _shutdown_pool(self) -> None:
@@ -234,26 +167,19 @@ class EvaluationService:
         pool.join()
 
     # ------------------------------------------------------------------
-    # candidate scoring
+    # in-process windowed scoring
     # ------------------------------------------------------------------
+    # perfbench/layer_trace.py wraps these two methods by name, so a
+    # traced benchmark run needs both attributes.  They are dropped
+    # together with those stale stage names (ROADMAP item 1(d)).
     def score_batch(self, incumbent: DeltaIncumbent,
                     configs: Sequence[Configuration]
                     ) -> Optional[List[float]]:
-        """Utilities for single-sector ``configs`` vs. ``incumbent``.
+        """Windowed utilities for single-sector ``configs``.
 
-        Resolves each candidate's changed sector and ROI window and
-        scores them through :meth:`score_batch_roi` against the
-        incumbent's baseline.  Returns ``None`` whenever the serial
-        path should answer instead: batch below the threshold,
-        unusable pool, stale incumbent, a candidate that is not a
-        single-sector change, or any worker-side failure.  On success
-        the values are bitwise identical to
-        ``engine.evaluate_batch`` + the per-candidate reduction.
+        ``None`` when a candidate is not a single-sector change of
+        ``incumbent`` or the incumbent carries no finished state.
         """
-        if not configs:
-            return []
-        if not self.usable() or len(configs) < self.min_parallel_batch:
-            return None
         windows = []
         for config in configs:
             changed = self.engine.single_sector_change(incumbent, config)
@@ -271,87 +197,29 @@ class EvaluationService:
     def score_batch_roi(self, baseline: "_roi.RoiBaseline",
                         configs: Sequence[Configuration],
                         windows: Sequence[Tuple[int, tuple]]
-                        ) -> Optional[List[float]]:
-        """Windowed utilities for single-sector ``configs``.
-
-        ``windows`` pairs each config with its ``(changed, box)`` as
-        resolved by ``AnalysisEngine.single_sector_change`` and
-        ``AnalysisEngine.roi_window``.  The pool ships the baseline's
-        nine (H, W) rasters once and splits the candidates into a
-        deterministic set of chunks.  Returns ``None`` for the
-        serial-fallback reasons of :meth:`score_batch`; on success the
-        values are bitwise identical to
-        :func:`repro.model.roi.score_candidate` run serially.
-        """
-        k = len(configs)
-        if k == 0:
-            return []
-        if not self.usable() or k < self.min_parallel_batch:
-            return None
-        if baseline.epoch != self.engine.pathloss.cache_epoch:
-            get_flight_recorder().record(
-                "pool_fallback", reason="stale_baseline_epoch",
-                candidates=k)
-            return None
-        self._ensure_pool()
-        if self._pool is None:
-            return None
-        handles = self._export_roi_baseline(baseline)
-        moves = [(changed, config.settings[changed])
-                 for config, (changed, _) in zip(configs, windows)]
-        boxes = [box for _, box in windows]
-        chunk_count = min(k, self.workers * self.chunks_per_worker)
-        chunk_count = max(chunk_count, math.ceil(k / _MAX_CHUNK))
-        bounds = np.linspace(0, k, chunk_count + 1).astype(int)
-        tasks = [
-            _worker.RoiScoreTask(
-                chunk_index=i, config=baseline.config, handles=handles,
-                moves=tuple(moves[bounds[i]:bounds[i + 1]]),
-                boxes=tuple(boxes[bounds[i]:bounds[i + 1]]))
-            for i in range(chunk_count) if bounds[i] < bounds[i + 1]]
-
-        def rescore_serially(task: _worker.RoiScoreTask):
-            # Quarantine path: same per-candidate score_candidate loop
-            # as the worker, run in the parent.
-            return (task.chunk_index,
-                    _worker.score_moves(self.engine, baseline, task,
-                                        self.ue_density, self.utility),
-                    None)
-
-        results = self._dispatch(_worker._score_roi_chunk, tasks,
-                                 serial_fn=rescore_serially)
-        if results is None:
-            return None
-        ordered: List[List[float]] = [[] for _ in tasks]
-        for chunk_index, utilities, _telemetry in results:
-            ordered[chunk_index] = utilities
-        # Same parent-side accounting as the serial path (workers
-        # count into their own forked registries).
-        _roi.count_windowed(self.engine, boxes)
-        return [value for part in ordered for value in part]
-
-    def _export_roi_baseline(self, baseline: "_roi.RoiBaseline"):
-        key = (baseline.config, baseline.epoch)
-        cached = self._store.handles(key)
-        if cached is not None:
-            return cached
-        return self._store.export(key, baseline.export_arrays())
+                        ) -> List[float]:
+        """:func:`repro.model.roi.score_windows`, run in this process."""
+        return _roi.score_windows(self.engine, baseline, configs, windows,
+                                  self.ue_density, self.utility)
 
     # ------------------------------------------------------------------
-    # generic fan-out (scenario sweeps ride the same pool)
+    # supervised fan-out
     # ------------------------------------------------------------------
     def run_tasks(self, fn: Callable, items: Sequence,
-                  timeout_s: Optional[float] = None,
                   progress: Optional[Callable[[int], None]] = None,
                   serial_fn: Optional[Callable] = None) -> Optional[list]:
         """Run ``fn(item)`` for every item on the pool, results ordered.
 
-        ``progress`` (if given) is called with the completed-item count
-        after each result lands — sweeps use it to publish live
-        throughput gauges.  ``serial_fn`` (default ``fn``-less) rescues
-        quarantined items in the parent; without one, a dispatch whose
-        retries are exhausted returns ``None`` — but items that *did*
-        complete are never recomputed on the pool either way.
+        ``fn`` must be picklable (a module-level function).  Every item
+        runs through :func:`repro.parallel.worker.run_item`, which
+        offers its index to the chaos injector and ships the worker's
+        telemetry home with the result.  ``progress`` (if given) is
+        called with the completed-item count after each result lands —
+        sweeps use it to publish live throughput gauges.  ``serial_fn``
+        rescues quarantined items in the parent; without one, a
+        dispatch whose retries are exhausted returns ``None`` — but
+        items that *did* complete are never recomputed on the pool
+        either way.
         """
         if not items:
             return []
@@ -360,34 +228,33 @@ class EvaluationService:
         self._ensure_pool()
         if self._pool is None:
             return None
-        return self._dispatch(fn, items, timeout_s=timeout_s,
-                              progress=progress, serial_fn=serial_fn)
+        return self._dispatch(fn, items, progress=progress,
+                              serial_fn=serial_fn)
 
-    # -- supervised dispatch -------------------------------------------
     def _worker_pids(self) -> frozenset:
         procs = getattr(self._pool, "_pool", None) or ()
         return frozenset(p.pid for p in procs)
 
     def _dispatch(self, fn: Callable, items: Sequence,
-                  timeout_s: Optional[float] = None,
                   progress: Optional[Callable[[int], None]] = None,
                   serial_fn: Optional[Callable] = None) -> Optional[list]:
-        """Run every item with per-chunk supervision.
+        """Run every item with per-item supervision.
 
-        The state machine per chunk: *submitted* → *done* on a clean
+        The state machine per item: *submitted* → *done* on a clean
         result; → *failed(reason)* on deadline expiry, worker death or
         a worker-raised exception.  First failure re-dispatches the
-        chunk (``chunk_retries``), respawning the pool first when the
+        item (``chunk_retries``), respawning the pool first when the
         failure implicates it (``pool_respawns``, bounded by
-        ``max_pool_respawns``); second failure quarantines the chunk
+        ``max_pool_respawns``); second failure quarantines the item
         to ``serial_fn`` in the parent (``chunks_quarantined``) while
         the rest of the dispatch stays on the pool.
         """
         registry = get_registry()
         recorder = get_flight_recorder()
-        deadline_s = (timeout_s if timeout_s is not None
-                      else self.chunk_deadline_s)
+        deadline_s = self.chunk_deadline_s
         n = len(items)
+        #: ``(result, telemetry)`` per item; telemetry is None for
+        #: items rescued in the parent.
         results: List = [None] * n
         done = [False] * n
         failures = [0] * n
@@ -400,14 +267,15 @@ class EvaluationService:
         def submit(indices: Sequence[int]) -> None:
             now = time.monotonic()
             for i in indices:
-                pending[i] = [self._pool.apply_async(fn, (items[i],)),
-                              now + deadline_s]
+                pending[i] = [self._pool.apply_async(
+                    _worker.run_item, (fn, i, items[i])),
+                    now + deadline_s]
 
         def await_round() -> List[Tuple[int, str, Optional[str]]]:
             """Drain ``pending``; return failures as (index, reason,
-            error).  On a detected worker death the remaining chunks'
+            error).  On a detected worker death the remaining items'
             deadlines shrink to a grace window — the dead worker's
-            chunk can never land, and its siblings either finish
+            item can never land, and its siblings either finish
             within the grace or share its fate."""
             nonlocal pids
             failed: List[Tuple[int, str, Optional[str]]] = []
@@ -497,7 +365,7 @@ class EvaluationService:
                     submit(retry)
                     pids = self._worker_pids()
             # Serial quarantine rescue runs in the parent while any
-            # retried chunks execute on the pool.
+            # retried items execute on the pool.
             for i in quarantine:
                 registry.counter(
                     "magus.parallel.chunks_quarantined").inc()
@@ -506,39 +374,35 @@ class EvaluationService:
                                 rescued=serial_fn is not None)
                 if serial_fn is None:
                     _LOG.warning(
-                        "chunk %d failed %d times and no serial rescue "
+                        "item %d failed %d times and no serial rescue "
                         "is available; abandoning the dispatch "
-                        "(completed chunks: %d/%d)",
+                        "(completed items: %d/%d)",
                         i, failures[i], sum(done), n)
                     recorder.record(
                         "pool_fallback", reason="dispatch_failed",
                         completed=sum(done), submitted=n)
                     self._shutdown_pool()
                     return None
-                results[i] = serial_fn(items[i])
+                results[i] = (serial_fn(items[i]), None)
                 done[i] = True
                 if progress is not None:
                     progress(sum(done))
-        self._merge_telemetry([r for r in results if r is not None],
-                              registry)
-        return results
+        self._merge_telemetry([telemetry for _, telemetry in results
+                               if telemetry is not None], registry)
+        return [value for value, _ in results]
 
-    def _merge_telemetry(self, results: list, registry) -> None:
-        """Fold per-chunk worker telemetry into the parent registry.
+    def _merge_telemetry(self, payloads: list, registry) -> None:
+        """Fold per-item worker telemetry into the parent registry.
 
-        Every score-chunk result carries a :class:`WorkerTelemetry`
-        (the worker's capture-and-reset registry delta plus completed
-        spans).  Each payload merges pid/worker-labeled — that is the
-        per-worker breakdown the run report renders — while the
-        parent-side unlabeled aggregates (total busy time, steals)
-        derive from the same payloads.  Steal accounting: with
-        ``chunks_per_worker`` chunks on the shared queue, an even
-        world gives every worker ``ceil(tasks / workers)``; anything a
-        worker ran beyond that share it stole from a slower sibling.
+        Each :class:`~repro.obs.telemetry.WorkerTelemetry` payload (the
+        worker's capture-and-reset registry delta plus completed spans)
+        merges pid/worker-labeled — that is the per-worker breakdown
+        the run report renders — while the parent-side unlabeled
+        aggregates (total busy time, steals) derive from the same
+        payloads.  Steal accounting: an even world gives every worker
+        ``ceil(items / workers)``; anything a worker ran beyond that
+        share it took from a slower sibling.
         """
-        payloads = [result[2] for result in results
-                    if (isinstance(result, tuple) and len(result) == 3
-                        and isinstance(result[2], WorkerTelemetry))]
         if not payloads:
             return
         per_pid: dict = {}

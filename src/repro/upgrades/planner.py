@@ -68,16 +68,22 @@ class UpgradeOutcome:
 
 
 class UpgradePlanner:
-    """Runs the full Magus pipeline for one study area."""
+    """Runs the full Magus pipeline for one study area.
+
+    Extra keyword arguments (``evaluation_strategy``, ``workers``,
+    ``chunk_deadline_s``, ``chaos``) go to :class:`Magus`.
+    """
 
     def __init__(self, area: StudyArea,
                  utility: UtilityFunction | str = "performance",
                  power_settings: Optional[PowerSearchSettings] = None,
-                 tilt_settings: Optional[TiltSearchSettings] = None) -> None:
+                 tilt_settings: Optional[TiltSearchSettings] = None,
+                 **magus_kwargs) -> None:
         self.area = area
         self.magus = Magus.from_area(area, utility=utility,
                                      power_settings=power_settings,
-                                     tilt_settings=tilt_settings)
+                                     tilt_settings=tilt_settings,
+                                     **magus_kwargs)
 
     def mitigate(self, scenario: UpgradeScenario, tuning: str = "joint",
                  with_gradual: bool = False,
@@ -112,11 +118,13 @@ class UpgradePlanner:
                         **mitigate_kwargs) -> List[UpgradeOutcome]:
         """Mitigate several independent scenarios, one per worker.
 
-        The per-maintenance-window counterpart of candidate-level
-        parallelism: each scenario is a full :meth:`mitigate` run, so
-        the sweep forks a pool that inherits this planner (engine and
-        rasters included) copy-on-write and returns outcomes in the
-        order the scenarios were given — identical to the serial loop.
+        Each scenario is a full :meth:`mitigate` run on a cold
+        evaluator (see :meth:`_mitigate_cold`), so the sweep forks a
+        pool that inherits this planner (engine and rasters included)
+        copy-on-write and returns outcomes in the order the scenarios
+        were given — identical to the serial loop.  ``workers``
+        defaults to the Magus's ``workers`` (one per core when unset);
+        its ``chunk_deadline_s`` and ``chaos`` configure the pool.
 
         Falls back to that serial loop whenever the pool cannot help:
         ``workers=1``, fewer than two scenarios, no ``fork`` start
@@ -129,18 +137,22 @@ class UpgradePlanner:
         total = len(scenarios)
         t0 = time.monotonic()
         progress = _SweepProgress(total, t0)
-        n_workers = min(resolve_workers(workers), max(total, 1))
+        magus = self.magus
+        n_workers = min(resolve_workers(
+            workers if workers is not None else magus.workers),
+            max(total, 1))
         can_fork = "fork" in multiprocessing.get_all_start_methods()
         if total >= 2 and n_workers >= 2 and can_fork:
             # The sweep payload must exist before the fork so children
             # inherit it; it never travels through pickle.
             _worker._SWEEP_STATE = (self, tuple(scenarios), kwargs)
             try:
-                evaluator = self.magus.evaluator
-                with EvaluationService(evaluator.engine,
-                                       evaluator.ue_density,
-                                       evaluator.utility,
-                                       n_workers) as service:
+                evaluator = magus.evaluator
+                with EvaluationService(
+                        evaluator.engine, evaluator.ue_density,
+                        evaluator.utility, n_workers,
+                        chunk_deadline_s=magus.chunk_deadline_s,
+                        chaos=magus.chaos) as service:
                     # _SWEEP_STATE is set in this (parent) process too,
                     # so quarantined scenarios re-run right here instead
                     # of forcing the whole sweep back to the serial
@@ -157,9 +169,25 @@ class UpgradePlanner:
                 _worker._SWEEP_STATE = None
         outcomes = []
         for scenario in scenarios:
-            outcomes.append(self.mitigate(scenario, **kwargs))
+            outcomes.append(self._mitigate_cold(scenario, **kwargs))
             progress(len(outcomes))
         return outcomes
+
+    def _mitigate_cold(self, scenario: UpgradeScenario,
+                       **kwargs) -> UpgradeOutcome:
+        """:meth:`mitigate` on a fresh evaluator, restored afterwards.
+
+        A warm memo cache changes evaluation counts (and which scores
+        are canonical rather than windowed), so a sweep item must not
+        see what earlier items left in its process: otherwise its
+        outcome would depend on how the pool happened to schedule it.
+        """
+        evaluator = self.magus.evaluator
+        self.magus.evaluator = evaluator.with_utility(evaluator.utility)
+        try:
+            return self.mitigate(scenario, **kwargs)
+        finally:
+            self.magus.evaluator = evaluator
 
 
 class _SweepProgress:

@@ -4,7 +4,7 @@ Three layers of the robustness PR, bottom-up: the checksum/atomic-write
 primitives in :mod:`repro.faults.durable`, the checksummed artifacts
 built on them (rollout checkpoints with ``.prev`` rotation, plossdb v2
 per-section checksums), and the seeded :class:`ChaosPlan` harness that
-SIGKILLs pool workers, stalls chunks past their deadline and corrupts
+SIGKILLs pool workers, stalls items past their deadline and corrupts
 freshly written artifacts — asserting the supervision and durability
 machinery converges bitwise-identically to a fault-free run or cleanly
 falls back to last-known-good.  Every scenario is seeded and exact.
@@ -20,7 +20,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.evaluation import Evaluator
 from repro.core.gradual import GradualSettings, gradual_migration
 from repro.core.joint import tune_joint
 from repro.core.utility import PerformanceUtility
@@ -39,25 +38,10 @@ from repro.model.plossdb import (load_packed, read_header, save_packed,
 from repro.obs import (FlightRecorder, MetricsRegistry, use_flight_recorder,
                        use_registry)
 from repro.parallel import EvaluationService
+from repro.upgrades.planner import UpgradePlanner
+from repro.upgrades.scenario import UpgradeScenario
 
 _UTILITY = PerformanceUtility()
-
-
-def _ladder(network, config, sectors, deltas):
-    out = []
-    for sector in sectors:
-        spec = network.sector(sector)
-        for delta in deltas:
-            power = float(np.clip(config.power_dbm(sector) + delta,
-                                  spec.min_power_dbm,
-                                  spec.max_power_dbm))
-            out.append(config.with_power(sector, power))
-    return out
-
-
-def _incumbent_of(engine, config, density):
-    _, incumbent = engine.evaluate_with_incumbent(config, density)
-    return incumbent
 
 
 # ----------------------------------------------------------------------
@@ -325,36 +309,40 @@ class TestChaosInjector:
 
 
 # ----------------------------------------------------------------------
+_SCENARIOS = (UpgradeScenario.SINGLE_SECTOR, UpgradeScenario.FULL_SITE,
+              UpgradeScenario.FOUR_CORNERS)
+
+
+def _plans(outcomes):
+    """Everything a sweep outcome's plan is compared on, bit for bit."""
+    return [(encode_config(o.plan.c_after), repr(o.plan.f_after),
+             o.plan.tuning.total_evaluations) for o in outcomes]
+
+
+def _square(x):
+    return x * x
+
+
 @pytest.mark.chaos
 class TestSupervision:
-    """Per-chunk deadlines, retries, respawns and quarantine."""
+    """Per-item deadlines, retries, respawns and quarantine, on the
+    scenario pool that fans whole mitigations out."""
 
-    def _service(self, engine, density, **kwargs):
-        kwargs.setdefault("min_parallel_batch", 2)
-        return EvaluationService(engine, density, _UTILITY, 2, **kwargs)
-
-    def _world(self, toy_network, toy_engine, toy_density):
-        base = toy_network.planned_configuration()
-        candidates = _ladder(toy_network, base, (0, 1, 2),
-                             (-2.0, -1.0, 1.0, 2.0))
-        incumbent = _incumbent_of(toy_engine, base, toy_density)
-        serial = Evaluator(toy_engine, toy_density, _UTILITY,
-                           strategy="delta")
-        serial.utility_of(base)
-        return incumbent, candidates, serial.score_candidates(candidates)
+    def _sweep(self, area, workers=2, **magus_kwargs):
+        planner = UpgradePlanner(area, workers=workers, **magus_kwargs)
+        return planner.sweep_scenarios(_SCENARIOS, tuning="power")
 
     def test_worker_kill_is_retried_bitwise_identical(
-            self, tmp_path, toy_network, toy_engine, toy_density):
-        incumbent, candidates, want = self._world(
-            toy_network, toy_engine, toy_density)
+            self, tmp_path, small_area):
+        want = _plans(self._sweep(small_area, workers=1))
         chaos = ChaosInjector(ChaosPlan(kill=WorkerKill(at_chunk=0)),
                               str(tmp_path / "scratch"))
         with use_registry(MetricsRegistry()) as registry, \
                 use_flight_recorder(FlightRecorder()) as recorder:
-            with self._service(toy_engine, toy_density, chaos=chaos,
-                               chunk_deadline_s=30.0) as service:
-                got = service.score_batch(incumbent, candidates)
+            got = _plans(self._sweep(small_area, chaos=chaos,
+                                     chunk_deadline_s=30.0))
             assert got == want
+            assert chaos.spent("kill") == 1
             assert registry.counter(
                 "magus.parallel.chunk_retries").value == 1
             assert registry.counter(
@@ -366,21 +354,19 @@ class TestSupervision:
                     "chunk_retry"} <= kinds
         assert multiprocessing.active_children() == []
 
-    def test_poisoned_chunk_quarantined_alone(
-            self, tmp_path, toy_network, toy_engine, toy_density):
-        """A chunk that dies twice is rescued serially; everything else
-        stays on the pool — the dispatch still answers bitwise
-        identically and only the poisoned chunk is quarantined."""
-        incumbent, candidates, want = self._world(
-            toy_network, toy_engine, toy_density)
+    def test_poisoned_chunk_quarantined_alone(self, tmp_path, small_area):
+        """An item that dies twice is re-run serially in the parent;
+        everything else stays on the pool — the sweep still answers
+        bitwise identically and only the poisoned item is
+        quarantined."""
+        want = _plans(self._sweep(small_area, workers=1))
         chaos = ChaosInjector(
             ChaosPlan(kill=WorkerKill(at_chunk=0, times=2)),
             str(tmp_path / "scratch"))
         with use_registry(MetricsRegistry()) as registry, \
                 use_flight_recorder(FlightRecorder()) as recorder:
-            with self._service(toy_engine, toy_density, chaos=chaos,
-                               chunk_deadline_s=30.0) as service:
-                got = service.score_batch(incumbent, candidates)
+            got = _plans(self._sweep(small_area, chaos=chaos,
+                                     chunk_deadline_s=30.0))
             assert got == want
             assert registry.counter(
                 "magus.parallel.chunks_quarantined").value == 1
@@ -388,18 +374,15 @@ class TestSupervision:
             assert [e["data"]["chunk"] for e in quarantined] == [0]
             assert quarantined[0]["data"]["rescued"] is True
 
-    def test_deadline_stall_is_retried(self, tmp_path, toy_network,
-                                       toy_engine, toy_density):
-        incumbent, candidates, want = self._world(
-            toy_network, toy_engine, toy_density)
+    def test_deadline_stall_is_retried(self, tmp_path, small_area):
+        want = _plans(self._sweep(small_area, workers=1))
         chaos = ChaosInjector(
             ChaosPlan(delay=ChunkDelay(at_chunk=0, seconds=5.0)),
             str(tmp_path / "scratch"))
         with use_registry(MetricsRegistry()) as registry, \
                 use_flight_recorder(FlightRecorder()) as recorder:
-            with self._service(toy_engine, toy_density, chaos=chaos,
-                               chunk_deadline_s=0.5) as service:
-                got = service.score_batch(incumbent, candidates)
+            got = _plans(self._sweep(small_area, chaos=chaos,
+                                     chunk_deadline_s=0.5))
             assert got == want
             assert registry.counter(
                 "magus.parallel.chunk_retries").value >= 1
@@ -407,24 +390,24 @@ class TestSupervision:
                        for e in recorder.events("chunk_failed")}
             assert "deadline" in reasons
 
-    def test_exhausted_respawn_budget_quarantines(
-            self, tmp_path, toy_network, toy_engine, toy_density):
-        incumbent, candidates, want = self._world(
-            toy_network, toy_engine, toy_density)
+    def test_exhausted_respawn_budget_quarantines(self, tmp_path,
+                                                  toy_engine, toy_density):
         chaos = ChaosInjector(ChaosPlan(kill=WorkerKill(at_chunk=0)),
                               str(tmp_path / "scratch"))
+        items = list(range(6))
         with use_registry(MetricsRegistry()) as registry, \
                 use_flight_recorder(FlightRecorder()) as recorder:
-            with self._service(toy_engine, toy_density, chaos=chaos,
-                               chunk_deadline_s=30.0,
-                               max_pool_respawns=0) as service:
-                got = service.score_batch(incumbent, candidates)
-            assert got == want
+            with EvaluationService(toy_engine, toy_density, _UTILITY, 2,
+                                   chaos=chaos, chunk_deadline_s=30.0,
+                                   max_pool_respawns=0) as service:
+                got = service.run_tasks(_square, items, serial_fn=_square)
+            assert got == [_square(x) for x in items]
             assert registry.counter(
                 "magus.parallel.pool_respawns").value == 0
             assert registry.counter(
                 "magus.parallel.chunks_quarantined").value >= 1
             assert recorder.events("respawn_budget_exhausted")
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -665,19 +648,21 @@ class TestPlossdbChecksums:
 @pytest.mark.chaos
 class TestEndToEndChaos:
     def test_kill_and_bitflip_converge_bitwise(
-            self, tmp_path, toy_network, toy_engine, toy_density,
-            toy_evaluator):
-        """Acceptance: a seeded chaos run that SIGKILLs one pool worker
-        mid-search *and* bit-flips the final checkpoint before a crash
-        still converges to the exact fault-free plan and rollout."""
+            self, tmp_path, small_area, toy_network, toy_evaluator):
+        """Acceptance: a seeded chaos run that SIGKILLs one worker of a
+        scenario sweep *and* bit-flips the final checkpoint before a
+        crash still converges to the exact fault-free plans and
+        rollout."""
+        fault_free = _plans(UpgradePlanner(small_area).sweep_scenarios(
+            _SCENARIOS, workers=1, tuning="joint"))
         c_before = toy_network.planned_configuration()
         baseline_state = toy_evaluator.state_of(c_before)
-        fault_free = tune_joint(toy_evaluator, toy_network,
-                                c_before.with_offline([1]),
-                                baseline_state, [1])
+        toy_plan = tune_joint(toy_evaluator, toy_network,
+                              c_before.with_offline([1]),
+                              baseline_state, [1])
         schedule = gradual_migration(
             toy_evaluator, toy_network, c_before,
-            fault_free.final_config, [1],
+            toy_plan.final_config, [1],
             GradualSettings(target_step_db=3.0))
         assert schedule.n_steps >= 3
         baseline = ResilientExecutor(
@@ -700,27 +685,17 @@ class TestEndToEndChaos:
         try:
             with use_registry(MetricsRegistry()) as registry, \
                     use_flight_recorder(FlightRecorder()) as recorder:
-                chaotic = Evaluator(toy_engine, toy_density, _UTILITY,
-                                    strategy="parallel", workers=2,
-                                    min_parallel_batch=2,
-                                    chunk_deadline_s=30.0, chaos=chaos)
-                try:
-                    chaotic.utility_of(c_before)
-                    chaos_state = chaotic.state_of(c_before)
-                    chaos_plan = tune_joint(
-                        chaotic, toy_network,
-                        c_before.with_offline([1]), chaos_state, [1])
-                finally:
-                    chaotic.close()
-                # The SIGKILLed chunk was retried on a respawned pool
-                # and the search still found the identical plan.
+                chaotic = UpgradePlanner(small_area, workers=2,
+                                         chunk_deadline_s=30.0,
+                                         chaos=chaos)
+                outcomes = chaotic.sweep_scenarios(_SCENARIOS,
+                                                   tuning="joint")
+                # The SIGKILLed scenario was retried on a respawned
+                # pool and the sweep still found the identical plans.
                 assert chaos.spent("kill") == 1
                 assert registry.counter(
                     "magus.parallel.pool_respawns").value == 1
-                assert encode_config(chaos_plan.final_config) \
-                    == encode_config(fault_free.final_config)
-                assert repr(chaos_plan.final_utility) \
-                    == repr(fault_free.final_utility)
+                assert _plans(outcomes) == fault_free
 
                 def dying_apply(config, step):
                     if step == kill_at:

@@ -17,6 +17,14 @@ class TestParser:
         assert args.tuning == "joint"
         assert not args.gradual
 
+    def test_mitigate_several_scenarios(self):
+        args = build_parser().parse_args(
+            ["mitigate", "--scenario", "c", "a", "--workers", "2"])
+        assert args.scenario == ["c", "a"]
+        assert args.workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mitigate", "--scenario", "d"])
+
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mitigate", "--tuning", "magic"])
@@ -142,29 +150,21 @@ class TestTelemetryCli:
     @pytest.mark.slow
     def test_mitigate_trace_out_covers_workers(self, capsys, monkeypatch,
                                                tmp_path):
-        """Acceptance: ``mitigate --workers 2 --trace-out`` produces a
-        valid Chrome trace with at least one span per worker process,
-        and the run report carries the per-worker labeled counters."""
+        """Acceptance: ``mitigate --scenario a b --workers 2
+        --trace-out`` produces a valid Chrome trace with at least one
+        span per worker process, and the run report carries the
+        per-worker labeled counters."""
         import json
         import os
-        import repro.parallel as parallel_mod
         from repro.obs.telemetry import validate_chrome_trace
         from repro.synthetic import market
         from conftest import SMALL_DIMS
         monkeypatch.setattr(market.AreaDimensions, "for_area",
                             classmethod(lambda cls, area: SMALL_DIMS))
-        # The small grid's candidate batches must actually fork.
-        real_service = parallel_mod.EvaluationService
-
-        def forked_early(engine, density, utility, workers=None, **kw):
-            kw["min_parallel_batch"] = 2
-            return real_service(engine, density, utility, workers, **kw)
-
-        monkeypatch.setattr(parallel_mod, "EvaluationService",
-                            forked_early)
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "run.json"
         assert main(["mitigate", "--tuning", "power", "--seed", "1",
+                     "--scenario", "a", "b",
                      "--workers", "2", "--trace-out", str(trace_path),
                      "--metrics-out", str(metrics_path)]) == 0
         payload = json.loads(trace_path.read_text())
@@ -181,6 +181,8 @@ class TestTelemetryCli:
         labeled = [name for name in report["metrics"]
                    if name.startswith("magus.engine.evaluations{")]
         assert labeled, "no per-worker labeled evaluation counters"
+        out = capsys.readouterr().out
+        assert 0 <= out.index("scenario (a):") < out.index("scenario (b):")
 
     @pytest.mark.slow
     def test_abort_flushes_artifacts_exactly_once(self, capsys,

@@ -11,6 +11,8 @@ an incrementally updated total-power plane, checked at rtol 1e-10).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -406,12 +408,11 @@ class TestSearchParityEndToEnd:
 
 
 # ----------------------------------------------------------------------
-def _parallel_evaluator(engine, density, workers,
-                        min_parallel_batch=2) -> Evaluator:
-    """A pool-backed evaluator eager enough to engage on toy batches."""
-    return Evaluator(engine, density, _UTILITY, strategy="parallel",
-                     workers=workers,
-                     min_parallel_batch=min_parallel_batch)
+def _parallel_evaluator(network, engine, density, workers) -> Evaluator:
+    """The evaluator of a ``strategy="parallel"``, ``workers=N`` Magus."""
+    from repro.core.magus import Magus
+    return Magus(network, engine, density, _UTILITY,
+                 evaluation_strategy="parallel", workers=workers).evaluator
 
 
 def _power_ladder(network, config, sectors, deltas):
@@ -428,11 +429,10 @@ def _power_ladder(network, config, sectors, deltas):
 
 
 class TestParallelParity:
-    """``strategy="parallel"`` is bitwise-identical to the serial path.
-
-    ``workers=1`` must degrade to pure serial (no pool at all);
-    ``workers=6`` oversubscribes the host's cores — correctness cannot
-    depend on the worker count.
+    """``strategy="parallel"`` plans in-process, bitwise-identical to
+    ``"delta"``, whatever the worker count: ``workers`` sizes only the
+    scenario pool of :meth:`UpgradePlanner.sweep_scenarios`, so one
+    mitigation never forks.
     """
 
     @pytest.mark.parametrize("workers", [1, 2, 6])
@@ -445,20 +445,20 @@ class TestParallelParity:
                            strategy="delta")
         serial.utility_of(base)
         want = serial.score_candidates(candidates)
-        with _parallel_evaluator(toy_engine, toy_density,
-                                 workers) as parallel:
-            parallel.utility_of(base)
-            got = parallel.score_candidates(candidates)
-        assert got == want
+        parallel = _parallel_evaluator(toy_network, toy_engine,
+                                       toy_density, workers)
+        parallel.utility_of(base)
+        assert parallel.score_candidates(candidates) == want
+        assert multiprocessing.active_children() == []
 
     def test_workers_1_never_forks(self, toy_network, toy_engine,
                                    toy_density):
         base = toy_network.planned_configuration()
-        with _parallel_evaluator(toy_engine, toy_density, 1) as ev:
-            ev.utility_of(base)
-            ev.score_candidates(_power_ladder(
-                toy_network, base, (0, 1, 2), (-1.0, 1.0, 2.0)))
-            assert not ev._service.running
+        ev = _parallel_evaluator(toy_network, toy_engine, toy_density, 1)
+        ev.utility_of(base)
+        ev.score_candidates(_power_ladder(
+            toy_network, base, (0, 1, 2), (-1.0, 1.0, 2.0)))
+        assert multiprocessing.active_children() == []
 
     @given(moves=_MOVES)
     @settings(max_examples=8, deadline=None,
@@ -475,9 +475,10 @@ class TestParallelParity:
                            strategy="delta")
         serial.utility_of(config)
         want = serial.score_candidates(candidates)
-        with _parallel_evaluator(toy_engine, toy_density, 2) as parallel:
-            parallel.utility_of(config)
-            assert parallel.score_candidates(candidates) == want
+        parallel = _parallel_evaluator(toy_network, toy_engine,
+                                       toy_density, 2)
+        parallel.utility_of(config)
+        assert parallel.score_candidates(candidates) == want
 
     @pytest.mark.parametrize("tuning", ["power", "tilt", "joint"])
     @pytest.mark.parametrize("workers", [1, 2, 6])
@@ -490,12 +491,31 @@ class TestParallelParity:
         with Magus(toy_network, toy_engine, toy_density,
                    evaluation_strategy="parallel",
                    workers=workers) as magus:
-            if magus.evaluator._service is not None:
-                magus.evaluator._service.min_parallel_batch = 2
             got = magus.plan_mitigation([1], tuning=tuning)
+            assert multiprocessing.active_children() == []
         assert got.c_after == want.c_after
         assert got.f_after == want.f_after
         assert got.tuning.n_steps == want.tuning.n_steps
+
+    def test_parallel_strategy_plans_in_process(self, toy_network,
+                                                toy_engine, toy_density):
+        """The claim behind retiring candidate pooling: a ``workers=2``
+        parallel Magus forks nothing, plans bit for bit like
+        ``"delta"``, and closes idempotently."""
+        from repro.core.magus import Magus
+        want = Magus(toy_network, toy_engine, toy_density,
+                     evaluation_strategy="delta").plan_mitigation(
+                         [1], tuning="joint")
+        magus = Magus(toy_network, toy_engine, toy_density,
+                      evaluation_strategy="parallel", workers=2)
+        got = magus.plan_mitigation([1], tuning="joint")
+        assert multiprocessing.active_children() == []
+        assert got.c_after == want.c_after
+        assert repr(got.f_after) == repr(want.f_after)
+        assert got.tuning.steps == want.tuning.steps
+        magus.close()
+        magus.close()
+        assert multiprocessing.active_children() == []
 
     def test_brute_force_agrees(self, toy_network, toy_engine,
                                 toy_density):
@@ -507,7 +527,6 @@ class TestParallelParity:
         want = serial.brute_force_plan([1], settings_)
         with Magus(toy_network, toy_engine, toy_density,
                    evaluation_strategy="parallel", workers=2) as magus:
-            magus.evaluator._service.min_parallel_batch = 2
             got = magus.brute_force_plan([1], settings_)
         assert got.c_after == want.c_after
         assert got.f_after == want.f_after
@@ -520,7 +539,6 @@ class TestParallelParity:
         want = serial.gradual_schedule(plan_s)
         with Magus(toy_network, toy_engine, toy_density,
                    evaluation_strategy="parallel", workers=2) as magus:
-            magus.evaluator._service.min_parallel_batch = 2
             plan_p = magus.plan_mitigation([1], tuning="power")
             got = magus.gradual_schedule(plan_p)
         assert plan_p.c_after == plan_s.c_after

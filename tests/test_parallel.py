@@ -1,18 +1,18 @@
-"""The multi-core evaluation subsystem (PR 5).
+"""The multi-core planning subsystem.
 
-Covers the three layers of :mod:`repro.parallel` plus the sites that
-own pools: the shared-memory plane store (packing, LRU eviction,
-unlink-on-close), the :class:`EvaluationService` (threshold and
-staleness fallbacks, counters, worker lifecycle — no orphans after
-``close()``), and the planner-level scenario sweep.  Bitwise parity of
-the parallel *strategy* lives in ``test_delta_engine.py``; here the
-parity checks target the service API directly.
+Covers :mod:`repro.parallel` and the site that owns its pool: the
+:class:`EvaluationService` (single-worker and staleness handling,
+counters, worker lifecycle — no orphans after ``close()`` — and its
+in-process windowed scorers) and the planner-level scenario sweep,
+whose pooled outcomes and merged worker telemetry must equal the
+serial loop's.  That ``strategy="parallel"`` plans in-process and
+bitwise-equal to ``"delta"`` lives in ``test_delta_engine.py``;
+supervision under injected faults lives in ``test_chaos.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 
 import numpy as np
@@ -20,11 +20,9 @@ import pytest
 
 from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility
-from repro.obs import MetricsRegistry, set_registry
-from repro.parallel import (DEFAULT_MIN_PARALLEL_BATCH, EvaluationService,
-                            SharedPlaneStore, resolve_workers)
-from repro.parallel.shm import (attach_array, attach_block,
-                                attach_handle_block)
+from repro.obs import (MetricsRegistry, get_registry, set_registry,
+                       split_metric_label, use_registry)
+from repro.parallel import EvaluationService, resolve_workers
 
 _UTILITY = PerformanceUtility()
 
@@ -46,85 +44,17 @@ def _incumbent_of(engine, config, density):
     return incumbent
 
 
+def _square(x):
+    return x * x
+
+
 @pytest.fixture
 def registry():
     previous = set_registry(MetricsRegistry())
     try:
-        yield multiprocessing  # placeholder; tests read via get_registry
+        yield get_registry()
     finally:
         set_registry(previous)
-
-
-# ----------------------------------------------------------------------
-class TestSharedPlaneStore:
-    def test_roundtrip_and_alignment(self):
-        arrays = {"a": np.arange(12, dtype=np.float64).reshape(3, 4),
-                  "b": np.arange(5, dtype=np.int64),
-                  "c": np.array([[1.5]])}
-        with SharedPlaneStore() as store:
-            handles = store.export("k", arrays)
-            assert set(handles) == set(arrays)
-            block = attach_block(handles["a"].block)
-            try:
-                for name, handle in handles.items():
-                    assert handle.offset % 64 == 0
-                    view = attach_array(handle, block)
-                    assert np.array_equal(view, arrays[name])
-                    assert not view.flags.writeable
-            finally:
-                block.close()
-
-    def test_export_is_cached_and_lru_bounded(self):
-        with SharedPlaneStore(capacity=2) as store:
-            first = store.export("k1", {"x": np.ones(4)})
-            assert store.export("k1", {"x": np.ones(4)}) is first
-            store.export("k2", {"x": np.ones(4)})
-            store.export("k3", {"x": np.ones(4)})
-            assert len(store) == 2
-            assert "k1" not in store and "k3" in store
-
-    def test_close_unlinks_blocks(self):
-        store = SharedPlaneStore()
-        handles = store.export("k", {"x": np.ones(8)})
-        name = handles["x"].block
-        store.close()
-        assert store.exported_bytes == 0
-        with pytest.raises(FileNotFoundError):
-            attach_block(name)
-        store.close()               # idempotent
-
-    def test_spill_threshold_none_never_spills(self):
-        with SharedPlaneStore() as store:
-            handles = store.export("k", {"x": np.ones(8)})
-            assert handles["x"].path is None
-
-    def test_spill_export_roundtrip(self):
-        """``spill_bytes=0`` routes exports to mmap-able temp files;
-        workers attach through the same handle API and see the same
-        read-only arrays."""
-        arrays = {"a": np.arange(12, dtype=np.float32).reshape(3, 4),
-                  "b": np.arange(5, dtype=np.int64)}
-        with SharedPlaneStore(spill_bytes=0) as store:
-            handles = store.export("k", arrays)
-            path = handles["a"].path
-            assert path is not None and os.path.exists(path)
-            assert handles["a"].block == path    # doubles as cache key
-            block = attach_handle_block(handles["a"])
-            try:
-                for name, handle in handles.items():
-                    view = attach_array(handle, block)
-                    assert np.array_equal(view, arrays[name])
-                    assert not view.flags.writeable
-            finally:
-                block.close()
-        assert not os.path.exists(path)          # close() unlinked it
-
-    def test_spill_eviction_unlinks_file(self):
-        with SharedPlaneStore(capacity=1, spill_bytes=0) as store:
-            first = store.export("k1", {"x": np.ones(4)})
-            store.export("k2", {"x": np.ones(4)})
-            assert "k1" not in store
-            assert not os.path.exists(first["x"].path)
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +73,13 @@ class TestResolveWorkers:
 # ----------------------------------------------------------------------
 class TestEvaluationService:
     def _service(self, engine, density, workers=2, **kwargs):
-        kwargs.setdefault("min_parallel_batch", 2)
         return EvaluationService(engine, density, _UTILITY, workers,
                                  **kwargs)
 
     def test_score_batch_matches_serial(self, toy_network, toy_engine,
                                         toy_density):
+        """The in-process windowed scorer equals the evaluator's
+        candidate scores and forks nothing."""
         base = toy_network.planned_configuration()
         candidates = _ladder(toy_network, base, (0, 1, 2),
                              (-2.0, -1.0, 1.0, 2.0))
@@ -159,16 +90,12 @@ class TestEvaluationService:
         want = serial.score_candidates(candidates)
         with self._service(toy_engine, toy_density) as service:
             got = service.score_batch(incumbent, candidates)
+            assert not service.running
         assert got == want
 
-    def test_close_leaves_no_orphans(self, toy_network, toy_engine,
-                                     toy_density):
-        base = toy_network.planned_configuration()
-        incumbent = _incumbent_of(toy_engine, base, toy_density)
+    def test_close_leaves_no_orphans(self, toy_engine, toy_density):
         service = self._service(toy_engine, toy_density)
-        assert service.score_batch(
-            incumbent, _ladder(toy_network, base, (0, 1), (-1.0, 1.0))
-        ) is not None
+        assert service.run_tasks(_square, range(5)) == [0, 1, 4, 9, 16]
         assert service.running
         service.close()
         assert not service.running
@@ -177,43 +104,34 @@ class TestEvaluationService:
 
     def test_small_batch_falls_back(self, toy_network, toy_engine,
                                     toy_density):
+        """Nothing to fan out never forks: an empty dispatch answers
+        ``[]`` and candidate scoring stays in-process."""
         base = toy_network.planned_configuration()
         incumbent = _incumbent_of(toy_engine, base, toy_density)
-        with self._service(
-                toy_engine, toy_density,
-                min_parallel_batch=DEFAULT_MIN_PARALLEL_BATCH) as service:
+        with self._service(toy_engine, toy_density) as service:
+            assert service.run_tasks(_square, []) == []
             few = _ladder(toy_network, base, (0,), (-1.0, 1.0))
-            assert service.score_batch(incumbent, few) is None
+            assert service.score_batch(incumbent, few) is not None
             assert not service.running   # never even forked
 
-    def test_single_worker_falls_back(self, toy_network, toy_engine,
-                                      toy_density):
-        base = toy_network.planned_configuration()
-        incumbent = _incumbent_of(toy_engine, base, toy_density)
+    def test_single_worker_falls_back(self, toy_engine, toy_density):
         with self._service(toy_engine, toy_density,
                            workers=1) as service:
-            many = _ladder(toy_network, base, (0, 1, 2),
-                           (-2.0, -1.0, 1.0, 2.0))
-            assert service.score_batch(incumbent, many) is None
+            assert service.run_tasks(_square, range(4)) is None
+            assert not service.running
 
     def test_stale_epoch_falls_back_then_recovers(
-            self, toy_network, toy_engine, toy_density):
-        base = toy_network.planned_configuration()
-        incumbent = _incumbent_of(toy_engine, base, toy_density)
-        many = _ladder(toy_network, base, (0, 1, 2),
-                       (-2.0, -1.0, 1.0, 2.0))
+            self, toy_engine, toy_density):
+        """New path-loss rasters re-fork the pool, so workers never
+        run on stale fork-inherited state."""
         with self._service(toy_engine, toy_density) as service:
-            assert service.score_batch(incumbent, many) is not None
+            assert service.run_tasks(_square, range(3)) == [0, 1, 4]
+            epoch = service._pool_epoch
             toy_engine.pathloss.invalidate_caches()
-            # The old incumbent's planes may be stale: refuse it.
-            assert service.score_batch(incumbent, many) is None
-            # A fresh incumbent re-forks the pool and works again.
-            fresh = _incumbent_of(toy_engine, base, toy_density)
-            serial = Evaluator(toy_engine, toy_density, _UTILITY,
-                               strategy="delta")
-            serial.utility_of(base)
-            assert (service.score_batch(fresh, many)
-                    == serial.score_candidates(many))
+            assert toy_engine.pathloss.cache_epoch != epoch
+            assert service.run_tasks(_square, range(3)) == [0, 1, 4]
+            assert service._pool_epoch == toy_engine.pathloss.cache_epoch
+        assert multiprocessing.active_children() == []
 
     def test_multi_sector_candidate_falls_back(
             self, toy_network, toy_engine, toy_density):
@@ -227,44 +145,35 @@ class TestEvaluationService:
 
     def test_counters(self, registry, toy_network, toy_engine,
                       toy_density):
-        from repro.obs import get_registry
         base = toy_network.planned_configuration()
         incumbent = _incumbent_of(toy_engine, base, toy_density)
         many = _ladder(toy_network, base, (0, 1, 2),
                        (-2.0, -1.0, 1.0, 2.0))
         with self._service(toy_engine, toy_density) as service:
+            assert service.run_tasks(_square, range(6)) is not None
             assert service.score_batch(incumbent, many) is not None
-            resident = get_registry().gauge(
-                "magus.parallel.shm_bytes").value
-            assert resident and resident > 0
-        reg = get_registry()
-        assert reg.counter("magus.parallel.tasks").value > 0
-        assert reg.counter("magus.parallel.worker_busy_ns").value > 0
-        assert reg.counter("magus.engine.roi_evaluations").value \
+        assert registry.counter("magus.parallel.tasks").value == 6
+        busy = registry.counter("magus.parallel.worker_busy_ns").value
+        assert busy > 0
+        # Every item shipped its worker's telemetry home, labeled.
+        chunks = labeled_busy = 0
+        for name in registry.names():
+            metric, label = split_metric_label(name)
+            if label is None:
+                continue
+            if metric == "magus.parallel.chunks":
+                chunks += registry.counter(name).value
+            elif metric == "magus.parallel.worker_busy_ns":
+                labeled_busy += registry.counter(name).value
+        assert chunks == 6
+        assert labeled_busy == busy
+        assert registry.counter("magus.engine.roi_evaluations").value \
             == len(many)
-        # S1: shm accounting balances — everything allocated was
-        # released on close and the resident gauge is back to zero.
-        allocated = reg.counter("magus.parallel.shm_allocated_bytes").value
-        released = reg.counter("magus.parallel.shm_released_bytes").value
-        assert allocated > 0
-        assert released == allocated
-        assert reg.gauge("magus.parallel.shm_bytes").value == 0
-
-    def test_evaluator_close_shuts_pool(self, toy_network, toy_engine,
-                                        toy_density):
-        base = toy_network.planned_configuration()
-        evaluator = Evaluator(toy_engine, toy_density, _UTILITY,
-                              strategy="parallel", workers=2,
-                              min_parallel_batch=2)
-        evaluator.utility_of(base)
-        evaluator.score_candidates(_ladder(toy_network, base, (0, 1, 2),
-                                           (-1.0, 1.0, 2.0)))
-        evaluator.close()
-        assert multiprocessing.active_children() == []
 
     def test_executor_fallback_closes_pool(self, toy_network,
                                            toy_engine, toy_density):
-        """The exit-code-3 abort path may not orphan workers."""
+        """The exit-code-3 abort path of a ``workers=2`` Magus leaves
+        no worker processes behind."""
         from repro.faults import (FaultInjector, FaultPlan, PushFaults,
                                   ResilientExecutor, RetryPolicy)
         from repro.core.magus import Magus
@@ -272,7 +181,6 @@ class TestEvaluationService:
             fail_steps=tuple(range(64)), fail_attempts=99))
         with Magus(toy_network, toy_engine, toy_density,
                    evaluation_strategy="parallel", workers=2) as magus:
-            magus.evaluator._service.min_parallel_batch = 2
             plan = magus.plan_mitigation([1], tuning="power")
             gradual = magus.gradual_schedule(plan)
             executor = ResilientExecutor(
@@ -281,8 +189,6 @@ class TestEvaluationService:
                 policy=RetryPolicy(max_attempts=2, base_delay_s=0.0))
             rollout = executor.execute(gradual)
             assert not rollout.completed
-            # _fall_back closed the evaluator's pool on abort.
-            assert not magus.evaluator._service.running
             assert multiprocessing.active_children() == []
 
 
@@ -334,13 +240,46 @@ class TestScenarioSweep:
         scenarios = [UpgradeScenario.SINGLE_SECTOR,
                      UpgradeScenario.FULL_SITE]
         planner = UpgradePlanner(small_area)
-        want = [planner.mitigate(s, tuning="power") for s in scenarios]
+        want = planner.sweep_scenarios(scenarios, workers=1,
+                                       tuning="power")
         got = planner.sweep_scenarios(scenarios, workers=2,
                                       tuning="power")
         assert [o.scenario for o in got] == scenarios
         for parallel, serial in zip(got, want):
             assert parallel.plan.c_after == serial.plan.c_after
             assert parallel.plan.f_after == serial.plan.f_after
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_merges_worker_telemetry(self, small_area):
+        """A 2-worker sweep gives the serial loop's outcomes and the
+        same ``magus.plan.model_evaluations`` total: every worker's
+        counters come home, labeled per worker."""
+        from repro.upgrades.planner import UpgradePlanner
+        from repro.upgrades.scenario import UpgradeScenario
+        scenarios = list(UpgradeScenario)
+        planner = UpgradePlanner(small_area, workers=2)
+
+        def run(workers):
+            with use_registry(MetricsRegistry()) as registry:
+                outcomes = planner.sweep_scenarios(
+                    scenarios, workers=workers, tuning="joint")
+            total = labeled = 0
+            for name in registry.names():
+                metric, label = split_metric_label(name)
+                if metric == "magus.plan.model_evaluations":
+                    total += registry.counter(name).value
+                    labeled += label is not None
+            return outcomes, total, labeled
+
+        want, serial_total, serial_labeled = run(1)
+        got, pooled_total, pooled_labeled = run(None)   # Magus's 2
+        assert [(o.plan.c_after, o.plan.f_after,
+                 o.plan.tuning.total_evaluations) for o in got] \
+            == [(o.plan.c_after, o.plan.f_after,
+                 o.plan.tuning.total_evaluations) for o in want]
+        assert serial_total > 0 and serial_labeled == 0
+        assert pooled_total == serial_total
+        assert pooled_labeled >= 1
         assert multiprocessing.active_children() == []
 
     def test_sweep_serial_fallback_single_worker(self, small_area):

@@ -6,7 +6,7 @@ vectorized ``validate()`` sweep), the ``magus.plossdb/1`` on-disk
 format (byte-identical round trips, streamed builds, actionable errors
 for bad magic / version drift / truncation / interrupted builds), and
 the loaded memory-mapped database as a drop-in engine backend (full vs
-delta parity, process-pool scoring over spilled plane files).
+delta parity).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.evaluation import Evaluator
 from repro.core.planning import PlanningSettings
-from repro.core.utility import PerformanceUtility
 from repro.model.engine import AnalysisEngine
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB,
                                   DEFAULT_PROFILE_CACHE_SIZE,
@@ -30,7 +28,6 @@ from repro.model.plossdb import (FORMAT_NAME, FORMAT_VERSION, MAGIC,
                                  pack_database, read_header, save_packed,
                                  stream_database, verify_sections)
 from repro.model.propagation import Environment
-from repro.parallel import EvaluationService
 from repro.synthetic.market import AreaDimensions, build_area
 from repro.synthetic.placement import AreaType
 
@@ -259,33 +256,6 @@ class TestLoadedDatabase:
             assert np.array_equal(full.serving, delta.serving)
             assert np.array_equal(full.sinr_db, delta.sinr_db)
             assert np.array_equal(full.rate_bps, delta.rate_bps)
-
-    def test_parallel_scoring_spills_planes_to_file(self, loaded,
-                                                    toy_density):
-        """A file-backed engine makes the service spill incumbent
-        planes to mmap-able temp files; utilities stay bitwise equal
-        to the serial delta path."""
-        engine = AnalysisEngine(loaded)
-        network = loaded.network
-        base = network.planned_configuration()
-        candidates = [base.with_power(s, p) for s in range(3)
-                      for p in (30.0, 33.0, 38.0)]
-        serial = Evaluator(engine, toy_density, PerformanceUtility(),
-                           strategy="delta")
-        serial.utility_of(base)
-        want = serial.score_candidates(candidates)
-        _, incumbent = engine.evaluate_with_incumbent(base, toy_density)
-        with EvaluationService(engine, toy_density, PerformanceUtility(),
-                               workers=2,
-                               min_parallel_batch=2) as service:
-            assert service._store.spill_bytes == 0
-            got = service.score_batch(incumbent, candidates)
-            handles = next(iter(service._store._blocks.values()))[1]
-            spilled = [h.path for h in handles.values()]
-            assert all(p is not None for p in spilled)
-        assert got == want
-        # Closing the service unlinks the spill files.
-        assert not any(os.path.exists(p) for p in spilled)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The windowed engine's contract is *bitwise* agreement with the dense
 references: footprint boxes bound exactly the nonzero gain cells,
 delta snapshots equal a full :meth:`AnalysisEngine.evaluate` on every
-raster, and every scoring route — serial candidate scoring, the
-process pool — produces the floats of :meth:`evaluate_batch` plus the
-per-candidate reduction.  The property tests below drive random
+raster, and every scoring route — the evaluator's candidate scoring,
+the service's scorer, one candidate per pool item — produces the
+floats of :meth:`evaluate_batch` plus the per-candidate reduction.  The property tests below drive random
 perturbation chains through a clipped backend (floor high enough that
 windows are genuinely small on the toy grid) and through every case
 where the window is wide or the whole grid (unclipped dicts, azimuth
@@ -15,11 +15,14 @@ footprints, custom utilities).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluation import Evaluator
+from repro.core.magus import Magus
 from repro.core.utility import PerformanceUtility, UtilityFunction
 from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
 from repro.model.engine import AnalysisEngine, DeltaIncumbent
@@ -376,7 +379,6 @@ class TestRoiScoreParity:
     def test_plans_agree_with_and_without_roi(self, roi_engine,
                                               dense_engine, toy_network,
                                               density):
-        from repro.core.magus import Magus
         plans = {}
         for name, engine in (("roi", roi_engine), ("dense", dense_engine)):
             magus = Magus(toy_network, engine, density)
@@ -389,8 +391,20 @@ class TestRoiScoreParity:
 
 
 # ----------------------------------------------------------------------
+def _score_alone(item):
+    """One candidate, scored by a fresh evaluator (a picklable pool
+    task)."""
+    engine, density, base, config = item
+    evaluator = Evaluator(engine, density, _UTILITY)
+    evaluator.utility_of(base)
+    return evaluator.score_candidates([config])[0]
+
+
 class TestRoiParallelParity:
-    """The pool ships ROI baselines; results stay bitwise-serial."""
+    """``workers`` never reaches candidate scoring: a parallel Magus
+    scores in-process and bitwise-serial, and so does the service's
+    windowed scorer; work on the scenario pool stays bitwise-serial
+    even when a worker dies under it."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pool_scores_bitwise(self, workers, registry, roi_engine,
@@ -400,12 +414,13 @@ class TestRoiParallelParity:
         serial = _DenseEvaluator(dense_engine, density, _UTILITY)
         serial.utility_of(base)
         want = serial.score_candidates(candidates)
-        with Evaluator(roi_engine, density, _UTILITY,
-                       strategy="parallel", workers=workers,
-                       min_parallel_batch=2) as pooled:
-            pooled.utility_of(base)
-            got = pooled.score_candidates(candidates)
+        with Magus(toy_network, roi_engine, density, _UTILITY,
+                   evaluation_strategy="parallel",
+                   workers=workers) as magus:
+            magus.evaluator.utility_of(base)
+            got = magus.evaluator.score_candidates(candidates)
         assert got == want
+        assert multiprocessing.active_children() == []
         snap = registry.snapshot()
         assert snap["magus.engine.roi_evaluations"]["value"] > 0
 
@@ -421,19 +436,19 @@ class TestRoiParallelParity:
         serial = _DenseEvaluator(dense_engine, density, _UTILITY)
         serial.utility_of(config)
         want = serial.score_candidates(candidates)
-        with Evaluator(roi_engine, density, _UTILITY,
-                       strategy="parallel", workers=2,
-                       min_parallel_batch=2) as pooled:
-            pooled.utility_of(config)
-            assert pooled.score_candidates(candidates) == want
+        parallel = Evaluator(roi_engine, density, _UTILITY,
+                             strategy="parallel")
+        parallel.utility_of(config)
+        assert parallel.score_candidates(candidates) == want
 
     @pytest.mark.parametrize("chaos", [False, True],
                              ids=["no-chaos", "kill-chunk-0"])
     def test_unclipped_score_batch_matches_serial(
             self, chaos, tmp_path, toy_engine, toy_network, toy_density):
         """The unclipped dict backend scores every candidate through a
-        whole-grid window on the pool too, and a worker SIGKILLed at
-        chunk 0 does not move a bit."""
+        whole-grid window in the service's scorer too, and the same
+        candidates run one per item on a 2-worker pool — with a worker
+        SIGKILLed at item 0 — do not move a bit."""
         base = toy_network.planned_configuration()
         candidates = _candidate_fan(toy_network, base) + [
             base.with_azimuth_offset(0, 10.0)]
@@ -448,9 +463,13 @@ class TestRoiParallelParity:
                                   str(tmp_path / "scratch"))
                     if chaos else None)
         with EvaluationService(toy_engine, toy_density, _UTILITY, 2,
-                               min_parallel_batch=2, chaos=injector,
+                               chaos=injector,
                                chunk_deadline_s=30.0) as service:
             assert service.score_batch(incumbent, candidates) == want
+            items = [(toy_engine, toy_density, base, config)
+                     for config in candidates]
+            assert service.run_tasks(_score_alone, items) == want
+        assert multiprocessing.active_children() == []
         if chaos:
             assert injector.spent("kill") == 1
 

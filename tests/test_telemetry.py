@@ -5,7 +5,7 @@ parent registry (order-independence and sum-exactness of counter
 merging, bounded timer-ring folding, RLock safety under concurrent
 merges), the span transport and Chrome trace-event exporter, the
 bounded flight recorder with exactly-once flushing, and — end to end —
-the acceptance criterion: a ``workers=2`` parallel run whose labeled
+the acceptance criterion: a ``workers=2`` scenario sweep whose labeled
 ``magus.engine.evaluations`` entries sum to exactly the serial count,
 with at least one adopted span per participating worker process.
 """
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility
 from repro.obs import (FLIGHT_SCHEMA, NULL_FLIGHT_RECORDER, FlightRecorder,
                        MetricsRegistry, NullFlightRecorder,
@@ -431,53 +430,39 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-def _ladder(network, config, sectors, deltas):
-    import numpy as np
-    out = []
-    for sector in sectors:
-        spec = network.sector(sector)
-        for delta in deltas:
-            power = float(np.clip(config.power_dbm(sector) + delta,
-                                  spec.min_power_dbm,
-                                  spec.max_power_dbm))
-            out.append(config.with_power(sector, power))
-    return out
+def _square(x):
+    return x * x
 
 
 class TestParallelTelemetryAcceptance:
-    """The PR's acceptance criterion, against the service API."""
+    """The acceptance criterion, on a pooled scenario sweep."""
 
     def test_labeled_evaluations_sum_matches_serial_exactly(
-            self, toy_network, toy_engine, toy_density, tmp_path):
-        base = toy_network.planned_configuration()
-        candidates = _ladder(toy_network, base, (0, 1, 2),
-                             (-2.0, -1.0, 1.0, 2.0))
+            self, small_area, tmp_path):
+        from repro.upgrades.planner import UpgradePlanner
+        from repro.upgrades.scenario import UpgradeScenario
+        scenarios = list(UpgradeScenario)
+        planner = UpgradePlanner(small_area)
 
-        # Serial reference: the engine-evaluation count for this batch.
+        # Serial reference: the engine-evaluation count of the sweep.
         with use_registry(MetricsRegistry()) as registry:
-            serial = Evaluator(toy_engine, toy_density, _UTILITY,
-                               strategy="delta")
-            serial.utility_of(base)
-            before = registry.counter("magus.engine.evaluations").value
-            want = serial.score_candidates(candidates)
+            want = planner.sweep_scenarios(scenarios, workers=1,
+                                           tuning="power")
             serial_count = registry.counter(
-                "magus.engine.evaluations").value - before
-        assert serial_count == len(candidates)
+                "magus.engine.evaluations").value
+        assert serial_count > 0
 
-        # Parallel run: workers inherit the registry/tracer at fork.
+        # Pooled run: workers inherit the registry/tracer at fork.
         with use_registry(MetricsRegistry()) as registry:
             trace.enable()
             try:
-                _, incumbent = toy_engine.evaluate_with_incumbent(
-                    base, toy_density)
-                with EvaluationService(toy_engine, toy_density, _UTILITY,
-                                       2, min_parallel_batch=2) as service:
-                    # Fork under an open parent span — exactly how the
-                    # search runs — so worker spans must survive the
-                    # inherited stack.
-                    with trace.span("magus.tuning"):
-                        got = service.score_batch(incumbent, candidates)
-                assert got == want
+                # Fork under an open parent span, so worker spans must
+                # survive the inherited stack.
+                with trace.span("magus.sweep"):
+                    got = planner.sweep_scenarios(scenarios, workers=2,
+                                                  tuning="power")
+                assert [(o.plan.c_after, o.plan.f_after) for o in got] \
+                    == [(o.plan.c_after, o.plan.f_after) for o in want]
                 labeled = {}
                 for name in registry.names():
                     metric, label = split_metric_label(name)
@@ -524,19 +509,13 @@ class TestParallelTelemetryAcceptance:
                 trace.clear()
 
     def test_busy_ns_rides_in_payload_not_registry_doublecount(
-            self, toy_network, toy_engine, toy_density):
+            self, toy_engine, toy_density):
         """Labeled busy_ns entries exist per worker and the unlabeled
         total equals their sum (the service folds payload busy_ns)."""
-        base = toy_network.planned_configuration()
-        candidates = _ladder(toy_network, base, (0, 1, 2),
-                             (-2.0, -1.0, 1.0, 2.0))
         with use_registry(MetricsRegistry()) as registry:
-            _, incumbent = toy_engine.evaluate_with_incumbent(
-                base, toy_density)
             with EvaluationService(toy_engine, toy_density, _UTILITY,
-                                   2, min_parallel_batch=2) as service:
-                assert service.score_batch(incumbent,
-                                           candidates) is not None
+                                   2) as service:
+                assert service.run_tasks(_square, range(6)) is not None
             labeled_busy = 0
             for name in registry.names():
                 metric, label = split_metric_label(name)
