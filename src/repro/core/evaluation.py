@@ -32,9 +32,11 @@ Three evaluation strategy names are accepted (``strategy=`` knob):
     scores in-process.
 
 :meth:`score_candidates` scores single-sector candidates through their
-region-of-influence windows (:func:`repro.model.roi.score_candidate`,
-the whole grid where a footprint is unknown); these scores are never
-cached, so accepted candidates are always confirmed canonically.
+region-of-influence windows (the whole grid where a footprint is
+unknown), each group sharing an incumbent in one stacked pass of
+:func:`repro.model.roi.score_windows` (:func:`~repro.model.roi.score_candidate`
+is its one-candidate call); these scores are never cached, so accepted
+candidates are always confirmed canonically.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ incremental evaluation sit on top of the canonical pass:
   :meth:`PathLossDatabase.footprint`) the window is the union of the
   changed sector's old and new footprints; where a footprint is
   unknown (unclipped dict backend, rotated pattern) it is the whole
-  grid.  :func:`repro.model.roi.score_candidate` scores candidates
-  through the same windows.
+  grid.  :func:`repro.model.roi.score_windows` scores candidate
+  groups through the same windows, in one stacked pass.
 * **the dense batch reference** — :meth:`evaluate_batch` stacks K
   single-sector neighbors along a batch axis and scores them in one
   vectorized pass against the incumbent.  No search path calls it;
@@ -492,7 +492,7 @@ class AnalysisEngine:
                                         interference_dbm)
             rmax = _patched(prior.max_rate_bps, win, rmax)
             serving = _patched(prior.serving, win, serving)
-        n_ue = self._shared_load(serving, ue_density)
+        n_ue = self._shared_load_batch(serving[None], ue_density)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
         state = NetworkState(
@@ -547,8 +547,8 @@ class AnalysisEngine:
         # same f32*f32 elementwise product (NEP-50 would otherwise
         # silently promote to float64 and break full/delta parity).
         # For the float64 dict path the cast is a no-op.
-        factors = self._power_factors(config).astype(gains_mw.dtype,
-                                                     copy=False)
+        factors = config.power_factors().astype(gains_mw.dtype,
+                                                copy=False)
         return gains_mw * factors[:, None, None]
 
     def _sector_plane_mw(self, config: Configuration,
@@ -564,12 +564,7 @@ class AnalysisEngine:
                             dtype=self.pathloss.plane_dtype)
         gain_mw = self.pathloss.gain_matrix_mw(
             sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
-        # Index the vectorized factor computation rather than applying
-        # scalar ``**``: both paths must round identically (cast to the
-        # plane dtype first, for the same parity reason as _planes_mw).
-        factors = self._power_factors(config).astype(gain_mw.dtype,
-                                                     copy=False)
-        return gain_mw * factors[sector_id]
+        return gain_mw * _plane_factor(config, sector_id, gain_mw.dtype)
 
     def _sector_plane_mw_window(self, config: Configuration,
                                 sector_id: int, box: Box) -> np.ndarray:
@@ -586,15 +581,8 @@ class AnalysisEngine:
                             dtype=self.pathloss.plane_dtype)
         gain_mw = self.pathloss.gain_matrix_mw(
             sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
-        factors = self._power_factors(config).astype(gain_mw.dtype,
-                                                     copy=False)
-        return gain_mw[r0:r1, c0:c1] * factors[sector_id]
-
-    @staticmethod
-    def _power_factors(config: Configuration) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            factors = np.power(10.0, config.powers() / 10.0)
-        return np.where(config.active_mask(), factors, 0.0)
+        return gain_mw[r0:r1, c0:c1] * _plane_factor(config, sector_id,
+                                                     gain_mw.dtype)
 
     # ------------------------------------------------------------------
     def _received_power_dbm(self, config: Configuration,
@@ -621,45 +609,28 @@ class AnalysisEngine:
         rp[inactive] = -np.inf
         return rp
 
-    @staticmethod
-    def _shared_load(serving: np.ndarray, ue_density: np.ndarray) -> np.ndarray:
-        """Formula 3: ``N(g)`` = UEs attached to grid g's serving sector."""
-        served = serving >= 0
-        if served.all():
-            # Fast path: every cell served, so the masked gather is
-            # the identity.  bincount visits the same weights in the
-            # same flat order, so the loads (and the gathered n_ue)
-            # are bitwise identical to the masked branch.
-            flat_serving = serving.ravel()
-            loads = np.bincount(flat_serving,
-                                weights=ue_density.ravel())
-            return loads[flat_serving].reshape(serving.shape)
-        n_ue = np.zeros(serving.shape)
-        if not served.any():
-            return n_ue
-        flat_serving = serving[served]
-        loads = np.bincount(flat_serving,
-                            weights=ue_density[served])
-        n_ue[served] = loads[flat_serving]
-        return n_ue
-
     def _shared_load_batch(self, serving: np.ndarray,
                            ue_density: np.ndarray) -> np.ndarray:
-        """Formula 3 across the batch axis via one offset bincount."""
+        """Formula 3: ``N(g)`` = UEs attached to grid g's serving
+        sector, for each raster of a ``(k, H, W)`` serving stack, via
+        one offset bincount.
+
+        Candidate ``j``'s sector ids are shifted by ``j * n_sectors``
+        and unserved cells go to one spare bin past the last, zeroed
+        after the count.  Each real bin thus receives the same weights
+        in the same flat order as a bincount over that candidate's
+        raster alone: the loads are bitwise identical, whatever else
+        is in the batch.
+        """
         k = serving.shape[0]
         n_sectors = self.pathloss.network.n_sectors
-        n_ue = np.zeros(serving.shape)
-        served = serving >= 0
-        if not served.any():
-            return n_ue
-        offsets = (np.arange(k, dtype=np.int64)
-                   * n_sectors)[:, None, None]
-        flat_ids = (serving + offsets)[served]
-        weights = np.broadcast_to(ue_density, serving.shape)[served]
-        loads = np.bincount(flat_ids, weights=weights,
-                            minlength=k * n_sectors)
-        n_ue[served] = loads[flat_ids]
-        return n_ue
+        spare = k * n_sectors
+        offsets = (np.arange(k, dtype=np.int64) * n_sectors)[:, None, None]
+        flat_ids = np.where(serving >= 0, serving + offsets, spare).ravel()
+        loads = np.bincount(flat_ids, weights=np.tile(ue_density.ravel(), k),
+                            minlength=spare + 1)
+        loads[spare] = 0.0
+        return loads[flat_ids].reshape(serving.shape)
 
 
 def _accumulate_planes(planes: np.ndarray,
@@ -688,6 +659,18 @@ def _accumulate_planes(planes: np.ndarray,
     for s in range(view.shape[0]):
         np.add(total, view[s], out=total)
     return total
+
+
+def _plane_factor(config: Configuration, sector_id: int, dtype):
+    """One sector's power factor in the plane dtype.
+
+    An element of the vectorized :meth:`Configuration.power_factors`
+    rather than a scalar ``**``, and cast to the plane dtype before the
+    multiply, so it rounds exactly like row ``sector_id`` of
+    :meth:`AnalysisEngine._planes_mw` (casting one element equals
+    casting the vector).
+    """
+    return dtype.type(config.power_factors()[sector_id])
 
 
 def _patched(base: np.ndarray, win, part: np.ndarray) -> np.ndarray:

@@ -12,19 +12,25 @@ The subtlety is Formula 3: serving flips inside the window change the
 per-sector UE loads, which changes the shared rate at cells *outside*
 the window that are served by a straddling sector.  A cached
 outside-window utility partial sum alone is therefore wrong.
-:func:`score_candidate` instead assembles the candidate's full-grid
+:func:`score_windows` instead assembles each candidate's full-grid
 rate raster from cheap O(H*W) passes (array copies, one bincount, one
 division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
-cached ``per_ue(rate)*density`` raster everywhere else.  Because
-``per_ue`` is elementwise-pure and the final reduction runs over the
-same contiguous full-grid layout as the dense batch reference, the
-returned utility is bitwise identical to
-:meth:`~repro.model.engine.AnalysisEngine.evaluate_batch` followed by
-the per-candidate weighted reduction — at O(|ROI| + |rate-changed|)
-transcendental cost instead of O(H*W).  Where a footprint is unknown
-(unclipped dict backend, rotated pattern) the window is the whole grid
-and the same function is the dense scorer.
+cached ``per_ue(rate)*density`` raster everywhere else.
+
+It scores a whole candidate group in one stacked pass: Python only
+gathers each candidate's window inputs, the window arithmetic runs
+once over the concatenated windows, and the full-grid passes run once
+over a ``(k, H, W)`` stack (in chunks of at most :data:`STACK_CELLS`
+cells).  Every step is elementwise, a per-candidate offset bincount
+or a row-wise reduction over one candidate's contiguous raster, so a
+score does not depend on what else is in the batch: it is bitwise
+identical to :meth:`~repro.model.engine.AnalysisEngine.evaluate_batch`
+followed by the per-candidate weighted reduction — at
+O(|ROI| + |rate-changed|) transcendental cost instead of O(H*W).
+:func:`score_candidate` is the one-candidate call of the same kernel.
+Where a footprint is unknown (unclipped dict backend, rotated pattern)
+the window is the whole grid and the same kernel is the dense scorer.
 
 The exactness argument (including why windowed totals must not re-sum
 a sliced plane stack) is laid out in DESIGN.md, "Sparse ROI
@@ -51,6 +57,11 @@ Box = Tuple[int, int, int, int]
 
 #: The canonical empty box (an off-air sector's footprint).
 EMPTY_BOX: Box = (0, 0, 0, 0)
+
+#: Most cells one ``(k, H, W)`` scoring stack may hold; a larger batch
+#: is scored in chunks of ``STACK_CELLS // (H * W)`` candidates (at
+#: least one).  About 100 MB of transient stacks at 2**21 cells.
+STACK_CELLS = 1 << 21
 
 
 def box_is_empty(box: Box) -> bool:
@@ -98,12 +109,11 @@ class RoiBaseline:
     rate_bps: np.ndarray      # (H, W) load-shared rate
     weighted: np.ndarray      # (H, W) per_ue(rate) * ue_density
     #: Baseline-only window arrays memoized per (changed, box): the
-    #: old plane window and the serving comparator pair are identical
-    #: for every candidate that flips the same sector within the same
-    #: ROI (a power ladder), so they are computed once per sector
-    #: rather than once per candidate.
-    window_cache: Dict[Tuple[int, Box], Tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]] = field(
+    #: old plane window, the incumbent total and the serving
+    #: comparator pair are identical for every candidate that flips the
+    #: same sector within the same ROI (a power ladder), so they are
+    #: gathered once per sector rather than once per candidate.
+    window_cache: Dict[Tuple[int, Box], Tuple[np.ndarray, ...]] = field(
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -150,22 +160,121 @@ def count_windowed(engine, boxes) -> None:
 def score_candidate(engine, baseline: RoiBaseline,
                     config: Configuration, changed: int, box: Box,
                     ue_density: np.ndarray, utility) -> float:
-    """Utility of one single-sector candidate via its ROI window.
+    """Utility of one single-sector candidate via its ROI window: the
+    ``k = 1`` call of :func:`score_windows`.
 
-    Bitwise identical to scoring ``config`` through
-    ``engine.evaluate_batch`` + the per-candidate weighted reduction.
     ``changed`` is the one sector ``config`` flips vs.
     ``baseline.config``; ``box`` is its ``engine.roi_window`` — the
     union of that sector's old and new footprints (so both plane rows
     are exactly zero outside it), or the whole grid.
     """
-    r0, r1, c0, c1 = box
-    win = (slice(r0, r1), slice(c0, c1))
-    new_w = engine._sector_plane_mw_window(config, changed, box)
-    cached = baseline.window_cache.get((changed, box))
+    return score_windows(engine, baseline, [config], [(changed, box)],
+                         ue_density, utility)[0]
+
+
+def score_windows(engine, baseline: RoiBaseline,
+                  configs: Sequence[Configuration],
+                  windows: Sequence[Tuple[int, Box]],
+                  ue_density: np.ndarray, utility) -> List[float]:
+    """Utility of each single-sector candidate, in one stacked pass.
+
+    ``windows`` pairs each config with its ``(changed, box)`` (see
+    :func:`score_candidate`).  Each score is bitwise identical to
+    scoring that config alone, and to ``engine.evaluate_batch`` + the
+    per-candidate weighted reduction, whatever else is in the batch.
+    Candidates are stacked in chunks of at most :data:`STACK_CELLS`
+    cells (at least one candidate each), and every one is counted
+    (:func:`count_windowed`).
+    """
+    configs, windows = list(configs), list(windows)
+    step = max(1, STACK_CELLS // baseline.serving.size)
+    values: List[float] = []
+    for lo in range(0, len(configs), step):
+        values += _score_chunk(engine, baseline, configs[lo:lo + step],
+                               windows[lo:lo + step], ue_density, utility)
+    count_windowed(engine, [box for _, box in windows])
+    return values
+
+
+def _score_chunk(engine, baseline: RoiBaseline,
+                 configs: List[Configuration],
+                 windows: List[Tuple[int, Box]],
+                 ue_density: np.ndarray, utility) -> List[float]:
+    """The stacked kernel: Python gathers each candidate's window
+    inputs; every array pass after that runs once for the chunk."""
+    news, parts, areas = [], [], []
+    for config, (changed, box) in zip(configs, windows):
+        news.append(engine._sector_plane_mw_window(config, changed,
+                                                   box).ravel())
+        parts.append(_window_inputs(engine, baseline, changed, box))
+        areas.append(box_area(box))
+    # Once over the concatenated windows.  Every step is elementwise,
+    # so each candidate's cells come out as they would alone.
+    new = np.concatenate(news)
+    old, total0, comp_val, comp_idx = (
+        np.concatenate(column) for column in zip(*parts))
+    sector = np.repeat(np.asarray([c for c, _ in windows], dtype=np.int32),
+                       areas)
+    # The dense batch path's incremental total, restricted to the
+    # windows (outside them new - old is exactly 0-0).
+    total = total0 + (new - old)
+    wins = (new > comp_val) | ((new == comp_val) & (sector < comp_idx))
+    best = np.where(wins, new, comp_val)
+    raw = np.where(wins, sector, comp_idx)
+    rmax = engine.link.max_rate_bps(engine._sinr_raster(total, best))
+    rmax = np.where(best >= 10.0 ** (float(engine.min_rp_dbm) / 10.0),
+                    rmax, 0.0)
+    serving = np.where(rmax > 0.0, raw, NO_SERVICE)
+
+    # Full-grid assembly: Formula 3's load coupling reaches outside
+    # the window (a serving flip changes the shared rate of every
+    # cell on the affected sectors), so loads and rates are rebuilt
+    # over each candidate's whole grid — cheap passes only, no
+    # transcendentals.  Each window is patched into its own stack
+    # slice by plain slice assignment.
+    k, cells = len(configs), baseline.serving.size
+    serving_k = np.empty((k,) + baseline.serving.shape,
+                         dtype=baseline.serving.dtype)
+    rmax_k = np.empty(serving_k.shape, dtype=baseline.max_rate_bps.dtype)
+    at = 0
+    for j, ((_, (r0, r1, c0, c1)), area) in enumerate(zip(windows, areas)):
+        if area < cells:
+            serving_k[j] = baseline.serving
+            rmax_k[j] = baseline.max_rate_bps
+        # An explicit shape: an empty window cannot infer a -1 axis.
+        shape = (r1 - r0, c1 - c0)
+        serving_k[j, r0:r1, c0:c1] = serving[at:at + area].reshape(shape)
+        rmax_k[j, r0:r1, c0:c1] = rmax[at:at + area].reshape(shape)
+        at += area
+    n_ue = engine._shared_load_batch(serving_k, ue_density)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate_k = np.where(n_ue > 0, rmax_k / np.maximum(n_ue, 1e-12),
+                          rmax_k)
+
+    # Rate-compare trick: per_ue (the transcendental) runs only where
+    # the rate value moved.  per_ue is elementwise-pure, so cells with
+    # an unchanged rate keep a bit-identical weighted term; each row
+    # of the final sum reduces one candidate's contiguous (H*W) float64
+    # raster, exactly as the dense batch's row-wise reduction does.
+    weighted = np.empty(serving_k.shape)
+    weighted[...] = baseline.weighted
+    stale = rate_k != baseline.rate_bps
+    if stale.any():
+        density = np.broadcast_to(ue_density, stale.shape)
+        weighted[stale] = utility.per_ue(rate_k[stale]) * density[stale]
+    return [float(v) for v in weighted.reshape(k, cells).sum(axis=1)]
+
+
+def _window_inputs(engine, baseline: RoiBaseline, changed: int, box: Box):
+    """The baseline side of one window, flattened: the changed
+    sector's old plane, the incumbent total and the serving
+    comparator pair.  Memoized per ``(changed, box)``."""
+    key = (changed, box)
+    cached = baseline.window_cache.get(key)
     if cached is None:
-        old_w = engine._sector_plane_mw_window(baseline.config,
-                                               changed, box)
+        r0, r1, c0, c1 = box
+        win = (slice(r0, r1), slice(c0, c1))
+        old = engine._sector_plane_mw_window(baseline.config, changed, box)
         s0 = baseline.raw_serving[win]
         # Comparator per grid, exactly as evaluate_batch: the
         # runner-up where the changed sector already serves, the
@@ -176,62 +285,8 @@ def score_candidate(engine, baseline: RoiBaseline,
         comp_val = np.where(mask, baseline.runner_val[win],
                             baseline.best_mw[win])
         comp_idx = np.where(mask, baseline.runner_idx[win], s0)
-        cached = (old_w, comp_val, comp_idx)
+        cached = (old.ravel(), baseline.total_mw[win].ravel(),
+                  comp_val.ravel(), comp_idx.ravel())
         if len(baseline.window_cache) < 512:
-            baseline.window_cache[(changed, box)] = cached
-    old_w, comp_val, comp_idx = cached
-    # The dense batch path's incremental total, restricted to the
-    # window (outside it new - old is exactly 0-0).
-    total_w = baseline.total_mw[win] + (new_w - old_w)
-    wins = (new_w > comp_val) | ((new_w == comp_val)
-                                 & (changed < comp_idx))
-    best_w = np.where(wins, new_w, comp_val)
-    raw_w = np.where(wins, np.int32(changed), comp_idx).astype(np.int32)
-
-    sinr_w = engine._sinr_raster(total_w, best_w)
-    rmax_w = engine.link.max_rate_bps(sinr_w)
-    rmax_w = np.where(best_w >= 10.0 ** (float(engine.min_rp_dbm) / 10.0),
-                      rmax_w, 0.0)
-    serving_w = np.where(rmax_w > 0.0, raw_w, NO_SERVICE)
-
-    # Full-grid assembly: Formula 3's load coupling reaches outside
-    # the window (a serving flip changes the shared rate of every
-    # cell on the affected sectors), so loads and rates are rebuilt
-    # over the whole grid — cheap passes only, no transcendentals.
-    if serving_w.shape == baseline.serving.shape:   # whole-grid window
-        serving_k, rmax_k = serving_w, rmax_w
-    else:
-        serving_k = baseline.serving.copy()
-        serving_k[win] = serving_w
-        rmax_k = baseline.max_rate_bps.copy()
-        rmax_k[win] = rmax_w
-    n_ue = engine._shared_load(serving_k, ue_density)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate_k = np.where(n_ue > 0, rmax_k / np.maximum(n_ue, 1e-12),
-                          rmax_k)
-
-    # Rate-compare trick: per_ue (the transcendental) runs only where
-    # the rate value moved.  per_ue is elementwise-pure, so cells with
-    # an unchanged rate keep a bit-identical weighted term; the final
-    # sum reduces the same contiguous (H*W) float64 layout as the
-    # dense batch's row-wise reduction, hence the same pairwise tree.
-    weighted = baseline.weighted.copy()
-    stale = rate_k != baseline.rate_bps
-    if stale.any():
-        weighted[stale] = utility.per_ue(rate_k[stale]) * ue_density[stale]
-    return float(weighted.sum())
-
-
-def score_windows(engine, baseline: RoiBaseline,
-                  configs: Sequence[Configuration],
-                  windows: Sequence[Tuple[int, Box]],
-                  ue_density: np.ndarray, utility) -> List[float]:
-    """:func:`score_candidate` for each config, plus the accounting.
-
-    ``windows`` pairs each config with its ``(changed, box)``.
-    """
-    values = [score_candidate(engine, baseline, config, changed, box,
-                              ue_density, utility)
-              for config, (changed, box) in zip(configs, windows)]
-    count_windowed(engine, [box for _, box in windows])
-    return values
+            baseline.window_cache[key] = cached
+    return cached
