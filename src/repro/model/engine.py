@@ -664,13 +664,14 @@ def _accumulate_planes(planes: np.ndarray,
 def _plane_factor(config: Configuration, sector_id: int, dtype):
     """One sector's power factor in the plane dtype.
 
-    An element of the vectorized :meth:`Configuration.power_factors`
-    rather than a scalar ``**``, and cast to the plane dtype before the
-    multiply, so it rounds exactly like row ``sector_id`` of
+    The setting's own cached :meth:`SectorSetting.power_factor` — the
+    element :meth:`Configuration.power_factors` holds for it, not a
+    scalar ``**`` — cast to the plane dtype before the multiply, so it
+    rounds exactly like row ``sector_id`` of
     :meth:`AnalysisEngine._planes_mw` (casting one element equals
     casting the vector).
     """
-    return dtype.type(config.power_factors()[sector_id])
+    return dtype.type(config.settings[sector_id].power_factor())
 
 
 def _patched(base: np.ndarray, win, part: np.ndarray) -> np.ndarray:

@@ -18,10 +18,23 @@ by ``rate = efficiency x PRB resource elements / TTI``, since the full
 approximation is within the TBS quantization error (documented in
 DESIGN.md).  The mapping is monotone in SINR, which is the property the
 search algorithm relies on.
+
+SINR -> CQI is the innermost per-cell step of every evaluation, so it
+is one binned table lookup rather than a binary search.  At import the
+thresholds are bucketed into 1-dB bins ``[k, k+1)``; no bin may hold
+two of them (the standard thresholds are at least 1.4 dB apart, and
+the import fails naming the pair if an edit breaks that).  A cell's
+CQI is then the number of thresholds in lower bins plus one if it
+reaches its own bin's threshold — exactly the count of thresholds
+``<= sinr``.  SINR values are clamped into the bin range first, so
++-inf land in the end bins and NaN in the lowest, which maps it to
+CQI 0.  ``cqi_for_sinr``, ``max_rate_bps`` and ``spectral_efficiency``
+all read this one bin table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -78,6 +91,51 @@ CQI_SINR_THRESHOLDS_DB: Tuple[float, ...] = (
 #: default matches CQI 1 decodability.
 PAPER_SINR_MIN_DB = -6.7
 
+
+def _cqi_bins(thresholds) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Bucket ascending CQI thresholds into 1-dB bins ``[k, k+1)``.
+
+    Returns ``(lo, base, cut)`` for the integer bins ``lo..hi`` that
+    span the thresholds: ``base[k - lo]`` counts the thresholds in
+    lower bins, and ``cut[k - lo]`` is the bin's own threshold, or
+    ``+inf`` if it has none.  Raises if two thresholds share a bin,
+    because the lookup compares against one cut per bin.
+    """
+    lo = math.floor(min(thresholds))
+    n_bins = math.floor(max(thresholds)) - lo + 1
+    cut = np.full(n_bins, np.inf)
+    for t in thresholds:
+        k = math.floor(t) - lo
+        if cut[k] != np.inf:
+            raise ValueError(
+                f"CQI thresholds {cut[k]} and {t} dB share the 1-dB bin "
+                f"[{k + lo}, {k + lo + 1}); the binned lookup needs at "
+                f"most one threshold per bin")
+        cut[k] = t
+    base = np.asarray([sum(t < k + lo for t in thresholds)
+                       for k in range(n_bins)], dtype=np.intp)
+    return lo, base, cut
+
+
+_BIN_LO, _BIN_BASE, _BIN_CUT = _cqi_bins(CQI_SINR_THRESHOLDS_DB)
+_BIN_HI = _BIN_LO + len(_BIN_BASE) - 1
+
+
+def _cqi(sinr: np.ndarray) -> np.ndarray:
+    """CQI (the count of thresholds ``<= sinr``) of a float64 SINR array.
+
+    ``floor`` is exact and each bin holds at most one threshold, so the
+    lookup equals a binary search over the thresholds bit for bit.
+    ``fmax``/``fmin`` clamp +-inf into the end bins and send NaN to the
+    lowest bin, where it fails the cut (CQI 0).
+    """
+    k = np.floor(np.fmin(np.fmax(sinr, _BIN_LO), _BIN_HI)).astype(np.intp)
+    k -= _BIN_LO
+    cqi = _BIN_BASE[k]
+    cqi += sinr >= _BIN_CUT[k]
+    return cqi
+
+
 #: LTE resource grid constants.
 _SUBCARRIERS_PER_PRB = 12
 _SYMBOLS_PER_SUBFRAME = 14
@@ -104,8 +162,13 @@ class LinkAdaptation:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_mhz = bandwidth_mhz
         self.sinr_min_db = sinr_min_db
-        self._thresholds = np.asarray(CQI_SINR_THRESHOLDS_DB)
-        self._efficiencies = np.asarray([e.efficiency for e in CQI_TABLE])
+        effs = np.asarray([e.efficiency for e in CQI_TABLE])
+        #: Per-CQI tables indexed by CQI 0..15 (entry 0 is out of range).
+        #: Each rate is ``efficiency * RE / TTI``, rounded exactly as
+        #: :meth:`rate_for_cqi` rounds it.
+        self._efficiencies = np.concatenate(([0.0], effs))
+        self._rates = np.concatenate(
+            ([0.0], effs * self.resource_elements_per_tti / _TTI_SECONDS))
 
     # ------------------------------------------------------------------
     @property
@@ -131,10 +194,9 @@ class LinkAdaptation:
         Note CQI 0 is distinct from the service cutoff: a grid can have
         CQI >= 1 yet be out of service if ``sinr_min_db`` is set above
         the CQI-1 threshold (the paper deliberately chooses a high
-        threshold for its Figure 4 illustration).
+        threshold for its Figure 4 illustration).  NaN maps to CQI 0.
         """
-        sinr = np.asarray(sinr_db, dtype=float)
-        return np.searchsorted(self._thresholds, sinr, side="right")
+        return _cqi(np.asarray(sinr_db, dtype=float))
 
     def rate_for_cqi(self, cqi: int) -> float:
         """Single-user rate (bits/s) sustained at CQI ``cqi``."""
@@ -148,16 +210,15 @@ class LinkAdaptation:
     def max_rate_bps(self, sinr_db: np.ndarray | float) -> np.ndarray:
         """Paper's ``rmax(g)``: single-user rate, 0 when out of service."""
         sinr = np.asarray(sinr_db, dtype=float)
-        cqi = self.cqi_for_sinr(sinr)
-        eff = np.where(cqi > 0, self._efficiencies[np.maximum(cqi - 1, 0)], 0.0)
-        rate = eff * self.resource_elements_per_tti / _TTI_SECONDS
-        return np.where(sinr >= self.sinr_min_db, rate, 0.0)
+        cqi = _cqi(sinr)
+        # Out-of-service grids read the CQI-0 entry, rate 0.
+        cqi *= sinr >= self.sinr_min_db
+        # asarray: a scalar or 0-d input still gets a 0-d array back.
+        return np.asarray(self._rates[cqi])
 
     def spectral_efficiency(self, sinr_db: np.ndarray | float) -> np.ndarray:
         """Bits per resource element at the decodable CQI (0 if none)."""
-        cqi = self.cqi_for_sinr(np.asarray(sinr_db, dtype=float))
-        return np.where(cqi > 0,
-                        self._efficiencies[np.maximum(cqi - 1, 0)], 0.0)
+        return np.asarray(self._efficiencies[self.cqi_for_sinr(sinr_db)])
 
     # ------------------------------------------------------------------
     def describe(self) -> List[str]:

@@ -117,6 +117,22 @@ class SectorSetting:
     def __getstate__(self) -> dict:
         return _without_derived(self.__dict__)
 
+    def power_factor(self) -> np.float64:
+        """The linear transmit power ``10^(P/10)``, exactly 0 off-air.
+
+        Computed once per setting and cached like the hash.  ``float``
+        keeps an ``np.float32`` power in float64, and a one-element
+        ``np.power`` equals the matching element of a vector call, so
+        this is the element a whole-network float64 vector would hold.
+        """
+        try:
+            return self.__dict__["_power_factor"]
+        except KeyError:
+            value = _power_factors(np.asarray([float(self.power_dbm)]),
+                                   np.asarray([self.active]))[0]
+            object.__setattr__(self, "_power_factor", value)
+            return value
+
     def is_finite(self) -> bool:
         return (math.isfinite(self.power_dbm)
                 and math.isfinite(self.tilt_deg)
@@ -218,13 +234,16 @@ class Configuration:
         """Each sector's linear transmit power ``10^(P/10)``, exactly 0
         off-air (Formula 1's per-sector factor in the mW domain).
 
-        Computed once per configuration and cached read-only, like the
-        hash: every plane of one candidate scales by the same vector.
+        Assembled from :meth:`SectorSetting.power_factor`, the one place
+        a factor is derived, and cached read-only like the hash.  A
+        derived configuration shares every setting but one with its
+        parent, so only the changed setting computes anything.
         """
         try:
             return self.__dict__["_power_factors"]
         except KeyError:
-            factors = _power_factors(self.powers(), self.active_mask())
+            factors = np.asarray([s.power_factor() for s in self.settings],
+                                 dtype=np.float64)
             factors.flags.writeable = False
             object.__setattr__(self, "_power_factors", factors)
             return factors
@@ -311,7 +330,7 @@ class Configuration:
 def _without_derived(state: dict) -> dict:
     """An instance ``__dict__`` minus its cached derived values."""
     return {k: v for k, v in state.items()
-            if k not in ("_hash", "_power_factors")}
+            if k not in ("_hash", "_power_factor", "_power_factors")}
 
 
 def _power_factors(powers: np.ndarray, active: np.ndarray) -> np.ndarray:

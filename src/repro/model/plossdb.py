@@ -148,6 +148,10 @@ class PackedGainStore:
         if gains_mw.shape[1] != len(tilt_values):
             raise ValueError("one tilt value per tensor column required")
         self.gains_mw = gains_mw
+        # The same buffer as a plain ndarray (no copy): row slices of a
+        # memmap run its Python __getitem__/__array_finalize__ hooks,
+        # and every candidate window slices a row.
+        self._rows = np.asarray(gains_mw)
         self.tilt_values: Tuple[float, ...] = tuple(
             float(t) for t in tilt_values)
         # Exact-float lookup is intentional: ladder tilts are produced
@@ -210,7 +214,7 @@ class PackedGainStore:
 
     def row(self, sector_id: int, tilt_index: int) -> np.ndarray:
         """One (sector, tilt) plane — a zero-copy read-only view."""
-        return self.gains_mw[sector_id, tilt_index]
+        return self._rows[sector_id, tilt_index]
 
     def footprint(self, sector_id: int,
                   tilt_index: int) -> Tuple[int, int, int, int]:

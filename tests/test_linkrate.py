@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.model.linkrate import (CQI_SINR_THRESHOLDS_DB, CQI_TABLE,
-                                  LinkAdaptation, PAPER_SINR_MIN_DB)
+                                  LinkAdaptation, PAPER_SINR_MIN_DB,
+                                  _cqi_bins)
 
 
 class TestCqiTable:
@@ -99,3 +101,107 @@ class TestLinkAdaptation:
         assert len(rows) == 15
         assert "QPSK" in rows[0]
         assert "64QAM" in rows[-1]
+
+
+# ----------------------------------------------------------------------
+# The binned CQI lookup against the binary search it replaced
+# ----------------------------------------------------------------------
+_THRESHOLDS = np.asarray(CQI_SINR_THRESHOLDS_DB)
+_EFFS = np.asarray([e.efficiency for e in CQI_TABLE])
+
+
+def _reference_cqi(sinr_db):
+    sinr = np.asarray(sinr_db, dtype=float)
+    return np.searchsorted(_THRESHOLDS, sinr, side="right")
+
+
+def _reference_rate(link, sinr_db):
+    sinr = np.asarray(sinr_db, dtype=float)
+    cqi = _reference_cqi(sinr)
+    eff = np.where(cqi > 0, _EFFS[np.maximum(cqi - 1, 0)], 0.0)
+    rate = eff * link.resource_elements_per_tti / 1e-3
+    return np.where(sinr >= link.sinr_min_db, rate, 0.0)
+
+
+def _reference_efficiency(sinr_db):
+    cqi = _reference_cqi(np.asarray(sinr_db, dtype=float))
+    return np.where(cqi > 0, _EFFS[np.maximum(cqi - 1, 0)], 0.0)
+
+
+def _straddle(points, ulps=64):
+    """Each point and its +-1..``ulps``-ulp float64 neighbours."""
+    out = []
+    for p in points:
+        up = down = np.float64(p)
+        out.append(up)
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    return np.asarray(out)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+#: ``sinr_min_db``: the paper value, one sharing a 1-dB bin with the
+#: 10.3 dB threshold, one exactly on a threshold, one below every bin.
+_SINR_MINS = (PAPER_SINR_MIN_DB, 10.0, CQI_SINR_THRESHOLDS_DB[10], -50.0)
+_LINKS = [LinkAdaptation(bandwidth_mhz=mhz, sinr_min_db=m)
+          for mhz in (1.4, 10.0, 20.0) for m in _SINR_MINS]
+_EDGES = (list(CQI_SINR_THRESHOLDS_DB) + list(_SINR_MINS)
+          + list(range(-8, 25)))
+
+
+class TestBinnedLookupExactness:
+    @pytest.mark.parametrize("link", _LINKS,
+                             ids=lambda li: f"{li.bandwidth_mhz}MHz-"
+                                            f"min{li.sinr_min_db}")
+    def test_straddle_set_bitwise(self, link):
+        sinr = np.concatenate([_straddle(_EDGES), [np.inf, -np.inf]])
+        for values in (sinr, sinr.astype(np.float32),
+                       sinr.reshape(2, -1)):
+            _assert_same(link.max_rate_bps(values),
+                         _reference_rate(link, values))
+            _assert_same(link.cqi_for_sinr(values), _reference_cqi(values))
+            _assert_same(link.spectral_efficiency(values),
+                         _reference_efficiency(values))
+
+    @pytest.mark.parametrize("link", _LINKS[:4])
+    def test_scalars_and_zero_d_bitwise(self, link):
+        for t in _straddle(_EDGES, ulps=2).tolist() + [np.inf, -np.inf]:
+            for value in (t, np.float64(t), np.asarray(t),
+                          np.float32(t), np.asarray(t, dtype=np.float32)):
+                _assert_same(link.max_rate_bps(value),
+                             _reference_rate(link, value))
+                _assert_same(link.cqi_for_sinr(value),
+                             _reference_cqi(value))
+                _assert_same(link.spectral_efficiency(value),
+                             _reference_efficiency(value))
+
+    @given(st.floats(min_value=-60.0, max_value=80.0),
+           st.sampled_from(_LINKS))
+    def test_hypothesis_floats_bitwise(self, sinr, link):
+        for value in (sinr, np.asarray([sinr, -sinr]),
+                      np.asarray([sinr], dtype=np.float32)):
+            _assert_same(link.max_rate_bps(value),
+                         _reference_rate(link, value))
+            _assert_same(link.cqi_for_sinr(value), _reference_cqi(value))
+            _assert_same(link.spectral_efficiency(value),
+                         _reference_efficiency(value))
+
+    def test_nan_maps_to_cqi_zero(self):
+        link = LinkAdaptation()
+        assert link.cqi_for_sinr(np.nan) == 0
+        assert link.spectral_efficiency(np.nan) == 0.0
+        assert link.max_rate_bps(np.nan) == 0.0
+        sinr = np.asarray([np.nan, 30.0, np.nan], dtype=np.float32)
+        assert link.cqi_for_sinr(sinr).tolist() == [0, 15, 0]
+        assert link.spectral_efficiency(sinr)[[0, 2]].tolist() == [0.0, 0.0]
+        _assert_same(link.max_rate_bps(sinr), _reference_rate(link, sinr))
+
+    def test_bins_reject_two_thresholds_in_one_bin(self):
+        with pytest.raises(ValueError, match=r"1\.4 and 1\.9 dB share"):
+            _cqi_bins((-3.0, 1.4, 1.9, 5.0))

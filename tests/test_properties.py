@@ -145,9 +145,51 @@ class TestConfigurationAlgebra:
         assert "_hash" not in copy.__dict__
         assert "_power_factors" not in copy.__dict__
         assert all("_hash" not in s.__dict__ for s in copy.settings)
+        assert all("_power_factor" not in s.__dict__
+                   for s in copy.settings)
         assert copy == derived and hash(copy) == hash(derived)
         assert (copy.power_factors().tobytes()
                 == derived.power_factors().tobytes())
+
+    @given(st.lists(st.tuples(st.floats(min_value=-30.0, max_value=60.0),
+                              st.sampled_from([float, np.float64,
+                                               np.float32]),
+                              st.booleans()),
+                    min_size=1, max_size=8))
+    def test_power_factors_equal_vector_expression(self, rows):
+        settings = tuple(SectorSetting(kind(p), 4.0, active)
+                         for p, kind, active in rows)
+        factors = Configuration(settings).power_factors()
+        powers = np.asarray([s.power_dbm for s in settings],
+                            dtype=np.float64)
+        active = np.asarray([s.active for s in settings])
+        expected = np.where(active, np.power(10.0, powers / 10.0), 0.0)
+        assert factors.dtype == np.float64
+        assert factors.tobytes() == expected.tobytes()
+        assert all(factors[i] == s.power_factor()
+                   for i, s in enumerate(settings))
+
+    @given(config_and_sector(), st.floats(min_value=10.0, max_value=46.0))
+    def test_derived_factors_compute_only_the_changed_setting(self, cs,
+                                                              power):
+        config, sid = cs
+        config.power_factors()
+        child = config.with_power(sid, power)
+        assert all(c is p for i, (c, p) in
+                   enumerate(zip(child.settings, config.settings))
+                   if i != sid)
+        assert "_power_factor" not in child.settings[sid].__dict__
+        child.power_factors()
+        assert "_power_factor" in child.settings[sid].__dict__
+
+    @given(st.floats(min_value=-30.0, max_value=60.0), st.booleans())
+    def test_pickled_setting_carries_no_power_factor(self, power, active):
+        setting = SectorSetting(power, 4.0, active)
+        factor = setting.power_factor()
+        copy = pickle.loads(pickle.dumps(setting))
+        assert "_power_factor" not in copy.__dict__
+        assert copy == setting
+        assert copy.power_factor().tobytes() == factor.tobytes()
 
     @given(config_and_sector(), _steps)
     def test_non_finite_change_names_sector(self, cs, steps):
