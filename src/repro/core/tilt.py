@@ -4,7 +4,10 @@ The paper's logistically simpler tilt strategy: "we incrementally
 uptilt the first neighboring sector until we reach a point where the
 utility becomes worse, then we uptilt the second sector, and so on."
 Neighbors are visited nearest-first (the order
-``CellularNetwork.neighbors_of`` returns).
+``CellularNetwork.neighbors_of`` returns), and each one's tilt ladder
+is walked one rung at a time: a rung is built and scored only when the
+walk reaches it, so the search stops paying at the first worsening
+rung, as the paper's does.
 
 Whether the per-tilt path-loss matrices are faithful or use the
 shared-change-matrix approximation is a property of the
@@ -85,38 +88,48 @@ def _sweep_sector(evaluator: Evaluator, network: CellularNetwork,
                   settings: TiltSearchSettings):
     """Tilt ``sector_id`` step by step while utility improves.
 
-    The whole catalogue ladder is scored in one batched pass (every
-    rung differs from the sweep's starting configuration in this one
-    sector only), then walked greedily; each accepted rung is confirmed
-    through the canonical memoized path before it is committed, so the
-    recorded utilities are exact.
+    Each rung is built and scored only when the walk reaches it, so a
+    sweep scores at most one rung more than it accepts.  A rung that
+    screens above the current utility is confirmed through the
+    canonical memoized path before it is committed, so the recorded
+    utilities are exact.
+
+    Rungs name ``parent=config`` (the sweep start) only until one is
+    actually scored, not a memo hit: that is where the eager ladder's
+    single call anchored the start, since memo hits leave the ring
+    alone.  Every scored rung then groups against the same anchor: the
+    first in the ring that it differs from in this one sector only
+    (the sweep start, or an anchor that differs from the start only
+    here).  Each confirmation delta-runs off that anchor and keeps it
+    first in the ring.  A ``parent=`` on a later rung could re-anchor
+    when its confirmation was a memo hit and reorder the ring, and a
+    windowed score against another anchor can differ from the
+    canonical one in the last ulp.
     """
     registry = get_registry()
     tilt_range = network.sector(sector_id).tilt_range
-    ladder = []
-    tilt = config.tilt_deg(sector_id)
+    step = (tilt_range.uptilted if direction == "up"
+            else tilt_range.downtilted)
+    parent: Optional[Configuration] = config
     for _ in range(settings.max_steps_per_sector):
-        new_tilt = (tilt_range.uptilted(tilt) if direction == "up"
-                    else tilt_range.downtilted(tilt))
-        if new_tilt == tilt:               # catalogue edge reached
+        old_tilt = config.tilt_deg(sector_id)
+        new_tilt = step(old_tilt)
+        if new_tilt == old_tilt:           # catalogue edge reached
             break
-        ladder.append(new_tilt)
-        tilt = new_tilt
-    if not ladder:
-        return config, f_current
-    trials = [config.with_tilt(sector_id, t) for t in ladder]
-    scores = evaluator.score_candidates(trials, parent=config)
-    for new_tilt, trial, score in zip(ladder, trials, scores):
+        trial = config.with_tilt(sector_id, new_tilt)
+        meter = evaluator.cost_meter()
+        score, = evaluator.score_candidates([trial], parent=parent)
+        if meter.spent():                  # not a memo hit
+            parent = None
         if score <= f_current + _EPS:      # worse (or flat): revert, stop
             break
         f_trial = evaluator.utility_of(trial)
-        if f_trial <= f_current + _EPS:    # batch screen disagreed: stop
+        if f_trial <= f_current + _EPS:    # screen disagreed: stop
             break
         steps.append(SearchStep(
             change=ConfigChange(sector_id=sector_id,
                                 parameter=Parameter.TILT,
-                                old_value=config.tilt_deg(sector_id),
-                                new_value=new_tilt),
+                                old_value=old_tilt, new_value=new_tilt),
             utility=f_trial, candidates_evaluated=1))
         registry.counter("magus.search.tilt.accepted_steps").inc()
         _LOG.info("tilt sector=%d knob=tilt delta_utility=%+.6g evals=1 "

@@ -67,10 +67,16 @@ class DeltaIncumbent:
     finished :class:`NetworkState` this incumbent was evaluated into
     (set by ``_finish``); windowed delta evaluations copy its rasters
     and recompute only the window.
+
+    A delta child may borrow its parent's runner-up pair together with
+    the change window (``_borrowed``), so :meth:`runner_up` re-walks
+    only that window.  It holds the parent's two ``(H, W)`` arrays and
+    never the parent itself, whose plane stack it must not pin; the
+    loan is dropped once the child's own pair exists.
     """
 
     __slots__ = ("config", "planes", "total_mw", "raw_serving",
-                 "best_mw", "epoch", "state", "_runner")
+                 "best_mw", "epoch", "state", "_runner", "_borrowed")
 
     def __init__(self, config: Configuration, planes: np.ndarray,
                  total_mw: np.ndarray, raw_serving: np.ndarray,
@@ -83,6 +89,7 @@ class DeltaIncumbent:
         self.epoch = epoch
         self.state: Optional[NetworkState] = None
         self._runner: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._borrowed: Optional[Tuple[np.ndarray, np.ndarray, Box]] = None
 
     def runner_up(self, boxes: Optional[Sequence[Optional[Box]]] = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,42 +103,65 @@ class DeltaIncumbent:
         configuration (``None`` entries — or no list at all — mean "not
         known": the whole grid; :data:`EMPTY_BOX` means off-air).  A
         plane is exactly zero outside its box, so the walk only visits
-        the boxes.  The result is bitwise identical to masking the
-        serving row out of the plane stack and taking the first-index
-        argmax, whatever boxes are given (see DESIGN.md, "Evaluation
-        strategies").
+        the boxes.  With a borrowed parent pair the walk starts from a
+        copy of it and re-runs only inside the change window, every box
+        clipped to it: outside the window this incumbent's planes and
+        serving are the parent's bit for bit, and each cell's result
+        depends on that cell alone.  The result is bitwise identical to
+        masking the serving row out of the plane stack and taking the
+        first-index argmax, whatever boxes are given (see DESIGN.md,
+        "Evaluation strategies").
         """
         if self._runner is None:
-            n_sectors, rows, cols = self.planes.shape
             serving = self.raw_serving
-            if n_sectors == 1:
-                runner_val = np.full(serving.shape, -np.inf)
-                runner_idx = serving.copy()
+            if self.planes.shape[0] == 1:
+                self._runner = (np.full(serving.shape, -np.inf),
+                                serving.copy())
             else:
-                # Running max over the non-serving planes, from 0 / idx 0
-                # and in sector order with strict >, so ties keep the
-                # first index; O(H*W) scratch, never a stack copy.
-                runner_val = np.zeros((rows, cols), dtype=self.planes.dtype)
-                runner_idx = np.zeros((rows, cols), dtype=np.int32)
-                full = (0, rows, 0, cols)
-                for s in range(n_sectors):
-                    box = boxes[s] if boxes is not None else None
-                    r0, r1, c0, c1 = full if box is None else box
-                    if r0 >= r1 or c0 >= c1:
-                        continue
-                    win = (slice(r0, r1), slice(c0, c1))
-                    plane = self.planes[s][win]
-                    val = runner_val[win]
-                    beats = (plane > val) & (serving[win] != s)
-                    np.copyto(val, plane, where=beats)
-                    np.copyto(runner_idx[win], np.int32(s), where=beats)
-                # Zero-tie rule: where every non-serving plane is zero
-                # the walk never moved, but the stack argmax picks the
-                # first non-serving sector: 0, or 1 where 0 serves.
-                np.copyto(runner_idx, (serving == 0).astype(np.int32),
-                          where=runner_val == 0)
-            self._runner = (runner_val, runner_idx)
+                self._runner = self._walk_runner_up(boxes)
+            self._borrowed = None
         return self._runner
+
+    def _walk_runner_up(self, boxes: Optional[Sequence[Optional[Box]]]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """The runner-up walk, inside the borrowed window if any (else
+        over the whole grid)."""
+        n_sectors, rows, cols = self.planes.shape
+        serving = self.raw_serving
+        if self._borrowed is None:
+            window = (0, rows, 0, cols)
+            runner_val = np.zeros((rows, cols), dtype=self.planes.dtype)
+            runner_idx = np.zeros((rows, cols), dtype=np.int32)
+        else:
+            parent_val, parent_idx, window = self._borrowed
+            runner_val, runner_idx = parent_val.copy(), parent_idx.copy()
+        w0, w1, v0, v1 = window
+        win = (slice(w0, w1), slice(v0, v1))
+        # Indices need no reset: every window cell is rewritten by a
+        # beat or by the zero-tie rule.
+        runner_val[win] = 0
+        # Running max over the non-serving planes, from 0 / idx 0 and
+        # in sector order with strict >, so ties keep the first index;
+        # O(H*W) scratch, never a stack copy.
+        for s in range(n_sectors):
+            box = boxes[s] if boxes is not None else None
+            r0, r1, c0, c1 = window if box is None else box
+            r0, r1 = max(r0, w0), min(r1, w1)
+            c0, c1 = max(c0, v0), min(c1, v1)
+            if r0 >= r1 or c0 >= c1:
+                continue
+            cell = (slice(r0, r1), slice(c0, c1))
+            plane = self.planes[s][cell]
+            val = runner_val[cell]
+            beats = (plane > val) & (serving[cell] != s)
+            np.copyto(val, plane, where=beats)
+            np.copyto(runner_idx[cell], np.int32(s), where=beats)
+        # Zero-tie rule: where every non-serving plane is zero the walk
+        # never moved, but the stack argmax picks the first non-serving
+        # sector: 0, or 1 where 0 serves.
+        np.copyto(runner_idx[win], (serving[win] == 0).astype(np.int32),
+                  where=runner_val[win] == 0)
+        return runner_val, runner_idx
 
 
 @dataclass(frozen=True)
@@ -331,6 +361,11 @@ class AnalysisEngine:
         new_incumbent = DeltaIncumbent(
             config, planes, total_mw, raw_serving, best_mw,
             self.pathloss.cache_epoch)
+        runner = incumbent._runner
+        if runner is not None and box_area(box) < raw_serving.size:
+            # Outside the window the child's planes and serving are the
+            # parent's, so only the window's runner-up can move.
+            new_incumbent._borrowed = (runner[0], runner[1], box)
         state = self._finish(new_incumbent, ue_density,
                              prior=incumbent.state, box=box)
         return state, new_incumbent
