@@ -14,11 +14,12 @@ cost metric of the search-heuristic ablation.
 Three evaluation strategy names are accepted (``strategy=`` knob):
 
 ``"delta"`` (default)
-    Cache-missing configurations are answered incrementally when they
-    differ from a recently evaluated incumbent in a single sector
+    Cache-missing configurations are answered incrementally from the
+    recently evaluated incumbent they differ from in the fewest sectors
     (:meth:`AnalysisEngine.evaluate_delta` — bitwise identical to the
-    full pass), falling back to a full evaluation otherwise
-    (``magus.engine.delta_fallbacks`` counts the misses).
+    full pass).  A full evaluation runs only when no incumbent is
+    usable: a cold ring, or one left stale by a path-loss cache
+    invalidation (``magus.engine.delta_fallbacks`` counts these).
 
 ``"full"``
     Every cache miss runs the complete Formula 1-4 pass — the ablation
@@ -83,7 +84,7 @@ class Evaluator:
         self._cache_size = cache_size
         # Most-recent delta anchors, parent-first: enough to cover the
         # search pattern of one incumbent probed by many one-sector
-        # trials, and chains of one-sector moves (gradual compensation).
+        # trials, and chains of moves (tilt ladders, gradual steps).
         self._incumbents: List[DeltaIncumbent] = []
         # Cached ROI baselines, keyed like the anchors they derive
         # from — the weighted per-UE raster in each is the expensive
@@ -159,9 +160,9 @@ class Evaluator:
         ``parent`` is the configuration the candidates were derived
         from.  When no delta anchor holds it (a memo-cache hit whose
         anchor was evicted), it is anchored once here — otherwise
-        every candidate, two sectors from any anchor, would pay its
-        own full evaluation.  ``magus.evaluator.reanchors`` counts
-        these.
+        every candidate, two sectors from any anchor, could not be
+        scored through a window and would pay its own canonical
+        evaluation.  ``magus.evaluator.reanchors`` counts these.
         """
         configs = list(configs)
         scores: List[Optional[float]] = [None] * len(configs)
@@ -237,8 +238,7 @@ class Evaluator:
             self._roi_baselines.move_to_end(key)
             return hit
         baseline = _roi.RoiBaseline.from_incumbent(
-            incumbent, self.utility, self.ue_density,
-            self.engine.sector_boxes(incumbent.config))
+            incumbent, self.utility, self.ue_density)
         self._roi_baselines[key] = baseline
         # Mirror the two-anchor incumbent ring.
         while len(self._roi_baselines) > 2:
@@ -273,18 +273,26 @@ class Evaluator:
     def _anchor(self, config: Configuration) -> DeltaIncumbent:
         """Evaluate ``config`` into the delta-anchor ring.
 
-        Incremental when a recent incumbent is a single-sector parent
-        of ``config``; otherwise a full evaluation
-        (``magus.engine.delta_fallbacks``).  Leaves the memo cache and
-        the distinct-evaluation counter to the caller.
+        A delta from the first ring incumbent with the fewest changed
+        sectors; a full evaluation only when none is usable — a cold
+        ring or a stale cache epoch (``magus.engine.delta_fallbacks``).
+        A one-sector child is remembered with its parent; any other
+        result goes where a full evaluation's would, so the ring (and
+        the anchor later windowed scores group against) does not
+        depend on how the state was computed.  Leaves the memo cache
+        and the distinct-evaluation counter to the caller.
         """
-        for incumbent in list(self._incumbents):
-            result = self.engine.evaluate_delta(incumbent, config,
-                                                self.ue_density)
-            if result is not None:
-                child = result[1]
-                self._remember(incumbent, child)
-                return child
+        parent, fewest = None, None
+        for incumbent in self._incumbents:
+            changed = self.engine.changed_sectors(incumbent, config)
+            if changed is not None and (fewest is None
+                                        or len(changed) < len(fewest)):
+                parent, fewest = incumbent, changed
+        if parent is not None:
+            _, child = self.engine.evaluate_delta(parent, config,
+                                                  self.ue_density)
+            self._remember(parent if len(fewest) == 1 else None, child)
+            return child
         get_registry().counter("magus.engine.delta_fallbacks").inc()
         _, incumbent = self.engine.evaluate_with_incumbent(
             config, self.ue_density)

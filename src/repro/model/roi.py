@@ -92,7 +92,7 @@ class RoiBaseline:
     :class:`~repro.model.snapshot.NetworkState`; ``weighted`` is the
     cached ``utility.per_ue(rate_bps) * ue_density`` raster the
     rate-compare trick patches.  Deliberately excludes the plane
-    stack: the changed sector's old plane row is recomputed from the
+    rows: the changed sector's old plane row is recomputed from the
     path-loss database, which is bitwise identical by the
     ``_sector_plane_mw`` contract.
     """
@@ -117,19 +117,17 @@ class RoiBaseline:
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def from_incumbent(cls, incumbent, utility, ue_density: np.ndarray,
-                       boxes=None) -> Optional["RoiBaseline"]:
+    def from_incumbent(cls, incumbent, utility,
+                       ue_density: np.ndarray) -> Optional["RoiBaseline"]:
         """Build from a finished incumbent, or ``None`` without one.
 
         An incumbent that never ran ``_finish`` carries no
-        :attr:`state` to build from.  ``boxes`` are the sector
-        footprints the runner-up walk visits (see
-        :meth:`~repro.model.engine.DeltaIncumbent.runner_up`).
+        :attr:`state` to build from.
         """
         state = getattr(incumbent, "state", None)
         if state is None:
             return None
-        runner_val, runner_idx = incumbent.runner_up(boxes)
+        runner_val, runner_idx = incumbent.runner_up()
         weighted = utility.per_ue(state.rate_bps) * ue_density
         return cls(config=incumbent.config, epoch=incumbent.epoch,
                    total_mw=incumbent.total_mw,

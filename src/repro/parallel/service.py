@@ -188,8 +188,7 @@ class EvaluationService:
             windows.append((changed, self.engine.roi_window(
                 incumbent, config, changed)))
         baseline = _roi.RoiBaseline.from_incumbent(
-            incumbent, self.utility, self.ue_density,
-            self.engine.sector_boxes(incumbent.config))
+            incumbent, self.utility, self.ue_density)
         if baseline is None:
             return None
         return self.score_batch_roi(baseline, configs, windows)

@@ -123,12 +123,20 @@ class TestDeltaParity:
         state, _ = toy_engine.evaluate_delta(dark_inc, lit, toy_density)
         _assert_states_equal(state, toy_engine.evaluate(lit, toy_density))
 
-    def test_multi_sector_change_refused(self, toy_engine, toy_network,
-                                         toy_density):
+    def test_multi_sector_change_answered(self, toy_engine, toy_network,
+                                          toy_density):
+        """Any number of changed sectors is a delta; an unchanged
+        configuration is not."""
         base = toy_network.planned_configuration()
         _, incumbent = toy_engine.evaluate_with_incumbent(base, toy_density)
         two = base.with_power(0, 38.0).with_power(2, 38.0)
-        assert toy_engine.evaluate_delta(incumbent, two, toy_density) is None
+        state, child = toy_engine.evaluate_delta(incumbent, two,
+                                                 toy_density)
+        assert toy_engine.changed_sectors(incumbent, two) == (0, 2)
+        _assert_states_equal(state, toy_engine.evaluate(two, toy_density))
+        assert child.rows[1] is incumbent.rows[1]
+        assert toy_engine.evaluate_delta(incumbent, base,
+                                         toy_density) is None
 
     def test_stale_incumbent_refused_after_invalidation(
             self, toy_engine, toy_network, toy_density):
@@ -280,6 +288,68 @@ class TestEvaluatorStrategies:
             assert snap["magus.engine.delta_evaluations"]["value"] == 1
         finally:
             set_registry(previous)
+
+
+class TestMultiSectorRing:
+    """A configuration several sectors from a ring anchor is a delta,
+    and lands in the ring where a full evaluation would have put it."""
+
+    @pytest.fixture
+    def registry(self):
+        from repro.obs import MetricsRegistry, set_registry
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        yield registry
+        set_registry(previous)
+
+    def test_ring_and_fallbacks(self, registry, monkeypatch, toy_engine,
+                                toy_network, toy_density):
+        evaluator = Evaluator(toy_engine, toy_density, "performance")
+        a = toy_network.planned_configuration()
+        b = a.with_power(0, 38.0).with_power(1, 33.0).with_tilt(2, 6.0)
+        evaluator.utility_of(a)
+        evaluator.utility_of(b)
+        # Where a dense evaluation of b would leave them: b, then a.
+        assert [inc.config for inc in evaluator._incumbents] == [b, a]
+        counts = registry.snapshot()
+        assert counts["magus.engine.delta_fallbacks"]["value"] == 1
+        assert counts["magus.engine.delta_evaluations"]["value"] == 1
+        _assert_states_equal(evaluator.state_of(b),
+                             toy_engine.evaluate(b, toy_density))
+
+        # A stale epoch never deltas: the next evaluation is dense.
+        toy_engine.pathloss.invalidate_caches()
+        c = b.with_power(0, 36.0)
+        anchors = []
+        anchor = toy_engine.evaluate_with_incumbent
+
+        def counting_anchor(*args, **kwargs):
+            anchors.append(args[0])
+            return anchor(*args, **kwargs)
+
+        monkeypatch.setattr(toy_engine, "evaluate_with_incumbent",
+                            counting_anchor)
+        evaluator.utility_of(c)
+        assert anchors == [c]
+        counts = registry.snapshot()
+        assert counts["magus.engine.delta_fallbacks"]["value"] == 2
+        assert counts["magus.engine.delta_evaluations"]["value"] == 1
+        assert [inc.config for inc in evaluator._incumbents] == [c, b]
+
+    def test_fewest_changed_anchor_wins(self, toy_engine, toy_network,
+                                        toy_density):
+        """Among usable anchors, the one with the fewest changed
+        sectors is the parent; a one-sector child keeps it in front."""
+        evaluator = Evaluator(toy_engine, toy_density, "performance")
+        a = toy_network.planned_configuration()
+        b = a.with_power(0, 38.0).with_power(1, 33.0)
+        evaluator.utility_of(a)
+        evaluator.utility_of(b)                  # ring: [b, a]
+        c = a.with_power(2, 30.0)                # 1 from a, 3 from b
+        evaluator.utility_of(c)
+        assert [inc.config for inc in evaluator._incumbents] == [a, c]
+        _assert_states_equal(evaluator.state_of(c),
+                             toy_engine.evaluate(c, toy_density))
 
 
 class TestParentReanchor:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.core.magus import Magus
 from repro.core.utility import PerformanceUtility, UtilityFunction
 from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
 from repro.model.engine import AnalysisEngine, DeltaIncumbent
+from repro.model.geometry import GridSpec, Region
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
 from repro.model.network import CellularNetwork
@@ -38,6 +40,7 @@ from repro.model.propagation import Environment
 from repro.model import roi
 from repro.model.roi import (EMPTY_BOX, RoiBaseline, box_area,
                              box_is_empty, box_union, score_windows)
+from repro.model.snapshot import NO_SERVICE
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.report import RunReport
 from repro.parallel import EvaluationService
@@ -241,9 +244,8 @@ class TestRoiDeltaParity:
                 new_config = world.apply(config, move)
                 if new_config == config:
                     continue
-                boxes = engine.sector_boxes(new_config)
                 # The parent's pair first, so the child derives its own.
-                incumbent.runner_up(engine.sector_boxes(config))
+                incumbent.runner_up()
                 result = engine.evaluate_delta(incumbent, new_config,
                                                density)
                 assert result is not None
@@ -253,8 +255,8 @@ class TestRoiDeltaParity:
                 if link == 1 and world.name in ("clipped", "wide"):
                     assert child._borrowed is not None
                 _assert_runner_equal(
-                    child.runner_up(boxes),
-                    _masked_argmax_runner_up(child.planes,
+                    child.runner_up(),
+                    _masked_argmax_runner_up(np.stack(child.rows),
                                              child.raw_serving))
                 if link % 2 == 0:
                     _, fresh = engine.evaluate_with_incumbent(config,
@@ -263,8 +265,8 @@ class TestRoiDeltaParity:
                                                     density)
                     assert side._borrowed is None
                     _assert_runner_equal(
-                        side.runner_up(boxes),
-                        _masked_argmax_runner_up(side.planes,
+                        side.runner_up(),
+                        _masked_argmax_runner_up(np.stack(side.rows),
                                                  side.raw_serving))
                 config, incumbent = new_config, child
 
@@ -320,6 +322,158 @@ class TestRoiDeltaParity:
         H, W = roi_engine.grid.shape
         assert snap["magus.engine.roi_evaluations"]["value"] == 1
         assert snap["magus.engine.roi_cells"]["value"] == H * W
+
+
+# ----------------------------------------------------------------------
+#: One sector move of an any-k link: power, tilt or off-air toggles.
+_SECTOR_MOVE = st.tuples(st.sampled_from(["power", "tilt", "toggle"]),
+                         st.integers(min_value=0, max_value=2),
+                         st.sampled_from([-6.0, -3.0, -1.0, 1.0, 3.0, 6.0]))
+
+#: Chains of links, each link 2-4 sector moves applied together.
+_MULTI_MOVES = st.lists(st.lists(_SECTOR_MOVE, min_size=2, max_size=4),
+                        min_size=1, max_size=4)
+
+
+def _assert_incumbent_equal(child, prepared):
+    """A delta child's rows, boxes and derived rasters equal a dense
+    ``_prepare`` of the same configuration, bit for bit."""
+    assert child.boxes == prepared.boxes
+    assert len(child.rows) == len(prepared.rows)
+    for got, want in zip(child.rows, prepared.rows):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    for name in ("total_mw", "raw_serving", "best_mw"):
+        got, want = getattr(child, name), getattr(prepared, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _assert_any_k_delta(engine, parent, config, density):
+    """One delta from ``parent`` to ``config``: its state, incumbent
+    and runner-up (derived from the parent's pair and, from a fresh
+    parent that never walked, in full) against the dense references.
+    Returns the child."""
+    parent.runner_up()
+    state, child = engine.evaluate_delta(parent, config, density)
+    _assert_states_equal(state, engine.evaluate(config, density))
+    _assert_incumbent_equal(child, engine._prepare(config))
+    want = _masked_argmax_runner_up(np.stack(child.rows), child.raw_serving)
+    _assert_runner_equal(child.runner_up(), want)
+    fresh = engine.evaluate_with_incumbent(parent.config, density)[1]
+    side = engine.evaluate_delta(fresh, config, density)[1]
+    assert side._borrowed is None
+    _assert_runner_equal(side.runner_up(), want)
+    return child
+
+
+class TestAnyKDeltaParity:
+    """A delta over any number of changed sectors == full evaluate,
+    bitwise, on every world."""
+
+    @pytest.fixture
+    def twins(self, toy_grid):
+        """Sectors 0 and 1 co-sited and co-aimed: whenever their
+        settings match, their rows tie in every cell."""
+        network = CellularNetwork(make_sectors(
+            [(0.0, 0.0), (0.0, 0.0), (1_000.0, 0.0)],
+            azimuths=[0.0, 0.0, 90.0], power_dbm=35.0, max_power_dbm=41.0))
+        return _World("twins", network, _clipped_pathloss(toy_grid, network))
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(links=_MULTI_MOVES)
+    def test_random_multi_sector_chain(self, links, worlds, twins):
+        for world in worlds + [twins]:
+            engine, density = world.engine, world.density
+            config = world.network.planned_configuration()
+            incumbent = engine.evaluate_with_incumbent(config, density)[1]
+            # Sector 0 down and back up (in the twins world the way
+            # back ties sector 1 in every cell it serves), then a
+            # rotated pattern: a whole-grid window.
+            chain = [[("power", 0, -3.0), ("tilt", 2, 1.0)],
+                     [("power", 0, 3.0), ("tilt", 2, -1.0)],
+                     [("azimuth", 2, 2.0), ("toggle", 1, 0.0),
+                      ("power", 0, -3.0)]] + links
+            for link in chain:
+                new_config = config
+                for move in link:
+                    new_config = world.apply(new_config, move)
+                changed = engine.changed_sectors(incumbent, new_config)
+                if new_config == config:
+                    assert changed is None
+                    continue
+                assert changed == tuple(sorted(changed))
+                incumbent = _assert_any_k_delta(engine, incumbent,
+                                                new_config, density)
+                config = new_config
+
+    def test_masked_cell_with_all_zero_planes(self, worlds):
+        """Cells a changed sector served where every row that meets
+        the window is zero after the change: raw serving index 0, as
+        the full stack's argmax gives."""
+        world = next(w for w in worlds if w.name == "clipped")
+        engine, density = world.engine, world.density
+        base = world.network.planned_configuration()
+        parent = engine.evaluate_with_incumbent(base, density)[1]
+        dark = base.with_offline([1, 2])
+        old = parent.raw_serving
+        child = _assert_any_k_delta(engine, parent, dark, density)
+        masked = np.isin(old, (1, 2)) & (child.best_mw == 0)
+        assert masked.any()
+        assert (child.raw_serving[masked] == 0).all()
+
+    def test_window_no_radiating_sector_meets(self, worlds):
+        """Every sector off air in one delta: the window is the union
+        of the old footprints, and no row meets it."""
+        for world in worlds:
+            engine, density = world.engine, world.density
+            base = world.network.planned_configuration()
+            parent = engine.evaluate_with_incumbent(base, density)[1]
+            dark = base.with_offline(range(world.network.n_sectors))
+            child = _assert_any_k_delta(engine, parent, dark, density)
+            assert all(box == EMPTY_BOX for box in child.boxes)
+            assert (child.state.serving == NO_SERVICE).all()
+
+
+class TestDeltaRetainsRowsNotStack:
+    """A windowed delta keeps k new rows, never a copy of the stack:
+    the unit-scale stand-in for the paper-scale memory question."""
+
+    def test_one_delta_retains_under_half_the_stack(self):
+        # Twelve sectors on a 30x30 grid: with three, a child's own
+        # total, best and serving rasters alone outweigh half a stack.
+        grid = GridSpec(Region.square(3_000.0), cell_size=100.0)
+        sites = [(-800.0, -800.0), (800.0, -800.0), (-800.0, 800.0),
+                 (800.0, 800.0)]
+        network = CellularNetwork(make_sectors(
+            [xy for xy in sites for _ in range(3)],
+            azimuths=[0.0, 120.0, 240.0] * len(sites),
+            power_dbm=35.0, max_power_dbm=41.0))
+        world = _World("many", network,
+                       _clipped_pathloss(grid, network))
+        engine, density = world.engine, world.density
+        base = network.planned_configuration()
+        parent = engine.evaluate_with_incumbent(base, density)[1]
+        trial = base.with_power(4, base.power_dbm(4) - 3.0)
+        box = engine.roi_window(parent, trial, 4)
+        assert 0 < box_area(box) < grid.shape[0] * grid.shape[1]
+        engine.evaluate_delta(parent, trial, density)   # warm the caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            child = engine.evaluate_delta(parent, trial, density)[1]
+            child.state = None
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        stack_bytes = (network.n_sectors * grid.shape[0] * grid.shape[1]
+                       * engine.pathloss.plane_dtype.itemsize)
+        assert retained < stack_bytes / 2
+        assert sum(row is not prow for row, prow
+                   in zip(child.rows, parent.rows)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -472,8 +626,7 @@ class TestBatchComposition:
                 _, incumbent = engine.evaluate_with_incumbent(base,
                                                               density)
                 baseline = RoiBaseline.from_incumbent(
-                    incumbent, _UTILITY, density,
-                    engine.sector_boxes(base))
+                    incumbent, _UTILITY, density)
                 windows = _windows(engine, incumbent, configs)
                 if not base.is_active(world.network.n_sectors - 1):
                     assert any(box_is_empty(box) for _, box in windows)
@@ -654,11 +807,11 @@ def _masked_argmax_runner_up(planes, serving):
     return val, idx.astype(np.int32)
 
 
-def _stack_incumbent(planes) -> DeltaIncumbent:
+def _stack_incumbent(planes, boxes) -> DeltaIncumbent:
     serving = planes.argmax(axis=0).astype(np.int32)
     best = np.take_along_axis(planes, serving[None], axis=0)[0]
-    return DeltaIncumbent(None, planes, planes.sum(axis=0), serving, best,
-                          epoch=0)
+    return DeltaIncumbent(None, tuple(planes), boxes, planes.sum(axis=0),
+                          serving, best, epoch=0)
 
 
 def _assert_runner_equal(got, want):
@@ -699,27 +852,26 @@ class TestRunnerUpParity:
 
     @settings(max_examples=200, deadline=None)
     @given(planes=_sparse_stacks(),
-           boxes=st.sampled_from(["tight", "none", "unknown", "mixed"]))
+           boxes=st.sampled_from(["tight", "unknown", "mixed"]))
     def test_boxed_matches_masked_argmax(self, planes, boxes):
-        incumbent = _stack_incumbent(planes)
         tight = [plane_footprint(plane) for plane in planes]
         walk = {"tight": tight,                      # EMPTY_BOX off-air
-                "none": None,                        # no list at all
                 "unknown": [None] * len(tight),      # full-grid boxes
                 "mixed": [b if s % 2 else None
                           for s, b in enumerate(tight)]}[boxes]
+        incumbent = _stack_incumbent(planes, walk)
         _assert_runner_equal(
-            incumbent.runner_up(walk),
+            incumbent.runner_up(),
             _masked_argmax_runner_up(planes, incumbent.raw_serving))
 
     def test_zero_tie_cells(self):
         planes = np.zeros((3, 1, 3))
         planes[2, 0, 1] = 1.0        # sector 2 serves alone: runner 0
         planes[0, 0, 2] = 1.0        # sector 0 serves alone: runner 1
-        incumbent = _stack_incumbent(planes)    # cell 0: all zero
         boxes = [plane_footprint(plane) for plane in planes]
         assert boxes[1] == EMPTY_BOX
-        val, idx = incumbent.runner_up(boxes)
+        incumbent = _stack_incumbent(planes, boxes)   # cell 0: all zero
+        val, idx = incumbent.runner_up()
         assert idx.tolist() == [[1, 0, 1]]
         assert val.tolist() == [[0.0, 0.0, 0.0]]
         _assert_runner_equal(
@@ -728,7 +880,7 @@ class TestRunnerUpParity:
 
     def test_single_sector(self):
         planes = np.array([[[0.0, 2.0]]], dtype=np.float32)
-        val, idx = _stack_incumbent(planes).runner_up([EMPTY_BOX])
+        val, idx = _stack_incumbent(planes, [EMPTY_BOX]).runner_up()
         assert np.all(np.isneginf(val))
         assert idx.tolist() == [[0, 0]]
 
@@ -742,36 +894,43 @@ class TestRunnerUpParity:
         for move in moves:
             config = _apply_move(toy_network, config, move)
         _, incumbent = roi_engine.evaluate_with_incumbent(config, density)
+        assert incumbent.boxes == tuple(roi_engine.sector_boxes(config))
         _assert_runner_equal(
-            incumbent.runner_up(roi_engine.sector_boxes(config)),
-            _masked_argmax_runner_up(incumbent.planes,
+            incumbent.runner_up(),
+            _masked_argmax_runner_up(np.stack(incumbent.rows),
                                      incumbent.raw_serving))
 
     def test_child_does_not_pin_parent(self, roi_engine, toy_network,
                                        density):
-        """A delta child borrows its parent's runner-up arrays, never
-        the parent (whose plane stack it would pin), and drops the loan
-        once its own pair exists."""
+        """A delta child shares its parent's unchanged rows, read-only,
+        and borrows its runner-up arrays — never the parent's own
+        rasters or state, which go with the parent; the loan is dropped
+        once the child's own pair exists."""
         base = toy_network.planned_configuration()
-        boxes = roi_engine.sector_boxes(base)
         trial = base.with_offline([1])
         for runner_first in (False, True):
-            _, parent = roi_engine.evaluate_with_incumbent(base, density)
-            parent.runner_up(boxes)
-            parent_planes = weakref.ref(parent.planes)
-            parent_val = weakref.ref(parent.runner_up()[0])
-            _, child = roi_engine.evaluate_delta(parent, trial, density)
+            parent = roi_engine.evaluate_with_incumbent(base, density)[1]
+            parent_val, parent_idx = parent.runner_up()
+            child = roi_engine.evaluate_delta(parent, trial, density)[1]
             assert child._borrowed is not None
+            for s, row in enumerate(child.rows):
+                assert (row is parent.rows[s]) == (s != 1)
+                assert not row.flags.writeable
+            owned = [weakref.ref(item) for item in (
+                parent.total_mw, parent.raw_serving, parent.best_mw,
+                parent.state)]
+            runner = [weakref.ref(parent_val), weakref.ref(parent_idx)]
+            del parent_val, parent_idx
             if runner_first:
-                child.runner_up(roi_engine.sector_boxes(trial))
+                child.runner_up()
             del parent
             gc.collect()
-            assert parent_planes() is None
-            assert (parent_val() is None) == runner_first
+            assert [ref() for ref in owned] == [None] * len(owned)
+            assert all((ref() is None) == runner_first for ref in runner)
             if not runner_first:
-                child.runner_up(roi_engine.sector_boxes(trial))
+                child.runner_up()
                 gc.collect()
-                assert parent_val() is None
+                assert all(ref() is None for ref in runner)
             assert child._borrowed is None
 
     def test_unclipped_dict_walks_full_grid(self, toy_engine, toy_network,
@@ -781,9 +940,10 @@ class TestRunnerUpParity:
         assert boxes[0] == EMPTY_BOX and boxes[1:] == [None, None]
         _, incumbent = toy_engine.evaluate_with_incumbent(config,
                                                           toy_density)
+        assert incumbent.boxes == tuple(boxes)
         _assert_runner_equal(
-            incumbent.runner_up(boxes),
-            _masked_argmax_runner_up(incumbent.planes,
+            incumbent.runner_up(),
+            _masked_argmax_runner_up(np.stack(incumbent.rows),
                                      incumbent.raw_serving))
 
 
