@@ -81,10 +81,10 @@ from .geometry import GridSpec, Region
 from .network import CellularNetwork, Sector
 from .pathloss import (DEFAULT_CLIP_FLOOR_DB, DEFAULT_SHADOWING_CORR_M,
                        DEFAULT_SHADOWING_SIGMA_DB, PathLossDatabase,
-                       TiltModelName, _PROFILE_STEP_M, _SectorRaster,
-                       clip_gains_mw, compute_sector_raster, exact_gain_db,
-                       plane_footprint, shared_tilt_profile)
-from .propagation import Environment, PropagationModel, SPMParameters
+                       TiltModelName, _SectorRaster, clip_gains_mw,
+                       exact_gain_db, plane_footprint, profile_at,
+                       sector_rasters, shared_tilt_profile)
+from .propagation import Environment, SPMParameters
 
 __all__ = ["PackedGainStore", "PackedDatabaseWriter", "pack_database",
            "save_packed", "load_packed", "stream_database", "read_header",
@@ -617,31 +617,28 @@ def stream_database(path: str, network: CellularNetwork,
                     clip_floor_db: Optional[float] = DEFAULT_CLIP_FLOOR_DB
                     ) -> Dict:
     """Build a plossdb file one sector at a time — never holding more
-    than a single sector's rasters and planes in RAM.
+    than one site's shared terms plus a single sector's rasters and
+    planes in RAM.
 
-    The per-sector arithmetic is byte-identical to
-    ``PathLossDatabase.from_environment`` + ``gain_matrix`` (both call
-    the same ``compute_sector_raster`` / ``exact_gain_db`` helpers with
-    the same seeds), so a streamed file loads into the same planes an
-    in-memory build would produce.  Returns the header dict.
+    The rasters come from the same :func:`sector_rasters` loop as
+    ``PathLossDatabase.from_environment`` and the planes from the same
+    ``exact_gain_db`` arithmetic as ``gain_matrix``, with the same
+    seeds, so a streamed file loads into the same planes an in-memory
+    build would produce.  Returns the header dict.
     """
     if tilt_values is None:
         tilt_values = default_tilt_values(network)
-    grid = environment.grid
-    model = PropagationModel(environment, spm=spm)
-    corr_cells = shadowing_corr_m / grid.cell_size
-    H, W = grid.shape
+    H, W = environment.grid.shape
     ref = network.sector(0)
     profiles: Dict[float, np.ndarray] = {}
-    with PackedDatabaseWriter(path, grid, network, tilt_values,
+    with PackedDatabaseWriter(path, environment.grid, network, tilt_values,
                               tilt_model=tilt_model,
                               checksums=checksums,
                               clip_floor_db=clip_floor_db) as writer:
         n = network.n_sectors
-        for s, sector in enumerate(network.sectors):
-            raster = compute_sector_raster(sector, environment, model,
-                                           corr_cells, shadowing_sigma_db,
-                                           seed)
+        rasters = sector_rasters(network, environment, spm,
+                                 shadowing_sigma_db, shadowing_corr_m, seed)
+        for s, (sector, raster) in enumerate(rasters):
             planes = np.empty((len(writer.tilt_values), H, W),
                               dtype=np.float32)
             if tilt_model == "exact":
@@ -656,11 +653,8 @@ def stream_database(path: str, network: CellularNetwork,
                     if profile is None:
                         profile = shared_tilt_profile(ref, tilt)
                         profiles[tilt] = profile
-                    idx = np.clip(
-                        (raster.distance_m / _PROFILE_STEP_M).astype(int),
-                        0, len(profile) - 1)
-                    planes[j] = np.power(10.0,
-                                         (base + profile[idx]) / 10.0)
+                    planes[j] = np.power(10.0, (base + profile_at(
+                        profile, raster.distance_m)) / 10.0)
             writer.write_sector(s, raster, planes)
             del raster, planes
             if progress is not None:

@@ -37,6 +37,7 @@ __all__ = [
     "SPMParameters",
     "Environment",
     "Transmitter",
+    "SiteTerms",
     "PropagationModel",
 ]
 
@@ -164,12 +165,26 @@ class Transmitter:
     frequency_mhz: float = 2635.0  # paper band-7 downlink center
 
 
+@dataclass(frozen=True)
+class SiteTerms:
+    """The read-only rasters every sector on one mast shares: they
+    depend on the mast's position and height, never on azimuth, tilt or
+    per-sector shadowing."""
+
+    distance_m: np.ndarray       # to each grid center
+    bearing_deg: np.ndarray      # compass bearing to each grid center
+    theta_deg: np.ndarray        # depression angle toward each grid
+    loss_db: np.ndarray          # SPM + clutter + diffraction (+ env shadowing)
+
+
 class PropagationModel:
     """Computes per-grid path *gain* matrices for one transmitter.
 
     The result of :meth:`path_gain_db` is the matrix ``L_b(T_b, g)`` of
     the paper's Formula 1 — negative dB values to be added to the
-    transmit power.
+    transmit power.  Terms that depend only on the environment (cell
+    centres, receiver heights, the clutter raster) are computed once
+    per model; :meth:`site_terms` adds the per-mast ones.
     """
 
     #: Points sampled along each TX-grid profile for diffraction.
@@ -182,6 +197,9 @@ class PropagationModel:
         self.spm = spm or SPMParameters()
         self.ue_height_m = ue_height_m
         self._grid = environment.grid
+        self._gx, self._gy = self._grid.cell_centers()
+        self._rx_z = environment.terrain_m + ue_height_m
+        self._clutter_db = environment.clutter_loss_db()
 
     # ------------------------------------------------------------------
     def path_gain_db(self, tx: Transmitter, tilt_deg: float = 0.0,
@@ -193,37 +211,42 @@ class PropagationModel:
         is included; it is deterministic per environment so repeated
         calls agree.
         """
-        env = self.environment
-        dist = self._grid.distances_from(tx.x, tx.y)
-        h_eff = self._effective_height(tx, dist)
-        loss = self.spm.basic_loss_db(dist, h_eff, self.ue_height_m)
-        loss += env.clutter_loss_db()
-        if include_diffraction:
-            loss += self._diffraction_loss_db(tx)
-        if env.shadowing_db is not None:
-            loss += env.shadowing_db
-        gain = self._antenna_gain_db(tx, dist, tilt_deg)
+        site = self.site_terms(tx, include_diffraction)
+        gain = tx.antenna.gain_db(site.bearing_deg - tx.azimuth_deg,
+                                  site.theta_deg, tilt_deg)
         # Path gain = antenna gain minus propagation loss; always negative
         # far from the mast, matching the paper's -20..-200 dB range.
-        return gain - loss
+        return gain - site.loss_db
 
-    # ------------------------------------------------------------------
-    def _antenna_gain_db(self, tx: Transmitter, dist: np.ndarray,
-                         tilt_deg: float) -> np.ndarray:
-        bearings = self._grid.bearings_from(tx.x, tx.y)
-        phi = bearings - tx.azimuth_deg
-        # Depression angle from the antenna toward each grid's ground level.
-        tx_ground = self._terrain_at(tx.x, tx.y)
-        dz = (tx_ground + tx.height_m) - \
-            (self.environment.terrain_m + self.ue_height_m)
-        theta = np.degrees(np.arctan2(dz, np.maximum(dist, 1.0)))
-        return tx.antenna.gain_db(phi, theta, tilt_deg)
+    def site_terms(self, tx: Transmitter,
+                   include_diffraction: bool = True) -> SiteTerms:
+        """Geometry and non-antenna loss from ``tx``'s mast to every cell.
 
-    def _effective_height(self, tx: Transmitter, dist: np.ndarray) -> np.ndarray:
-        """Effective antenna height over each grid (terrain-aware)."""
-        tx_total = self._terrain_at(tx.x, tx.y) + tx.height_m
-        h = tx_total - self.environment.terrain_m
-        return np.maximum(h, 1.0)
+        Reads only ``tx``'s position, height and frequency.  The loss is
+        summed in a fixed order — SPM, clutter, diffraction, then the
+        environment's shadowing — so every caller gets the same bits.
+        """
+        env = self.environment
+        dx = self._gx - tx.x
+        dy = self._gy - tx.y
+        dist = np.hypot(dx, dy)
+        bearing = np.degrees(np.arctan2(dx, dy)) % 360.0
+        tx_z = self._terrain_at(tx.x, tx.y) + tx.height_m
+        dist_1 = np.maximum(dist, 1.0)
+        # Depression angle from the antenna toward each grid's UE height.
+        theta = np.degrees(np.arctan2(tx_z - self._rx_z, dist_1))
+        # Effective antenna height over each grid (terrain-aware).
+        h_eff = np.maximum(tx_z - env.terrain_m, 1.0)
+        loss = self.spm.basic_loss_db(dist, h_eff, self.ue_height_m)
+        loss += self._clutter_db
+        if include_diffraction:
+            loss += self._diffraction_loss_db(tx, tx_z, dx, dy, dist_1)
+        if env.shadowing_db is not None:
+            loss += env.shadowing_db
+        for array in (dist, bearing, theta, loss):
+            array.setflags(write=False)
+        return SiteTerms(distance_m=dist, bearing_deg=bearing,
+                         theta_deg=theta, loss_db=loss)
 
     def _terrain_at(self, x: float, y: float) -> float:
         grid = self._grid
@@ -233,33 +256,28 @@ class PropagationModel:
         return 0.0
 
     # ------------------------------------------------------------------
-    def _diffraction_loss_db(self, tx: Transmitter) -> np.ndarray:
+    def _diffraction_loss_db(self, tx: Transmitter, tx_z: float,
+                             dx: np.ndarray, dy: np.ndarray,
+                             dist: np.ndarray) -> np.ndarray:
         """Single knife-edge diffraction loss over the terrain profile.
 
-        For each grid, the line of sight from the antenna to the grid is
-        sampled at a fixed number of interior points; the dominant
-        obstruction's Fresnel parameter ``v`` yields the classic
-        knife-edge loss approximation (ITU-R P.526):
+        For each grid (offset ``dx``/``dy`` from the mast, ``dist`` away
+        clamped at 1 m), the line of sight from the antenna at absolute
+        height ``tx_z`` is sampled at a fixed number of interior points;
+        the dominant obstruction's Fresnel parameter ``v`` yields the
+        classic knife-edge loss approximation (ITU-R P.526):
         ``J(v) = 6.9 + 20 log10(sqrt((v-0.1)^2 + 1) + v - 0.1)`` for
         ``v > -0.78``, else 0.
         """
-        env = self.environment
-        grid = self._grid
-        gx, gy = grid.cell_centers()
-        terrain = env.terrain_m
-        tx_z = self._terrain_at(tx.x, tx.y) + tx.height_m
-        rx_z = terrain + self.ue_height_m
-        dist = np.maximum(grid.distances_from(tx.x, tx.y), 1.0)
         wavelength = 299.792458 / tx.frequency_mhz  # meters
-
-        max_v = np.full(grid.shape, -np.inf)
+        max_v = np.full(dist.shape, -np.inf)
         n = self._PROFILE_SAMPLES
         for i in range(1, n):
             t = i / n
-            px = tx.x + (gx - tx.x) * t
-            py = tx.y + (gy - tx.y) * t
+            px = tx.x + dx * t
+            py = tx.y + dy * t
             ground = self._sample_terrain(px, py)
-            los_z = tx_z + (rx_z - tx_z) * t
+            los_z = tx_z + (self._rx_z - tx_z) * t
             clearance = ground - los_z  # positive when terrain blocks LOS
             d1 = dist * t
             d2 = dist * (1.0 - t)
@@ -268,7 +286,7 @@ class PropagationModel:
                     2.0 * dist / (wavelength * np.maximum(d1 * d2, 1.0)))
             max_v = np.maximum(max_v, v)
 
-        loss = np.zeros(grid.shape)
+        loss = np.zeros(dist.shape)
         mask = max_v > -0.78
         v = max_v[mask]
         loss[mask] = 6.9 + 20.0 * np.log10(

@@ -227,7 +227,7 @@ def pack_area_database(path: str, area_type: AreaType, seed: int = 0,
     """Stream a standard study area's path-loss database to disk.
 
     Constructs exactly the environment/network :func:`build_area` would
-    (same regions, same seeds), but never holds more than one sector's
+    (same regions, same seeds), but never holds more than one site's
     rasters in RAM — so areas far beyond laptop scale can be packed and
     later loaded with ``build_area(..., plossdb=path)``.  Returns the
     plossdb header.

@@ -18,6 +18,7 @@ import pytest
 from repro.core.evaluation import Evaluator
 from repro.model.antenna import AntennaPattern, TiltRange
 from repro.model.engine import AnalysisEngine
+from repro.model.fields import correlated_gaussian_field
 from repro.model.geometry import GridSpec, Region
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
@@ -75,6 +76,41 @@ def toy_pathloss(toy_grid, toy_network) -> PathLossDatabase:
     env = Environment.flat(toy_grid)
     return PathLossDatabase.from_environment(
         toy_network, env, shadowing_sigma_db=0.0, seed=0)
+
+
+#: The rough world's masts: ``(x, y, per-sector mast heights)``.  The
+#: third site's sectors differ in height, so only its first two share
+#: site terms; the fourth stands outside the grid (terrain reads 0).
+ROUGH_SITES = ((-700.0, -400.0, (30.0, 30.0, 30.0)),
+               (600.0, 300.0, (45.0, 45.0, 45.0)),
+               (0.0, 900.0, (30.0, 30.0, 25.0)),
+               (1_700.0, -1_000.0, (35.0, 35.0, 35.0)))
+
+
+@pytest.fixture
+def rough_world():
+    """Hilly terrain, mixed clutter and environment shadowing under
+    tri-sector sites: every path-loss term is nonzero somewhere, so a
+    build that shares the wrong term between sectors shows up."""
+    grid = GridSpec(Region.square(3_000.0), cell_size=150.0)
+    rng = np.random.default_rng(2015)
+    terrain = 60.0 + correlated_gaussian_field(grid.shape, 3.0, 40.0, rng)
+    terrain[8, :] += 120.0  # an east-west ridge
+    env = Environment(
+        grid=grid, terrain_m=terrain,
+        clutter=rng.integers(0, 6, grid.shape).astype(np.int8),
+        shadowing_db=correlated_gaussian_field(grid.shape, 2.0, 4.0, rng))
+    sectors = []
+    for site_id, (x, y, heights) in enumerate(ROUGH_SITES):
+        for k, height in enumerate(heights):
+            sectors.append(Sector(
+                sector_id=len(sectors), site_id=site_id, x=x, y=y,
+                azimuth_deg=30.0 + 120.0 * k + 10.0 * site_id,
+                height_m=height, power_dbm=43.0, max_power_dbm=46.0,
+                min_power_dbm=10.0, antenna=AntennaPattern(),
+                tilt_range=TiltRange(normal_deg=4.0, min_deg=0.0,
+                                     max_deg=8.0, step_deg=1.0)))
+    return grid, env, CellularNetwork(sectors)
 
 
 @pytest.fixture

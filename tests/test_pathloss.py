@@ -1,12 +1,18 @@
 """Unit tests for the per-sector, per-tilt path-loss database."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, PathLossFaults
+from repro.model.fields import correlated_gaussian_field
 from repro.model.geometry import GridSpec, Region
 from repro.model.network import CellularNetwork
-from repro.model.pathloss import PathLossDatabase
-from repro.model.propagation import Environment
+from repro.model.pathloss import (DEFAULT_SHADOWING_CORR_M, PathLossDatabase,
+                                  sector_rasters)
+from repro.model.propagation import (Environment, PropagationModel,
+                                     SPMParameters, Transmitter)
 
 from conftest import make_sectors
 
@@ -197,3 +203,166 @@ class TestMilliwattPlanes:
         second = db.gain_tensor_mw(tilts)
         assert second is not first          # caches were dropped
         assert np.array_equal(second, first)
+
+
+# ----------------------------------------------------------------------
+# Per-site build: a from-scratch reference that shares nothing
+# ----------------------------------------------------------------------
+SIGMA_DB = 6.0
+SEED = 7
+_FIELDS = ("horiz_att_db", "theta_deg", "loss_db", "distance_m",
+           "bearing_deg")
+
+
+def _reference_terrain_at(env, x, y):
+    grid = env.grid
+    if grid.region.contains(x, y):
+        row, col = grid.cell_of(x, y)
+        return float(env.terrain_m[row, col])
+    return 0.0
+
+
+def _reference_diffraction(sector, env, ue_height_m=1.5):
+    """Knife-edge diffraction over 11 interior profile samples, built
+    from the grid's own geometry helpers for this sector alone."""
+    grid = env.grid
+    gx, gy = grid.cell_centers()
+    tx_z = _reference_terrain_at(env, sector.x, sector.y) + sector.height_m
+    rx_z = env.terrain_m + ue_height_m
+    dist = np.maximum(grid.distances_from(sector.x, sector.y), 1.0)
+    wavelength = 299.792458 / Transmitter(0.0, 0.0).frequency_mhz
+    max_v = np.full(grid.shape, -np.inf)
+    n = 12
+    for i in range(1, n):
+        t = i / n
+        px = sector.x + (gx - sector.x) * t
+        py = sector.y + (gy - sector.y) * t
+        rows = np.clip(((py - grid.region.y0) // grid.cell_size)
+                       .astype(int), 0, grid.n_rows - 1)
+        cols = np.clip(((px - grid.region.x0) // grid.cell_size)
+                       .astype(int), 0, grid.n_cols - 1)
+        clearance = env.terrain_m[rows, cols] - (tx_z + (rx_z - tx_z) * t)
+        d1 = dist * t
+        d2 = dist * (1.0 - t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = clearance * np.sqrt(
+                2.0 * dist / (wavelength * np.maximum(d1 * d2, 1.0)))
+        max_v = np.maximum(max_v, v)
+    loss = np.zeros(grid.shape)
+    mask = max_v > -0.78
+    v = max_v[mask]
+    loss[mask] = 6.9 + 20.0 * np.log10(
+        np.sqrt((v - 0.1) ** 2 + 1.0) + v - 0.1)
+    return loss
+
+
+def _reference_raster(sector, env, ue_height_m=1.5):
+    """One sector's five rasters with every term computed afresh, in
+    the order the per-sector builder always summed them."""
+    grid = env.grid
+    spm = SPMParameters()
+    dist = grid.distances_from(sector.x, sector.y)
+    bearings = grid.bearings_from(sector.x, sector.y)
+    horiz = sector.antenna.horizontal_attenuation(
+        bearings - sector.azimuth_deg)
+    tx_ground = _reference_terrain_at(env, sector.x, sector.y)
+    dz = (tx_ground + sector.height_m) - (env.terrain_m + ue_height_m)
+    theta = np.degrees(np.arctan2(dz, np.maximum(dist, 1.0)))
+    h_eff = np.maximum(tx_ground + sector.height_m - env.terrain_m, 1.0)
+    loss = spm.basic_loss_db(dist, h_eff, ue_height_m)
+    loss = loss + env.clutter_loss_db()
+    loss = loss + _reference_diffraction(sector, env, ue_height_m)
+    if env.shadowing_db is not None:
+        loss = loss + env.shadowing_db
+    rng = np.random.default_rng(
+        np.random.SeedSequence([SEED, sector.sector_id]))
+    loss = loss + correlated_gaussian_field(
+        grid.shape, DEFAULT_SHADOWING_CORR_M / grid.cell_size, SIGMA_DB,
+        rng)
+    return {"horiz_att_db": horiz, "theta_deg": theta, "loss_db": loss,
+            "distance_m": dist, "bearing_deg": bearings}
+
+
+def _rough_db(rough_world, sigma_db=SIGMA_DB):
+    grid, env, net = rough_world
+    return PathLossDatabase.from_environment(
+        net, env, shadowing_sigma_db=sigma_db, seed=SEED)
+
+
+class TestPerSiteBuild:
+    def test_world_exercises_every_term(self, rough_world):
+        grid, env, net = rough_world
+        assert len(np.unique(env.clutter)) >= 4
+        assert any(_reference_diffraction(s, env).max() > 0.0
+                   for s in net.sectors)
+
+    def test_rasters_match_per_sector_reference(self, rough_world):
+        grid, env, net = rough_world
+        db = _rough_db(rough_world)
+        for sector in net.sectors:
+            expected = _reference_raster(sector, env)
+            raster = db._rasters[sector.sector_id]
+            for name in _FIELDS:
+                assert getattr(raster, name).tobytes() == \
+                    expected[name].tobytes(), (sector.sector_id, name)
+
+    def test_site_terms_shared_only_by_matching_masts(self, rough_world):
+        db = _rough_db(rough_world)
+        r = db._rasters
+        for a, b in ((0, 1), (1, 2), (3, 4), (6, 7), (9, 11)):
+            assert r[a].theta_deg is r[b].theta_deg
+            assert r[a].loss_db is not r[b].loss_db
+        # Same site id, different mast height: nothing is shared.
+        assert r[8].theta_deg is not r[7].theta_deg
+        assert not np.array_equal(r[8].theta_deg, r[7].theta_deg)
+        assert r[5].distance_m is not r[6].distance_m
+
+    def test_shared_site_arrays_are_read_only(self, rough_world):
+        db = _rough_db(rough_world)
+        for name in ("distance_m", "bearing_deg", "theta_deg"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(db._rasters[0], name)[0, 0] = 0.0
+        # Per-sector terms stay the sector's own to edit.
+        db._rasters[0].loss_db[0, 0] += 1.0
+        assert db._rasters[0].loss_db[0, 0] != db._rasters[1].loss_db[0, 0]
+
+    def test_builder_holds_one_site_at_a_time(self, rough_world):
+        grid, env, net = rough_world
+        refs = []
+        for sector, raster in sector_rasters(net, env, seed=SEED):
+            refs.append(weakref.ref(raster.distance_m))
+            del raster
+            assert len({id(r()) for r in refs if r() is not None}) == 1
+
+    @pytest.mark.parametrize("mode", ["nan", "stale-tilt"])
+    def test_fault_spares_co_sited_siblings(self, rough_world, mode):
+        grid, env, net = rough_world
+        db = _rough_db(rough_world)
+        before = [db.gain_matrix(s, 4.0) for s in range(net.n_sectors)]
+        plan = FaultPlan(seed=3, pathloss=PathLossFaults(
+            n_sectors=1, cell_fraction=0.05, mode=mode))
+        (victim,) = FaultInjector(plan).corrupt_pathloss(db)
+        siblings = [s for s in range(net.n_sectors) if s != victim
+                    and db._rasters[s].distance_m
+                    is db._rasters[victim].distance_m]
+        assert siblings
+        for s in range(net.n_sectors):
+            after = db.gain_matrix(s, 4.0)
+            if s == victim:
+                assert after.tobytes() != before[s].tobytes()
+            else:
+                assert after.tobytes() == before[s].tobytes(), s
+
+    def test_path_gain_matches_unshadowed_database(self, rough_world):
+        """Without per-sector shadowing the database and the
+        propagation model compose the same terms, bit for bit."""
+        grid, env, net = rough_world
+        db = _rough_db(rough_world, sigma_db=0.0)
+        model = PropagationModel(env)
+        for sector in net.sectors:
+            tx = Transmitter(x=sector.x, y=sector.y,
+                             height_m=sector.height_m,
+                             azimuth_deg=sector.azimuth_deg,
+                             antenna=sector.antenna)
+            assert model.path_gain_db(tx, 3.0).tobytes() == \
+                db.gain_matrix(sector.sector_id, 3.0).tobytes()

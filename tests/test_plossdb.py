@@ -159,6 +159,20 @@ class TestOnDiskFormat:
                         shadowing_sigma_db=0.0, seed=0)
         assert c.read_bytes() == a.read_bytes()
 
+    @pytest.mark.parametrize("tilt_model", ["exact", "shared-delta"])
+    def test_stream_matches_save_on_rough_world(self, tmp_path, rough_world,
+                                                tilt_model):
+        """Terrain, clutter, diffraction and both shadowing layers:
+        the streamed build still writes the in-memory build's bytes."""
+        grid, env, net = rough_world
+        db = PathLossDatabase.from_environment(
+            net, env, shadowing_sigma_db=6.0, seed=7, tilt_model=tilt_model)
+        saved, streamed = tmp_path / "saved.plossdb", tmp_path / "s.plossdb"
+        save_packed(db, saved)
+        stream_database(streamed, net, env, shadowing_sigma_db=6.0, seed=7,
+                        tilt_model=tilt_model)
+        assert streamed.read_bytes() == saved.read_bytes()
+
     def test_header_carries_identity(self, tmp_path, toy_pathloss):
         path = tmp_path / "toy.plossdb"
         save_packed(toy_pathloss, path)
