@@ -32,7 +32,7 @@ from typing import List, Optional
 from .analysis.ascii_map import render_serving_map
 from .analysis.report import format_series, format_table
 from .core.magus import TUNING_STRATEGIES
-from .faults import FaultInjector, FaultPlan
+from .faults import ChaosInjector, ChaosPlan, FaultInjector, FaultPlan
 from .obs import (FlightRecorder, MetricsRegistry, RunReport,
                   export_chrome_trace, get_flight_recorder, get_logger,
                   get_registry, set_flight_recorder, set_registry,
@@ -343,20 +343,20 @@ def _cmd_area(args, sink: _ObsSink) -> int:
 
 
 def _cmd_mitigate(args, sink: _ObsSink) -> int:
-    fault_plan = None
-    injector = None
-    if args.faults:
-        fault_plan = FaultPlan.load(args.faults)
-        injector = FaultInjector(fault_plan)
+    try:
+        fault_plan = FaultPlan.load(args.faults) if args.faults else None
+        chaos_plan = ChaosPlan.load(args.chaos) if args.chaos else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    injector = None if fault_plan is None else FaultInjector(fault_plan)
     chaos = None
     chaos_hook = None
     chaos_scratch = None
-    if args.chaos:
+    if chaos_plan is not None:
         import tempfile
 
-        from .faults import ChaosInjector, ChaosPlan
         from .faults.durable import add_post_write_hook
-        chaos_plan = ChaosPlan.load(args.chaos)
         chaos_scratch = tempfile.mkdtemp(prefix="magus-chaos-")
         chaos = ChaosInjector(chaos_plan, chaos_scratch)
         # Artifact faults bite every durable write for the run's whole

@@ -36,7 +36,8 @@ Three evaluation strategy names are accepted (``strategy=`` knob):
 region-of-influence windows (the whole grid where a footprint is
 unknown), each group sharing an incumbent in one stacked pass of
 :func:`repro.model.roi.score_windows` (:func:`~repro.model.roi.score_candidate`
-is its one-candidate call); these scores are never cached, so accepted
+is its one-candidate call) against a :class:`~repro.model.roi.RoiBaseline`,
+a view of that incumbent; these scores are never cached, so accepted
 candidates are always confirmed canonically.
 """
 

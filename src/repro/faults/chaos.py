@@ -39,6 +39,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
+from .plan import load_plan, plan_from_dict
+
 __all__ = ["ChaosPlan", "WorkerKill", "ChunkDelay", "ArtifactFaults",
            "ChaosInjector", "CHAOS_SCHEMA"]
 
@@ -148,22 +150,9 @@ class ChaosPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosPlan":
-        schema = data.get("schema", CHAOS_SCHEMA)
-        if schema != CHAOS_SCHEMA:
-            raise ValueError(f"unsupported chaos-plan schema {schema!r}; "
-                             f"expected {CHAOS_SCHEMA!r}")
-        artifact_data = data.get("artifacts")
-        if artifact_data is not None:
-            artifact_data = dict(artifact_data)
-            artifact_data["kinds"] = tuple(
-                artifact_data.get("kinds", ("checkpoint",)))
-        return cls(
-            seed=int(data.get("seed", 0)),
-            kill=WorkerKill(**data["kill"]) if data.get("kill") else None,
-            delay=(ChunkDelay(**data["delay"])
-                   if data.get("delay") else None),
-            artifacts=(ArtifactFaults(**artifact_data)
-                       if artifact_data else None))
+        return plan_from_dict(cls, data, CHAOS_SCHEMA,
+                              {"kill": WorkerKill, "delay": ChunkDelay,
+                               "artifacts": ArtifactFaults}, {})
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosPlan":
@@ -171,12 +160,7 @@ class ChaosPlan:
 
     @classmethod
     def load(cls, path: str) -> "ChaosPlan":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot load chaos plan {path!r}: {exc}") \
-                from exc
+        return load_plan(cls, path, "chaos")
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -27,7 +27,7 @@ Fault classes:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 __all__ = ["FaultPlan", "PathLossFaults", "MeasurementNoise",
@@ -101,6 +101,7 @@ class PushFaults:
     delay_s: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fail_steps", tuple(self.fail_steps))
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ValueError("fail_prob must be within [0, 1]")
         if self.fail_attempts < 0:
@@ -170,23 +171,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        schema = data.get("schema", PLAN_SCHEMA)
-        if schema != PLAN_SCHEMA:
-            raise ValueError(f"unsupported fault-plan schema {schema!r}; "
-                             f"expected {PLAN_SCHEMA!r}")
-        push_data = data.get("push")
-        if push_data is not None:
-            push_data = dict(push_data)
-            push_data["fail_steps"] = tuple(push_data.get("fail_steps", ()))
-        return cls(
-            seed=int(data.get("seed", 0)),
-            pathloss=(PathLossFaults(**data["pathloss"])
-                      if data.get("pathloss") else None),
-            measurement=(MeasurementNoise(**data["measurement"])
-                         if data.get("measurement") else None),
-            push=PushFaults(**push_data) if push_data else None,
-            crashes=tuple(SectorCrash(**c)
-                          for c in data.get("crashes", ())))
+        return plan_from_dict(
+            cls, data, PLAN_SCHEMA,
+            {"pathloss": PathLossFaults, "measurement": MeasurementNoise,
+             "push": PushFaults}, {"crashes": SectorCrash})
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -194,14 +182,69 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot load fault plan {path!r}: {exc}") \
-                from exc
+        return load_plan(cls, path, "fault")
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+def plan_from_dict(cls, data, schema: str, sections: Dict[str, type],
+                   lists: Dict[str, type]):
+    """Build plan ``cls`` from its JSON object: ``seed`` an int, each
+    non-empty key of ``sections`` that dataclass, each key of ``lists``
+    a tuple of it.  A malformed plan raises a ValueError naming the
+    key, never a raw TypeError or AttributeError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a plan must be a JSON object, "
+                         f"not {type(data).__name__}")
+    data = dict(data)
+    found = data.pop("schema", schema)
+    if found != schema:
+        raise ValueError(f"unsupported plan schema {found!r}; "
+                         f"expected {schema!r}")
+    try:
+        data["seed"] = int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad 'seed': {exc}") from exc
+    for key, kind in sections.items():
+        data[key] = (_section(kind, data[key], repr(key))
+                     if data.get(key) else None)
+    for key, kind in lists.items():
+        items = data.get(key, [])
+        if not isinstance(items, list):
+            raise ValueError(f"{key!r} must be a JSON list, "
+                             f"not {type(items).__name__}")
+        data[key] = tuple(_section(kind, item, f"'{key}[{i}]'")
+                          for i, item in enumerate(items))
+    return _section(cls, data, "the plan")
+
+
+def _section(cls, data, where: str):
+    """``cls(**data)`` for one object of a plan, ``where`` naming it in
+    the ValueError that replaces any TypeError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"not {type(data).__name__}")
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}; "
+                             f"expected one of {names}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def load_plan(cls, path: str, kind: str):
+    """``cls.from_json`` of the file at ``path``; any failure is a
+    ValueError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+        raise ValueError(f"cannot load {kind} plan {path!r}: {exc}") \
+            from exc

@@ -28,11 +28,15 @@ incremental evaluation sit on top of the canonical pass:
   of its old and new footprints; where a footprint is unknown
   (unclipped dict backend, rotated pattern) it is the whole grid.
   :func:`repro.model.roi.score_windows` scores single-sector
-  candidate groups through the same windows, in one stacked pass.
+  candidate groups through the same windows, in one stacked pass,
+  against one serving comparator per window
+  (:meth:`DeltaIncumbent.runner_up`, whose argmax helper also repairs
+  a delta's serving).
 * **the dense batch reference** — :meth:`evaluate_batch` stacks K
   single-sector neighbors along a batch axis and scores them in one
-  vectorized pass against the incumbent.  No search path calls it;
-  it is the reference the windowed scorer is proven bitwise equal to.
+  vectorized pass against the incumbent, its comparator a masked
+  stack argmax.  No search path calls it; it is the reference the
+  windowed scorer is proven bitwise equal to.
 
 The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
 which owns strategy selection and fallback accounting.
@@ -67,7 +71,9 @@ class DeltaIncumbent:
 
     Everything a delta re-evaluation needs: one mW plane per sector
     (``rows``) with that sector's footprint under this configuration
-    (``boxes``: ``None`` means unknown, :data:`EMPTY_BOX` off-air), the
+    (``boxes``: a read-only ``(S, 4)`` int array of half-open
+    ``(row0, row1, col0, col1)``, an unknown footprint stored as the
+    whole grid and an off-air sector as :data:`EMPTY_BOX`), the
     total-power plane, and the (pre-mask) serving argmax with its
     winning values.  Rows are read-only and copy-on-write: a delta
     child shares every row it does not change with its parent, so no
@@ -75,90 +81,46 @@ class DeltaIncumbent:
     :class:`NetworkState` this incumbent was evaluated into (set by
     ``_finish``); windowed delta evaluations copy its rasters and
     recompute only the window.
-
-    A delta child may borrow its parent's runner-up pair together with
-    the change window (``_borrowed``), so :meth:`runner_up` re-walks
-    only that window.  It holds the parent's two ``(H, W)`` arrays and
-    never the parent itself; the loan is dropped once the child's own
-    pair exists.
     """
 
     __slots__ = ("config", "rows", "boxes", "total_mw", "raw_serving",
-                 "best_mw", "epoch", "state", "_runner", "_borrowed")
+                 "best_mw", "epoch", "state")
 
     def __init__(self, config: Configuration, rows: Sequence[np.ndarray],
-                 boxes: Sequence[Optional[Box]], total_mw: np.ndarray,
+                 boxes: np.ndarray, total_mw: np.ndarray,
                  raw_serving: np.ndarray, best_mw: np.ndarray,
                  epoch: int) -> None:
         self.config = config
         self.rows = tuple(rows)
-        self.boxes = tuple(boxes)
+        self.boxes = boxes
         self.total_mw = total_mw
         self.raw_serving = raw_serving
         self.best_mw = best_mw
         self.epoch = epoch
         self.state: Optional[NetworkState] = None
-        self._runner: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._borrowed: Optional[Tuple[np.ndarray, np.ndarray, Box]] = None
 
-    def runner_up(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Second-best plane value and its (first-index) sector per grid.
+    def runner_up(self, changed: int, box: Box
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The serving comparator of a one-sector change inside ``box``.
 
-        The batch scorer's comparator for grids currently served by the
-        changed sector.  With a single sector there is no competitor:
-        the value is ``-inf`` so the changed sector always wins.
-
-        A row is exactly zero outside its box, so the walk only visits
-        :attr:`boxes` (an unknown box is the whole grid).  With a
-        borrowed parent pair the walk starts from a copy of it and
-        re-runs only inside the change window, every box clipped to it:
-        outside the window this incumbent's rows and serving are the
-        parent's bit for bit, and each cell's result depends on that
-        cell alone.  The result is bitwise identical to masking the
-        serving row out of the plane stack and taking the first-index
-        argmax (see DESIGN.md, "Evaluation strategies").
+        Value and sector per window cell: where ``changed`` serves,
+        the first-index argmax over the other rows (the best of the
+        others); everywhere else :attr:`best_mw` / :attr:`raw_serving`.
+        Rows whose box misses the cells ``changed`` serves are zero
+        there and are not read.  A cell where every other row is zero
+        gets index 0, or 1 when ``changed == 0`` (with one sector there
+        is no other row, so that is every cell).  Each cell's result
+        depends on that cell alone, not on the window (see DESIGN.md,
+        "Window comparator").
         """
-        if self._runner is None:
-            serving = self.raw_serving
-            if len(self.rows) == 1:
-                self._runner = (np.full(serving.shape, -np.inf),
-                                serving.copy())
-            else:
-                self._runner = self._walk_runner_up()
-            self._borrowed = None
-        return self._runner
-
-    def _walk_runner_up(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The runner-up walk, inside the borrowed window if any (else
-        over the whole grid)."""
-        serving = self.raw_serving
-        if self._borrowed is None:
-            window = (0, serving.shape[0], 0, serving.shape[1])
-            runner_val = np.zeros(serving.shape, dtype=self.rows[0].dtype)
-            runner_idx = np.zeros(serving.shape, dtype=np.int32)
-        else:
-            parent_val, parent_idx, window = self._borrowed
-            runner_val, runner_idx = parent_val.copy(), parent_idx.copy()
-        win = _slices(window)
-        # Indices need no reset: every window cell is rewritten by a
-        # beat or by the zero-tie rule.
-        runner_val[win] = 0
-        # Running max over the non-serving rows, from 0 / idx 0 and in
-        # sector order with strict >, so ties keep the first index;
-        # O(H*W) scratch, never a stack copy.
-        for s, clip in _meeting(self.boxes, window):
-            cell = _slices(clip)
-            plane = self.rows[s][cell]
-            val = runner_val[cell]
-            beats = (plane > val) & (serving[cell] != s)
-            np.copyto(val, plane, where=beats)
-            np.copyto(runner_idx[cell], np.int32(s), where=beats)
-        # Zero-tie rule: where every non-serving plane is zero the walk
-        # never moved, but the stack argmax picks the first non-serving
-        # sector: 0, or 1 where 0 serves.
-        np.copyto(runner_idx[win], (serving[win] == 0).astype(np.int32),
-                  where=runner_val[win] == 0)
-        return runner_val, runner_idx
+        win = _slices(box)
+        comp_idx = self.raw_serving[win].copy()
+        comp_val = self.best_mw[win].copy()
+        mask = comp_idx == changed
+        if mask.any():
+            comp_val[mask], comp_idx[mask] = _argmax_rows(
+                self.rows, self.boxes, box, mask, skip=changed)
+        return comp_val, comp_idx
 
 
 @dataclass(frozen=True)
@@ -335,12 +297,13 @@ class AnalysisEngine:
         serving argmax is repaired from those rows alone (see DESIGN.md,
         "Evaluation strategies").
         """
-        rows, boxes = list(incumbent.rows), list(incumbent.boxes)
+        rows, boxes = list(incumbent.rows), incumbent.boxes.copy()
         for sector in changed:
             rows[sector], boxes[sector] = self._sector_row(config, sector)
+        boxes.flags.writeable = False
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        meeting = _meeting(boxes, box)
+        meeting = list(zip(*_meeting(boxes, box)))
 
         total_w = np.zeros((r1 - r0, c1 - c0),
                            dtype=incumbent.total_mw.dtype)
@@ -366,56 +329,38 @@ class AnalysisEngine:
             np.copyto(best, new, where=wins)
             np.copyto(idx, np.int32(sector), where=wins)
         # Cells a changed sector served: the argmax over the rows that
-        # meet the window (the rest are zero here, and so is row 0 where
-        # none meets it); an all-zero cell takes index 0, as the full
-        # stack's argmax does.
+        # meet them (the rest are zero there); an all-zero cell takes
+        # index 0, as the full stack's argmax does.
         mask = s0 == changed[0]
         for sector in changed[1:]:
             mask |= s0 == sector
         if mask.any():
-            ids = [s for s, _ in meeting] or [0]
-            mr, mc = np.nonzero(mask)
-            cells = (mr + r0) * self.grid.shape[1] + (mc + c0)
-            sub = np.concatenate([rows[s].take(cells) for s in ids]
-                                 ).reshape(len(ids), cells.size)
-            arg = sub.argmax(axis=0)
-            top = sub[arg, np.arange(cells.size)]
-            sector_of = np.asarray(ids, dtype=np.int32)
-            raw_w[mask] = np.where(top > 0, sector_of[arg], np.int32(0))
-            best_w[mask] = top
+            best_w[mask], raw_w[mask] = _argmax_rows(rows, boxes, box, mask)
         child = DeltaIncumbent(
             config, rows, boxes, total_mw,
             _patched(incumbent.raw_serving, win, raw_w),
             _patched(incumbent.best_mw, win, best_w),
             self.pathloss.cache_epoch)
-        runner = incumbent._runner
-        if runner is not None and box_area(box) < total_mw.size:
-            # Outside the window the child's rows and serving are the
-            # parent's, so only the window's runner-up can move.
-            child._borrowed = (runner[0], runner[1], box)
         state = self._finish(child, ue_density, prior=incumbent.state,
                              box=box)
         return state, child
 
     def _sector_row(self, config: Configuration, sector_id: int
-                    ) -> Tuple[np.ndarray, Optional[Box]]:
-        """One sector's read-only full-grid row and its footprint.
+                    ) -> Tuple[np.ndarray, Box]:
+        """One sector's read-only full-grid row and its box.
 
         Only the footprint is computed (the whole grid where it is
         unknown); the row is exactly zero elsewhere, and bitwise equal
         to row ``sector_id`` of :meth:`_planes_mw` by the
         :meth:`_sector_plane_mw_window` contract.
         """
-        footprint = self._setting_footprint(
-            sector_id, config.settings[sector_id])
-        rows, cols = self.grid.shape
-        region = (0, rows, 0, cols) if footprint is None else footprint
-        row = np.zeros((rows, cols), dtype=self.pathloss.plane_dtype)
+        region = self._setting_box(sector_id, config.settings[sector_id])
+        row = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
         if not box_is_empty(region):
             row[_slices(region)] = self._sector_plane_mw_window(
                 config, sector_id, region)
         row.flags.writeable = False
-        return row, footprint
+        return row, region
 
     # ------------------------------------------------------------------
     # region-of-influence windows
@@ -429,27 +374,31 @@ class AnalysisEngine:
         The whole grid when either footprint is unknown (no clip
         floor, rotated pattern).
         """
-        old_box = incumbent.boxes[changed]
-        new_box = self._setting_footprint(changed,
-                                          config.settings[changed])
-        if old_box is None or new_box is None:
-            rows, cols = self.grid.shape
-            return (0, rows, 0, cols)
-        return box_union(old_box, new_box)
+        return box_union(tuple(incumbent.boxes[changed].tolist()),
+                         self._setting_box(changed,
+                                           config.settings[changed]))
 
-    def _setting_footprint(self, sector_id: int,
-                           setting) -> Optional[Box]:
-        """One setting's footprint; off-air sectors radiate nowhere."""
+    def _setting_box(self, sector_id: int, setting) -> Box:
+        """One setting's footprint, the whole grid where it is unknown;
+        off-air sectors radiate nowhere."""
         if not setting.active:
             return EMPTY_BOX
-        return self.pathloss.footprint(sector_id, setting.tilt_deg,
-                                       setting.azimuth_offset_deg)
+        footprint = self.pathloss.footprint(sector_id, setting.tilt_deg,
+                                            setting.azimuth_offset_deg)
+        if footprint is None:
+            rows, cols = self.grid.shape
+            return (0, rows, 0, cols)
+        return footprint
 
-    def sector_boxes(self, config: Configuration) -> List[Optional[Box]]:
-        """Every sector's footprint under ``config`` (``None``: unknown):
-        the :attr:`DeltaIncumbent.boxes` of a dense evaluation."""
-        return [self._setting_footprint(s, setting)
-                for s, setting in enumerate(config.settings)]
+    def sector_boxes(self, config: Configuration) -> np.ndarray:
+        """Every sector's box under ``config`` as a read-only ``(S, 4)``
+        int array: the :attr:`DeltaIncumbent.boxes` of a dense
+        evaluation."""
+        boxes = np.array([self._setting_box(s, setting)
+                          for s, setting in enumerate(config.settings)],
+                         dtype=np.int64).reshape(-1, 4)
+        boxes.flags.writeable = False
+        return boxes
 
     # ------------------------------------------------------------------
     # batched candidate scoring
@@ -486,14 +435,22 @@ class AnalysisEngine:
             old_rows = np.stack([incumbent.rows[b] for b in changed])
             total_mw = incumbent.total_mw[None] + (new_rows - old_rows)
 
-            serving0 = incumbent.raw_serving
-            runner_val, runner_idx = incumbent.runner_up()
             # Comparator per grid: for grids the changed sector already
-            # serves, the runner-up; for the rest, the incumbent best.
+            # serves, the argmax of the stack with each cell's serving
+            # row masked out (-inf with one sector); for the rest, the
+            # incumbent best.  Computed here from the dense stack, not
+            # by the window comparator, so it stays a reference.
+            serving0 = incumbent.raw_serving
+            masked = np.stack(incumbent.rows)
+            np.put_along_axis(masked, serving0[None].astype(np.intp),
+                              -np.inf, axis=0)
+            others_idx = masked.argmax(axis=0).astype(np.int32)
+            others_val = np.take_along_axis(masked, others_idx[None],
+                                            axis=0)[0]
             mask = serving0[None] == b_idx[:, None, None]
-            comp_val = np.where(mask, runner_val[None],
+            comp_val = np.where(mask, others_val[None],
                                 incumbent.best_mw[None])
-            comp_idx = np.where(mask, runner_idx[None], serving0[None])
+            comp_idx = np.where(mask, others_idx[None], serving0[None])
             bb = b_idx[:, None, None]
             wins = (new_rows > comp_val) | ((new_rows == comp_val)
                                             & (bb < comp_idx))
@@ -742,22 +699,45 @@ def _accumulate_planes(planes: np.ndarray) -> np.ndarray:
     return total
 
 
-def _meeting(boxes: Sequence[Optional[Box]],
-             window: Box) -> List[Tuple[int, Box]]:
-    """The sectors whose box meets ``window``, ascending, each box
-    clipped to it; an unknown box (``None``) is the whole grid."""
+def _meeting(boxes: np.ndarray, window: Box
+             ) -> Tuple[List[int], List[List[int]]]:
+    """The sectors whose box meets ``window``, ascending, and their
+    boxes clipped to it."""
     w0, w1, v0, v1 = window
-    out = []
-    for s, box in enumerate(boxes):
-        if box is None:
-            out.append((s, window))
-            continue
-        r0, r1, c0, c1 = box
-        r0, r1 = max(r0, w0), min(r1, w1)
-        c0, c1 = max(c0, v0), min(c1, v1)
-        if r0 < r1 and c0 < c1:
-            out.append((s, (r0, r1, c0, c1)))
-    return out
+    clips = np.minimum(np.maximum(boxes, (w0, w0, v0, v0)),
+                       (w1, w1, v1, v1))
+    ids = np.flatnonzero((clips[:, 0] < clips[:, 1])
+                         & (clips[:, 2] < clips[:, 3]))
+    return ids.tolist(), clips[ids].tolist()
+
+
+def _argmax_rows(rows: Sequence[np.ndarray], boxes: np.ndarray, box: Box,
+                 mask: np.ndarray, skip: Optional[int] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """First-index argmax of the row stack with row ``skip`` left out,
+    at the cells of window ``box`` where ``mask`` holds (at least one):
+    the value and sector per cell.
+
+    Only the rows whose box meets those cells are read; the rest are
+    zero there.  A cell where every row read is zero gets the stack
+    argmax's index, the first row other than ``skip``.
+    """
+    mr, mc = np.nonzero(mask)
+    mr += box[0]
+    mc += box[2]
+    ids, _ = _meeting(boxes, (mr.min(), mr.max() + 1,
+                              mc.min(), mc.max() + 1))
+    ids = [s for s in ids if s != skip]
+    cells = mr * rows[0].shape[1] + mc
+    sub = np.zeros((max(len(ids), 1), cells.size), dtype=rows[0].dtype)
+    for j, s in enumerate(ids):
+        # Cells are in range; "clip" just lets take write into ``sub``.
+        rows[s].take(cells, out=sub[j], mode="clip")
+    arg = sub.argmax(axis=0)
+    top = sub[arg, np.arange(cells.size)]
+    sector_of = np.asarray(ids or [0], dtype=np.int32)
+    return top, np.where(top > 0, sector_of[arg],
+                         np.int32(1 if skip == 0 else 0))
 
 
 def _slices(box: Box) -> Tuple[slice, slice]:
@@ -787,10 +767,3 @@ def _patched(base: np.ndarray, win, part: np.ndarray) -> np.ndarray:
 
 def _dbm_to_mw_scalar(dbm: float) -> float:
     return float(10.0 ** (float(dbm) / 10.0))
-
-
-def _dbm_to_mw(dbm: np.ndarray) -> np.ndarray:
-    """dBm -> milliwatts, mapping -inf to exactly 0."""
-    with np.errstate(over="ignore"):
-        mw = np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
-    return np.where(np.isneginf(dbm), 0.0, mw)

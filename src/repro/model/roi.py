@@ -18,6 +18,15 @@ division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
 cached ``per_ue(rate)*density`` raster everywhere else.
 
+Each candidate's serving is resolved against the window comparator
+of its ``(changed, box)``
+(:meth:`~repro.model.engine.DeltaIncumbent.runner_up`): where the
+changed sector serves, the best of the other rows meeting the window;
+elsewhere the incumbent's best.  :class:`RoiBaseline` is a view of the
+incumbent, so the old plane window is a slice of its row and the
+comparator is computed once per window, memoized with the rest of the
+window's baseline side.
+
 It scores a whole candidate group in one stacked pass: Python only
 gathers each candidate's window inputs, the window arithmetic runs
 once over the concatenated windows, and the full-grid passes run once
@@ -84,29 +93,17 @@ def box_union(a: Box, b: Box) -> Box:
 
 @dataclass
 class RoiBaseline:
-    """One incumbent's derived rasters, ready for windowed scoring.
+    """A view of one finished incumbent, ready for windowed scoring.
 
-    ``total_mw``/``raw_serving``/``best_mw`` and the runner-up pair
-    come straight from the :class:`~repro.model.engine.DeltaIncumbent`;
-    ``serving``/``max_rate_bps``/``rate_bps`` from its finished
-    :class:`~repro.model.snapshot.NetworkState`; ``weighted`` is the
-    cached ``utility.per_ue(rate_bps) * ue_density`` raster the
-    rate-compare trick patches.  Deliberately excludes the plane
-    rows: the changed sector's old plane row is recomputed from the
-    path-loss database, which is bitwise identical by the
-    ``_sector_plane_mw`` contract.
+    Everything but ``weighted`` is read from ``incumbent`` (a
+    :class:`~repro.model.engine.DeltaIncumbent` that ran ``_finish``):
+    its rows, total, serving comparator and finished
+    :class:`~repro.model.snapshot.NetworkState`; nothing is copied.
+    ``weighted`` is the cached ``utility.per_ue(rate_bps) * ue_density``
+    raster the rate-compare trick patches.
     """
 
-    config: Configuration
-    epoch: int
-    total_mw: np.ndarray      # (H, W) incumbent total received power
-    raw_serving: np.ndarray   # (H, W) int32 pre-mask serving argmax
-    best_mw: np.ndarray       # (H, W) winning plane value
-    runner_val: np.ndarray    # (H, W) second-best plane value
-    runner_idx: np.ndarray    # (H, W) int32 second-best sector
-    serving: np.ndarray       # (H, W) post-floor serving (NO_SERVICE)
-    max_rate_bps: np.ndarray  # (H, W) single-user rate
-    rate_bps: np.ndarray      # (H, W) load-shared rate
+    incumbent: object
     weighted: np.ndarray      # (H, W) per_ue(rate) * ue_density
     #: Baseline-only window arrays memoized per (changed, box): the
     #: old plane window, the incumbent total and the serving
@@ -127,16 +124,8 @@ class RoiBaseline:
         state = getattr(incumbent, "state", None)
         if state is None:
             return None
-        runner_val, runner_idx = incumbent.runner_up()
-        weighted = utility.per_ue(state.rate_bps) * ue_density
-        return cls(config=incumbent.config, epoch=incumbent.epoch,
-                   total_mw=incumbent.total_mw,
-                   raw_serving=incumbent.raw_serving,
-                   best_mw=incumbent.best_mw,
-                   runner_val=runner_val, runner_idx=runner_idx,
-                   serving=state.serving,
-                   max_rate_bps=state.max_rate_bps,
-                   rate_bps=state.rate_bps, weighted=weighted)
+        return cls(incumbent=incumbent,
+                   weighted=utility.per_ue(state.rate_bps) * ue_density)
 
 
 def count_windowed(engine, boxes) -> None:
@@ -162,9 +151,10 @@ def score_candidate(engine, baseline: RoiBaseline,
     ``k = 1`` call of :func:`score_windows`.
 
     ``changed`` is the one sector ``config`` flips vs.
-    ``baseline.config``; ``box`` is its ``engine.roi_window`` — the
-    union of that sector's old and new footprints (so both plane rows
-    are exactly zero outside it), or the whole grid.
+    ``baseline.incumbent.config``; ``box`` is its
+    ``engine.roi_window`` — the union of that sector's old and new
+    footprints (so both plane rows are exactly zero outside it), or
+    the whole grid.
     """
     return score_windows(engine, baseline, [config], [(changed, box)],
                          ue_density, utility)[0]
@@ -185,7 +175,7 @@ def score_windows(engine, baseline: RoiBaseline,
     (:func:`count_windowed`).
     """
     configs, windows = list(configs), list(windows)
-    step = max(1, STACK_CELLS // baseline.serving.size)
+    step = max(1, STACK_CELLS // baseline.weighted.size)
     values: List[float] = []
     for lo in range(0, len(configs), step):
         values += _score_chunk(engine, baseline, configs[lo:lo + step],
@@ -204,7 +194,7 @@ def _score_chunk(engine, baseline: RoiBaseline,
     for config, (changed, box) in zip(configs, windows):
         news.append(engine._sector_plane_mw_window(config, changed,
                                                    box).ravel())
-        parts.append(_window_inputs(engine, baseline, changed, box))
+        parts.append(_window_inputs(baseline, changed, box))
         areas.append(box_area(box))
     # Once over the concatenated windows.  Every step is elementwise,
     # so each candidate's cells come out as they would alone.
@@ -230,15 +220,16 @@ def _score_chunk(engine, baseline: RoiBaseline,
     # over each candidate's whole grid — cheap passes only, no
     # transcendentals.  Each window is patched into its own stack
     # slice by plain slice assignment.
-    k, cells = len(configs), baseline.serving.size
-    serving_k = np.empty((k,) + baseline.serving.shape,
-                         dtype=baseline.serving.dtype)
-    rmax_k = np.empty(serving_k.shape, dtype=baseline.max_rate_bps.dtype)
+    state = baseline.incumbent.state
+    k, cells = len(configs), state.serving.size
+    serving_k = np.empty((k,) + state.serving.shape,
+                         dtype=state.serving.dtype)
+    rmax_k = np.empty(serving_k.shape, dtype=state.max_rate_bps.dtype)
     at = 0
     for j, ((_, (r0, r1, c0, c1)), area) in enumerate(zip(windows, areas)):
         if area < cells:
-            serving_k[j] = baseline.serving
-            rmax_k[j] = baseline.max_rate_bps
+            serving_k[j] = state.serving
+            rmax_k[j] = state.max_rate_bps
         # An explicit shape: an empty window cannot infer a -1 axis.
         shape = (r1 - r0, c1 - c0)
         serving_k[j, r0:r1, c0:c1] = serving[at:at + area].reshape(shape)
@@ -256,34 +247,29 @@ def _score_chunk(engine, baseline: RoiBaseline,
     # raster, exactly as the dense batch's row-wise reduction does.
     weighted = np.empty(serving_k.shape)
     weighted[...] = baseline.weighted
-    stale = rate_k != baseline.rate_bps
+    stale = rate_k != state.rate_bps
     if stale.any():
         density = np.broadcast_to(ue_density, stale.shape)
         weighted[stale] = utility.per_ue(rate_k[stale]) * density[stale]
     return [float(v) for v in weighted.reshape(k, cells).sum(axis=1)]
 
 
-def _window_inputs(engine, baseline: RoiBaseline, changed: int, box: Box):
+def _window_inputs(baseline: RoiBaseline, changed: int, box: Box):
     """The baseline side of one window, flattened: the changed
     sector's old plane, the incumbent total and the serving
-    comparator pair.  Memoized per ``(changed, box)``."""
+    comparator pair (:meth:`~repro.model.engine.DeltaIncumbent.runner_up`,
+    as ``evaluate_batch`` compares).  Outside the window the changed
+    sector's plane is zero before and after, so the wins test is a
+    no-op there.  Memoized per ``(changed, box)``."""
     key = (changed, box)
     cached = baseline.window_cache.get(key)
     if cached is None:
+        incumbent = baseline.incumbent
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        old = engine._sector_plane_mw_window(baseline.config, changed, box)
-        s0 = baseline.raw_serving[win]
-        # Comparator per grid, exactly as evaluate_batch: the
-        # runner-up where the changed sector already serves, the
-        # incumbent best elsewhere.  Outside the window the changed
-        # sector's plane is zero before and after, so the wins test
-        # is a no-op there.
-        mask = s0 == changed
-        comp_val = np.where(mask, baseline.runner_val[win],
-                            baseline.best_mw[win])
-        comp_idx = np.where(mask, baseline.runner_idx[win], s0)
-        cached = (old.ravel(), baseline.total_mw[win].ravel(),
+        comp_val, comp_idx = incumbent.runner_up(changed, box)
+        cached = (incumbent.rows[changed][win].ravel(),
+                  incumbent.total_mw[win].ravel(),
                   comp_val.ravel(), comp_idx.ravel())
         if len(baseline.window_cache) < 512:
             baseline.window_cache[key] = cached

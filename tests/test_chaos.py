@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import zlib
 
 import numpy as np
@@ -235,6 +236,28 @@ class TestChaosPlan:
     def test_missing_file_actionable(self, tmp_path):
         with pytest.raises(ValueError, match="cannot load chaos plan"):
             ChaosPlan.load(str(tmp_path / "nope.json"))
+
+    @pytest.mark.parametrize("payload, named", [
+        (b'{"kill": {"tims": 1}}', "unknown key 'tims' in 'kill'"),
+        (b'{"kill": {"times": "1"}}', "'kill': '<' not supported"),
+        (b'{"delay": [1]}', "'delay' must be a JSON object, not list"),
+        (b'{"artifact": {}}', "unknown key 'artifact' in the plan"),
+        (b'[1, 2]', "a plan must be a JSON object, not list"),
+        (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+    ], ids=["misspelled-key", "wrong-type", "section-not-object",
+            "top-level-key", "top-level-list", "bad-utf8"])
+    def test_malformed_plan_names_file_and_key(self, tmp_path, payload,
+                                               named):
+        path = tmp_path / "plan.json"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError) as info:
+            ChaosPlan.load(str(path))
+        prefix = f"cannot load chaos plan {str(path)!r}: "
+        assert str(info.value).startswith(prefix)
+        assert re.match(named, str(info.value)[len(prefix):])
+        if payload != b'{"seed": "\xff"}':
+            with pytest.raises(ValueError, match=named):
+                ChaosPlan.from_json(payload.decode())
 
 
 # ----------------------------------------------------------------------

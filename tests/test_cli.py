@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: The top-level keys of each plan kind, as its load error lists them.
+_TOP = {"fault": ["seed", "pathloss", "measurement", "push", "crashes"],
+        "chaos": ["seed", "kill", "delay", "artifacts"]}
+
 
 class TestParser:
     def test_requires_command(self):
@@ -300,9 +304,27 @@ class TestFaultFlags:
         assert args.faults == "plan.json"
         assert args.checkpoint == "run.ckpt"
 
-    def test_missing_plan_is_actionable(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot load fault plan"):
-            main(["mitigate", "--faults", str(tmp_path / "missing.json")])
+    def test_missing_plan_is_actionable(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert main(["mitigate", "--faults", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load fault plan {missing!r}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, kind", [("--faults", "fault"),
+                                            ("--chaos", "chaos")])
+    def test_malformed_plan_is_one_line(self, capsys, tmp_path, flag,
+                                        kind):
+        """A misspelled key: exit 2 and one stderr line naming the file
+        and the key, before any area is built."""
+        path = tmp_path / "plan.json"
+        path.write_text('{"kil": {"times": 1}}')
+        assert main(["mitigate", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot load {kind} plan "
+                                f"{str(path)!r}: unknown key 'kil' in the "
+                                f"plan; expected one of {_TOP[kind]}\n")
 
     @pytest.mark.slow
     def test_rollout_abort_exit_code(self, capsys, monkeypatch, tmp_path):

@@ -7,6 +7,7 @@ probabilistic.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,30 @@ class TestFaultPlan:
     def test_missing_file_actionable(self, tmp_path):
         with pytest.raises(ValueError, match="cannot load fault plan"):
             FaultPlan.load(str(tmp_path / "nope.json"))
+
+    @pytest.mark.parametrize("payload, named", [
+        (b'{"crashes": [{"sector": 1}]}',
+         r"unknown key 'sector' in 'crashes\[0\]'"),
+        (b'{"crashes": [{}]}', r"'crashes\[0\]': .*'sector_id'"),
+        (b'{"push": {"fail_step": [1]}}', "unknown key 'fail_step' in 'push'"),
+        (b'{"crash": []}', "unknown key 'crash' in the plan"),
+        (b'[1, 2]', "a plan must be a JSON object, not list"),
+        (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+    ], ids=["crash-misspelled-key", "crash-missing-key",
+            "push-misspelled-key", "top-level-key", "top-level-list",
+            "bad-utf8"])
+    def test_malformed_plan_names_file_and_key(self, tmp_path, payload,
+                                               named):
+        path = tmp_path / "plan.json"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError) as info:
+            FaultPlan.load(str(path))
+        prefix = f"cannot load fault plan {str(path)!r}: "
+        assert str(info.value).startswith(prefix)
+        assert re.match(named, str(info.value)[len(prefix):])
+        if payload != b'{"seed": "\xff"}':
+            with pytest.raises(ValueError, match=named):
+                FaultPlan.from_json(payload.decode())
 
     def test_crashed_sectors_declarative(self):
         plan = FaultPlan(crashes=(SectorCrash(0, at_step=2),

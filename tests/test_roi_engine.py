@@ -230,9 +230,7 @@ class TestRoiDeltaParity:
     @given(moves=_MOVES)
     def test_random_perturbation_chain(self, moves, worlds):
         """Delta states along one chain, each built on the previous
-        delta incumbent, and each child's runner-up: derived from its
-        parent's along the chain, and on every second link also walked
-        in full by a side child of a parent that never walked its own."""
+        delta incumbent, and each child's window comparator."""
         for world in worlds:
             engine, density = world.engine, world.density
             config = world.network.planned_configuration()
@@ -240,34 +238,17 @@ class TestRoiDeltaParity:
             # A rotated pattern first: a whole-grid window in every
             # world; then sector 1 off air (an EMPTY_BOX footprint).
             chain = [("azimuth", 0, 2.0), ("toggle", 1, 1.0)] + list(moves)
-            for link, move in enumerate(chain):
+            for move in chain:
                 new_config = world.apply(config, move)
                 if new_config == config:
                     continue
-                # The parent's pair first, so the child derives its own.
-                incumbent.runner_up()
                 result = engine.evaluate_delta(incumbent, new_config,
                                                density)
                 assert result is not None
                 state, child = result
                 _assert_states_equal(state,
                                      engine.evaluate(new_config, density))
-                if link == 1 and world.name in ("clipped", "wide"):
-                    assert child._borrowed is not None
-                _assert_runner_equal(
-                    child.runner_up(),
-                    _masked_argmax_runner_up(np.stack(child.rows),
-                                             child.raw_serving))
-                if link % 2 == 0:
-                    _, fresh = engine.evaluate_with_incumbent(config,
-                                                              density)
-                    _, side = engine.evaluate_delta(fresh, new_config,
-                                                    density)
-                    assert side._borrowed is None
-                    _assert_runner_equal(
-                        side.runner_up(),
-                        _masked_argmax_runner_up(np.stack(side.rows),
-                                                 side.raw_serving))
+                _assert_comparator_parity(child)
                 config, incumbent = new_config, child
 
     def test_wide_world_has_wide_windows(self, worlds):
@@ -338,7 +319,9 @@ _MULTI_MOVES = st.lists(st.lists(_SECTOR_MOVE, min_size=2, max_size=4),
 def _assert_incumbent_equal(child, prepared):
     """A delta child's rows, boxes and derived rasters equal a dense
     ``_prepare`` of the same configuration, bit for bit."""
-    assert child.boxes == prepared.boxes
+    assert child.boxes.dtype == prepared.boxes.dtype
+    assert np.array_equal(child.boxes, prepared.boxes)
+    assert not child.boxes.flags.writeable
     assert len(child.rows) == len(prepared.rows)
     for got, want in zip(child.rows, prepared.rows):
         assert got.dtype == want.dtype
@@ -351,19 +334,12 @@ def _assert_incumbent_equal(child, prepared):
 
 def _assert_any_k_delta(engine, parent, config, density):
     """One delta from ``parent`` to ``config``: its state, incumbent
-    and runner-up (derived from the parent's pair and, from a fresh
-    parent that never walked, in full) against the dense references.
-    Returns the child."""
-    parent.runner_up()
+    and window comparator against the dense references.  Returns the
+    child."""
     state, child = engine.evaluate_delta(parent, config, density)
     _assert_states_equal(state, engine.evaluate(config, density))
     _assert_incumbent_equal(child, engine._prepare(config))
-    want = _masked_argmax_runner_up(np.stack(child.rows), child.raw_serving)
-    _assert_runner_equal(child.runner_up(), want)
-    fresh = engine.evaluate_with_incumbent(parent.config, density)[1]
-    side = engine.evaluate_delta(fresh, config, density)[1]
-    assert side._borrowed is None
-    _assert_runner_equal(side.runner_up(), want)
+    _assert_comparator_parity(child)
     return child
 
 
@@ -432,8 +408,20 @@ class TestAnyKDeltaParity:
             parent = engine.evaluate_with_incumbent(base, density)[1]
             dark = base.with_offline(range(world.network.n_sectors))
             child = _assert_any_k_delta(engine, parent, dark, density)
-            assert all(box == EMPTY_BOX for box in child.boxes)
+            assert (child.boxes == EMPTY_BOX).all()
             assert (child.state.serving == NO_SERVICE).all()
+
+
+def _many_sector_world() -> _World:
+    """Twelve sectors on a 30x30 grid: four tri-sector sites."""
+    grid = GridSpec(Region.square(3_000.0), cell_size=100.0)
+    sites = [(-800.0, -800.0), (800.0, -800.0), (-800.0, 800.0),
+             (800.0, 800.0)]
+    network = CellularNetwork(make_sectors(
+        [xy for xy in sites for _ in range(3)],
+        azimuths=[0.0, 120.0, 240.0] * len(sites),
+        power_dbm=35.0, max_power_dbm=41.0))
+    return _World("many", network, _clipped_pathloss(grid, network))
 
 
 class TestDeltaRetainsRowsNotStack:
@@ -441,18 +429,11 @@ class TestDeltaRetainsRowsNotStack:
     the unit-scale stand-in for the paper-scale memory question."""
 
     def test_one_delta_retains_under_half_the_stack(self):
-        # Twelve sectors on a 30x30 grid: with three, a child's own
-        # total, best and serving rasters alone outweigh half a stack.
-        grid = GridSpec(Region.square(3_000.0), cell_size=100.0)
-        sites = [(-800.0, -800.0), (800.0, -800.0), (-800.0, 800.0),
-                 (800.0, 800.0)]
-        network = CellularNetwork(make_sectors(
-            [xy for xy in sites for _ in range(3)],
-            azimuths=[0.0, 120.0, 240.0] * len(sites),
-            power_dbm=35.0, max_power_dbm=41.0))
-        world = _World("many", network,
-                       _clipped_pathloss(grid, network))
+        # With three sectors, a child's own total, best and serving
+        # rasters alone would outweigh half a stack.
+        world = _many_sector_world()
         engine, density = world.engine, world.density
+        network, grid = world.network, engine.grid
         base = network.planned_configuration()
         parent = engine.evaluate_with_incumbent(base, density)[1]
         trial = base.with_power(4, base.power_dbm(4) - 3.0)
@@ -795,30 +776,50 @@ class TestRoiParallelParity:
 
 
 # ----------------------------------------------------------------------
-def _masked_argmax_runner_up(planes, serving):
-    """Reference runner-up: blank each cell's serving row, argmax."""
-    if planes.shape[0] == 1:
-        return np.full(serving.shape, -np.inf), serving.copy()
-    masked = planes.copy()
-    np.put_along_axis(masked, serving[None].astype(np.intp), -np.inf,
-                      axis=0)
-    idx = masked.argmax(axis=0)
+def _reference_comparator(planes, serving, best, changed):
+    """Test-side window comparator over the whole grid: row
+    ``changed`` masked out of the stack, then the first-index argmax,
+    on the cells ``changed`` serves; ``best``/``serving`` elsewhere.
+    A zero row is appended first: a sector that does not exist
+    radiates nothing, so with one sector every served cell compares
+    against value 0 at index 1."""
+    masked = np.concatenate([planes, np.zeros_like(planes[:1])])
+    masked[changed] = -np.inf
+    idx = masked.argmax(axis=0).astype(np.int32)
     val = np.take_along_axis(masked, idx[None], axis=0)[0]
-    return val, idx.astype(np.int32)
+    mine = serving == changed
+    return np.where(mine, val, best), np.where(mine, idx, serving)
+
+
+def _assert_comparator_parity(incumbent, windows=()):
+    """``incumbent.runner_up(changed, box)`` equals the reference
+    sliced to ``box`` for every sector, bit for bit, on the whole grid
+    and on each of ``windows``."""
+    planes = np.stack(incumbent.rows)
+    H, W = planes.shape[1:]
+    for changed in range(planes.shape[0]):
+        want_val, want_idx = _reference_comparator(
+            planes, incumbent.raw_serving, incumbent.best_mw, changed)
+        for r0, r1, c0, c1 in [(0, H, 0, W)] + list(windows):
+            got_val, got_idx = incumbent.runner_up(changed,
+                                                   (r0, r1, c0, c1))
+            assert got_val.dtype == planes.dtype
+            assert got_idx.dtype == np.int32
+            assert (got_val.tobytes()
+                    == want_val[r0:r1, c0:c1].tobytes())
+            assert np.array_equal(got_idx, want_idx[r0:r1, c0:c1])
 
 
 def _stack_incumbent(planes, boxes) -> DeltaIncumbent:
+    """An incumbent over a bare plane stack; a ``None`` box is an
+    unknown footprint (stored as the whole grid)."""
+    H, W = planes.shape[1:]
+    table = np.array([(0, H, 0, W) if box is None else box
+                      for box in boxes], dtype=np.int64)
     serving = planes.argmax(axis=0).astype(np.int32)
     best = np.take_along_axis(planes, serving[None], axis=0)[0]
-    return DeltaIncumbent(None, tuple(planes), boxes, planes.sum(axis=0),
+    return DeltaIncumbent(None, tuple(planes), table, planes.sum(axis=0),
                           serving, best, epoch=0)
-
-
-def _assert_runner_equal(got, want):
-    (got_val, got_idx), (want_val, want_idx) = got, want
-    assert got_val.dtype == want_val.dtype
-    assert got_val.tobytes() == want_val.tobytes()
-    assert np.array_equal(got_idx, want_idx)
 
 
 @st.composite
@@ -847,42 +848,76 @@ def _sparse_stacks(draw):
     return planes
 
 
+@st.composite
+def _windows_of(draw, shape):
+    """A random window of a ``shape`` grid, empty ones included."""
+    rows, cols = shape
+    r0 = draw(st.integers(0, rows))
+    c0 = draw(st.integers(0, cols))
+    return (r0, draw(st.integers(r0, rows)), c0,
+            draw(st.integers(c0, cols)))
+
+
 class TestRunnerUpParity:
-    """The boxed runner-up walk == masked argmax over the stack, bitwise."""
+    """The window comparator ``DeltaIncumbent.runner_up(changed, box)``
+    == masked argmax over the stack, bitwise, for every sector and
+    window."""
 
     @settings(max_examples=200, deadline=None)
     @given(planes=_sparse_stacks(),
-           boxes=st.sampled_from(["tight", "unknown", "mixed"]))
-    def test_boxed_matches_masked_argmax(self, planes, boxes):
+           boxes=st.sampled_from(["tight", "unknown", "mixed"]),
+           data=st.data())
+    def test_boxed_matches_masked_argmax(self, planes, boxes, data):
         tight = [plane_footprint(plane) for plane in planes]
-        walk = {"tight": tight,                      # EMPTY_BOX off-air
-                "unknown": [None] * len(tight),      # full-grid boxes
-                "mixed": [b if s % 2 else None
-                          for s, b in enumerate(tight)]}[boxes]
-        incumbent = _stack_incumbent(planes, walk)
-        _assert_runner_equal(
-            incumbent.runner_up(),
-            _masked_argmax_runner_up(planes, incumbent.raw_serving))
+        table = {"tight": tight,                     # EMPTY_BOX off-air
+                 "unknown": [None] * len(tight),     # full-grid boxes
+                 "mixed": [b if s % 2 else None
+                           for s, b in enumerate(tight)]}[boxes]
+        incumbent = _stack_incumbent(planes, table)
+        _assert_comparator_parity(
+            incumbent, [data.draw(_windows_of(planes.shape[1:]))])
 
     def test_zero_tie_cells(self):
         planes = np.zeros((3, 1, 3))
-        planes[2, 0, 1] = 1.0        # sector 2 serves alone: runner 0
-        planes[0, 0, 2] = 1.0        # sector 0 serves alone: runner 1
+        planes[2, 0, 1] = 1.0        # sector 2 serves alone
+        planes[0, 0, 2] = 1.0        # sector 0 serves alone
         boxes = [plane_footprint(plane) for plane in planes]
         assert boxes[1] == EMPTY_BOX
         incumbent = _stack_incumbent(planes, boxes)   # cell 0: all zero
-        val, idx = incumbent.runner_up()
-        assert idx.tolist() == [[1, 0, 1]]
-        assert val.tolist() == [[0.0, 0.0, 0.0]]
-        _assert_runner_equal(
-            (val, idx),
-            _masked_argmax_runner_up(planes, incumbent.raw_serving))
+        assert incumbent.raw_serving.tolist() == [[0, 2, 0]]
+        # Sector 0's cells have no other radiating row: index 1.
+        val, idx = incumbent.runner_up(0, (0, 1, 0, 3))
+        assert val.tolist() == [[0.0, 1.0, 0.0]]
+        assert idx.tolist() == [[1, 2, 1]]
+        # Sector 2's cell: index 0; the rest keep best and serving.
+        val, idx = incumbent.runner_up(2, (0, 1, 0, 3))
+        assert val.tolist() == [[0.0, 0.0, 1.0]]
+        assert idx.tolist() == [[0, 0, 0]]
+        _assert_comparator_parity(incumbent, [(0, 1, 1, 3), (0, 1, 2, 2)])
 
-    def test_single_sector(self):
+    def test_single_sector(self, toy_grid):
+        """One sector: the window comparator is value 0 at index 1, so
+        the sector wins every cell at any power; the dense
+        ``evaluate_batch`` runner-up (-inf) gives canonical states."""
         planes = np.array([[[0.0, 2.0]]], dtype=np.float32)
-        val, idx = _stack_incumbent(planes, [EMPTY_BOX]).runner_up()
-        assert np.all(np.isneginf(val))
-        assert idx.tolist() == [[0, 0]]
+        val, idx = _stack_incumbent(planes, [None]).runner_up(0,
+                                                              (0, 1, 0, 2))
+        assert val.tolist() == [[0.0, 0.0]]
+        assert idx.tolist() == [[1, 1]]
+        network = CellularNetwork(make_sectors([(0.0, 0.0)],
+                                               power_dbm=35.0,
+                                               max_power_dbm=41.0))
+        world = _World("single", network,
+                       _clipped_pathloss(toy_grid, network))
+        engine, density = world.engine, world.density
+        base = network.planned_configuration()
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        configs = [base.with_power(0, 20.0), base.with_offline([0])]
+        batch = engine.evaluate_batch(incumbent, configs, density)
+        for k, config in enumerate(configs):
+            full = engine.evaluate(config, density)
+            assert np.array_equal(batch.serving[k], full.serving)
+            assert np.array_equal(batch.rate_bps[k], full.rate_bps)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -894,57 +929,76 @@ class TestRunnerUpParity:
         for move in moves:
             config = _apply_move(toy_network, config, move)
         _, incumbent = roi_engine.evaluate_with_incumbent(config, density)
-        assert incumbent.boxes == tuple(roi_engine.sector_boxes(config))
-        _assert_runner_equal(
-            incumbent.runner_up(),
-            _masked_argmax_runner_up(np.stack(incumbent.rows),
-                                     incumbent.raw_serving))
+        assert np.array_equal(incumbent.boxes,
+                              roi_engine.sector_boxes(config))
+        _assert_comparator_parity(incumbent, [
+            tuple(box) for box in incumbent.boxes.tolist()])
 
     def test_child_does_not_pin_parent(self, roi_engine, toy_network,
                                        density):
         """A delta child shares its parent's unchanged rows, read-only,
-        and borrows its runner-up arrays — never the parent's own
-        rasters or state, which go with the parent; the loan is dropped
-        once the child's own pair exists."""
+        and never the parent's own rasters or state, which go with the
+        parent."""
         base = toy_network.planned_configuration()
-        trial = base.with_offline([1])
-        for runner_first in (False, True):
-            parent = roi_engine.evaluate_with_incumbent(base, density)[1]
-            parent_val, parent_idx = parent.runner_up()
-            child = roi_engine.evaluate_delta(parent, trial, density)[1]
-            assert child._borrowed is not None
-            for s, row in enumerate(child.rows):
-                assert (row is parent.rows[s]) == (s != 1)
-                assert not row.flags.writeable
-            owned = [weakref.ref(item) for item in (
-                parent.total_mw, parent.raw_serving, parent.best_mw,
-                parent.state)]
-            runner = [weakref.ref(parent_val), weakref.ref(parent_idx)]
-            del parent_val, parent_idx
-            if runner_first:
-                child.runner_up()
-            del parent
-            gc.collect()
-            assert [ref() for ref in owned] == [None] * len(owned)
-            assert all((ref() is None) == runner_first for ref in runner)
-            if not runner_first:
-                child.runner_up()
-                gc.collect()
-                assert all(ref() is None for ref in runner)
-            assert child._borrowed is None
+        parent = roi_engine.evaluate_with_incumbent(base, density)[1]
+        child = roi_engine.evaluate_delta(parent, base.with_offline([1]),
+                                          density)[1]
+        for s, row in enumerate(child.rows):
+            assert (row is parent.rows[s]) == (s != 1)
+            assert not row.flags.writeable
+        owned = [weakref.ref(item) for item in (
+            parent.total_mw, parent.raw_serving, parent.best_mw,
+            parent.state)]
+        del parent
+        gc.collect()
+        assert [ref() for ref in owned] == [None] * len(owned)
 
-    def test_unclipped_dict_walks_full_grid(self, toy_engine, toy_network,
+    def test_unclipped_dict_meets_every_row(self, toy_engine, toy_network,
                                             toy_density):
+        """Unknown footprints are stored as the whole grid, so every
+        lit row meets every window."""
         config = toy_network.planned_configuration().with_offline([0])
+        H, W = toy_engine.grid.shape
         boxes = toy_engine.sector_boxes(config)
-        assert boxes[0] == EMPTY_BOX and boxes[1:] == [None, None]
+        assert boxes.tolist() == [list(EMPTY_BOX), [0, H, 0, W],
+                                  [0, H, 0, W]]
+        assert not boxes.flags.writeable
         _, incumbent = toy_engine.evaluate_with_incumbent(config,
                                                           toy_density)
-        assert incumbent.boxes == tuple(boxes)
-        _assert_runner_equal(
-            incumbent.runner_up(),
-            _masked_argmax_runner_up(np.stack(incumbent.rows),
-                                     incumbent.raw_serving))
+        assert np.array_equal(incumbent.boxes, boxes)
+        _assert_comparator_parity(incumbent, [(2, 9, 3, 12)])
+
+
+class TestRoiBaselineIsAView:
+    """A ROI baseline reads its incumbent and owns one raster."""
+
+    def test_from_incumbent_allocates_only_weighted(self):
+        world = _many_sector_world()
+        engine, density = world.engine, world.density
+        base = world.network.planned_configuration()
+        # Warm up on a sibling incumbent, so nothing the measured call
+        # allocates is cached from a previous one.
+        _, sibling = engine.evaluate_with_incumbent(base.with_offline([1]),
+                                                    density)
+        RoiBaseline.from_incumbent(sibling, _UTILITY, density)
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                  density)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert baseline.incumbent is incumbent
+        assert baseline.window_cache == {}
+        raster = density.size * np.dtype(np.float64).itemsize
+        assert baseline.weighted.nbytes == raster
+        # The raster plus object headers; a copied (H, W) field or the
+        # old runner-up pair would add at least another half raster.
+        assert raster <= retained < 1.5 * raster
 
 
 # ----------------------------------------------------------------------
