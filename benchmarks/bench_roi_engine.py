@@ -280,7 +280,6 @@ def _probe_parity(args) -> dict:
             "grid": list(db.grid.shape),
             "format_version": header["version"],
             "clip_floor_db": header.get("clip_floor_db"),
-            "has_footprints": bool(db.packed_store.has_footprints),
             "n_candidates": len(trials),
             "scores_bitwise_equal": bool(scores_equal),
             "delta_bitwise_equal": bool(delta_equal),
@@ -395,7 +394,6 @@ def test_packed_roi_parity_subprocess(tmp_path):
            f"peak RSS {row['maxrss_mb']:.0f} MB")
     assert row["format_version"] >= 3
     assert row["clip_floor_db"] == _QUICK_FLOOR_DB
-    assert row["has_footprints"], "v3 file lost its footprint table"
     assert row["scores_bitwise_equal"], (
         "dense and ROI candidate scores diverged in the fresh process")
     assert row["delta_bitwise_equal"], (

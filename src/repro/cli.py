@@ -146,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "footprints (and the v3 ROI boxes) are "
                            "genuinely sparse; 'none' disables "
                            "clipping (default: -150)")
-    pack.add_argument("--no-checksums", action="store_true",
-                      help="skip the per-section CRC-32 checksums "
-                           "(writes a file whose sections simply "
-                           "carry no checksum stamps)")
 
     testbed = sub.add_parser("testbed", help="run a Section-3 scenario")
     testbed.add_argument("--scenario", type=int, choices=[1, 2], default=1)
@@ -197,6 +193,14 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("metrics_out", "trace_out", "flight_out"):
+        # Checked before any work: the artifacts are written last.
+        target = getattr(args, flag, None)
+        if target and not os.path.isdir(
+                os.path.dirname(os.path.abspath(target))):
+            print(f"error: --{flag.replace('_', '-')} {target}: its "
+                  f"directory does not exist", file=sys.stderr)
+            return 2
     if args.verbose:
         setup_logging(verbosity_to_level(args.verbose))
     handler = {
@@ -386,10 +390,16 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
               file=sys.stderr)
         return 2
     strategy = "full" if args.no_delta else "delta"
-    with trace.span("magus.build_area", area_type=args.area_type):
-        area = build_area(AreaType(args.area_type), seed=args.seed,
-                          evaluation_strategy=strategy,
-                          plossdb=args.plossdb)
+    try:
+        with trace.span("magus.build_area", area_type=args.area_type):
+            area = build_area(AreaType(args.area_type), seed=args.seed,
+                              evaluation_strategy=strategy,
+                              plossdb=args.plossdb)
+    except (OSError, ValueError) as exc:
+        if not args.plossdb or args.plossdb not in str(exc):
+            raise                 # not about the --plossdb file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.plossdb:
         print(f"path-loss database memory-mapped from {args.plossdb} "
               f"({area.pathloss.packed_store.nbytes / 1e6:.0f} MB packed, "
@@ -583,8 +593,7 @@ def _cmd_pack(args, sink: _ObsSink) -> int:
             args.out, seed=args.seed, area_type=AreaType(args.area_type),
             grid_cells=args.grid_cells, cell_size_m=args.cell_size,
             tilt_values=tilt_values, tilt_model=args.tilt_model,
-            progress=progress, checksums=not args.no_checksums,
-            clip_floor_db=clip_floor_db)
+            progress=progress, clip_floor_db=clip_floor_db)
     else:
         if args.tilts is not None:
             print("--tilts requires --grid-cells (paper-scale mode)",
@@ -593,7 +602,6 @@ def _cmd_pack(args, sink: _ObsSink) -> int:
         header = pack_area_database(
             args.out, AreaType(args.area_type), seed=args.seed,
             tilt_model=args.tilt_model, progress=progress,
-            checksums=not args.no_checksums,
             clip_floor_db=clip_floor_db)
     print(f"packed {header['n_sectors']} sectors x {header['n_tilts']} "
           f"tilts x {header['grid_shape'][0]}x{header['grid_shape'][1]} "

@@ -15,10 +15,10 @@ Durability: :meth:`RolloutCheckpoint.save` goes through
 :func:`repro.faults.durable.atomic_write` and stamps a CRC-32
 (``crc32:``; ``crc32c:`` stamps from older builds still verify) over
 the canonical payload encoding; before each save the previous file
-rotates to ``<path>.prev``.  On resume a checkpoint that fails its checksum
-(or was torn mid-rotation) falls back to the ``.prev`` last-known-good
-instead of aborting the rollout.  Checkpoints written by older builds
-carry no ``checksum`` field and still load.
+rotates to ``<path>.prev``.  On resume a checkpoint that fails its checksum,
+carries none, or was torn mid-rotation falls back to the ``.prev``
+last-known-good instead of aborting the rollout; nothing loads
+unverified.
 """
 
 from __future__ import annotations
@@ -153,10 +153,13 @@ class RolloutCheckpoint:
             raise ChecksumError(
                 f"checkpoint {path!r} is corrupt: not valid JSON/UTF-8 "
                 f"({exc})") from exc
-        stamp = data.get("checksum")
-        if stamp is not None:
-            verify_checksum(_canonical_bytes(data), str(stamp),
-                            what=f"checkpoint {path!r}")
+        stamp = data.get("checksum") if isinstance(data, dict) else None
+        if stamp is None:
+            raise ChecksumError(
+                f"checkpoint {path!r} carries no 'checksum' stamp; it "
+                f"cannot be verified")
+        verify_checksum(_canonical_bytes(data), str(stamp),
+                        what=f"checkpoint {path!r}")
         try:
             return cls.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:

@@ -193,8 +193,9 @@ class FaultPlan:
 def plan_from_dict(cls, data, schema: str, sections: Dict[str, type],
                    lists: Dict[str, type]):
     """Build plan ``cls`` from its JSON object: ``seed`` an int, each
-    non-empty key of ``sections`` that dataclass, each key of ``lists``
-    a tuple of it.  A malformed plan raises a ValueError naming the
+    key of ``sections`` that dataclass (an empty object takes its
+    defaults; only a missing key or ``null`` means no section), each
+    key of ``lists`` a tuple of it.  A malformed plan raises a ValueError naming the
     key, never a raw TypeError or AttributeError."""
     if not isinstance(data, dict):
         raise ValueError(f"a plan must be a JSON object, "
@@ -209,8 +210,8 @@ def plan_from_dict(cls, data, schema: str, sections: Dict[str, type],
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad 'seed': {exc}") from exc
     for key, kind in sections.items():
-        data[key] = (_section(kind, data[key], repr(key))
-                     if data.get(key) else None)
+        data[key] = (None if data.get(key) is None
+                     else _section(kind, data[key], repr(key)))
     for key, kind in lists.items():
         items = data.get(key, [])
         if not isinstance(items, list):

@@ -29,8 +29,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Hashable, Iterator, Literal, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Hashable, Iterator, Literal,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -43,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from .plossdb import PackedGainStore
 
 __all__ = ["LRUCache", "PathLossDatabase", "TiltModelName",
-           "sector_rasters", "exact_gain_db", "shared_tilt_profile",
-           "profile_at",
+           "sector_rasters", "sector_gain_db", "exact_gain_db",
+           "shared_tilt_profile", "profile_at",
            "DEFAULT_CLIP_FLOOR_DB", "clip_gains_mw", "plane_footprint"]
 
 TiltModelName = Literal["exact", "shared-delta"]
@@ -282,7 +282,7 @@ class PathLossDatabase:
                 f"before evaluation")
         if self._packed is None:
             return None
-        boxes = self._packed.footprints().astype(np.int64)
+        boxes = self._packed.roi.astype(np.int64)
         H, W = self.grid.shape
         areas = ((boxes[:, :, 1] - boxes[:, :, 0])
                  * (boxes[:, :, 3] - boxes[:, :, 2]))
@@ -364,8 +364,7 @@ class PathLossDatabase:
                          shadowing_corr_m: float = DEFAULT_SHADOWING_CORR_M,
                          seed: int = 0,
                          tilt_model: TiltModelName = "exact",
-                         backend: Literal["dict", "packed"] = "dict",
-                         clip_floor_db: object = "default"
+                         clip_floor_db: Optional[float] = None
                          ) -> "PathLossDatabase":
         """Compute the database from terrain the way Atoll would.
 
@@ -376,35 +375,16 @@ class PathLossDatabase:
         path-loss assumptions.  Rasters come from :func:`sector_rasters`,
         which computes one site's shared terms at a time.
 
-        ``backend="packed"`` additionally precomputes the tilt-major
-        float32 mW tensor over the network's tilt ladder and attaches
-        it (:meth:`attach_packed`); the dict-of-rasters stays available
-        for off-ladder and azimuth-offset queries.
-
-        ``clip_floor_db`` defaults per backend: the packed backend
-        clips at :data:`DEFAULT_CLIP_FLOOR_DB` (the floor rides the
-        f64→f32 quantization it already performs, so float32 results
-        only move in bits that were noise), while the dict backend
-        defaults to ``None`` — its float64 planes have no quantization
-        step, and clipping them would perturb the bitwise-reproducible
-        seeds markets are anchored to.  Pass an explicit float to clip
-        a dict database (enabling ROI windows there too) or ``None``
-        to opt a packed one out.
+        ``clip_floor_db`` defaults to ``None``: clipping these float64
+        planes would perturb the bitwise-reproducible seeds markets are
+        anchored to.  ``db.attach_packed(pack_database(db))`` packs in
+        memory, clipping at :data:`DEFAULT_CLIP_FLOOR_DB` by default.
         """
-        if backend not in ("dict", "packed"):
-            raise ValueError(f"unknown path-loss backend {backend!r}")
-        if clip_floor_db == "default":
-            clip_floor_db = (DEFAULT_CLIP_FLOOR_DB if backend == "packed"
-                             else None)
         rasters = [raster for _, raster in sector_rasters(
             network, environment, spm, shadowing_sigma_db,
             shadowing_corr_m, seed)]
-        db = cls(environment.grid, network, rasters, tilt_model=tilt_model,
-                 clip_floor_db=clip_floor_db)
-        if backend == "packed":
-            from .plossdb import pack_database
-            db.attach_packed(pack_database(db))
-        return db
+        return cls(environment.grid, network, rasters, tilt_model=tilt_model,
+                   clip_floor_db=clip_floor_db)
 
     # ------------------------------------------------------------------
     # queries
@@ -416,13 +396,10 @@ class PathLossDatabase:
         ``azimuth_offset_deg`` rotates the horizontal pattern relative
         to the planned azimuth (the azimuth-tuning extension).
         """
-        sector = self.network.sector(sector_id)
-        raster = self._rasters[sector_id]
-        if self.tilt_model == "exact":
-            return exact_gain_db(sector, raster, tilt_deg, azimuth_offset_deg)
-        base = exact_gain_db(sector, raster, sector.planned_tilt_deg,
-                             azimuth_offset_deg)
-        return base + self._shared_delta(raster, tilt_deg)
+        return sector_gain_db(self.network.sector(sector_id),
+                              self._rasters[sector_id], tilt_deg,
+                              self.tilt_model, self.shared_profile,
+                              azimuth_offset_deg)
 
     def gain_tensor(self, tilts: np.ndarray,
                     azimuth_offsets: Optional[np.ndarray] = None
@@ -584,19 +561,14 @@ class PathLossDatabase:
     # ------------------------------------------------------------------
     # tilt models
     # ------------------------------------------------------------------
-    def _shared_delta(self, raster: _SectorRaster,
-                      tilt_deg: float) -> np.ndarray:
-        """The paper's one-change-matrix-per-tilt approximation.
-
-        A radial gain-change profile is computed once per target tilt
-        from a canonical flat-earth sector, then sampled by each grid's
-        distance from the (actual) sector.
-        """
+    def shared_profile(self, tilt_deg: float) -> np.ndarray:
+        """The shared-delta radial profile for ``tilt_deg``, computed
+        once per target tilt from the canonical sector (sector 0)."""
         profile = self._shared_profiles.get(tilt_deg)
         if profile is None:
             profile = shared_tilt_profile(self.network.sector(0), tilt_deg)
             self._shared_profiles.put(tilt_deg, profile)
-        return profile_at(profile, raster.distance_m)
+        return profile
 
 
 _PROFILE_STEP_M = 50.0
@@ -606,6 +578,21 @@ _PROFILE_BINS = 2400  # 120 km of radial profile — covers any raster
 # ----------------------------------------------------------------------
 # module-level building blocks, shared with the streaming packer
 # ----------------------------------------------------------------------
+def sector_gain_db(sector: Sector, raster: _SectorRaster, tilt_deg: float,
+                   tilt_model: TiltModelName,
+                   shared_profile: Callable[[float], np.ndarray],
+                   azimuth_offset_deg: float = 0.0) -> np.ndarray:
+    """``L_b(tilt, g)`` (negative dB) under either tilt model — for
+    ``gain_matrix`` and the packers alike.  ``shared-delta`` adds the
+    radial profile ``shared_profile(tilt_deg)``, sampled by distance,
+    to the plane at the planned tilt."""
+    if tilt_model == "exact":
+        return exact_gain_db(sector, raster, tilt_deg, azimuth_offset_deg)
+    base = exact_gain_db(sector, raster, sector.planned_tilt_deg,
+                         azimuth_offset_deg)
+    return base + profile_at(shared_profile(tilt_deg), raster.distance_m)
+
+
 def exact_gain_db(sector: Sector, raster: _SectorRaster, tilt_deg: float,
                   azimuth_offset_deg: float = 0.0) -> np.ndarray:
     """``L_b(tilt, g)`` (negative dB) for one precomputed sector raster."""

@@ -1,4 +1,4 @@
-"""Packed tilt-major path-loss storage (the ``magus.plossdb/1`` format).
+"""Packed tilt-major path-loss storage: the ``magus.plossdb/1`` format.
 
 The paper evaluates whole markets: "one path-loss matrix (containing
 600 x 600 path loss values) per antenna tilt configuration" per sector,
@@ -6,71 +6,57 @@ The paper evaluates whole markets: "one path-loss matrix (containing
 rasters inside :class:`~repro.model.pathloss.PathLossDatabase`
 re-exponentiates those planes through LRU caches on every query and
 cannot hold a market in RAM.  This module stores them *once*, packed:
+:class:`PackedGainStore` holds one contiguous float32 tensor of shape
+``(n_sectors, n_tilts, H, W)`` of linear-domain (mW) gains
+``10^(L/10)``, tilt-major so a (sector, tilt) query is an index-and-view
+and a whole-network assignment one gather, plus the ``(S, T, 4)`` table
+of each plane's nonzero bounding box.
 
-``PackedGainStore``
-    One contiguous float32 tensor of shape ``(n_sectors, n_tilts, H,
-    W)`` holding linear-domain (mW-canonical) gains ``10^(L/10)``,
-    tilt-major so a (sector, tilt) query is a pure index-and-view and
-    a whole-network assignment is one fancy-indexed gather.
+On-disk layout (``"version": 3``, the only version): ``16-byte magic``
+(``magus.plossdb/1\\n``) · ``uint64-LE header length`` · UTF-8 JSON
+header · zero padding · seven raw sections, each aligned to 4096 bytes:
+the ``gains_mw`` tensor, five ``(S, H, W)`` float32 sidecar planes
+(``horiz_att_db``, ``theta_deg``, ``loss_db``, ``distance_m``,
+``bearing_deg``, so a loaded database still answers off-ladder tilt and
+azimuth-offset queries exactly) and the int32 ``roi`` table, half-open
+``[row0, row1, col0, col1)``.  The header carries the grid and network
+identity, the tilt ladder and model, the ``clip_floor_db`` the planes
+were quantized under, the file size and, per section, ``offset``,
+``shape``, ``dtype``, ``nbytes`` and a ``checksum`` stamp;
+:func:`read_header` checks all of it and names the file and the key of
+the first violation.  Sections are opened read-only with ``np.memmap``
+and pages dropped (``madvise(MADV_DONTNEED)``) after bulk gathers, so a
+23 GB market evaluates within a laptop RSS budget.
 
-``magus.plossdb/1`` on-disk layout
-    ``16-byte magic`` (``magus.plossdb/1\\n``) · ``uint64-LE header
-    length`` · UTF-8 JSON header (grid, network, tilt ladder, section
-    table) · zero padding · raw sections, each aligned to 4096 bytes:
-    the gains tensor plus five float32 per-sector sidecar planes
-    (``horiz_att_db``, ``theta_deg``, ``loss_db``, ``distance_m``,
-    ``bearing_deg``) so a loaded database can still answer off-ladder
-    tilt and azimuth-offset queries through the exact fallback path.
-    Files are opened read-only with ``np.memmap``; pages are dropped
-    (``madvise(MADV_DONTNEED)``) after bulk gathers so a 23 GB market
-    evaluates within a laptop RSS budget.
+**Float32 parity contract**: planes come from one producer,
+:func:`sector_planes_mw` — the float64 ``gain_matrix`` composition
+quantized *once* by the float64→float32 cast — and :func:`clip_planes`
+zeroes gains below the floor at that quantization point and records the
+boxes.  The off-ladder fallback applies the identical cast and clip, so
+packed and fallback rows are bitwise equal, the full/delta/batch/
+parallel paths stay bitwise identical to each other, and cells outside
+a box carry gain *exactly* 0.0, which makes windowed evaluation (see
+:mod:`repro.model.roi`) bitwise identical to dense.
 
-**Float32 parity contract**: gains are computed in float64 (the same
-``gain_matrix`` arithmetic as the dict path) and quantized *once* by
-the float64→float32 cast at pack time.  The off-ladder fallback applies
-the identical quantization (``astype(float32)`` of the same float64
-plane), so packed rows and fallback rows are bitwise equal, and the
-full/delta/batch/parallel evaluation paths — which all multiply these
-float32 planes by float32-cast power factors — stay bitwise identical
-to each other.
-
-The header is written *last*: an interrupted build leaves zeroed magic
-bytes, so partial files fail loudly at load instead of parsing as an
-all-zero market.
-
-Version 2 adds a checksum per section (``"checksum": "crc32:…"`` in
-each section-table entry), computed over the raw section bytes when
-the writer closes.  New files are stamped with the stdlib CRC-32
-(:func:`zlib.crc32`, GB/s); files stamped ``crc32c:`` by older builds
-are verified with the legacy Castagnoli CRC, so packs already on disk
-load without a rebuild.  Verification follows each stamp's tag, and
-an unknown tag fails loudly.  :func:`load_packed` verifies small
-files automatically and big ones on request (``verify=True``),
-failing with the section name and byte range so a flipped bit in a
-23 GB market is a diagnosis, not a mystery mitigation plan.
-Version-1 files (no checksums) still load; checksum-less builds are
-available via ``checksums=False`` / ``repro-magus pack
---no-checksums``.
-
-Version 3 adds the sparse region-of-influence (ROI) sidecar: a
-``clip_floor_db`` header field (gains below the floor are zeroed at
-the single f64→f32 quantization point, so footprints are *exactly*
-sparse) and an int32 ``roi`` section of shape ``(S, T, 4)`` holding
-each (sector, tilt) plane's tight nonzero bounding box as half-open
-``[row0, row1, col0, col1)``.  Windowed evaluation (see
-:mod:`repro.model.roi`) slices every kernel to these boxes; because
-the clip happens at quantization, cells outside a box carry gain
-*exactly* 0.0 and windowed math is bitwise identical to dense.
-Version-1/2 files (no ROI section) still load — footprints are then
-computed lazily per (sector, tilt) on first use.
+Every section is stamped with the stdlib CRC-32 (``"crc32:…"``) when
+the writer closes; ``crc32c:`` stamps from older builds verify with the
+legacy Castagnoli CRC, and an unknown tag or a missing stamp fails.
+:func:`load_packed` verifies small files automatically and big ones on
+request (``verify=True``), naming the section and byte range so a
+flipped bit in a 23 GB market is a diagnosis, not a mystery plan.  The
+header is written *last*: an interrupted build leaves zeroed magic, so
+partial files fail loudly at load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import mmap
 import os
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (IO, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -82,25 +68,24 @@ from .network import CellularNetwork, Sector
 from .pathloss import (DEFAULT_CLIP_FLOOR_DB, DEFAULT_SHADOWING_CORR_M,
                        DEFAULT_SHADOWING_SIGMA_DB, PathLossDatabase,
                        TiltModelName, _SectorRaster, clip_gains_mw,
-                       exact_gain_db, plane_footprint, profile_at,
-                       sector_rasters, shared_tilt_profile)
+                       plane_footprint, sector_gain_db, sector_rasters,
+                       shared_tilt_profile)
 from .propagation import Environment, SPMParameters
 
 __all__ = ["PackedGainStore", "PackedDatabaseWriter", "pack_database",
            "save_packed", "load_packed", "stream_database", "read_header",
-           "verify_sections", "FORMAT_NAME", "MAGIC",
-           "DEFAULT_CLIP_FLOOR_DB", "clip_gains_mw", "plane_footprint"]
+           "verify_sections", "sector_planes_mw", "clip_planes",
+           "FORMAT_NAME", "MAGIC"]
 
 FORMAT_NAME = "magus.plossdb/1"
-FORMAT_VERSION = 3                     # v3 = ROI sidecar + clip floor
-SUPPORTED_VERSIONS = (1, 2, 3)         # older files still load
+FORMAT_VERSION = 3                     # the only version read or written
 MAGIC = b"magus.plossdb/1\n"          # exactly 16 bytes
 _ALIGN = 4096                          # section alignment (page size)
 _PREAMBLE = len(MAGIC) + 8             # magic + uint64-LE header length
 
-#: ``load_packed(verify="auto")`` verifies every checksummed section
-#: when their total size is at or below this; beyond it verification is
-#: opt-in so market-scale loads stay O(milliseconds).
+#: ``load_packed(verify="auto")`` verifies every section when their
+#: total size is at or below this; beyond it verification is opt-in so
+#: market-scale loads stay O(milliseconds).
 _VERIFY_AUTO_BYTES = 256 * 1024 * 1024
 #: Read granularity for streaming section checksums.
 _CRC_BLOCK_BYTES = 64 * 1024 * 1024
@@ -114,6 +99,13 @@ _CHECKSUM_PLACEHOLDER = f"{CHECKSUM_ALGORITHM}:00000000"
 #: section order.  Field names match ``_SectorRaster``.
 _SIDECARS = ("horiz_att_db", "theta_deg", "loss_db",
              "distance_m", "bearing_deg")
+
+
+def _section_layout(S: int, T: int, H: int, W: int) -> Dict[str, tuple]:
+    """``name -> (shape, dtype)`` of the seven sections, in file order."""
+    return {"gains_mw": ((S, T, H, W), "<f4"),
+            **dict.fromkeys(_SIDECARS, ((S, H, W), "<f4")),
+            "roi": ((S, T, 4), "<i4")}
 
 #: Per-block budget for the vectorized finite scan (``bad_sectors``):
 #: bounds transient RSS while keeping the reduction vectorized.
@@ -132,14 +124,15 @@ class PackedGainStore:
     """The packed tilt-major float32 mW tensor, in-memory or mmap.
 
     ``gains_mw[s, t]`` is sector ``s``'s linear-domain gain plane at
-    the ladder tilt ``tilt_values[t]``.  Arrays are read-only; views
-    handed out by :meth:`row` share storage with the tensor.
+    the ladder tilt ``tilt_values[t]`` and ``roi[s, t]`` its nonzero
+    bounding box.  Arrays are read-only; views handed out by
+    :meth:`row` share storage with the tensor.
     """
 
     def __init__(self, gains_mw: np.ndarray,
                  tilt_values: Sequence[float],
+                 roi: np.ndarray,
                  path: Optional[str] = None,
-                 roi: Optional[np.ndarray] = None,
                  clip_floor_db: Optional[float] = None) -> None:
         if gains_mw.ndim != 4:
             raise ValueError("gains tensor must be (S, T, H, W)")
@@ -161,15 +154,11 @@ class PackedGainStore:
         self._tilt_index: Dict[float, int] = {
             t: i for i, t in enumerate(self.tilt_values)}
         self.path = os.fspath(path) if path is not None else None
-        if roi is not None:
-            roi = np.asarray(roi, dtype=np.int32)
-            if roi.shape != (gains_mw.shape[0], gains_mw.shape[1], 4):
-                raise ValueError("roi table must be (S, T, 4)")
         #: Per-(sector, tilt) nonzero bounding boxes, ``(S, T, 4)``
-        #: int32 half-open rows/cols.  ``None`` for v1/v2 files, where
-        #: boxes are computed lazily per query (see :meth:`footprint`).
-        self._roi = roi
-        self._roi_lazy: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
+        #: int32 half-open rows/cols (see :func:`clip_planes`).
+        self.roi = np.asarray(roi, dtype=np.int32)
+        if self.roi.shape != gains_mw.shape[:2] + (4,):
+            raise ValueError("roi table must be (S, T, 4)")
         #: The clip floor the planes were quantized under (header
         #: field); informational — clipping happened at pack time.
         self.clip_floor_db = (None if clip_floor_db is None
@@ -192,11 +181,6 @@ class PackedGainStore:
     def is_file_backed(self) -> bool:
         return self.path is not None
 
-    @property
-    def has_footprints(self) -> bool:
-        """True when the precomputed (v3) ROI table is present."""
-        return self._roi is not None
-
     # -- queries -------------------------------------------------------
     def index_of(self, tilt_deg: float) -> Optional[int]:
         return self._tilt_index.get(float(tilt_deg))
@@ -218,38 +202,10 @@ class PackedGainStore:
 
     def footprint(self, sector_id: int,
                   tilt_index: int) -> Tuple[int, int, int, int]:
-        """The (sector, tilt) plane's nonzero bounding box.
-
-        Half-open ``(row0, row1, col0, col1)``.  v3 files answer from
-        the packed ROI table; v1/v2 files (and in-memory stores built
-        without one) scan the plane once and memoize — correct either
-        way, just not pre-sparsified for unclipped data.
-        """
-        if self._roi is not None:
-            r0, r1, c0, c1 = self._roi[sector_id, tilt_index]
-            return (int(r0), int(r1), int(c0), int(c1))
-        key = (sector_id, tilt_index)
-        box = self._roi_lazy.get(key)
-        if box is None:
-            box = plane_footprint(self.gains_mw[sector_id, tilt_index])
-            self._roi_lazy[key] = box
-        return box
-
-    def footprints(self) -> np.ndarray:
-        """All bounding boxes, ``(S, T, 4)`` int32 (computed if absent).
-
-        Used by ``validate()``'s sparsity report; for v1/v2 files this
-        scans the whole tensor in sector blocks like ``bad_sectors``.
-        """
-        if self._roi is not None:
-            return np.asarray(self._roi)
-        S, T, _, _ = self.shape
-        roi = np.empty((S, T, 4), dtype=np.int32)
-        for s in range(S):
-            for t in range(T):
-                roi[s, t] = self.footprint(s, t)
-            self.drop_page_cache()
-        return roi
+        """The (sector, tilt) plane's nonzero bounding box, half-open
+        ``(row0, row1, col0, col1)``, from the ROI table."""
+        r0, r1, c0, c1 = self.roi[sector_id, tilt_index]
+        return (int(r0), int(r1), int(c0), int(c1))
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Stacked planes for one tilt index per sector: the whole-
@@ -312,33 +268,21 @@ class PackedGainStore:
     # the far side; in-memory stores pickle the (small) tensor itself.
     def __getstate__(self) -> dict:
         if self.path is not None:
-            return {"path": self.path, "tilt_values": self.tilt_values}
+            return {"path": self.path}
         return {"gains_mw": np.asarray(self.gains_mw),
-                "tilt_values": self.tilt_values,
-                "roi": (None if self._roi is None
-                        else np.asarray(self._roi)),
+                "tilt_values": self.tilt_values, "roi": self.roi,
                 "clip_floor_db": self.clip_floor_db}
 
     def __setstate__(self, state: dict) -> None:
-        path = state.get("path")
-        if path is not None:
-            header = read_header(path)
-            gains = _open_section(path, header, "gains_mw")
-            roi = (_open_section(path, header, "roi")
-                   if "roi" in header["sections"] else None)
-            self.__init__(gains, state["tilt_values"], path=path,
-                          roi=roi,
-                          clip_floor_db=header.get("clip_floor_db"))
+        if "path" in state:
+            state = _mapped_store(state["path"], read_header(state["path"]))
         else:
-            gains = state["gains_mw"]
-            gains.setflags(write=False)
-            self.__init__(gains, state["tilt_values"],
-                          roi=state.get("roi"),
-                          clip_floor_db=state.get("clip_floor_db"))
+            state["gains_mw"].setflags(write=False)
+        self.__init__(**state)
 
 
 # ----------------------------------------------------------------------
-# packing an existing database in memory
+# the plane producer and the clip
 # ----------------------------------------------------------------------
 def default_tilt_values(network: CellularNetwork) -> Tuple[float, ...]:
     """The union of every sector's tilt catalogue, ascending."""
@@ -347,37 +291,61 @@ def default_tilt_values(network: CellularNetwork) -> Tuple[float, ...]:
     return tuple(values)
 
 
+def sector_planes_mw(sector: Sector, raster: _SectorRaster,
+                     tilt_values: Sequence[float],
+                     tilt_model: TiltModelName,
+                     shared_profile: Callable[[float], np.ndarray]
+                     ) -> np.ndarray:
+    """One sector's ``(T, H, W)`` float32 mW planes: the float64
+    :func:`sector_gain_db` of ``gain_matrix``, cast once on assignment."""
+    planes = np.empty((len(tilt_values),) + raster.distance_m.shape,
+                      dtype=np.float32)
+    for j, tilt in enumerate(tilt_values):
+        planes[j] = np.power(10.0, sector_gain_db(
+            sector, raster, tilt, tilt_model, shared_profile) / 10.0)
+    return planes
+
+
+def clip_planes(planes: np.ndarray,
+                clip_floor_db: Optional[float]) -> np.ndarray:
+    """Zero a sector's float32 planes below the floor, in place, and
+    return their ``(T, 4)`` int32 nonzero bounding boxes."""
+    clip_gains_mw(planes, clip_floor_db)
+    boxes = np.empty((len(planes), 4), dtype=np.int32)
+    for j, plane in enumerate(planes):
+        boxes[j] = plane_footprint(plane)
+    return boxes
+
+
+def _floor_of(db: PathLossDatabase, clip_floor_db: object) -> Optional[float]:
+    """Resolve ``"inherit"``: the database's own floor when it has one,
+    else :data:`DEFAULT_CLIP_FLOOR_DB` — a packed artifact is clipped
+    unless the caller passes an explicit ``None``."""
+    if clip_floor_db == "inherit":
+        return (DEFAULT_CLIP_FLOOR_DB if db.clip_floor_db is None
+                else db.clip_floor_db)
+    return clip_floor_db
+
+
 def pack_database(db: PathLossDatabase,
                   tilt_values: Optional[Sequence[float]] = None,
                   clip_floor_db: object = "inherit") -> PackedGainStore:
-    """Precompute the packed tensor from a dict-backed database.
-
-    Gains are the same float64 ``gain_matrix`` output the dict path
-    exponentiates; the assignment into the float32 tensor is the single
-    quantization step of the parity contract, and the clip floor is
-    applied right there so packed rows match the dict fallback bit for
-    bit.  ``"inherit"`` takes the database's own floor when it has one,
-    else :data:`DEFAULT_CLIP_FLOOR_DB` — a packed artifact is clipped
-    unless the caller passes an explicit ``None``.
-    """
-    if tilt_values is None:
-        tilt_values = default_tilt_values(db.network)
-    if clip_floor_db == "inherit":
-        clip_floor_db = getattr(db, "clip_floor_db", None)
-        if clip_floor_db is None:
-            clip_floor_db = DEFAULT_CLIP_FLOOR_DB
-    S = db.network.n_sectors
-    H, W = db.grid.shape
-    T = len(tilt_values)
-    gains = np.empty((S, T, H, W), dtype=np.float32)
+    """Precompute the packed tensor from a dict-backed database
+    (attach it with ``db.attach_packed``)."""
+    tilt_values = tuple(float(t) for t in (
+        default_tilt_values(db.network) if tilt_values is None
+        else tilt_values))
+    clip_floor_db = _floor_of(db, clip_floor_db)
+    S, T = db.network.n_sectors, len(tilt_values)
+    gains = np.empty((S, T) + db.grid.shape, dtype=np.float32)
     roi = np.empty((S, T, 4), dtype=np.int32)
-    for s in range(S):
-        for j, tilt in enumerate(tilt_values):
-            gains[s, j] = np.power(10.0, db.gain_matrix(s, float(tilt)) / 10.0)
-            clip_gains_mw(gains[s, j], clip_floor_db)
-            roi[s, j] = plane_footprint(gains[s, j])
+    for s, sector in enumerate(db.network.sectors):
+        planes = sector_planes_mw(sector, db._rasters[s], tilt_values,
+                                  db.tilt_model, db.shared_profile)
+        roi[s] = clip_planes(planes, clip_floor_db)
+        gains[s] = planes
     gains.setflags(write=False)
-    return PackedGainStore(gains, tilt_values, roi=roi,
+    return PackedGainStore(gains, tilt_values, roi,
                            clip_floor_db=clip_floor_db)
 
 
@@ -398,7 +366,6 @@ class PackedDatabaseWriter:
     def __init__(self, path: str, grid: GridSpec, network: CellularNetwork,
                  tilt_values: Sequence[float],
                  tilt_model: TiltModelName = "exact",
-                 checksums: bool = True,
                  clip_floor_db: Optional[float] = DEFAULT_CLIP_FLOOR_DB
                  ) -> None:
         self.path = os.fspath(path)
@@ -406,7 +373,6 @@ class PackedDatabaseWriter:
         self.network = network
         self.tilt_values = tuple(float(t) for t in tilt_values)
         self._tilt_model = tilt_model
-        self._checksums = bool(checksums)
         self.clip_floor_db = (None if clip_floor_db is None
                               else float(clip_floor_db))
         S = network.n_sectors
@@ -426,17 +392,13 @@ class PackedDatabaseWriter:
         draft = self._header_dict(sections={}, file_bytes=0)
         data_start = _align_up(_PREAMBLE + len(_encode(draft)) + _ALIGN)
         offset = data_start
-        specs = [("gains_mw", (S, T, H, W), "<f4")] + \
-            [(f, (S, H, W), "<f4") for f in _SIDECARS] + \
-            [("roi", (S, T, 4), "<i4")]
-        for name, shape, dtype in specs:
+        for name, (shape, dtype) in _section_layout(S, T, H, W).items():
             nbytes = int(np.prod(shape)) * 4
+            # Real CRCs land at close(); the placeholder has the same
+            # encoded width so the header length is final now.
             sections[name] = {"offset": offset, "shape": list(shape),
-                              "dtype": dtype, "nbytes": nbytes}
-            if self._checksums:
-                # Real CRCs land at close(); the placeholder has the
-                # same encoded width so the header length is final now.
-                sections[name]["checksum"] = _CHECKSUM_PLACEHOLDER
+                              "dtype": dtype, "nbytes": nbytes,
+                              "checksum": _CHECKSUM_PLACEHOLDER}
             offset = _align_up(offset + nbytes)
         self._file_bytes = offset
         self.header = self._header_dict(sections=sections,
@@ -470,15 +432,9 @@ class PackedDatabaseWriter:
 
     def write_sector(self, sector_id: int, raster: _SectorRaster,
                      planes_mw: np.ndarray) -> None:
-        """Persist one sector: its (T, H, W) float32 mW planes plus the
-        five float32 sidecar rasters.
-
-        The clip floor is applied here — after the float32 cast, i.e.
-        at the quantization point — and the per-tilt footprints are
-        recorded for the roi section.  ``planes_mw`` may be modified
-        in place when already float32-contiguous (both builders hand
-        over throwaway buffers).
-        """
+        """Persist one sector: its (T, H, W) float32 mW planes, clipped
+        (in place when already float32-contiguous) by :func:`clip_planes`
+        for the roi section, plus the five float32 sidecar rasters."""
         assert self._fh is not None, "writer already closed"
         T = len(self.tilt_values)
         H, W = self.grid.shape
@@ -487,9 +443,7 @@ class PackedDatabaseWriter:
             raise ValueError(
                 f"sector {sector_id}: planes shape {planes.shape} != "
                 f"{(T, H, W)}")
-        clip_gains_mw(planes, self.clip_floor_db)
-        for j in range(T):
-            self._roi[sector_id, j] = plane_footprint(planes[j])
+        self._roi[sector_id] = clip_planes(planes, self.clip_floor_db)
         self._fh.seek(self._sections["gains_mw"]["offset"]
                       + sector_id * self._sector_gain_bytes)
         self._fh.write(planes.tobytes())
@@ -519,17 +473,15 @@ class PackedDatabaseWriter:
         roi = np.ascontiguousarray(self._roi, dtype=np.dtype("<i4"))
         self._fh.seek(self._sections["roi"]["offset"])
         self._fh.write(roi.tobytes())
-        if self._checksums:
-            self._fh.flush()
-            expected_len = len(self._header_bytes)
-            for name, spec in self._sections.items():
-                spec["checksum"] = _stream_checksum(
-                    self._fh, int(spec["offset"]), int(spec["nbytes"]))
-            self._header_bytes = _encode(self.header)
-            if len(self._header_bytes) != expected_len:
-                raise AssertionError(
-                    "plossdb header length changed while stamping "
-                    "checksums")
+        self._fh.flush()
+        expected_len = len(self._header_bytes)
+        for name, spec in self._sections.items():
+            spec["checksum"] = _stream_checksum(
+                self._fh, int(spec["offset"]), int(spec["nbytes"]))
+        self._header_bytes = _encode(self.header)
+        if len(self._header_bytes) != expected_len:
+            raise AssertionError(
+                "plossdb header length changed while stamping checksums")
         self._fh.seek(0)
         self._fh.write(MAGIC)
         self._fh.write(len(self._header_bytes).to_bytes(8, "little"))
@@ -572,36 +524,15 @@ def _stream_checksum(fh: IO[bytes], offset: int, nbytes: int,
 
 def save_packed(db: PathLossDatabase, path: str,
                 tilt_values: Optional[Sequence[float]] = None,
-                checksums: bool = True,
                 clip_floor_db: object = "inherit") -> Dict:
-    """Write an existing database to ``path`` in plossdb format.
-
-    Planes are recomputed from ``gain_matrix`` (not copied from any
-    attached store), so the file is bit-identical whether the source
-    database was dict-backed or packed.  The clip floor defaults to
-    the database's own when set, else :data:`DEFAULT_CLIP_FLOOR_DB`
-    (pass ``None`` explicitly to write an unclipped file).  Returns
-    the header dict.
-    """
-    if tilt_values is None:
-        tilt_values = default_tilt_values(db.network)
-    if clip_floor_db == "inherit":
-        clip_floor_db = getattr(db, "clip_floor_db", None)
-        if clip_floor_db is None:
-            clip_floor_db = DEFAULT_CLIP_FLOOR_DB
-    T = len(tuple(tilt_values))
-    H, W = db.grid.shape
-    with PackedDatabaseWriter(path, db.grid, db.network, tilt_values,
-                              tilt_model=db.tilt_model,
-                              checksums=checksums,
-                              clip_floor_db=clip_floor_db) as writer:
-        for s in range(db.network.n_sectors):
-            planes = np.empty((T, H, W), dtype=np.float32)
-            for j, tilt in enumerate(writer.tilt_values):
-                planes[j] = np.power(10.0, db.gain_matrix(s, tilt) / 10.0)
-            writer.write_sector(s, db._rasters[s], planes)
-        header = writer.header
-    return header
+    """Write an existing database to ``path`` in plossdb format and
+    return the header.  Planes are recomputed from the rasters, never
+    copied from an attached store; the floor resolves as in
+    :func:`pack_database` (``None`` writes an unclipped file)."""
+    return _write_packed(path, db.grid, db.network,
+                         zip(db.network.sectors, db._rasters),
+                         db.tilt_model, tilt_values,
+                         _floor_of(db, clip_floor_db))
 
 
 def stream_database(path: str, network: CellularNetwork,
@@ -613,52 +544,42 @@ def stream_database(path: str, network: CellularNetwork,
                     tilt_model: TiltModelName = "exact",
                     tilt_values: Optional[Sequence[float]] = None,
                     progress: Optional[Callable[[int, int], None]] = None,
-                    checksums: bool = True,
                     clip_floor_db: Optional[float] = DEFAULT_CLIP_FLOOR_DB
                     ) -> Dict:
     """Build a plossdb file one sector at a time — never holding more
     than one site's shared terms plus a single sector's rasters and
-    planes in RAM.
+    planes in RAM — and return the header.  The rasters come from
+    ``from_environment``'s :func:`sector_rasters` loop with the same
+    seeds, so the file has the very bytes :func:`save_packed` writes."""
+    return _write_packed(path, environment.grid, network, sector_rasters(
+        network, environment, spm, shadowing_sigma_db, shadowing_corr_m,
+        seed), tilt_model, tilt_values, clip_floor_db, progress)
 
-    The rasters come from the same :func:`sector_rasters` loop as
-    ``PathLossDatabase.from_environment`` and the planes from the same
-    ``exact_gain_db`` arithmetic as ``gain_matrix``, with the same
-    seeds, so a streamed file loads into the same planes an in-memory
-    build would produce.  Returns the header dict.
-    """
+
+def _write_packed(path: str, grid: GridSpec, network: CellularNetwork,
+                  rasters: Iterable[Tuple[Sector, _SectorRaster]],
+                  tilt_model: TiltModelName,
+                  tilt_values: Optional[Sequence[float]],
+                  clip_floor_db: Optional[float],
+                  progress: Optional[Callable[[int, int], None]] = None
+                  ) -> Dict:
+    """Stream ``(sector, raster)`` pairs through the plane producer
+    into a :class:`PackedDatabaseWriter`; return its header."""
     if tilt_values is None:
         tilt_values = default_tilt_values(network)
-    H, W = environment.grid.shape
-    ref = network.sector(0)
-    profiles: Dict[float, np.ndarray] = {}
-    with PackedDatabaseWriter(path, environment.grid, network, tilt_values,
+    # As PathLossDatabase.shared_profile: once per tilt, from sector 0.
+    shared_profile = functools.lru_cache(maxsize=None)(
+        functools.partial(shared_tilt_profile, network.sector(0)))
+    with PackedDatabaseWriter(path, grid, network, tilt_values,
                               tilt_model=tilt_model,
-                              checksums=checksums,
                               clip_floor_db=clip_floor_db) as writer:
-        n = network.n_sectors
-        rasters = sector_rasters(network, environment, spm,
-                                 shadowing_sigma_db, shadowing_corr_m, seed)
         for s, (sector, raster) in enumerate(rasters):
-            planes = np.empty((len(writer.tilt_values), H, W),
-                              dtype=np.float32)
-            if tilt_model == "exact":
-                for j, tilt in enumerate(writer.tilt_values):
-                    gain = exact_gain_db(sector, raster, tilt)
-                    planes[j] = np.power(10.0, gain / 10.0)
-            else:  # shared-delta: base plane + cached radial profile
-                base = exact_gain_db(sector, raster,
-                                     sector.planned_tilt_deg)
-                for j, tilt in enumerate(writer.tilt_values):
-                    profile = profiles.get(tilt)
-                    if profile is None:
-                        profile = shared_tilt_profile(ref, tilt)
-                        profiles[tilt] = profile
-                    planes[j] = np.power(10.0, (base + profile_at(
-                        profile, raster.distance_m)) / 10.0)
-            writer.write_sector(s, raster, planes)
-            del raster, planes
+            writer.write_sector(s, raster, sector_planes_mw(
+                sector, raster, writer.tilt_values, tilt_model,
+                shared_profile))
+            del raster        # before the generator builds the next one
             if progress is not None:
-                progress(s + 1, n)
+                progress(s + 1, network.n_sectors)
         header = writer.header
     return header
 
@@ -666,11 +587,111 @@ def stream_database(path: str, network: CellularNetwork,
 # ----------------------------------------------------------------------
 # loader
 # ----------------------------------------------------------------------
+#: The sector, antenna and tilt-range fields a header records, each
+#: a number except the two ids.
+_SECTOR_FIELDS = ("sector_id", "site_id", "x", "y", "azimuth_deg",
+                  "height_m", "power_dbm", "max_power_dbm", "min_power_dbm")
+_PART_FIELDS = {"antenna": ("gain_dbi", "horiz_beamwidth", "vert_beamwidth",
+                            "front_back_db", "sla_db"),
+                "tilt_range": ("normal_deg", "min_deg", "max_deg",
+                               "step_deg")}
+
+
+_INT = (lambda v: type(v) is int, "an integer")           # not bool
+_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v),
+           "a number")
+_TEXT = (lambda v: type(v) is str, "a string")
+_SECTION_SCHEMA = {"offset": _INT, "shape": [_INT], "dtype": _TEXT,
+                   "nbytes": _INT, "checksum": _TEXT}
+#: The v3 header: a dict is a JSON object with (at least) these keys, a
+#: one-item list a JSON list of that item, a pair a leaf check.
+_HEADER_SCHEMA = {
+    "format": _TEXT,
+    "version": _INT,
+    "dtype": (lambda v: v == "float32", "'float32'"),
+    "clip_floor_db": (lambda v: v is None or _NUMBER[0](v),
+                      "a number or null"),
+    "tilt_model": (lambda v: v in ("exact", "shared-delta"),
+                   "'exact' or 'shared-delta'"),
+    "tilt_values": [_NUMBER],
+    "n_sectors": _INT,
+    "n_tilts": _INT,
+    "grid_shape": [_INT],
+    "grid": dict.fromkeys(("x0", "y0", "x1", "y1", "cell_size"), _NUMBER),
+    "network": {"sectors": [{
+        **dict.fromkeys(_SECTOR_FIELDS, _NUMBER),
+        "sector_id": _INT, "site_id": _INT,
+        **{part: dict.fromkeys(fields, _NUMBER)
+           for part, fields in _PART_FIELDS.items()}}]},
+    "sections": dict.fromkeys(("gains_mw",) + _SIDECARS + ("roi",),
+                              _SECTION_SCHEMA),
+    "file_bytes": _INT,
+}
+
+
+def _header_error(path: str, key: str, problem: str) -> ValueError:
+    return ValueError(f"{path}: malformed plossdb header: key {key!r} "
+                      f"{problem}; re-run the pack")
+
+
+def _check_schema(path: str, value, schema, key: str) -> None:
+    """Raise the ``_header_error`` of the first place ``value`` departs
+    from ``schema`` (see :data:`_HEADER_SCHEMA`)."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise _header_error(path, key or "header",
+                                "must be a JSON object")
+        for name, sub in schema.items():
+            where = f"{key}.{name}" if key else name
+            if name not in value:
+                raise _header_error(path, where, "is missing")
+            _check_schema(path, value[name], sub, where)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise _header_error(path, key, "must be a JSON list")
+        for i, item in enumerate(value):
+            _check_schema(path, item, schema[0], f"{key}[{i}]")
+    elif not schema[0](value):
+        raise _header_error(path, key,
+                            f"must be {schema[1]}, not {value!r:.40}")
+
+
+def _check_layout(path: str, header: Dict, data_start: int) -> None:
+    """Counts, grid and section table agree with each other and with
+    the file: every section has its shape, dtype and size and lies
+    between the header and ``file_bytes``."""
+    S, T = header["n_sectors"], len(header["tilt_values"])
+    try:
+        H, W = _grid_from_json(header["grid"]).shape
+    except ValueError as exc:
+        raise _header_error(path, "grid", f"is invalid ({exc})") from exc
+    for key, found, want in (
+            ("n_tilts", header["n_tilts"], T),
+            ("grid_shape", header["grid_shape"], [H, W]),
+            ("network.sectors", len(header["network"]["sectors"]), S)):
+        if found != want:
+            raise _header_error(path, key, f"is {found}, expected {want}")
+    end = header["file_bytes"]
+    for name, (shape, dtype) in _section_layout(S, T, H, W).items():
+        spec = header["sections"][name]
+        want = {"shape": list(shape), "dtype": dtype,
+                "nbytes": int(np.prod(shape)) * 4}
+        for field, value in want.items():
+            if spec[field] != value:
+                raise _header_error(path, f"sections.{name}.{field}",
+                                    f"must be {value!r}")
+        if not data_start <= spec["offset"] <= end - spec["nbytes"]:
+            raise _header_error(path, f"sections.{name}.offset",
+                                f"puts the section outside bytes "
+                                f"{data_start}..{end}")
+
+
 def read_header(path: str) -> Dict:
     """Parse and validate the preamble + JSON header of a plossdb file.
 
-    Raises ``ValueError`` with an actionable message on bad magic,
-    unsupported format version, or a truncated file.
+    Raises ``ValueError`` with an actionable message on bad magic, a
+    version other than 3, a truncated file, or a header that departs
+    from the v3 schema — naming the file and the offending key.
     """
     path = os.fspath(path)
     size = os.path.getsize(path)
@@ -691,19 +712,20 @@ def read_header(path: str) -> Dict:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt plossdb header: {exc}") from exc
-    fmt = header.get("format")
-    version = header.get("version")
-    if fmt != FORMAT_NAME or version not in SUPPORTED_VERSIONS:
+    fmt = header.get("format") if isinstance(header, dict) else None
+    version = header.get("version") if isinstance(header, dict) else None
+    if fmt != FORMAT_NAME or version != FORMAT_VERSION:
         raise ValueError(
-            f"{path} was written by format {fmt!r} version {version}; "
-            f"this build reads {FORMAT_NAME} versions "
-            f"{list(SUPPORTED_VERSIONS)} — rebuild the file with "
-            f"`repro-magus pack`")
-    expected = int(header["file_bytes"])
-    if size != expected:
+            f"{path} was written by format {fmt!r} version {version!r} "
+            f"(header keys 'format', 'version'); this build reads "
+            f"{FORMAT_NAME} version {FORMAT_VERSION} only — rebuild the "
+            f"file with `repro-magus pack`")
+    _check_schema(path, header, _HEADER_SCHEMA, "")
+    _check_layout(path, header, _PREAMBLE + header_len)
+    if size != header["file_bytes"]:
         raise ValueError(
-            f"{path} is truncated or padded: {size} of {expected} "
-            f"bytes; re-run the pack")
+            f"{path} is truncated or padded: {size} of "
+            f"{header['file_bytes']} bytes; re-run the pack")
     return header
 
 
@@ -714,13 +736,22 @@ def _open_section(path: str, header: Dict, name: str) -> np.ndarray:
                      shape=tuple(spec["shape"]))
 
 
-def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
-    """Check every checksummed section of ``path`` against its CRC.
+def _mapped_store(path: str, header: Dict) -> Dict:
+    """:class:`PackedGainStore` arguments over a plossdb file's
+    memory-mapped ``gains_mw`` and ``roi`` sections."""
+    return {"gains_mw": _open_section(path, header, "gains_mw"),
+            "tilt_values": header["tilt_values"],
+            "roi": _open_section(path, header, "roi"),
+            "path": path, "clip_floor_db": header["clip_floor_db"]}
 
-    Returns the names of the sections actually verified (empty for a
-    v1 file, which carries no checksums).  Raises ``ValueError``
-    naming the first bad section and its byte range — the actionable
-    half of "your packed market is corrupt".
+
+def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
+    """Check every section of ``path`` against its checksum stamp.
+
+    Returns the names of the sections verified (all of them).  Raises
+    :class:`ChecksumError` naming the first section that carries no
+    stamp, an unknown tag, or a stamp its bytes fail — with the byte
+    range, the actionable half of "your packed market is corrupt".
     """
     path = os.fspath(path)
     if header is None:
@@ -730,7 +761,9 @@ def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
         for name, spec in header["sections"].items():
             stamp = spec.get("checksum")
             if stamp is None:
-                continue
+                raise ChecksumError(
+                    f"{path}: section {name!r} carries no 'checksum' "
+                    f"stamp; re-run the pack")
             algorithm = str(stamp).partition(":")[0]
             if algorithm not in SUPPORTED_CHECKSUMS:
                 raise ChecksumError(
@@ -759,12 +792,13 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
     Construction-time ``validate()`` is skipped (it would fault in the
     whole tensor); call it explicitly to scan a suspect file.
 
-    ``verify`` controls checksum verification of v2+ files: ``True``
-    always streams every section through the CRC its stamp names
-    (``crc32``, or the legacy ``crc32c``), ``False`` never does, and ``"auto"`` (default) verifies only files small enough
-    (≤256 MB of sections) that the scan doesn't compromise the
-    milliseconds-load contract — run :func:`verify_sections` (or
-    ``verify=True``) explicitly for market-scale files.
+    ``verify`` controls checksum verification: ``True`` always streams
+    every section through the CRC its stamp names (``crc32``, or the
+    legacy ``crc32c``), ``False`` never does, and ``"auto"`` (default)
+    verifies only files small enough (≤256 MB of sections) that the
+    scan doesn't compromise the milliseconds-load contract — run
+    :func:`verify_sections` (or ``verify=True``) explicitly for
+    market-scale files.
     """
     path = os.fspath(path)
     header = read_header(path)
@@ -773,28 +807,24 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
                          f"not {verify!r}")
     if verify is True or (
             verify == "auto"
-            and sum(int(s["nbytes"]) for s in header["sections"].values()
-                    if "checksum" in s) <= _VERIFY_AUTO_BYTES):
+            and sum(s["nbytes"] for s in header["sections"].values())
+            <= _VERIFY_AUTO_BYTES):
         verify_sections(path, header)
     grid = _grid_from_json(header["grid"])
-    network = _network_from_json(header["network"])
+    try:
+        network = _network_from_json(header["network"])
+    except ValueError as exc:
+        raise _header_error(path, "network", f"is invalid ({exc})") from exc
     sidecars = {name: _open_section(path, header, name)
                 for name in _SIDECARS}
     rasters = [
         _SectorRaster(**{name: sidecars[name][s] for name in _SIDECARS})
         for s in range(network.n_sectors)]
-    clip_floor_db = header.get("clip_floor_db")
+    clip_floor_db = header["clip_floor_db"]
     db = PathLossDatabase(grid, network, rasters,
-                          tilt_model=header.get("tilt_model", "exact"),
+                          tilt_model=header["tilt_model"],
                           validate=False, clip_floor_db=clip_floor_db)
-    gains = _open_section(path, header, "gains_mw")
-    # v3 carries the ROI table; the (tiny) section is materialized so
-    # footprint queries never fault file pages.
-    roi = (np.asarray(_open_section(path, header, "roi"))
-           if "roi" in header["sections"] else None)
-    db.attach_packed(PackedGainStore(gains, header["tilt_values"],
-                                     path=path, roi=roi,
-                                     clip_floor_db=clip_floor_db))
+    db.attach_packed(PackedGainStore(**_mapped_store(path, header)))
     return db
 
 
@@ -818,41 +848,18 @@ def _grid_from_json(data: Dict) -> GridSpec:
 
 
 def _network_to_json(network: CellularNetwork) -> Dict:
-    return {"sectors": [_sector_to_json(s) for s in network.sectors]}
-
-
-def _sector_to_json(s: Sector) -> Dict:
-    return {
-        "sector_id": s.sector_id, "site_id": s.site_id,
-        "x": s.x, "y": s.y,
-        "azimuth_deg": s.azimuth_deg, "height_m": s.height_m,
-        "power_dbm": s.power_dbm, "max_power_dbm": s.max_power_dbm,
-        "min_power_dbm": s.min_power_dbm,
-        "antenna": {
-            "gain_dbi": s.antenna.gain_dbi,
-            "horiz_beamwidth": s.antenna.horiz_beamwidth,
-            "vert_beamwidth": s.antenna.vert_beamwidth,
-            "front_back_db": s.antenna.front_back_db,
-            "sla_db": s.antenna.sla_db,
-        },
-        "tilt_range": {
-            "normal_deg": s.tilt_range.normal_deg,
-            "min_deg": s.tilt_range.min_deg,
-            "max_deg": s.tilt_range.max_deg,
-            "step_deg": s.tilt_range.step_deg,
-        },
-    }
+    return {"sectors": [
+        {**{f: getattr(s, f) for f in _SECTOR_FIELDS},
+         **{part: {f: getattr(getattr(s, part), f) for f in fields}
+            for part, fields in _PART_FIELDS.items()}}
+        for s in network.sectors]}
 
 
 def _network_from_json(data: Dict) -> CellularNetwork:
-    sectors = []
-    for sd in data["sectors"]:
-        sectors.append(Sector(
-            sector_id=sd["sector_id"], site_id=sd["site_id"],
-            x=sd["x"], y=sd["y"], azimuth_deg=sd["azimuth_deg"],
-            height_m=sd["height_m"], power_dbm=sd["power_dbm"],
-            max_power_dbm=sd["max_power_dbm"],
-            min_power_dbm=sd["min_power_dbm"],
-            antenna=AntennaPattern(**sd["antenna"]),
-            tilt_range=TiltRange(**sd["tilt_range"])))
-    return CellularNetwork(sectors)
+    return CellularNetwork([Sector(
+        **{f: sd[f] for f in _SECTOR_FIELDS},
+        antenna=AntennaPattern(
+            **{f: sd["antenna"][f] for f in _PART_FIELDS["antenna"]}),
+        tilt_range=TiltRange(
+            **{f: sd["tilt_range"][f] for f in _PART_FIELDS["tilt_range"]}))
+        for sd in data["sectors"]])

@@ -128,7 +128,6 @@ def build_area(area_type: AreaType, seed: int = 0,
                planning: Optional[PlanningSettings] = None,
                name: Optional[str] = None,
                evaluation_strategy: str = "delta",
-               pathloss_backend: str = "dict",
                plossdb: Optional[str] = None) -> StudyArea:
     """Construct a reproducible :class:`StudyArea`.
 
@@ -141,11 +140,10 @@ def build_area(area_type: AreaType, seed: int = 0,
     networks are (pass ``planning=PlanningSettings(max_passes=0)`` to
     skip it).
 
-    ``pathloss_backend="packed"`` precomputes the tilt-major float32
-    tensor in memory; ``plossdb`` names a ``magus.plossdb`` file to
-    memory-map instead of computing rasters (built first — streamed,
-    one sector at a time — if it does not exist yet).  Both switch the
-    evaluation pipeline to float32 planes.
+    ``plossdb`` names a ``magus.plossdb`` file to memory-map instead of
+    computing rasters (built first — streamed, one sector at a time —
+    if it does not exist yet); it switches the evaluation pipeline to
+    float32 planes.
     """
     dims = dims or AreaDimensions.for_area(area_type)
     tuning_region = Region.square(dims.tuning_side_m)
@@ -160,8 +158,7 @@ def build_area(area_type: AreaType, seed: int = 0,
                                  tilt_model)
     else:
         pathloss = PathLossDatabase.from_environment(
-            network, environment, seed=seed, tilt_model=tilt_model,
-            backend=pathloss_backend)
+            network, environment, seed=seed, tilt_model=tilt_model)
     engine = AnalysisEngine(pathloss, link=link)
 
     # Two-pass density: footprints first, then per-sector totals spread
@@ -221,7 +218,6 @@ def pack_area_database(path: str, area_type: AreaType, seed: int = 0,
                        dims: Optional[AreaDimensions] = None,
                        tilt_model: TiltModelName = "exact",
                        progress: Optional[Callable[[int, int], None]] = None,
-                       checksums: bool = True,
                        clip_floor_db: Optional[float] =
                        DEFAULT_CLIP_FLOOR_DB) -> Dict:
     """Stream a standard study area's path-loss database to disk.
@@ -241,7 +237,6 @@ def pack_area_database(path: str, area_type: AreaType, seed: int = 0,
     network = build_network(analysis_region, area_type, seed=seed)
     return stream_database(path, network, environment, seed=seed,
                            tilt_model=tilt_model, progress=progress,
-                           checksums=checksums,
                            clip_floor_db=clip_floor_db)
 
 
@@ -252,7 +247,6 @@ def build_packed_market(path: str, seed: int = 0,
                         tilt_values: Optional[list] = None,
                         tilt_model: TiltModelName = "exact",
                         progress: Optional[Callable[[int, int], None]] = None,
-                        checksums: bool = True,
                         clip_floor_db: Optional[float] =
                         DEFAULT_CLIP_FLOOR_DB) -> Dict:
     """Stream a paper-scale square market to disk.
@@ -271,8 +265,7 @@ def build_packed_market(path: str, seed: int = 0,
     network = build_network(region, area_type, seed=seed)
     return stream_database(path, network, environment, seed=seed,
                            tilt_model=tilt_model, tilt_values=tilt_values,
-                           progress=progress, checksums=checksums,
-                           clip_floor_db=clip_floor_db)
+                           progress=progress, clip_floor_db=clip_floor_db)
 
 
 @dataclass

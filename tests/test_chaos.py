@@ -221,6 +221,16 @@ class TestChaosPlan:
         assert ChaosPlan().empty
         assert not ChaosPlan(kill=WorkerKill()).empty
 
+    def test_empty_section_takes_defaults(self):
+        """``{"kill": {}}`` kills with the defaults; only a missing key
+        or ``null`` means no section."""
+        plan = ChaosPlan.from_dict({"kill": {}, "delay": {},
+                                    "artifacts": {}})
+        assert (plan.kill, plan.delay, plan.artifacts) \
+            == (WorkerKill(), ChunkDelay(), ArtifactFaults())
+        assert ChaosPlan.from_dict({"kill": None}).empty
+        assert ChaosPlan.from_dict({}).empty
+
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
             ChaosPlan.from_dict({"schema": "magus.fault-plan/1"})
@@ -458,13 +468,20 @@ class TestCheckpointDurability:
         with pytest.raises(ChecksumError, match="checkpoint"):
             RolloutCheckpoint.load(path)
 
-    def test_legacy_unstamped_checkpoint_loads(self, toy_network,
-                                               tmp_path):
-        path = str(tmp_path / "old.ckpt")
-        doc = self._checkpoint(toy_network).to_dict()
+    def test_unstamped_checkpoint_is_rejected(self, toy_network,
+                                              tmp_path):
+        """A checkpoint without a stamp cannot be verified: it is a
+        ChecksumError, and resume falls back to ``.prev``."""
+        path = str(tmp_path / "run.ckpt")
+        self._checkpoint(toy_network, step=1).save(path)
+        self._checkpoint(toy_network, step=2).save(path)
+        doc = json.loads(open(path).read())
+        del doc["checksum"]
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        assert RolloutCheckpoint.load(path).step == 1
+        with pytest.raises(ChecksumError, match="no 'checksum' stamp"):
+            RolloutCheckpoint.load(path)
+        assert RolloutCheckpoint.load_if_exists(path).step == 1
 
     def _legacy_stamped(self, network, path):
         """A checkpoint as older builds wrote it: stamped ``crc32c:``."""
@@ -656,15 +673,15 @@ class TestPlossdbChecksums:
         with pytest.raises(ValueError):
             load_packed(path)
 
-    def test_no_checksum_mode_loads_unverified(self, tmp_path,
-                                               toy_pathloss):
-        path = tmp_path / "raw.plossdb"
-        save_packed(toy_pathloss, path, checksums=False)
+    def test_unstamped_section_is_rejected(self, tmp_path, toy_pathloss):
+        """Every section is stamped: a header without a section's stamp
+        does not load, and ``verify_sections`` never skips one."""
+        path = tmp_path / "toy.plossdb"
+        save_packed(toy_pathloss, path)
         header = read_header(path)
-        assert not any("checksum" in s
-                       for s in header["sections"].values())
-        assert verify_sections(path) == []
-        assert load_packed(path) is not None
+        del header["sections"]["roi"]["checksum"]
+        with pytest.raises(ChecksumError, match="'roi' carries no"):
+            verify_sections(path, header)
 
 
 # ----------------------------------------------------------------------

@@ -421,3 +421,51 @@ class TestRoiCli:
         assert main(["pack", "--out", str(path),
                      "--clip-floor-db", "none"]) == 0
         assert read_header(path)["clip_floor_db"] is None
+
+    @pytest.mark.parametrize("damage", ["unstamped", "bitflip"])
+    def test_bad_plossdb_is_one_line(self, capsys, monkeypatch, tmp_path,
+                                     damage):
+        """A malformed or corrupt --plossdb file: exit 2 and one stderr
+        line naming the file and the key or section, no traceback."""
+        from repro.model.plossdb import read_header
+        from repro.synthetic import market
+        from conftest import SMALL_DIMS
+        from test_plossdb import _rewrite_header
+        monkeypatch.setattr(market.AreaDimensions, "for_area",
+                            classmethod(lambda cls, area: SMALL_DIMS))
+        path = tmp_path / "area.plossdb"
+        assert main(["pack", "--out", str(path)]) == 0
+        if damage == "unstamped":
+            _rewrite_header(path, lambda h: h["sections"]["roi"].pop(
+                "checksum"))
+            key = "'sections.roi.checksum'"
+        else:
+            spec = read_header(path)["sections"]["loss_db"]
+            with open(path, "r+b") as fh:
+                fh.seek(spec["offset"] + 5)
+                byte = fh.read(1)
+                fh.seek(spec["offset"] + 5)
+                fh.write(bytes([byte[0] ^ 0x01]))
+            key = "'loss_db'"
+        capsys.readouterr()
+        assert main(["mitigate", "--plossdb", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}")
+        assert key in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestOutputDirectories:
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out",
+                                      "--flight-out"])
+    def test_missing_directory_is_one_line(self, capsys, tmp_path, flag):
+        """An artifact path into a directory that does not exist stops
+        the run before any work: exit 2, one stderr line, no output."""
+        target = str(tmp_path / "missing" / "out.json")
+        assert main(["testbed", "--scenario", "2", flag, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} {target}: its directory "
+                                f"does not exist\n")
+        assert not (tmp_path / "missing").exists()

@@ -70,6 +70,16 @@ class TestFaultPlan:
         assert FaultPlan().empty
         assert not FaultPlan(push=PushFaults()).empty
 
+    def test_empty_section_takes_defaults(self):
+        """``{}`` builds the section with its defaults; only a missing
+        key or ``null`` means no section."""
+        plan = FaultPlan.from_dict({"push": {}, "measurement": {},
+                                    "pathloss": {}})
+        assert (plan.push, plan.measurement, plan.pathloss) \
+            == (PushFaults(), MeasurementNoise(), PathLossFaults())
+        assert FaultPlan.from_dict({"push": None}).empty
+        assert FaultPlan.from_dict({}).empty
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             PathLossFaults(mode="gremlins")

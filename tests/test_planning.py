@@ -64,7 +64,7 @@ def clipped_packed_market(tmp_path, toy_grid, toy_network):
     path = tmp_path / "clipped.plossdb"
     save_packed(PathLossDatabase.from_environment(
         toy_network, Environment.flat(toy_grid), shadowing_sigma_db=0.0,
-        seed=0, backend="packed", clip_floor_db=-110.0), path)
+        seed=0, clip_floor_db=-110.0), path)
     engine = AnalysisEngine(load_packed(path), link=LinkAdaptation())
     density = uniform_per_sector_density(
         engine.evaluate(toy_network.planned_configuration(),

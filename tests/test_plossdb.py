@@ -17,6 +17,8 @@ import os
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from repro.core.planning import PlanningSettings
 from repro.model.engine import AnalysisEngine
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB,
@@ -103,11 +105,13 @@ class TestPackedStore:
         n = db.network.n_sectors
         H, W = db.grid.shape
         wrong_sectors = PackedGainStore(
-            np.ones((n + 1, 2, H, W), np.float32), (2.0, 4.0))
+            np.ones((n + 1, 2, H, W), np.float32), (2.0, 4.0),
+            np.zeros((n + 1, 2, 4), np.int32))
         with pytest.raises(ValueError, match="sectors"):
             db.attach_packed(wrong_sectors)
         wrong_grid = PackedGainStore(
-            np.ones((n, 2, H + 1, W), np.float32), (2.0, 4.0))
+            np.ones((n, 2, H + 1, W), np.float32), (2.0, 4.0),
+            np.zeros((n, 2, 4), np.int32))
         with pytest.raises(ValueError, match="grid"):
             db.attach_packed(wrong_grid)
 
@@ -118,7 +122,8 @@ class TestPackedStore:
         base = pack_database(db)
         gains = np.array(base.gains_mw)          # writable copy
         gains[1, 0, 0, 0] = np.nan
-        db.attach_packed(PackedGainStore(gains, base.tilt_values))
+        db.attach_packed(PackedGainStore(gains, base.tilt_values,
+                                         base.roi))
         with pytest.raises(ValueError, match=r"sectors \[1\]"):
             db.validate()
 
@@ -277,15 +282,6 @@ class TestMarketIntegration:
     DIMS = AreaDimensions(tuning_side_m=1_600.0, margin_m=800.0,
                           cell_size_m=200.0)
 
-    def test_build_area_packed_backend(self):
-        area = build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
-                          planning=PlanningSettings(max_passes=0),
-                          pathloss_backend="packed")
-        assert area.pathloss.packed_store is not None
-        assert not area.pathloss.is_file_backed
-        assert np.isfinite(area.baseline.rate_bps[
-            area.baseline.serving >= 0]).all()
-
     def test_build_area_plossdb_roundtrip(self, tmp_path):
         path = str(tmp_path / "area.plossdb")
         first = build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
@@ -312,32 +308,32 @@ class TestMarketIntegration:
 
 
 # ----------------------------------------------------------------------
-def _downgrade_to_v2(path) -> None:
-    """Rewrite a v3 file's header as a pre-ROI v2 header in place.
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of the plossdb file at
+    ``path``, in place.
 
-    The roi section and clip floor disappear from the header (the
-    section's bytes become dead padding); offsets and checksums of the
-    remaining sections are untouched, so the result is exactly what an
-    older build would read.
+    Section bytes and offsets are untouched; the header shrinks or
+    grows into the slack page every writer leaves before the first
+    section, so only the header can be at fault when the file is read.
     """
     preamble = len(MAGIC) + 8
     with open(path, "r+b") as fh:
         head = fh.read(preamble)
         header_len = int.from_bytes(head[len(MAGIC):], "little")
         header = json.loads(fh.read(header_len).decode("utf-8"))
-        header["version"] = 2
-        header.pop("clip_floor_db", None)
-        header["sections"].pop("roi", None)
+        data_start = min(spec["offset"]
+                         for spec in header["sections"].values())
+        edit(header)
         raw = json.dumps(header, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-        assert len(raw) <= header_len
+        assert preamble + len(raw) <= data_start
         fh.seek(len(MAGIC))
         fh.write(len(raw).to_bytes(8, "little"))
-        fh.write(raw + b"\x00" * (header_len - len(raw)))
+        fh.write(raw + b"\x00" * max(header_len - len(raw), 0))
 
 
 class TestRoiFormat:
-    """The v3 ROI sidecar: persisted boxes, legacy files, sparsity."""
+    """The v3 ROI sidecar: persisted boxes, the one version, sparsity."""
 
     def test_v3_header_and_roi_section(self, tmp_path, toy_pathloss):
         path = tmp_path / "toy.plossdb"
@@ -350,7 +346,8 @@ class TestRoiFormat:
                                  header["n_tilts"], 4]
         assert "roi" in verify_sections(path, header)
         loaded = load_packed(path)
-        assert loaded.packed_store.has_footprints
+        assert np.array_equal(loaded.packed_store.roi,
+                              pack_database(toy_pathloss).roi)
         assert loaded.clip_floor_db == DEFAULT_CLIP_FLOOR_DB
 
     def test_clip_floor_none_is_persisted(self, tmp_path, toy_pathloss):
@@ -359,26 +356,18 @@ class TestRoiFormat:
         assert read_header(path)["clip_floor_db"] is None
         assert load_packed(path).clip_floor_db is None
 
-    def test_v2_file_still_loads(self, tmp_path, toy_pathloss):
-        new, old = tmp_path / "v3.plossdb", tmp_path / "v2.plossdb"
-        save_packed(toy_pathloss, new)
-        save_packed(toy_pathloss, old)
-        _downgrade_to_v2(old)
-        assert read_header(old)["version"] == 2
-        legacy = load_packed(old)
-        assert not legacy.packed_store.has_footprints
-        assert legacy.clip_floor_db is None
-        current = load_packed(new)
-        assert np.array_equal(np.asarray(legacy.packed_store.gains_mw),
-                              np.asarray(current.packed_store.gains_mw))
-        # Lazy boxes still bound the nonzero cells exactly, so the
-        # windowed engine stays *correct* on legacy files (just not
-        # pre-sparsified).
-        box = legacy.packed_store.footprint(0, 0)
-        plane = np.asarray(legacy.packed_store.row(0, 0))
-        rows, cols = np.nonzero(plane)
-        assert box == (int(rows.min()), int(rows.max()) + 1,
-                       int(cols.min()), int(cols.max()) + 1)
+    def test_v2_file_is_rejected(self, tmp_path, toy_pathloss):
+        """A pre-ROI v2 header (no roi section, no clip floor) names its
+        version instead of loading without a footprint table."""
+        path = tmp_path / "v2.plossdb"
+        save_packed(toy_pathloss, path)
+
+        def downgrade(header):
+            header["version"] = 2
+            del header["clip_floor_db"], header["sections"]["roi"]
+        _rewrite_header(path, downgrade)
+        with pytest.raises(ValueError, match=r"version 2\b.*version 3"):
+            load_packed(path)
 
     def test_validate_reports_sparsity(self, toy_grid, toy_network):
         db = PathLossDatabase.from_environment(
@@ -404,3 +393,100 @@ class TestRoiFormat:
             toy_network, Environment.flat(toy_grid),
             shadowing_sigma_db=0.0, seed=0, clip_floor_db=-110.0)
         assert pack_database(clipped).clip_floor_db == -110.0
+
+
+# ----------------------------------------------------------------------
+def _key_paths(node, prefix=()):
+    """Every key path of a JSON tree: dict keys and list indices."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _kind(value) -> str:
+    """The JSON type of ``value``, booleans apart from numbers."""
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else \
+        type(value).__name__
+
+
+#: Malformed v3 headers: ``(case, edit, the key the error names)``.
+_PROBES = [
+    ("checksum-deleted",
+     lambda h: h["sections"]["gains_mw"].pop("checksum"),
+     "sections.gains_mw.checksum"),
+    ("roi-deleted", lambda h: h["sections"].pop("roi"), "sections.roi"),
+    ("file-bytes-deleted", lambda h: h.pop("file_bytes"), "file_bytes"),
+    ("sections-deleted", lambda h: h.pop("sections"), "sections"),
+    ("grid-deleted", lambda h: h.pop("grid"), "grid"),
+    ("gains-shape", lambda h: h["sections"]["gains_mw"]["shape"].__setitem__(
+        1, 2), "sections.gains_mw.shape"),
+    ("roi-shape", lambda h: h["sections"]["roi"]["shape"].__setitem__(
+        2, 2), "sections.roi.shape"),
+    ("sidecar-shape", lambda h: h["sections"]["loss_db"]["shape"].pop(),
+     "sections.loss_db.shape"),
+    ("extent-past-end", lambda h: h["sections"]["theta_deg"].__setitem__(
+        "offset", h["file_bytes"]), "sections.theta_deg.offset"),
+    ("n-tilts", lambda h: h.__setitem__("n_tilts", 1), "n_tilts"),
+    ("tilt-model", lambda h: h.__setitem__("tilt_model", "linear"),
+     "tilt_model"),
+    ("sector-field", lambda h: h["network"]["sectors"][1].pop("x"),
+     "network.sectors[1].x"),
+    ("bool-for-int", lambda h: h["network"]["sectors"][1].__setitem__(
+        "sector_id", True), "network.sectors[1].sector_id"),
+]
+
+
+class TestHeaderSchema:
+    """Every malformed v3 header fails with a ValueError that names
+    the file and the key, and nothing loads."""
+
+    @pytest.mark.parametrize("edit, key", [p[1:] for p in _PROBES],
+                             ids=[p[0] for p in _PROBES])
+    def test_probe_names_file_and_key(self, tmp_path, toy_pathloss, edit,
+                                      key):
+        path = tmp_path / "bad.plossdb"
+        save_packed(toy_pathloss, path)
+        _rewrite_header(path, edit)
+        for load in (read_header, load_packed):
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(path) in str(info.value)
+            assert repr(key) in str(info.value)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_deleted_or_retyped_key_is_a_value_error(
+            self, tmp_path, toy_pathloss, data):
+        """Delete or retype one random key anywhere in the header: the
+        loader raises a ValueError naming the file and that key, and
+        never another exception type."""
+        good = tmp_path / "good.plossdb"
+        if not good.exists():
+            save_packed(toy_pathloss, good)
+        header = read_header(good)
+        path = data.draw(st.sampled_from(sorted(
+            _key_paths(header), key=repr)))
+        bad = tmp_path / "bad.plossdb"
+        bad.write_bytes(good.read_bytes())
+
+        def edit(h):
+            parent = h
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(path[-1], str) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:       # never null, which ``clip_floor_db`` takes
+                old = _kind(parent[path[-1]])
+                parent[path[-1]] = data.draw(st.sampled_from(
+                    [v for v in ("x", 1.5, [], {}, True) if _kind(v) != old]))
+        _rewrite_header(bad, edit)
+        with pytest.raises(ValueError) as info:
+            load_packed(bad)
+        leaf = next(k for k in reversed(path) if isinstance(k, str))
+        assert str(bad) in str(info.value)
+        assert leaf in str(info.value)
