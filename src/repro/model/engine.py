@@ -44,6 +44,7 @@ which owns strategy selection and fallback accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import is_not
@@ -59,11 +60,48 @@ from .roi import EMPTY_BOX, Box, box_area, box_is_empty, box_union
 from .snapshot import NO_SERVICE, NetworkState
 
 __all__ = ["AnalysisEngine", "BatchResult", "DeltaIncumbent",
-           "DEFAULT_NOISE_DBM"]
+           "DEFAULT_NOISE_DBM", "Workspace"]
 
 #: Thermal noise over 10 MHz (-174 dBm/Hz + 70 dB) plus a 7 dB UE noise
 #: figure: the paper's "Noise" term in Formula 2.
 DEFAULT_NOISE_DBM = -97.0
+
+
+class Workspace:
+    """Grow-only scratch buffers for an engine's transient raster passes.
+
+    A buffer is named by its role and holds one dtype; :meth:`take`
+    hands out a view of its first cells, reallocating only to grow, so
+    a warm scoring call faults in no fresh pages.  The engine owns its
+    workspace: a view is valid until the next request for the same
+    name, and nothing that leaves the engine (a
+    :class:`~repro.model.snapshot.NetworkState` raster, a score, an
+    incumbent field) may alias one.  Not thread-safe, and never
+    pickled: an unpickled engine starts with an empty workspace.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers = {}
+
+    def take(self, name: str, dtype, shape) -> np.ndarray:
+        """A ``shape``-shaped, C-contiguous view of buffer ``name``."""
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        buf = self._buffers.get(name)
+        if buf is not None and buf.dtype != dtype:
+            raise TypeError(f"workspace buffer {name!r} holds {buf.dtype}, "
+                            f"not {np.dtype(dtype)}")
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+            get_registry().gauge("magus.engine.workspace_bytes").set(
+                self.nbytes)
+        return buf[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held across every buffer."""
+        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 class DeltaIncumbent:
@@ -145,6 +183,10 @@ class BatchResult:
 class AnalysisEngine:
     """Evaluates configurations against a fixed UE population.
 
+    One engine serves one thread at a time: its :attr:`workspace` is
+    scratch for the call in progress.  Pool workers each hold their
+    own copy.
+
     Parameters
     ----------
     pathloss:
@@ -173,6 +215,20 @@ class AnalysisEngine:
         # it through the ``evaluations`` property); the active metrics
         # registry is additionally updated on every evaluation.
         self._eval_counter = Counter("engine.evaluations")
+        #: Scratch for the transient raster passes of ``_finish`` and
+        #: the stacked ROI kernel (see :class:`Workspace`).
+        self.workspace = Workspace()
+
+    def __getstate__(self) -> dict:
+        # Pools ship engines to workers (by spawn where fork is
+        # unavailable); the scratch buffers stay behind.
+        state = self.__dict__.copy()
+        del state["workspace"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.workspace = Workspace()
 
     @property
     def evaluations(self) -> int:
@@ -357,8 +413,8 @@ class AnalysisEngine:
         region = self._setting_box(sector_id, config.settings[sector_id])
         row = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
         if not box_is_empty(region):
-            row[_slices(region)] = self._sector_plane_mw_window(
-                config, sector_id, region)
+            self._sector_plane_mw_window(config, sector_id, region,
+                                         out=row[_slices(region)])
         row.flags.writeable = False
         return row, region
 
@@ -457,19 +513,15 @@ class AnalysisEngine:
             best_mw = np.where(wins, new_rows, comp_val)
             raw_serving = np.where(wins, bb, comp_idx).astype(np.int32)
 
-            sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
-                total_mw, best_mw)
-            rmax = self.link.max_rate_bps(sinr_db)
-            rmax = np.where(best_mw >= _dbm_to_mw_scalar(self.min_rp_dbm),
-                            rmax, 0.0)
-            serving = np.where(rmax > 0.0, raw_serving, NO_SERVICE)
+            interference_mw = self._interference_mw(total_mw, best_mw)
+            sinr_db = self._sinr_raster(interference_mw, best_mw,
+                                        out=interference_mw)
+            rmax, serving = self._link_rasters(sinr_db, best_mw,
+                                               raw_serving)
             n_ue = self._shared_load_batch(serving, ue_density)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12),
-                                rmax)
             return BatchResult(serving=serving, sinr_db=sinr_db,
                                max_rate_bps=rmax, n_ue=n_ue,
-                               rate_bps=rate)
+                               rate_bps=self._shared_rate(rmax, n_ue))
 
     # ------------------------------------------------------------------
     # shared internals
@@ -513,22 +565,29 @@ class AnalysisEngine:
         are bitwise reusable there.  Otherwise every raster is computed
         fresh.  Loads and shared rates couple globally through
         Formula 3 and are always rebuilt over the whole grid (cheap,
-        non-transcendental).
+        non-transcendental).  Transient passes run in the
+        :attr:`workspace`; every raster of the state is a fresh array.
         """
         rows, cols = self.grid.shape
         if prior is None or box is None or box_area(box) == rows * cols:
             prior, box = None, (0, rows, 0, cols)
-        r0, r1, c0, c1 = box
-        win = (slice(r0, r1), slice(c0, c1))
+        win = _slices(box)
+        shape = (box[1] - box[0], box[3] - box[2])
+
+        def raster(dtype):
+            # The whole grid computes straight into the state's rasters;
+            # a window into fresh window-sized arrays, patched into
+            # copies of the prior's rasters below.
+            return np.empty(shape, dtype=dtype) if prior is None else None
+
+        plane = incumbent.best_mw.dtype
         best_w = incumbent.best_mw[win]
         sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
-            incumbent.total_mw[win], best_w)
-        rmax = self.link.max_rate_bps(sinr_db)
-        # The RSRP-style floor, compared in the linear domain.
-        rmax = np.where(best_w >= _dbm_to_mw_scalar(self.min_rp_dbm),
-                        rmax, 0.0)
-        serving = np.where(rmax > 0.0, incumbent.raw_serving[win],
-                           NO_SERVICE)
+            incumbent.total_mw[win], best_w, raster(plane), raster(plane),
+            raster(plane))
+        rmax, serving = self._link_rasters(
+            sinr_db, best_w, incumbent.raw_serving[win],
+            raster(np.float64), raster(incumbent.raw_serving.dtype))
         if prior is not None:
             sinr_db = _patched(prior.sinr_db, win, sinr_db)
             rp_best_dbm = _patched(prior.rp_best_dbm, win, rp_best_dbm)
@@ -537,45 +596,100 @@ class AnalysisEngine:
             rmax = _patched(prior.max_rate_bps, win, rmax)
             serving = _patched(prior.serving, win, serving)
         n_ue = self._shared_load_batch(serving[None], ue_density)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
         state = NetworkState(
             grid=self.grid, config=incumbent.config, serving=serving,
             rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
             sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
-            rate_bps=rate, ue_density=np.asarray(ue_density, dtype=float),
+            rate_bps=self._shared_rate(rmax, n_ue),
+            ue_density=np.asarray(ue_density, dtype=float),
             raw_serving=incumbent.raw_serving)
         incumbent.state = state
         return state
 
-    def _radio_rasters(self, total_mw: np.ndarray, best_mw: np.ndarray):
-        """Formula 2 rasters (dB domain) from linear power planes."""
-        sinr_db = self._sinr_raster(total_mw, best_mw)
-        interference_mw = np.maximum(total_mw - best_mw, 0.0)
-        with np.errstate(divide="ignore"):
-            rp_best_dbm = np.where(
-                best_mw > 0.0,
-                10.0 * np.log10(np.maximum(best_mw, 1e-300)),
-                -np.inf)
-            interference_dbm = np.where(
-                interference_mw > 0,
-                10.0 * np.log10(np.maximum(interference_mw, 1e-300)),
-                -np.inf)
-        return sinr_db, rp_best_dbm, interference_dbm
+    def _radio_rasters(self, total_mw: np.ndarray, best_mw: np.ndarray,
+                       sinr_db: Optional[np.ndarray] = None,
+                       rp_best_dbm: Optional[np.ndarray] = None,
+                       interference_dbm: Optional[np.ndarray] = None):
+        """Formula 2 rasters (dB domain) from linear power planes, into
+        the given output arrays (fresh ones where omitted)."""
+        interference_mw = self._interference_mw(
+            total_mw, best_mw, out=self.workspace.take(
+                "interference", best_mw.dtype, best_mw.shape))
+        return (self._sinr_raster(interference_mw, best_mw, out=sinr_db),
+                self._dbm_raster(best_mw, out=rp_best_dbm),
+                self._dbm_raster(interference_mw, out=interference_dbm))
 
-    def _sinr_raster(self, total_mw: np.ndarray,
-                     best_mw: np.ndarray) -> np.ndarray:
-        """Formula 2's SINR alone — the only dB raster batch scoring
-        needs, split out so ROI windows skip the other two log10
-        passes."""
+    @staticmethod
+    def _interference_mw(total_mw: np.ndarray, best_mw: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Total non-serving received power; ``out`` may be
+        ``total_mw`` itself."""
+        interference = np.subtract(total_mw, best_mw, out=out)
+        return np.maximum(interference, 0.0, out=interference)
+
+    def _sinr_raster(self, interference_mw: np.ndarray, best_mw: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Formula 2's SINR (dB) from the interference and best-server
+        planes — the only dB raster candidate scoring needs.  ``out``
+        may be ``interference_mw`` itself."""
         noise_mw = _dbm_to_mw_scalar(self.noise_dbm)
-        interference_mw = np.maximum(total_mw - best_mw, 0.0)
+        numerator = np.maximum(best_mw, 1e-300, out=self.workspace.take(
+            "numerator", best_mw.dtype, best_mw.shape))
+        sinr_db = np.add(noise_mw, interference_mw, out=out)
         with np.errstate(divide="ignore"):
-            sinr_db = 10.0 * np.log10(
-                np.maximum(best_mw, 1e-300)
-                / (noise_mw + interference_mw))
+            np.divide(numerator, sinr_db, out=sinr_db)
+            np.log10(sinr_db, out=sinr_db)
+        np.multiply(10.0, sinr_db, out=sinr_db)
         # Grids where no sector radiates at all (everything off-air).
-        return np.where(best_mw > 0.0, sinr_db, -np.inf)
+        return self._fill_unless(sinr_db, np.greater, best_mw, 0.0, -np.inf)
+
+    def _dbm_raster(self, mw: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A linear power plane in dBm, ``-inf`` where it is zero."""
+        dbm = np.maximum(mw, 1e-300, out=out)
+        with np.errstate(divide="ignore"):
+            np.log10(dbm, out=dbm)
+        np.multiply(10.0, dbm, out=dbm)
+        return self._fill_unless(dbm, np.greater, mw, 0.0, -np.inf)
+
+    def _link_rasters(self, sinr_db: np.ndarray, best_mw: np.ndarray,
+                      raw_serving: np.ndarray,
+                      rmax: Optional[np.ndarray] = None,
+                      serving: Optional[np.ndarray] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """The single-user rate and the serving map: CQI -> rate, the
+        RSRP-style floor (compared in the linear domain), and
+        ``NO_SERVICE`` wherever the rate is 0.  Into the given outputs
+        (fresh ones where omitted); ``serving`` may be ``raw_serving``
+        itself."""
+        rmax = self.link.max_rate_bps(sinr_db, out=rmax)
+        self._fill_unless(rmax, np.greater_equal, best_mw,
+                          _dbm_to_mw_scalar(self.min_rp_dbm), 0.0)
+        if serving is None:
+            serving = raw_serving.copy()
+        elif serving is not raw_serving:
+            np.copyto(serving, raw_serving)
+        self._fill_unless(serving, np.greater, rmax, 0.0, NO_SERVICE)
+        return rmax, serving
+
+    def _shared_rate(self, rmax: np.ndarray, n_ue: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Formula 4: ``r(g) = rmax(g) / N(g)``, and ``rmax`` where no
+        UE shares the sector.  ``out`` may be ``n_ue`` itself."""
+        shared = np.greater(n_ue, 0, out=self.workspace.take(
+            "mask", bool, n_ue.shape))
+        rate = np.maximum(n_ue, 1e-12, out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(rmax, rate, out=rate)
+        np.copyto(rate, rmax, where=np.logical_not(shared, out=shared))
+        return rate
+
+    def _fill_unless(self, out: np.ndarray, test, x: np.ndarray, bound,
+                     fill) -> np.ndarray:
+        """``out = where(test(x, bound), out, fill)``, in place."""
+        mask = test(x, bound, out=self.workspace.take("mask", bool, x.shape))
+        np.copyto(out, fill, where=np.logical_not(mask, out=mask))
+        return out
 
     def _planes_mw(self, config: Configuration) -> np.ndarray:
         """Formula 1 per sector, linear domain:
@@ -611,8 +725,11 @@ class AnalysisEngine:
         return gain_mw * _plane_factor(config, sector_id, gain_mw.dtype)
 
     def _sector_plane_mw_window(self, config: Configuration,
-                                sector_id: int, box: Box) -> np.ndarray:
-        """One sector's plane restricted to ``box``.
+                                sector_id: int, box: Box,
+                                out: Optional[np.ndarray] = None
+                                ) -> np.ndarray:
+        """One sector's plane restricted to ``box``, into ``out`` (the
+        box's shape) when given.
 
         Bitwise identical to ``_sector_plane_mw(...)[box]``: the same
         cached gain row is sliced before the same scalar multiply, and
@@ -621,12 +738,16 @@ class AnalysisEngine:
         r0, r1, c0, c1 = box
         setting = config.settings[sector_id]
         if not setting.active:
-            return np.zeros((r1 - r0, c1 - c0),
-                            dtype=self.pathloss.plane_dtype)
+            if out is None:
+                return np.zeros((r1 - r0, c1 - c0),
+                                dtype=self.pathloss.plane_dtype)
+            out.fill(0)
+            return out
         gain_mw = self.pathloss.gain_matrix_mw(
             sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
-        return gain_mw[r0:r1, c0:c1] * _plane_factor(config, sector_id,
-                                                     gain_mw.dtype)
+        return np.multiply(gain_mw[r0:r1, c0:c1],
+                           _plane_factor(config, sector_id, gain_mw.dtype),
+                           out=out)
 
     # ------------------------------------------------------------------
     def _received_power_dbm(self, config: Configuration,
@@ -654,27 +775,30 @@ class AnalysisEngine:
         return rp
 
     def _shared_load_batch(self, serving: np.ndarray,
-                           ue_density: np.ndarray) -> np.ndarray:
+                           ue_density: np.ndarray,
+                           out: Optional[np.ndarray] = None) -> np.ndarray:
         """Formula 3: ``N(g)`` = UEs attached to grid g's serving
-        sector, for each raster of a ``(k, H, W)`` serving stack, via
-        one offset bincount.
+        sector, for each raster of a ``(k, H, W)`` serving stack.
 
-        Candidate ``j``'s sector ids are shifted by ``j * n_sectors``
-        and unserved cells go to one spare bin past the last, zeroed
-        after the count.  Each real bin thus receives the same weights
-        in the same flat order as a bincount over that candidate's
-        raster alone: the loads are bitwise identical, whatever else
-        is in the batch.
+        One bincount per raster over the sector ids shifted by one, so
+        that unserved cells (``NO_SERVICE`` is -1) land in bin 0, which
+        is zeroed after the count: each sector's bin receives that
+        raster's weights in flat order, so the loads are bitwise
+        identical whatever else is in the stack.  ``out`` (float64, the
+        stack's shape) receives them.
         """
-        k = serving.shape[0]
         n_sectors = self.pathloss.network.n_sectors
-        spare = k * n_sectors
-        offsets = (np.arange(k, dtype=np.int64) * n_sectors)[:, None, None]
-        flat_ids = np.where(serving >= 0, serving + offsets, spare).ravel()
-        loads = np.bincount(flat_ids, weights=np.tile(ue_density.ravel(), k),
-                            minlength=spare + 1)
-        loads[spare] = 0.0
-        return loads[flat_ids].reshape(serving.shape)
+        if out is None:
+            out = np.empty(serving.shape)
+        weights = np.ravel(ue_density)
+        ids = self.workspace.take("ids", np.intp, serving.shape[1:])
+        for raster, n_ue in zip(serving, out):
+            np.add(raster, 1, out=ids)
+            loads = np.bincount(ids.ravel(), weights=weights,
+                                minlength=n_sectors + 1)
+            loads[0] = 0.0
+            loads.take(ids, out=n_ue, mode="clip")
+        return out
 
 
 def _accumulate_planes(planes: np.ndarray) -> np.ndarray:

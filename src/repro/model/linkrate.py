@@ -119,21 +119,33 @@ def _cqi_bins(thresholds) -> Tuple[int, np.ndarray, np.ndarray]:
 
 _BIN_LO, _BIN_BASE, _BIN_CUT = _cqi_bins(CQI_SINR_THRESHOLDS_DB)
 _BIN_HI = _BIN_LO + len(_BIN_BASE) - 1
+#: CQI by bin index ``2 * k + hit`` (see :func:`_bin_index`): the
+#: count of lower-bin thresholds, plus one if the bin's own is reached.
+_BIN_CQI = np.stack([_BIN_BASE, _BIN_BASE + 1], axis=1).ravel()
 
 
-def _cqi(sinr: np.ndarray) -> np.ndarray:
-    """CQI (the count of thresholds ``<= sinr``) of a float64 SINR array.
+def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Each cell's bin index ``2 * k + hit`` for a float64 SINR array:
+    ``k`` its 1-dB bin, ``hit`` whether it reaches the bin's threshold.
 
-    ``floor`` is exact and each bin holds at most one threshold, so the
-    lookup equals a binary search over the thresholds bit for bit.
-    ``fmax``/``fmin`` clamp +-inf into the end bins and send NaN to the
-    lowest bin, where it fails the cut (CQI 0).
+    :data:`_BIN_CQI` maps the index to the CQI (the count of
+    thresholds ``<= sinr``), so a table indexed the same way looks a
+    rate up in one gather.  ``floor`` is exact and each bin holds at
+    most one threshold, so the lookup equals a binary search over the
+    thresholds bit for bit.  ``fmax``/``fmin`` clamp +-inf into the end
+    bins and send NaN to the lowest bin, where it fails the cut (CQI
+    0).  ``scratch``, a float64 array of ``sinr``'s shape, takes the
+    float passes instead of fresh temporaries.
     """
-    k = np.floor(np.fmin(np.fmax(sinr, _BIN_LO), _BIN_HI)).astype(np.intp)
-    k -= _BIN_LO
-    cqi = _BIN_BASE[k]
-    cqi += sinr >= _BIN_CUT[k]
-    return cqi
+    f = np.fmax(sinr, _BIN_LO, out=scratch)
+    f = np.floor(np.fmin(f, _BIN_HI, out=scratch), out=scratch)
+    index = f.astype(np.intp)
+    index -= _BIN_LO
+    hit = sinr >= _BIN_CUT.take(index, out=scratch, mode="clip")
+    index *= 2
+    index += hit
+    return index
 
 
 #: LTE resource grid constants.
@@ -169,6 +181,8 @@ class LinkAdaptation:
         self._efficiencies = np.concatenate(([0.0], effs))
         self._rates = np.concatenate(
             ([0.0], effs * self.resource_elements_per_tti / _TTI_SECONDS))
+        #: The same rates by bin index (:func:`_bin_index`).
+        self._bin_rates = self._rates[_BIN_CQI]
 
     # ------------------------------------------------------------------
     @property
@@ -196,7 +210,7 @@ class LinkAdaptation:
         the CQI-1 threshold (the paper deliberately chooses a high
         threshold for its Figure 4 illustration).  NaN maps to CQI 0.
         """
-        return _cqi(np.asarray(sinr_db, dtype=float))
+        return _BIN_CQI[_bin_index(np.asarray(sinr_db, dtype=float))]
 
     def rate_for_cqi(self, cqi: int) -> float:
         """Single-user rate (bits/s) sustained at CQI ``cqi``."""
@@ -207,14 +221,20 @@ class LinkAdaptation:
         eff = CQI_TABLE[cqi - 1].efficiency
         return eff * self.resource_elements_per_tti / _TTI_SECONDS
 
-    def max_rate_bps(self, sinr_db: np.ndarray | float) -> np.ndarray:
-        """Paper's ``rmax(g)``: single-user rate, 0 when out of service."""
+    def max_rate_bps(self, sinr_db: np.ndarray | float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Paper's ``rmax(g)``: single-user rate, 0 when out of service.
+
+        ``out``, a float64 array of the input's shape that does not
+        overlap it, receives the rates and serves the lookup's float
+        passes as scratch.
+        """
         sinr = np.asarray(sinr_db, dtype=float)
-        cqi = _cqi(sinr)
-        # Out-of-service grids read the CQI-0 entry, rate 0.
-        cqi *= sinr >= self.sinr_min_db
+        index = _bin_index(sinr, scratch=out)
+        # Out-of-service grids read index 0: the lowest bin, CQI 0.
+        index *= sinr >= self.sinr_min_db
         # asarray: a scalar or 0-d input still gets a 0-d array back.
-        return np.asarray(self._rates[cqi])
+        return np.asarray(self._bin_rates.take(index, out=out, mode="clip"))
 
     def spectral_efficiency(self, sinr_db: np.ndarray | float) -> np.ndarray:
         """Bits per resource element at the decodable CQI (0 if none)."""

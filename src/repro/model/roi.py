@@ -27,13 +27,15 @@ incumbent, so the old plane window is a slice of its row and the
 comparator is computed once per window, memoized with the rest of the
 window's baseline side.
 
-It scores a whole candidate group in one stacked pass: Python only
-gathers each candidate's window inputs, the window arithmetic runs
-once over the concatenated windows, and the full-grid passes run once
-over a ``(k, H, W)`` stack (in chunks of at most :data:`STACK_CELLS`
-cells).  Every step is elementwise, a per-candidate offset bincount
-or a row-wise reduction over one candidate's contiguous raster, so a
-score does not depend on what else is in the batch: it is bitwise
+It scores a whole candidate group in one stacked pass: Python
+resolves each candidate's serving against its window's comparator,
+the SINR and rate passes run once over the windows laid end to end,
+and the full-grid passes run once over a ``(k, H, W)`` stack (in
+chunks of at most :data:`STACK_CELLS` cells), all in the engine's
+grow-only :class:`~repro.model.engine.Workspace`.  Every step is
+elementwise, a per-candidate bincount or a row-wise reduction over
+one candidate's contiguous raster, so a score does not depend on
+what else is in the batch: it is bitwise
 identical to :meth:`~repro.model.engine.AnalysisEngine.evaluate_batch`
 followed by the per-candidate weighted reduction — at
 O(|ROI| + |rate-changed|) transcendental cost instead of O(H*W).
@@ -55,7 +57,6 @@ import numpy as np
 
 from ..obs import get_registry
 from .network import Configuration
-from .snapshot import NO_SERVICE
 
 __all__ = ["EMPTY_BOX", "Box", "RoiBaseline", "box_area", "box_is_empty",
            "box_union", "count_windowed", "score_candidate",
@@ -69,8 +70,11 @@ EMPTY_BOX: Box = (0, 0, 0, 0)
 
 #: Most cells one ``(k, H, W)`` scoring stack may hold; a larger batch
 #: is scored in chunks of ``STACK_CELLS // (H * W)`` candidates (at
-#: least one).  About 100 MB of transient stacks at 2**21 cells.
-STACK_CELLS = 1 << 21
+#: least one).  The stacks live in the engine's workspace, which holds
+#: about 49 bytes per candidate-cell once warm (float64 planes, every
+#: window the whole grid: 48.8 B on a 9-sector 60x60 grid, 47.7 B on a
+#: 170x170 rural area), so about 51 MB at 2**20 cells.
+STACK_CELLS = 1 << 20
 
 
 def box_is_empty(box: Box) -> bool:
@@ -188,68 +192,92 @@ def _score_chunk(engine, baseline: RoiBaseline,
                  configs: List[Configuration],
                  windows: List[Tuple[int, Box]],
                  ue_density: np.ndarray, utility) -> List[float]:
-    """The stacked kernel: Python gathers each candidate's window
-    inputs; every array pass after that runs once for the chunk."""
-    news, parts, areas = [], [], []
-    for config, (changed, box) in zip(configs, windows):
-        news.append(engine._sector_plane_mw_window(config, changed,
-                                                   box).ravel())
-        parts.append(_window_inputs(baseline, changed, box))
-        areas.append(box_area(box))
-    # Once over the concatenated windows.  Every step is elementwise,
-    # so each candidate's cells come out as they would alone.
-    new = np.concatenate(news)
-    old, total0, comp_val, comp_idx = (
-        np.concatenate(column) for column in zip(*parts))
-    sector = np.repeat(np.asarray([c for c, _ in windows], dtype=np.int32),
-                       areas)
-    # The dense batch path's incremental total, restricted to the
-    # windows (outside them new - old is exactly 0-0).
-    total = total0 + (new - old)
-    wins = (new > comp_val) | ((new == comp_val) & (sector < comp_idx))
-    best = np.where(wins, new, comp_val)
-    raw = np.where(wins, sector, comp_idx)
-    rmax = engine.link.max_rate_bps(engine._sinr_raster(total, best))
-    rmax = np.where(best >= 10.0 ** (float(engine.min_rp_dbm) / 10.0),
-                    rmax, 0.0)
-    serving = np.where(rmax > 0.0, raw, NO_SERVICE)
+    """The stacked kernel: Python resolves each candidate's window
+    serving against its comparator; every pass after that runs once
+    for the chunk.  All of it runs in the engine's workspace: the
+    window passes over the windows laid end to end, the full-grid
+    passes over a ``(k, H, W)`` stack (see DESIGN.md, "Scoring
+    workspace")."""
+    work = engine.workspace
+    state = baseline.incumbent.state
+    plane = baseline.incumbent.total_mw.dtype
+    areas = [box_area(box) for _, box in windows]
+    size = sum(areas)
+    best = work.take("best", plane, size)
+    total = work.take("total", plane, size)
+    raw = work.take("raw", state.serving.dtype, size)
+    wins = work.take("wins", bool, size)
+    tie = work.take("tie", bool, size)
+    at = 0
+    for config, (changed, box), area in zip(configs, windows, areas):
+        cut = slice(at, at + area)
+        at += area
+        old, total0, comp_val, comp_idx = _window_inputs(baseline, changed,
+                                                         box)
+        new, w, e = best[cut], wins[cut], tie[cut]
+        # An explicit shape: an empty window cannot infer a -1 axis.
+        engine._sector_plane_mw_window(
+            config, changed, box,
+            out=new.reshape(box[1] - box[0], box[3] - box[2]))
+        # The dense batch path's incremental total, restricted to the
+        # window (outside it new - old is exactly 0-0).
+        np.add(total0, np.subtract(new, old, out=total[cut]),
+               out=total[cut])
+        # wins = (new > comp) | ((new == comp) & (changed < comp_idx))
+        np.greater(new, comp_val, out=w)
+        np.equal(new, comp_val, out=e)
+        np.greater(comp_idx, changed, out=e, where=e)
+        w |= e
+        np.copyto(raw[cut], comp_idx)
+        np.copyto(raw[cut], changed, where=w)
+        # ``new`` becomes the best plane in place.
+        np.copyto(new, comp_val, where=np.logical_not(w, out=e))
+    sinr = engine._sinr_raster(
+        engine._interference_mw(total, best, out=total), best, out=total)
+    rmax, serving = engine._link_rasters(
+        sinr, best, raw, work.take("rmax", np.float64, size), raw)
 
     # Full-grid assembly: Formula 3's load coupling reaches outside
     # the window (a serving flip changes the shared rate of every
     # cell on the affected sectors), so loads and rates are rebuilt
     # over each candidate's whole grid — cheap passes only, no
-    # transcendentals.  Each window is patched into its own stack
-    # slice by plain slice assignment.
-    state = baseline.incumbent.state
+    # transcendentals.  When every window is the whole grid the window
+    # arrays already are the stacks; otherwise each window is patched
+    # into its own slice of a stack of baseline rasters.
     k, cells = len(configs), state.serving.size
-    serving_k = np.empty((k,) + state.serving.shape,
-                         dtype=state.serving.dtype)
-    rmax_k = np.empty(serving_k.shape, dtype=state.max_rate_bps.dtype)
-    at = 0
-    for j, ((_, (r0, r1, c0, c1)), area) in enumerate(zip(windows, areas)):
-        if area < cells:
-            serving_k[j] = state.serving
-            rmax_k[j] = state.max_rate_bps
-        # An explicit shape: an empty window cannot infer a -1 axis.
-        shape = (r1 - r0, c1 - c0)
-        serving_k[j, r0:r1, c0:c1] = serving[at:at + area].reshape(shape)
-        rmax_k[j, r0:r1, c0:c1] = rmax[at:at + area].reshape(shape)
-        at += area
-    n_ue = engine._shared_load_batch(serving_k, ue_density)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate_k = np.where(n_ue > 0, rmax_k / np.maximum(n_ue, 1e-12),
-                          rmax_k)
+    shape = (k,) + state.serving.shape
+    if size == k * cells:
+        serving_k, rmax_k = serving.reshape(shape), rmax.reshape(shape)
+    else:
+        serving_k = work.take("serving", serving.dtype, shape)
+        rmax_k = work.take("rmax_stack", np.float64, shape)
+        at = 0
+        for j, ((_, (r0, r1, c0, c1)), area) in enumerate(zip(windows,
+                                                              areas)):
+            if area < cells:
+                serving_k[j] = state.serving
+                rmax_k[j] = state.max_rate_bps
+            window = (j, slice(r0, r1), slice(c0, c1))
+            serving_k[window] = serving[at:at + area].reshape(r1 - r0,
+                                                              c1 - c0)
+            rmax_k[window] = rmax[at:at + area].reshape(r1 - r0, c1 - c0)
+            at += area
+    rate_k = engine._shared_load_batch(
+        serving_k, ue_density, out=work.take("rate", np.float64, shape))
+    engine._shared_rate(rmax_k, rate_k, out=rate_k)
 
     # Rate-compare trick: per_ue (the transcendental) runs only where
     # the rate value moved.  per_ue is elementwise-pure, so cells with
     # an unchanged rate keep a bit-identical weighted term; each row
     # of the final sum reduces one candidate's contiguous (H*W) float64
     # raster, exactly as the dense batch's row-wise reduction does.
-    weighted = np.empty(serving_k.shape)
+    # The rmax stack is spent, so the weighted terms take its place.
+    weighted = rmax_k
     weighted[...] = baseline.weighted
-    stale = rate_k != state.rate_bps
+    stale = np.not_equal(rate_k, state.rate_bps,
+                         out=work.take("wins", bool, shape))
     if stale.any():
-        density = np.broadcast_to(ue_density, stale.shape)
+        density = np.broadcast_to(ue_density, shape)
         weighted[stale] = utility.per_ue(rate_k[stale]) * density[stale]
     return [float(v) for v in weighted.reshape(k, cells).sum(axis=1)]
 

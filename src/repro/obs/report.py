@@ -21,18 +21,28 @@ Schema (all keys always present)::
          "utility": 812.4, "delta_utility": 3.2, "evaluations": 5}, ...],
       "utility_trajectory": [809.2, 812.4, ...],   # initial + per step
       "total_model_evaluations": 118,         # == tuning trace total
-      "metrics": {...}                        # full registry snapshot
+      "metrics": {...},                       # full registry snapshot
+      "resources": {                          # getrusage(RUSAGE_SELF)
+        "peak_rss_mb": 344.9,                 #   when the report is
+        "minor_faults": 148501,               #   built ({} where the
+        "major_faults": 0}                    #   platform has none)
     }
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .registry import MetricsRegistry, get_registry, split_metric_label
 from .tracer import SPAN_TIMER_PREFIX, Tracer
+
+try:
+    import resource
+except ImportError:             # not on every platform
+    resource = None
 
 __all__ = ["RunReport", "SCHEMA"]
 
@@ -51,6 +61,7 @@ class RunReport:
     total_model_evaluations: int = 0
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
+    resources: Dict[str, object] = field(default_factory=dict)
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -119,9 +130,11 @@ class RunReport:
         return report
 
     def attach_registry(self, registry: MetricsRegistry) -> None:
-        """Snapshot ``registry`` into :attr:`metrics` and derive phases."""
+        """Snapshot ``registry`` into :attr:`metrics` and derive phases;
+        read the process's :attr:`resources` at the same moment."""
         self.metrics = registry.snapshot()
         self.phases = _phases_from_metrics(self.metrics)
+        self.resources = _resources()
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -134,6 +147,7 @@ class RunReport:
             "utility_trajectory": self.utility_trajectory,
             "total_model_evaluations": self.total_model_evaluations,
             "metrics": self.metrics,
+            "resources": self.resources,
         }
         if self.spans:
             out["spans"] = self.spans
@@ -157,6 +171,7 @@ class RunReport:
             total_model_evaluations=data.get("total_model_evaluations", 0),
             metrics=data.get("metrics", {}),
             spans=data.get("spans", []),
+            resources=data.get("resources", {}),
         )
 
     def write(self, path: str) -> None:
@@ -183,6 +198,11 @@ class RunReport:
             for p in self.phases:
                 lines.append(f"{p['name']:<{width}}  "
                              f"{p['calls']:>5}  {p['wall_time_s']:>9.4f}")
+        if self.resources:
+            lines.append("resources:")
+            width = max(len(name) for name in self.resources)
+            for name, value in self.resources.items():
+                lines.append(f"  {name:<{width}}  {value}")
         resilience = self.resilience_metrics()
         if resilience:
             lines.append("resilience:")
@@ -321,6 +341,18 @@ class RunReport:
             if name.startswith(("magus.faults.", "magus.resilience.")):
                 out[name] = stats.get("value")
         return out
+
+
+def _resources() -> Dict[str, object]:
+    """Peak RSS and page faults of this process so far."""
+    if resource is None:
+        return {}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in kB on Linux (bytes on macOS).
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return {"peak_rss_mb": round(usage.ru_maxrss / scale, 1),
+            "minor_faults": usage.ru_minflt,
+            "major_faults": usage.ru_majflt}
 
 
 def _phases_from_metrics(metrics: Dict[str, Dict[str, object]]

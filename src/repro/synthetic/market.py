@@ -192,11 +192,22 @@ def _load_or_pack(path: str, network: CellularNetwork,
                   environment: Environment, seed: int,
                   tilt_model: TiltModelName) -> PathLossDatabase:
     """Memory-map ``path`` if it exists (verifying it matches this
-    area's network/grid identity), else stream-build it first."""
+    area's network/grid identity and ``tilt_model``), else stream-build
+    it first.
+
+    The file's clip floor is authoritative: :func:`build_area` takes no
+    floor, so an area loaded from a file evaluates at whatever floor
+    the file was packed with (``clip_floor_db`` in its header).
+    """
     if not os.path.exists(path):
         stream_database(path, network, environment, seed=seed,
                         tilt_model=tilt_model)
     header = read_header(path)
+    if header["tilt_model"] != tilt_model:
+        raise ValueError(
+            f"{path}: 'tilt_model' is {header['tilt_model']!r}, but this "
+            f"area asks for {tilt_model!r}; re-pack it with "
+            f"--tilt-model {tilt_model}")
     expected = _network_to_json(network)
     if header["network"] != expected:
         raise ValueError(

@@ -455,6 +455,27 @@ class TestRoiCli:
         assert key in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_other_tilt_model_is_one_line(self, capsys, monkeypatch,
+                                          tmp_path):
+        """A file packed under ``shared-delta`` does not load into the
+        ``exact`` area ``mitigate`` builds: exit 2, one stderr line
+        naming the file, the key and both models."""
+        from repro.synthetic import market
+        from conftest import SMALL_DIMS
+        monkeypatch.setattr(market.AreaDimensions, "for_area",
+                            classmethod(lambda cls, area: SMALL_DIMS))
+        path = tmp_path / "area.plossdb"
+        assert main(["pack", "--out", str(path),
+                     "--tilt-model", "shared-delta"]) == 0
+        capsys.readouterr()
+        assert main(["mitigate", "--plossdb", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}")
+        for part in ("'tilt_model'", "'shared-delta'", "'exact'"):
+            assert part in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestOutputDirectories:
     @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out",

@@ -165,6 +165,10 @@ class TestBinnedLookupExactness:
                        sinr.reshape(2, -1)):
             _assert_same(link.max_rate_bps(values),
                          _reference_rate(link, values))
+            # Into an output buffer that also takes the float passes.
+            out = np.full(values.shape, np.nan)
+            assert link.max_rate_bps(values, out=out) is out
+            _assert_same(out, _reference_rate(link, values))
             _assert_same(link.cqi_for_sinr(values), _reference_cqi(values))
             _assert_same(link.spectral_efficiency(values),
                          _reference_efficiency(values))

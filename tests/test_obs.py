@@ -3,6 +3,7 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro.core.evaluation import Evaluator
@@ -291,7 +292,32 @@ class TestRunReport:
                    for p in report.phases)
 
 
+    def test_resources_block_reads_getrusage(self):
+        resource = pytest.importorskip("resource")
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        report = RunReport.from_registry("mitigate", MetricsRegistry())
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        res = report.resources
+        assert set(res) == {"peak_rss_mb", "minor_faults", "major_faults"}
+        assert res["peak_rss_mb"] > 0
+        assert before.ru_minflt <= res["minor_faults"] <= after.ru_minflt
+        assert before.ru_majflt <= res["major_faults"] <= after.ru_majflt
+        assert RunReport.from_json(report.to_json()).resources == res
+        table = report.to_table()
+        assert "resources:" in table
+        assert f"minor_faults  {res['minor_faults']}" in table
+
+
 class TestInstrumentationIntegration:
+    def test_workspace_bytes_gauge(self, toy_engine, toy_network):
+        config = toy_network.planned_configuration()
+        density = np.ones(toy_engine.grid.shape)
+        with use_registry(MetricsRegistry()) as reg:
+            toy_engine.evaluate(config, density)
+            snap = reg.snapshot()
+        gauge = snap["magus.engine.workspace_bytes"]
+        assert gauge["value"] == toy_engine.workspace.nbytes > 0
+
     def test_evaluator_mirror_counters(self, toy_evaluator, toy_network):
         config = toy_network.planned_configuration()
         with use_registry(MetricsRegistry()) as reg:

@@ -30,7 +30,8 @@ from repro.model.plossdb import (FORMAT_NAME, FORMAT_VERSION, MAGIC,
                                  pack_database, read_header, save_packed,
                                  stream_database, verify_sections)
 from repro.model.propagation import Environment
-from repro.synthetic.market import AreaDimensions, build_area
+from repro.synthetic.market import (AreaDimensions, build_area,
+                                    pack_area_database)
 from repro.synthetic.placement import AreaType
 
 
@@ -305,6 +306,24 @@ class TestMarketIntegration:
             build_area(AreaType.SUBURBAN, seed=43, dims=self.DIMS,
                        planning=PlanningSettings(max_passes=0),
                        plossdb=path)
+
+    def test_build_area_rejects_other_tilt_model(self, tmp_path):
+        path = str(tmp_path / "area.plossdb")
+        pack_area_database(path, AreaType.SUBURBAN, seed=42, dims=self.DIMS,
+                           tilt_model="shared-delta")
+        with pytest.raises(ValueError) as info:
+            build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
+                       planning=PlanningSettings(max_passes=0),
+                       plossdb=path)
+        message = str(info.value)
+        for part in (path, "'tilt_model'", "'shared-delta'", "'exact'"):
+            assert part in message
+        # The matching model loads the same file.
+        area = build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
+                          tilt_model="shared-delta",
+                          planning=PlanningSettings(max_passes=0),
+                          plossdb=path)
+        assert area.pathloss.tilt_model == "shared-delta"
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.core.evaluation import Evaluator
 from repro.core.magus import Magus
 from repro.core.utility import PerformanceUtility, UtilityFunction
 from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
-from repro.model.engine import AnalysisEngine, DeltaIncumbent
+from repro.model.engine import AnalysisEngine, DeltaIncumbent, Workspace
 from repro.model.geometry import GridSpec, Region
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
@@ -1074,3 +1074,185 @@ class TestRoiReport:
         report = RunReport.from_registry("test", registry=registry)
         assert report.roi_metrics() == {}
         assert "roi:" not in report.to_table()
+
+
+# ----------------------------------------------------------------------
+def _workspace_world(kind, tmp_path, toy_grid, toy_network, toy_pathloss,
+                     clipped_pathloss):
+    """``(engine, network, density)``: float32 planes from a packed file
+    (small windows), or the float64 dict backend (every window the whole
+    grid)."""
+    if kind == "packed-f32":
+        path = str(tmp_path / "toy.plossdb")
+        save_packed(clipped_pathloss, path)
+        pathloss = load_packed(path)
+    else:
+        pathloss = toy_pathloss
+    world = _World(kind, toy_network, pathloss)
+    return world.engine, world.network, world.density
+
+
+def _state_rasters(state):
+    return {name: value for name, value in vars(state).items()
+            if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("kind", ["packed-f32", "dict-f64"])
+class TestScoringWorkspace:
+    """The engine's grow-only scratch buffers change no score and leak
+    into nothing that leaves the engine."""
+
+    @pytest.fixture
+    def world(self, kind, tmp_path, toy_grid, toy_network, toy_pathloss,
+              clipped_pathloss):
+        engine, network, density = _workspace_world(
+            kind, tmp_path, toy_grid, toy_network, toy_pathloss,
+            clipped_pathloss)
+        assert engine.grid.shape == toy_grid.shape
+        dtype = {"packed-f32": np.float32, "dict-f64": np.float64}[kind]
+        assert engine.pathloss.plane_dtype == dtype
+        return engine, network, density
+
+    def test_scores_equal_cold_and_warmed(self, world):
+        engine, network, density = world
+        base = network.planned_configuration()
+        configs = (_candidate_fan(network, base)
+                   + [base.with_azimuth_offset(0, 10.0)])
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
+        windows = _windows(engine, incumbent, configs)
+
+        def score(cs, ws):
+            return score_windows(engine, baseline, cs, ws, density,
+                                 _UTILITY)
+
+        engine.workspace = Workspace()
+        cold = score(configs, windows)
+        # Warmed by a larger chunk: every buffer is longer than needed
+        # and full of the other chunk's values.
+        engine.workspace = Workspace()
+        score(configs * 3, windows * 3)
+        after_larger = score(configs, windows)
+        # Warmed by a smaller chunk: the buffers grow mid-call.
+        engine.workspace = Workspace()
+        score(configs[:1], windows[:1])
+        after_smaller = score(configs, windows)
+        assert np.asarray(cold).tobytes() == np.asarray(
+            after_larger).tobytes() == np.asarray(after_smaller).tobytes()
+        assert cold == _dense_utilities(engine, incumbent, configs, density)
+
+    def test_earlier_state_survives_later_scoring(self, world):
+        engine, network, density = world
+        evaluator = Evaluator(engine, density, _UTILITY)
+        base = network.planned_configuration()
+        state = evaluator.state_of(base)
+        before = {name: raster.copy()
+                  for name, raster in _state_rasters(state).items()}
+        other = base.with_power(1, base.power_dbm(1) - 2.0)
+        for parent in (base, other, base):
+            evaluator.score_candidates(_candidate_fan(network, parent),
+                                       parent=parent)
+        for name, raster in _state_rasters(state).items():
+            assert raster.tobytes() == before[name].tobytes(), name
+
+    def test_nothing_leaving_the_engine_aliases_it(self, world):
+        engine, network, density = world
+        evaluator = Evaluator(engine, density, _UTILITY)
+        base = network.planned_configuration()
+        candidates = _candidate_fan(network, base)
+        evaluator.utility_of(base)
+        evaluator.score_candidates(candidates)
+        states = [evaluator.state_of(c) for c in [base] + candidates[:4]]
+        batch = engine.evaluate_batch(evaluator._incumbents[0],
+                                      candidates[:4], density)
+        buffers = list(engine.workspace._buffers.values())
+        assert buffers and engine.workspace.nbytes > 0
+        exported = [raster for state in states
+                    for raster in _state_rasters(state).values()]
+        exported += [getattr(batch, name) for name in (
+            "serving", "sinr_db", "max_rate_bps", "n_ue", "rate_bps")]
+        for incumbent in evaluator._incumbents:
+            exported += [incumbent.total_mw, incumbent.raw_serving,
+                         incumbent.best_mw, *incumbent.rows]
+        exported += [b.weighted for b in evaluator._roi_baselines.values()]
+        for raster in exported:
+            for buf in buffers:
+                assert not np.shares_memory(raster, buf)
+
+    def test_pickled_engine_carries_no_workspace(self, world):
+        import pickle
+        engine, network, density = world
+        evaluator = Evaluator(engine, density, _UTILITY)
+        base = network.planned_configuration()
+        evaluator.utility_of(base)
+        evaluator.score_candidates(_candidate_fan(network, base))
+        held = engine.workspace.nbytes
+        assert held > 0
+        assert "workspace" not in engine.__getstate__()
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone.workspace.nbytes == 0
+        assert clone.workspace is not engine.workspace
+        assert engine.workspace.nbytes == held
+        # The clone scores the same, growing its own workspace.
+        assert (Evaluator(clone, density, _UTILITY).score_candidates(
+                    _candidate_fan(network, base), parent=base)
+                == evaluator.score_candidates(_candidate_fan(network,
+                                                             base)))
+        assert clone.workspace.nbytes > 0
+
+
+class TestScoringAllocation:
+    """A warm whole-grid scoring call allocates little beyond its
+    workspace, and the workspace of a full chunk stays in budget."""
+
+    #: Peak traced allocation of a warm whole-grid ``score_windows``
+    #: call, bytes per candidate-cell.  Measured with NumPy 2.4 on the
+    #: nine-sector world below: 131.6 B when every transient was a
+    #: fresh array, 13.6 B with the workspace (the CQI index and the
+    #: per-UE terms of rate-changed cells remain); the bound leaves
+    #: about 50 % for other NumPy versions.
+    PEAK_BYTES_PER_CELL = 20.0
+    #: Resident workspace budget of one full ``STACK_CELLS`` chunk.
+    WORKSPACE_BUDGET_BYTES = 100e6
+
+    @pytest.fixture
+    def nine_sector_world(self):
+        grid = GridSpec(Region.square(3_000.0), cell_size=50.0)
+        network = CellularNetwork(make_sectors(
+            [(x, y) for y in (-1_000.0, 0.0, 1_000.0)
+             for x in (-1_000.0, 0.0, 1_000.0)],
+            azimuths=[(40.0 * i) % 360.0 for i in range(9)],
+            power_dbm=35.0, max_power_dbm=41.0))
+        pathloss = PathLossDatabase.from_environment(
+            network, Environment.flat(grid), shadowing_sigma_db=0.0,
+            seed=0)
+        return _World("nine", network, pathloss)
+
+    def test_warm_whole_grid_call(self, nine_sector_world):
+        world = nine_sector_world
+        engine, density = world.engine, world.density
+        base = world.network.planned_configuration()
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
+        configs = [base.with_power(s, base.power_dbm(s) - 3.0)
+                   for s in range(world.network.n_sectors)]
+        windows = _windows(engine, incumbent, configs)
+        cells = engine.grid.shape[0] * engine.grid.shape[1]
+        assert all(box_area(box) == cells for _, box in windows)
+        candidate_cells = len(configs) * cells
+
+        first = score_windows(engine, baseline, configs, windows, density,
+                              _UTILITY)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            again = score_windows(engine, baseline, configs, windows,
+                                  density, _UTILITY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert (peak - start) / candidate_cells < self.PEAK_BYTES_PER_CELL
+        per_cell = engine.workspace.nbytes / candidate_cells
+        assert per_cell * roi.STACK_CELLS <= self.WORKSPACE_BUDGET_BYTES
