@@ -11,6 +11,25 @@ search algorithms freely re-ask about configurations they have seen
 The evaluator also counts *distinct* model evaluations, which is the
 cost metric of the search-heuristic ablation.
 
+The memo keeps every value, but not every state.  A state a caller
+asked for through :meth:`~Evaluator.state_of` (or
+:meth:`~Evaluator.rescore`) is *pinned*: held strongly for as long as
+its entry lives.  A state computed only for
+:meth:`~Evaluator.utility_of` is held through a weak reference, so it
+is freed as soon as the two-entry delta ring and the two cached ROI
+baselines let go of it; a confirmation only needs the float.  When
+``state_of`` meets an entry whose state is gone it rebuilds it, off
+the books: a delta off the ring anchor with the fewest changed sectors
+(a dense evaluation on a cold ring) that touches neither the ring, nor
+the distinct-evaluation counter, nor any cost meter, nor the memo's
+hit counter, so no plan and no recorded search cost can move;
+``magus.evaluator.state_rebuilds`` counts it.  The rebuilt incumbent
+is parked in a one-slot spare: the next anchoring takes it if it asks
+for the same configuration and cache epoch (as a search re-anchoring
+on the state it just read does), and places it in the ring where a
+fresh evaluation would go.  Under ``strategy="full"`` no ring holds a
+state, so the memo pins every one.
+
 Three evaluation strategy names are accepted (``strategy=`` knob):
 
 ``"delta"`` (default)
@@ -43,8 +62,9 @@ candidates are always confirmed canonically.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +78,9 @@ from .utility import UtilityFunction, get_utility
 __all__ = ["Evaluator", "EVALUATION_STRATEGIES"]
 
 EVALUATION_STRATEGIES = ("full", "delta", "parallel")
+
+#: How a memo entry holds its state: strongly, or a weak reference.
+_Held = Union[NetworkState, "weakref.ref[NetworkState]"]
 
 
 class Evaluator:
@@ -80,13 +103,17 @@ class Evaluator:
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
         self.strategy = strategy
-        self._cache: "OrderedDict[Configuration, Tuple[NetworkState, float]]" = \
+        # config -> (state, or a weak reference to it, f(C)); see the
+        # module docstring for which states are pinned.
+        self._cache: "OrderedDict[Configuration, Tuple[_Held, float]]" = \
             OrderedDict()
         self._cache_size = cache_size
         # Most-recent delta anchors, parent-first: enough to cover the
         # search pattern of one incumbent probed by many one-sector
         # trials, and chains of moves (tilt ladders, gradual steps).
         self._incumbents: List[DeltaIncumbent] = []
+        # The last rebuilt state's incumbent, until the next _anchor.
+        self._spare: Optional[DeltaIncumbent] = None
         # Cached ROI baselines, keyed like the anchors they derive
         # from — the weighted per-UE raster in each is the expensive
         # part worth keeping across score_candidates calls.
@@ -117,8 +144,8 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     def state_of(self, config: Configuration) -> NetworkState:
-        """The full snapshot for ``config`` (memoized)."""
-        return self._lookup(config)[0]
+        """The full snapshot for ``config`` (memoized and pinned)."""
+        return self._lookup(config, pin=True)[0]
 
     def utility_of(self, config: Configuration) -> float:
         """``f(C)`` under the bound utility (memoized)."""
@@ -247,29 +274,53 @@ class Evaluator:
         return baseline
 
     # ------------------------------------------------------------------
-    def _lookup(self, config: Configuration) -> Tuple[NetworkState, float]:
+    def _lookup(self, config: Configuration, pin: bool = False
+                ) -> Tuple[Optional[NetworkState], float]:
+        """``config``'s memo entry: ``(state, f(C))``, the state being
+        ``None`` on a hit without ``pin``.  With ``pin`` the entry
+        holds its state strongly from then on, rebuilt first if it
+        was dropped."""
         hit = self._cache.get(config)
         if hit is not None:
             self._cache.move_to_end(config)
             get_registry().counter("magus.evaluator.cache_hits").inc()
-            return hit
+            held, value = hit
+            if not pin:
+                return None, value
+            state = held() if isinstance(held, weakref.ref) else held
+            if state is None:
+                state = self._rebuild(config)
+            if state is not held:
+                self._cache[config] = (state, value)
+            return state, value
         if self.strategy == "full":
             state = self.engine.evaluate(config, self.ue_density)
         else:                     # "delta" and "parallel" share the path
-            state = self._evaluate_delta(config)
+            state = self._anchor(config).state
         value = self.utility.evaluate(state)
         self._eval_counter.inc()
         get_registry().counter("magus.evaluator.model_evaluations").inc()
-        entry = (state, value)
         if self._cache_size > 0:
-            self._cache[config] = entry
+            weak = not pin and self.strategy != "full"
+            self._cache[config] = (weakref.ref(state) if weak else state,
+                                   value)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-        return entry
+        return state, value
 
-    def _evaluate_delta(self, config: Configuration) -> NetworkState:
-        """Incremental evaluation against a recent incumbent."""
-        return self._anchor(config).state
+    def _rebuild(self, config: Configuration) -> NetworkState:
+        """The state of a memoized ``config`` whose weak entry died.
+
+        Off the books: the memo already counted this configuration's
+        one model evaluation, so the ring, the distinct-evaluation
+        counter and every cost meter are left as they were (the
+        engine's own counters still see the evaluation);
+        ``magus.evaluator.state_rebuilds`` counts it.  The incumbent
+        waits in the spare slot for the next :meth:`_anchor`.
+        """
+        get_registry().counter("magus.evaluator.state_rebuilds").inc()
+        self._spare = self._evaluate_near(self._nearest(config)[0], config)
+        return self._spare.state
 
     def _anchor(self, config: Configuration) -> DeltaIncumbent:
         """Evaluate ``config`` into the delta-anchor ring.
@@ -277,28 +328,47 @@ class Evaluator:
         A delta from the first ring incumbent with the fewest changed
         sectors; a full evaluation only when none is usable — a cold
         ring or a stale cache epoch (``magus.engine.delta_fallbacks``).
-        A one-sector child is remembered with its parent; any other
-        result goes where a full evaluation's would, so the ring (and
-        the anchor later windowed scores group against) does not
-        depend on how the state was computed.  Leaves the memo cache
-        and the distinct-evaluation counter to the caller.
+        The spare a rebuild left for the same configuration and cache
+        epoch is taken instead of evaluating; the spare is emptied
+        either way.  A one-sector child is remembered with its parent;
+        any other result goes where a full evaluation's would, so the
+        ring (and the anchor later windowed scores group against) does
+        not depend on how the state was computed.  Leaves the memo
+        cache and the distinct-evaluation counter to the caller.
         """
+        parent, fewest = self._nearest(config)
+        child, self._spare = self._spare, None
+        if (child is None or child.config != config
+                or child.epoch != self.engine.pathloss.cache_epoch):
+            child = self._evaluate_near(parent, config)
+        self._remember(parent if fewest is not None and len(fewest) == 1
+                       else None, child)
+        return child
+
+    def _nearest(self, config: Configuration
+                 ) -> Tuple[Optional[DeltaIncumbent],
+                            Optional[Tuple[int, ...]]]:
+        """The first ring incumbent ``config`` changes the fewest
+        sectors of, and those sectors; ``(None, None)`` when no
+        incumbent is usable."""
         parent, fewest = None, None
         for incumbent in self._incumbents:
             changed = self.engine.changed_sectors(incumbent, config)
             if changed is not None and (fewest is None
                                         or len(changed) < len(fewest)):
                 parent, fewest = incumbent, changed
+        return parent, fewest
+
+    def _evaluate_near(self, parent: Optional[DeltaIncumbent],
+                       config: Configuration) -> DeltaIncumbent:
+        """``config`` evaluated as a delta off ``parent``, or densely
+        without one."""
         if parent is not None:
-            _, child = self.engine.evaluate_delta(parent, config,
-                                                  self.ue_density)
-            self._remember(parent if len(fewest) == 1 else None, child)
-            return child
+            return self.engine.evaluate_delta(parent, config,
+                                              self.ue_density)[1]
         get_registry().counter("magus.engine.delta_fallbacks").inc()
-        _, incumbent = self.engine.evaluate_with_incumbent(
-            config, self.ue_density)
-        self._remember(None, incumbent)
-        return incumbent
+        return self.engine.evaluate_with_incumbent(config,
+                                                   self.ue_density)[1]
 
     def _remember(self, parent: Optional[DeltaIncumbent],
                   child: DeltaIncumbent) -> None:

@@ -662,7 +662,9 @@ class AnalysisEngine:
         ``NO_SERVICE`` wherever the rate is 0.  Into the given outputs
         (fresh ones where omitted); ``serving`` may be ``raw_serving``
         itself."""
-        rmax = self.link.max_rate_bps(sinr_db, out=rmax)
+        rmax = self.link.max_rate_bps(sinr_db, out=rmax, scratch=(
+            self.workspace.take("cqi", np.intp, sinr_db.shape),
+            self.workspace.take("mask", bool, sinr_db.shape)))
         self._fill_unless(rmax, np.greater_equal, best_mw,
                           _dbm_to_mw_scalar(self.min_rp_dbm), 0.0)
         if serving is None:

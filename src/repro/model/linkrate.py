@@ -124,8 +124,9 @@ _BIN_HI = _BIN_LO + len(_BIN_BASE) - 1
 _BIN_CQI = np.stack([_BIN_BASE, _BIN_BASE + 1], axis=1).ravel()
 
 
-def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None
-               ) -> np.ndarray:
+def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None,
+               index: np.ndarray | None = None,
+               mask: np.ndarray | None = None) -> np.ndarray:
     """Each cell's bin index ``2 * k + hit`` for a float64 SINR array:
     ``k`` its 1-dB bin, ``hit`` whether it reaches the bin's threshold.
 
@@ -136,13 +137,20 @@ def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None
     thresholds bit for bit.  ``fmax``/``fmin`` clamp +-inf into the end
     bins and send NaN to the lowest bin, where it fails the cut (CQI
     0).  ``scratch``, a float64 array of ``sinr``'s shape, takes the
-    float passes instead of fresh temporaries.
+    float passes instead of fresh temporaries; ``index`` (intp) and
+    ``mask`` (bool), of the same shape, take the index and the
+    threshold test.  The result is ``index`` when given.
     """
     f = np.fmax(sinr, _BIN_LO, out=scratch)
     f = np.floor(np.fmin(f, _BIN_HI, out=scratch), out=scratch)
-    index = f.astype(np.intp)
+    if index is None:
+        index = f.astype(np.intp)
+    else:
+        # Every value is integral and in range, so the cast is exact.
+        np.copyto(index, f, casting="unsafe")
     index -= _BIN_LO
-    hit = sinr >= _BIN_CUT.take(index, out=scratch, mode="clip")
+    hit = np.greater_equal(
+        sinr, _BIN_CUT.take(index, out=scratch, mode="clip"), out=mask)
     index *= 2
     index += hit
     return index
@@ -222,17 +230,22 @@ class LinkAdaptation:
         return eff * self.resource_elements_per_tti / _TTI_SECONDS
 
     def max_rate_bps(self, sinr_db: np.ndarray | float,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, *,
+                     scratch: Tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> np.ndarray:
         """Paper's ``rmax(g)``: single-user rate, 0 when out of service.
 
         ``out``, a float64 array of the input's shape that does not
         overlap it, receives the rates and serves the lookup's float
-        passes as scratch.
+        passes as scratch.  ``scratch``, an ``(intp, bool)`` pair of
+        arrays of the input's shape, takes the bin index and the
+        threshold masks, so a call given both allocates no raster.
         """
         sinr = np.asarray(sinr_db, dtype=float)
-        index = _bin_index(sinr, scratch=out)
+        index, mask = scratch if scratch is not None else (None, None)
+        index = _bin_index(sinr, scratch=out, index=index, mask=mask)
         # Out-of-service grids read index 0: the lowest bin, CQI 0.
-        index *= sinr >= self.sinr_min_db
+        index *= np.greater_equal(sinr, self.sinr_min_db, out=mask)
         # asarray: a scalar or 0-d input still gets a 0-d array back.
         return np.asarray(self._bin_rates.take(index, out=out, mode="clip"))
 

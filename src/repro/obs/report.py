@@ -242,15 +242,19 @@ class RunReport:
         """Incremental-evaluation counters, if the delta engine ran.
 
         ``magus.engine.delta_evaluations`` / ``delta_fallbacks``
-        expose the hit rate of the incremental path, and ``magus.evaluator.reanchors`` how often candidate
-        scoring had to re-anchor on its parent; empty under
-        ``--no-delta`` (or when nothing was evaluated), keeping
-        full-strategy reports unchanged.
+        expose the hit rate of the incremental path,
+        ``magus.evaluator.reanchors`` how often candidate scoring had
+        to re-anchor on its parent, and
+        ``magus.evaluator.state_rebuilds`` how often a memoized state
+        that only a confirmation had needed was asked for after it was
+        freed; empty under ``--no-delta`` (or when nothing was
+        evaluated), keeping full-strategy reports unchanged.
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.delta_evaluations",
                      "magus.engine.delta_fallbacks",
-                     "magus.evaluator.reanchors"):
+                     "magus.evaluator.reanchors",
+                     "magus.evaluator.state_rebuilds"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")

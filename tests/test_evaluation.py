@@ -120,3 +120,138 @@ class TestStrategyKnob:
                                              toy_density):
         ev = Evaluator(toy_engine, toy_density, strategy="full")
         assert ev.with_utility("coverage").strategy == "full"
+
+
+class TestStateLifetime:
+    """The memo keeps every value but pins only the states a caller
+    asked for; a dropped state is rebuilt off the books."""
+
+    @pytest.fixture
+    def registry(self):
+        from repro.obs import MetricsRegistry, set_registry
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        yield registry
+        set_registry(previous)
+
+    @staticmethod
+    def _engine_calls(monkeypatch, engine):
+        """Record a weak reference to every state the engine returns."""
+        import weakref
+        calls = []
+        for name in ("evaluate", "evaluate_with_incumbent",
+                     "evaluate_delta"):
+            original = getattr(engine, name)
+
+            def wrapped(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                state = out[0] if isinstance(out, tuple) else out
+                calls.append(weakref.ref(state))
+                return out
+            monkeypatch.setattr(engine, name, wrapped)
+        return calls
+
+    @staticmethod
+    def _chain(evaluator, base, steps):
+        """``steps`` one-sector moves, each screened against its parent
+        and confirmed through ``utility_of``; returns the configs."""
+        configs, config = [base], base
+        evaluator.utility_of(base)
+        for i in range(steps):
+            sector = i % 3
+            trial = config.with_power(sector,
+                                      config.power_dbm(sector) - 0.5)
+            evaluator.score_candidates([trial], parent=config)
+            evaluator.utility_of(trial)
+            configs.append(trial)
+            config = trial
+        return configs
+
+    @staticmethod
+    def _rasters(state):
+        return [state.serving, state.raw_serving, state.rp_best_dbm,
+                state.interference_dbm, state.sinr_db, state.max_rate_bps,
+                state.n_ue, state.rate_bps]
+
+    def test_confirmations_keep_only_ring_and_baseline_states(
+            self, monkeypatch, toy_engine, toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        made = self._engine_calls(monkeypatch, toy_engine)
+        configs = self._chain(ev, toy_network.planned_configuration(), 50)
+        assert len(made) == 51 and len(ev._cache) == 51
+        live = {id(state) for state in (ref() for ref in made)
+                if state is not None}
+        held = ({id(inc.state) for inc in ev._incumbents}
+                | {id(b.incumbent.state) for b in ev._roi_baselines.values()})
+        assert live == held and len(live) <= 4
+        # Every value is still memoized.
+        n = ev.model_evaluations
+        for config in configs:
+            ev.utility_of(config)
+        assert ev.model_evaluations == n
+
+    def test_rebuild_is_off_the_books(self, registry, toy_engine,
+                                      toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        configs = self._chain(ev, toy_network.planned_configuration(), 6)
+        target = configs[2]                 # long gone from the ring
+        assert target not in [inc.config for inc in ev._incumbents]
+        ring = [(inc.config, inc.epoch) for inc in ev._incumbents]
+        order = [c for c in ev._cache if c != target] + [target]
+        evaluations = ev.model_evaluations
+        meter = ev.cost_meter()
+        hits = registry.snapshot().get("magus.evaluator.cache_hits",
+                                       {"value": 0})["value"]
+
+        state = ev.state_of(target)
+
+        want = toy_engine.evaluate(target, toy_density)
+        for got, ref in zip(self._rasters(state), self._rasters(want)):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert [(inc.config, inc.epoch) for inc in ev._incumbents] == ring
+        assert ev.model_evaluations == evaluations
+        assert meter.spent() == 0
+        assert list(ev._cache) == order     # moved to the end, as a hit
+        snap = registry.snapshot()
+        assert snap["magus.evaluator.cache_hits"]["value"] == hits + 1
+        assert snap["magus.evaluator.state_rebuilds"]["value"] == 1
+
+    def test_rebuild_then_reanchor_costs_one_evaluation(
+            self, monkeypatch, toy_engine, toy_network, toy_density):
+        base = toy_network.planned_configuration()
+        pinned = Evaluator(toy_engine, toy_density)
+        rebuilt = Evaluator(toy_engine, toy_density)
+        target = self._chain(pinned, base, 2)[-1]
+        pinned.state_of(target)             # pinned while in the ring
+        self._chain(pinned, target, 4)
+        self._chain(rebuilt, base, 2)
+        self._chain(rebuilt, target, 4)     # the same moves, unpinned
+        assert all(inc.config != target for inc in rebuilt._incumbents)
+        trials = [target.with_power(1, 38.0), target.with_power(2, 33.0)]
+
+        calls = self._engine_calls(monkeypatch, toy_engine)
+        want_state = pinned.state_of(target)
+        want = pinned.score_candidates(trials, parent=target)
+        reanchored = len(calls)
+        del calls[:]
+        state = rebuilt.state_of(target)
+        got = rebuilt.score_candidates(trials, parent=target)
+
+        assert reanchored == len(calls) == 1
+        assert got == want
+        assert ([(inc.config, inc.epoch) for inc in rebuilt._incumbents]
+                == [(inc.config, inc.epoch) for inc in pinned._incumbents])
+        assert any(inc.state is state for inc in rebuilt._incumbents)
+        assert state.rate_bps.tobytes() == want_state.rate_bps.tobytes()
+
+    def test_state_of_twice_is_one_object(self, registry, toy_engine,
+                                          toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        configs = self._chain(ev, toy_network.planned_configuration(), 6)
+        first = ev.state_of(configs[1])
+        self._chain(ev, configs[-1], 6)     # push it out of the ring
+        assert ev.state_of(configs[1]) is first
+        assert ev.state_of(configs[3]) is ev.state_of(configs[3])
+        snap = registry.snapshot()
+        assert snap["magus.evaluator.state_rebuilds"]["value"] == 2

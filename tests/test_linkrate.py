@@ -196,6 +196,32 @@ class TestBinnedLookupExactness:
             _assert_same(link.spectral_efficiency(value),
                          _reference_efficiency(value))
 
+    @pytest.mark.parametrize("link", _LINKS[:4])
+    def test_scratch_call_allocates_no_raster(self, link):
+        """Given ``out`` and an ``(intp, bool)`` scratch pair, a warm
+        call allocates at most about 1 B per cell (the allocating call
+        takes an 8-B index and two masks) and returns the same bits."""
+        import tracemalloc
+        sinr = np.concatenate([_straddle(_EDGES), [np.inf, -np.inf,
+                                                   np.nan]])
+        scratch = (np.empty(sinr.shape, np.intp), np.empty(sinr.shape, bool))
+        out = np.full(sinr.shape, np.nan)
+        assert link.max_rate_bps(sinr, out=out, scratch=scratch) is out
+        _assert_same(out, link.max_rate_bps(sinr))
+
+        big = np.tile(sinr, 64)
+        scratch = (np.empty(big.shape, np.intp), np.empty(big.shape, bool))
+        out = np.empty(big.shape)
+        link.max_rate_bps(big, out=out, scratch=scratch)       # warm
+        tracemalloc.start()
+        try:
+            link.max_rate_bps(big, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= big.size
+        _assert_same(out, np.tile(link.max_rate_bps(sinr), 64))
+
     def test_nan_maps_to_cqi_zero(self):
         link = LinkAdaptation()
         assert link.cqi_for_sinr(np.nan) == 0

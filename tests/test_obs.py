@@ -291,6 +291,20 @@ class TestRunReport:
         assert any(p["name"] == "magus.power_pass"
                    for p in report.phases)
 
+    def test_delta_section_reports_state_rebuilds(self, toy_evaluator,
+                                                  toy_network):
+        base = toy_network.planned_configuration()
+        with use_registry(MetricsRegistry()) as reg:
+            toy_evaluator.utility_of(base)
+            config = base
+            for sector in (0, 1, 2):           # base leaves the ring
+                config = config.with_power(sector, 33.0)
+                toy_evaluator.utility_of(config)
+            toy_evaluator.state_of(base)       # its state was freed
+            report = RunReport.from_registry("mitigate", registry=reg)
+        assert report.delta_metrics()["magus.evaluator.state_rebuilds"] == 1
+        assert ("magus.evaluator.state_rebuilds  1"
+                in report.to_table().split("delta engine:")[1])
 
     def test_resources_block_reads_getrusage(self):
         resource = pytest.importorskip("resource")

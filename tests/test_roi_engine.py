@@ -1208,8 +1208,8 @@ class TestScoringAllocation:
     #: Peak traced allocation of a warm whole-grid ``score_windows``
     #: call, bytes per candidate-cell.  Measured with NumPy 2.4 on the
     #: nine-sector world below: 131.6 B when every transient was a
-    #: fresh array, 13.6 B with the workspace (the CQI index and the
-    #: per-UE terms of rate-changed cells remain); the bound leaves
+    #: fresh array, 13.6 B with the workspace (the per-UE terms of
+    #: rate-changed cells remain); the bound leaves
     #: about 50 % for other NumPy versions.
     PEAK_BYTES_PER_CELL = 20.0
     #: Resident workspace budget of one full ``STACK_CELLS`` chunk.
