@@ -29,9 +29,13 @@ incremental evaluation sit on top of the canonical pass:
   (unclipped dict backend, rotated pattern) it is the whole grid.
   :func:`repro.model.roi.score_windows` scores single-sector
   candidate groups through the same windows, in one stacked pass,
-  against one serving comparator per window
-  (:meth:`DeltaIncumbent.runner_up`, whose argmax helper also repairs
-  a delta's serving).
+  against one serving comparator per window.  A candidate whose new
+  row dominates its old one (:func:`~repro.model.network.dominates`:
+  a power increase, or an off-air sector lit) keeps every cell it
+  served, so its comparator is the incumbent's own best/serving
+  window; any other candidate compares against
+  :meth:`DeltaIncumbent.runner_up`, whose argmax helper also repairs
+  a delta's serving at the cells its non-dominating sectors served.
 * **the dense batch reference** — :meth:`evaluate_batch` stacks K
   single-sector neighbors along a batch axis and scores them in one
   vectorized pass against the incumbent, its comparator a masked
@@ -54,7 +58,7 @@ import numpy as np
 
 from ..obs import Counter, get_registry
 from .linkrate import LinkAdaptation
-from .network import Configuration
+from .network import Configuration, dominates
 from .pathloss import PathLossDatabase
 from .roi import EMPTY_BOX, Box, box_area, box_is_empty, box_union
 from .snapshot import NO_SERVICE, NetworkState
@@ -149,7 +153,10 @@ class DeltaIncumbent:
         gets index 0, or 1 when ``changed == 0`` (with one sector there
         is no other row, so that is every cell).  Each cell's result
         depends on that cell alone, not on the window (see DESIGN.md,
-        "Window comparator").
+        "Window comparator").  Only a change that may lose cells needs
+        it: where :func:`~repro.model.network.dominates` holds,
+        :attr:`best_mw` / :attr:`raw_serving` are an exact comparator
+        on their own.
         """
         win = _slices(box)
         comp_idx = self.raw_serving[win].copy()
@@ -350,8 +357,9 @@ class AnalysisEngine:
         window.  Inside it, a row is exactly zero outside its own box,
         so the total sums only the rows whose box meets the window, in
         sector order — each skipped term is an exact ``+0.0`` — and the
-        serving argmax is repaired from those rows alone (see DESIGN.md,
-        "Evaluation strategies").
+        serving argmax is repaired from those rows alone, at the cells
+        of the changed sectors whose new row does not dominate the old
+        one (see DESIGN.md, "Evaluation strategies").
         """
         rows, boxes = list(incumbent.rows), incumbent.boxes.copy()
         for sector in changed:
@@ -386,12 +394,21 @@ class AnalysisEngine:
             np.copyto(idx, np.int32(sector), where=wins)
         # Cells a changed sector served: the argmax over the rows that
         # meet them (the rest are zero there); an all-zero cell takes
-        # index 0, as the full stack's argmax does.
-        mask = s0 == changed[0]
-        for sector in changed[1:]:
-            mask |= s0 == sector
-        if mask.any():
-            best_w[mask], raw_w[mask] = _argmax_rows(rows, boxes, box, mask)
+        # index 0, as the full stack's argmax does.  A sector whose new
+        # row dominates its old one keeps every cell it served (any
+        # row tying its old value there has a higher index), so the
+        # fold above already holds the argmax at its cells.
+        settings = incumbent.config.settings
+        losing = [sector for sector in changed
+                  if not dominates(settings[sector],
+                                   config.settings[sector])]
+        if losing:
+            mask = s0 == losing[0]
+            for sector in losing[1:]:
+                mask |= s0 == sector
+            if mask.any():
+                best_w[mask], raw_w[mask] = _argmax_rows(rows, boxes, box,
+                                                         mask)
         child = DeltaIncumbent(
             config, rows, boxes, total_mw,
             _patched(incumbent.raw_serving, win, raw_w),

@@ -127,8 +127,9 @@ _BIN_CQI = np.stack([_BIN_BASE, _BIN_BASE + 1], axis=1).ravel()
 def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None,
                index: np.ndarray | None = None,
                mask: np.ndarray | None = None) -> np.ndarray:
-    """Each cell's bin index ``2 * k + hit`` for a float64 SINR array:
-    ``k`` its 1-dB bin, ``hit`` whether it reaches the bin's threshold.
+    """Each cell's bin index ``2 * k + hit`` for a float64 or float32
+    SINR array: ``k`` its 1-dB bin, ``hit`` whether it reaches the
+    bin's threshold.
 
     :data:`_BIN_CQI` maps the index to the CQI (the count of
     thresholds ``<= sinr``), so a table indexed the same way looks a
@@ -136,10 +137,13 @@ def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None,
     most one threshold, so the lookup equals a binary search over the
     thresholds bit for bit.  ``fmax``/``fmin`` clamp +-inf into the end
     bins and send NaN to the lowest bin, where it fails the cut (CQI
-    0).  ``scratch``, a float64 array of ``sinr``'s shape, takes the
-    float passes instead of fresh temporaries; ``index`` (intp) and
-    ``mask`` (bool), of the same shape, take the index and the
-    threshold test.  The result is ``index`` when given.
+    0).  Clamping and flooring a float32 value are exact, and the
+    threshold test compares it with the float64 cut (a mixed compare
+    promotes to float64), so float32 input gives the index of the same
+    values cast to float64.  ``scratch``, a float64 array of ``sinr``'s
+    shape, takes the float passes instead of fresh temporaries;
+    ``index`` (intp) and ``mask`` (bool), of the same shape, take the
+    index and the threshold test.  The result is ``index`` when given.
     """
     f = np.fmax(sinr, _BIN_LO, out=scratch)
     f = np.floor(np.fmin(f, _BIN_HI, out=scratch), out=scratch)
@@ -240,12 +244,20 @@ class LinkAdaptation:
         passes as scratch.  ``scratch``, an ``(intp, bool)`` pair of
         arrays of the input's shape, takes the bin index and the
         threshold masks, so a call given both allocates no raster.
+        float32 input (the packed backend's SINR) is read as it is,
+        not copied to float64; every comparison still runs in float64,
+        so the rates equal those of the input cast to float64.
         """
-        sinr = np.asarray(sinr_db, dtype=float)
+        sinr = np.asarray(sinr_db)
+        if sinr.dtype != np.float32:
+            sinr = sinr.astype(np.float64, copy=False)
         index, mask = scratch if scratch is not None else (None, None)
         index = _bin_index(sinr, scratch=out, index=index, mask=mask)
-        # Out-of-service grids read index 0: the lowest bin, CQI 0.
-        index *= np.greater_equal(sinr, self.sinr_min_db, out=mask)
+        # Out-of-service grids read index 0: the lowest bin, CQI 0.  A
+        # float64 bound: under NEP 50 a Python float against a float32
+        # array would compare in float32.
+        index *= np.greater_equal(sinr, np.float64(self.sinr_min_db),
+                                  out=mask)
         # asarray: a scalar or 0-d input still gets a 0-d array back.
         return np.asarray(self._bin_rates.take(index, out=out, mode="clip"))
 

@@ -28,7 +28,7 @@ import numpy as np
 from .antenna import AntennaPattern, TiltRange
 
 __all__ = ["Sector", "BaseStation", "Configuration", "CellularNetwork",
-           "SECTORS_PER_SITE"]
+           "SECTORS_PER_SITE", "dominates"]
 
 #: The typical sectorization the paper assumes.
 SECTORS_PER_SITE = 3
@@ -250,8 +250,9 @@ class Configuration:
 
     # -- derivation -----------------------------------------------------
     def _replaced(self, sector_id: int, **changes) -> "Configuration":
-        # The other settings were checked when this configuration was
-        # built; only the changed one needs the finiteness check.
+        # The other settings were checked and hashed when this
+        # configuration was built; only the changed one needs the
+        # finiteness check and a hash.
         if not 0 <= sector_id < self.n_sectors:
             raise IndexError(f"unknown sector {sector_id}")
         setting = replace(self.settings[sector_id], **changes)
@@ -259,7 +260,12 @@ class Configuration:
             _check_finite([sector_id])
         new = list(self.settings)
         new[sector_id] = setting
-        return Configuration._trusted(tuple(new))
+        config = Configuration._trusted(tuple(new))
+        hashes = self._setting_hashes()
+        object.__setattr__(config, "_hashes",
+                           hashes[:sector_id] + (hash(setting),)
+                           + hashes[sector_id + 1:])
+        return config
 
     def with_power(self, sector_id: int, power_dbm: float) -> "Configuration":
         """A copy with ``sector_id``'s transmit power set to ``power_dbm``."""
@@ -309,28 +315,66 @@ class Configuration:
                 for i, (a, b) in enumerate(zip(self.settings, other.settings))
                 if a != b}
 
+    def _setting_hashes(self) -> Tuple[int, ...]:
+        """Each setting's hash, in sector order, cached like the hash.
+
+        A ``with_*`` copy derives its tuple from its parent's by
+        replacing one element, so hashing a derived configuration
+        hashes a tuple of ints and calls no Python ``__hash__``.
+        """
+        try:
+            return self.__dict__["_hashes"]
+        except KeyError:
+            value = tuple(map(hash, self.settings))
+            object.__setattr__(self, "_hashes", value)
+            return value
+
     def __hash__(self) -> int:
         # Every memo, anchor-ring and ROI-baseline lookup hashes the
-        # whole settings tuple; compute it once.  Defining __hash__
-        # here keeps the dataclass from generating one, and the cache
-        # is an attribute outside the fields, so eq/repr ignore it.
+        # configuration; compute it once.  Equal configurations have
+        # equal settings, hence equal per-setting hashes.  Defining
+        # __hash__ here keeps the dataclass from generating one, and
+        # the caches are attributes outside the fields, so eq/repr
+        # ignore them.
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            value = hash((self.settings,))
+            value = hash(self._setting_hashes())
             object.__setattr__(self, "_hash", value)
             return value
 
     def __getstate__(self) -> dict:
         # Pickles carry the settings only; the receiving process
-        # re-derives the hash and power factors in its own interpreter.
+        # re-derives the hashes and power factors in its own
+        # interpreter.
         return _without_derived(self.__dict__)
+
+
+def dominates(old: SectorSetting, new: SectorSetting) -> bool:
+    """Whether ``new``'s received-power row is >= ``old``'s at every cell.
+
+    Decided from the settings alone: true when ``old`` is off-air (its
+    row is all zero), or when tilt and azimuth are unchanged and the
+    power factor does not decrease.  Then both rows are the same gain
+    row ``g >= 0`` times a factor, and both steps are monotone: casting
+    the float64 factor to the plane dtype keeps ``f_old <= f_new``, and
+    the rounded product ``fl(g * f)`` is non-decreasing in ``f`` for
+    ``g >= 0``.  So a sector whose setting moves this way keeps every
+    cell it served (see DESIGN.md, "Window comparator").  False is
+    always safe: it only sends the sector through the full comparator.
+    """
+    if not old.active:
+        return True
+    return (new.tilt_deg == old.tilt_deg
+            and new.azimuth_offset_deg == old.azimuth_offset_deg
+            and new.power_factor() >= old.power_factor())
 
 
 def _without_derived(state: dict) -> dict:
     """An instance ``__dict__`` minus its cached derived values."""
     return {k: v for k, v in state.items()
-            if k not in ("_hash", "_power_factor", "_power_factors")}
+            if k not in ("_hash", "_hashes", "_power_factor",
+                         "_power_factors")}
 
 
 def _power_factors(powers: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -18,14 +18,19 @@ division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
 cached ``per_ue(rate)*density`` raster everywhere else.
 
-Each candidate's serving is resolved against the window comparator
-of its ``(changed, box)``
-(:meth:`~repro.model.engine.DeltaIncumbent.runner_up`): where the
-changed sector serves, the best of the other rows meeting the window;
-elsewhere the incumbent's best.  :class:`RoiBaseline` is a view of the
-incumbent, so the old plane window is a slice of its row and the
-comparator is computed once per window, memoized with the rest of the
-window's baseline side.
+Each candidate's serving is resolved against a window comparator.
+A candidate whose new row dominates the old one
+(:func:`~repro.model.network.dominates`: the old setting off-air, or
+the same tilt and azimuth at a power factor no lower) keeps every cell
+its sector served, so the incumbent's own best/serving window is an
+exact comparator and no other row is read.  Any other candidate
+compares against
+:meth:`~repro.model.engine.DeltaIncumbent.runner_up` of its
+``(changed, box)``: where the changed sector serves, the best of the
+other rows meeting the window; elsewhere the incumbent's best.
+:class:`RoiBaseline` is a view of the incumbent, so the old plane
+window is a slice of its row and each comparator is computed once per
+window, memoized with the rest of the window's baseline side.
 
 It scores a whole candidate group in one stacked pass: Python
 resolves each candidate's serving against its window's comparator,
@@ -56,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_registry
-from .network import Configuration
+from .network import Configuration, dominates
 
 __all__ = ["EMPTY_BOX", "Box", "RoiBaseline", "box_area", "box_is_empty",
            "box_union", "count_windowed", "score_candidate",
@@ -109,12 +114,14 @@ class RoiBaseline:
 
     incumbent: object
     weighted: np.ndarray      # (H, W) per_ue(rate) * ue_density
-    #: Baseline-only window arrays memoized per (changed, box): the
-    #: old plane window, the incumbent total and the serving
-    #: comparator pair are identical for every candidate that flips the
-    #: same sector within the same ROI (a power ladder), so they are
-    #: gathered once per sector rather than once per candidate.
-    window_cache: Dict[Tuple[int, Box], Tuple[np.ndarray, ...]] = field(
+    #: Baseline-only window arrays memoized per (changed, box,
+    #: dominating): the old plane window, the incumbent total and the
+    #: serving comparator pair are identical for every candidate that
+    #: flips the same sector within the same ROI in the same direction
+    #: (one side of a power ladder), so they are gathered once per
+    #: sector rather than once per candidate.
+    window_cache: Dict[Tuple[int, Box, bool],
+                       Tuple[np.ndarray, ...]] = field(
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -212,8 +219,8 @@ def _score_chunk(engine, baseline: RoiBaseline,
     for config, (changed, box), area in zip(configs, windows, areas):
         cut = slice(at, at + area)
         at += area
-        old, total0, comp_val, comp_idx = _window_inputs(baseline, changed,
-                                                         box)
+        old, total0, comp_val, comp_idx = _window_inputs(
+            baseline, config, changed, box)
         new, w, e = best[cut], wins[cut], tie[cut]
         # An explicit shape: an empty window cannot infer a -1 axis.
         engine._sector_plane_mw_window(
@@ -282,20 +289,33 @@ def _score_chunk(engine, baseline: RoiBaseline,
     return [float(v) for v in weighted.reshape(k, cells).sum(axis=1)]
 
 
-def _window_inputs(baseline: RoiBaseline, changed: int, box: Box):
+def _window_inputs(baseline: RoiBaseline, config: Configuration,
+                   changed: int, box: Box):
     """The baseline side of one window, flattened: the changed
-    sector's old plane, the incumbent total and the serving
-    comparator pair (:meth:`~repro.model.engine.DeltaIncumbent.runner_up`,
-    as ``evaluate_batch`` compares).  Outside the window the changed
+    sector's old plane, the incumbent total and the serving comparator
+    pair.  Where ``config``'s setting of ``changed`` dominates the
+    incumbent's (:func:`~repro.model.network.dominates`) the sector
+    keeps every cell it served, and the comparator is the incumbent's
+    ``best_mw`` / ``raw_serving`` window: the capture test then keeps
+    each such cell on ``changed`` whether its new value ties the old
+    one or exceeds it.  Any other candidate compares against
+    :meth:`~repro.model.engine.DeltaIncumbent.runner_up`, as
+    ``evaluate_batch`` compares.  Outside the window the changed
     sector's plane is zero before and after, so the wins test is a
-    no-op there.  Memoized per ``(changed, box)``."""
-    key = (changed, box)
+    no-op there.  Memoized per ``(changed, box, dominating)``."""
+    incumbent = baseline.incumbent
+    dominant = dominates(incumbent.config.settings[changed],
+                         config.settings[changed])
+    key = (changed, box, dominant)
     cached = baseline.window_cache.get(key)
     if cached is None:
-        incumbent = baseline.incumbent
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        comp_val, comp_idx = incumbent.runner_up(changed, box)
+        if dominant:
+            comp_val = incumbent.best_mw[win]
+            comp_idx = incumbent.raw_serving[win]
+        else:
+            comp_val, comp_idx = incumbent.runner_up(changed, box)
         cached = (incumbent.rows[changed][win].ravel(),
                   incumbent.total_mw[win].ravel(),
                   comp_val.ravel(), comp_idx.ravel())

@@ -19,11 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility, UtilityFunction
+from repro.model import engine as engine_module
 from repro.model.engine import AnalysisEngine
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
-from repro.model.network import CellularNetwork
+from repro.model.network import CellularNetwork, dominates
 from repro.model.pathloss import PathLossDatabase
+from repro.model.plossdb import load_packed, save_packed
 from repro.model.propagation import Environment
 from repro.model.snapshot import NO_SERVICE
 
@@ -146,6 +148,137 @@ class TestDeltaParity:
         trial = base.with_power(0, 38.0)
         assert (toy_engine.evaluate_delta(incumbent, trial, toy_density)
                 is None)
+
+
+# -- dominating changes ---------------------------------------------------
+#: One power-up step: a sector and how many dB it gains (clamped to its
+#: maximum); an off-air sector is lit instead.
+_POWER_UPS = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                st.sampled_from([1.0, 2.0, 3.0])),
+                      min_size=1, max_size=8)
+
+#: One mixed multi-sector link: a dominating move (power up or lit) on
+#: one sector and a losing move (power down, tilt, off air) on another,
+#: plus optionally a second dominating move on the third.
+_MIXED_LINKS = st.lists(
+    st.tuples(st.permutations([0, 1, 2]),
+              st.sampled_from([1.0, 3.0, 6.0]),
+              st.sampled_from([("power", -3.0), ("power", -1.0),
+                               ("tilt", 1.0), ("tilt", -2.0),
+                               ("off", 0.0)]),
+              st.booleans()),
+    min_size=1, max_size=5)
+
+
+def _power_up(network, config, sector, step):
+    """``sector`` lit if off air, else ``step`` dB louder (clamped)."""
+    if not config.is_active(sector):
+        return config.with_online([sector])
+    spec = network.sector(sector)
+    return config.with_power(sector, min(config.power_dbm(sector) + step,
+                                         spec.max_power_dbm))
+
+
+def _assert_delta_exact(engine, parent, config, density):
+    """One delta: its state and its incumbent's derived arrays equal a
+    dense evaluation of ``config`` bit for bit.  Returns the child."""
+    state, child = engine.evaluate_delta(parent, config, density)
+    _assert_states_equal(state, engine.evaluate(config, density))
+    prepared = engine._prepare(config)
+    for name in ("total_mw", "raw_serving", "best_mw"):
+        got, want = getattr(child, name), getattr(prepared, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    return child
+
+
+class TestDominatingDeltaParity:
+    """A changed sector whose new row dominates its old one keeps every
+    cell it served, so the delta skips the serving repair there; the
+    result stays bitwise equal to ``evaluate``."""
+
+    @pytest.fixture
+    def worlds(self, tmp_path, toy_grid, toy_network, toy_engine,
+               toy_density):
+        """(network, engine, density): the unclipped float64 dict
+        backend, the clipped float32 packed backend, and co-sited
+        co-aimed twins (sectors 0 and 1 tie wherever their settings
+        match)."""
+        path = str(tmp_path / "toy.plossdb")
+        save_packed(PathLossDatabase.from_environment(
+            toy_network, Environment.flat(toy_grid), shadowing_sigma_db=0.0,
+            seed=0, clip_floor_db=-110.0), path)
+        twins = CellularNetwork(make_sectors(
+            [(0.0, 0.0), (0.0, 0.0), (1_000.0, 0.0)],
+            azimuths=[0.0, 0.0, 90.0], power_dbm=35.0, max_power_dbm=41.0))
+        out = [(toy_network, toy_engine, toy_density)]
+        for network, db in (
+                (toy_network, load_packed(path)),
+                (twins, PathLossDatabase.from_environment(
+                    twins, Environment.flat(toy_grid),
+                    shadowing_sigma_db=0.0, seed=0, clip_floor_db=-110.0))):
+            engine = AnalysisEngine(db, link=LinkAdaptation())
+            out.append((network, engine, uniform_per_sector_density(
+                engine.evaluate(network.planned_configuration(),
+                                np.zeros(engine.grid.shape)), 90.0)))
+        assert out[1][1].pathloss.plane_dtype == np.float32
+        return out
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=_POWER_UPS)
+    def test_power_up_chain(self, steps, worlds, monkeypatch):
+        """Each step dominates, so no delta along the chain repairs a
+        cell; every child still equals ``evaluate``."""
+        repairs = []
+        argmax_rows = engine_module._argmax_rows
+
+        def spy(*args, **kwargs):
+            repairs.append(args)
+            return argmax_rows(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "_argmax_rows", spy)
+        for network, engine, density in worlds:
+            # Sector 1 starts off air and sector 0 low: the chain
+            # lights one and climbs the other past the twin it ties.
+            config = (network.planned_configuration().with_offline([1])
+                      .with_power(0, 32.0))
+            incumbent = engine.evaluate_with_incumbent(config, density)[1]
+            for sector, step in [(1, 1.0), (0, 3.0)] + steps:
+                new_config = _power_up(network, config, sector, step)
+                if new_config == config:
+                    continue
+                assert dominates(config.settings[sector],
+                                 new_config.settings[sector])
+                incumbent = _assert_delta_exact(engine, incumbent,
+                                                new_config, density)
+                config = new_config
+        assert repairs == []
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(links=_MIXED_LINKS)
+    def test_mixed_multi_sector_delta(self, links, worlds):
+        """Deltas that change a dominating and a losing sector together
+        repair only the losing sector's cells, and stay exact."""
+        for network, engine, density in worlds:
+            config = network.planned_configuration()
+            incumbent = engine.evaluate_with_incumbent(config, density)[1]
+            for order, step, (kind, value), both in links:
+                up, down, extra = order
+                new_config = _power_up(network, config, up, step)
+                if kind == "off":
+                    new_config = new_config.with_offline([down])
+                else:
+                    new_config = _apply_move(network, new_config,
+                                             (kind, down, value))
+                if both:
+                    new_config = _power_up(network, new_config, extra, step)
+                if new_config == config:
+                    continue
+                incumbent = _assert_delta_exact(engine, incumbent,
+                                                new_config, density)
+                config = new_config
 
 
 class TestBatchParity:

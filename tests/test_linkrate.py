@@ -140,6 +140,20 @@ def _straddle(points, ulps=64):
     return np.asarray(out)
 
 
+def _straddle32(points, ulps=8):
+    """Each point rounded to float32 and its +-1..``ulps``-ulp float32
+    neighbours."""
+    out = []
+    for p in points:
+        up = down = np.float32(p)
+        out.append(up)
+        for _ in range(ulps):
+            up = np.nextafter(up, np.float32(np.inf))
+            down = np.nextafter(down, np.float32(-np.inf))
+            out += [up, down]
+    return np.asarray(out, dtype=np.float32)
+
+
 def _assert_same(got, want):
     assert type(got) is type(want)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -153,6 +167,13 @@ _LINKS = [LinkAdaptation(bandwidth_mhz=mhz, sinr_min_db=m)
           for mhz in (1.4, 10.0, 20.0) for m in _SINR_MINS]
 _EDGES = (list(CQI_SINR_THRESHOLDS_DB) + list(_SINR_MINS)
           + list(range(-8, 25)))
+
+
+#: A cutoff whose float32 rounding lies below it: the float32 value
+#: nearest 11.7 dB is out of service, and only a float64 compare says so.
+_ROUNDS_DOWN = LinkAdaptation(sinr_min_db=11.7)
+assert (float(np.float32(_ROUNDS_DOWN.sinr_min_db))
+        < _ROUNDS_DOWN.sinr_min_db)
 
 
 class TestBinnedLookupExactness:
@@ -221,6 +242,47 @@ class TestBinnedLookupExactness:
             tracemalloc.stop()
         assert peak <= big.size
         _assert_same(out, np.tile(link.max_rate_bps(sinr), 64))
+
+    @pytest.mark.parametrize("link", _LINKS + [_ROUNDS_DOWN],
+                             ids=lambda li: f"{li.bandwidth_mhz}MHz-"
+                                            f"min{li.sinr_min_db}")
+    def test_float32_equals_float64_cast(self, link):
+        """float32 input is compared in float64, never rounded to a
+        float32 threshold: the rates equal those of the same values
+        cast to float64, at the float32 neighbours of every CQI
+        threshold and of ``sinr_min_db``, with and without buffers."""
+        sinr = np.concatenate([_straddle32(_EDGES + [link.sinr_min_db]),
+                               np.float32([np.inf, -np.inf, np.nan])])
+        assert sinr.dtype == np.float32
+        wide = sinr.astype(np.float64)
+        want = link.max_rate_bps(wide)
+        _assert_same(want, _reference_rate(link, wide))
+        _assert_same(link.max_rate_bps(sinr), want)
+        out = np.full(sinr.shape, np.nan)
+        scratch = (np.empty(sinr.shape, np.intp),
+                   np.empty(sinr.shape, bool))
+        assert link.max_rate_bps(sinr, out=out, scratch=scratch) is out
+        _assert_same(out, want)
+
+    @pytest.mark.parametrize("link", _LINKS[:4])
+    def test_float32_scratch_call_copies_nothing(self, link):
+        """A warm float32 call given ``out`` and ``scratch`` makes no
+        float64 copy of its input: under 1 B per cell (the float64
+        compares cast through fixed-size ufunc buffers, about 65 kB
+        whatever the size, hence a raster of 226k cells)."""
+        import tracemalloc
+        sinr = np.tile(_straddle32(_EDGES), 256)
+        scratch = (np.empty(sinr.shape, np.intp), np.empty(sinr.shape, bool))
+        out = np.empty(sinr.shape)
+        link.max_rate_bps(sinr, out=out, scratch=scratch)       # warm
+        tracemalloc.start()
+        try:
+            link.max_rate_bps(sinr, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sinr.size
+        _assert_same(out, link.max_rate_bps(sinr.astype(np.float64)))
 
     def test_nan_maps_to_cqi_zero(self):
         link = LinkAdaptation()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.model.antenna import TiltRange
-from repro.model.network import CellularNetwork, Configuration, Sector
+from repro.model.network import (CellularNetwork, Configuration, Sector,
+                                  SectorSetting, dominates)
 
 from conftest import make_sectors
 
@@ -124,7 +125,7 @@ class TestConfiguration:
         same = config.with_power(0, 44.0).with_power(0, 43.0)
         other = config.with_power(0, 44.0)
         assert hash(config) == hash(config) == hash(same)
-        assert hash(config) == hash((config.settings,))
+        assert hash(config) == hash(tuple(hash(s) for s in config.settings))
         assert config == same and config != other
         # The cache is not a field: it stays out of eq and repr.
         assert "_hash" not in repr(config)
@@ -137,6 +138,78 @@ class TestConfiguration:
         assert "_hash" not in copy.__dict__  # re-hashed by the receiver
         assert copy == config and hash(copy) == hash(config)
         assert {config: 1}[copy] == 1
+
+
+class TestDominates:
+    """``dominates(old, new)``: the new row is >= the old one at every
+    cell, decided from the two settings alone."""
+
+    BASE = SectorSetting(power_dbm=43.0, tilt_deg=4.0)
+
+    @staticmethod
+    def _rows(setting, gain):
+        """The engine's row: the gain times the factor cast to the
+        plane dtype first."""
+        return gain * gain.dtype.type(setting.power_factor())
+
+    def test_power_up_dominates_power_down_does_not(self):
+        up = SectorSetting(power_dbm=44.0, tilt_deg=4.0)
+        assert dominates(self.BASE, up)
+        assert not dominates(up, self.BASE)
+        assert dominates(self.BASE, self.BASE)
+
+    def test_factor_equal_after_the_dtype_cast(self):
+        """float64 factors that round to one float32 factor: the row
+        does not move in float32, and the float64 comparison decides
+        (up dominates, down conservatively does not)."""
+        nudged = SectorSetting(power_dbm=43.0 + 1e-9, tilt_deg=4.0)
+        f_old, f_new = self.BASE.power_factor(), nudged.power_factor()
+        assert f_new > f_old
+        assert np.float32(f_new) == np.float32(f_old)
+        assert dominates(self.BASE, nudged)
+        assert not dominates(nudged, self.BASE)
+        rng = np.random.default_rng(0)
+        for dtype in (np.float32, np.float64):
+            gain = rng.uniform(0.0, 1e-6, 4096).astype(dtype)
+            gain[::7] = 0.0
+            assert (self._rows(nudged, gain)
+                    >= self._rows(self.BASE, gain)).all()
+
+    def test_rounding_keeps_dominating_rows_ordered(self):
+        """Whenever the predicate holds, the rounded product of any
+        non-negative gain keeps the order, in both plane dtypes."""
+        rng = np.random.default_rng(1)
+        powers = np.concatenate([[43.0], 43.0 + rng.uniform(-1e-6, 1e-6, 50),
+                                 rng.uniform(20.0, 46.0, 50)])
+        settings = [SectorSetting(power_dbm=float(p), tilt_deg=4.0)
+                    for p in powers]
+        for dtype in (np.float32, np.float64):
+            gain = (10.0 ** rng.uniform(-15, -3, 2048)).astype(dtype)
+            for old in settings[:10]:
+                for new in settings:
+                    if dominates(old, new):
+                        assert (self._rows(new, gain)
+                                >= self._rows(old, gain)).all()
+
+    def test_old_setting_off_air(self):
+        dark = SectorSetting(power_dbm=43.0, tilt_deg=4.0, active=False)
+        for new in (self.BASE,
+                    SectorSetting(power_dbm=20.0, tilt_deg=9.0),
+                    SectorSetting(power_dbm=30.0, tilt_deg=4.0,
+                                  azimuth_offset_deg=10.0)):
+            assert dominates(dark, new)
+        assert not dominates(self.BASE, dark)
+
+    def test_tilt_change(self):
+        tilted = SectorSetting(power_dbm=46.0, tilt_deg=5.0)
+        assert not dominates(self.BASE, tilted)
+        assert not dominates(tilted, self.BASE)
+
+    def test_azimuth_change(self):
+        turned = SectorSetting(power_dbm=46.0, tilt_deg=4.0,
+                               azimuth_offset_deg=5.0)
+        assert not dominates(self.BASE, turned)
+        assert not dominates(turned, self.BASE)
 
 
 class TestConfigurationValidation:

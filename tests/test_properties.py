@@ -132,7 +132,8 @@ class TestConfigurationAlgebra:
                           s.azimuth_offset_deg)
             for s in derived.settings))
         assert derived == fresh
-        assert hash(derived) == hash(fresh) == hash((fresh.settings,))
+        assert (hash(derived) == hash(fresh)
+                == hash(tuple(map(hash, fresh.settings))))
         assert (derived.power_factors().tobytes()
                 == fresh.power_factors().tobytes())
         assert not derived.power_factors().flags.writeable
@@ -143,6 +144,7 @@ class TestConfigurationAlgebra:
         hash(derived), derived.power_factors()
         copy = pickle.loads(pickle.dumps(derived))
         assert "_hash" not in copy.__dict__
+        assert "_hashes" not in copy.__dict__
         assert "_power_factors" not in copy.__dict__
         assert all("_hash" not in s.__dict__ for s in copy.settings)
         assert all("_power_factor" not in s.__dict__
@@ -150,6 +152,9 @@ class TestConfigurationAlgebra:
         assert copy == derived and hash(copy) == hash(derived)
         assert (copy.power_factors().tobytes()
                 == derived.power_factors().tobytes())
+        # A child of the copy derives its hashes from the copy's.
+        child = copy.with_tilt(0, 2.0)
+        assert hash(child) == hash(derived.with_tilt(0, 2.0))
 
     @given(st.lists(st.tuples(st.floats(min_value=-30.0, max_value=60.0),
                               st.sampled_from([float, np.float64,

@@ -28,11 +28,12 @@ from repro.core.evaluation import Evaluator
 from repro.core.magus import Magus
 from repro.core.utility import PerformanceUtility, UtilityFunction
 from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
+from repro.model import engine as engine_module
 from repro.model.engine import AnalysisEngine, DeltaIncumbent, Workspace
 from repro.model.geometry import GridSpec, Region
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
-from repro.model.network import CellularNetwork
+from repro.model.network import CellularNetwork, dominates
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
                                   plane_footprint)
 from repro.model.plossdb import load_packed, save_packed
@@ -59,6 +60,11 @@ _FLOOR = -110.0
 #: -120 dB leaves footprints of 40-80% of the grid: windows past half
 #: the grid that still stop short of it.
 _WIDE_FLOOR = -120.0
+
+#: -100 dB leaves most of the toy grid outside every footprint: cells
+#: where every row is zero, all "served" by sector 0 (the argmax's
+#: first index).
+_SPARSE_FLOOR = -100.0
 
 
 def _clipped_pathloss(toy_grid, toy_network,
@@ -126,17 +132,27 @@ class _World:
 def worlds(toy_grid, toy_network, toy_pathloss, clipped_pathloss):
     """Every case the windowed kernels must hold on: small clipped
     windows; the unclipped dict backend (every window the whole grid);
-    windows past half the grid; a single-sector network (no runner-up).
-    Azimuth moves add rotated candidates (whole-grid windows) to each.
+    windows past half the grid; a single-sector network (no runner-up);
+    duplicate rows (sectors 0 and 1 co-sited and co-aimed: whenever
+    their settings match, their rows tie in every cell, and the first
+    index wins); and a grid mostly outside every footprint (sector 0
+    holds the all-zero cells).  Azimuth moves add rotated candidates
+    (whole-grid windows) to each.
     """
     single = CellularNetwork(make_sectors([(0.0, 0.0)], power_dbm=35.0,
                                           max_power_dbm=41.0))
+    twins = CellularNetwork(make_sectors(
+        [(0.0, 0.0), (0.0, 0.0), (1_000.0, 0.0)],
+        azimuths=[0.0, 0.0, 90.0], power_dbm=35.0, max_power_dbm=41.0))
     return [
         _World("clipped", toy_network, clipped_pathloss),
         _World("unclipped", toy_network, toy_pathloss),
         _World("wide", toy_network, _clipped_pathloss(
             toy_grid, toy_network, floor=_WIDE_FLOOR)),
         _World("single", single, _clipped_pathloss(toy_grid, single)),
+        _World("twins", twins, _clipped_pathloss(toy_grid, twins)),
+        _World("sparse", toy_network, _clipped_pathloss(
+            toy_grid, toy_network, floor=_SPARSE_FLOOR)),
     ]
 
 
@@ -347,20 +363,11 @@ class TestAnyKDeltaParity:
     """A delta over any number of changed sectors == full evaluate,
     bitwise, on every world."""
 
-    @pytest.fixture
-    def twins(self, toy_grid):
-        """Sectors 0 and 1 co-sited and co-aimed: whenever their
-        settings match, their rows tie in every cell."""
-        network = CellularNetwork(make_sectors(
-            [(0.0, 0.0), (0.0, 0.0), (1_000.0, 0.0)],
-            azimuths=[0.0, 0.0, 90.0], power_dbm=35.0, max_power_dbm=41.0))
-        return _World("twins", network, _clipped_pathloss(toy_grid, network))
-
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(links=_MULTI_MOVES)
-    def test_random_multi_sector_chain(self, links, worlds, twins):
-        for world in worlds + [twins]:
+    def test_random_multi_sector_chain(self, links, worlds):
+        for world in worlds:
             engine, density = world.engine, world.density
             config = world.network.planned_configuration()
             incumbent = engine.evaluate_with_incumbent(config, density)[1]
@@ -482,6 +489,46 @@ class TestRoiScoreParity:
                     == _dense_utilities(world.engine, incumbent, configs,
                                         world.density))
 
+    def test_candidate_kinds_bitwise(self, monkeypatch, worlds):
+        """Power-up, off-air -> on-air, power-down, tilt and on -> off
+        candidates of every sector, from a lit base and from one with
+        sector 0 off air: each score equals the dense reference, and
+        only the losing kinds read the runner-up comparator."""
+        walks = []
+        runner_up = DeltaIncumbent.runner_up
+
+        def spy(incumbent, changed, box):
+            walks.append((changed, box))
+            return runner_up(incumbent, changed, box)
+
+        monkeypatch.setattr(DeltaIncumbent, "runner_up", spy)
+        kinds = set()
+        for world in worlds:
+            engine, density = world.engine, world.density
+            planned = world.network.planned_configuration()
+            for base in (planned, planned.with_offline([0])):
+                configs = _candidate_kinds(world.network, base)
+                _, incumbent = engine.evaluate_with_incumbent(base,
+                                                              density)
+                baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                      density)
+                windows = _windows(engine, incumbent, configs)
+                walks.clear()
+                assert (score_windows(engine, baseline, configs, windows,
+                                      density, _UTILITY)
+                        == _dense_utilities(engine, incumbent, configs,
+                                            density))
+                losing = set()
+                for config, (changed, box) in zip(configs, windows):
+                    dominant = dominates(base.settings[changed],
+                                         config.settings[changed])
+                    kinds.add((world.name, dominant))
+                    if not dominant:
+                        losing.add((changed, box))
+                assert sorted(walks) == sorted(losing)
+        assert {dominant for _, dominant in kinds} == {True, False}
+        assert len(kinds) == 2 * len(worlds)
+
     def test_windowed_path_taken(self, registry, roi_engine, toy_network,
                                  density):
         base = toy_network.planned_configuration()
@@ -554,6 +601,24 @@ class TestRoiScoreParity:
 
 
 # ----------------------------------------------------------------------
+def _candidate_kinds(network, base):
+    """Every kind of single-sector candidate of every sector of
+    ``base``: power up by 1 and 3 dB, down by 3 dB, tilt by +-1 (each
+    within the sector's limits), and its on/off state toggled."""
+    out = []
+    for s in range(network.n_sectors):
+        spec = network.sector(s)
+        power, tilt = base.power_dbm(s), base.tilt_deg(s)
+        out += [base.with_power(s, p)
+                for p in (power + 1.0, power + 3.0, power - 3.0)
+                if spec.min_power_dbm <= p <= spec.max_power_dbm]
+        out += [base.with_tilt(s, t) for t in (tilt - 1.0, tilt + 1.0)
+                if spec.tilt_range.min_deg <= t <= spec.tilt_range.max_deg]
+        out.append(base.with_offline([s]) if base.is_active(s)
+                   else base.with_online([s]))
+    return out
+
+
 def _windows(engine, incumbent, configs):
     """Each single-sector candidate's ``(changed, box)``."""
     out = []
@@ -877,6 +942,33 @@ class TestRunnerUpParity:
         _assert_comparator_parity(
             incumbent, [data.draw(_windows_of(planes.shape[1:]))])
 
+    @settings(max_examples=200, deadline=None)
+    @given(planes=_sparse_stacks(), data=st.data())
+    def test_dominating_row_needs_no_runner_up(self, planes, data):
+        """A new row >= the old one at every cell resolves the same
+        serving and best value against the incumbent's own best/serving
+        as against the runner-up, and both equal the argmax of the
+        changed stack, bit for bit (the sparse values tie often)."""
+        n, rows, cols = planes.shape
+        changed = data.draw(st.integers(0, n - 1))
+        bump = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                                  min_size=rows * cols,
+                                  max_size=rows * cols))
+        new = planes[changed] + np.asarray(bump, dtype=planes.dtype
+                                           ).reshape(rows, cols)
+        stack = planes.copy()
+        stack[changed] = new
+        want_idx = stack.argmax(axis=0).astype(np.int32)
+        want_val = np.take_along_axis(stack, want_idx[None], axis=0)[0]
+        incumbent = _stack_incumbent(planes, [plane_footprint(plane)
+                                              for plane in planes])
+        for val, idx in (incumbent.runner_up(changed, (0, rows, 0, cols)),
+                         (incumbent.best_mw, incumbent.raw_serving)):
+            wins = (new > val) | ((new == val) & (changed < idx))
+            assert np.array_equal(np.where(wins, changed, idx), want_idx)
+            assert (np.where(wins, new, val).tobytes()
+                    == want_val.tobytes())
+
     def test_zero_tie_cells(self):
         planes = np.zeros((3, 1, 3))
         planes[2, 0, 1] = 1.0        # sector 2 serves alone
@@ -967,6 +1059,46 @@ class TestRunnerUpParity:
                                                           toy_density)
         assert np.array_equal(incumbent.boxes, boxes)
         _assert_comparator_parity(incumbent, [(2, 9, 3, 12)])
+
+
+class TestDominanceMutation:
+    """A predicate that calls a losing change dominating breaks the
+    bitwise checks, in the windowed scorer and in the delta: the
+    parity suites above can see the rule."""
+
+    def test_power_down_marked_dominating_fails(self, monkeypatch, worlds):
+        # Unclipped, every row covers the grid: the middle sector at
+        # its lowest power loses cells to its neighbours.
+        world = next(w for w in worlds if w.name == "unclipped")
+        engine, density = world.engine, world.density
+        base = world.network.planned_configuration()
+        trial = base.with_power(1, world.network.sector(1).min_power_dbm)
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        full = engine.evaluate(trial, density)
+        assert ((incumbent.raw_serving == 1)
+                & (full.raw_serving != 1)).any()
+        assert not dominates(base.settings[1], trial.settings[1])
+        want = _dense_utilities(engine, incumbent, [trial], density)
+        windows = _windows(engine, incumbent, [trial])
+
+        def score():
+            baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                  density)
+            return score_windows(engine, baseline, [trial], windows,
+                                 density, _UTILITY)
+
+        assert score() == want
+        _assert_states_equal(
+            engine.evaluate_delta(incumbent, trial, density)[0], full)
+        def always(old, new):
+            return True
+
+        monkeypatch.setattr(roi, "dominates", always)
+        assert score() != want
+        monkeypatch.setattr(engine_module, "dominates", always)
+        state = engine.evaluate_delta(incumbent, trial, density)[0]
+        with pytest.raises(AssertionError):
+            _assert_states_equal(state, full)
 
 
 class TestRoiBaselineIsAView:
