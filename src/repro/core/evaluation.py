@@ -56,8 +56,13 @@ region-of-influence windows (the whole grid where a footprint is
 unknown), each group sharing an incumbent in one stacked pass of
 :func:`repro.model.roi.score_windows` (:func:`~repro.model.roi.score_candidate`
 is its one-candidate call) against a :class:`~repro.model.roi.RoiBaseline`,
-a view of that incumbent; these scores are never cached, so accepted
-candidates are always confirmed canonically.
+a view of that incumbent.  A score is a pure function of its anchor's
+configuration and cache epoch and the candidate, so it is memoized
+under that key (the candidate named by its one changed setting) in an
+LRU bound by ``cache_size``; a hit still counts as a model evaluation
+(``magus.evaluator.score_hits`` counts hits).  These scores stay out
+of the ``f(C)`` memo, so accepted candidates are always confirmed
+canonically.
 """
 
 from __future__ import annotations
@@ -119,6 +124,8 @@ class Evaluator:
         # part worth keeping across score_candidates calls.
         self._roi_baselines: "OrderedDict[tuple, _roi.RoiBaseline]" = \
             OrderedDict()
+        # ((config, epoch) of an anchor, sector, setting) -> score.
+        self._scores: "OrderedDict[tuple, float]" = OrderedDict()
         # Always-on distinct-evaluation counter; searches meter their
         # spent cost against it via :meth:`cost_meter`.
         self._eval_counter = Counter("evaluator.model_evaluations")
@@ -181,9 +188,10 @@ class Evaluator:
         memoized path.  Windowed scores equal the dense batch reference
         (:meth:`AnalysisEngine.evaluate_batch`) bit for bit; they are
         ranking-grade — bitwise equal to the canonical value except
-        when an SINR lands exactly on a CQI threshold — and are **not**
-        cached, so callers must confirm the winning candidate via
-        :meth:`utility_of` before accepting.
+        when an SINR lands exactly on a CQI threshold — and stay out
+        of the ``f(C)`` memo, so callers must confirm the winning
+        candidate via :meth:`utility_of` before accepting.  A memoized
+        score still counts as an evaluation: no search cost moves.
 
         ``parent`` is the configuration the candidates were derived
         from.  When no delta anchor holds it (a memo-cache hit whose
@@ -248,14 +256,31 @@ class Evaluator:
         """Score single-sector ``configs`` through their ROI windows.
 
         ``changed`` names the sector each config flips vs.
-        ``incumbent``.
+        ``incumbent``.  Only the memo's misses run the kernel, in
+        their order; a score does not depend on the rest of its batch.
         """
-        baseline = self._roi_baseline(incumbent)
-        windows = [(sector, self.engine.roi_window(incumbent, config,
-                                                   sector))
-                   for config, sector in zip(configs, changed)]
-        return _roi.score_windows(self.engine, baseline, configs, windows,
-                                  self.ue_density, self.utility)
+        anchor = (incumbent.config, incumbent.epoch)
+        keys = [(anchor, sector, config.settings[sector])
+                for config, sector in zip(configs, changed)]
+        scores = [self._scores.get(key) for key in keys]
+        misses = [i for i, value in enumerate(scores) if value is None]
+        if len(misses) < len(keys):
+            get_registry().counter("magus.evaluator.score_hits").inc(
+                len(keys) - len(misses))
+        if misses:
+            windows = [(changed[i], self.engine.roi_window(
+                incumbent, configs[i], changed[i])) for i in misses]
+            values = _roi.score_windows(
+                self.engine, self._roi_baseline(incumbent),
+                [configs[i] for i in misses], windows, self.ue_density,
+                self.utility)
+            for i, value in zip(misses, values):
+                scores[i] = self._scores[keys[i]] = value
+        for key in keys:
+            self._scores.move_to_end(key)
+        while len(self._scores) > self._cache_size:
+            self._scores.popitem(last=False)
+        return scores
 
     def _roi_baseline(self,
                       incumbent: DeltaIncumbent) -> _roi.RoiBaseline:

@@ -197,7 +197,8 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
     if not trials:
         return None
     # One vectorized pass over all neighbors; the winner is confirmed
-    # through the canonical path (batch scores are never cached).
+    # through the canonical path (windowed scores stay out of the
+    # f(C) memo).
     scores = evaluator.score_candidates([t for _, t in trials],
                                         parent=config)
     winner = int(np.argmax(scores))

@@ -76,9 +76,10 @@ EMPTY_BOX: Box = (0, 0, 0, 0)
 #: Most cells one ``(k, H, W)`` scoring stack may hold; a larger batch
 #: is scored in chunks of ``STACK_CELLS // (H * W)`` candidates (at
 #: least one).  The stacks live in the engine's workspace, which holds
-#: about 49 bytes per candidate-cell once warm (float64 planes, every
-#: window the whole grid: 48.8 B on a 9-sector 60x60 grid, 47.7 B on a
-#: 170x170 rural area), so about 51 MB at 2**20 cells.
+#: about 65 bytes per candidate-cell once warm (float64 planes, every
+#: window the whole grid: 65.3 B on a 9-sector 60x60 grid, up to 16 B
+#: of it the gathered rates and densities of rate-changed cells), so
+#: about 68 MB at 2**20 cells.
 STACK_CELLS = 1 << 20
 
 
@@ -279,13 +280,22 @@ def _score_chunk(engine, baseline: RoiBaseline,
     # of the final sum reduces one candidate's contiguous (H*W) float64
     # raster, exactly as the dense batch's row-wise reduction does.
     # The rmax stack is spent, so the weighted terms take its place.
+    # Stale rates and densities are gathered by one flat index (modulo
+    # the grid for densities), weighted in place and scattered back.
     weighted = rmax_k
     weighted[...] = baseline.weighted
     stale = np.not_equal(rate_k, state.rate_bps,
                          out=work.take("wins", bool, shape))
-    if stale.any():
-        density = np.broadcast_to(ue_density, shape)
-        weighted[stale] = utility.per_ue(rate_k[stale]) * density[stale]
+    flat = np.flatnonzero(stale)
+    n = flat.size
+    if n:
+        rates = np.take(rate_k.reshape(-1), flat,
+                        out=work.take("stale_rate", np.float64, n))
+        density = np.take(ue_density.reshape(-1), np.remainder(
+            flat, cells, out=flat), out=work.take("stale_ue", np.float64, n))
+        del flat
+        terms = utility.per_ue(rates)
+        np.place(weighted, stale, np.multiply(terms, density, out=terms))
     return [float(v) for v in weighted.reshape(k, cells).sum(axis=1)]
 
 

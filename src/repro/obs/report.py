@@ -247,14 +247,17 @@ class RunReport:
         to re-anchor on its parent, and
         ``magus.evaluator.state_rebuilds`` how often a memoized state
         that only a confirmation had needed was asked for after it was
-        freed; empty under ``--no-delta`` (or when nothing was
-        evaluated), keeping full-strategy reports unchanged.
+        freed, and ``magus.evaluator.score_hits`` how many windowed
+        candidate scores came from the per-anchor memo; empty under
+        ``--no-delta`` (or when nothing was evaluated), keeping
+        full-strategy reports unchanged.
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.delta_evaluations",
                      "magus.engine.delta_fallbacks",
                      "magus.evaluator.reanchors",
-                     "magus.evaluator.state_rebuilds"):
+                     "magus.evaluator.state_rebuilds",
+                     "magus.evaluator.score_hits"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")

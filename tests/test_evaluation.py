@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import Evaluator
+from repro.core.search import tune_power
+from repro.model import roi
+from repro.obs import MetricsRegistry, use_registry
 
 
 class TestMemoization:
@@ -255,3 +258,139 @@ class TestStateLifetime:
         assert ev.state_of(configs[3]) is ev.state_of(configs[3])
         snap = registry.snapshot()
         assert snap["magus.evaluator.state_rebuilds"]["value"] == 2
+
+
+class TestScoreMemo:
+    """Windowed candidate scores are memoized per delta anchor."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The candidate count of every ``roi.score_windows`` run."""
+        calls = []
+        original = roi.score_windows
+
+        def counted(engine, baseline, configs, *args):
+            calls.append(len(configs))
+            return original(engine, baseline, configs, *args)
+        monkeypatch.setattr(roi, "score_windows", counted)
+        return calls
+
+    @staticmethod
+    def _fan(base):
+        return [base.with_power(0, 38.0), base.with_power(1, 33.0),
+                base.with_power(2, 37.0)]
+
+    def test_repeat_skips_kernel(self, kernel_calls, toy_engine,
+                                 toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        base = toy_network.planned_configuration()
+        ev.utility_of(base)
+        trials = self._fan(base)
+        with use_registry(MetricsRegistry()) as reg:
+            first = ev.score_candidates(trials, parent=base)
+            n = ev.model_evaluations
+            again = ev.score_candidates(trials, parent=base)
+            snap = reg.snapshot()
+        assert kernel_calls == [len(trials)]
+        assert again == first
+        # A hit still counts as a model evaluation, not as a kernel run.
+        assert ev.model_evaluations == n + len(trials)
+        assert snap["magus.evaluator.score_hits"]["value"] == len(trials)
+        assert snap["magus.engine.roi_evaluations"]["value"] == len(trials)
+        # Only the misses of a mixed batch run the kernel.
+        fresh = [base.with_power(0, 39.0), base.with_power(2, 36.0)]
+        mixed = ev.score_candidates([fresh[0], trials[1], fresh[1]],
+                                    parent=base)
+        assert kernel_calls == [len(trials), 2]
+        assert mixed[1] == first[1]
+        assert mixed[::2] == Evaluator(toy_engine, toy_density) \
+            .score_candidates(fresh, parent=base)
+
+    def test_other_anchor_runs_kernel(self, kernel_calls, toy_engine,
+                                      toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        base = toy_network.planned_configuration()
+        anchor = base.with_power(0, 33.0)
+        trial = base.with_power(0, 38.0)    # one sector from both
+        ev.utility_of(base)
+        ev.score_candidates([trial], parent=base)
+        ev.utility_of(anchor)
+        ev.utility_of(anchor.with_power(2, 33.0))   # base leaves the ring
+        assert [inc.config for inc in ev._incumbents][0] == anchor
+        ev.score_candidates([trial], parent=anchor)
+        assert kernel_calls == [1, 1]
+        anchors = {key[0][0] for key in ev._scores}
+        assert anchors == {base, anchor}
+
+    def test_epoch_bump_misses(self, kernel_calls, toy_engine,
+                               toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        base = toy_network.planned_configuration()
+        trials = self._fan(base)
+        first = ev.score_candidates(trials, parent=base)
+        toy_engine.pathloss.invalidate_caches()
+        assert ev.score_candidates(trials, parent=base) == first
+        assert kernel_calls == [len(trials), len(trials)]
+
+    def test_zero_cache_never_stores(self, kernel_calls, toy_engine,
+                                     toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density, cache_size=0)
+        base = toy_network.planned_configuration()
+        trials = self._fan(base)
+        first = ev.score_candidates(trials, parent=base)
+        assert ev.score_candidates(trials, parent=base) == first
+        assert not ev._scores
+        assert kernel_calls == [len(trials), len(trials)]
+
+    def test_lru_bound(self, toy_engine, toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density, cache_size=2)
+        base = toy_network.planned_configuration()
+        trials = self._fan(base)
+        ev.score_candidates(trials, parent=base)
+        assert ([key[1:] for key in ev._scores]
+                == [(1, trials[1].settings[1]), (2, trials[2].settings[2])])
+
+    def test_sibling_has_own_memo(self, kernel_calls, toy_engine,
+                                  toy_network, toy_density):
+        ev = Evaluator(toy_engine, toy_density)
+        base = toy_network.planned_configuration()
+        trials = self._fan(base)
+        performance = ev.score_candidates(trials, parent=base)
+        sibling = ev.with_utility("coverage")
+        coverage = sibling.score_candidates(trials, parent=base)
+        assert kernel_calls == [len(trials), len(trials)]
+        assert sibling._scores is not ev._scores
+        assert coverage == [sibling.utility_of(t) for t in trials]
+        assert coverage != performance
+
+    def test_repeated_search_records_same_costs(self, toy_engine,
+                                                toy_network, toy_density):
+        """``tune_power`` records one cost per step whatever the score
+        memo holds.  A second run on one evaluator records less than
+        the first, because the ``f(C)`` memo already holds every
+        confirmed winner; with the score memo emptied before each
+        lookup it records the same as with it."""
+        c_before = toy_network.planned_configuration()
+        c_upgrade = c_before.with_offline([1])
+
+        def costs(ev):
+            baseline = ev.state_of(c_before)
+            result = tune_power(ev, toy_network, c_upgrade, baseline, [1])
+            return ([s.candidates_evaluated for s in result.steps],
+                    result.final_config)
+
+        class Forgetful(Evaluator):
+            def _score_windowed(self, *args):
+                self._scores.clear()
+                return super()._score_windowed(*args)
+
+        memo, forgetful = (Evaluator(toy_engine, toy_density),
+                           Forgetful(toy_engine, toy_density))
+        first = costs(memo)
+        assert first == costs(Evaluator(toy_engine, toy_density))
+        assert first == costs(forgetful)
+        with use_registry(MetricsRegistry()) as reg:
+            second = costs(memo)
+        assert reg.snapshot()["magus.evaluator.score_hits"]["value"] > 0
+        assert second == costs(forgetful)
+        assert second[1] == first[1]

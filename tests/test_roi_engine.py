@@ -33,7 +33,7 @@ from repro.model.engine import AnalysisEngine, DeltaIncumbent, Workspace
 from repro.model.geometry import GridSpec, Region
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
-from repro.model.network import CellularNetwork, dominates
+from repro.model.network import CellularNetwork, Configuration, dominates
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
                                   plane_footprint)
 from repro.model.plossdb import load_packed, save_packed
@@ -727,6 +727,52 @@ class TestBatchComposition:
         assert chunked_counts == whole_counts
 
 
+class TestScoreMemoExact:
+    """Every memoized windowed score is the score a fresh kernel run
+    gives against a dense evaluation of its anchor, bit for bit."""
+
+    @staticmethod
+    def _power_fan(network, base):
+        return [base.with_power(s, p) for s in range(network.n_sectors)
+                for p in (base.power_dbm(s) - 1.0, base.power_dbm(s) + 1.0)
+                if network.sector(s).min_power_dbm <= p
+                <= network.sector(s).max_power_dbm]
+
+    def test_memo_equals_fresh_kernel(self, worlds):
+        for world in worlds:
+            engine, density = world.engine, world.density
+            network = world.network
+            base = network.planned_configuration()
+            ev = Evaluator(engine, density, _UTILITY)
+            ev.utility_of(base)
+            ev.score_candidates(self._power_fan(network, base), parent=base)
+            t = network.n_sectors - 1
+            ladder = [base.with_tilt(t, tilt)
+                      for tilt in network.sector(t).tilt_range.settings
+                      if tilt != base.tilt_deg(t)]
+            ev.score_candidates(ladder, parent=base)
+            rung = ladder[0]
+            ev.utility_of(rung)
+            ev.score_candidates(self._power_fan(network, rung), parent=rung)
+            # With one sector, every candidate groups under ``base``.
+            assert (len({key[0] for key in ev._scores})
+                    == min(network.n_sectors, 2))
+            for ((anchor, epoch), sector, setting), value in \
+                    ev._scores.items():
+                assert epoch == engine.pathloss.cache_epoch
+                settings = list(anchor.settings)
+                settings[sector] = setting
+                config = Configuration(tuple(settings))
+                _, incumbent = engine.evaluate_with_incumbent(anchor,
+                                                              density)
+                baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                      density)
+                fresh = score_windows(engine, baseline, [config],
+                                      _windows(engine, incumbent, [config]),
+                                      density, _UTILITY)
+                assert fresh == [value], world.name
+
+
 class TestOffAirNeverServes:
     """Metamorphic: whatever else changes, an off-air sector serves no
     grid — in a full evaluation and along a delta chain."""
@@ -1100,6 +1146,48 @@ class TestDominanceMutation:
         with pytest.raises(AssertionError):
             _assert_states_equal(state, full)
 
+    def test_tie_relabel_seen_by_states_only(self, monkeypatch, worlds):
+        """Utility-only score checks cannot see a tie relabel.
+
+        In the twins world sectors 0 and 1 tie in every cell, and the
+        first index serves.  Sector 0 at -1 dB hands its whole area to
+        sector 1.  Marked dominating, it keeps those cells under index
+        0 instead: the whole tied area keeps one sector, so loads,
+        rates and every utility stay bitwise equal to the dense
+        reference, and only the delta's ``raw_serving`` shows the
+        wrong label."""
+        world = next(w for w in worlds if w.name == "twins")
+        engine, density = world.engine, world.density
+        base = world.network.planned_configuration()
+        trial = base.with_power(0, base.power_dbm(0) - 1.0)
+        _, incumbent = engine.evaluate_with_incumbent(base, density)
+        full = engine.evaluate(trial, density)
+        assert not dominates(base.settings[0], trial.settings[0])
+        want = _dense_utilities(engine, incumbent, [trial], density)
+        windows = _windows(engine, incumbent, [trial])
+
+        def score():
+            baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                  density)
+            return score_windows(engine, baseline, [trial], windows,
+                                 density, _UTILITY)
+
+        assert score() == want
+        _assert_states_equal(
+            engine.evaluate_delta(incumbent, trial, density)[0], full)
+
+        def sector_0(old, new):
+            return new == trial.settings[0] or dominates(old, new)
+
+        monkeypatch.setattr(roi, "dominates", sector_0)
+        assert score() == want
+        monkeypatch.setattr(engine_module, "dominates", sector_0)
+        state = engine.evaluate_delta(incumbent, trial, density)[0]
+        assert not np.array_equal(state.raw_serving, full.raw_serving)
+        assert _UTILITY.evaluate(state) == _UTILITY.evaluate(full)
+        with pytest.raises(AssertionError):
+            _assert_states_equal(state, full)
+
 
 class TestRoiBaselineIsAView:
     """A ROI baseline reads its incumbent and owns one raster."""
@@ -1340,10 +1428,11 @@ class TestScoringAllocation:
     #: Peak traced allocation of a warm whole-grid ``score_windows``
     #: call, bytes per candidate-cell.  Measured with NumPy 2.4 on the
     #: nine-sector world below: 131.6 B when every transient was a
-    #: fresh array, 13.6 B with the workspace (the per-UE terms of
-    #: rate-changed cells remain); the bound leaves
-    #: about 50 % for other NumPy versions.
-    PEAK_BYTES_PER_CELL = 20.0
+    #: fresh array, 13.6 B with the workspace, 9.2 B once the stale
+    #: rates and densities are gathered into it too (the per-UE terms
+    #: of rate-changed cells remain); the bound leaves about 50 % for
+    #: other NumPy versions.
+    PEAK_BYTES_PER_CELL = 14.0
     #: Resident workspace budget of one full ``STACK_CELLS`` chunk.
     WORKSPACE_BUDGET_BYTES = 100e6
 
