@@ -62,7 +62,8 @@ under that key (the candidate named by its one changed setting) in an
 LRU bound by ``cache_size``; a hit still counts as a model evaluation
 (``magus.evaluator.score_hits`` counts hits).  These scores stay out
 of the ``f(C)`` memo, so accepted candidates are always confirmed
-canonically.
+canonically; a search may reject a winner that screens no better
+than its incumbent without a confirmation.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ class Evaluator:
         ranking-grade — bitwise equal to the canonical value except
         when an SINR lands exactly on a CQI threshold — and stay out
         of the ``f(C)`` memo, so callers must confirm the winning
-        candidate via :meth:`utility_of` before accepting.  A memoized
-        score still counts as an evaluation: no search cost moves.
+        candidate via :meth:`utility_of` before accepting it (losers
+        may be rejected unconfirmed).  A memoized score still counts
+        as an evaluation: no search cost moves.
 
         ``parent`` is the configuration the candidates were derived
         from.  When no delta anchor holds it (a memo-cache hit whose
@@ -409,16 +411,3 @@ class Evaluator:
         ring.extend(inc for inc in self._incumbents
                     if inc.config not in configs)
         self._incumbents = ring[:2]
-
-    # ------------------------------------------------------------------
-    def received_power_tensor(self, config: Configuration,
-                              sectors: Optional[Sequence[int]] = None
-                              ) -> np.ndarray:
-        """Per-sector RP planes for ``config`` (candidate pre-filtering).
-
-        Exposed for Algorithm 1's cheap "can sector b possibly improve
-        an affected grid?" test, which needs each candidate sector's
-        received power, not just the serving one.  ``sectors`` selects
-        rows (default: every sector, in order).
-        """
-        return self.engine._received_power_dbm(config, sectors)

@@ -43,7 +43,8 @@ def tune_joint(evaluator: Evaluator, network: CellularNetwork,
     since candidate plans are free to compare under a model-based
     approach, the joint pass also evaluates the pure power plan and
     returns whichever scores higher.  This makes "joint >= each knob
-    alone" structural rather than empirical.
+    alone" structural rather than empirical.  When the tilt pass
+    accepts no step, the combined pass *is* the pure power plan.
 
     Both inner passes score their candidate sets through the
     evaluator's batched delta path (see ``Evaluator.score_candidates``),
@@ -65,9 +66,10 @@ def tune_joint(evaluator: Evaluator, network: CellularNetwork,
             steps=tilt_result.steps + power_result.steps,
             termination=power_result.termination)
 
-        power_only = tune_power(evaluator, network, start_config,
-                                baseline_state, target_sectors,
-                                settings=power_settings)
+        power_only = (tune_power(evaluator, network, start_config,
+                                 baseline_state, target_sectors,
+                                 settings=power_settings)
+                      if tilt_result.steps else power_result)
     _LOG.info("joint tilt+power=%.6g power-only=%.6g winner=%s",
               combined.final_utility, power_only.final_utility,
               "tilt+power" if power_only.final_utility

@@ -9,16 +9,19 @@ the single change with the best global utility.
 The implementation adds one engineering refinement with an ablation
 knob: the paper's line-4 test (``r_{C (+) P_b(T)}(g) > r_C(g)``)
 requires a model evaluation per candidate anyway, but an equivalent
-*pre-filter* can be computed from the incumbent state's per-sector
-received powers without any evaluation — a sector's power increase can
-only raise an affected grid's SINR if it already serves that grid or
-would capture it.  ``prefilter`` selects:
+*pre-filter* needs none — a sector's power increase can only raise an
+affected grid's SINR if it already serves that grid or would capture
+it, which the incumbent state and the candidate's cached dB gain row
+tell at the affected grids alone.  ``prefilter`` selects:
 
-* ``"sinr"`` (default) — the cheap capture test, then evaluate survivors;
+* ``"sinr"`` (default) — the cheap capture test, then score survivors;
 * ``"rate"``  — the paper-literal test: evaluate every neighbor, keep
   those improving an affected grid's rate;
 * ``"none"``  — no filter: evaluate every neighbor, pick best utility
   (pure greedy; the ablation baseline).
+
+Under ``"sinr"`` and ``"none"`` a winner whose windowed score does not
+beat the incumbent is rejected unconfirmed, as in the tilt walk.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Iterable, List, Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from ..model.network import CellularNetwork, Configuration
+from ..model.pathloss import PathLossDatabase
 from ..model.snapshot import NetworkState
 from ..obs import get_logger, get_registry, trace
 from .evaluation import Evaluator
@@ -108,7 +112,7 @@ def tune_power(evaluator: Evaluator, network: CellularNetwork,
             meter = evaluator.cost_meter()
             best = _best_candidate(evaluator, network, config, state,
                                    affected, candidates, unit,
-                                   settings.prefilter)
+                                   settings.prefilter, f_current)
             spent = meter.spent()
 
             if best is not None and best[1] > f_current + _EPS:
@@ -161,13 +165,13 @@ def _eligible(network: CellularNetwork, config: Configuration,
 def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
                     config: Configuration, state: NetworkState,
                     affected: np.ndarray, candidates: List[int],
-                    unit: float, prefilter: str
+                    unit: float, prefilter: str, f_current: float
                     ) -> Optional[Tuple[int, float, Configuration]]:
-    """``argmax_{b in beta} f(C (+) P_b(T))`` or None if beta is empty."""
+    """``argmax_{b in beta} f(C (+) P_b(T))``, or None if beta is empty
+    or (screened filters) the winner does not beat ``f_current``."""
     if prefilter == "sinr" and candidates:
-        rows = evaluator.received_power_tensor(config, candidates)
-        candidates = [b for b, rp in zip(candidates, rows)
-                      if _can_help(rp, state, affected, b, unit)]
+        candidates = _may_help(evaluator.engine.pathloss, config, state,
+                               affected, candidates, unit)
     if prefilter == "rate":
         # The paper-literal filter needs each candidate's full state
         # anyway, so score through the memoized canonical path.
@@ -196,26 +200,36 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
         trials.append((b, trial))
     if not trials:
         return None
-    # One vectorized pass over all neighbors; the winner is confirmed
-    # through the canonical path (windowed scores stay out of the
-    # f(C) memo).
+    # One vectorized pass over all neighbors; a winner that beats the
+    # incumbent is confirmed through the canonical path (windowed
+    # scores stay out of the f(C) memo), any other is rejected.
     scores = evaluator.score_candidates([t for _, t in trials],
                                         parent=config)
     winner = int(np.argmax(scores))
+    if scores[winner] <= f_current + _EPS:
+        return None
     b, trial = trials[winner]
     return b, evaluator.utility_of(trial), trial
 
 
-def _can_help(rp: np.ndarray, state: NetworkState,
-              affected: np.ndarray, sector_id: int, unit: float) -> bool:
-    """Whether +``unit`` dB on ``sector_id`` can raise an affected grid.
-
-    True iff the sector already serves an affected grid (its signal, and
-    hence SINR, rises) or the boost would let it capture one (its RP
-    plane ``rp`` would exceed the current best server's).
-    """
-    serves = (state.serving == sector_id) & affected
-    if serves.any():
-        return True
-    captures = (rp + unit > state.rp_best_dbm) & affected
-    return bool(captures.any())
+def _may_help(db: PathLossDatabase, config: Configuration,
+              state: NetworkState, affected: np.ndarray,
+              candidates: List[int], unit: float) -> List[int]:
+    """The candidates whose +``unit`` dB can raise an affected grid:
+    those serving one (their SINR rises) or able to capture one, where
+    ``P_b + L_b(T_b, g) + unit`` would beat the best server's RP.  Only
+    the affected cells are read; an off-air sector captures nothing."""
+    cells = np.flatnonzero(affected)
+    serving = state.serving.ravel()[cells]
+    rp_best = state.rp_best_dbm.ravel()[cells]
+    kept = []
+    for b in candidates:
+        if (serving == b).any():
+            kept.append(b)
+        elif config.is_active(b):
+            row = db.gain_row_db(b, config.tilt_deg(b),
+                                 config.azimuth_offset_deg(b))
+            if (config.power_dbm(b) + row.ravel()[cells] + unit
+                    > rp_best).any():
+                kept.append(b)
+    return kept

@@ -62,10 +62,13 @@ class PerformanceUtility(UtilityFunction):
     def per_ue(self, rate_bps: np.ndarray) -> np.ndarray:
         # Zero, negative and non-finite rates (a dead sector under
         # fault injection yields 0; corrupt feeds can yield NaN/inf)
-        # all contribute 0 — no -inf, no numpy warning.
+        # all contribute 0 — no -inf, no numpy warning.  The log is
+        # finite exactly where the rate is positive and finite.
         rate = np.asarray(rate_bps, dtype=float)
-        served = np.isfinite(rate) & (rate > 0.0)
-        return np.where(served, np.log(np.where(served, rate, 1.0)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.log(rate, out=np.empty(rate.shape))
+        np.copyto(values, 0.0, where=~np.isfinite(values))
+        return values
 
 
 class CoverageUtility(UtilityFunction):

@@ -199,8 +199,8 @@ class PathLossDatabase:
     """Path gain ``L_b(T_b, g)`` for all sectors over one raster.
 
     Build with :meth:`from_environment`; query with :meth:`gain_matrix`
-    (one sector) or :meth:`gain_tensor` (all sectors, vectorized — the
-    hot path of the analysis engine).
+    (one sector) or :meth:`gain_tensor` (all sectors); the engine
+    reads the linear-domain ``*_mw`` planes.
 
     Values follow the paper's sign convention: **negative dB**, added to
     the transmit power to obtain received power (Formula 1).
@@ -232,6 +232,8 @@ class PathLossDatabase:
         # single-sector tilt change rebuild one plane, not the stack.
         self._row_mw_cache = LRUCache(
             DEFAULT_TENSOR_CACHE_SIZE * max(network.n_sectors, 1))
+        # The dB twin, filled only by gain_row_db.
+        self._row_db_cache = LRUCache(self._row_mw_cache.maxsize)
         self._shared_profiles = LRUCache(DEFAULT_PROFILE_CACHE_SIZE)
         # Per-(sector, tilt) nonzero bounding boxes for the dict
         # backend (packed stores carry their own table).  Boxes are 4
@@ -308,6 +310,7 @@ class PathLossDatabase:
         self._tensor_cache.clear()
         self._tensor_mw_cache.clear()
         self._row_mw_cache.clear()
+        self._row_db_cache.clear()
         self._shared_profiles.clear()
         self._footprint_cache.clear()
         self._packed = None
@@ -408,20 +411,17 @@ class PathLossDatabase:
 
         ``tilts`` gives each sector's tilt (and ``azimuth_offsets``,
         when given, each sector's pattern rotation); results are cached
-        per parameter vector since the search algorithms re-evaluate
-        many power-only changes against the same assignment.
+        per parameter vector.  Only hand verification reads it now
+        (``AnalysisEngine._received_power_dbm``).
         """
         tilts, offsets = self._check_assignment(tilts, azimuth_offsets)
         key = tilts.tobytes() + offsets.tobytes()
         cached = self._tensor_cache.get(key)
         if cached is None:
-            cached = np.stack([self.gain_matrix(i, t, o)
+            # Rows corrupted *after* construction must still fail.
+            cached = np.stack([self._finite_gain_db(i, t, o)
                                for i, (t, o)
                                in enumerate(zip(tilts, offsets))])
-            # One finite pass per cache miss (the search's power-only
-            # re-evaluations hit the cache and skip it): data corrupted
-            # *after* construction must still never reach SINR.
-            self._check_finite(cached)
             self._tensor_cache.put(key, cached)
         return cached
 
@@ -484,13 +484,8 @@ class PathLossDatabase:
         key = (sector_id, float(tilt_deg), float(azimuth_offset_deg))
         cached = self._row_mw_cache.get(key)
         if cached is None:
-            gain_db = self.gain_matrix(sector_id, tilt_deg,
-                                       azimuth_offset_deg)
-            if not np.isfinite(gain_db).all():
-                raise ValueError(
-                    f"path-loss gain matrix contains NaN/inf for sector "
-                    f"{sector_id}; the database was corrupted after "
-                    f"construction — rebuild it or run validate()")
+            gain_db = self._finite_gain_db(sector_id, tilt_deg,
+                                           azimuth_offset_deg)
             cached = np.power(10.0, gain_db / 10.0)
             # Off-ladder fallbacks quantize to the plane dtype so they
             # remain bitwise-comparable with packed rows (float32 once
@@ -502,6 +497,30 @@ class PathLossDatabase:
             cached.setflags(write=False)
             self._row_mw_cache.put(key, cached)
         return cached
+
+    def gain_row_db(self, sector_id: int, tilt_deg: float,
+                    azimuth_offset_deg: float = 0.0) -> np.ndarray:
+        """:meth:`gain_matrix`, read-only and NaN/inf-checked, in an
+        LRU of its own per ``(sector, tilt, offset)``: the rows Algorithm
+        1's capture pre-filter reads at the affected grids."""
+        key = (sector_id, float(tilt_deg), float(azimuth_offset_deg))
+        cached = self._row_db_cache.get(key)
+        if cached is None:
+            cached = self._finite_gain_db(sector_id, tilt_deg,
+                                          azimuth_offset_deg)
+            cached.setflags(write=False)
+            self._row_db_cache.put(key, cached)
+        return cached
+
+    def _finite_gain_db(self, sector_id: int, tilt_deg: float,
+                        azimuth_offset_deg: float) -> np.ndarray:
+        gain_db = self.gain_matrix(sector_id, tilt_deg, azimuth_offset_deg)
+        if not np.isfinite(gain_db).all():
+            raise ValueError(
+                f"path-loss gain matrix contains NaN/inf for sector "
+                f"{sector_id}; the database was corrupted after "
+                f"construction — rebuild it or run validate()")
+        return gain_db
 
     def footprint(self, sector_id: int, tilt_deg: float,
                   azimuth_offset_deg: float = 0.0
@@ -543,16 +562,6 @@ class PathLossDatabase:
             if offsets.shape != (self.network.n_sectors,):
                 raise ValueError("need one azimuth offset per sector")
         return tilts, offsets
-
-    @staticmethod
-    def _check_finite(tensor: np.ndarray) -> None:
-        if not np.isfinite(tensor).all():
-            offenders = sorted(
-                set(np.argwhere(~np.isfinite(tensor))[:, 0].tolist()))
-            raise ValueError(
-                f"path-loss gain tensor contains NaN/inf for sectors "
-                f"{offenders}; the database was corrupted after "
-                f"construction — rebuild it or run validate()")
 
     def distance_matrix(self, sector_id: int) -> np.ndarray:
         """Distance (m) from the sector to each grid center."""

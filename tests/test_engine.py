@@ -39,6 +39,11 @@ class TestEvaluate(object):
         mask = (before.serving == 0) & (down.serving == 0)
         assert np.all(down.sinr_db[mask] >= before.sinr_db[mask] - 1e-9)
 
+    def test_received_power_dbm_shape(self, toy_engine, toy_network):
+        config = toy_network.planned_configuration()
+        rp = toy_engine._received_power_dbm(config)
+        assert rp.shape == (toy_network.n_sectors,) + toy_engine.grid.shape
+
     def test_formula2_sinr_by_hand(self, toy_engine, toy_network,
                                    toy_density):
         """Recompute one grid's SINR from the RP planes directly."""

@@ -73,12 +73,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Evaluator(toy_engine, np.zeros((3, 3)))
 
-    def test_received_power_tensor_shape(self, toy_evaluator, toy_network):
-        config = toy_network.planned_configuration()
-        rp = toy_evaluator.received_power_tensor(config)
-        assert rp.shape == (toy_network.n_sectors,) + \
-            toy_evaluator.engine.grid.shape
-
 
 class TestCacheSizing:
     """Regression: cache_size=0 must disable memoization, not crash."""

@@ -205,6 +205,70 @@ class TestMilliwattPlanes:
         assert np.array_equal(second, first)
 
 
+class TestDbRows:
+    """``gain_row_db``: the capture pre-filter's cached dB rows."""
+
+    QUERIES = ((0, 4.0, 0.0), (1, 2.5, 0.0), (0, 7.0, 30.0),
+               (1, 4.0, -45.0))
+
+    def test_bitwise_equal_to_gain_matrix_and_tensor(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        for sector, tilt, offset in self.QUERIES:
+            row = db.gain_row_db(sector, tilt, offset)
+            assert row.dtype == np.float64 and row.shape == grid.shape
+            assert np.array_equal(row, db.gain_matrix(sector, tilt, offset))
+            tilts = np.full(net.n_sectors, tilt)
+            offsets = np.full(net.n_sectors, offset)
+            assert np.array_equal(row,
+                                  db.gain_tensor(tilts, offsets)[sector])
+
+    def test_read_only_and_cached(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        row = db.gain_row_db(1, 3.0, 10.0)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 0] = 0.0
+        assert db.gain_row_db(1, 3.0, 10.0) is row
+        assert db.gain_row_db(1, 3.0) is not row
+
+    def test_filled_only_by_its_accessor(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        tilts = np.full(net.n_sectors, 4.0)
+        db.gain_tensor(tilts)
+        db.gain_tensor_mw(tilts)
+        db.gain_matrix_mw(0, 2.0)
+        assert len(db._row_db_cache) == 0
+        db.gain_row_db(0, 2.0)
+        assert len(db._row_db_cache) == 1
+        assert db._row_db_cache.maxsize == db._row_mw_cache.maxsize
+
+    def test_invalidate_caches_clears_rows(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        first = db.gain_row_db(0, 4.0)
+        db.invalidate_caches()
+        assert len(db._row_db_cache) == 0
+        second = db.gain_row_db(0, 4.0)
+        assert second is not first
+        assert np.array_equal(second, first)
+
+    @pytest.mark.parametrize("mode", ["nan", "inf"])
+    def test_injected_corruption_raises(self, world, mode):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        for sector in range(net.n_sectors):
+            db.gain_row_db(sector, 4.0)    # cached before the damage
+        plan = FaultPlan(seed=5, pathloss=PathLossFaults(
+            n_sectors=1, cell_fraction=0.02, mode=mode))
+        bad, = FaultInjector(plan).corrupt_pathloss(db)
+        with pytest.raises(ValueError, match="corrupted after construction"):
+            db.gain_row_db(bad, 4.0)
+        assert len(db._row_db_cache) == 0   # nothing corrupt was kept
+
+
 # ----------------------------------------------------------------------
 # Per-site build: a from-scratch reference that shares nothing
 # ----------------------------------------------------------------------
