@@ -454,7 +454,11 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
         executor = ResilientExecutor(
             magus.evaluator, network=magus.network,
             injector=injector, checkpoint_path=args.checkpoint)
-        rollout = executor.execute(gradual)
+        try:
+            rollout = executor.execute(gradual)
+        except ValueError as exc:       # an unusable --checkpoint file
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print()
         for line in rollout.describe():
             print(line)

@@ -18,25 +18,59 @@ the canonical payload encoding; before each save the previous file
 rotates to ``<path>.prev``.  On resume a checkpoint that fails its checksum,
 carries none, or was torn mid-rotation falls back to the ``.prev``
 last-known-good instead of aborting the rollout; nothing loads
-unverified.
+unverified.  A verified file must still match the schema: each field
+is type-checked before it is decoded, and the first departure fails
+with one error naming the file and the key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..model.network import Configuration, SectorSetting
-from .durable import (ChecksumError, atomic_write, checksum_hex,
-                      verify_checksum)
+from .durable import (JSON_NUMBER, JSON_TEXT, ChecksumError, atomic_write,
+                      check_schema, checksum_hex, verify_checksum)
 
 __all__ = ["RolloutCheckpoint", "CHECKPOINT_SCHEMA", "encode_config",
            "decode_config", "schedule_run_id"]
 
 CHECKPOINT_SCHEMA = "magus.checkpoint/1"
+
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+#: A float written by ``repr`` into a string, so it round-trips
+#: exactly.  NaN is refused: it passes every floor comparison.  An
+#: infinite floor (no floor at all) is allowed.
+_FLOAT_TEXT = (lambda v: type(v) is str and _float_text(v),
+               "a float (not NaN) in a string")
+#: An encoded configuration: one setting per sector (see
+#: :func:`encode_config`).
+_CONFIG = [(lambda v: (type(v) is list and len(v) == 4
+                       and type(v[2]) is bool
+                       and all(JSON_NUMBER[0](x) for x in (v[0], v[1], v[3]))),
+            "[power_dbm, tilt_deg, active, azimuth_offset_deg] "
+            "(numbers and a bool)")]
+#: The document past its ``schema`` tag.
+_FIELDS = {"run_id": JSON_TEXT, "step": _COUNT, "last_good": _CONFIG,
+           "utilities": [_FLOAT_TEXT], "floor_utility": _FLOAT_TEXT,
+           "retries": _COUNT, "meta": {}}
+_DEFAULTS = {"utilities": [], "retries": 0, "meta": {}}
+
+
+def _float_text(text: str) -> bool:
+    try:
+        return not math.isnan(float(text))
+    except ValueError:
+        return False
+
+
+def _field_error(key: str, problem: str) -> ValueError:
+    return ValueError(f"key {key!r} {problem}" if key
+                      else f"the checkpoint {problem}")
 
 
 def _canonical_bytes(data: Dict[str, object]) -> bytes:
@@ -59,7 +93,10 @@ def encode_config(config: Configuration) -> List[List[object]]:
 
 
 def decode_config(data: Sequence[Sequence[object]]) -> Configuration:
-    """Inverse of :func:`encode_config`."""
+    """Inverse of :func:`encode_config`.  Raises ``ValueError`` naming
+    the first setting (``config[i]``) that is not ``[number, number,
+    bool, number]``."""
+    check_schema(data, _CONFIG, "config", _field_error)
     return Configuration(tuple(
         SectorSetting(power_dbm=float(p), tilt_deg=float(t),
                       active=bool(a), azimuth_offset_deg=float(o))
@@ -108,18 +145,25 @@ class RolloutCheckpoint:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RolloutCheckpoint":
+        """Decode a document; ``ValueError`` naming the first key that
+        departs from the schema (``utilities``, ``retries`` and
+        ``meta`` may be absent)."""
+        check_schema(data, {}, "", _field_error)
         schema = data.get("schema")
         if schema != CHECKPOINT_SCHEMA:
-            raise ValueError(f"unsupported checkpoint schema {schema!r}; "
-                             f"expected {CHECKPOINT_SCHEMA!r}")
+            raise ValueError(f"unsupported checkpoint schema {schema!r} "
+                             f"(key 'schema'); expected "
+                             f"{CHECKPOINT_SCHEMA!r}")
+        data = {**_DEFAULTS, **data}
+        check_schema(data, _FIELDS, "", _field_error)
         return cls(
-            run_id=str(data["run_id"]),
-            step=int(data["step"]),
+            run_id=data["run_id"],
+            step=data["step"],
             last_good=decode_config(data["last_good"]),
-            utilities=[float(u) for u in data.get("utilities", [])],
+            utilities=[float(u) for u in data["utilities"]],
             floor_utility=float(data["floor_utility"]),
-            retries=int(data.get("retries", 0)),
-            meta=dict(data.get("meta", {})))
+            retries=data["retries"],
+            meta=dict(data["meta"]))
 
     def save(self, path: str, *, rotate: bool = True) -> None:
         """Checksummed atomic write, rotating the prior file to ``.prev``.

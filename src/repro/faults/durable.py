@@ -9,6 +9,10 @@ process dying at *any* instruction.  Two primitives provide that:
     ``os.replace`` + directory ``fsync``: readers see either the old
     complete file or the new complete file, never a torn one.
 
+:func:`check_schema`
+    the JSON schema check every loader runs before it trusts a
+    document: the first departure raises one error naming the key.
+
 :func:`checksum_hex` / :func:`verify_checksum`
     ``"algorithm:xxxxxxxx"`` stamps, so silent bit rot in an artifact
     fails loudly at load instead of feeding the planner garbage.  New
@@ -37,6 +41,7 @@ reaching around the API.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -48,7 +53,8 @@ __all__ = [
     "atomic_write", "atomic_write_json", "crc32", "crc32c",
     "checksum_value", "checksum_hex", "verify_checksum", "ChecksumError",
     "add_post_write_hook", "remove_post_write_hook", "CHECKSUM_ALGORITHM",
-    "SUPPORTED_CHECKSUMS",
+    "SUPPORTED_CHECKSUMS", "check_schema", "JSON_INT", "JSON_NUMBER",
+    "JSON_TEXT",
 ]
 
 #: Algorithm tag stamped into new checksum strings: ``"crc32:xxxxxxxx"``.
@@ -251,6 +257,40 @@ def verify_checksum(data, stamp: str, *, what: str = "artifact") -> None:
 # ----------------------------------------------------------------------
 #: ``hook(path, kind)`` callables invoked after each completed write.
 _POST_WRITE_HOOKS: List[Callable[[str, Optional[str]], None]] = []
+
+
+#: Leaf checks for :func:`check_schema`: ``(predicate, description)``.
+JSON_INT = (lambda v: type(v) is int, "an integer")          # not bool
+JSON_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v),
+               "a number")
+JSON_TEXT = (lambda v: type(v) is str, "a string")
+
+
+def check_schema(value, schema, key: str,
+                 error: Callable[[str, str], Exception]) -> None:
+    """Raise ``error(key, problem)`` at the first place ``value``
+    departs from ``schema``.
+
+    A dict schema is a JSON object with (at least) its keys, a
+    one-item list a JSON list of that item, a pair a leaf check
+    ``(predicate, description)``.  ``key`` names ``value``'s place:
+    dotted object keys and ``[i]`` list indices, empty at the root.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise error(key, "must be a JSON object")
+        for name, sub in schema.items():
+            where = f"{key}.{name}" if key else name
+            if name not in value:
+                raise error(where, "is missing")
+            check_schema(value[name], sub, where, error)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise error(key, "must be a JSON list")
+        for i, item in enumerate(value):
+            check_schema(item, schema[0], f"{key}[{i}]", error)
+    elif not schema[0](value):
+        raise error(key, f"must be {schema[1]}, not {value!r:.40}")
 
 
 def add_post_write_hook(hook: Callable[[str, Optional[str]], None]) -> None:

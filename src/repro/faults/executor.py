@@ -203,8 +203,9 @@ class ResilientExecutor:
                          ckpt.run_id, run_id)
             return 0
         if ckpt.step >= len(configs):
-            raise ValueError(f"checkpoint step {ckpt.step} is beyond the "
-                             f"schedule ({len(configs)} configs)")
+            raise ValueError(f"checkpoint {self.checkpoint_path!r}: key "
+                             f"'step' is {ckpt.step}, beyond the schedule "
+                             f"({len(configs)} configs)")
         result.resumed_from_step = ckpt.step
         result.retries = ckpt.retries
         result.utilities = list(ckpt.utilities)

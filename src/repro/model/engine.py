@@ -7,11 +7,12 @@ box of the paper's Figure 6.  This is the inner loop of every search
 algorithm, so everything is NumPy-tensorized, and three layers of
 incremental evaluation sit on top of the canonical pass:
 
-* **mW-domain plane caching** — the canonical pass works on cached
-  linear-domain gain planes ``10^(L/10)`` (see
-  :meth:`PathLossDatabase.gain_tensor_mw`), so a power-only candidate
-  scales one plane by the scalar ``10^(P/10)`` instead of
-  re-exponentiating the whole ``(n_sectors, rows, cols)`` tensor.
+* **one row producer** — Formula 1 runs one sector at a time
+  (:meth:`_sector_row`): the sector's cached linear-domain gain row
+  ``10^(L/10)`` (:meth:`PathLossDatabase.gain_matrix_mw`) times the
+  scalar ``10^(P/10)``, computed inside its footprint box only.  A
+  dense anchor assembles every sector's row; a delta rebuilds the
+  changed ones; no path builds an ``(n_sectors, rows, cols)`` stack.
 * **delta evaluation** — :meth:`evaluate_delta` answers a
   configuration that differs from a :class:`DeltaIncumbent` in any
   number of sectors.  The incumbent holds copy-on-write per-sector mW
@@ -424,8 +425,9 @@ class AnalysisEngine:
 
         Only the footprint is computed (the whole grid where it is
         unknown); the row is exactly zero elsewhere, and bitwise equal
-        to row ``sector_id`` of :meth:`_planes_mw` by the
-        :meth:`_sector_plane_mw_window` contract.
+        to the full-plane product ``gain_matrix_mw * factor`` by the
+        :meth:`_sector_plane_mw_window` contract.  Dense anchors and
+        deltas both build their rows here.
         """
         region = self._setting_box(sector_id, config.settings[sector_id])
         row = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
@@ -463,16 +465,6 @@ class AnalysisEngine:
             return (0, rows, 0, cols)
         return footprint
 
-    def sector_boxes(self, config: Configuration) -> np.ndarray:
-        """Every sector's box under ``config`` as a read-only ``(S, 4)``
-        int array: the :attr:`DeltaIncumbent.boxes` of a dense
-        evaluation."""
-        boxes = np.array([self._setting_box(s, setting)
-                          for s, setting in enumerate(config.settings)],
-                         dtype=np.int64).reshape(-1, 4)
-        boxes.flags.writeable = False
-        return boxes
-
     # ------------------------------------------------------------------
     # batched candidate scoring
     # ------------------------------------------------------------------
@@ -503,8 +495,18 @@ class AnalysisEngine:
         registry.counter("magus.engine.batched_candidates").inc(k)
         with registry.timer("magus.engine.evaluate_batch").time():
             b_idx = np.asarray(changed, dtype=np.int32)
-            new_rows = np.stack([self._sector_plane_mw(c, b)
-                                 for c, b in zip(configs, changed)])
+            # Full-plane products, not footprint rows, so that this
+            # reference stays independent of the boxes.
+            new_rows = np.zeros((k,) + self.grid.shape,
+                                dtype=self.pathloss.plane_dtype)
+            for out, config, b in zip(new_rows, configs, changed):
+                setting = config.settings[b]
+                if setting.active:
+                    gain_mw = self.pathloss.gain_matrix_mw(
+                        b, setting.tilt_deg, setting.azimuth_offset_deg)
+                    np.multiply(gain_mw,
+                                _plane_factor(config, b, gain_mw.dtype),
+                                out=out)
             old_rows = np.stack([incumbent.rows[b] for b in changed])
             total_mw = incumbent.total_mw[None] + (new_rows - old_rows)
 
@@ -557,18 +559,30 @@ class AnalysisEngine:
     def _prepare(self, config: Configuration) -> DeltaIncumbent:
         """Formulae 1-2 in the linear domain: rows, total, serving.
 
-        The dense product is built once and frozen; the incumbent keeps
-        views of its rows, which delta children share.
+        Every sector's row and box come from :meth:`_sector_row`, the
+        producer deltas use, and the total sums the rows in sector
+        order.  The serving fold keeps the first index on ties, as an
+        argmax over the row stack does: a row wins a cell only by
+        exceeding the best so far, so an all-zero cell stays with
+        sector 0.  A row is exactly zero outside its box, where it
+        cannot exceed the (non-negative) best, so the fold reads each
+        row inside its box only.
         """
-        planes = self._planes_mw(config)
-        planes.flags.writeable = False
-        total_mw = _accumulate_planes(planes)
-        raw_serving = planes.argmax(axis=0).astype(np.int32)
-        best_mw = np.take_along_axis(planes, raw_serving[None], axis=0)[0]
-        return DeltaIncumbent(config, tuple(planes),
-                              self.sector_boxes(config), total_mw,
-                              raw_serving, best_mw,
-                              self.pathloss.cache_epoch)
+        rows, boxes = zip(*(self._sector_row(config, s)
+                            for s in range(config.n_sectors)))
+        best_mw = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
+        raw_serving = np.zeros(self.grid.shape, dtype=np.int32)
+        for sector, (row, box) in enumerate(zip(rows, boxes)):
+            win = _slices(box)
+            best, new = best_mw[win], row[win]
+            wins = new > best
+            np.copyto(best, new, where=wins)
+            np.copyto(raw_serving[win], np.int32(sector), where=wins)
+        boxes = np.array(boxes, dtype=np.int64)
+        boxes.flags.writeable = False
+        return DeltaIncumbent(config, rows, boxes,
+                              _accumulate_planes(rows), raw_serving,
+                              best_mw, self.pathloss.cache_epoch)
 
     def _finish(self, incumbent: DeltaIncumbent, ue_density: np.ndarray,
                 prior: Optional[NetworkState] = None,
@@ -710,39 +724,6 @@ class AnalysisEngine:
         np.copyto(out, fill, where=np.logical_not(mask, out=mask))
         return out
 
-    def _planes_mw(self, config: Configuration) -> np.ndarray:
-        """Formula 1 per sector, linear domain:
-        ``10^(RP_b(g)/10) = 10^(P_b/10) * 10^(L_b(T_b,g)/10)``.
-
-        Off-air sectors radiate nothing: their factor is exactly 0, so
-        they can neither serve nor interfere.
-        """
-        gains_mw = self.pathloss.gain_tensor_mw(config.tilts(),
-                                                config.azimuth_offsets())
-        # Factors are cast to the plane dtype *before* the multiply:
-        # under the packed float32 backend every path must perform the
-        # same f32*f32 elementwise product (NEP-50 would otherwise
-        # silently promote to float64 and break full/delta parity).
-        # For the float64 dict path the cast is a no-op.
-        factors = config.power_factors().astype(gains_mw.dtype,
-                                                copy=False)
-        return gains_mw * factors[:, None, None]
-
-    def _sector_plane_mw(self, config: Configuration,
-                         sector_id: int) -> np.ndarray:
-        """One sector's linear received-power plane.
-
-        Bitwise identical to row ``sector_id`` of :meth:`_planes_mw`
-        (same factor, same cached gain row, same multiply).
-        """
-        setting = config.settings[sector_id]
-        if not setting.active:
-            return np.zeros(self.grid.shape,
-                            dtype=self.pathloss.plane_dtype)
-        gain_mw = self.pathloss.gain_matrix_mw(
-            sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
-        return gain_mw * _plane_factor(config, sector_id, gain_mw.dtype)
-
     def _sector_plane_mw_window(self, config: Configuration,
                                 sector_id: int, box: Box,
                                 out: Optional[np.ndarray] = None
@@ -750,9 +731,10 @@ class AnalysisEngine:
         """One sector's plane restricted to ``box``, into ``out`` (the
         box's shape) when given.
 
-        Bitwise identical to ``_sector_plane_mw(...)[box]``: the same
-        cached gain row is sliced before the same scalar multiply, and
-        an elementwise product commutes with slicing.
+        Bitwise identical to the full-plane product
+        ``gain_matrix_mw(...) * _plane_factor(...)`` inside ``box``: the
+        same cached gain row is sliced before the same scalar multiply,
+        and an elementwise product commutes with slicing.
         """
         r0, r1, c0, c1 = box
         setting = config.settings[sector_id]
@@ -820,11 +802,11 @@ class AnalysisEngine:
         return out
 
 
-def _accumulate_planes(planes: np.ndarray) -> np.ndarray:
-    """Total received power: the plane stack summed over sectors.
+def _accumulate_planes(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Total received power: the sector rows summed.
 
-    Explicitly sequential (``total += planes[s]`` in sector order)
-    rather than ``planes.sum(axis=0)``: NumPy's reduction order over a
+    Explicitly sequential (``total += rows[s]`` in sector order)
+    rather than a stack's ``sum(axis=0)``: NumPy's reduction order over a
     strided axis depends on the inner extent, so a *sliced* stack sum
     is not bitwise-stable against the full-grid one (observed on
     width-1 windows).  A fixed accumulation order makes the total
@@ -833,12 +815,12 @@ def _accumulate_planes(planes: np.ndarray) -> np.ndarray:
     — which is what lets the windowed delta reuse the incumbent's
     total outside the ROI.  On any grid with more than one cell
     NumPy's own axis-0 reduction is element-sequential too, so this
-    matches the historical ``planes.sum(axis=0)`` bit for bit (planes
-    are non-negative, so starting from +0.0 is exact).
+    matches the historical stack ``sum(axis=0)`` bit for bit (rows are
+    non-negative, so starting from +0.0 is exact).
     """
-    total = np.zeros(planes.shape[1:], dtype=planes.dtype)
-    for plane in planes:
-        np.add(total, plane, out=total)
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        np.add(total, row, out=total)
     return total
 
 
@@ -891,12 +873,12 @@ def _slices(box: Box) -> Tuple[slice, slice]:
 def _plane_factor(config: Configuration, sector_id: int, dtype):
     """One sector's power factor in the plane dtype.
 
-    The setting's own cached :meth:`SectorSetting.power_factor` — the
-    element :meth:`Configuration.power_factors` holds for it, not a
-    scalar ``**`` — cast to the plane dtype before the multiply, so it
-    rounds exactly like row ``sector_id`` of
-    :meth:`AnalysisEngine._planes_mw` (casting one element equals
-    casting the vector).
+    The setting's own cached :meth:`SectorSetting.power_factor`, not
+    a scalar ``**``, cast to the plane dtype *before* the multiply:
+    under the packed float32 backend every path must perform the same
+    f32*f32 elementwise product (NEP 50 would otherwise promote it to
+    float64 and break full/delta parity).  For the float64 dict path
+    the cast is a no-op.
     """
     return dtype.type(config.settings[sector_id].power_factor())
 

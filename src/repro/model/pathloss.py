@@ -98,10 +98,11 @@ def plane_footprint(plane: np.ndarray) -> tuple:
     return (int(rows[0]), int(rows[-1]) + 1,
             int(cols[0]), int(cols[-1]) + 1)
 
-#: Default bound for the gain-tensor / mW-plane caches.  Tilt search
-#: alternates between a handful of assignments (incumbent plus the
-#: tilt ladder of one sector), so a small bound with true LRU eviction
-#: keeps every live assignment resident.
+#: Default bound for the dB gain-tensor cache, and per sector for the
+#: row caches.  Tilt search alternates between a handful of
+#: assignments (incumbent plus the tilt ladder of one sector), so a
+#: small bound with true LRU eviction keeps every live assignment
+#: resident.
 DEFAULT_TENSOR_CACHE_SIZE = 8
 
 #: Bound for the shared-delta radial-profile cache: one profile per
@@ -114,16 +115,17 @@ DEFAULT_PROFILE_CACHE_SIZE = 64
 class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
-    Shared by the dB gain-tensor cache, the linear (mW) plane cache
-    and the per-sector row cache.  ``get`` refreshes recency; ``put``
-    evicts the single oldest entry once ``maxsize`` is exceeded —
-    *not* the whole cache, which is what made tilt search thrash
-    before (every ninth assignment wiped all eight live ones).
+    Shared by the dB gain-tensor cache, the per-sector mW and dB row
+    caches, the footprint cache and the shared-delta profile cache.
+    ``get`` refreshes recency; ``put`` evicts the single oldest entry
+    once ``maxsize`` is exceeded — *not* the whole cache, which is what
+    made tilt search thrash before (every ninth assignment wiped all
+    eight live ones).
 
     **Thread-safe within one process**: all operations (including the
     read-modify-write recency update inside ``get`` and the hit/miss
     counters) hold an internal re-entrant lock, so concurrent
-    ``gain_tensor_mw`` callers cannot corrupt the OrderedDict.  It is
+    ``gain_matrix_mw`` callers cannot corrupt the OrderedDict.  It is
     *not* shared across processes — each pool worker inherits (fork)
     or rebuilds (spawn) a private copy and is that copy's single
     owner.  Pickling drops the lock and recreates a fresh one on load.
@@ -199,8 +201,11 @@ class PathLossDatabase:
     """Path gain ``L_b(T_b, g)`` for all sectors over one raster.
 
     Build with :meth:`from_environment`; query with :meth:`gain_matrix`
-    (one sector) or :meth:`gain_tensor` (all sectors); the engine
-    reads the linear-domain ``*_mw`` planes.
+    (one sector) or :meth:`gain_tensor` (all sectors).  The engine
+    reads one sector's linear-domain row at a time
+    (:meth:`gain_matrix_mw`, cached per sector, tilt and azimuth
+    offset); with a packed store attached an on-ladder row is a view
+    of the stored tensor.
 
     Values follow the paper's sign convention: **negative dB**, added to
     the transmit power to obtain received power (Formula 1).
@@ -227,7 +232,6 @@ class PathLossDatabase:
         self.clip_floor_db = (None if clip_floor_db is None
                               else float(clip_floor_db))
         self._tensor_cache = LRUCache(DEFAULT_TENSOR_CACHE_SIZE)
-        self._tensor_mw_cache = LRUCache(DEFAULT_TENSOR_CACHE_SIZE)
         # Per-(sector, tilt, offset) linear-domain rows: lets a
         # single-sector tilt change rebuild one plane, not the stack.
         self._row_mw_cache = LRUCache(
@@ -308,7 +312,6 @@ class PathLossDatabase:
         the caller re-prepares.
         """
         self._tensor_cache.clear()
-        self._tensor_mw_cache.clear()
         self._row_mw_cache.clear()
         self._row_db_cache.clear()
         self._shared_profiles.clear()
@@ -335,7 +338,6 @@ class PathLossDatabase:
             raise ValueError(
                 f"packed store grid {(H, W)} does not match analysis "
                 f"grid {self.grid.shape}")
-        self._tensor_mw_cache.clear()
         self._row_mw_cache.clear()
         # Boxes cached against float64 dict planes no longer describe
         # the float32 rows this database now emits.
@@ -350,11 +352,6 @@ class PathLossDatabase:
     @property
     def packed_store(self) -> Optional["PackedGainStore"]:
         return self._packed
-
-    @property
-    def is_file_backed(self) -> bool:
-        """True when gains live in a memory-mapped ``.plossdb`` file."""
-        return self._packed is not None and self._packed.is_file_backed
 
     # ------------------------------------------------------------------
     # construction
@@ -429,53 +426,24 @@ class PathLossDatabase:
                        azimuth_offsets: Optional[np.ndarray] = None
                        ) -> np.ndarray:
         """Linear-domain gain planes ``10^(L/10)``, shape like
-        :meth:`gain_tensor`.
-
-        This is the delta engine's workhorse: a power-only candidate
-        multiplies a cached plane by the scalar ``10^(P/10)`` instead
-        of re-exponentiating the whole ``(n_sectors, rows, cols)``
-        tensor.  Rows are assembled from the per-sector row cache so a
-        single-sector tilt change rebuilds exactly one plane.  The
-        returned array is read-only shared state — callers must not
-        mutate it.
+        :meth:`gain_tensor`: the :meth:`gain_matrix_mw` rows, stacked
+        afresh on every call (read-only).  No evaluation path reads
+        it; tests and benchmarks do.
         """
         tilts, offsets = self._check_assignment(tilts, azimuth_offsets)
-        if self._packed is not None and not offsets.any():
-            indices = self._packed.indices_for(tilts)
-            if indices is not None:
-                # Index-and-gather from the packed tensor.  In-memory
-                # stores still go through the LRU (power-only searches
-                # reuse the same stack many times); file-backed stores
-                # skip it — a cached 1000-sector gather would pin ~GBs
-                # of pages and defeat the RSS budget the mmap buys.
-                if self._packed.is_file_backed:
-                    return self._packed.gather(indices)
-                key = tilts.tobytes() + offsets.tobytes()
-                cached = self._tensor_mw_cache.get(key)
-                if cached is None:
-                    cached = self._packed.gather(indices)
-                    self._tensor_mw_cache.put(key, cached)
-                return cached
-        key = tilts.tobytes() + offsets.tobytes()
-        cached = self._tensor_mw_cache.get(key)
-        if cached is None:
-            cached = np.stack([self.gain_matrix_mw(i, t, o)
-                               for i, (t, o)
-                               in enumerate(zip(tilts, offsets))])
-            cached.setflags(write=False)
-            self._tensor_mw_cache.put(key, cached)
-        return cached
+        stack = np.stack([self.gain_matrix_mw(i, t, o)
+                          for i, (t, o) in enumerate(zip(tilts, offsets))])
+        stack.setflags(write=False)
+        return stack
 
     def gain_matrix_mw(self, sector_id: int, tilt_deg: float,
                        azimuth_offset_deg: float = 0.0) -> np.ndarray:
         """One sector's linear-domain gain plane ``10^(L/10)``.
 
-        Cached per ``(sector, tilt, offset)`` triple — bitwise
-        identical to the matching row of :meth:`gain_tensor_mw`
-        because both exponentiate the same :meth:`gain_matrix` output
-        (and, with a packed store attached, both index the same stored
-        float32 row).  Read-only for the same sharing reason as the
-        tensor.
+        Cached per ``(sector, tilt, offset)`` triple: the
+        exponentiated :meth:`gain_matrix` output or, with a packed
+        store attached and an on-ladder tilt, a view of the stored
+        float32 row.  Read-only, since every caller shares it.
         """
         if self._packed is not None and azimuth_offset_deg == 0.0:
             idx = self._packed.index_of(tilt_deg)

@@ -8,9 +8,8 @@ re-exponentiates those planes through LRU caches on every query and
 cannot hold a market in RAM.  This module stores them *once*, packed:
 :class:`PackedGainStore` holds one contiguous float32 tensor of shape
 ``(n_sectors, n_tilts, H, W)`` of linear-domain (mW) gains
-``10^(L/10)``, tilt-major so a (sector, tilt) query is an index-and-view
-and a whole-network assignment one gather, plus the ``(S, T, 4)`` table
-of each plane's nonzero bounding box.
+``10^(L/10)``, tilt-major so a (sector, tilt) query is an index-and-view,
+plus the ``(S, T, 4)`` table of each plane's nonzero bounding box.
 
 On-disk layout (``"version": 3``, the only version): ``16-byte magic``
 (``magus.plossdb/1\\n``) · ``uint64-LE header length`` · UTF-8 JSON
@@ -24,9 +23,11 @@ identity, the tilt ladder and model, the ``clip_floor_db`` the planes
 were quantized under, the file size and, per section, ``offset``,
 ``shape``, ``dtype``, ``nbytes`` and a ``checksum`` stamp;
 :func:`read_header` checks all of it and names the file and the key of
-the first violation.  Sections are opened read-only with ``np.memmap``
-and pages dropped (``madvise(MADV_DONTNEED)``) after bulk gathers, so a
-23 GB market evaluates within a laptop RSS budget.
+the first violation.  Sections are opened read-only with ``np.memmap``.
+The engine reads one (sector, tilt) row at a time, inside its box, so
+only the pages of the rows it touches come in; the NaN/inf scan of
+``validate()`` drops the mapped pages (``madvise(MADV_DONTNEED)``) after
+each block of sectors.
 
 **Float32 parity contract**: planes come from one producer,
 :func:`sector_planes_mw` — the float64 ``gain_matrix`` composition
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import mmap
 import os
 from typing import (IO, Callable, Dict, Iterable, List, Optional, Sequence,
@@ -60,8 +60,9 @@ from typing import (IO, Callable, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from ..faults.durable import (CHECKSUM_ALGORITHM, SUPPORTED_CHECKSUMS,
-                              ChecksumError, checksum_value)
+from ..faults.durable import (CHECKSUM_ALGORITHM, JSON_INT, JSON_NUMBER,
+                              JSON_TEXT, SUPPORTED_CHECKSUMS, ChecksumError,
+                              check_schema, checksum_value)
 from .antenna import AntennaPattern, TiltRange
 from .geometry import GridSpec, Region
 from .network import CellularNetwork, Sector
@@ -110,10 +111,6 @@ def _section_layout(S: int, T: int, H: int, W: int) -> Dict[str, tuple]:
 #: Per-block budget for the vectorized finite scan (``bad_sectors``):
 #: bounds transient RSS while keeping the reduction vectorized.
 _SCAN_BLOCK_BYTES = 256 * 1024 * 1024
-#: Mapped-page budget for file-backed gathers (see ``gather``): small
-#: enough that resident file pages never rival the gathered result,
-#: large enough that madvise round trips stay rare.
-_GATHER_BLOCK_BYTES = 128 * 1024 * 1024
 
 
 def _align_up(n: int) -> int:
@@ -177,24 +174,9 @@ class PackedGainStore:
     def nbytes(self) -> int:
         return self.gains_mw.size * self.gains_mw.itemsize
 
-    @property
-    def is_file_backed(self) -> bool:
-        return self.path is not None
-
     # -- queries -------------------------------------------------------
     def index_of(self, tilt_deg: float) -> Optional[int]:
         return self._tilt_index.get(float(tilt_deg))
-
-    def indices_for(self, tilts: np.ndarray) -> Optional[np.ndarray]:
-        """Ladder indices for a whole assignment, or None if any tilt
-        is off-ladder (caller falls back to the exact path)."""
-        indices = np.empty(len(tilts), dtype=np.intp)
-        for s, t in enumerate(tilts):
-            idx = self._tilt_index.get(float(t))
-            if idx is None:
-                return None
-            indices[s] = idx
-        return indices
 
     def row(self, sector_id: int, tilt_index: int) -> np.ndarray:
         """One (sector, tilt) plane — a zero-copy read-only view."""
@@ -207,61 +189,26 @@ class PackedGainStore:
         r0, r1, c0, c1 = self.roi[sector_id, tilt_index]
         return (int(r0), int(r1), int(c0), int(c1))
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Stacked planes for one tilt index per sector: the whole-
-        network assignment the engine multiplies by power factors.
-
-        File-backed stores copy in bounded blocks of sectors, dropping
-        the mapped pages after each block — otherwise the faulted-in
-        file pages (another full tensor's worth) stay resident next to
-        the materialized result and a market-scale gather peaks at
-        twice its true footprint.
-        """
-        S, _, H, W = self.shape
-        if self.path is None:
-            out = self.gains_mw[np.arange(S), indices]
-            out.setflags(write=False)
-            return out
-        out = np.empty((S, H, W), dtype=self.gains_mw.dtype)
-        per_sector = H * W * self.gains_mw.itemsize
-        block = max(1, _GATHER_BLOCK_BYTES // max(per_sector, 1))
-        for start in range(0, S, block):
-            stop = min(S, start + block)
-            for s in range(start, stop):
-                out[s] = self.gains_mw[s, indices[s]]
-            self.drop_page_cache()
-        out.setflags(write=False)
-        return out
-
     def bad_sectors(self) -> List[int]:
         """Sector ids whose packed planes contain NaN/inf — one
-        vectorized ``isfinite`` reduction per block of sectors."""
+        vectorized ``isfinite`` reduction per block of sectors.  A
+        file-backed scan drops the mapped pages after each block, so
+        scanning a market-scale file keeps one block resident, not the
+        whole tensor."""
         S, T, H, W = self.shape
         per_sector = T * H * W * self.gains_mw.itemsize
         block = max(1, _SCAN_BLOCK_BYTES // max(per_sector, 1))
+        # Only a memmap carries an mmap (and only some platforms madvise).
+        drop_pages = getattr(getattr(self.gains_mw, "_mmap", None),
+                             "madvise", None)
         bad: List[int] = []
         for start in range(0, S, block):
             chunk = self.gains_mw[start:start + block]
             ok = np.isfinite(chunk).all(axis=(1, 2, 3))
             bad.extend(int(start + i) for i in np.flatnonzero(~ok))
-            self.drop_page_cache()
+            if drop_pages is not None:
+                drop_pages(mmap.MADV_DONTNEED)
         return bad
-
-    def drop_page_cache(self) -> None:
-        """Release resident mmap pages after a bulk read.
-
-        File-backed gathers touch the full tensor; without this the
-        page cache counts against the process RSS and a market-scale
-        sweep looks like a 23 GB leak.  No-op for in-memory stores.
-        """
-        if self.path is None:
-            return
-        mm = getattr(self.gains_mw, "_mmap", None)
-        if mm is not None and hasattr(mm, "madvise"):
-            try:
-                mm.madvise(mmap.MADV_DONTNEED)
-            except (ValueError, OSError):  # pragma: no cover — closed map
-                pass
 
     # -- pickling (spawn workers) --------------------------------------
     # File-backed stores ship only their path and reopen the memmap on
@@ -597,63 +544,39 @@ _PART_FIELDS = {"antenna": ("gain_dbi", "horiz_beamwidth", "vert_beamwidth",
                                "step_deg")}
 
 
-_INT = (lambda v: type(v) is int, "an integer")           # not bool
-_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v),
-           "a number")
-_TEXT = (lambda v: type(v) is str, "a string")
-_SECTION_SCHEMA = {"offset": _INT, "shape": [_INT], "dtype": _TEXT,
-                   "nbytes": _INT, "checksum": _TEXT}
+_SECTION_SCHEMA = {"offset": JSON_INT, "shape": [JSON_INT],
+                   "dtype": JSON_TEXT, "nbytes": JSON_INT,
+                   "checksum": JSON_TEXT}
 #: The v3 header: a dict is a JSON object with (at least) these keys, a
 #: one-item list a JSON list of that item, a pair a leaf check.
 _HEADER_SCHEMA = {
-    "format": _TEXT,
-    "version": _INT,
+    "format": JSON_TEXT,
+    "version": JSON_INT,
     "dtype": (lambda v: v == "float32", "'float32'"),
-    "clip_floor_db": (lambda v: v is None or _NUMBER[0](v),
+    "clip_floor_db": (lambda v: v is None or JSON_NUMBER[0](v),
                       "a number or null"),
     "tilt_model": (lambda v: v in ("exact", "shared-delta"),
                    "'exact' or 'shared-delta'"),
-    "tilt_values": [_NUMBER],
-    "n_sectors": _INT,
-    "n_tilts": _INT,
-    "grid_shape": [_INT],
-    "grid": dict.fromkeys(("x0", "y0", "x1", "y1", "cell_size"), _NUMBER),
+    "tilt_values": [JSON_NUMBER],
+    "n_sectors": JSON_INT,
+    "n_tilts": JSON_INT,
+    "grid_shape": [JSON_INT],
+    "grid": dict.fromkeys(("x0", "y0", "x1", "y1", "cell_size"),
+                          JSON_NUMBER),
     "network": {"sectors": [{
-        **dict.fromkeys(_SECTOR_FIELDS, _NUMBER),
-        "sector_id": _INT, "site_id": _INT,
-        **{part: dict.fromkeys(fields, _NUMBER)
+        **dict.fromkeys(_SECTOR_FIELDS, JSON_NUMBER),
+        "sector_id": JSON_INT, "site_id": JSON_INT,
+        **{part: dict.fromkeys(fields, JSON_NUMBER)
            for part, fields in _PART_FIELDS.items()}}]},
     "sections": dict.fromkeys(("gains_mw",) + _SIDECARS + ("roi",),
                               _SECTION_SCHEMA),
-    "file_bytes": _INT,
+    "file_bytes": JSON_INT,
 }
 
 
 def _header_error(path: str, key: str, problem: str) -> ValueError:
-    return ValueError(f"{path}: malformed plossdb header: key {key!r} "
-                      f"{problem}; re-run the pack")
-
-
-def _check_schema(path: str, value, schema, key: str) -> None:
-    """Raise the ``_header_error`` of the first place ``value`` departs
-    from ``schema`` (see :data:`_HEADER_SCHEMA`)."""
-    if isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise _header_error(path, key or "header",
-                                "must be a JSON object")
-        for name, sub in schema.items():
-            where = f"{key}.{name}" if key else name
-            if name not in value:
-                raise _header_error(path, where, "is missing")
-            _check_schema(path, value[name], sub, where)
-    elif isinstance(schema, list):
-        if not isinstance(value, list):
-            raise _header_error(path, key, "must be a JSON list")
-        for i, item in enumerate(value):
-            _check_schema(path, item, schema[0], f"{key}[{i}]")
-    elif not schema[0](value):
-        raise _header_error(path, key,
-                            f"must be {schema[1]}, not {value!r:.40}")
+    return ValueError(f"{path}: malformed plossdb header: key "
+                      f"{key or 'header'!r} {problem}; re-run the pack")
 
 
 def _check_layout(path: str, header: Dict, data_start: int) -> None:
@@ -720,7 +643,8 @@ def read_header(path: str) -> Dict:
             f"(header keys 'format', 'version'); this build reads "
             f"{FORMAT_NAME} version {FORMAT_VERSION} only — rebuild the "
             f"file with `repro-magus pack`")
-    _check_schema(path, header, _HEADER_SCHEMA, "")
+    check_schema(header, _HEADER_SCHEMA, "",
+                 functools.partial(_header_error, path))
     _check_layout(path, header, _PREAMBLE + header_len)
     if size != header["file_bytes"]:
         raise ValueError(
@@ -788,7 +712,7 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
 
     Gains and sidecar rasters are read-only memory maps — nothing is
     materialized until queried, so market-scale files load in
-    milliseconds and evaluate within the mmap page-cache budget.
+    milliseconds, and an evaluation faults in only the rows it reads.
     Construction-time ``validate()`` is skipped (it would fault in the
     whole tensor); call it explicitly to scan a suspect file.
 

@@ -11,18 +11,24 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.feedback import FeedbackSettings, reactive_feedback
 from repro.core.gradual import GradualSettings, gradual_migration
 from repro.core.joint import tune_joint
-from repro.faults import (CHECKPOINT_SCHEMA, ConfigPushError, FaultInjector,
+from repro.faults import (CHECKPOINT_SCHEMA, ChecksumError, ConfigPushError,
+                          FaultInjector,
                           FaultPlan, MeasurementNoise, PathLossFaults,
                           PushFaults, ResilientExecutor, RetryPolicy,
                           RolloutCheckpoint, RolloutResult, SectorCrash,
                           encode_config, decode_config, schedule_run_id)
+from repro.faults.checkpoint import _canonical_bytes
+from repro.faults.durable import checksum_hex
 from repro.model.pathloss import PathLossDatabase
 from repro.model.propagation import Environment
 from repro.obs import MetricsRegistry, RunReport, use_registry
+
+from test_plossdb import _key_paths, _kind
 
 _TOL = 1e-6
 
@@ -531,6 +537,142 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="refusing to resume"):
             ResilientExecutor(toy_evaluator, network=toy_network,
                               checkpoint_path=path).execute(toy_schedule)
+
+
+# ----------------------------------------------------------------------
+def _checkpoint_doc(network):
+    """A valid ``magus.checkpoint/1`` document, not yet stamped."""
+    return RolloutCheckpoint(
+        run_id="abc123", step=2,
+        last_good=network.planned_configuration().with_offline([1]),
+        utilities=[1.5, 2.5, 2.25], floor_utility=1.0, retries=1,
+        meta={"note": "x"}).to_dict()
+
+
+def _write_stamped(path, doc) -> str:
+    """``doc`` with a correct checksum, written to ``path``: only the
+    schema check stands between it and the rollout."""
+    doc = {k: v for k, v in doc.items() if k != "checksum"}
+    doc["checksum"] = checksum_hex(_canonical_bytes(doc))
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+#: Malformed checkpoints: ``(case, edit, the key the error names)``.
+_CHECKPOINT_PROBES = [
+    ("negative-step", lambda d: d.__setitem__("step", -5), "step"),
+    ("fractional-step", lambda d: d.__setitem__("step", 2.7), "step"),
+    ("null-step", lambda d: d.__setitem__("step", None), "step"),
+    ("bool-step", lambda d: d.__setitem__("step", True), "step"),
+    ("text-active", lambda d: d["last_good"][1].__setitem__(2, "false"),
+     "last_good[1]"),
+    ("short-setting", lambda d: d["last_good"][0].pop(), "last_good[0]"),
+    ("text-utilities", lambda d: d.__setitem__("utilities", "12"),
+     "utilities"),
+    ("number-utility", lambda d: d["utilities"].__setitem__(0, 1.5),
+     "utilities[0]"),
+    ("nan-utility", lambda d: d["utilities"].__setitem__(1, "nan"),
+     "utilities[1]"),
+    ("nan-floor", lambda d: d.__setitem__("floor_utility", "nan"),
+     "floor_utility"),
+    ("text-floor", lambda d: d.__setitem__("floor_utility", "low"),
+     "floor_utility"),
+    ("negative-retries", lambda d: d.__setitem__("retries", -1), "retries"),
+    ("list-meta", lambda d: d.__setitem__("meta", []), "meta"),
+    ("run-id-deleted", lambda d: d.pop("run_id"), "run_id"),
+    ("numeric-run-id", lambda d: d.__setitem__("run_id", 7), "run_id"),
+    ("schema-deleted", lambda d: d.pop("schema"), "schema"),
+]
+
+
+class TestCheckpointSchema:
+    """Every malformed but correctly checksummed checkpoint fails with
+    a ValueError naming the file and the key, and nothing loads."""
+
+    @pytest.mark.parametrize("edit, key", [p[1:] for p in _CHECKPOINT_PROBES],
+                             ids=[p[0] for p in _CHECKPOINT_PROBES])
+    def test_probe_names_file_and_key(self, tmp_path, toy_network, edit,
+                                      key):
+        doc = _checkpoint_doc(toy_network)
+        edit(doc)
+        path = _write_stamped(tmp_path / "run.ckpt", doc)
+        with pytest.raises(ValueError) as info:
+            RolloutCheckpoint.load(path)
+        assert not isinstance(info.value, ChecksumError)
+        assert repr(path) in str(info.value)
+        assert repr(key) in str(info.value)
+
+    def test_optional_keys_default(self, tmp_path, toy_network):
+        doc = _checkpoint_doc(toy_network)
+        for key in ("utilities", "retries", "meta"):
+            del doc[key]
+        loaded = RolloutCheckpoint.load(
+            _write_stamped(tmp_path / "run.ckpt", doc))
+        assert (loaded.utilities, loaded.retries, loaded.meta) == ([], 0, {})
+
+    def test_infinite_floor_round_trips(self, tmp_path, toy_network):
+        """A rollout without a floor (``-inf``) can still resume."""
+        ckpt = RolloutCheckpoint(
+            run_id="abc123", step=0,
+            last_good=toy_network.planned_configuration(),
+            utilities=[1.0], floor_utility=float("-inf"))
+        path = str(tmp_path / "run.ckpt")
+        ckpt.save(path)
+        assert RolloutCheckpoint.load(path) == ckpt
+
+    def test_decode_config_names_its_key(self):
+        with pytest.raises(ValueError, match=r"'config\[0\]'"):
+            decode_config([[40.0, 4.0, "false", 0.0]])
+        with pytest.raises(ValueError, match="'config'"):
+            decode_config("12")
+
+    def test_negative_step_never_reaches_the_resume(
+            self, tmp_path, toy_evaluator, toy_network, toy_schedule):
+        """The run id matches, so only the schema check stops a step of
+        -5 from indexing the schedule from its end."""
+        configs = list(toy_schedule.configs)
+        doc = RolloutCheckpoint(
+            run_id=schedule_run_id(configs, toy_schedule.floor_utility),
+            step=1, last_good=configs[1], utilities=[0.0, 0.0],
+            floor_utility=toy_schedule.floor_utility).to_dict()
+        doc["step"] = -5
+        path = _write_stamped(tmp_path / "run.ckpt", doc)
+        executor = ResilientExecutor(toy_evaluator, network=toy_network,
+                                     checkpoint_path=path)
+        with pytest.raises(ValueError, match="'step'") as info:
+            executor.execute(toy_schedule)
+        assert repr(path) in str(info.value)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_deleted_or_retyped_key_is_a_value_error(
+            self, tmp_path, toy_network, data):
+        """Delete a required key or retype any value outside ``meta``:
+        the loader raises a ValueError naming the file and that key,
+        and never another exception type."""
+        doc = _checkpoint_doc(toy_network)
+        where = data.draw(st.sampled_from(sorted(
+            (p for p in _key_paths(doc) if p[0] != "meta" or len(p) == 1),
+            key=repr)))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if (isinstance(where[-1], str)
+                and where[-1] not in ("utilities", "retries", "meta")
+                and data.draw(st.booleans())):
+            del parent[where[-1]]
+        else:
+            old = _kind(parent[where[-1]])
+            parent[where[-1]] = data.draw(st.sampled_from(
+                [v for v in ("x", 1.5, [], {}, True, None)
+                 if _kind(v) != old]))
+        path = _write_stamped(tmp_path / "bad.ckpt", doc)
+        with pytest.raises(ValueError) as info:
+            RolloutCheckpoint.load(path)
+        leaf = next(k for k in reversed(where) if isinstance(k, str))
+        assert repr(path) in str(info.value)
+        assert leaf in str(info.value)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ supervision under injected faults lives in ``test_chaos.py``.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -194,32 +195,42 @@ class TestEvaluationService:
 
 # ----------------------------------------------------------------------
 class TestLRUCacheConcurrency:
-    def test_concurrent_gain_tensor_mw(self, toy_network, toy_pathloss):
-        """Hammer the mW caches from threads; no corruption, right data."""
+    def test_concurrent_gain_matrix_mw(self, toy_network, toy_pathloss):
+        """Hammer the mW row cache from threads; no corruption, right
+        data."""
         base = toy_network.planned_configuration()
-        tilts = tuple(base.tilt_deg(s)
-                      for s in range(toy_network.n_sectors))
-        want = toy_pathloss.gain_tensor_mw(tilts).copy()
-        alt = tuple(t + 1.0 for t in tilts)
+        keys = [(s, base.tilt_deg(s) + step)
+                for s in range(toy_network.n_sectors) for step in (0.0, 1.0)]
+        want = [toy_pathloss.gain_matrix_mw(s, t).copy() for s, t in keys]
+        cache = toy_pathloss._row_mw_cache
+        assert len(cache) == len(keys)
         errors = []
 
         def hammer():
             try:
                 for _ in range(50):
-                    got = toy_pathloss.gain_tensor_mw(tilts)
-                    if not np.array_equal(got, want):
-                        raise AssertionError("corrupted tensor")
-                    toy_pathloss.gain_tensor_mw(alt)
-                    toy_pathloss.gain_matrix_mw(0, tilts[0])
+                    for (s, t), row in zip(keys, want):
+                        if not np.array_equal(
+                                toy_pathloss.gain_matrix_mw(s, t), row):
+                            raise AssertionError("corrupted row")
             except Exception as exc:   # surfaced in the main thread
                 errors.append(exc)
 
+        hits = cache.hits
         threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)    # switch threads mid-update
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
+        # A lost read-modify-write of the hit counter would show here.
+        assert cache.hits - hits == 8 * 50 * len(keys)
 
     def test_lru_cache_pickles_without_lock(self):
         import pickle

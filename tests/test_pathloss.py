@@ -195,12 +195,13 @@ class TestMilliwattPlanes:
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env,
                                                shadowing_sigma_db=0.0)
-        tilts = np.asarray([4.0, 4.0])
-        first = db.gain_tensor_mw(tilts)
+        first = db.gain_matrix_mw(1, 4.0)
+        assert db.gain_matrix_mw(1, 4.0) is first    # a live row cache
         epoch = db.cache_epoch
         db.invalidate_caches()
         assert db.cache_epoch == epoch + 1
-        second = db.gain_tensor_mw(tilts)
+        assert len(db._row_mw_cache) == 0
+        second = db.gain_matrix_mw(1, 4.0)
         assert second is not first          # caches were dropped
         assert np.array_equal(second, first)
 

@@ -254,7 +254,7 @@ class TestLoadedDatabase:
 
     def test_loaded_matches_in_memory_pack(self, toy_pathloss, packed_db,
                                            loaded):
-        assert loaded.is_file_backed
+        assert loaded.packed_store.path is not None
         assert loaded.plane_dtype == np.float32
         ladder = loaded.packed_store.tilt_values
         for tilts in _rotating_assignments(ladder,
@@ -288,13 +288,13 @@ class TestMarketIntegration:
         first = build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
                            planning=PlanningSettings(max_passes=0),
                            plossdb=path)
-        assert first.pathloss.is_file_backed
+        assert first.pathloss.packed_store.path == path
         assert os.path.exists(path)
         # Second build memory-maps the existing file.
         again = build_area(AreaType.SUBURBAN, seed=42, dims=self.DIMS,
                            planning=PlanningSettings(max_passes=0),
                            plossdb=path)
-        assert again.pathloss.is_file_backed
+        assert again.pathloss.packed_store.path == path
         assert np.array_equal(first.baseline.sinr_db,
                               again.baseline.sinr_db)
 

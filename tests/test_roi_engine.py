@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluation import Evaluator
 from repro.core.magus import Magus
+from repro.core.planning import PlanningSettings
 from repro.core.utility import PerformanceUtility, UtilityFunction
 from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
 from repro.model import engine as engine_module
@@ -36,7 +37,7 @@ from repro.model.load import uniform_per_sector_density
 from repro.model.network import CellularNetwork, Configuration, dominates
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
                                   plane_footprint)
-from repro.model.plossdb import load_packed, save_packed
+from repro.model.plossdb import load_packed, pack_database, save_packed
 from repro.model.propagation import Environment
 from repro.model import roi
 from repro.model.roi import (EMPTY_BOX, RoiBaseline, box_area,
@@ -45,8 +46,11 @@ from repro.model.snapshot import NO_SERVICE
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.report import RunReport
 from repro.parallel import EvaluationService
+from repro.synthetic.market import build_area
+from repro.synthetic.placement import AreaType
+from repro.upgrades.scenario import UpgradeScenario, select_targets
 
-from conftest import make_sectors
+from conftest import SMALL_DIMS, make_sectors
 from test_delta_engine import _MOVES, _apply_move, _assert_states_equal
 
 _UTILITY = PerformanceUtility()
@@ -1067,8 +1071,9 @@ class TestRunnerUpParity:
         for move in moves:
             config = _apply_move(toy_network, config, move)
         _, incumbent = roi_engine.evaluate_with_incumbent(config, density)
-        assert np.array_equal(incumbent.boxes,
-                              roi_engine.sector_boxes(config))
+        assert incumbent.boxes.tolist() == [
+            list(roi_engine._setting_box(s, setting))
+            for s, setting in enumerate(config.settings)]
         _assert_comparator_parity(incumbent, [
             tuple(box) for box in incumbent.boxes.tolist()])
 
@@ -1097,13 +1102,11 @@ class TestRunnerUpParity:
         lit row meets every window."""
         config = toy_network.planned_configuration().with_offline([0])
         H, W = toy_engine.grid.shape
-        boxes = toy_engine.sector_boxes(config)
-        assert boxes.tolist() == [list(EMPTY_BOX), [0, H, 0, W],
-                                  [0, H, 0, W]]
-        assert not boxes.flags.writeable
         _, incumbent = toy_engine.evaluate_with_incumbent(config,
                                                           toy_density)
-        assert np.array_equal(incumbent.boxes, boxes)
+        assert incumbent.boxes.tolist() == [list(EMPTY_BOX), [0, H, 0, W],
+                                            [0, H, 0, W]]
+        assert not incumbent.boxes.flags.writeable
         _assert_comparator_parity(incumbent, [(2, 9, 3, 12)])
 
 
@@ -1477,3 +1480,132 @@ class TestScoringAllocation:
         assert (peak - start) / candidate_cells < self.PEAK_BYTES_PER_CELL
         per_cell = engine.workspace.nbytes / candidate_cells
         assert per_cell * roi.STACK_CELLS <= self.WORKSPACE_BUDGET_BYTES
+
+
+# ----------------------------------------------------------------------
+def _backends(worlds, tmp_path):
+    """``(name, network, engine)`` for every world on its own dict
+    database, on an in-memory pack of it, and on that pack saved and
+    memory-mapped back from a file."""
+    out = []
+    for world in worlds:
+        db = world.engine.pathloss
+        packed = PathLossDatabase(db.grid, db.network, db._rasters,
+                                  db.tilt_model, validate=False,
+                                  clip_floor_db=db.clip_floor_db)
+        packed.attach_packed(pack_database(packed))
+        path = str(tmp_path / f"{world.name}.plossdb")
+        save_packed(db, path)
+        loaded = load_packed(path)
+        assert packed.packed_store.path is None
+        assert loaded.packed_store.path == path
+        for kind, pathloss in (("dict", db), ("packed", packed),
+                               ("file", loaded)):
+            out.append((f"{world.name}/{kind}", world.network,
+                        AnalysisEngine(pathloss, link=LinkAdaptation())))
+    return out
+
+
+def _row_configs(network):
+    """The planned configuration, then per sector: both ends of its
+    tilt ladder, a tilt between two rungs (off every pack's ladder),
+    azimuth offsets (with an on- and an off-ladder tilt), its lowest
+    power, and off-air."""
+    base = network.planned_configuration()
+    configs = [base]
+    for s in range(network.n_sectors):
+        spec = network.sector(s)
+        ladder = spec.tilt_range.settings
+        configs += [base.with_tilt(s, ladder[0]),
+                    base.with_tilt(s, ladder[-1]),
+                    base.with_tilt(s, (ladder[0] + ladder[1]) / 2),
+                    base.with_azimuth_offset(s, 15.0),
+                    base.with_tilt(s, (ladder[1] + ladder[2]) / 2)
+                    .with_azimuth_offset(s, -30.0),
+                    base.with_power(s, spec.min_power_dbm),
+                    base.with_offline([s])]
+    return configs
+
+
+class TestSectorRowProducer:
+    """``_sector_row``, the one producer of dense anchors and deltas,
+    equals the full-plane product ``gain_matrix_mw * factor`` in every
+    cell.  Full/delta parity cannot see a footprint box that is too
+    small once both sides build their rows here; this test can."""
+
+    def test_row_equals_full_plane_product(self, worlds, tmp_path):
+        boxed = off_ladder = 0
+        for name, network, engine in _backends(worlds, tmp_path):
+            db = engine.pathloss
+            cells = engine.grid.shape[0] * engine.grid.shape[1]
+            ladder = (db.packed_store.tilt_values
+                      if db.packed_store is not None else ())
+            for config in _row_configs(network):
+                for s, setting in enumerate(config.settings):
+                    row, box = engine._sector_row(config, s)
+                    if setting.active:
+                        gain = db.gain_matrix_mw(
+                            s, setting.tilt_deg, setting.azimuth_offset_deg)
+                        want = gain * engine_module._plane_factor(
+                            config, s, gain.dtype)
+                        off_ladder += bool(ladder) and \
+                            setting.tilt_deg not in ladder
+                    else:
+                        want = np.zeros(engine.grid.shape, db.plane_dtype)
+                    assert row.dtype == want.dtype == db.plane_dtype
+                    assert row.tobytes() == want.tobytes(), (name, s,
+                                                             setting)
+                    assert box == engine._setting_box(s, setting)
+                    assert not row.flags.writeable
+                    boxed += 0 < box_area(box) < cells
+        # The cases include clipped boxes and off-ladder packed rows.
+        assert boxed and off_ladder
+
+    def test_incumbent_equals_stack_reference(self, worlds, tmp_path):
+        """The dense anchor's total, serving and best equal a stacked
+        sum and first-index argmax over the same rows: a tie keeps the
+        lower sector (the twins), an all-zero cell goes to sector 0."""
+        ties = zero_cells = 0
+        for name, network, engine in _backends(worlds, tmp_path):
+            for config in _row_configs(network):
+                incumbent = engine._prepare(config)
+                stack = np.stack([engine._sector_row(config, s)[0]
+                                  for s in range(network.n_sectors)])
+                serving = stack.argmax(axis=0).astype(np.int32)
+                best = np.take_along_axis(stack, serving[None], axis=0)[0]
+                assert (incumbent.total_mw.tobytes()
+                        == stack.sum(axis=0).tobytes()), name
+                assert incumbent.raw_serving.tobytes() == serving.tobytes()
+                assert incumbent.best_mw.tobytes() == best.tobytes()
+                assert incumbent.boxes.tolist() == [
+                    list(engine._setting_box(s, setting))
+                    for s, setting in enumerate(config.settings)]
+                ties += int(((stack == best).sum(axis=0) > 1)
+                            [best > 0].sum())
+                zero_cells += int((best == 0).sum())
+        assert ties and zero_cells
+
+
+class TestNoGainStack:
+    """No evaluation path builds an ``(S, H, W)`` gain stack: the
+    offline planning pass and a mitigation plan with its gradual
+    schedule run with ``gain_tensor_mw`` refusing every call."""
+
+    @pytest.mark.parametrize("backend", ["dict", "file"])
+    def test_planning_and_mitigation(self, monkeypatch, tmp_path,
+                                     backend):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an (S, H, W) gain stack was built")
+
+        monkeypatch.setattr(PathLossDatabase, "gain_tensor_mw", refuse)
+        path = str(tmp_path / "area.plossdb") if backend == "file" else None
+        area = build_area(AreaType.SUBURBAN, seed=42, dims=SMALL_DIMS,
+                          planning=PlanningSettings(max_passes=1),
+                          plossdb=path)
+        store = area.pathloss.packed_store
+        assert (store.path if store is not None else None) == path
+        magus = Magus.from_area(area)
+        plan = magus.plan_mitigation(
+            select_targets(area, UpgradeScenario.FULL_SITE), tuning="joint")
+        assert plan.tuning.steps
+        magus.gradual_schedule(plan)
