@@ -4,7 +4,10 @@ Times the inner loop of Algorithm 1 — scoring every neighbor's +1 dB
 trial configuration against an incumbent — under the three evaluation
 mechanisms the engine now offers:
 
-* ``full``     — one canonical :meth:`AnalysisEngine.evaluate` per trial;
+* ``full``     — one canonical :meth:`AnalysisEngine.evaluate` per trial
+  (the evaluation kernel run from the dark anchor, every sector
+  changed, so the bar compares one kernel over k = S sectors with
+  k = 1);
 * ``delta``    — :meth:`AnalysisEngine.evaluate_delta` per trial (single
   changed plane, winners recomputed only where the flip is possible);
 * ``batched``  — one :meth:`AnalysisEngine.evaluate_batch` call scoring
@@ -67,7 +70,7 @@ def _time_scenario(area, scenario_name: str) -> dict:
         assert engine.evaluate_batch(incumbent, trials,
                                      density) is not None
 
-    run_full()          # warm the gain-tensor / mW-plane caches
+    run_full()          # warm the mW row caches
     run_delta()
     run_batched()
     medians = {"full": _median_s(run_full),

@@ -54,14 +54,16 @@ def test_evaluator_cache_hit(suburban_area, benchmark):
 
 
 def test_tilt_tensor_rebuild(suburban_area, benchmark):
-    """Cost of a tilt change: the per-sector gain stack is rebuilt."""
+    """Cost of a tilt change on the dB stack: sector 0's row is
+    recomputed where the row LRU lacks its tilt, and every row is
+    stacked afresh."""
     area = suburban_area
     tilts = area.c_before.tilts().copy()
     counter = iter(range(10 ** 9))
 
     def rebuild():
         t = tilts.copy()
-        t[0] = 1.0 + 0.001 * (next(counter) % 97)   # always a cache miss
+        t[0] = 1.0 + 0.001 * (next(counter) % 97)
         return area.pathloss.gain_tensor(t)
 
     tensor = benchmark(rebuild)

@@ -251,8 +251,7 @@ def test_packed_query_speedup(bench_area_120, quick):
 
     Every assignment shifts the whole suburban ladder by one position,
     so the sweep touches ``len(ladder) * n_sectors`` distinct
-    (sector, tilt) rows — more than the row cache holds and more
-    assignments than the tensor LRU holds.  The dict path therefore
+    (sector, tilt) rows — more than the row cache holds.  The dict path therefore
     pays honest recomputation, exactly like a tilt-tuning search that
     keeps moving; the packed path answers from the precomputed tensor.
     """

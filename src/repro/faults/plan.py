@@ -27,8 +27,10 @@ Fault classes:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Tuple, get_type_hints
+
+from .durable import JSON_INT, JSON_NUMBER, JSON_TEXT, check_schema
 
 __all__ = ["FaultPlan", "PathLossFaults", "MeasurementNoise",
            "PushFaults", "SectorCrash", "PLAN_SCHEMA"]
@@ -37,6 +39,11 @@ PLAN_SCHEMA = "magus.fault-plan/1"
 
 #: Corruption modes understood by ``FaultInjector.corrupt_pathloss``.
 _PATHLOSS_MODES = ("nan", "inf", "stale-tilt")
+
+#: The JSON shape of each field type a plan object holds; fields of
+#: other types (sections, crash lists) are built before they are set.
+_FIELD_SCHEMAS = {int: JSON_INT, float: JSON_NUMBER, str: JSON_TEXT,
+                  Tuple[int, ...]: [JSON_INT], Tuple[str, ...]: [JSON_TEXT]}
 
 
 @dataclass(frozen=True)
@@ -192,11 +199,12 @@ class FaultPlan:
 
 def plan_from_dict(cls, data, schema: str, sections: Dict[str, type],
                    lists: Dict[str, type]):
-    """Build plan ``cls`` from its JSON object: ``seed`` an int, each
-    key of ``sections`` that dataclass (an empty object takes its
-    defaults; only a missing key or ``null`` means no section), each
-    key of ``lists`` a tuple of it.  A malformed plan raises a ValueError naming the
-    key, never a raw TypeError or AttributeError."""
+    """Build plan ``cls`` from its JSON object: each key of ``sections``
+    that dataclass (an empty object takes its defaults; only a missing
+    key or ``null`` means no section), each key of ``lists`` a tuple of
+    it, every other field of its declared JSON type.  A malformed plan
+    raises a ValueError naming the key path (``crashes[0].sector_id``),
+    never a raw TypeError or AttributeError."""
     if not isinstance(data, dict):
         raise ValueError(f"a plan must be a JSON object, "
                          f"not {type(data).__name__}")
@@ -205,38 +213,44 @@ def plan_from_dict(cls, data, schema: str, sections: Dict[str, type],
     if found != schema:
         raise ValueError(f"unsupported plan schema {found!r}; "
                          f"expected {schema!r}")
-    try:
-        data["seed"] = int(data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad 'seed': {exc}") from exc
     for key, kind in sections.items():
         data[key] = (None if data.get(key) is None
-                     else _section(kind, data[key], repr(key)))
+                     else _section(kind, data[key], key))
     for key, kind in lists.items():
         items = data.get(key, [])
         if not isinstance(items, list):
             raise ValueError(f"{key!r} must be a JSON list, "
                              f"not {type(items).__name__}")
-        data[key] = tuple(_section(kind, item, f"'{key}[{i}]'")
+        data[key] = tuple(_section(kind, item, f"{key}[{i}]")
                           for i, item in enumerate(items))
-    return _section(cls, data, "the plan")
+    return _section(cls, data, "")
 
 
-def _section(cls, data, where: str):
-    """``cls(**data)`` for one object of a plan, ``where`` naming it in
-    the ValueError that replaces any TypeError."""
+def _section(cls, data, path: str):
+    """``cls(**data)`` for the plan object at key ``path`` (empty for
+    the plan itself), after checking each present key against its
+    field's type; any TypeError becomes a ValueError naming the key."""
+    where = repr(path) if path else "the plan"
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, "
                          f"not {type(data).__name__}")
-    names = [f.name for f in fields(cls)]
-    for key in data:
-        if key not in names:
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
             raise ValueError(f"unknown key {key!r} in {where}; "
-                             f"expected one of {names}")
+                             f"expected one of {list(hints)}")
+        schema = _FIELD_SCHEMAS.get(hints[key])
+        if schema is not None:
+            check_schema(value, schema, f"{path}.{key}" if path else key,
+                         _field_error)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _field_error(key: str, problem: str) -> ValueError:
+    return ValueError(f"{key!r} {problem}")
 
 
 def load_plan(cls, path: str, kind: str):

@@ -4,15 +4,17 @@ Given the path-loss database, a configuration and a UE population, the
 engine computes received power, serving assignment, SINR, single-user
 rate and load-shared actual rate for every grid — the "Analysis Model"
 box of the paper's Figure 6.  This is the inner loop of every search
-algorithm, so everything is NumPy-tensorized, and three layers of
-incremental evaluation sit on top of the canonical pass:
+algorithm, so everything is NumPy-tensorized around one kernel:
 
-* **one row producer** — Formula 1 runs one sector at a time
-  (:meth:`_sector_row`): the sector's cached linear-domain gain row
-  ``10^(L/10)`` (:meth:`PathLossDatabase.gain_matrix_mw`) times the
-  scalar ``10^(P/10)``, computed inside its footprint box only.  A
-  dense anchor assembles every sector's row; a delta rebuilds the
-  changed ones; no path builds an ``(n_sectors, rows, cols)`` stack.
+* **one kernel** — every evaluation is a delta
+  (:meth:`_evaluate_delta_windowed`).  Formula 1 runs one sector at a
+  time (:meth:`_sector_row`): the sector's cached linear-domain gain
+  row ``10^(L/10)`` (:meth:`PathLossDatabase.gain_matrix_mw`) times
+  the scalar ``10^(P/10)``, computed inside its footprint box only;
+  no path builds an ``(n_sectors, rows, cols)`` stack.  A dense
+  evaluation is a delta from the *dark anchor*, where every sector is
+  off-air and every array is zero, to the configuration: every sector
+  changes, and the window is the union of their boxes.
 * **delta evaluation** — :meth:`evaluate_delta` answers a
   configuration that differs from a :class:`DeltaIncumbent` in any
   number of sectors.  The incumbent holds copy-on-write per-sector mW
@@ -21,8 +23,8 @@ incremental evaluation sit on top of the canonical pass:
   recomputes the total, the serving assignment and the transcendental
   rasters only inside the union of the changed sectors'
   region-of-influence windows (:meth:`roi_window`).  The result is
-  *bitwise identical* to :meth:`evaluate` (see DESIGN.md, "Evaluation
-  strategies", for the invariants).
+  *bitwise identical* to :meth:`evaluate`, the delta from the dark
+  anchor (see DESIGN.md, "Evaluation strategies", for the invariants).
 * **region-of-influence windows** — with footprint boxes available
   (``clip_floor_db`` zeroed sub-floor gains at packing, see
   :meth:`PathLossDatabase.footprint`) a sector's window is the union
@@ -59,7 +61,7 @@ import numpy as np
 
 from ..obs import Counter, get_registry
 from .linkrate import LinkAdaptation
-from .network import Configuration, dominates
+from .network import Configuration, SectorSetting, dominates
 from .pathloss import PathLossDatabase
 from .roi import EMPTY_BOX, Box, box_area, box_is_empty, box_union
 from .snapshot import NO_SERVICE, NetworkState
@@ -70,6 +72,10 @@ __all__ = ["AnalysisEngine", "BatchResult", "DeltaIncumbent",
 #: Thermal noise over 10 MHz (-174 dBm/Hz + 70 dB) plus a 7 dB UE noise
 #: figure: the paper's "Noise" term in Formula 2.
 DEFAULT_NOISE_DBM = -97.0
+
+#: Every sector's setting in the dark anchor: off-air, so any setting
+#: dominates it (:func:`~repro.model.network.dominates`).
+_DARK = SectorSetting(0.0, 0.0, active=False)
 
 
 class Workspace:
@@ -123,7 +129,9 @@ class DeltaIncumbent:
     delta copies the plane stack.  ``state`` is the finished
     :class:`NetworkState` this incumbent was evaluated into (set by
     ``_finish``); windowed delta evaluations copy its rasters and
-    recompute only the window.
+    recompute only the window.  The dark anchor a dense evaluation
+    starts from (:meth:`AnalysisEngine._evaluate_dense`) has no state,
+    so its child's rasters are all computed fresh.
     """
 
     __slots__ = ("config", "rows", "boxes", "total_mw", "raw_serving",
@@ -262,25 +270,50 @@ class AnalysisEngine:
     def _evaluate(self, config: Configuration,
                   ue_density: np.ndarray) -> NetworkState:
         """The uninstrumented evaluation body (overhead baseline)."""
-        self._validate(config, ue_density)
-        return self._finish(self._prepare(config), ue_density)
+        return self._evaluate_dense(config, ue_density)[0]
 
     def evaluate_with_incumbent(
             self, config: Configuration, ue_density: np.ndarray
             ) -> Tuple[NetworkState, DeltaIncumbent]:
         """Canonical evaluation that also returns the delta anchor.
 
-        The :class:`DeltaIncumbent` captures the linear-domain rows
-        this evaluation was computed from, so later configurations a
-        few sectors away can be answered by :meth:`evaluate_delta`.
+        The delta from the dark anchor (:meth:`_evaluate_dense`); the
+        :class:`DeltaIncumbent` captures the linear-domain rows it was
+        computed from, so later configurations a few sectors away can
+        be answered by :meth:`evaluate_delta`.
         """
         self._eval_counter.inc()
         registry = get_registry()
         registry.counter("magus.engine.evaluations").inc()
         with registry.timer("magus.engine.evaluate").time():
-            self._validate(config, ue_density)
-            incumbent = self._prepare(config)
-            return self._finish(incumbent, ue_density), incumbent
+            return self._evaluate_dense(config, ue_density)
+
+    def _evaluate_dense(self, config: Configuration, ue_density: np.ndarray
+                        ) -> Tuple[NetworkState, DeltaIncumbent]:
+        """``config`` as a delta from the dark anchor (every sector
+        off-air; one shared read-only zero row, total and best; empty
+        boxes; serving 0; no state): every sector changes, and the
+        window is the union of their boxes.  Exact with no special
+        case: every new row dominates, so the serving repair never
+        runs; the rows fold in ascending order from index 0, so a row
+        wins a cell only by exceeding the best so far, as a stack
+        argmax has it; and every row is zero outside the window.
+        """
+        self._validate(config, ue_density)
+        n = config.n_sectors
+        box = EMPTY_BOX
+        for sector, setting in enumerate(config.settings):
+            box = box_union(box, self._setting_box(sector, setting))
+        zero = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
+        zero.flags.writeable = False
+        boxes = np.zeros((n, 4), dtype=np.int64)
+        boxes.flags.writeable = False
+        dark = DeltaIncumbent(
+            Configuration._trusted((_DARK,) * n), (zero,) * n, boxes, zero,
+            np.zeros(self.grid.shape, dtype=np.int32), zero,
+            self.pathloss.cache_epoch)
+        return self._evaluate_delta_windowed(dark, config, range(n), box,
+                                             ue_density)
 
     # ------------------------------------------------------------------
     # delta evaluation
@@ -350,7 +383,7 @@ class AnalysisEngine:
             self, incumbent: DeltaIncumbent, config: Configuration,
             changed: Sequence[int], box: Box, ue_density: np.ndarray
             ) -> Tuple[NetworkState, DeltaIncumbent]:
-        """The delta body, confined to ``box``.
+        """The one evaluation kernel: a delta confined to ``box``.
 
         Outside ``box`` every changed row is exactly zero in both
         configurations, so the stack is elementwise unchanged there:
@@ -361,6 +394,13 @@ class AnalysisEngine:
         serving argmax is repaired from those rows alone, at the cells
         of the changed sectors whose new row does not dominate the old
         one (see DESIGN.md, "Evaluation strategies").
+
+        The total is summed sequentially in sector order, not as a
+        stack's ``sum(axis=0)``: NumPy's reduction order over a strided
+        axis depends on the inner extent, so a *sliced* stack sum is
+        not bitwise-stable against the full-grid one (observed on
+        width-1 windows).  In a fixed order, summing the same rows
+        inside any window yields exactly the full total's window.
         """
         rows, boxes = list(incumbent.rows), incumbent.boxes.copy()
         for sector in changed:
@@ -380,17 +420,24 @@ class AnalysisEngine:
         # Cells the old winner still holds: it is the first-index max
         # of the unchanged rows, so folding in each changed row with
         # the first-index tie rule yields the full argmax.  A changed
-        # row is zero outside its box, where it can never win.
+        # row is zero outside its box, where it can never win.  The tie
+        # term fires only where a higher index holds the cell, so it is
+        # skipped while ``top`` (no lower than any index in the window)
+        # is not above the sector: always, from the dark anchor.
         s0 = incumbent.raw_serving[win]
         raw_w = s0.copy()
         best_w = incumbent.best_mw[win].copy()
+        top = int(s0.max(initial=0))
         for sector, (q0, q1, p0, p1) in meeting:
             if sector not in changed:
                 continue
             rel = (slice(q0 - r0, q1 - r0), slice(p0 - c0, p1 - c0))
             new = rows[sector][q0:q1, p0:p1]
             best, idx = best_w[rel], raw_w[rel]
-            wins = (new > best) | ((new == best) & (sector < idx))
+            wins = new > best
+            if sector < top:
+                wins |= (new == best) & (sector < idx)
+            top = max(top, sector)
             np.copyto(best, new, where=wins)
             np.copyto(idx, np.int32(sector), where=wins)
         # Cells a changed sector served: the argmax over the rows that
@@ -426,8 +473,8 @@ class AnalysisEngine:
         Only the footprint is computed (the whole grid where it is
         unknown); the row is exactly zero elsewhere, and bitwise equal
         to the full-plane product ``gain_matrix_mw * factor`` by the
-        :meth:`_sector_plane_mw_window` contract.  Dense anchors and
-        deltas both build their rows here.
+        :meth:`_sector_plane_mw_window` contract.  The kernel builds
+        every row here.
         """
         region = self._setting_box(sector_id, config.settings[sector_id])
         row = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
@@ -555,34 +602,6 @@ class AnalysisEngine:
             raise ValueError("UE density must be finite (corrupt raster?)")
         if np.any(ue_density < 0):
             raise ValueError("UE density must be non-negative")
-
-    def _prepare(self, config: Configuration) -> DeltaIncumbent:
-        """Formulae 1-2 in the linear domain: rows, total, serving.
-
-        Every sector's row and box come from :meth:`_sector_row`, the
-        producer deltas use, and the total sums the rows in sector
-        order.  The serving fold keeps the first index on ties, as an
-        argmax over the row stack does: a row wins a cell only by
-        exceeding the best so far, so an all-zero cell stays with
-        sector 0.  A row is exactly zero outside its box, where it
-        cannot exceed the (non-negative) best, so the fold reads each
-        row inside its box only.
-        """
-        rows, boxes = zip(*(self._sector_row(config, s)
-                            for s in range(config.n_sectors)))
-        best_mw = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
-        raw_serving = np.zeros(self.grid.shape, dtype=np.int32)
-        for sector, (row, box) in enumerate(zip(rows, boxes)):
-            win = _slices(box)
-            best, new = best_mw[win], row[win]
-            wins = new > best
-            np.copyto(best, new, where=wins)
-            np.copyto(raw_serving[win], np.int32(sector), where=wins)
-        boxes = np.array(boxes, dtype=np.int64)
-        boxes.flags.writeable = False
-        return DeltaIncumbent(config, rows, boxes,
-                              _accumulate_planes(rows), raw_serving,
-                              best_mw, self.pathloss.cache_epoch)
 
     def _finish(self, incumbent: DeltaIncumbent, ue_density: np.ndarray,
                 prior: Optional[NetworkState] = None,
@@ -758,9 +777,10 @@ class AnalysisEngine:
 
         The dB-domain rows of ``sectors`` (default: all, in order), kept
         for the SINR pre-filter and hand verification; the evaluation
-        paths work in the linear domain.  Only the requested rows of
-        the cached gain tensor are touched, with the same elementwise
-        add, so a row is bitwise equal whichever rows are asked for.
+        paths work in the linear domain.  The requested rows of the
+        gain tensor (a stack of cached dB rows) take the same
+        elementwise add, so a row is bitwise equal whichever rows are
+        asked for.
         Off-air sectors radiate nothing: their plane is set to -inf so
         they can neither serve nor interfere.
         """
@@ -800,28 +820,6 @@ class AnalysisEngine:
             loads[0] = 0.0
             loads.take(ids, out=n_ue, mode="clip")
         return out
-
-
-def _accumulate_planes(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Total received power: the sector rows summed.
-
-    Explicitly sequential (``total += rows[s]`` in sector order)
-    rather than a stack's ``sum(axis=0)``: NumPy's reduction order over a
-    strided axis depends on the inner extent, so a *sliced* stack sum
-    is not bitwise-stable against the full-grid one (observed on
-    width-1 windows).  A fixed accumulation order makes the total
-    decomposable by construction — summing the same rows inside a
-    window, in the same order, yields exactly the full total's window
-    — which is what lets the windowed delta reuse the incumbent's
-    total outside the ROI.  On any grid with more than one cell
-    NumPy's own axis-0 reduction is element-sequential too, so this
-    matches the historical stack ``sum(axis=0)`` bit for bit (rows are
-    non-negative, so starting from +0.0 is exact).
-    """
-    total = np.zeros_like(rows[0])
-    for row in rows:
-        np.add(total, row, out=total)
-    return total
 
 
 def _meeting(boxes: np.ndarray, window: Box

@@ -230,24 +230,6 @@ class Configuration:
     def active_sector_ids(self) -> List[int]:
         return [i for i, s in enumerate(self.settings) if s.active]
 
-    def power_factors(self) -> np.ndarray:
-        """Each sector's linear transmit power ``10^(P/10)``, exactly 0
-        off-air (Formula 1's per-sector factor in the mW domain).
-
-        Assembled from :meth:`SectorSetting.power_factor`, the one place
-        a factor is derived, and cached read-only like the hash.  A
-        derived configuration shares every setting but one with its
-        parent, so only the changed setting computes anything.
-        """
-        try:
-            return self.__dict__["_power_factors"]
-        except KeyError:
-            factors = np.asarray([s.power_factor() for s in self.settings],
-                                 dtype=np.float64)
-            factors.flags.writeable = False
-            object.__setattr__(self, "_power_factors", factors)
-            return factors
-
     # -- derivation -----------------------------------------------------
     def _replaced(self, sector_id: int, **changes) -> "Configuration":
         # The other settings were checked and hashed when this
@@ -345,8 +327,7 @@ class Configuration:
 
     def __getstate__(self) -> dict:
         # Pickles carry the settings only; the receiving process
-        # re-derives the hashes and power factors in its own
-        # interpreter.
+        # re-derives the hashes in its own interpreter.
         return _without_derived(self.__dict__)
 
 
@@ -373,8 +354,7 @@ def dominates(old: SectorSetting, new: SectorSetting) -> bool:
 def _without_derived(state: dict) -> dict:
     """An instance ``__dict__`` minus its cached derived values."""
     return {k: v for k, v in state.items()
-            if k not in ("_hash", "_hashes", "_power_factor",
-                         "_power_factors")}
+            if k not in ("_hash", "_hashes", "_power_factor")}
 
 
 def _power_factors(powers: np.ndarray, active: np.ndarray) -> np.ndarray:

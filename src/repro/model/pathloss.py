@@ -98,11 +98,10 @@ def plane_footprint(plane: np.ndarray) -> tuple:
     return (int(rows[0]), int(rows[-1]) + 1,
             int(cols[0]), int(cols[-1]) + 1)
 
-#: Default bound for the dB gain-tensor cache, and per sector for the
-#: row caches.  Tilt search alternates between a handful of
-#: assignments (incumbent plus the tilt ladder of one sector), so a
-#: small bound with true LRU eviction keeps every live assignment
-#: resident.
+#: Bound per sector for the row caches.  Tilt search alternates
+#: between a handful of assignments (incumbent plus the tilt ladder of
+#: one sector), so a small bound with true LRU eviction keeps every
+#: live assignment resident.
 DEFAULT_TENSOR_CACHE_SIZE = 8
 
 #: Bound for the shared-delta radial-profile cache: one profile per
@@ -115,8 +114,8 @@ DEFAULT_PROFILE_CACHE_SIZE = 64
 class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
-    Shared by the dB gain-tensor cache, the per-sector mW and dB row
-    caches, the footprint cache and the shared-delta profile cache.
+    Shared by the per-sector mW and dB row caches, the footprint cache
+    and the shared-delta profile cache.
     ``get`` refreshes recency; ``put`` evicts the single oldest entry
     once ``maxsize`` is exceeded — *not* the whole cache, which is what
     made tilt search thrash before (every ninth assignment wiped all
@@ -231,7 +230,6 @@ class PathLossDatabase:
         #: unclipped planes reach.
         self.clip_floor_db = (None if clip_floor_db is None
                               else float(clip_floor_db))
-        self._tensor_cache = LRUCache(DEFAULT_TENSOR_CACHE_SIZE)
         # Per-(sector, tilt, offset) linear-domain rows: lets a
         # single-sector tilt change rebuild one plane, not the stack.
         self._row_mw_cache = LRUCache(
@@ -311,7 +309,6 @@ class PathLossDatabase:
         as-is so recomputed planes stay comparable with any incumbents
         the caller re-prepares.
         """
-        self._tensor_cache.clear()
         self._row_mw_cache.clear()
         self._row_db_cache.clear()
         self._shared_profiles.clear()
@@ -407,20 +404,17 @@ class PathLossDatabase:
         """Stack of gain matrices, shape ``(n_sectors, rows, cols)``.
 
         ``tilts`` gives each sector's tilt (and ``azimuth_offsets``,
-        when given, each sector's pattern rotation); results are cached
-        per parameter vector.  Only hand verification reads it now
-        (``AnalysisEngine._received_power_dbm``).
+        when given, each sector's pattern rotation).  The
+        :meth:`gain_row_db` rows, stacked afresh on every call
+        (read-only); only hand verification
+        (``AnalysisEngine._received_power_dbm``), tests and benchmarks
+        read it.
         """
         tilts, offsets = self._check_assignment(tilts, azimuth_offsets)
-        key = tilts.tobytes() + offsets.tobytes()
-        cached = self._tensor_cache.get(key)
-        if cached is None:
-            # Rows corrupted *after* construction must still fail.
-            cached = np.stack([self._finite_gain_db(i, t, o)
-                               for i, (t, o)
-                               in enumerate(zip(tilts, offsets))])
-            self._tensor_cache.put(key, cached)
-        return cached
+        stack = np.stack([self.gain_row_db(i, t, o)
+                          for i, (t, o) in enumerate(zip(tilts, offsets))])
+        stack.setflags(write=False)
+        return stack
 
     def gain_tensor_mw(self, tilts: np.ndarray,
                        azimuth_offsets: Optional[np.ndarray] = None
@@ -470,7 +464,8 @@ class PathLossDatabase:
                     azimuth_offset_deg: float = 0.0) -> np.ndarray:
         """:meth:`gain_matrix`, read-only and NaN/inf-checked, in an
         LRU of its own per ``(sector, tilt, offset)``: the rows Algorithm
-        1's capture pre-filter reads at the affected grids."""
+        1's capture pre-filter reads at the affected grids, and the one
+        dB cache (:meth:`gain_tensor` stacks its rows)."""
         key = (sector_id, float(tilt_deg), float(azimuth_offset_deg))
         cached = self._row_db_cache.get(key)
         if cached is None:

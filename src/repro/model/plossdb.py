@@ -186,8 +186,7 @@ class PackedGainStore:
                   tilt_index: int) -> Tuple[int, int, int, int]:
         """The (sector, tilt) plane's nonzero bounding box, half-open
         ``(row0, row1, col0, col1)``, from the ROI table."""
-        r0, r1, c0, c1 = self.roi[sector_id, tilt_index]
-        return (int(r0), int(r1), int(c0), int(c1))
+        return tuple(self.roi[sector_id, tilt_index].tolist())
 
     def bad_sectors(self) -> List[int]:
         """Sector ids whose packed planes contain NaN/inf — one

@@ -41,6 +41,11 @@ class TestAzimuthPhysics:
             tilts, np.asarray([30.0, 0.0, 0.0]))
         assert not np.array_equal(plain[0], rotated[0])
         assert np.array_equal(plain[1], rotated[1])
+        # The stacks read the row LRU, keyed on the offset too.
+        row = toy_pathloss.gain_row_db(0, tilts[0], 30.0)
+        assert row is not toy_pathloss.gain_row_db(0, tilts[0])
+        assert row is toy_pathloss.gain_row_db(0, tilts[0], 30.0)
+        assert np.array_equal(rotated[0], row)
 
 
 class TestAzimuthSearch:

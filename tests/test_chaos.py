@@ -249,13 +249,21 @@ class TestChaosPlan:
 
     @pytest.mark.parametrize("payload, named", [
         (b'{"kill": {"tims": 1}}', "unknown key 'tims' in 'kill'"),
-        (b'{"kill": {"times": "1"}}', "'kill': '<' not supported"),
+        (b'{"kill": {"times": "1"}}',
+         r"'kill\.times' must be an integer, not '1'"),
         (b'{"delay": [1]}', "'delay' must be a JSON object, not list"),
         (b'{"artifact": {}}', "unknown key 'artifact' in the plan"),
         (b'[1, 2]', "a plan must be a JSON object, not list"),
         (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+        (b'{"kill": {"at_chunk": true}}',
+         r"'kill\.at_chunk' must be an integer, not True"),
+        (b'{"delay": {"seconds": NaN}}',
+         r"'delay\.seconds' must be a number, not nan"),
+        (b'{"artifacts": {"kinds": "checkpoint"}}',
+         r"'artifacts\.kinds' must be a JSON list"),
     ], ids=["misspelled-key", "wrong-type", "section-not-object",
-            "top-level-key", "top-level-list", "bad-utf8"])
+            "top-level-key", "top-level-list", "bad-utf8", "bool-at-chunk",
+            "nan-seconds", "text-kinds"])
     def test_malformed_plan_names_file_and_key(self, tmp_path, payload,
                                                named):
         path = tmp_path / "plan.json"

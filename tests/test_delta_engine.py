@@ -184,7 +184,7 @@ def _assert_delta_exact(engine, parent, config, density):
     dense evaluation of ``config`` bit for bit.  Returns the child."""
     state, child = engine.evaluate_delta(parent, config, density)
     _assert_states_equal(state, engine.evaluate(config, density))
-    prepared = engine._prepare(config)
+    prepared = engine.evaluate_with_incumbent(config, density)[1]
     for name in ("total_mw", "raw_serving", "best_mw"):
         got, want = getattr(child, name), getattr(prepared, name)
         assert got.dtype == want.dtype

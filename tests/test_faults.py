@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.feedback import FeedbackSettings, reactive_feedback
 from repro.core.gradual import GradualSettings, gradual_migration
 from repro.core.joint import tune_joint
-from repro.faults import (CHECKPOINT_SCHEMA, ChecksumError, ConfigPushError,
-                          FaultInjector,
+from repro.faults import (CHECKPOINT_SCHEMA, ArtifactFaults, ChaosPlan,
+                          ChecksumError, ChunkDelay, ConfigPushError,
+                          FaultInjector, WorkerKill,
                           FaultPlan, MeasurementNoise, PathLossFaults,
                           PushFaults, ResilientExecutor, RetryPolicy,
                           RolloutCheckpoint, RolloutResult, SectorCrash,
@@ -29,6 +30,32 @@ from repro.model.propagation import Environment
 from repro.obs import MetricsRegistry, RunReport, use_registry
 
 from test_plossdb import _key_paths, _kind
+
+#: A fault plan and a chaos plan that set every field.
+_FULL_PLANS = {
+    FaultPlan: FaultPlan(
+        seed=11,
+        pathloss=PathLossFaults(n_sectors=2, cell_fraction=0.05, mode="inf"),
+        measurement=MeasurementNoise(gaussian_sigma=0.3, impulse_prob=0.1,
+                                     impulse_magnitude=5.0),
+        push=PushFaults(fail_steps=(1, 3), fail_attempts=2, fail_prob=0.01,
+                        delay_s=0.2),
+        crashes=(SectorCrash(sector_id=2, at_step=1),
+                 SectorCrash(sector_id=0, at_step=3))),
+    ChaosPlan: ChaosPlan(
+        seed=11, kill=WorkerKill(at_chunk=2, times=3),
+        delay=ChunkDelay(at_chunk=1, seconds=0.5, times=2),
+        artifacts=ArtifactFaults(kinds=("checkpoint", "flight"),
+                                 mode="truncate", at_write=1, times=2)),
+}
+
+
+def _json_kind(value) -> str:
+    """The JSON type of ``value``, with booleans, integers, fractions
+    and NaN told apart."""
+    if isinstance(value, float) and value != value:
+        return "nan"
+    return "bool" if isinstance(value, bool) else type(value).__name__
 
 _TOL = 1e-6
 
@@ -106,9 +133,18 @@ class TestFaultPlan:
         (b'{"crash": []}', "unknown key 'crash' in the plan"),
         (b'[1, 2]', "a plan must be a JSON object, not list"),
         (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+        (b'{"seed": 2.7}', r"'seed' must be an integer, not 2\.7"),
+        (b'{"seed": true}', "'seed' must be an integer, not True"),
+        (b'{"crashes": [{"sector_id": 1.5}]}',
+         r"'crashes\[0\]\.sector_id' must be an integer, not 1\.5"),
+        (b'{"crashes": [{"sector_id": "3"}]}',
+         r"'crashes\[0\]\.sector_id' must be an integer, not '3'"),
+        (b'{"push": {"fail_steps": 2}}',
+         r"'push\.fail_steps' must be a JSON list"),
     ], ids=["crash-misspelled-key", "crash-missing-key",
             "push-misspelled-key", "top-level-key", "top-level-list",
-            "bad-utf8"])
+            "bad-utf8", "fractional-seed", "bool-seed", "fractional-sector",
+            "text-sector", "scalar-fail-steps"])
     def test_malformed_plan_names_file_and_key(self, tmp_path, payload,
                                                named):
         path = tmp_path / "plan.json"
@@ -121,6 +157,43 @@ class TestFaultPlan:
         if payload != b'{"seed": "\xff"}':
             with pytest.raises(ValueError, match=named):
                 FaultPlan.from_json(payload.decode())
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("cls", [FaultPlan, ChaosPlan])
+    def test_any_deleted_or_retyped_key_is_a_value_error(self, tmp_path,
+                                                         cls, data):
+        """Delete or retype any key of a plan that sets every field: a
+        deleted key with a default loads, and anything else raises a
+        ValueError naming the file and that key, never another
+        exception type."""
+        doc = _FULL_PLANS[cls].to_dict()
+        where = data.draw(st.sampled_from(sorted(_key_paths(doc),
+                                                 key=repr)))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        path = tmp_path / "plan.json"
+        if isinstance(where[-1], str) and data.draw(st.booleans()):
+            del parent[where[-1]]
+            if where[-1] != "sector_id":    # the one field with no default
+                path.write_text(json.dumps(doc))
+                cls.load(str(path))
+                return
+        else:
+            old = _json_kind(parent[where[-1]])
+            # A section set to null is a plan without that section.
+            parent[where[-1]] = data.draw(st.sampled_from(
+                [v for v in ("x", 1.5, [], {}, True, None, float("nan"))
+                 if _json_kind(v) != old
+                 and not (v is None and len(where) == 1 and old == "dict")]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            cls.load(str(path))
+        leaf = next(k for k in reversed(where) if isinstance(k, str))
+        assert repr(str(path)) in str(info.value)
+        assert leaf in str(info.value)
 
     def test_crashed_sectors_declarative(self):
         plan = FaultPlan(crashes=(SectorCrash(0, at_step=2),

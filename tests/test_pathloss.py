@@ -101,12 +101,17 @@ class TestTiltModels:
         assert np.array_equal(tensor[1], db.gain_matrix(1, 6.0))
 
     def test_gain_tensor_cache_hit(self, world):
+        """The stack is built afresh from the row LRU's cached rows."""
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env)
         tilts = np.asarray([4.0, 4.0])
         first = db.gain_tensor(tilts)
+        rows = [db.gain_row_db(s, 4.0) for s in range(2)]
         second = db.gain_tensor(tilts.copy())
-        assert first is second     # memoized by value
+        assert second is not first and not second.flags.writeable
+        assert np.array_equal(first, second)
+        assert len(db._row_db_cache) == 2
+        assert all(db.gain_row_db(s, 4.0) is rows[s] for s in range(2))
 
     def test_tensor_wrong_length_rejected(self, world):
         grid, env, net = world
@@ -124,28 +129,21 @@ class TestTiltModels:
 
 
 class TestLRUCaches:
-    """Regression: the tensor cache must evict one entry, not wipe."""
+    """Regression: the row cache must evict one entry, not wipe."""
 
     def test_lru_evicts_oldest_only(self, world):
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env,
                                                shadowing_sigma_db=0.0)
-        from repro.model.pathloss import DEFAULT_TENSOR_CACHE_SIZE
-        tensors = []
-        for i in range(DEFAULT_TENSOR_CACHE_SIZE + 1):
-            tensors.append(db.gain_tensor(np.asarray([float(i % 8),
-                                                      float(i // 8)])))
+        bound = db._row_db_cache.maxsize
+        rows = [db.gain_row_db(0, i * 0.5) for i in range(bound + 1)]
         # Newest entries survive; re-requesting the most recent is a hit.
-        last = db.gain_tensor(np.asarray(
-            [float(DEFAULT_TENSOR_CACHE_SIZE % 8),
-             float(DEFAULT_TENSOR_CACHE_SIZE // 8)]))
-        assert last is tensors[-1]
+        assert db.gain_row_db(0, bound * 0.5) is rows[-1]
         # Second-newest also survived the single eviction (the old bug
         # cleared the whole cache when it overflowed).
-        second = db.gain_tensor(np.asarray(
-            [float((DEFAULT_TENSOR_CACHE_SIZE - 1) % 8),
-             float((DEFAULT_TENSOR_CACHE_SIZE - 1) // 8)]))
-        assert second is tensors[-2]
+        assert db.gain_row_db(0, (bound - 1) * 0.5) is rows[-2]
+        assert len(db._row_db_cache) == bound
+        assert db.gain_row_db(0, 0.0) is not rows[0]     # evicted
 
     def test_lru_unit(self):
         from repro.model.pathloss import LRUCache
@@ -238,12 +236,13 @@ class TestDbRows:
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env, seed=4)
         tilts = np.full(net.n_sectors, 4.0)
-        db.gain_tensor(tilts)
         db.gain_tensor_mw(tilts)
         db.gain_matrix_mw(0, 2.0)
         assert len(db._row_db_cache) == 0
         db.gain_row_db(0, 2.0)
         assert len(db._row_db_cache) == 1
+        db.gain_tensor(tilts)       # a stack of gain_row_db rows
+        assert len(db._row_db_cache) == 1 + net.n_sectors
         assert db._row_db_cache.maxsize == db._row_mw_cache.maxsize
 
     def test_invalidate_caches_clears_rows(self, world):

@@ -337,8 +337,8 @@ _MULTI_MOVES = st.lists(st.lists(_SECTOR_MOVE, min_size=2, max_size=4),
 
 
 def _assert_incumbent_equal(child, prepared):
-    """A delta child's rows, boxes and derived rasters equal a dense
-    ``_prepare`` of the same configuration, bit for bit."""
+    """A delta child's rows, boxes and derived rasters equal the dense
+    anchor of the same configuration, bit for bit."""
     assert child.boxes.dtype == prepared.boxes.dtype
     assert np.array_equal(child.boxes, prepared.boxes)
     assert not child.boxes.flags.writeable
@@ -358,7 +358,8 @@ def _assert_any_k_delta(engine, parent, config, density):
     child."""
     state, child = engine.evaluate_delta(parent, config, density)
     _assert_states_equal(state, engine.evaluate(config, density))
-    _assert_incumbent_equal(child, engine._prepare(config))
+    _assert_incumbent_equal(child,
+                            engine.evaluate_with_incumbent(config, density)[1])
     _assert_comparator_parity(child)
     return child
 
@@ -1564,13 +1565,23 @@ class TestSectorRowProducer:
     def test_incumbent_equals_stack_reference(self, worlds, tmp_path):
         """The dense anchor's total, serving and best equal a stacked
         sum and first-index argmax over the same rows: a tie keeps the
-        lower sector (the twins), an all-zero cell goes to sector 0."""
-        ties = zero_cells = 0
+        lower sector (the twins), an all-zero cell goes to sector 0.
+        Besides the row cases: every sector off-air (an empty window),
+        each sector alone on air (on a clipped pack, a window smaller
+        than the grid), and every other sector off-air."""
+        ties = zero_cells = small = 0
         for name, network, engine in _backends(worlds, tmp_path):
-            for config in _row_configs(network):
-                incumbent = engine._prepare(config)
+            n = network.n_sectors
+            base = network.planned_configuration()
+            zeros = np.zeros(engine.grid.shape)
+            configs = _row_configs(network) + [
+                base.with_offline(range(n)),
+                base.with_offline(range(0, n, 2))] + [
+                base.with_offline(set(range(n)) - {s}) for s in range(n)]
+            for config in configs:
+                incumbent = engine.evaluate_with_incumbent(config, zeros)[1]
                 stack = np.stack([engine._sector_row(config, s)[0]
-                                  for s in range(network.n_sectors)])
+                                  for s in range(n)])
                 serving = stack.argmax(axis=0).astype(np.int32)
                 best = np.take_along_axis(stack, serving[None], axis=0)[0]
                 assert (incumbent.total_mw.tobytes()
@@ -1583,7 +1594,11 @@ class TestSectorRowProducer:
                 ties += int(((stack == best).sum(axis=0) > 1)
                             [best > 0].sum())
                 zero_cells += int((best == 0).sum())
-        assert ties and zero_cells
+                union = EMPTY_BOX
+                for box in incumbent.boxes.tolist():
+                    union = box_union(union, tuple(box))
+                small += 0 < box_area(union) < stack[0].size
+        assert ties and zero_cells and small
 
 
 class TestNoGainStack:

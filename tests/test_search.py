@@ -233,13 +233,18 @@ class TestCapturePrefilter:
         assert _reference_prefilter(ev.engine, config, state, affected,
                                     [2], 1.0) == []
 
-    def test_search_builds_no_db_stack(self, rough_evaluator):
+    def test_search_builds_no_db_stack(self, rough_evaluator,
+                                       monkeypatch):
         network, ev = rough_evaluator
         db = ev.engine.pathloss
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an (S, H, W) dB stack was built")
+
+        monkeypatch.setattr(PathLossDatabase, "gain_tensor", refuse)
         c_before = network.planned_configuration()
         tune_power(ev, network, c_before.with_offline([4, 5]),
                    ev.state_of(c_before), [4, 5])
-        assert len(db._tensor_cache) == 0
         assert len(db._row_db_cache) > 0
 
 
