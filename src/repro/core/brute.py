@@ -63,8 +63,7 @@ def tune_brute_force(evaluator: Evaluator, network: CellularNetwork,
     best_utility = f_initial
     # Enumerate by the innermost axis: all configurations sharing a
     # prefix differ from the group's base in the last sector's power
-    # only, so each group is one batched scoring pass.  Group winners
-    # are confirmed canonically, keeping the reported optimum exact.
+    # only, so each group is one batched scoring pass of exact scores.
     last_sector = tunable_sectors[-1]
     last_axis = axes[-1]
     for prefix in itertools.product(*axes[:-1]):
@@ -78,9 +77,8 @@ def tune_brute_force(evaluator: Evaluator, network: CellularNetwork,
         scores.extend(evaluator.score_candidates(group[1:],
                                                  parent=group[0]))
         winner = int(np.argmax(scores))
-        f = evaluator.utility_of(group[winner])
-        if f > best_utility:
-            best_utility = f
+        if scores[winner] > best_utility:
+            best_utility = scores[winner]
             best_config = group[winner]
 
     return TuningResult(initial_config=start_config, final_config=best_config,

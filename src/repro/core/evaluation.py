@@ -16,8 +16,8 @@ asked for through :meth:`~Evaluator.state_of` (or
 :meth:`~Evaluator.rescore`) is *pinned*: held strongly for as long as
 its entry lives.  A state computed only for
 :meth:`~Evaluator.utility_of` is held through a weak reference, so it
-is freed as soon as the two-entry delta ring and the two cached ROI
-baselines let go of it; a confirmation only needs the float.  When
+is freed as soon as the two-entry delta ring and the ROI baselines of
+its anchors let go of it; ``utility_of`` only needs the float.  When
 ``state_of`` meets an entry whose state is gone it rebuilds it, off
 the books: a delta off the ring anchor with the fewest changed sectors
 (a dense evaluation on a cold ring) that touches neither the ring, nor
@@ -60,10 +60,10 @@ a view of that incumbent.  A score is a pure function of its anchor's
 configuration and cache epoch and the candidate, so it is memoized
 under that key (the candidate named by its one changed setting) in an
 LRU bound by ``cache_size``; a hit still counts as a model evaluation
-(``magus.evaluator.score_hits`` counts hits).  These scores stay out
-of the ``f(C)`` memo, so accepted candidates are always confirmed
-canonically; a search may reject a winner that screens no better
-than its incumbent without a confirmation.
+(``magus.evaluator.score_hits`` counts hits).  A windowed score walks
+the same pairwise sector-sum tree as a full evaluation, so it equals
+:meth:`~Evaluator.utility_of` bit for bit and searches take a winner's
+score as its utility; the scores still stay out of the ``f(C)`` memo.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ class Evaluator:
         self._incumbents: List[DeltaIncumbent] = []
         # The last rebuilt state's incumbent, until the next _anchor.
         self._spare: Optional[DeltaIncumbent] = None
-        # Cached ROI baselines, keyed like the anchors they derive
-        # from — the weighted per-UE raster in each is the expensive
-        # part worth keeping across score_candidates calls.
+        # ROI baselines of the ring anchors, keyed like them — the
+        # weighted per-UE raster in each is the expensive part worth
+        # keeping across score_candidates calls.
         self._roi_baselines: "OrderedDict[tuple, _roi.RoiBaseline]" = \
             OrderedDict()
         # ((config, epoch) of an anchor, sector, setting) -> score.
@@ -186,21 +186,20 @@ class Evaluator:
         against that incumbent's :class:`~repro.model.roi.RoiBaseline`;
         the rest (and everything under ``strategy="full"`` or a custom
         ``UtilityFunction.evaluate`` override) go through the canonical
-        memoized path.  Windowed scores equal the dense batch reference
-        (:meth:`AnalysisEngine.evaluate_batch`) bit for bit; they are
-        ranking-grade — bitwise equal to the canonical value except
-        when an SINR lands exactly on a CQI threshold — and stay out
-        of the ``f(C)`` memo, so callers must confirm the winning
-        candidate via :meth:`utility_of` before accepting it (losers
-        may be rejected unconfirmed).  A memoized score still counts
-        as an evaluation: no search cost moves.
+        memoized path.  Every score equals :meth:`utility_of` of its
+        candidate bit for bit, whichever anchor it was scored against;
+        windowed scores stay out of the ``f(C)`` memo.  A memoized
+        score still counts as an evaluation: no search cost moves.
 
-        ``parent`` is the configuration the candidates were derived
-        from.  When no delta anchor holds it (a memo-cache hit whose
-        anchor was evicted), it is anchored once here — otherwise
-        every candidate, two sectors from any anchor, could not be
-        scored through a window and would pay its own canonical
-        evaluation.  ``magus.evaluator.reanchors`` counts these.
+        ``parent`` is a configuration the candidates are one sector
+        from, typically where the caller's line search or ladder
+        started.  When no delta anchor holds it, it is anchored here —
+        otherwise every candidate, two sectors from any anchor, could
+        not be scored through a window and would pay its own canonical
+        evaluation.  A parent not yet memoized goes through the
+        ``f(C)`` memo, so it is memoized and counted once; a memoized
+        one whose anchor was evicted is re-anchored, counted by
+        ``magus.evaluator.reanchors``.
         """
         configs = list(configs)
         scores: List[Optional[float]] = [None] * len(configs)
@@ -219,8 +218,11 @@ class Evaluator:
             if parent is not None and not any(
                     inc.config == parent and inc.epoch == epoch
                     for inc in self._incumbents):
-                registry.counter("magus.evaluator.reanchors").inc()
-                self._anchor(parent)
+                if parent in self._cache:
+                    registry.counter("magus.evaluator.reanchors").inc()
+                    self._anchor(parent)
+                else:
+                    self._lookup(parent)
             for incumbent in list(self._incumbents):
                 group: List[int] = []
                 changed: List[int] = []
@@ -294,10 +296,8 @@ class Evaluator:
             return hit
         baseline = _roi.RoiBaseline.from_incumbent(
             incumbent, self.utility, self.ue_density)
+        # Mirrors the two-anchor ring: ``_remember`` drops the rest.
         self._roi_baselines[key] = baseline
-        # Mirror the two-anchor incumbent ring.
-        while len(self._roi_baselines) > 2:
-            self._roi_baselines.popitem(last=False)
         return baseline
 
     # ------------------------------------------------------------------
@@ -411,3 +411,9 @@ class Evaluator:
         ring.extend(inc for inc in self._incumbents
                     if inc.config not in configs)
         self._incumbents = ring[:2]
+        # A baseline is only read through a ring anchor, and it pins
+        # its incumbent's rows and sum-tree planes.
+        anchors = {(inc.config, inc.epoch) for inc in self._incumbents}
+        for key in [key for key in self._roi_baselines
+                    if key not in anchors]:
+            del self._roi_baselines[key]

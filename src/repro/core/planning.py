@@ -52,13 +52,12 @@ def optimize_planned_configuration(evaluator: Evaluator,
     improving move.  Stops when a full pass makes no progress or after
     ``max_passes``.
 
-    A step's trials all differ from ``config`` in one sector, so they
-    are screened in one batched pass (windowed on clipped packs, dense
-    otherwise); only the winner is confirmed through the canonical
-    memoized path before it is committed.  Batch scores are bitwise
-    equal to the canonical ones except when an SINR lands exactly on a
-    CQI threshold — if the confirmation disagrees with the screen, the
-    sector's line search stops, as the search passes' ladders do.
+    Each step's trials are scored in one batched pass (windowed on
+    clipped packs, whole-grid windows otherwise) against the
+    configuration the sector's line search started from: every trial
+    differs from it in that sector alone.  Scores are exact, so the
+    winner's score is its utility, and only the configuration a line
+    search ends at is anchored, by the next line search's first step.
     """
     settings = settings or PlanningSettings()
     f_current = evaluator.utility_of(config)
@@ -70,22 +69,18 @@ def optimize_planned_configuration(evaluator: Evaluator,
             # Line search: keep taking this sector's best improving
             # move — powers often need to travel many dB, and one step
             # per pass would take dozens of passes to converge.
+            start = config
             for _step in range(settings.max_steps_per_sector):
                 trials = _moves(network, config, sector_id, settings)
-                scores = evaluator.score_candidates(trials, parent=config)
+                scores = evaluator.score_candidates(trials, parent=start)
                 best_trial = None
-                best_f = f_current
                 for trial, f_trial in zip(trials, scores):
-                    if f_trial > best_f + _EPS:
-                        best_f = f_trial
+                    if f_trial > f_current + _EPS:
+                        f_current = f_trial
                         best_trial = trial
                 if best_trial is None:
                     break
-                f_best = evaluator.utility_of(best_trial)
-                if f_best <= f_current + _EPS:  # screen disagreed: stop
-                    break
                 config = best_trial
-                f_current = f_best
                 improved = True
         if not improved:
             break

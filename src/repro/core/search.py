@@ -20,8 +20,8 @@ tell at the affected grids alone.  ``prefilter`` selects:
 * ``"none"``  — no filter: evaluate every neighbor, pick best utility
   (pure greedy; the ablation baseline).
 
-Under ``"sinr"`` and ``"none"`` a winner whose windowed score does not
-beat the incumbent is rejected unconfirmed, as in the tilt walk.
+Under ``"sinr"`` and ``"none"`` the survivors are scored in one
+windowed pass; a score is exact, so the winner's score is its utility.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
                     unit: float, prefilter: str, f_current: float
                     ) -> Optional[Tuple[int, float, Configuration]]:
     """``argmax_{b in beta} f(C (+) P_b(T))``, or None if beta is empty
-    or (screened filters) the winner does not beat ``f_current``."""
+    or (scored filters) the winner does not beat ``f_current``."""
     if prefilter == "sinr" and candidates:
         candidates = _may_help(evaluator.engine.pathloss, config, state,
                                affected, candidates, unit)
@@ -200,16 +200,14 @@ def _best_candidate(evaluator: Evaluator, network: CellularNetwork,
         trials.append((b, trial))
     if not trials:
         return None
-    # One vectorized pass over all neighbors; a winner that beats the
-    # incumbent is confirmed through the canonical path (windowed
-    # scores stay out of the f(C) memo), any other is rejected.
+    # One vectorized pass over all neighbors.
     scores = evaluator.score_candidates([t for _, t in trials],
                                         parent=config)
     winner = int(np.argmax(scores))
     if scores[winner] <= f_current + _EPS:
         return None
     b, trial = trials[winner]
-    return b, evaluator.utility_of(trial), trial
+    return b, scores[winner], trial
 
 
 def _may_help(db: PathLossDatabase, config: Configuration,

@@ -89,42 +89,25 @@ def _sweep_sector(evaluator: Evaluator, network: CellularNetwork,
     """Tilt ``sector_id`` step by step while utility improves.
 
     Each rung is built and scored only when the walk reaches it, so a
-    sweep scores at most one rung more than it accepts.  A rung that
-    screens above the current utility is confirmed through the
-    canonical memoized path before it is committed, so the recorded
-    utilities are exact.
-
-    Rungs name ``parent=config`` (the sweep start) only until one is
-    actually scored, not a memo hit: that is where the eager ladder's
-    single call anchored the start, since memo hits leave the ring
-    alone.  Every scored rung then groups against the same anchor: the
-    first in the ring that it differs from in this one sector only
-    (the sweep start, or an anchor that differs from the start only
-    here).  Each confirmation delta-runs off that anchor and keeps it
-    first in the ring.  A ``parent=`` on a later rung could re-anchor
-    when its confirmation was a memo hit and reorder the ring, and a
-    windowed score against another anchor can differ from the
-    canonical one in the last ulp.
+    sweep scores at most one rung more than it accepts.  Every rung
+    differs from the sweep start in this sector alone and names it as
+    ``parent``, so the start is anchored once and every rung is scored
+    against it; scores are exact, so an accepted rung's score is its
+    recorded utility.
     """
     registry = get_registry()
     tilt_range = network.sector(sector_id).tilt_range
     step = (tilt_range.uptilted if direction == "up"
             else tilt_range.downtilted)
-    parent: Optional[Configuration] = config
+    start = config
     for _ in range(settings.max_steps_per_sector):
         old_tilt = config.tilt_deg(sector_id)
         new_tilt = step(old_tilt)
         if new_tilt == old_tilt:           # catalogue edge reached
             break
         trial = config.with_tilt(sector_id, new_tilt)
-        meter = evaluator.cost_meter()
-        score, = evaluator.score_candidates([trial], parent=parent)
-        if meter.spent():                  # not a memo hit
-            parent = None
-        if score <= f_current + _EPS:      # worse (or flat): revert, stop
-            break
-        f_trial = evaluator.utility_of(trial)
-        if f_trial <= f_current + _EPS:    # screen disagreed: stop
+        f_trial, = evaluator.score_candidates([trial], parent=start)
+        if f_trial <= f_current + _EPS:    # worse (or flat): revert, stop
             break
         steps.append(SearchStep(
             change=ConfigChange(sector_id=sector_id,

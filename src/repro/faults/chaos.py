@@ -11,8 +11,8 @@ disasters the crash-safe execution layer exists to absorb:
 * :class:`ChunkDelay` — a worker sleeps past the item deadline, the
   hung-NFS / paused-cgroup shape of the same failure;
 * :class:`ArtifactFaults` — the Nth freshly written artifact of a
-  given kind (checkpoint, report, flight, trace, plossdb) gets a bit
-  flipped or its tail truncated, through the
+  given kind (checkpoint, report, flight, trace) gets a bit flipped or
+  its tail truncated, through the
   :func:`repro.faults.durable.add_post_write_hook` seam — storage rot
   injected on the very bytes real writes produce.
 
@@ -37,7 +37,7 @@ import os
 import signal
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Literal, Optional, Tuple, get_args
 
 from .plan import load_plan, plan_from_dict
 
@@ -48,6 +48,10 @@ CHAOS_SCHEMA = "magus.chaos-plan/1"
 
 #: Corruption modes understood by ``ChaosInjector``.
 _ARTIFACT_MODES = ("bitflip", "truncate")
+
+#: The artifact kinds ``atomic_write`` callers stamp on their writes.
+ArtifactKind = Literal["checkpoint", "report", "flight", "trace"]
+_ARTIFACT_KINDS = get_args(ArtifactKind)
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,17 @@ class ArtifactFaults:
     consecutive matching writes from ``at_write`` on are corrupted.
     """
 
-    kinds: Tuple[str, ...] = ("checkpoint",)
+    kinds: Tuple[ArtifactKind, ...] = ("checkpoint",)
     mode: str = "bitflip"
     at_write: int = 0
     times: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
+        for kind in self.kinds:
+            if kind not in _ARTIFACT_KINDS:
+                raise ValueError(f"unknown artifact kind {kind!r}; "
+                                 f"expected one of {_ARTIFACT_KINDS}")
         if self.mode not in _ARTIFACT_MODES:
             raise ValueError(f"unknown artifact fault mode {self.mode!r}; "
                              f"expected one of {_ARTIFACT_MODES}")

@@ -316,7 +316,7 @@ def atomic_write(path: str, data: Union[bytes, str], *,
     then atomically renamed over ``path``; finally the directory entry
     itself is fsynced so the rename survives a power cut.  ``kind``
     tags the artifact for post-write hooks ("checkpoint", "report",
-    "flight", "trace", "plossdb", ...).
+    "flight", "trace").
     """
     if isinstance(data, str):
         data = data.encode("utf-8")

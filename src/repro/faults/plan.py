@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple, get_type_hints
+from typing import (Dict, Literal, Optional, Tuple, get_args, get_origin,
+                    get_type_hints)
 
 from .durable import JSON_INT, JSON_NUMBER, JSON_TEXT, check_schema
 
@@ -239,7 +240,7 @@ def _section(cls, data, path: str):
         if key not in hints:
             raise ValueError(f"unknown key {key!r} in {where}; "
                              f"expected one of {list(hints)}")
-        schema = _FIELD_SCHEMAS.get(hints[key])
+        schema = _field_schema(hints[key])
         if schema is not None:
             check_schema(value, schema, f"{path}.{key}" if path else key,
                          _field_error)
@@ -247,6 +248,19 @@ def _section(cls, data, path: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _field_schema(hint):
+    """The JSON shape of a field typed ``hint`` (see
+    :data:`_FIELD_SCHEMAS`); a tuple of ``Literal`` choices is a JSON
+    list of those choices."""
+    schema = _FIELD_SCHEMAS.get(hint)
+    if schema is None and get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if get_origin(item) is Literal:
+            choices = list(get_args(item))
+            schema = [(lambda value: value in choices, f"one of {choices}")]
+    return schema
 
 
 def _field_error(key: str, problem: str) -> ValueError:

@@ -24,7 +24,9 @@ the normal case"; :class:`TiltRange` models that discrete catalogue.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -139,7 +141,7 @@ class TiltRange:
         if self.step_deg <= 0:
             raise ValueError("step_deg must be positive")
 
-    @property
+    @cached_property
     def settings(self) -> Tuple[float, ...]:
         """All available tilt values (degrees), ascending."""
         n = int(round((self.max_deg - self.min_deg) / self.step_deg)) + 1
@@ -150,10 +152,19 @@ class TiltRange:
         return len(self.settings)
 
     def clamp(self, tilt_deg: float) -> float:
-        """Snap ``tilt_deg`` to the nearest available setting."""
+        """Snap ``tilt_deg`` to the nearest available setting; at an
+        exact midpoint the lower one (the first of equal distances).
+        Only the two settings around ``tilt_deg`` are compared: the
+        distances of the rest are no smaller."""
         settings = self.settings
-        idx = int(np.argmin([abs(s - tilt_deg) for s in settings]))
-        return settings[idx]
+        j = bisect_left(settings, tilt_deg)
+        if j == 0:
+            return settings[0]
+        if j == len(settings):
+            return settings[-1]
+        lower, upper = settings[j - 1], settings[j]
+        return lower if abs(lower - tilt_deg) <= abs(upper - tilt_deg) \
+            else upper
 
     def uptilted(self, tilt_deg: float, steps: int = 1) -> float:
         """The setting ``steps`` uptilt steps from ``tilt_deg``.

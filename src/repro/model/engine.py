@@ -14,15 +14,19 @@ algorithm, so everything is NumPy-tensorized around one kernel:
   no path builds an ``(n_sectors, rows, cols)`` stack.  A dense
   evaluation is a delta from the *dark anchor*, where every sector is
   off-air and every array is zero, to the configuration: every sector
-  changes, and the window is the union of their boxes.
+  changes, and the window is the union of their boxes.  The
+  total-power plane is the root of a fixed pairwise sum tree over the
+  rows (:func:`_sum_tree`), so a one-sector change moves only
+  ``ceil(log2 S)`` node planes.
 * **delta evaluation** — :meth:`evaluate_delta` answers a
   configuration that differs from a :class:`DeltaIncumbent` in any
   number of sectors.  The incumbent holds copy-on-write per-sector mW
-  rows with their footprint boxes plus derived total/serving/best
-  arrays; a delta replaces the k changed rows, shares the rest, and
-  recomputes the total, the serving assignment and the transcendental
-  rasters only inside the union of the changed sectors'
-  region-of-influence windows (:meth:`roi_window`).  The result is
+  rows with their footprint boxes and sum-tree node planes, plus
+  derived serving/best arrays; a delta replaces the k changed rows
+  and their ancestors, shares the rest, and recomputes the serving
+  assignment and the transcendental rasters only inside the union of
+  the changed sectors' region-of-influence windows
+  (:meth:`roi_window`).  The result is
   *bitwise identical* to :meth:`evaluate`, the delta from the dark
   anchor (see DESIGN.md, "Evaluation strategies", for the invariants).
 * **region-of-influence windows** — with footprint boxes available
@@ -31,10 +35,11 @@ algorithm, so everything is NumPy-tensorized around one kernel:
   of its old and new footprints; where a footprint is unknown
   (unclipped dict backend, rotated pattern) it is the whole grid.
   :func:`repro.model.roi.score_windows` scores single-sector
-  candidate groups through the same windows, in one stacked pass,
-  against one serving comparator per window.  A candidate whose new
-  row dominates its old one (:func:`~repro.model.network.dominates`:
-  a power increase, or an off-air sector lit) keeps every cell it
+  candidate groups through the same windows and the same sum tree, in
+  one stacked pass, against one serving comparator per window.  A
+  candidate whose new row dominates its old one
+  (:func:`~repro.model.network.dominates`: a power increase, or an
+  off-air sector lit) keeps every cell it
   served, so its comparator is the incumbent's own best/serving
   window; any other candidate compares against
   :meth:`DeltaIncumbent.runner_up`, whose argmax helper also repairs
@@ -42,8 +47,9 @@ algorithm, so everything is NumPy-tensorized around one kernel:
 * **the dense batch reference** — :meth:`evaluate_batch` stacks K
   single-sector neighbors along a batch axis and scores them in one
   vectorized pass against the incumbent, its comparator a masked
-  stack argmax.  No search path calls it; it is the reference the
-  windowed scorer is proven bitwise equal to.
+  stack argmax and its total the incremental ``total + (new - old)``.
+  No search path calls it; it is the serving/comparator reference of
+  the windowed scorer.
 
 The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
 which owns strategy selection and fallback accounting.
@@ -51,6 +57,7 @@ which owns strategy selection and fallback accounting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -123,32 +130,60 @@ class DeltaIncumbent:
     (``boxes``: a read-only ``(S, 4)`` int array of half-open
     ``(row0, row1, col0, col1)``, an unknown footprint stored as the
     whole grid and an off-air sector as :data:`EMPTY_BOX`), the
+    internal planes of the pairwise sector-sum tree (``nodes``, with
+    their boxes ``node_boxes``, see :func:`_sum_tree`) whose root is the
     total-power plane, and the (pre-mask) serving argmax with its
-    winning values.  Rows are read-only and copy-on-write: a delta
-    child shares every row it does not change with its parent, so no
-    delta copies the plane stack.  ``state`` is the finished
-    :class:`NetworkState` this incumbent was evaluated into (set by
-    ``_finish``); windowed delta evaluations copy its rasters and
-    recompute only the window.  The dark anchor a dense evaluation
-    starts from (:meth:`AnalysisEngine._evaluate_dense`) has no state,
-    so its child's rasters are all computed fresh.
+    winning values.  Rows and node planes are read-only and
+    copy-on-write: a delta child shares every plane it does not change
+    with its parent, so no delta copies the plane stack.  ``state`` is
+    the finished :class:`NetworkState` this incumbent was evaluated
+    into (set by ``_finish``); windowed delta evaluations copy its
+    rasters and recompute only the window.  The dark anchor a dense
+    evaluation starts from (:meth:`AnalysisEngine._evaluate_dense`) has
+    no state, so its child's rasters are all computed fresh.
     """
 
-    __slots__ = ("config", "rows", "boxes", "total_mw", "raw_serving",
-                 "best_mw", "epoch", "state")
+    __slots__ = ("config", "rows", "boxes", "nodes", "node_boxes",
+                 "raw_serving", "best_mw", "epoch", "state")
 
     def __init__(self, config: Configuration, rows: Sequence[np.ndarray],
-                 boxes: np.ndarray, total_mw: np.ndarray,
-                 raw_serving: np.ndarray, best_mw: np.ndarray,
-                 epoch: int) -> None:
+                 boxes: np.ndarray, nodes: Sequence[np.ndarray],
+                 node_boxes: Sequence[Box], raw_serving: np.ndarray,
+                 best_mw: np.ndarray, epoch: int) -> None:
         self.config = config
         self.rows = tuple(rows)
         self.boxes = boxes
-        self.total_mw = total_mw
+        self.nodes = tuple(nodes)
+        self.node_boxes = tuple(node_boxes)
         self.raw_serving = raw_serving
         self.best_mw = best_mw
         self.epoch = epoch
         self.state: Optional[NetworkState] = None
+
+    @property
+    def total_mw(self) -> np.ndarray:
+        """The total-power plane: the root of the sum tree (the one
+        row when there is a single sector)."""
+        return self.nodes[-1] if self.nodes else self.rows[0]
+
+    def siblings(self, changed: int, box: Box) -> List[np.ndarray]:
+        """The ``box`` windows of the sibling planes on the tree path
+        from leaf ``changed`` to the root, leaf end first.
+
+        Adding them in turn to a new row's window yields the window of
+        the total that changing only ``changed`` to that row gives,
+        bit for bit: each ancestor is its two children's elementwise
+        sum, and the sibling subtree is unchanged.  A sibling whose box
+        misses ``box`` is zero there and left out (adding ``+0.0`` to a
+        non-negative value is exact).
+        """
+        out = []
+        for _, sibling in _sum_tree(len(self.rows))[1][changed]:
+            plane, sbox = _node(self.rows, self.boxes, self.nodes,
+                                self.node_boxes, sibling)
+            if not box_is_empty(_intersection(sbox, box)):
+                out.append(plane[_slices(box)])
+        return out
 
     def runner_up(self, changed: int, box: Box
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -181,12 +216,13 @@ class DeltaIncumbent:
 class BatchResult:
     """Vectorized scores of K single-sector candidates.
 
-    All arrays carry a leading batch axis of length K.  ``serving``,
-    ``max_rate_bps``, ``n_ue`` and ``rate_bps`` are exact (identical to
-    the canonical pass); ``sinr_db`` uses an incrementally updated
-    total-power plane and may differ from the canonical value by
-    ~1e-15 relative — which is why batch results are never cached and
-    accepted candidates are always re-evaluated canonically.
+    All arrays carry a leading batch axis of length K.  ``serving`` and
+    ``n_ue`` are exact (identical to the canonical pass); ``sinr_db``
+    uses an incrementally updated total-power plane and may differ
+    from the canonical value by ~1e-15 relative, and so may the rates
+    where an SINR lands on a CQI threshold.  No search uses batch
+    results: they are the serving/comparator reference of the
+    windowed scorer.
     """
 
     serving: np.ndarray       # (K, H, W) int, NO_SERVICE where unservable
@@ -291,29 +327,28 @@ class AnalysisEngine:
     def _evaluate_dense(self, config: Configuration, ue_density: np.ndarray
                         ) -> Tuple[NetworkState, DeltaIncumbent]:
         """``config`` as a delta from the dark anchor (every sector
-        off-air; one shared read-only zero row, total and best; empty
-        boxes; serving 0; no state): every sector changes, and the
-        window is the union of their boxes.  Exact with no special
-        case: every new row dominates, so the serving repair never
-        runs; the rows fold in ascending order from index 0, so a row
-        wins a cell only by exceeding the best so far, as a stack
-        argmax has it; and every row is zero outside the window.
+        off-air; one shared read-only zero plane for every row, tree
+        node and best; empty boxes; serving 0; no state): every sector
+        changes, and the window is the union of their boxes.  Exact
+        with no special case: every new row dominates, so the serving
+        repair never runs; the rows fold in ascending order from index
+        0, so a row wins a cell only by exceeding the best so far, as a
+        stack argmax has it; every tree node is recomputed over its new
+        box; and every row is zero outside the window.
         """
         self._validate(config, ue_density)
         n = config.n_sectors
-        box = EMPTY_BOX
-        for sector, setting in enumerate(config.settings):
-            box = box_union(box, self._setting_box(sector, setting))
         zero = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
         zero.flags.writeable = False
         boxes = np.zeros((n, 4), dtype=np.int64)
         boxes.flags.writeable = False
         dark = DeltaIncumbent(
-            Configuration._trusted((_DARK,) * n), (zero,) * n, boxes, zero,
+            Configuration._trusted((_DARK,) * n), (zero,) * n, boxes,
+            (zero,) * (n - 1), (EMPTY_BOX,) * (n - 1),
             np.zeros(self.grid.shape, dtype=np.int32), zero,
             self.pathloss.cache_epoch)
-        return self._evaluate_delta_windowed(dark, config, range(n), box,
-                                             ue_density)
+        return self._evaluate_delta_windowed(dark, config, range(n),
+                                             ue_density)[:2]
 
     # ------------------------------------------------------------------
     # delta evaluation
@@ -352,14 +387,13 @@ class AnalysisEngine:
                        ) -> Optional[Tuple[NetworkState, DeltaIncumbent]]:
         """Re-evaluate ``config`` incrementally from ``incumbent``.
 
-        Only the changed sectors' mW rows are rebuilt, and only the
-        union of their :meth:`roi_window` boxes is recomputed: the
-        serving argmax is repaired locally and the total-power plane is
-        re-summed there over the sectors whose box meets the window —
-        *not* updated incrementally — so every derived raster is
-        bitwise identical to :meth:`evaluate`.  Any number of sectors
-        may change.  Returns ``None`` when the configurations are
-        identical or the incumbent is stale (caller falls back).
+        Only the changed sectors' mW rows and their ancestors in the
+        sum tree are rebuilt, and only inside the union of their
+        :meth:`roi_window` boxes: the serving argmax is repaired
+        locally, and every derived raster is bitwise identical to
+        :meth:`evaluate`.  Any number of sectors may change.  Returns
+        ``None`` when the configurations are identical or the
+        incumbent is stale (caller falls back).
         """
         changed = self.changed_sectors(incumbent, config)
         if changed is None:
@@ -370,52 +404,52 @@ class AnalysisEngine:
         registry.counter("magus.engine.delta_evaluations").inc()
         with registry.timer("magus.engine.evaluate").time():
             self._validate(config, ue_density)
-            box = EMPTY_BOX
-            for sector in changed:
-                box = box_union(box, self.roi_window(incumbent, config,
-                                                     sector))
+            state, child, box = self._evaluate_delta_windowed(
+                incumbent, config, changed, ue_density)
             registry.counter("magus.engine.roi_evaluations").inc()
             registry.counter("magus.engine.roi_cells").inc(box_area(box))
-            return self._evaluate_delta_windowed(
-                incumbent, config, changed, box, ue_density)
+            return state, child
 
     def _evaluate_delta_windowed(
             self, incumbent: DeltaIncumbent, config: Configuration,
-            changed: Sequence[int], box: Box, ue_density: np.ndarray
-            ) -> Tuple[NetworkState, DeltaIncumbent]:
-        """The one evaluation kernel: a delta confined to ``box``.
+            changed: Sequence[int], ue_density: np.ndarray
+            ) -> Tuple[NetworkState, DeltaIncumbent, Box]:
+        """The one evaluation kernel: a delta confined to its window.
 
-        Outside ``box`` every changed row is exactly zero in both
-        configurations, so the stack is elementwise unchanged there:
-        the incumbent's total and serving are reused outside the
-        window.  Inside it, a row is exactly zero outside its own box,
-        so the total sums only the rows whose box meets the window, in
-        sector order — each skipped term is an exact ``+0.0`` — and the
-        serving argmax is repaired from those rows alone, at the cells
-        of the changed sectors whose new row does not dominate the old
-        one (see DESIGN.md, "Evaluation strategies").
+        The window is the union of the changed sectors' old and new
+        boxes (each sector's :meth:`roi_window`), returned with the
+        state and the child.  Outside it every changed row is exactly
+        zero in both configurations, so every plane is elementwise
+        unchanged there: the incumbent's total and serving are reused
+        outside the window.
 
-        The total is summed sequentially in sector order, not as a
-        stack's ``sum(axis=0)``: NumPy's reduction order over a strided
-        axis depends on the inner extent, so a *sliced* stack sum is
-        not bitwise-stable against the full-grid one (observed on
-        width-1 windows).  In a fixed order, summing the same rows
-        inside any window yields exactly the full total's window.
+        The total is the root of the pairwise sum tree (:func:`_sum_tree`):
+        each internal node is the elementwise sum of its two children.
+        Only the ancestors of the changed rows are recomputed, bottom
+        up, each over the union of its old and new boxes inside the
+        window; outside that union the node is zero before and after.
+        An elementwise add does not depend on the slice it runs over,
+        so any window of a node equals the full plane's, and a
+        candidate's total is the same leaf-to-root walk
+        (:meth:`DeltaIncumbent.siblings`).
+
+        Inside the window the serving argmax is repaired from the rows
+        that meet it, at the cells of the changed sectors whose new row
+        does not dominate the old one (see DESIGN.md, "Evaluation
+        strategies").
         """
         rows, boxes = list(incumbent.rows), incumbent.boxes.copy()
-        for sector in changed:
-            rows[sector], boxes[sector] = self._sector_row(config, sector)
+        box, new_boxes = EMPTY_BOX, []
+        for sector, old in zip(changed, boxes[list(changed)].tolist()):
+            rows[sector], new = self._sector_row(config, sector)
+            new_boxes.append(new)
+            box = box_union(box, box_union(tuple(old), new))
+        boxes[list(changed)] = new_boxes
         boxes.flags.writeable = False
+        nodes, node_boxes = self._sum_nodes(incumbent, rows, boxes,
+                                            changed, box)
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        meeting = list(zip(*_meeting(boxes, box)))
-
-        total_w = np.zeros((r1 - r0, c1 - c0),
-                           dtype=incumbent.total_mw.dtype)
-        for s, (q0, q1, p0, p1) in meeting:
-            part = total_w[q0 - r0:q1 - r0, p0 - c0:p1 - c0]
-            np.add(part, rows[s][q0:q1, p0:p1], out=part)
-        total_mw = _patched(incumbent.total_mw, win, total_w)
 
         # Cells the old winner still holds: it is the first-index max
         # of the unchanged rows, so folding in each changed row with
@@ -428,8 +462,8 @@ class AnalysisEngine:
         raw_w = s0.copy()
         best_w = incumbent.best_mw[win].copy()
         top = int(s0.max(initial=0))
-        for sector, (q0, q1, p0, p1) in meeting:
-            if sector not in changed:
+        for sector, (q0, q1, p0, p1) in zip(changed, new_boxes):
+            if q0 >= q1 or p0 >= p1:
                 continue
             rel = (slice(q0 - r0, q1 - r0), slice(p0 - c0, p1 - c0))
             new = rows[sector][q0:q1, p0:p1]
@@ -458,13 +492,42 @@ class AnalysisEngine:
                 best_w[mask], raw_w[mask] = _argmax_rows(rows, boxes, box,
                                                          mask)
         child = DeltaIncumbent(
-            config, rows, boxes, total_mw,
+            config, rows, boxes, nodes, node_boxes,
             _patched(incumbent.raw_serving, win, raw_w),
             _patched(incumbent.best_mw, win, best_w),
             self.pathloss.cache_epoch)
         state = self._finish(child, ue_density, prior=incumbent.state,
                              box=box)
-        return state, child
+        return state, child, box
+
+    @staticmethod
+    def _sum_nodes(incumbent: DeltaIncumbent, rows: Sequence[np.ndarray],
+                   boxes: np.ndarray, changed: Sequence[int], window: Box
+                   ) -> Tuple[List[np.ndarray], List[Box]]:
+        """The sum tree's internal planes and boxes over the new
+        ``rows``: the incumbent's, with the ancestors of ``changed``
+        recomputed inside ``window`` (see
+        :meth:`_evaluate_delta_windowed`)."""
+        children, paths = _sum_tree(len(rows))
+        nodes, node_boxes = list(incumbent.nodes), list(incumbent.node_boxes)
+        # Post-order numbering: a node's descendants come before it.
+        for i in sorted({i for s in changed for i, _ in paths[s]}):
+            left, lbox = _node(rows, boxes, nodes, node_boxes,
+                               children[i][0])
+            right, rbox = _node(rows, boxes, nodes, node_boxes,
+                                children[i][1])
+            old = node_boxes[i]
+            node_boxes[i] = new = box_union(lbox, rbox)
+            r0, r1, c0, c1 = _intersection(window, box_union(old, new))
+            if r0 >= r1 or c0 >= c1:
+                continue
+            out = (np.zeros(left.shape, left.dtype) if box_is_empty(old)
+                   else nodes[i].copy())
+            np.add(left[r0:r1, c0:c1], right[r0:r1, c0:c1],
+                   out=out[r0:r1, c0:c1])
+            out.flags.writeable = False
+            nodes[i] = out
+        return nodes, node_boxes
 
     def _sector_row(self, config: Configuration, sector_id: int
                     ) -> Tuple[np.ndarray, Box]:
@@ -522,9 +585,9 @@ class AnalysisEngine:
 
         Every candidate must differ from the incumbent in exactly one
         sector (any knob: power, tilt, azimuth or on/off state);
-        returns ``None`` otherwise.  Serving, rmax, loads and rates are
-        exact; only SINR carries the incremental total-power update
-        (see :class:`BatchResult`).
+        returns ``None`` otherwise.  Serving and loads are exact; SINR
+        carries the incremental total-power update (see
+        :class:`BatchResult`).
         """
         changed: List[int] = []
         for config in configs:
@@ -820,6 +883,61 @@ class AnalysisEngine:
             loads[0] = 0.0
             loads.take(ids, out=n_ue, mode="clip")
         return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sum_tree(n: int) -> Tuple[Tuple[Tuple[int, int], ...],
+                               Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The pairwise sector-sum tree over ``n`` rows: the canonical
+    order of the total-power plane.
+
+    Recursive halving in sector-index order: the node over sectors
+    ``[lo, hi)`` is the elementwise sum of the nodes over ``[lo, mid)``
+    and ``[mid, hi)``, ``mid = (lo + hi) // 2``; a single sector is its
+    row.  Node ids: leaf ``s`` is ``s``, internal node ``i`` is
+    ``n + i``, numbered in post-order (every descendant first, the root
+    last).  Returns ``(children, paths)``: ``children[i]`` is internal
+    node ``i``'s ``(left, right)``, and ``paths[s]`` lists
+    ``(ancestor, sibling)`` from leaf ``s`` up to the root, at most
+    ``ceil(log2 n)`` pairs.
+    """
+    children: List[Tuple[int, int]] = []
+
+    def build(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return lo
+        mid = (lo + hi) // 2
+        children.append((build(lo, mid), build(mid, hi)))
+        return n + len(children) - 1
+
+    build(0, n)
+    up = {}
+    for i, (left, right) in enumerate(children):
+        up[left], up[right] = (i, right), (i, left)
+    paths = []
+    for node in range(n):
+        path = []
+        while node in up:
+            path.append(up[node])
+            node = n + up[node][0]
+        paths.append(tuple(path))
+    return tuple(children), tuple(paths)
+
+
+def _node(rows: Sequence[np.ndarray], boxes: np.ndarray,
+          nodes: Sequence[np.ndarray], node_boxes: Sequence[Box],
+          node: int) -> Tuple[np.ndarray, Box]:
+    """Sum-tree node ``node``'s plane and box: leaf ``s`` is row ``s``,
+    internal node ``len(rows) + i`` is ``nodes[i]``."""
+    n = len(rows)
+    if node < n:
+        return rows[node], tuple(boxes[node].tolist())
+    return nodes[node - n], node_boxes[node - n]
+
+
+def _intersection(a: Box, b: Box) -> Box:
+    return (max(a[0], b[0]), min(a[1], b[1]),
+            max(a[2], b[2]), min(a[3], b[3]))
 
 
 def _meeting(boxes: np.ndarray, window: Box

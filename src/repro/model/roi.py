@@ -18,6 +18,14 @@ division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
 cached ``per_ue(rate)*density`` raster everywhere else.
 
+Each candidate's window total is the engine's pairwise sector-sum
+tree walked from the changed leaf to the root: its new row's window
+plus each sibling window on the path
+(:meth:`~repro.model.engine.DeltaIncumbent.siblings`), added once per
+run of candidates that share the changed sector and the window.  It
+is the total a full evaluation of the candidate computes, bit for bit,
+so every score equals ``Evaluator.utility_of`` of its candidate.
+
 Each candidate's serving is resolved against a window comparator.
 A candidate whose new row dominates the old one
 (:func:`~repro.model.network.dominates`: the old setting off-air, or
@@ -28,9 +36,8 @@ compares against
 :meth:`~repro.model.engine.DeltaIncumbent.runner_up` of its
 ``(changed, box)``: where the changed sector serves, the best of the
 other rows meeting the window; elsewhere the incumbent's best.
-:class:`RoiBaseline` is a view of the incumbent, so the old plane
-window is a slice of its row and each comparator is computed once per
-window, memoized with the rest of the window's baseline side.
+:class:`RoiBaseline` is a view of the incumbent, and each comparator
+is computed once per window and memoized with its sibling windows.
 
 It scores a whole candidate group in one stacked pass: Python
 resolves each candidate's serving against its window's comparator,
@@ -40,22 +47,22 @@ chunks of at most :data:`STACK_CELLS` cells), all in the engine's
 grow-only :class:`~repro.model.engine.Workspace`.  Every step is
 elementwise, a per-candidate bincount or a row-wise reduction over
 one candidate's contiguous raster, so a score does not depend on
-what else is in the batch: it is bitwise
-identical to :meth:`~repro.model.engine.AnalysisEngine.evaluate_batch`
-followed by the per-candidate weighted reduction — at
-O(|ROI| + |rate-changed|) transcendental cost instead of O(H*W).
+what else is in the batch — at O(|ROI| + |rate-changed|)
+transcendental cost instead of O(H*W).
 :func:`score_candidate` is the one-candidate call of the same kernel.
 Where a footprint is unknown (unclipped dict backend, rotated pattern)
 the window is the whole grid and the same kernel is the dense scorer.
 
 The exactness argument (including why windowed totals must not re-sum
-a sliced plane stack) is laid out in DESIGN.md, "Sparse ROI
-evaluation".
+a sliced plane stack) is laid out in DESIGN.md, "Evaluation
+strategies" and "Sparse ROI evaluation".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,7 +114,7 @@ class RoiBaseline:
 
     Everything but ``weighted`` is read from ``incumbent`` (a
     :class:`~repro.model.engine.DeltaIncumbent` that ran ``_finish``):
-    its rows, total, serving comparator and finished
+    its rows, sum-tree planes, serving comparator and finished
     :class:`~repro.model.snapshot.NetworkState`; nothing is copied.
     ``weighted`` is the cached ``utility.per_ue(rate_bps) * ue_density``
     raster the rate-compare trick patches.
@@ -115,14 +122,13 @@ class RoiBaseline:
 
     incumbent: object
     weighted: np.ndarray      # (H, W) per_ue(rate) * ue_density
-    #: Baseline-only window arrays memoized per (changed, box,
-    #: dominating): the old plane window, the incumbent total and the
-    #: serving comparator pair are identical for every candidate that
-    #: flips the same sector within the same ROI in the same direction
-    #: (one side of a power ladder), so they are gathered once per
-    #: sector rather than once per candidate.
-    window_cache: Dict[Tuple[int, Box, bool],
-                       Tuple[np.ndarray, ...]] = field(
+    #: Baseline-only window inputs memoized per (changed, box,
+    #: dominating): the sibling windows and the serving comparator
+    #: pair are identical for every candidate that flips the same
+    #: sector within the same ROI in the same direction (one side of a
+    #: power ladder), so they are gathered once per sector rather than
+    #: once per candidate.
+    window_cache: Dict[Tuple[int, Box, bool], tuple] = field(
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -180,8 +186,8 @@ def score_windows(engine, baseline: RoiBaseline,
 
     ``windows`` pairs each config with its ``(changed, box)`` (see
     :func:`score_candidate`).  Each score is bitwise identical to
-    scoring that config alone, and to ``engine.evaluate_batch`` + the
-    per-candidate weighted reduction, whatever else is in the batch.
+    scoring that config alone, whatever else is in the batch, and to
+    the utility of a full evaluation of it.
     Candidates are stacked in chunks of at most :data:`STACK_CELLS`
     cells (at least one candidate each), and every one is counted
     (:func:`count_windowed`).
@@ -207,8 +213,9 @@ def _score_chunk(engine, baseline: RoiBaseline,
     passes over a ``(k, H, W)`` stack (see DESIGN.md, "Scoring
     workspace")."""
     work = engine.workspace
-    state = baseline.incumbent.state
-    plane = baseline.incumbent.total_mw.dtype
+    incumbent = baseline.incumbent
+    state = incumbent.state
+    plane = incumbent.total_mw.dtype
     areas = [box_area(box) for _, box in windows]
     size = sum(areas)
     best = work.take("best", plane, size)
@@ -217,29 +224,37 @@ def _score_chunk(engine, baseline: RoiBaseline,
     wins = work.take("wins", bool, size)
     tie = work.take("tie", bool, size)
     at = 0
-    for config, (changed, box), area in zip(configs, windows, areas):
-        cut = slice(at, at + area)
-        at += area
-        old, total0, comp_val, comp_idx = _window_inputs(
-            baseline, config, changed, box)
-        new, w, e = best[cut], wins[cut], tie[cut]
+    for (changed, box), run in groupby(zip(configs, windows),
+                                       key=itemgetter(1)):
+        run = [config for config, _ in run]
+        r0, r1, c0, c1 = box
+        area = (r1 - r0) * (c1 - c0)
         # An explicit shape: an empty window cannot infer a -1 axis.
-        engine._sector_plane_mw_window(
-            config, changed, box,
-            out=new.reshape(box[1] - box[0], box[3] - box[2]))
-        # The dense batch path's incremental total, restricted to the
-        # window (outside it new - old is exactly 0-0).
-        np.add(total0, np.subtract(new, old, out=total[cut]),
-               out=total[cut])
-        # wins = (new > comp) | ((new == comp) & (changed < comp_idx))
-        np.greater(new, comp_val, out=w)
-        np.equal(new, comp_val, out=e)
-        np.greater(comp_idx, changed, out=e, where=e)
-        w |= e
-        np.copyto(raw[cut], comp_idx)
-        np.copyto(raw[cut], changed, where=w)
-        # ``new`` becomes the best plane in place.
-        np.copyto(new, comp_val, where=np.logical_not(w, out=e))
+        news = best[at:at + len(run) * area].reshape(len(run), r1 - r0,
+                                                     c1 - c0)
+        for config, new in zip(run, news):
+            engine._sector_plane_mw_window(config, changed, box, out=new)
+        # The total's window: the sum tree's walk from the changed leaf
+        # to the root, each sibling added once for the run.
+        path = total[at:at + len(run) * area].reshape(news.shape)
+        np.copyto(path, news)
+        inputs = [_window_inputs(baseline, config, changed, box)
+                  for config in run]
+        for sibling in inputs[0][0]:
+            np.add(path, sibling, out=path)
+        for _, comp_val, comp_idx in inputs:
+            cut = slice(at, at + area)
+            at += area
+            new, w, e = best[cut], wins[cut], tie[cut]
+            # wins = (new > comp) | ((new == comp) & (changed < comp_idx))
+            np.greater(new, comp_val, out=w)
+            np.equal(new, comp_val, out=e)
+            np.greater(comp_idx, changed, out=e, where=e)
+            w |= e
+            np.copyto(raw[cut], comp_idx)
+            np.copyto(raw[cut], changed, where=w)
+            # ``new`` becomes the best plane in place.
+            np.copyto(new, comp_val, where=np.logical_not(w, out=e))
     sinr = engine._sinr_raster(
         engine._interference_mw(total, best, out=total), best, out=total)
     rmax, serving = engine._link_rasters(
@@ -301,14 +316,16 @@ def _score_chunk(engine, baseline: RoiBaseline,
 
 def _window_inputs(baseline: RoiBaseline, config: Configuration,
                    changed: int, box: Box):
-    """The baseline side of one window, flattened: the changed
-    sector's old plane, the incumbent total and the serving comparator
-    pair.  Where ``config``'s setting of ``changed`` dominates the
-    incumbent's (:func:`~repro.model.network.dominates`) the sector
-    keeps every cell it served, and the comparator is the incumbent's
-    ``best_mw`` / ``raw_serving`` window: the capture test then keeps
-    each such cell on ``changed`` whether its new value ties the old
-    one or exceeds it.  Any other candidate compares against
+    """The baseline side of one window: the sibling windows of the sum
+    tree's walk from ``changed`` (see
+    :meth:`~repro.model.engine.DeltaIncumbent.siblings`) and the
+    serving comparator pair, flattened.  Where
+    ``config``'s setting of ``changed`` dominates the incumbent's
+    (:func:`~repro.model.network.dominates`) the sector keeps every
+    cell it served, and the comparator is the incumbent's ``best_mw`` /
+    ``raw_serving`` window: the capture test then keeps each such cell
+    on ``changed`` whether its new value ties the old one or exceeds
+    it.  Any other candidate compares against
     :meth:`~repro.model.engine.DeltaIncumbent.runner_up`, as
     ``evaluate_batch`` compares.  Outside the window the changed
     sector's plane is zero before and after, so the wins test is a
@@ -319,16 +336,14 @@ def _window_inputs(baseline: RoiBaseline, config: Configuration,
     key = (changed, box, dominant)
     cached = baseline.window_cache.get(key)
     if cached is None:
-        r0, r1, c0, c1 = box
-        win = (slice(r0, r1), slice(c0, c1))
         if dominant:
+            win = (slice(box[0], box[1]), slice(box[2], box[3]))
             comp_val = incumbent.best_mw[win]
             comp_idx = incumbent.raw_serving[win]
         else:
             comp_val, comp_idx = incumbent.runner_up(changed, box)
-        cached = (incumbent.rows[changed][win].ravel(),
-                  incumbent.total_mw[win].ravel(),
-                  comp_val.ravel(), comp_idx.ravel())
+        cached = (incumbent.siblings(changed, box), comp_val.ravel(),
+                  comp_idx.ravel())
         if len(baseline.window_cache) < 512:
             baseline.window_cache[key] = cached
     return cached

@@ -246,7 +246,7 @@ class RunReport:
         ``magus.evaluator.reanchors`` how often candidate scoring had
         to re-anchor on its parent, and
         ``magus.evaluator.state_rebuilds`` how often a memoized state
-        that only a confirmation had needed was asked for after it was
+        that only a utility lookup had needed was asked for after it was
         freed, and ``magus.evaluator.score_hits`` how many windowed
         candidate scores came from the per-anchor memo; empty under
         ``--no-delta`` (or when nothing was evaluated), keeping

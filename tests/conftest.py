@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import Evaluator
+from repro.core.plan import Parameter
 from repro.model.antenna import AntennaPattern, TiltRange
 from repro.model.engine import AnalysisEngine
 from repro.model.fields import correlated_gaussian_field
@@ -47,6 +48,30 @@ def make_sectors(positions: Sequence[tuple],
             tilt_range=TiltRange(normal_deg=4.0, min_deg=0.0,
                                  max_deg=8.0, step_deg=1.0)))
     return sectors
+
+
+def assert_step_utilities_exact(result, engine: AnalysisEngine,
+                                ue_density: np.ndarray,
+                                utility: str = "performance") -> None:
+    """Every recorded utility of a :class:`TuningResult` — each step's
+    and the final one — equals a fresh ``strategy="full"`` evaluator's
+    ``utility_of`` of that configuration, bit for bit."""
+    reference = Evaluator(engine, ue_density, utility, strategy="full")
+    config = result.initial_config
+    assert repr(result.initial_utility) == repr(reference.utility_of(config))
+    for step in result.steps:
+        change = step.change
+        if change.parameter is Parameter.POWER:
+            config = config.with_power(change.sector_id, change.new_value)
+        elif change.parameter is Parameter.TILT:
+            config = config.with_tilt(change.sector_id, change.new_value)
+        else:
+            config = config.with_azimuth_offset(change.sector_id,
+                                                change.new_value)
+        assert repr(step.utility) == repr(reference.utility_of(config))
+    assert config == result.final_config
+    assert repr(result.final_utility) == repr(
+        reference.utility_of(result.final_config))
 
 
 @pytest.fixture

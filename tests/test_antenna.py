@@ -104,6 +104,29 @@ class TestTiltRange:
         assert tr.clamp(-5.0) == 0.0
         assert tr.clamp(99.0) == 8.0
 
+    @pytest.mark.parametrize("tilt_range", [
+        TiltRange(),
+        TiltRange(normal_deg=2.0, min_deg=-1.5, max_deg=9.3, step_deg=0.7)])
+    def test_clamp_matches_first_argmin(self, tilt_range):
+        """The bisected clamp equals the nearest-setting formula with
+        ``argmin``'s first-minimum rule on a dense sweep: every
+        setting, every midpoint (which snaps down) and out-of-range
+        values."""
+        settings = tilt_range.settings
+        midpoints = [(a + b) / 2 for a, b in zip(settings, settings[1:])]
+        sweep = (list(np.linspace(settings[0] - 3.0, settings[-1] + 3.0,
+                                  2001))
+                 + list(settings) + midpoints + [-1e6, 1e6])
+        for tilt in sweep:
+            want = settings[int(np.argmin([abs(s - tilt)
+                                           for s in settings]))]
+            assert tilt_range.clamp(tilt) == want, tilt
+        ties = [(a, m) for a, b, m in zip(settings, settings[1:], midpoints)
+                if m - a == b - m]
+        assert [tilt_range.clamp(m) for _, m in ties] == [a for a, _ in ties]
+        assert ties or tilt_range != TiltRange()
+        assert tilt_range.settings is settings
+
     def test_uptilt_downtilt_directions(self):
         tr = TiltRange(normal_deg=4.0, step_deg=0.5)
         assert tr.uptilted(4.0) == 3.5

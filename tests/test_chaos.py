@@ -242,6 +242,8 @@ class TestChaosPlan:
             ChunkDelay(times=0)
         with pytest.raises(ValueError, match="mode"):
             ArtifactFaults(mode="explode")
+        with pytest.raises(ValueError, match="unknown artifact kind"):
+            ArtifactFaults(kinds=("plossdb",))
 
     def test_missing_file_actionable(self, tmp_path):
         with pytest.raises(ValueError, match="cannot load chaos plan"):
@@ -261,9 +263,12 @@ class TestChaosPlan:
          r"'delay\.seconds' must be a number, not nan"),
         (b'{"artifacts": {"kinds": "checkpoint"}}',
          r"'artifacts\.kinds' must be a JSON list"),
+        (b'{"artifacts": {"kinds": ["chekpoint"]}}',
+         r"'artifacts\.kinds\[0\]' must be one of \['checkpoint', "
+         r"'report', 'flight', 'trace'\], not 'chekpoint'"),
     ], ids=["misspelled-key", "wrong-type", "section-not-object",
             "top-level-key", "top-level-list", "bad-utf8", "bool-at-chunk",
-            "nan-seconds", "text-kinds"])
+            "nan-seconds", "text-kinds", "unknown-kind"])
     def test_malformed_plan_names_file_and_key(self, tmp_path, payload,
                                                named):
         path = tmp_path / "plan.json"

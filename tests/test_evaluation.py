@@ -242,6 +242,22 @@ class TestStateLifetime:
         assert any(inc.state is state for inc in rebuilt._incumbents)
         assert state.rate_bps.tobytes() == want_state.rate_bps.tobytes()
 
+    def test_baselines_only_of_ring_anchors(self, toy_engine, toy_network,
+                                            toy_density):
+        """A baseline whose anchor leaves the ring is dropped with it,
+        so no baseline pins an incumbent the ring let go of."""
+        import gc
+        from repro.model.engine import DeltaIncumbent
+        ev = Evaluator(toy_engine, toy_density)
+        self._chain(ev, toy_network.planned_configuration(), 6)
+        assert ev._roi_baselines
+        anchors = {(inc.config, inc.epoch) for inc in ev._incumbents}
+        assert set(ev._roi_baselines) <= anchors
+        gc.collect()
+        live = [obj for obj in gc.get_objects()
+                if isinstance(obj, DeltaIncumbent)]
+        assert len(live) <= len(ev._incumbents) + (ev._spare is not None)
+
     def test_state_of_twice_is_one_object(self, registry, toy_engine,
                                           toy_network, toy_density):
         ev = Evaluator(toy_engine, toy_density)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import planning
 from repro.core.evaluation import Evaluator
 from repro.core.planning import (_EPS, PlanningSettings, _moves,
                                  optimize_planned_configuration)
@@ -74,7 +75,7 @@ def clipped_packed_market(tmp_path, toy_grid, toy_network):
 
 class TestBatchedPlanningParity:
     """The batched screen plans bit for bit what the canonical loop
-    plans, while confirming only the winners canonically."""
+    plans, taking each winner at its windowed score."""
 
     def test_toy_evaluator(self, toy_engine, toy_density, toy_network):
         _assert_batched_matches_canonical(
@@ -107,61 +108,74 @@ class TestBatchedPlanningParity:
             assert (registry.counter("magus.engine.roi_cells").value
                     == evaluations * H * W)
 
-    def test_one_canonical_call_per_committed_move(self, toy_evaluator,
-                                                   toy_network,
-                                                   monkeypatch):
+    def test_one_anchor_per_committed_sector(self, toy_evaluator,
+                                             toy_network, monkeypatch):
+        """Each sector's line search scores every step against the
+        configuration it started from: that start is its one anchored
+        evaluation, paid by its first screen, whatever the number of
+        moves the search then commits."""
         start = toy_network.planned_configuration()
+        engine = toy_evaluator.engine
         events = []
-        utility_of = toy_evaluator.utility_of
         score_candidates = toy_evaluator.score_candidates
-
-        def spy_utility(config):
-            events.append(("canonical", config))
-            return utility_of(config)
 
         def spy_scores(configs, parent=None):
             events.append(("screen", parent, list(configs)))
             return score_candidates(configs, parent=parent)
 
-        monkeypatch.setattr(toy_evaluator, "utility_of", spy_utility)
+        for name in ("evaluate_with_incumbent", "evaluate_delta"):
+            def spy(config_or_incumbent, *args, _real=getattr(engine, name),
+                    _name=name):
+                config = args[0] if _name == "evaluate_delta" \
+                    else config_or_incumbent
+                events.append(("anchor", config))
+                return _real(config_or_incumbent, *args)
+            monkeypatch.setattr(engine, name, spy)
         monkeypatch.setattr(toy_evaluator, "score_candidates", spy_scores)
+        steps = []
+
+        def spy_moves(network, config, *args):
+            steps.append(config)
+            return moves(network, config, *args)
+
+        moves = planning._moves
+        monkeypatch.setattr(planning, "_moves", spy_moves)
         planned = optimize_planned_configuration(toy_evaluator,
                                                  toy_network, start)
-        canonical = [e[1] for e in events if e[0] == "canonical"]
-        screens = [e for e in events if e[0] == "screen"]
-        parents = [e[1] for e in screens]
-        commits = sum(a != b for a, b in zip(parents, parents[1:]))
-        assert commits > 0
-        # The start, then one confirmation per committed move; every
-        # confirmed configuration is the parent of the next screen
-        # (no confirmation was rejected on the toy world).
-        assert canonical[0] == start
-        assert len(canonical) == 1 + commits
-        assert canonical[1:] == [b for a, b in zip(parents, parents[1:])
-                                 if a != b]
-        assert canonical[-1] == planned
-        trials = sum(len(e[2]) for e in screens)
-        assert len(canonical) < trials
+        anchors = [e[1] for e in events if e[0] == "anchor"]
+        parents = [e[1] for e in events if e[0] == "screen"]
+        starts = [p for i, p in enumerate(parents)
+                  if i == 0 or p != parents[i - 1]]
+        # The start, then each committed line search's result, anchored
+        # once where it first screens.
+        assert anchors == starts
+        assert planned in toy_evaluator._cache
+        # Some line search committed several moves: fewer anchors than
+        # configurations visited.
+        visited = [c for i, c in enumerate(steps) if i == 0
+                   or c != steps[i - 1]]
+        assert len(anchors) < len(visited)
 
-    def test_rejected_confirmation_stops_the_sector(self, toy_network):
-        """A screen that over-rates a trial costs one canonical call and
-        ends that sector's line search without committing the trial."""
-        start = toy_network.planned_configuration()
-        canonical_calls = []
+    def test_committed_scores_equal_full_utility(self, toy_evaluator,
+                                                 toy_engine, toy_density,
+                                                 toy_network, monkeypatch):
+        """Every screened score, each committed move's among them,
+        equals a fresh full evaluation of its trial bit for bit."""
+        scored = []
+        score_candidates = toy_evaluator.score_candidates
 
-        class SkewedScreen:
-            def utility_of(self, config):
-                canonical_calls.append(config)
-                return 0.0
+        def spy_scores(configs, parent=None):
+            scores = score_candidates(configs, parent=parent)
+            scored.extend(zip(configs, scores))
+            return scores
 
-            def score_candidates(self, configs, parent=None):
-                return [1.0 if c.power_dbm(0) > start.power_dbm(0) else 0.0
-                        for c in configs]
-
-        planned = optimize_planned_configuration(
-            SkewedScreen(), toy_network, start)
-        assert planned == start
-        assert len(canonical_calls) == 2     # the start + one rejection
+        monkeypatch.setattr(toy_evaluator, "score_candidates", spy_scores)
+        optimize_planned_configuration(toy_evaluator, toy_network,
+                                       toy_network.planned_configuration())
+        reference = Evaluator(toy_engine, toy_density, strategy="full")
+        assert scored
+        assert [repr(score) for _, score in scored] == \
+            [repr(reference.utility_of(trial)) for trial, _ in scored]
 
 
 class TestPlanning:

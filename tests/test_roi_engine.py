@@ -32,7 +32,7 @@ from repro.faults.chaos import ChaosInjector, ChaosPlan, WorkerKill
 from repro.model import engine as engine_module
 from repro.model.engine import AnalysisEngine, DeltaIncumbent, Workspace
 from repro.model.geometry import GridSpec, Region
-from repro.model.linkrate import LinkAdaptation
+from repro.model.linkrate import CQI_SINR_THRESHOLDS_DB, LinkAdaptation
 from repro.model.load import uniform_per_sector_density
 from repro.model.network import CellularNetwork, Configuration, dominates
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
@@ -437,12 +437,15 @@ def _many_sector_world() -> _World:
 
 
 class TestDeltaRetainsRowsNotStack:
-    """A windowed delta keeps k new rows, never a copy of the stack:
-    the unit-scale stand-in for the paper-scale memory question."""
+    """A windowed delta keeps k new rows and their paths in the sum
+    tree, never a copy of the stack: the unit-scale stand-in for the
+    paper-scale memory question."""
 
     def test_one_delta_retains_under_half_the_stack(self):
         # With three sectors, a child's own total, best and serving
-        # rasters alone would outweigh half a stack.
+        # rasters alone would outweigh half a stack.  The changed row's
+        # ceil(log2 S) ancestors in the sum tree (the total among them)
+        # are new planes too: they are counted apart from the bound.
         world = _many_sector_world()
         engine, density = world.engine, world.density
         network, grid = world.network, engine.grid
@@ -462,11 +465,16 @@ class TestDeltaRetainsRowsNotStack:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        stack_bytes = (network.n_sectors * grid.shape[0] * grid.shape[1]
+        plane_bytes = (grid.shape[0] * grid.shape[1]
                        * engine.pathloss.plane_dtype.itemsize)
-        assert retained < stack_bytes / 2
+        stack_bytes = network.n_sectors * plane_bytes
+        path = [i for i, _ in engine_module._sum_tree(network.n_sectors)[1][4]]
+        assert retained - (len(path) - 1) * plane_bytes < stack_bytes / 2
         assert sum(row is not prow for row, prow
                    in zip(child.rows, parent.rows)) == 1
+        assert [i for i, (node, pnode) in enumerate(zip(child.nodes,
+                                                        parent.nodes))
+                if node is not pnode] == sorted(path)
 
 
 # ----------------------------------------------------------------------
@@ -934,8 +942,27 @@ def _stack_incumbent(planes, boxes) -> DeltaIncumbent:
                       for box in boxes], dtype=np.int64)
     serving = planes.argmax(axis=0).astype(np.int32)
     best = np.take_along_axis(planes, serving[None], axis=0)[0]
-    return DeltaIncumbent(None, tuple(planes), table, planes.sum(axis=0),
+    nodes = _halving_nodes(planes)
+    return DeltaIncumbent(None, tuple(planes), table, nodes,
+                          [plane_footprint(node) for node in nodes],
                           serving, best, epoch=0)
+
+
+def _halving_nodes(planes):
+    """The internal planes of the recursive-halving sum of ``planes``
+    in sector order, in post-order (the total last): the reference
+    for the engine's pairwise sum tree."""
+    nodes = []
+
+    def node(lo, hi):
+        if hi - lo == 1:
+            return planes[lo]
+        mid = (lo + hi) // 2
+        nodes.append(node(lo, mid) + node(mid, hi))
+        return nodes[-1]
+
+    node(0, len(planes))
+    return nodes
 
 
 @st.composite
@@ -1507,6 +1534,17 @@ def _backends(worlds, tmp_path):
     return out
 
 
+def _full_plane_product(engine, config, s):
+    """Sector ``s``'s full-plane product ``gain_matrix_mw * factor``
+    under ``config`` (zero off-air)."""
+    setting = config.settings[s]
+    if not setting.active:
+        return np.zeros(engine.grid.shape, engine.pathloss.plane_dtype)
+    gain = engine.pathloss.gain_matrix_mw(s, setting.tilt_deg,
+                                          setting.azimuth_offset_deg)
+    return gain * engine_module._plane_factor(config, s, gain.dtype)
+
+
 def _row_configs(network):
     """The planned configuration, then per sector: both ends of its
     tilt ladder, a tilt between two rungs (off every pack's ladder),
@@ -1544,15 +1582,9 @@ class TestSectorRowProducer:
             for config in _row_configs(network):
                 for s, setting in enumerate(config.settings):
                     row, box = engine._sector_row(config, s)
-                    if setting.active:
-                        gain = db.gain_matrix_mw(
-                            s, setting.tilt_deg, setting.azimuth_offset_deg)
-                        want = gain * engine_module._plane_factor(
-                            config, s, gain.dtype)
-                        off_ladder += bool(ladder) and \
-                            setting.tilt_deg not in ladder
-                    else:
-                        want = np.zeros(engine.grid.shape, db.plane_dtype)
+                    want = _full_plane_product(engine, config, s)
+                    off_ladder += (bool(ladder) and setting.active
+                                   and setting.tilt_deg not in ladder)
                     assert row.dtype == want.dtype == db.plane_dtype
                     assert row.tobytes() == want.tobytes(), (name, s,
                                                              setting)
@@ -1584,8 +1616,10 @@ class TestSectorRowProducer:
                                   for s in range(n)])
                 serving = stack.argmax(axis=0).astype(np.int32)
                 best = np.take_along_axis(stack, serving[None], axis=0)[0]
-                assert (incumbent.total_mw.tobytes()
-                        == stack.sum(axis=0).tobytes()), name
+                products = np.stack([_full_plane_product(engine, config, s)
+                                     for s in range(n)])
+                total = (_halving_nodes(products) or products)[-1]
+                assert incumbent.total_mw.tobytes() == total.tobytes(), name
                 assert incumbent.raw_serving.tobytes() == serving.tobytes()
                 assert incumbent.best_mw.tobytes() == best.tobytes()
                 assert incumbent.boxes.tolist() == [
@@ -1624,3 +1658,164 @@ class TestNoGainStack:
             select_targets(area, UpgradeScenario.FULL_SITE), tuning="joint")
         assert plan.tuning.steps
         magus.gradual_schedule(plan)
+
+
+# ----------------------------------------------------------------------
+def _full_utilities(engine, density, configs, utility=_UTILITY):
+    """``utility_of`` of each config under a fresh full evaluator."""
+    reference = Evaluator(engine, density, utility, strategy="full")
+    return [repr(reference.utility_of(config)) for config in configs]
+
+
+class TestScoresEqualFullUtility:
+    """A windowed score walks the same pairwise sum tree as a full
+    evaluation, so ``score_candidates`` equals a fresh
+    ``strategy="full"`` evaluator's ``utility_of`` bit for bit."""
+
+    def test_every_world_and_backend(self, registry, worlds, tmp_path):
+        """Every candidate kind and a rotated one, on a lit and a dark
+        base, then against a delta-built anchor one sector away, on
+        the dict, in-memory packed and file-backed packed backends."""
+        for name, network, engine in _backends(worlds, tmp_path):
+            planned = network.planned_configuration()
+            density = uniform_per_sector_density(
+                engine.evaluate(planned, np.zeros(engine.grid.shape)), 90.0)
+            for base in (planned,
+                         planned.with_offline([network.n_sectors - 1])):
+                ev = Evaluator(engine, density, _UTILITY)
+                ev.utility_of(base)
+                rung = base.with_tilt(0, network.sector(0).tilt_range
+                                      .uptilted(base.tilt_deg(0)))
+                for anchor in (base, rung):
+                    configs = (_candidate_kinds(network, anchor)
+                               + [anchor.with_azimuth_offset(0, 10.0)])
+                    scores = ev.score_candidates(configs, parent=anchor)
+                    assert [repr(s) for s in scores] == _full_utilities(
+                        engine, density, configs), name
+        assert registry.counter("magus.engine.roi_evaluations").value > 0
+
+    def test_chunk_boundaries_and_shuffles(self, monkeypatch, worlds):
+        """Shuffled batches cut into chunks of two candidates: chunk
+        edges split the runs that share a sibling walk."""
+        rng = np.random.default_rng(0)
+        for world in worlds:
+            engine, density = world.engine, world.density
+            base = world.network.planned_configuration()
+            configs = (_candidate_kinds(world.network, base)
+                       + _composition_batch(world, [], 0, base)[1:])
+            want = _full_utilities(engine, density, configs)
+            for cells in (None, 2 * engine.grid.shape[0]
+                          * engine.grid.shape[1]):
+                if cells:
+                    monkeypatch.setattr(roi, "STACK_CELLS", cells)
+                for _ in range(3):
+                    order = rng.permutation(len(configs))
+                    ev = Evaluator(engine, density, _UTILITY)
+                    ev.utility_of(base)
+                    got = ev.score_candidates([configs[i] for i in order],
+                                              parent=base)
+                    assert [repr(got[j]) for j in np.argsort(order)] == \
+                        want, world.name
+
+
+def _straddling_world(toy_grid):
+    """Two sectors facing each other, an engine whose noise floor puts
+    one cell's SINR between the windowed total of the incremental
+    update ``total + (new - old)`` and the sum-tree total, across a CQI
+    threshold; the base configuration and the candidate (sector 1 up
+    1 dB).  With two sectors the tree total is also the sequential
+    one."""
+    network = CellularNetwork(make_sectors(
+        [(-400.0, 0.0), (400.0, 0.0)], azimuths=[90.0, 270.0],
+        power_dbm=35.0, max_power_dbm=41.0))
+    pathloss = PathLossDatabase.from_environment(
+        network, Environment.flat(toy_grid), shadowing_sigma_db=0.0, seed=0)
+    link = LinkAdaptation()
+    base = network.planned_configuration()
+    candidate = base.with_power(1, base.power_dbm(1) + 1.0)
+    engine = AnalysisEngine(pathloss, link=link)
+    density = uniform_per_sector_density(
+        engine.evaluate(base, np.zeros(toy_grid.shape)), 90.0)
+    r0 = engine._sector_row(base, 0)[0]
+    r1 = engine._sector_row(base, 1)[0]
+    r1_new = engine._sector_row(candidate, 1)[0]
+    tree = r0 + r1_new
+    update = (r0 + r1) + (r1_new - r1)
+    best = np.maximum(r0, r1_new)
+
+    def rate(noise_dbm, total, cell):
+        probe = AnalysisEngine(pathloss, link=link, noise_dbm=noise_dbm)
+        b = best.reshape(-1)[cell:cell + 1]
+        t = total.reshape(-1)[cell:cell + 1]
+        sinr = probe._sinr_raster(probe._interference_mw(t, b), b)
+        return link.max_rate_bps(sinr)[0], sinr[0]
+
+    cells = np.flatnonzero((tree != update).ravel()
+                           & (density.ravel() > 0))
+    for cell in cells:
+        t, u = tree.reshape(-1)[cell], update.reshape(-1)[cell]
+        low, high = (tree, update) if t > u else (update, tree)
+        clean = rate(-400.0, low, cell)[1]
+        below = [thr for thr in CQI_SINR_THRESHOLDS_DB if thr < clean - 0.1]
+        if not below:
+            continue
+        thr = below[-1]
+        # The lower SINR (larger total) falls below ``thr`` at a
+        # noise floor the higher one still clears.
+        lo, hi = -400.0, 0.0
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            if rate(mid, low, cell)[1] >= thr:
+                lo = mid
+            else:
+                hi = mid
+        if rate(hi, high, cell)[1] >= thr > rate(hi, low, cell)[1]:
+            return (AnalysisEngine(pathloss, link=link, noise_dbm=hi),
+                    density, base, candidate)
+    raise AssertionError("no straddling cell found")
+
+
+class TestCqiStraddle:
+    def test_score_equals_full_utility_at_a_threshold(self, toy_grid):
+        """The crafted cell: the incremental update would land it on
+        the other side of a CQI threshold than ``utility_of`` does."""
+        engine, density, base, candidate = _straddling_world(toy_grid)
+        state = engine.evaluate(candidate, density)
+        r0 = engine._sector_row(base, 0)[0]
+        r1 = engine._sector_row(base, 1)[0]
+        r1_new = engine._sector_row(candidate, 1)[0]
+        update = (r0 + r1) + (r1_new - r1)
+        moved = engine._link_rasters(
+            engine._sinr_raster(engine._interference_mw(
+                update, np.maximum(r0, r1_new)), np.maximum(r0, r1_new)),
+            np.maximum(r0, r1_new), state.raw_serving)[0]
+        assert (moved != state.max_rate_bps).sum() >= 1
+        ev = Evaluator(engine, density, _UTILITY)
+        ev.utility_of(base)
+        score, = ev.score_candidates([candidate], parent=base)
+        assert [repr(score)] == _full_utilities(engine, density,
+                                                [candidate])
+
+
+class TestBoxesDerivedOnce:
+    def test_one_setting_box_per_sector(self, monkeypatch, worlds):
+        """A dense evaluation derives each sector's box once: the row
+        producer returns it, and the window is the union of those."""
+        for world in worlds:
+            engine, density = world.engine, world.density
+            calls = []
+            real = engine._setting_box
+
+            def spy(sector_id, setting, _real=real):
+                calls.append(sector_id)
+                return _real(sector_id, setting)
+
+            monkeypatch.setattr(engine, "_setting_box", spy)
+            config = world.network.planned_configuration()
+            engine.evaluate(config, density)
+            assert calls == list(range(world.network.n_sectors))
+            del calls[:]
+            engine.evaluate_with_incumbent(config, density)
+            assert calls == list(range(world.network.n_sectors))

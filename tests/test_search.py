@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import joint, search
+from repro.core import joint
 from repro.core.evaluation import Evaluator
 from repro.core.joint import tune_joint
 from repro.core.plan import Parameter
@@ -15,6 +15,8 @@ from repro.model.engine import AnalysisEngine
 from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
 from repro.model.pathloss import PathLossDatabase
+
+from conftest import assert_step_utilities_exact
 
 
 @pytest.fixture
@@ -249,18 +251,8 @@ class TestCapturePrefilter:
 
 
 # ----------------------------------------------------------------------
-# Confirmations: only winners that beat the incumbent
+# Exact step utilities: winners are taken at their scores
 # ----------------------------------------------------------------------
-def _confirm_every_winner(monkeypatch):
-    """Restore the rule that confirms every winner, rejected or not."""
-    real = search._best_candidate
-
-    def confirm_all(*args):
-        return real(*args[:-1], -np.inf)
-
-    monkeypatch.setattr(search, "_best_candidate", confirm_all)
-
-
 def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -273,33 +265,34 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-class TestWinnerConfirmation:
-    @pytest.mark.parametrize("prefilter", ["sinr", "none"])
-    def test_rejected_winner_is_not_confirmed(self, toy_engine, toy_density,
-                                              toy_network, monkeypatch,
-                                              prefilter):
-        settings = PowerSearchSettings(prefilter=prefilter)
+class TestStepUtilitiesExact:
+    @pytest.mark.parametrize("prefilter", ["sinr", "rate", "none"])
+    def test_power_steps_equal_full_utility(self, toy_engine, toy_density,
+                                            toy_network, monkeypatch,
+                                            prefilter):
+        """Every recorded step utility equals a full evaluation of the
+        step's configuration; the scored filters ask ``utility_of``
+        only for the start."""
         c_before = toy_network.planned_configuration()
-        runs = {}
-        for rule in ("screen", "confirm-all"):
-            with monkeypatch.context() as patch:
-                if rule == "confirm-all":
-                    _confirm_every_winner(patch)
-                ev = Evaluator(toy_engine, toy_density)
-                baseline = ev.state_of(c_before)
-                calls = _count_calls(patch, ev, "utility_of")
-                result = tune_power(ev, toy_network,
-                                    c_before.with_offline([1]), baseline,
-                                    [1], settings)
-                runs[rule] = (result, len(calls))
-        screened, confirmed_all = runs["screen"], runs["confirm-all"]
-        assert screened[0].final_config == confirmed_all[0].final_config
-        assert [s.utility for s in screened[0].steps] == \
-            [s.utility for s in confirmed_all[0].steps]
-        # The start, then one confirmation per accepted step only.
-        assert screened[1] == 1 + screened[0].n_steps
-        # The old rule also confirmed the winners it then rejected.
-        assert confirmed_all[1] > screened[1]
+        ev = Evaluator(toy_engine, toy_density)
+        baseline = ev.state_of(c_before)
+        calls = _count_calls(monkeypatch, ev, "utility_of")
+        result = tune_power(ev, toy_network, c_before.with_offline([1]),
+                            baseline, [1],
+                            PowerSearchSettings(prefilter=prefilter))
+        assert result.n_steps > 0
+        assert_step_utilities_exact(result, toy_engine, toy_density)
+        if prefilter != "rate":
+            assert len(calls) == 1
+
+    def test_joint_steps_equal_full_utility(self, toy_engine, toy_density,
+                                            toy_network):
+        c_before = toy_network.planned_configuration()
+        ev = Evaluator(toy_engine, toy_density)
+        result = tune_joint(ev, toy_network, c_before.with_offline([1]),
+                            ev.state_of(c_before), [1])
+        assert result.n_steps > 0
+        assert_step_utilities_exact(result, toy_engine, toy_density)
 
 
 class TestJointPowerOnlyPass:

@@ -16,7 +16,7 @@ from repro.model.pathloss import PathLossDatabase
 from repro.model.propagation import Environment
 from repro.obs import MetricsRegistry, use_registry
 
-from conftest import make_sectors
+from conftest import assert_step_utilities_exact, make_sectors
 
 
 @pytest.fixture
@@ -97,17 +97,14 @@ def _eager_sweep_sector(evaluator, network, config, f_current, sector_id,
     for new_tilt, trial, score in zip(ladder, trials, scores):
         if score <= f_current + tilt._EPS:
             break
-        f_trial = evaluator.utility_of(trial)
-        if f_trial <= f_current + tilt._EPS:
-            break
         steps.append(SearchStep(
             change=ConfigChange(sector_id=sector_id,
                                 parameter=Parameter.TILT,
                                 old_value=config.tilt_deg(sector_id),
                                 new_value=new_tilt),
-            utility=f_trial, candidates_evaluated=1))
+            utility=score, candidates_evaluated=1))
         config = trial
-        f_current = f_trial
+        f_current = score
     return config, f_current
 
 
@@ -176,6 +173,22 @@ def _assert_same_result(got, want):
     assert got.termination == want.termination
 
 
+class TestStepUtilitiesExact:
+    @pytest.mark.parametrize("allow_downtilt", [False, True])
+    def test_steps_equal_full_utility(self, worlds, allow_downtilt):
+        """Accepted rungs are taken at their windowed scores: each
+        recorded utility equals a full evaluation of that rung."""
+        steps = 0
+        for world in worlds:
+            start = world.network.planned_configuration().with_offline([1])
+            result = tune_tilt(world.evaluator(), world.network, start, [1],
+                               TiltSearchSettings(
+                                   allow_downtilt=allow_downtilt))
+            steps += result.n_steps
+            assert_step_utilities_exact(result, world.engine, world.density)
+        assert steps
+
+
 class TestRungWalkParity:
     """The rung-by-rung walk == the eager-ladder sweep, bit for bit,
     while scoring at most one rung past the last accepted one."""
@@ -204,7 +217,7 @@ class TestRungWalkParity:
             def count(name):
                 return snap.get(f"magus.engine.{name}", {}).get("value", 0)
             # Windowed scores count as ROI evaluations only; delta
-            # confirmations and re-anchors count as both.
+            # anchors count as both.
             scored = (meter.spent() if evaluator.strategy == "full" else
                       count("roi_evaluations") - count("delta_evaluations"))
             sweeps.append((scored, len(steps) - accepted))
