@@ -5,11 +5,16 @@ utility function, and answers "how good is configuration C?" — the
 feedback that "guides the selection of configurations iteratively until
 Magus converges to a satisfactory configuration".
 
-Configurations are immutable and hashable, so results are memoized:
-search algorithms freely re-ask about configurations they have seen
-(e.g. the incumbent at every iteration) without re-running the model.
-The evaluator also counts *distinct* model evaluations, which is the
-cost metric of the search-heuristic ablation.
+Configurations are immutable and hashable, so results are memoized in
+one ``f(C)`` memo, an LRU bound by ``cache_size``: search algorithms
+freely re-ask about configurations they have seen (e.g. the incumbent
+at every iteration) without re-running the model.  A memo hit counts
+``magus.evaluator.cache_hits``; a miss is one *distinct* model
+evaluation, windowed or canonical — the cost metric of the
+search-heuristic ablation.  The memo answers for one path-loss model:
+when ``PathLossDatabase.cache_epoch`` moves (an in-place raster edit,
+such as a fault injection), the memo, the delta anchors and their ROI
+baselines are all dropped before the next lookup or scoring call.
 
 The memo keeps every value, but not every state.  A state a caller
 asked for through :meth:`~Evaluator.state_of` (or
@@ -17,18 +22,14 @@ asked for through :meth:`~Evaluator.state_of` (or
 its entry lives.  A state computed only for
 :meth:`~Evaluator.utility_of` is held through a weak reference, so it
 is freed as soon as the two-entry delta ring and the ROI baselines of
-its anchors let go of it; ``utility_of`` only needs the float.  When
-``state_of`` meets an entry whose state is gone it rebuilds it, off
-the books: a delta off the ring anchor with the fewest changed sectors
-(a dense evaluation on a cold ring) that touches neither the ring, nor
-the distinct-evaluation counter, nor any cost meter, nor the memo's
-hit counter, so no plan and no recorded search cost can move;
-``magus.evaluator.state_rebuilds`` counts it.  The rebuilt incumbent
-is parked in a one-slot spare: the next anchoring takes it if it asks
-for the same configuration and cache epoch (as a search re-anchoring
-on the state it just read does), and places it in the ring where a
-fresh evaluation would go.  Under ``strategy="full"`` no ring holds a
-state, so the memo pins every one.
+its anchors let go of it; ``utility_of`` only needs the float.  A
+windowed score (below) enters the memo with no state at all.  When
+``state_of`` meets an entry whose state is gone, or never was, it
+rebuilds it: the configuration is anchored into the ring like a fresh
+evaluation, but the memo already counted its one model evaluation, so
+neither the distinct-evaluation counter nor any cost meter moves;
+``magus.evaluator.state_rebuilds`` counts it.  Under
+``strategy="full"`` no ring holds a state, so the memo pins every one.
 
 Three evaluation strategy names are accepted (``strategy=`` knob):
 
@@ -37,8 +38,8 @@ Three evaluation strategy names are accepted (``strategy=`` knob):
     recently evaluated incumbent they differ from in the fewest sectors
     (:meth:`AnalysisEngine.evaluate_delta` — bitwise identical to the
     full pass).  A full evaluation runs only when no incumbent is
-    usable: a cold ring, or one left stale by a path-loss cache
-    invalidation (``magus.engine.delta_fallbacks`` counts these).
+    usable, as on a cold ring (``magus.engine.delta_fallbacks`` counts
+    these).
 
 ``"full"``
     Every cache miss runs the complete Formula 1-4 pass — the ablation
@@ -56,14 +57,11 @@ region-of-influence windows (the whole grid where a footprint is
 unknown), each group sharing an incumbent in one stacked pass of
 :func:`repro.model.roi.score_windows` (:func:`~repro.model.roi.score_candidate`
 is its one-candidate call) against a :class:`~repro.model.roi.RoiBaseline`,
-a view of that incumbent.  A score is a pure function of its anchor's
-configuration and cache epoch and the candidate, so it is memoized
-under that key (the candidate named by its one changed setting) in an
-LRU bound by ``cache_size``; a hit still counts as a model evaluation
-(``magus.evaluator.score_hits`` counts hits).  A windowed score walks
-the same pairwise sector-sum tree as a full evaluation, so it equals
-:meth:`~Evaluator.utility_of` bit for bit and searches take a winner's
-score as its utility; the scores still stay out of the ``f(C)`` memo.
+a view of that incumbent.  A windowed score walks the same pairwise
+sector-sum tree as a full evaluation, so it equals
+:meth:`~Evaluator.utility_of` bit for bit whatever its anchor, and it
+goes into the ``f(C)`` memo under its candidate: searches take a
+winner's score as its utility, and a later ``utility_of`` is a hit.
 """
 
 from __future__ import annotations
@@ -85,8 +83,9 @@ __all__ = ["Evaluator", "EVALUATION_STRATEGIES"]
 
 EVALUATION_STRATEGIES = ("full", "delta", "parallel")
 
-#: How a memo entry holds its state: strongly, or a weak reference.
-_Held = Union[NetworkState, "weakref.ref[NetworkState]"]
+#: How a memo entry holds its state: strongly, through a weak
+#: reference, or not at all (a windowed score).
+_Held = Optional[Union[NetworkState, "weakref.ref[NetworkState]"]]
 
 
 class Evaluator:
@@ -109,24 +108,22 @@ class Evaluator:
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
         self.strategy = strategy
-        # config -> (state, or a weak reference to it, f(C)); see the
-        # module docstring for which states are pinned.
+        # config -> (state, a weak reference to it or None, f(C)); see
+        # the module docstring for which states are pinned.
         self._cache: "OrderedDict[Configuration, Tuple[_Held, float]]" = \
             OrderedDict()
         self._cache_size = cache_size
+        # The path-loss cache epoch every memoized answer was read at.
+        self._epoch = engine.pathloss.cache_epoch
         # Most-recent delta anchors, parent-first: enough to cover the
         # search pattern of one incumbent probed by many one-sector
         # trials, and chains of moves (tilt ladders, gradual steps).
         self._incumbents: List[DeltaIncumbent] = []
-        # The last rebuilt state's incumbent, until the next _anchor.
-        self._spare: Optional[DeltaIncumbent] = None
-        # ROI baselines of the ring anchors, keyed like them — the
-        # weighted per-UE raster in each is the expensive part worth
-        # keeping across score_candidates calls.
-        self._roi_baselines: "OrderedDict[tuple, _roi.RoiBaseline]" = \
-            OrderedDict()
-        # ((config, epoch) of an anchor, sector, setting) -> score.
-        self._scores: "OrderedDict[tuple, float]" = OrderedDict()
+        # ROI baselines of the ring anchors, keyed by their configs —
+        # the weighted per-UE raster in each is the expensive part
+        # worth keeping across score_candidates calls.
+        self._roi_baselines: \
+            "OrderedDict[Configuration, _roi.RoiBaseline]" = OrderedDict()
         # Always-on distinct-evaluation counter; searches meter their
         # spent cost against it via :meth:`cost_meter`.
         self._eval_counter = Counter("evaluator.model_evaluations")
@@ -181,15 +178,16 @@ class Evaluator:
                          ) -> List[float]:
         """``f(C)`` for each candidate, windowed where possible.
 
-        Candidates that differ from a recent incumbent in exactly one
-        sector are scored through their region-of-influence windows
-        against that incumbent's :class:`~repro.model.roi.RoiBaseline`;
-        the rest (and everything under ``strategy="full"`` or a custom
+        Memo hits are answered from the ``f(C)`` memo.  Candidates that
+        differ from a recent incumbent in exactly one sector are scored
+        through their region-of-influence windows against that
+        incumbent's :class:`~repro.model.roi.RoiBaseline`; the rest (and
+        everything under ``strategy="full"`` or a custom
         ``UtilityFunction.evaluate`` override) go through the canonical
         memoized path.  Every score equals :meth:`utility_of` of its
-        candidate bit for bit, whichever anchor it was scored against;
-        windowed scores stay out of the ``f(C)`` memo.  A memoized
-        score still counts as an evaluation: no search cost moves.
+        candidate bit for bit, whichever anchor it was scored against,
+        and is memoized under its candidate; each miss counts one model
+        evaluation.
 
         ``parent`` is a configuration the candidates are one sector
         from, typically where the caller's line search or ladder
@@ -201,6 +199,7 @@ class Evaluator:
         one whose anchor was evicted is re-anchored, counted by
         ``magus.evaluator.reanchors``.
         """
+        self._check_epoch()
         configs = list(configs)
         scores: List[Optional[float]] = [None] * len(configs)
         registry = get_registry()
@@ -214,10 +213,8 @@ class Evaluator:
             else:
                 remaining.append(i)
         if remaining and self._batchable():
-            epoch = self.engine.pathloss.cache_epoch
             if parent is not None and not any(
-                    inc.config == parent and inc.epoch == epoch
-                    for inc in self._incumbents):
+                    inc.config == parent for inc in self._incumbents):
                 if parent in self._cache:
                     registry.counter("magus.evaluator.reanchors").inc()
                     self._anchor(parent)
@@ -238,6 +235,7 @@ class Evaluator:
                     incumbent, [configs[i] for i in group], changed)
                 for i, value in zip(group, values):
                     scores[i] = value
+                    self._store(configs[i], None, value)
                 self._eval_counter.inc(len(group))
                 registry.counter(
                     "magus.evaluator.model_evaluations").inc(len(group))
@@ -257,56 +255,56 @@ class Evaluator:
     def _score_windowed(self, incumbent: DeltaIncumbent,
                         configs: Sequence[Configuration],
                         changed: Sequence[int]) -> List[float]:
-        """Score single-sector ``configs`` through their ROI windows.
-
+        """Score single-sector ``configs`` through their ROI windows;
         ``changed`` names the sector each config flips vs.
-        ``incumbent``.  Only the memo's misses run the kernel, in
-        their order; a score does not depend on the rest of its batch.
-        """
-        anchor = (incumbent.config, incumbent.epoch)
-        keys = [(anchor, sector, config.settings[sector])
-                for config, sector in zip(configs, changed)]
-        scores = [self._scores.get(key) for key in keys]
-        misses = [i for i, value in enumerate(scores) if value is None]
-        if len(misses) < len(keys):
-            get_registry().counter("magus.evaluator.score_hits").inc(
-                len(keys) - len(misses))
-        if misses:
-            windows = [(changed[i], self.engine.roi_window(
-                incumbent, configs[i], changed[i])) for i in misses]
-            values = _roi.score_windows(
-                self.engine, self._roi_baseline(incumbent),
-                [configs[i] for i in misses], windows, self.ue_density,
-                self.utility)
-            for i, value in zip(misses, values):
-                scores[i] = self._scores[keys[i]] = value
-        for key in keys:
-            self._scores.move_to_end(key)
-        while len(self._scores) > self._cache_size:
-            self._scores.popitem(last=False)
-        return scores
+        ``incumbent``."""
+        windows = [(sector, self.engine.roi_window(incumbent, config,
+                                                   sector))
+                   for config, sector in zip(configs, changed)]
+        return _roi.score_windows(
+            self.engine, self._roi_baseline(incumbent), configs, windows,
+            self.ue_density, self.utility)
 
     def _roi_baseline(self,
                       incumbent: DeltaIncumbent) -> _roi.RoiBaseline:
         # Ring incumbents all ran ``_finish``, so the baseline exists.
-        key = (incumbent.config, incumbent.epoch)
-        hit = self._roi_baselines.get(key)
+        hit = self._roi_baselines.get(incumbent.config)
         if hit is not None:
-            self._roi_baselines.move_to_end(key)
+            self._roi_baselines.move_to_end(incumbent.config)
             return hit
         baseline = _roi.RoiBaseline.from_incumbent(
             incumbent, self.utility, self.ue_density)
         # Mirrors the two-anchor ring: ``_remember`` drops the rest.
-        self._roi_baselines[key] = baseline
+        self._roi_baselines[incumbent.config] = baseline
         return baseline
 
     # ------------------------------------------------------------------
+    def _check_epoch(self) -> None:
+        """Drop every memoized answer once the path-loss caches moved
+        to a new epoch: they were read from the old rasters."""
+        epoch = self.engine.pathloss.cache_epoch
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._cache.clear()
+            self._incumbents = []
+            self._roi_baselines.clear()
+
+    def _store(self, config: Configuration, held: _Held,
+               value: float) -> None:
+        """Memoize ``config`` (when the memo has room at all), evicting
+        the least recently used entries past ``cache_size``."""
+        if self._cache_size > 0:
+            self._cache[config] = (held, value)
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+
     def _lookup(self, config: Configuration, pin: bool = False
                 ) -> Tuple[Optional[NetworkState], float]:
         """``config``'s memo entry: ``(state, f(C))``, the state being
         ``None`` on a hit without ``pin``.  With ``pin`` the entry
         holds its state strongly from then on, rebuilt first if it
-        was dropped."""
+        was dropped or never held."""
+        self._check_epoch()
         hit = self._cache.get(config)
         if hit is not None:
             self._cache.move_to_end(config)
@@ -327,75 +325,49 @@ class Evaluator:
         value = self.utility.evaluate(state)
         self._eval_counter.inc()
         get_registry().counter("magus.evaluator.model_evaluations").inc()
-        if self._cache_size > 0:
-            weak = not pin and self.strategy != "full"
-            self._cache[config] = (weakref.ref(state) if weak else state,
-                                   value)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+        weak = not pin and self.strategy != "full"
+        self._store(config, weakref.ref(state) if weak else state, value)
         return state, value
 
     def _rebuild(self, config: Configuration) -> NetworkState:
-        """The state of a memoized ``config`` whose weak entry died.
+        """The state of a memoized ``config`` whose entry holds none.
 
-        Off the books: the memo already counted this configuration's
-        one model evaluation, so the ring, the distinct-evaluation
-        counter and every cost meter are left as they were (the
-        engine's own counters still see the evaluation);
-        ``magus.evaluator.state_rebuilds`` counts it.  The incumbent
-        waits in the spare slot for the next :meth:`_anchor`.
+        The memo already counted this configuration's one model
+        evaluation, so neither the distinct-evaluation counter nor any
+        cost meter moves (the engine's own counters still see the
+        evaluation); ``magus.evaluator.state_rebuilds`` counts it.
         """
         get_registry().counter("magus.evaluator.state_rebuilds").inc()
-        self._spare = self._evaluate_near(self._nearest(config)[0], config)
-        return self._spare.state
+        return self._anchor(config).state
 
     def _anchor(self, config: Configuration) -> DeltaIncumbent:
         """Evaluate ``config`` into the delta-anchor ring.
 
         A delta from the first ring incumbent with the fewest changed
-        sectors; a full evaluation only when none is usable — a cold
-        ring or a stale cache epoch (``magus.engine.delta_fallbacks``).
-        The spare a rebuild left for the same configuration and cache
-        epoch is taken instead of evaluating; the spare is emptied
-        either way.  A one-sector child is remembered with its parent;
-        any other result goes where a full evaluation's would, so the
-        ring (and the anchor later windowed scores group against) does
-        not depend on how the state was computed.  Leaves the memo
-        cache and the distinct-evaluation counter to the caller.
+        sectors; a full evaluation only when none is usable, as on a
+        cold ring (``magus.engine.delta_fallbacks``).  A one-sector
+        child is remembered with its parent; any other result goes
+        where a full evaluation's would, so the ring (and the anchor
+        later windowed scores group against) does not depend on how
+        the state was computed.  Leaves the memo cache and the
+        distinct-evaluation counter to the caller.
         """
-        parent, fewest = self._nearest(config)
-        child, self._spare = self._spare, None
-        if (child is None or child.config != config
-                or child.epoch != self.engine.pathloss.cache_epoch):
-            child = self._evaluate_near(parent, config)
-        self._remember(parent if fewest is not None and len(fewest) == 1
-                       else None, child)
-        return child
-
-    def _nearest(self, config: Configuration
-                 ) -> Tuple[Optional[DeltaIncumbent],
-                            Optional[Tuple[int, ...]]]:
-        """The first ring incumbent ``config`` changes the fewest
-        sectors of, and those sectors; ``(None, None)`` when no
-        incumbent is usable."""
         parent, fewest = None, None
         for incumbent in self._incumbents:
             changed = self.engine.changed_sectors(incumbent, config)
             if changed is not None and (fewest is None
                                         or len(changed) < len(fewest)):
                 parent, fewest = incumbent, changed
-        return parent, fewest
-
-    def _evaluate_near(self, parent: Optional[DeltaIncumbent],
-                       config: Configuration) -> DeltaIncumbent:
-        """``config`` evaluated as a delta off ``parent``, or densely
-        without one."""
         if parent is not None:
-            return self.engine.evaluate_delta(parent, config,
-                                              self.ue_density)[1]
-        get_registry().counter("magus.engine.delta_fallbacks").inc()
-        return self.engine.evaluate_with_incumbent(config,
-                                                   self.ue_density)[1]
+            child = self.engine.evaluate_delta(parent, config,
+                                               self.ue_density)[1]
+        else:
+            get_registry().counter("magus.engine.delta_fallbacks").inc()
+            child = self.engine.evaluate_with_incumbent(
+                config, self.ue_density)[1]
+        self._remember(parent if fewest is not None and len(fewest) == 1
+                       else None, child)
+        return child
 
     def _remember(self, parent: Optional[DeltaIncumbent],
                   child: DeltaIncumbent) -> None:
@@ -413,7 +385,7 @@ class Evaluator:
         self._incumbents = ring[:2]
         # A baseline is only read through a ring anchor, and it pins
         # its incumbent's rows and sum-tree planes.
-        anchors = {(inc.config, inc.epoch) for inc in self._incumbents}
+        anchors = {inc.config for inc in self._incumbents}
         for key in [key for key in self._roi_baselines
                     if key not in anchors]:
             del self._roi_baselines[key]

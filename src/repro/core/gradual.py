@@ -261,9 +261,9 @@ def _compensate(evaluator: Evaluator, network: CellularNetwork,
     then tilt steps, per neighbor), so every cumulative prefix of a run
     differs from ``trial`` in one sector — one batched scoring pass
     finds how deep into the run the utility floor is restored, instead
-    of one canonical evaluation per move.  The caller's loop re-checks
-    the chosen configuration canonically, so a (theoretical) batch
-    misjudgment only costs another iteration, never a floor violation.
+    of one canonical evaluation per move.  Every score is exact and
+    memoized under its prefix, so the caller's floor check on the
+    chosen configuration is a memo hit, not another evaluation.
     """
     run_sector = pending[0].sector_id
     run_len = 1

@@ -245,19 +245,16 @@ class RunReport:
         expose the hit rate of the incremental path,
         ``magus.evaluator.reanchors`` how often candidate scoring had
         to re-anchor on its parent, and
-        ``magus.evaluator.state_rebuilds`` how often a memoized state
-        that only a utility lookup had needed was asked for after it was
-        freed, and ``magus.evaluator.score_hits`` how many windowed
-        candidate scores came from the per-anchor memo; empty under
-        ``--no-delta`` (or when nothing was evaluated), keeping
-        full-strategy reports unchanged.
+        ``magus.evaluator.state_rebuilds`` how often ``state_of`` met a
+        memoized configuration whose state was freed, or never held
+        (a windowed score); empty under ``--no-delta`` (or when nothing
+        was evaluated), keeping full-strategy reports unchanged.
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.delta_evaluations",
                      "magus.engine.delta_fallbacks",
                      "magus.evaluator.reanchors",
-                     "magus.evaluator.state_rebuilds",
-                     "magus.evaluator.score_hits"):
+                     "magus.evaluator.state_rebuilds"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")

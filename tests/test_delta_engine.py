@@ -450,7 +450,7 @@ class TestMultiSectorRing:
         _assert_states_equal(evaluator.state_of(b),
                              toy_engine.evaluate(b, toy_density))
 
-        # A stale epoch never deltas: the next evaluation is dense.
+        # A new epoch empties the ring: the next evaluation is dense.
         toy_engine.pathloss.invalidate_caches()
         c = b.with_power(0, 36.0)
         anchors = []
@@ -467,7 +467,7 @@ class TestMultiSectorRing:
         counts = registry.snapshot()
         assert counts["magus.engine.delta_fallbacks"]["value"] == 2
         assert counts["magus.engine.delta_evaluations"]["value"] == 1
-        assert [inc.config for inc in evaluator._incumbents] == [c, b]
+        assert [inc.config for inc in evaluator._incumbents] == [c]
 
     def test_fewest_changed_anchor_wins(self, toy_engine, toy_network,
                                         toy_density):
@@ -488,8 +488,9 @@ class TestMultiSectorRing:
 class TestParentReanchor:
     """Candidate scoring anchors on the caller's parent configuration.
 
-    A search's current configuration can be a memo-cache hit whose
-    delta anchor the two-entry ring already evicted.  Its one-sector
+    A search's current configuration can be a memo-cache hit with a
+    pinned state whose delta anchor the two-entry ring already
+    evicted, so reading its state anchors nothing.  Its one-sector
     candidates are then two sectors from every anchor; scoring must
     re-anchor the parent once rather than pay a full evaluation per
     candidate.
@@ -505,11 +506,12 @@ class TestParentReanchor:
 
     @staticmethod
     def _evicted_start(evaluator, area, targets):
-        """``C_upgrade``, memoized but pushed out of the anchor ring by
-        two configurations three sectors away from it and each other."""
+        """``C_upgrade``, memoized with its state pinned but pushed out
+        of the anchor ring by two configurations three sectors away
+        from it and each other."""
         planned = area.planned_config
         start = planned.with_offline(targets)
-        evaluator.utility_of(start)
+        evaluator.state_of(start)
         others = [s for s in range(area.network.n_sectors)
                   if s not in targets][:3]
         for delta in (-3.0, -6.0):

@@ -121,7 +121,8 @@ class TestStrategyKnob:
 
 class TestStateLifetime:
     """The memo keeps every value but pins only the states a caller
-    asked for; a dropped state is rebuilt off the books."""
+    asked for; a dropped (or never held) state is rebuilt into the
+    ring, off the books."""
 
     @pytest.fixture
     def registry(self):
@@ -150,8 +151,9 @@ class TestStateLifetime:
 
     @staticmethod
     def _chain(evaluator, base, steps):
-        """``steps`` one-sector moves, each screened against its parent
-        and confirmed through ``utility_of``; returns the configs."""
+        """``steps`` one-sector moves, each scored against its parent
+        and then read through ``utility_of`` (a memo hit); returns the
+        configs."""
         configs, config = [base], base
         evaluator.utility_of(base)
         for i in range(steps):
@@ -175,7 +177,9 @@ class TestStateLifetime:
         ev = Evaluator(toy_engine, toy_density)
         made = self._engine_calls(monkeypatch, toy_engine)
         configs = self._chain(ev, toy_network.planned_configuration(), 50)
-        assert len(made) == 51 and len(ev._cache) == 51
+        # The base, then each move's re-anchoring as the next parent;
+        # the last move is scored but never anchored.
+        assert len(made) == 50 and len(ev._cache) == 51
         live = {id(state) for state in (ref() for ref in made)
                 if state is not None}
         held = ({id(inc.state) for inc in ev._incumbents}
@@ -189,11 +193,13 @@ class TestStateLifetime:
 
     def test_rebuild_is_off_the_books(self, registry, toy_engine,
                                       toy_network, toy_density):
+        """A rebuild anchors into the ring, counts no evaluation and
+        moves no meter."""
         ev = Evaluator(toy_engine, toy_density)
         configs = self._chain(ev, toy_network.planned_configuration(), 6)
         target = configs[2]                 # long gone from the ring
         assert target not in [inc.config for inc in ev._incumbents]
-        ring = [(inc.config, inc.epoch) for inc in ev._incumbents]
+        ring = list(ev._incumbents)
         order = [c for c in ev._cache if c != target] + [target]
         evaluations = ev.model_evaluations
         meter = ev.cost_meter()
@@ -206,7 +212,9 @@ class TestStateLifetime:
         for got, ref in zip(self._rasters(state), self._rasters(want)):
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
-        assert [(inc.config, inc.epoch) for inc in ev._incumbents] == ring
+        assert ev._incumbents[0].config == target
+        assert ev._incumbents[0].state is state
+        assert ev._incumbents[1] is ring[0]
         assert ev.model_evaluations == evaluations
         assert meter.spent() == 0
         assert list(ev._cache) == order     # moved to the end, as a hit
@@ -251,12 +259,12 @@ class TestStateLifetime:
         ev = Evaluator(toy_engine, toy_density)
         self._chain(ev, toy_network.planned_configuration(), 6)
         assert ev._roi_baselines
-        anchors = {(inc.config, inc.epoch) for inc in ev._incumbents}
+        anchors = {inc.config for inc in ev._incumbents}
         assert set(ev._roi_baselines) <= anchors
         gc.collect()
         live = [obj for obj in gc.get_objects()
                 if isinstance(obj, DeltaIncumbent)]
-        assert len(live) <= len(ev._incumbents) + (ev._spare is not None)
+        assert len(live) <= len(ev._incumbents)
 
     def test_state_of_twice_is_one_object(self, registry, toy_engine,
                                           toy_network, toy_density):
@@ -271,7 +279,8 @@ class TestStateLifetime:
 
 
 class TestScoreMemo:
-    """Windowed candidate scores are memoized per delta anchor."""
+    """Windowed candidate scores go into the ``f(C)`` memo, keyed by
+    the candidate alone."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -300,37 +309,37 @@ class TestScoreMemo:
             first = ev.score_candidates(trials, parent=base)
             n = ev.model_evaluations
             again = ev.score_candidates(trials, parent=base)
+            values = [ev.utility_of(t) for t in trials]
             snap = reg.snapshot()
         assert kernel_calls == [len(trials)]
-        assert again == first
-        # A hit still counts as a model evaluation, not as a kernel run.
-        assert ev.model_evaluations == n + len(trials)
-        assert snap["magus.evaluator.score_hits"]["value"] == len(trials)
+        assert again == values == first
+        # A hit is a hit, whether scored or read: no evaluation.
+        assert ev.model_evaluations == n
+        assert snap["magus.evaluator.cache_hits"]["value"] == 2 * len(trials)
         assert snap["magus.engine.roi_evaluations"]["value"] == len(trials)
-        # Only the misses of a mixed batch run the kernel.
+        # Only the misses of a mixed batch run the kernel, and each
+        # counts one evaluation.
         fresh = [base.with_power(0, 39.0), base.with_power(2, 36.0)]
         mixed = ev.score_candidates([fresh[0], trials[1], fresh[1]],
                                     parent=base)
         assert kernel_calls == [len(trials), 2]
+        assert ev.model_evaluations == n + 2
         assert mixed[1] == first[1]
         assert mixed[::2] == Evaluator(toy_engine, toy_density) \
             .score_candidates(fresh, parent=base)
 
-    def test_other_anchor_runs_kernel(self, kernel_calls, toy_engine,
-                                      toy_network, toy_density):
+    def test_scores_enter_memo_without_state(self, toy_engine,
+                                             toy_network, toy_density):
         ev = Evaluator(toy_engine, toy_density)
         base = toy_network.planned_configuration()
-        anchor = base.with_power(0, 33.0)
-        trial = base.with_power(0, 38.0)    # one sector from both
-        ev.utility_of(base)
-        ev.score_candidates([trial], parent=base)
-        ev.utility_of(anchor)
-        ev.utility_of(anchor.with_power(2, 33.0))   # base leaves the ring
-        assert [inc.config for inc in ev._incumbents][0] == anchor
-        ev.score_candidates([trial], parent=anchor)
-        assert kernel_calls == [1, 1]
-        anchors = {key[0][0] for key in ev._scores}
-        assert anchors == {base, anchor}
+        trials = self._fan(base)
+        scores = ev.score_candidates(trials, parent=base)
+        assert [ev._cache[t] for t in trials] == [(None, s) for s in scores]
+        state = ev.state_of(trials[1])      # rebuilt, then pinned
+        held, value = ev._cache[trials[1]]
+        assert held is state and value == scores[1]
+        want = toy_engine.evaluate(trials[1], toy_density)
+        assert state.rate_bps.tobytes() == want.rate_bps.tobytes()
 
     def test_epoch_bump_misses(self, kernel_calls, toy_engine,
                                toy_network, toy_density):
@@ -349,7 +358,7 @@ class TestScoreMemo:
         trials = self._fan(base)
         first = ev.score_candidates(trials, parent=base)
         assert ev.score_candidates(trials, parent=base) == first
-        assert not ev._scores
+        assert not ev._cache
         assert kernel_calls == [len(trials), len(trials)]
 
     def test_lru_bound(self, toy_engine, toy_network, toy_density):
@@ -357,8 +366,7 @@ class TestScoreMemo:
         base = toy_network.planned_configuration()
         trials = self._fan(base)
         ev.score_candidates(trials, parent=base)
-        assert ([key[1:] for key in ev._scores]
-                == [(1, trials[1].settings[1]), (2, trials[2].settings[2])])
+        assert list(ev._cache) == trials[1:]
 
     def test_sibling_has_own_memo(self, kernel_calls, toy_engine,
                                   toy_network, toy_density):
@@ -369,38 +377,68 @@ class TestScoreMemo:
         sibling = ev.with_utility("coverage")
         coverage = sibling.score_candidates(trials, parent=base)
         assert kernel_calls == [len(trials), len(trials)]
-        assert sibling._scores is not ev._scores
+        assert sibling._cache is not ev._cache
         assert coverage == [sibling.utility_of(t) for t in trials]
         assert coverage != performance
 
     def test_repeated_search_records_same_costs(self, toy_engine,
                                                 toy_network, toy_density):
-        """``tune_power`` records one cost per step whatever the score
-        memo holds.  A second run on one evaluator records less than
-        the first, because the ``f(C)`` memo already holds every
-        confirmed winner; with the score memo emptied before each
-        lookup it records the same as with it."""
+        """A search's recorded cost is its memo misses.  A second run
+        on one evaluator finds every configuration of the first in
+        the memo, so it records no cost and the same plan; a fresh
+        evaluator records the first run's costs again."""
         c_before = toy_network.planned_configuration()
         c_upgrade = c_before.with_offline([1])
 
         def costs(ev):
             baseline = ev.state_of(c_before)
+            meter = ev.cost_meter()
             result = tune_power(ev, toy_network, c_upgrade, baseline, [1])
-            return ([s.candidates_evaluated for s in result.steps],
-                    result.final_config)
+            recorded = [s.candidates_evaluated for s in result.steps]
+            return recorded, meter.spent(), result.final_config
 
-        class Forgetful(Evaluator):
-            def _score_windowed(self, *args):
-                self._scores.clear()
-                return super()._score_windowed(*args)
-
-        memo, forgetful = (Evaluator(toy_engine, toy_density),
-                           Forgetful(toy_engine, toy_density))
+        memo = Evaluator(toy_engine, toy_density)
         first = costs(memo)
+        assert first[0] and sum(first[0]) <= first[1]
         assert first == costs(Evaluator(toy_engine, toy_density))
-        assert first == costs(forgetful)
         with use_registry(MetricsRegistry()) as reg:
             second = costs(memo)
-        assert reg.snapshot()["magus.evaluator.score_hits"]["value"] > 0
-        assert second == costs(forgetful)
-        assert second[1] == first[1]
+        assert reg.snapshot()["magus.evaluator.cache_hits"]["value"] > 0
+        assert second == ([0] * len(first[0]), 0, first[2])
+
+
+class TestPathLossEpoch:
+    """The memo answers for one path-loss model: after an in-place
+    raster edit, every answer equals a fresh evaluator's."""
+
+    @staticmethod
+    def _answer(ev, method, planned, trials):
+        if method == "utility_of":
+            return ev.utility_of(planned)
+        if method == "state_of":
+            state = ev.state_of(planned)
+            return [state.serving.tobytes(), state.sinr_db.tobytes(),
+                    state.rate_bps.tobytes()]
+        return ev.score_candidates(trials, parent=planned)
+
+    @pytest.mark.parametrize("method",
+                             ["utility_of", "state_of", "score_candidates"])
+    def test_stale_tilt_fault_resets_memo(self, method, toy_engine,
+                                          toy_network, toy_density):
+        from repro.faults import FaultInjector, FaultPlan, PathLossFaults
+        ev = Evaluator(toy_engine, toy_density)
+        planned = toy_network.planned_configuration()
+        trials = TestScoreMemo._fan(planned)
+        ev.state_of(planned)
+        ev.score_candidates(trials, parent=planned)
+        ev.utility_of(trials[0])
+        before = self._answer(ev, method, planned, trials)
+
+        FaultInjector(FaultPlan(seed=5, pathloss=PathLossFaults(
+            n_sectors=3, mode="stale-tilt"))).corrupt_pathloss(
+                toy_engine.pathloss)
+
+        fresh = Evaluator(toy_engine, toy_density)
+        want = self._answer(fresh, method, planned, trials)
+        assert want != before               # the fault moved the model
+        assert self._answer(ev, method, planned, trials) == want

@@ -78,6 +78,48 @@ class TestGradualMigration:
                               c_before, [1])
 
 
+class TestCompensationReadsMemo:
+    """A compensation's chosen prefix was scored exactly, so the loop's
+    floor check reads it from the memo: no engine evaluation runs
+    between ``_compensate`` returning and that check's answer."""
+
+    def test_no_engine_evaluation_before_floor_check(
+            self, monkeypatch, toy_evaluator, toy_network, planned):
+        from repro.core import gradual
+        c_before, c_after = planned
+        engine = toy_evaluator.engine
+        events = []
+        for name in ("evaluate_delta", "evaluate_with_incumbent"):
+            original = getattr(engine, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                events.append(("engine", _name))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, spy)
+        compensate = gradual._compensate
+
+        def spy_compensate(*args, **kwargs):
+            chosen = compensate(*args, **kwargs)
+            events.append(("compensated", chosen))
+            return chosen
+        monkeypatch.setattr(gradual, "_compensate", spy_compensate)
+        utility_of = toy_evaluator.utility_of
+
+        def spy_utility(config):
+            value = utility_of(config)
+            events.append(("utility_of", config))
+            return value
+        monkeypatch.setattr(toy_evaluator, "utility_of", spy_utility)
+
+        result = gradual_migration(toy_evaluator, toy_network, c_before,
+                                   c_after, [1])
+        returns = [i for i, (kind, _) in enumerate(events)
+                   if kind == "compensated"]
+        assert returns and result.compensation_steps
+        for i in returns:
+            assert events[i + 1] == ("utility_of", events[i][1])
+
+
 class TestDecomposeChanges:
     def test_unit_granularity(self, toy_network, planned):
         c_before, c_after = planned

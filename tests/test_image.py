@@ -1,5 +1,7 @@
 """Tests for the Netpbm image exporters."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,22 @@ class TestServingPpm:
         b = write_serving_ppm("d2", np.asarray([[5]]),
                               directory=tmp_path).read_bytes()
         assert a.split(b"\n", 2)[2] == b.split(b"\n", 2)[2]
+
+
+_RESULTS = Path(__file__).resolve().parents[1] / "results"
+_COMMITTED = sorted(_RESULTS.glob("*.pgm")) + sorted(_RESULTS.glob("*.ppm"))
+
+
+class TestCommittedImages:
+    """Every map image under ``results/`` is a whole Netpbm file: its
+    payload holds exactly the pixels its header declares."""
+
+    def test_images_committed(self):
+        assert _COMMITTED
+
+    @pytest.mark.parametrize("path", _COMMITTED, ids=lambda p: p.name)
+    def test_payload_matches_header(self, path):
+        magic, cols, rows, maxval, raw = _read_netpbm(path)
+        assert magic in ("P5", "P6") and maxval == 255
+        channels = 3 if magic == "P6" else 1
+        assert len(raw) == cols * rows * channels

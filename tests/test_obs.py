@@ -306,19 +306,6 @@ class TestRunReport:
         assert ("magus.evaluator.state_rebuilds  1"
                 in report.to_table().split("delta engine:")[1])
 
-    def test_delta_section_reports_score_hits(self, toy_evaluator,
-                                              toy_network):
-        base = toy_network.planned_configuration()
-        trials = [base.with_power(0, 38.0), base.with_power(2, 33.0)]
-        with use_registry(MetricsRegistry()) as reg:
-            toy_evaluator.score_candidates(trials, parent=base)
-            toy_evaluator.score_candidates(trials, parent=base)
-            report = RunReport.from_registry("mitigate", registry=reg)
-        assert report.delta_metrics()["magus.evaluator.score_hits"] == 2
-        section = report.to_table().split("delta engine:")[1]
-        assert ["magus.evaluator.score_hits", "2"] in [
-            line.split() for line in section.splitlines()]
-
     def test_resources_block_reads_getrusage(self):
         resource = pytest.importorskip("resource")
         before = resource.getrusage(resource.RUSAGE_SELF)

@@ -741,8 +741,9 @@ class TestBatchComposition:
 
 
 class TestScoreMemoExact:
-    """Every memoized windowed score is the score a fresh kernel run
-    gives against a dense evaluation of its anchor, bit for bit."""
+    """Every windowed score in the ``f(C)`` memo is the score a fresh
+    kernel run gives against a dense evaluation of any anchor one
+    sector from it, bit for bit."""
 
     @staticmethod
     def _power_fan(network, base):
@@ -767,23 +768,26 @@ class TestScoreMemoExact:
             rung = ladder[0]
             ev.utility_of(rung)
             ev.score_candidates(self._power_fan(network, rung), parent=rung)
-            # With one sector, every candidate groups under ``base``.
-            assert (len({key[0] for key in ev._scores})
-                    == min(network.n_sectors, 2))
-            for ((anchor, epoch), sector, setting), value in \
-                    ev._scores.items():
-                assert epoch == engine.pathloss.cache_epoch
-                settings = list(anchor.settings)
-                settings[sector] = setting
-                config = Configuration(tuple(settings))
-                _, incumbent = engine.evaluate_with_incumbent(anchor,
-                                                              density)
-                baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
-                                                      density)
-                fresh = score_windows(engine, baseline, [config],
-                                      _windows(engine, incumbent, [config]),
-                                      density, _UTILITY)
-                assert fresh == [value], world.name
+            scored = {config: value for config, (held, value)
+                      in ev._cache.items() if held is None}
+            assert len(scored) == len(ev._cache) - 1, world.name
+            incumbents = [engine.evaluate_with_incumbent(anchor, density)[1]
+                          for anchor in (base, rung)]
+            checked = 0
+            for config, value in scored.items():
+                for incumbent in incumbents:
+                    if engine.single_sector_change(incumbent,
+                                                   config) is None:
+                        continue
+                    baseline = RoiBaseline.from_incumbent(
+                        incumbent, _UTILITY, density)
+                    fresh = score_windows(
+                        engine, baseline, [config],
+                        _windows(engine, incumbent, [config]), density,
+                        _UTILITY)
+                    assert fresh == [value], world.name
+                    checked += 1
+            assert checked > len(scored), world.name
 
 
 class TestOffAirNeverServes:

@@ -238,18 +238,24 @@ class TestRungWalkParity:
                                                     worlds):
         """A joint pass after a tilt pass replays its sweeps, whose
         first rungs are memo hits: the walk anchors each sweep start
-        at its first scored rung, so the delta-anchor ring and the memo
-        entries end as the eager ladder left them."""
+        at its first scored rung, so the delta-anchor ring ends as the
+        eager ladder left it.  The memo holds the same values, less
+        the scores of rungs past each sweep's end, which the ladder
+        scored and the walk never reached."""
         for world in worlds:
-            rings, entries = [], []
+            rings, memos = [], []
             for sweep in (_eager_sweep_sector, tilt._sweep_sector):
                 monkeypatch.setattr(tilt, "_sweep_sector", sweep)
                 _, evaluator = _search(world, ("tilt", "joint"), "delta",
                                        allow_downtilt=False)
                 rings.append([inc.config for inc in evaluator._incumbents])
-                entries.append(set(evaluator._cache))
+                memos.append(dict(evaluator._cache))
             assert rings[0] == rings[1]
-            assert entries[0] == entries[1]
+            eager, walk = memos
+            assert walk.keys() <= eager.keys()
+            assert all(walk[c][1] == eager[c][1] for c in walk)
+            assert all(eager[c][0] is None
+                       for c in eager.keys() - walk.keys())
 
     def test_memo_hit_stop_leaves_start_unanchored(self, worlds):
         """The documented ring difference: a sweep whose first rung
@@ -329,6 +335,6 @@ class TestRungWalkParity:
                                   sector, steps, direction="up",
                                   settings=settings)
             assert steps
-            assert [key[0] for key in evaluator._roi_baselines] == [sibling]
+            assert list(evaluator._roi_baselines) == [sibling]
             results.append((steps, config, repr(f_end)))
         assert results[0] == results[1]
