@@ -183,18 +183,20 @@ def sweep_rows() -> List[SweepRow]:
     3 upgrade scenarios, under every tuning strategy.
 
     Areas are built one at a time and released afterwards to bound
-    memory; rows carry everything Table 1 and Figure 13 need.
+    memory; rows carry everything Table 1 and Figure 13 need.  Each
+    (scenario, tuning) plans on a fresh ``Magus``, so no ``f(C)`` memo
+    carries over and a row's ``evaluations`` is its tuning's own cost.
     """
     rows: List[SweepRow] = []
     for market_index in range(len(MARKET_NAMES)):
         for area_type in AreaType:
             area = build_area(area_type,
                               seed=area_seed(market_index, area_type))
-            magus = Magus.from_area(area)
             for scenario in UpgradeScenario:
                 targets = select_targets(area, scenario)
                 for tuning in SWEEP_TUNINGS:
-                    plan = magus.plan_mitigation(targets, tuning=tuning)
+                    plan = Magus.from_area(area).plan_mitigation(
+                        targets, tuning=tuning)
                     rows.append(SweepRow(
                         market=MARKET_NAMES[market_index],
                         area_type=area_type.value,
@@ -206,5 +208,5 @@ def sweep_rows() -> List[SweepRow]:
                         f_after=plan.f_after,
                         steps=plan.tuning.n_steps,
                         evaluations=plan.tuning.total_evaluations))
-            del magus, area
+            del area
     return rows

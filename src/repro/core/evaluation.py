@@ -18,17 +18,16 @@ baselines are all dropped before the next lookup or scoring call.
 
 The memo keeps every value, but not every state.  A state a caller
 asked for through :meth:`~Evaluator.state_of` (or
-:meth:`~Evaluator.rescore`) is *pinned*: held strongly for as long as
-its entry lives.  A state computed only for
-:meth:`~Evaluator.utility_of` is held through a weak reference, so it
-is freed as soon as the two-entry delta ring and the ROI baselines of
-its anchors let go of it; ``utility_of`` only needs the float.  A
-windowed score (below) enters the memo with no state at all.  When
-``state_of`` meets an entry whose state is gone, or never was, it
-rebuilds it: the configuration is anchored into the ring like a fresh
-evaluation, but the memo already counted its one model evaluation, so
-neither the distinct-evaluation counter nor any cost meter moves;
-``magus.evaluator.state_rebuilds`` counts it.  Under
+:meth:`~Evaluator.rescore`) is *pinned*: held for as long as its entry
+lives.  Every other entry holds its value alone, whether it came from
+:meth:`~Evaluator.utility_of`, which only needs the float, or from a
+windowed score (below); the two-entry delta ring holds the states of
+its anchors.  When ``state_of`` meets an entry without a state, it
+takes the state of the ring anchor with that configuration, if there
+is one.  Otherwise it rebuilds it: the configuration is anchored into
+the ring like a fresh evaluation, but the memo already counted its one
+model evaluation, so neither the distinct-evaluation counter nor any
+cost meter moves; ``magus.evaluator.state_rebuilds`` counts it.  Under
 ``strategy="full"`` no ring holds a state, so the memo pins every one.
 
 Three evaluation strategy names are accepted (``strategy=`` knob):
@@ -66,9 +65,8 @@ winner's score as its utility, and a later ``utility_of`` is a hit.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,9 +81,8 @@ __all__ = ["Evaluator", "EVALUATION_STRATEGIES"]
 
 EVALUATION_STRATEGIES = ("full", "delta", "parallel")
 
-#: How a memo entry holds its state: strongly, through a weak
-#: reference, or not at all (a windowed score).
-_Held = Optional[Union[NetworkState, "weakref.ref[NetworkState]"]]
+#: A memo entry: the pinned state (``None`` when unpinned) and f(C).
+_Entry = Tuple[Optional[NetworkState], float]
 
 
 class Evaluator:
@@ -108,10 +105,9 @@ class Evaluator:
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
         self.strategy = strategy
-        # config -> (state, a weak reference to it or None, f(C)); see
-        # the module docstring for which states are pinned.
-        self._cache: "OrderedDict[Configuration, Tuple[_Held, float]]" = \
-            OrderedDict()
+        # config -> (pinned state or None, f(C)); see the module
+        # docstring for which states are pinned.
+        self._cache: "OrderedDict[Configuration, _Entry]" = OrderedDict()
         self._cache_size = cache_size
         # The path-loss cache epoch every memoized answer was read at.
         self._epoch = engine.pathloss.cache_epoch
@@ -289,12 +285,12 @@ class Evaluator:
             self._incumbents = []
             self._roi_baselines.clear()
 
-    def _store(self, config: Configuration, held: _Held,
-               value: float) -> None:
+    def _store(self, config: Configuration,
+               state: Optional[NetworkState], value: float) -> None:
         """Memoize ``config`` (when the memo has room at all), evicting
         the least recently used entries past ``cache_size``."""
         if self._cache_size > 0:
-            self._cache[config] = (held, value)
+            self._cache[config] = (state, value)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
 
@@ -302,20 +298,18 @@ class Evaluator:
                 ) -> Tuple[Optional[NetworkState], float]:
         """``config``'s memo entry: ``(state, f(C))``, the state being
         ``None`` on a hit without ``pin``.  With ``pin`` the entry
-        holds its state strongly from then on, rebuilt first if it
-        was dropped or never held."""
+        holds its state from then on, taken from the ring or rebuilt
+        first if the entry held none."""
         self._check_epoch()
         hit = self._cache.get(config)
         if hit is not None:
             self._cache.move_to_end(config)
             get_registry().counter("magus.evaluator.cache_hits").inc()
-            held, value = hit
+            state, value = hit
             if not pin:
                 return None, value
-            state = held() if isinstance(held, weakref.ref) else held
             if state is None:
                 state = self._rebuild(config)
-            if state is not held:
                 self._cache[config] = (state, value)
             return state, value
         if self.strategy == "full":
@@ -325,18 +319,23 @@ class Evaluator:
         value = self.utility.evaluate(state)
         self._eval_counter.inc()
         get_registry().counter("magus.evaluator.model_evaluations").inc()
-        weak = not pin and self.strategy != "full"
-        self._store(config, weakref.ref(state) if weak else state, value)
+        self._store(config, state if pin or self.strategy == "full"
+                    else None, value)
         return state, value
 
     def _rebuild(self, config: Configuration) -> NetworkState:
         """The state of a memoized ``config`` whose entry holds none.
 
-        The memo already counted this configuration's one model
-        evaluation, so neither the distinct-evaluation counter nor any
-        cost meter moves (the engine's own counters still see the
-        evaluation); ``magus.evaluator.state_rebuilds`` counts it.
+        A ring anchor holding ``config`` answers as it is, and the
+        ring order stays.  Otherwise ``config`` is re-anchored: the
+        memo already counted its one model evaluation, so neither the
+        distinct-evaluation counter nor any cost meter moves (the
+        engine's own counters still see the evaluation);
+        ``magus.evaluator.state_rebuilds`` counts it.
         """
+        for incumbent in self._incumbents:
+            if incumbent.config == config:
+                return incumbent.state
         get_registry().counter("magus.evaluator.state_rebuilds").inc()
         return self._anchor(config).state
 

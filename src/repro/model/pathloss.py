@@ -26,11 +26,11 @@ deterministic for a given seed so the whole evaluation is reproducible.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
+import weakref
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Hashable, Iterator, Literal,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Iterator, Literal, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .propagation import Environment, PropagationModel, SPMParameters, Transmitt
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from .plossdb import PackedGainStore
 
-__all__ = ["LRUCache", "PathLossDatabase", "TiltModelName",
+__all__ = ["PathLossDatabase", "TiltModelName",
            "sector_rasters", "sector_gain_db", "exact_gain_db",
            "shared_tilt_profile", "profile_at",
            "DEFAULT_CLIP_FLOOR_DB", "clip_gains_mw", "plane_footprint"]
@@ -111,80 +111,6 @@ DEFAULT_TENSOR_CACHE_SIZE = 8
 DEFAULT_PROFILE_CACHE_SIZE = 64
 
 
-class LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Shared by the per-sector mW and dB row caches, the footprint cache
-    and the shared-delta profile cache.
-    ``get`` refreshes recency; ``put`` evicts the single oldest entry
-    once ``maxsize`` is exceeded — *not* the whole cache, which is what
-    made tilt search thrash before (every ninth assignment wiped all
-    eight live ones).
-
-    **Thread-safe within one process**: all operations (including the
-    read-modify-write recency update inside ``get`` and the hit/miss
-    counters) hold an internal re-entrant lock, so concurrent
-    ``gain_matrix_mw`` callers cannot corrupt the OrderedDict.  It is
-    *not* shared across processes — each pool worker inherits (fork)
-    or rebuilds (spawn) a private copy and is that copy's single
-    owner.  Pickling drops the lock and recreates a fresh one on load.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 0:
-            raise ValueError("maxsize must be >= 0")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def get(self, key: Hashable):
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Hashable, value) -> None:
-        with self._lock:
-            if self.maxsize == 0:
-                return
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    # Locks do not pickle: a pickled database (or an engine holding
-    # one) arrives with a private cache and a fresh lock.
-    def __getstate__(self) -> dict:
-        with self._lock:
-            state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-
 @dataclass
 class _SectorRaster:
     """Cached per-sector geometry needed to re-evaluate tilts quickly."""
@@ -206,9 +132,20 @@ class PathLossDatabase:
     offset); with a packed store attached an on-ladder row is a view
     of the stored tensor.
 
+    Four ``functools.lru_cache`` wrappers, private to each database,
+    memoize what is derived from the rasters: the mW and dB rows
+    (``8·S`` entries each for ``S`` sectors), the shared-delta profiles
+    (64) and the clipped footprints (``64·S``).  Eviction drops the
+    least recently used entry; concurrent misses on one key may both
+    compute it, never corrupt it.  A pickled database arrives with the
+    caches empty, and fork-inherited copies are their owner's alone.
+
     Values follow the paper's sign convention: **negative dB**, added to
     the transmit power to obtain received power (Formula 1).
     """
+
+    #: The cache wrappers :meth:`_new_caches` builds.
+    _CACHES = ("_row_mw", "_row_db", "shared_profile", "_footprint_box")
 
     def __init__(self, grid: GridSpec, network: CellularNetwork,
                  rasters: Sequence[_SectorRaster],
@@ -230,18 +167,7 @@ class PathLossDatabase:
         #: unclipped planes reach.
         self.clip_floor_db = (None if clip_floor_db is None
                               else float(clip_floor_db))
-        # Per-(sector, tilt, offset) linear-domain rows: lets a
-        # single-sector tilt change rebuild one plane, not the stack.
-        self._row_mw_cache = LRUCache(
-            DEFAULT_TENSOR_CACHE_SIZE * max(network.n_sectors, 1))
-        # The dB twin, filled only by gain_row_db.
-        self._row_db_cache = LRUCache(self._row_mw_cache.maxsize)
-        self._shared_profiles = LRUCache(DEFAULT_PROFILE_CACHE_SIZE)
-        # Per-(sector, tilt) nonzero bounding boxes for the dict
-        # backend (packed stores carry their own table).  Boxes are 4
-        # ints; a generous bound keeps whole tilt ladders resident.
-        self._footprint_cache = LRUCache(
-            DEFAULT_PROFILE_CACHE_SIZE * max(network.n_sectors, 1))
+        self._new_caches()
         #: Optional packed tilt-major mW tensor (:mod:`repro.model.plossdb`).
         #: When attached, on-ladder queries are index-and-view operations
         #: and every plane this database emits is float32.
@@ -256,6 +182,44 @@ class PathLossDatabase:
         self.cache_epoch = 0
         if validate:
             self.validate()
+
+    def _new_caches(self) -> None:
+        sectors = max(self.network.n_sectors, 1)
+        rows = DEFAULT_TENSOR_CACHE_SIZE * sectors
+        # The wrappers see the database through a proxy: bound methods
+        # would make a cycle, keeping a dropped database's rasters
+        # alive until the garbage collector runs.
+        me = weakref.proxy(self)
+        cls = type(self)
+        # Per-(sector, tilt, offset) linear-domain rows: lets a
+        # single-sector tilt change rebuild one plane, not the stack.
+        self._row_mw = functools.lru_cache(rows)(
+            functools.partial(cls._compute_row_mw, me))
+        # The dB twin, filled only by gain_row_db.
+        self._row_db = functools.lru_cache(rows)(
+            functools.partial(cls._finite_gain_db, me))
+        #: The shared-delta radial profile for a tilt, computed once per
+        #: target tilt from the canonical sector (sector 0).
+        self.shared_profile = functools.lru_cache(DEFAULT_PROFILE_CACHE_SIZE)(
+            functools.partial(shared_tilt_profile, self.network.sector(0)))
+        # Per-(sector, tilt) nonzero bounding boxes for the dict
+        # backend (packed stores carry their own table).  Boxes are 4
+        # ints; a generous bound keeps whole tilt ladders resident.
+        self._footprint_box = functools.lru_cache(
+            DEFAULT_PROFILE_CACHE_SIZE * sectors)(
+                functools.partial(cls._compute_footprint, me))
+
+    # Cache wrappers do not pickle: a pickled database (or an engine
+    # holding one) arrives with empty caches of its own.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._CACHES:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._new_caches()
 
     def validate(self) -> Optional[dict]:
         """Reject NaN/inf raster data with an actionable error.
@@ -309,10 +273,8 @@ class PathLossDatabase:
         as-is so recomputed planes stay comparable with any incumbents
         the caller re-prepares.
         """
-        self._row_mw_cache.clear()
-        self._row_db_cache.clear()
-        self._shared_profiles.clear()
-        self._footprint_cache.clear()
+        for name in self._CACHES:
+            getattr(self, name).cache_clear()
         self._packed = None
         self.cache_epoch += 1
 
@@ -335,10 +297,10 @@ class PathLossDatabase:
             raise ValueError(
                 f"packed store grid {(H, W)} does not match analysis "
                 f"grid {self.grid.shape}")
-        self._row_mw_cache.clear()
+        self._row_mw.cache_clear()
         # Boxes cached against float64 dict planes no longer describe
         # the float32 rows this database now emits.
-        self._footprint_cache.clear()
+        self._footprint_box.cache_clear()
         if self.clip_floor_db is None and store.clip_floor_db is not None:
             # Adopt the floor the planes were packed under so off-ladder
             # fallback rows clip the same way the stored rows did.
@@ -443,22 +405,22 @@ class PathLossDatabase:
             idx = self._packed.index_of(tilt_deg)
             if idx is not None:
                 return self._packed.row(sector_id, idx)
-        key = (sector_id, float(tilt_deg), float(azimuth_offset_deg))
-        cached = self._row_mw_cache.get(key)
-        if cached is None:
-            gain_db = self._finite_gain_db(sector_id, tilt_deg,
-                                           azimuth_offset_deg)
-            cached = np.power(10.0, gain_db / 10.0)
-            # Off-ladder fallbacks quantize to the plane dtype so they
-            # remain bitwise-comparable with packed rows (float32 once
-            # a store is attached, float64 otherwise — a no-op there),
-            # and the clip floor applies at that same quantization
-            # point — the bit-for-bit twin of the packed assignment.
-            cached = cached.astype(self.plane_dtype, copy=False)
-            clip_gains_mw(cached, self.clip_floor_db)
-            cached.setflags(write=False)
-            self._row_mw_cache.put(key, cached)
-        return cached
+        return self._row_mw(sector_id, tilt_deg, azimuth_offset_deg)
+
+    def _compute_row_mw(self, sector_id: int, tilt_deg: float,
+                        azimuth_offset_deg: float) -> np.ndarray:
+        gain_db = self._finite_gain_db(sector_id, tilt_deg,
+                                       azimuth_offset_deg)
+        row = np.power(10.0, gain_db / 10.0)
+        # Off-ladder fallbacks quantize to the plane dtype so they
+        # remain bitwise-comparable with packed rows (float32 once
+        # a store is attached, float64 otherwise — a no-op there),
+        # and the clip floor applies at that same quantization
+        # point — the bit-for-bit twin of the packed assignment.
+        row = row.astype(self.plane_dtype, copy=False)
+        clip_gains_mw(row, self.clip_floor_db)
+        row.setflags(write=False)
+        return row
 
     def gain_row_db(self, sector_id: int, tilt_deg: float,
                     azimuth_offset_deg: float = 0.0) -> np.ndarray:
@@ -466,14 +428,7 @@ class PathLossDatabase:
         LRU of its own per ``(sector, tilt, offset)``: the rows Algorithm
         1's capture pre-filter reads at the affected grids, and the one
         dB cache (:meth:`gain_tensor` stacks its rows)."""
-        key = (sector_id, float(tilt_deg), float(azimuth_offset_deg))
-        cached = self._row_db_cache.get(key)
-        if cached is None:
-            cached = self._finite_gain_db(sector_id, tilt_deg,
-                                          azimuth_offset_deg)
-            cached.setflags(write=False)
-            self._row_db_cache.put(key, cached)
-        return cached
+        return self._row_db(sector_id, tilt_deg, azimuth_offset_deg)
 
     def _finite_gain_db(self, sector_id: int, tilt_deg: float,
                         azimuth_offset_deg: float) -> np.ndarray:
@@ -483,6 +438,7 @@ class PathLossDatabase:
                 f"path-loss gain matrix contains NaN/inf for sector "
                 f"{sector_id}; the database was corrupted after "
                 f"construction — rebuild it or run validate()")
+        gain_db.setflags(write=False)
         return gain_db
 
     def footprint(self, sector_id: int, tilt_deg: float,
@@ -506,12 +462,11 @@ class PathLossDatabase:
                 return self._packed.footprint(sector_id, idx)
         if self.clip_floor_db is None:
             return None
-        key = (sector_id, float(tilt_deg))
-        box = self._footprint_cache.get(key)
-        if box is None:
-            box = plane_footprint(self.gain_matrix_mw(sector_id, tilt_deg))
-            self._footprint_cache.put(key, box)
-        return box
+        return self._footprint_box(sector_id, tilt_deg)
+
+    def _compute_footprint(self, sector_id: int,
+                           tilt_deg: float) -> Tuple[int, int, int, int]:
+        return plane_footprint(self.gain_matrix_mw(sector_id, tilt_deg))
 
     def _check_assignment(self, tilts: np.ndarray,
                           azimuth_offsets: Optional[np.ndarray]):
@@ -529,18 +484,6 @@ class PathLossDatabase:
     def distance_matrix(self, sector_id: int) -> np.ndarray:
         """Distance (m) from the sector to each grid center."""
         return self._rasters[sector_id].distance_m
-
-    # ------------------------------------------------------------------
-    # tilt models
-    # ------------------------------------------------------------------
-    def shared_profile(self, tilt_deg: float) -> np.ndarray:
-        """The shared-delta radial profile for ``tilt_deg``, computed
-        once per target tilt from the canonical sector (sector 0)."""
-        profile = self._shared_profiles.get(tilt_deg)
-        if profile is None:
-            profile = shared_tilt_profile(self.network.sector(0), tilt_deg)
-            self._shared_profiles.put(tilt_deg, profile)
-        return profile
 
 
 _PROFILE_STEP_M = 50.0

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter", "CostMeter", "Gauge", "Timer", "MetricsRegistry",
@@ -186,8 +187,7 @@ class _TimerHandle:
 class Timer:
     """Duration metric: count/total plus a ring buffer for percentiles."""
 
-    __slots__ = ("name", "count", "total_ns", "min_ns", "max_ns",
-                 "_ring", "_ring_size", "_ring_pos")
+    __slots__ = ("name", "count", "total_ns", "min_ns", "max_ns", "_ring")
 
     def __init__(self, name: str, ring_size: int = 4096) -> None:
         self.name = name
@@ -195,9 +195,7 @@ class Timer:
         self.total_ns = 0
         self.min_ns: Optional[int] = None
         self.max_ns: Optional[int] = None
-        self._ring: List[int] = []
-        self._ring_size = ring_size
-        self._ring_pos = 0
+        self._ring: Deque[int] = deque(maxlen=ring_size)
 
     def time(self) -> _TimerHandle:
         """``with timer.time(): ...`` records the block's duration."""
@@ -210,16 +208,7 @@ class Timer:
             self.min_ns = duration_ns
         if self.max_ns is None or duration_ns > self.max_ns:
             self.max_ns = duration_ns
-        self._ring_push(duration_ns)
-
-    def _ring_push(self, duration_ns: int) -> None:
-        if self._ring_size <= 0:
-            return
-        if len(self._ring) < self._ring_size:
-            self._ring.append(duration_ns)
-        else:                                   # overwrite oldest
-            self._ring[self._ring_pos] = duration_ns
-            self._ring_pos = (self._ring_pos + 1) % self._ring_size
+        self._ring.append(duration_ns)          # drops the oldest
 
     def percentile_ns(self, q: float) -> Optional[float]:
         """Linear-interpolated percentile (``q`` in [0, 100]) over the ring."""
@@ -260,7 +249,7 @@ class Timer:
             "min_ns": self.min_ns,
             "max_ns": self.max_ns,
             "ring": list(self._ring),
-            "ring_size": self._ring_size,
+            "ring_size": self._ring.maxlen,
         }
 
     def merge_state(self, state: Dict[str, object]) -> None:
@@ -282,8 +271,7 @@ class Timer:
                     or (attr == "min_ns" and incoming < mine)
                     or (attr == "max_ns" and incoming > mine)):
                 setattr(self, attr, int(incoming))
-        for sample in state.get("ring") or ():
-            self._ring_push(int(sample))
+        self._ring.extend(int(sample) for sample in state.get("ring") or ())
 
 
 # ----------------------------------------------------------------------

@@ -198,45 +198,25 @@ class RunReport:
             for p in self.phases:
                 lines.append(f"{p['name']:<{width}}  "
                              f"{p['calls']:>5}  {p['wall_time_s']:>9.4f}")
-        if self.resources:
-            lines.append("resources:")
-            width = max(len(name) for name in self.resources)
-            for name, value in self.resources.items():
+        workers = [f"  worker {row['worker']} (pid {row['pid']}): "
+                   f"{row['chunks']} chunks, "
+                   f"{row['busy_s']:.3f} s busy "
+                   f"({row['busy_share'] * 100.0:.1f}%), "
+                   f"{row['evaluations']} evaluations"
+                   for row in self.worker_utilization()]
+        # "parallel" comes last: the worker rows close its section.
+        for title, metrics in (("resources", self.resources),
+                               ("resilience", self.resilience_metrics()),
+                               ("delta engine", self.delta_metrics()),
+                               ("roi", self.roi_metrics()),
+                               ("parallel", self.parallel_metrics())):
+            if not (metrics or (title == "parallel" and workers)):
+                continue
+            lines.append(f"{title}:")
+            width = max((len(name) for name in metrics), default=0)
+            for name, value in metrics.items():
                 lines.append(f"  {name:<{width}}  {value}")
-        resilience = self.resilience_metrics()
-        if resilience:
-            lines.append("resilience:")
-            width = max(len(name) for name in resilience)
-            for name, value in resilience.items():
-                lines.append(f"  {name:<{width}}  {value}")
-        delta = self.delta_metrics()
-        if delta:
-            lines.append("delta engine:")
-            width = max(len(name) for name in delta)
-            for name, value in delta.items():
-                lines.append(f"  {name:<{width}}  {value}")
-        roi = self.roi_metrics()
-        if roi:
-            lines.append("roi:")
-            width = max(len(name) for name in roi)
-            for name, value in roi.items():
-                lines.append(f"  {name:<{width}}  {value}")
-        parallel = self.parallel_metrics()
-        workers = self.worker_utilization()
-        if parallel or workers:
-            lines.append("parallel:")
-            if parallel:
-                width = max(len(name) for name in parallel)
-                for name, value in parallel.items():
-                    lines.append(f"  {name:<{width}}  {value}")
-            for row in workers:
-                lines.append(
-                    f"  worker {row['worker']} (pid {row['pid']}): "
-                    f"{row['chunks']} chunks, "
-                    f"{row['busy_s']:.3f} s busy "
-                    f"({row['busy_share'] * 100.0:.1f}%), "
-                    f"{row['evaluations']} evaluations")
-        return "\n".join(lines)
+        return "\n".join(lines + workers)
 
     def delta_metrics(self) -> Dict[str, object]:
         """Incremental-evaluation counters, if the delta engine ran.
@@ -246,19 +226,14 @@ class RunReport:
         ``magus.evaluator.reanchors`` how often candidate scoring had
         to re-anchor on its parent, and
         ``magus.evaluator.state_rebuilds`` how often ``state_of`` met a
-        memoized configuration whose state was freed, or never held
-        (a windowed score); empty under ``--no-delta`` (or when nothing
+        memoized configuration whose state neither its entry nor a
+        ring anchor held; empty under ``--no-delta`` (or when nothing
         was evaluated), keeping full-strategy reports unchanged.
         """
-        out: Dict[str, object] = {}
-        for name in ("magus.engine.delta_evaluations",
-                     "magus.engine.delta_fallbacks",
-                     "magus.evaluator.reanchors",
-                     "magus.evaluator.state_rebuilds"):
-            stats = self.metrics.get(name)
-            if stats is not None:
-                out[name] = stats.get("value")
-        return out
+        return self._values("magus.engine.delta_evaluations",
+                            "magus.engine.delta_fallbacks",
+                            "magus.evaluator.reanchors",
+                            "magus.evaluator.state_rebuilds")
 
     def roi_metrics(self) -> Dict[str, object]:
         """Region-of-influence counters, if windowed scoring ran.
@@ -270,13 +245,13 @@ class RunReport:
         fraction; full-grid windows count too); empty when nothing
         single-sector was evaluated.
         """
-        out: Dict[str, object] = {}
-        for name in ("magus.engine.roi_evaluations",
-                     "magus.engine.roi_cells"):
-            stats = self.metrics.get(name)
-            if stats is not None:
-                out[name] = stats.get("value")
-        return out
+        return self._values("magus.engine.roi_evaluations",
+                            "magus.engine.roi_cells")
+
+    def _values(self, *names: str) -> Dict[str, object]:
+        """The value of each of ``names`` the metrics hold, in order."""
+        return {name: self.metrics[name].get("value") for name in names
+                if name in self.metrics}
 
     def parallel_metrics(self) -> Dict[str, object]:
         """Unlabeled pool and sweep-throughput values, if a pool ran.

@@ -121,8 +121,9 @@ class TestStrategyKnob:
 
 class TestStateLifetime:
     """The memo keeps every value but pins only the states a caller
-    asked for; a dropped (or never held) state is rebuilt into the
-    ring, off the books."""
+    asked for; a state the memo does not hold is read from the ring
+    anchor of its configuration, or rebuilt into the ring, off the
+    books."""
 
     @pytest.fixture
     def registry(self):
@@ -221,6 +222,31 @@ class TestStateLifetime:
         snap = registry.snapshot()
         assert snap["magus.evaluator.cache_hits"]["value"] == hits + 1
         assert snap["magus.evaluator.state_rebuilds"]["value"] == 1
+
+    def test_state_of_reads_a_ring_anchor(self, registry, monkeypatch,
+                                          toy_engine, toy_network,
+                                          toy_density):
+        """A stateless entry whose configuration a ring anchor holds
+        takes that anchor's state: no engine call, no rebuild, and the
+        ring keeps its order."""
+        ev = Evaluator(toy_engine, toy_density)
+        configs = self._chain(ev, toy_network.planned_configuration(), 2)
+        # configs[1] was scored through a window, then re-anchored as
+        # the parent of configs[2]: in the ring, but not in the memo.
+        target = configs[1]
+        assert ev._cache[target][0] is None
+        ring = list(ev._incumbents)
+        anchor, = [inc for inc in ring if inc.config == target]
+        calls = self._engine_calls(monkeypatch, toy_engine)
+
+        state = ev.state_of(target)
+
+        assert calls == []
+        assert state is anchor.state
+        assert ev._incumbents == ring
+        assert ev._cache[target][0] is state     # pinned from now on
+        assert registry.snapshot().get(
+            "magus.evaluator.state_rebuilds", {"value": 0})["value"] == 0
 
     def test_rebuild_then_reanchor_costs_one_evaluation(
             self, monkeypatch, toy_engine, toy_network, toy_density):

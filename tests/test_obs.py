@@ -262,6 +262,96 @@ class TestRunReport:
         assert "magus.tilt_pass" in table
         assert "4 model evaluations" in table
 
+    @staticmethod
+    def _every_section():
+        """A report with every table section filled in."""
+        w1, w2 = "pid=4242,worker=1", "pid=4243,worker=2"
+        metrics = {name: {"type": "counter", "value": value}
+                   for name, value in (
+                       ("magus.engine.evaluations", 12),
+                       ("magus.faults.injected", 3),
+                       ("magus.resilience.retries", 2),
+                       ("magus.engine.delta_evaluations", 40),
+                       ("magus.engine.delta_fallbacks", 1),
+                       ("magus.evaluator.state_rebuilds", 5),
+                       ("magus.engine.roi_evaluations", 30),
+                       ("magus.engine.roi_cells", 123456),
+                       ("magus.parallel.tasks", 8))}
+        metrics["magus.sweep.mitigations_per_hour"] = {"type": "gauge",
+                                                       "value": 1234.5}
+        for label, chunks, busy_ns, evaluations in ((w2, 3, 3 * 10**9, 7),
+                                                    (w1, 5, 10**9, 9)):
+            for name, value in (("magus.parallel.chunks", chunks),
+                                ("magus.parallel.worker_busy_ns", busy_ns),
+                                ("magus.engine.evaluations", evaluations)):
+                metrics[f"{name}{{{label}}}"] = {"type": "counter",
+                                                 "value": value}
+        metrics["span.magus.tilt_pass"] = {"type": "timer", "count": 1,
+                                           "total_ns": 500_000_000}
+        return RunReport(
+            command="mitigate", meta={"utility": "performance", "seed": 1},
+            phases=[{"name": "magus.tilt_pass", "calls": 1,
+                     "wall_time_s": 0.5, "mean_s": 0.5},
+                    {"name": "magus.power_pass", "calls": 12,
+                     "wall_time_s": 1.25, "mean_s": 0.104}],
+            iterations=[{"step": 1, "sector": 2, "knob": "power",
+                         "old_value": 30.0, "new_value": 31.0,
+                         "utility": 10.5, "delta_utility": 0.5,
+                         "evaluations": 4}],
+            utility_trajectory=[10.0, 10.5], total_model_evaluations=4,
+            metrics=metrics,
+            resources={"peak_rss_mb": 188.5, "minor_faults": 1234,
+                       "major_faults": 0})
+
+    def test_output_is_unchanged(self):
+        """The table and the JSON read as they did before the table's
+        sections shared one renderer (the JSON by its SHA-256)."""
+        import hashlib
+        report = self._every_section()
+        assert report.to_table() == "\n".join([
+            "run report (mitigate): 1 accepted steps, 4 model evaluations",
+            "utility: 10 -> 10.5 over 1 steps",
+            "phase             calls   wall (s)",
+            "magus.tilt_pass       1     0.5000",
+            "magus.power_pass     12     1.2500",
+            "resources:",
+            "  peak_rss_mb   188.5",
+            "  minor_faults  1234",
+            "  major_faults  0",
+            "resilience:",
+            "  magus.faults.injected     3",
+            "  magus.resilience.retries  2",
+            "delta engine:",
+            "  magus.engine.delta_evaluations  40",
+            "  magus.engine.delta_fallbacks    1",
+            "  magus.evaluator.state_rebuilds  5",
+            "roi:",
+            "  magus.engine.roi_evaluations  30",
+            "  magus.engine.roi_cells        123456",
+            "parallel:",
+            "  magus.parallel.tasks              8",
+            "  magus.sweep.mitigations_per_hour  1234.5",
+            "  worker 1 (pid 4242): 5 chunks, 1.000 s busy (25.0%), "
+            "9 evaluations",
+            "  worker 2 (pid 4243): 3 chunks, 3.000 s busy (75.0%), "
+            "7 evaluations"])
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "e3f78612982ec61fd28f524bfcf3bb971b2183ea5590f9268dfda105060c87f5")
+        # Worker rows alone still open the parallel section.
+        label = "pid=7,worker=1"
+        workers_only = RunReport(command="sweep", metrics={
+            f"magus.parallel.chunks{{{label}}}": {"type": "counter",
+                                                 "value": 2},
+            f"magus.engine.evaluations{{{label}}}": {"type": "counter",
+                                                    "value": 6}})
+        assert workers_only.to_table() == "\n".join([
+            "run report (sweep): 0 accepted steps, 0 model evaluations",
+            "parallel:",
+            "  worker 1 (pid 7): 2 chunks, 0.000 s busy (0.0%), "
+            "6 evaluations"])
+        assert RunReport().to_table() == (
+            "run report (unknown): 0 accepted steps, 0 model evaluations")
+
     def test_from_mitigation_agrees_with_tuning_trace(
             self, toy_evaluator, toy_network):
         with use_registry(MetricsRegistry()) as reg:

@@ -1,5 +1,6 @@
 """Unit tests for the per-sector, per-tilt path-loss database."""
 
+import pickle
 import weakref
 
 import numpy as np
@@ -9,7 +10,10 @@ from repro.faults import FaultInjector, FaultPlan, PathLossFaults
 from repro.model.fields import correlated_gaussian_field
 from repro.model.geometry import GridSpec, Region
 from repro.model.network import CellularNetwork
-from repro.model.pathloss import (DEFAULT_SHADOWING_CORR_M, PathLossDatabase,
+from repro.model.engine import AnalysisEngine
+from repro.model.pathloss import (DEFAULT_PROFILE_CACHE_SIZE,
+                                  DEFAULT_SHADOWING_CORR_M,
+                                  DEFAULT_TENSOR_CACHE_SIZE, PathLossDatabase,
                                   sector_rasters)
 from repro.model.propagation import (Environment, PropagationModel,
                                      SPMParameters, Transmitter)
@@ -110,7 +114,7 @@ class TestTiltModels:
         second = db.gain_tensor(tilts.copy())
         assert second is not first and not second.flags.writeable
         assert np.array_equal(first, second)
-        assert len(db._row_db_cache) == 2
+        assert db._row_db.cache_info().currsize == 2
         assert all(db.gain_row_db(s, 4.0) is rows[s] for s in range(2))
 
     def test_tensor_wrong_length_rejected(self, world):
@@ -135,38 +139,95 @@ class TestLRUCaches:
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env,
                                                shadowing_sigma_db=0.0)
-        bound = db._row_db_cache.maxsize
+        bound = db._row_db.cache_parameters()["maxsize"]
+        assert bound == DEFAULT_TENSOR_CACHE_SIZE * net.n_sectors
         rows = [db.gain_row_db(0, i * 0.5) for i in range(bound + 1)]
         # Newest entries survive; re-requesting the most recent is a hit.
         assert db.gain_row_db(0, bound * 0.5) is rows[-1]
         # Second-newest also survived the single eviction (the old bug
         # cleared the whole cache when it overflowed).
         assert db.gain_row_db(0, (bound - 1) * 0.5) is rows[-2]
-        assert len(db._row_db_cache) == bound
+        info = db._row_db.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, bound + 1,
+                                                           bound)
         assert db.gain_row_db(0, 0.0) is not rows[0]     # evicted
 
-    def test_lru_unit(self):
-        from repro.model.pathloss import LRUCache
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1          # refreshes "a"
-        cache.put("c", 3)                   # evicts LRU "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.hits == 3 and cache.misses == 1
+    def test_bounds(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env)
+        S = net.n_sectors
+        assert {name: getattr(db, name).cache_parameters()["maxsize"]
+                for name in PathLossDatabase._CACHES} == {
+            "_row_mw": DEFAULT_TENSOR_CACHE_SIZE * S,
+            "_row_db": DEFAULT_TENSOR_CACHE_SIZE * S,
+            "shared_profile": DEFAULT_PROFILE_CACHE_SIZE,
+            "_footprint_box": DEFAULT_PROFILE_CACHE_SIZE * S}
 
-    def test_lru_zero_size_stores_nothing(self):
-        from repro.model.pathloss import LRUCache
-        cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
+    def test_dropped_database_is_freed_without_gc(self, world):
+        """The caches hold no reference to their database, so dropping
+        the last one frees it (and its rasters) at once."""
+        import gc
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env,
+                                               clip_floor_db=-120.0)
+        db.gain_matrix_mw(0, 4.0)
+        db.gain_row_db(1, 4.0)
+        db.footprint(0, 4.0)
+        ref = weakref.ref(db)
+        gc.disable()
+        try:
+            del db
+            assert ref() is None
+        finally:
+            gc.enable()
 
-    def test_lru_rejects_negative(self):
-        from repro.model.pathloss import LRUCache
-        with pytest.raises(ValueError):
-            LRUCache(-1)
+
+class TestPickling:
+    """A pickled database arrives with empty caches of its own."""
+
+    @staticmethod
+    def _assert_fresh_and_equal(db, clone, queries):
+        for name in PathLossDatabase._CACHES:
+            assert getattr(clone, name).cache_info().currsize == 0, name
+            assert getattr(clone, name) is not getattr(db, name)
+        for sector, tilt in queries:
+            for method in ("gain_matrix_mw", "gain_row_db"):
+                row = getattr(clone, method)(sector, tilt)
+                want = getattr(db, method)(sector, tilt)
+                assert row is not want
+                assert row.dtype == want.dtype
+                assert row.tobytes() == want.tobytes()
+
+    def test_database_round_trip(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4,
+                                               tilt_model="shared-delta",
+                                               clip_floor_db=-120.0)
+        queries = [(0, 4.0), (1, 2.5)]
+        for sector, tilt in queries:
+            db.gain_matrix_mw(sector, tilt)
+            db.gain_row_db(sector, tilt)
+            db.footprint(sector, tilt)
+        assert all(getattr(db, name).cache_info().currsize > 0
+                   for name in PathLossDatabase._CACHES)
+        clone = pickle.loads(pickle.dumps(db))
+        self._assert_fresh_and_equal(db, clone, queries)
+        assert [clone.footprint(s, t) for s, t in queries] == \
+            [db.footprint(s, t) for s, t in queries]
+        # The clone's caches are its own: clearing them leaves db's.
+        clone.invalidate_caches()
+        assert db._row_mw.cache_info().currsize == len(queries)
+
+    def test_engine_round_trip(self, world):
+        grid, env, net = world
+        db = PathLossDatabase.from_environment(net, env, seed=4)
+        engine = AnalysisEngine(db)
+        queries = [(0, 4.0), (1, 6.0)]
+        for sector, tilt in queries:
+            db.gain_matrix_mw(sector, tilt)
+            db.gain_row_db(sector, tilt)
+        clone = pickle.loads(pickle.dumps(engine))
+        self._assert_fresh_and_equal(db, clone.pathloss, queries)
 
 
 class TestMilliwattPlanes:
@@ -198,7 +259,8 @@ class TestMilliwattPlanes:
         epoch = db.cache_epoch
         db.invalidate_caches()
         assert db.cache_epoch == epoch + 1
-        assert len(db._row_mw_cache) == 0
+        assert all(getattr(db, name).cache_info().currsize == 0
+                   for name in PathLossDatabase._CACHES)
         second = db.gain_matrix_mw(1, 4.0)
         assert second is not first          # caches were dropped
         assert np.array_equal(second, first)
@@ -238,19 +300,20 @@ class TestDbRows:
         tilts = np.full(net.n_sectors, 4.0)
         db.gain_tensor_mw(tilts)
         db.gain_matrix_mw(0, 2.0)
-        assert len(db._row_db_cache) == 0
+        assert db._row_db.cache_info().currsize == 0
         db.gain_row_db(0, 2.0)
-        assert len(db._row_db_cache) == 1
+        assert db._row_db.cache_info().currsize == 1
         db.gain_tensor(tilts)       # a stack of gain_row_db rows
-        assert len(db._row_db_cache) == 1 + net.n_sectors
-        assert db._row_db_cache.maxsize == db._row_mw_cache.maxsize
+        assert db._row_db.cache_info().currsize == 1 + net.n_sectors
+        assert (db._row_db.cache_parameters()
+                == db._row_mw.cache_parameters())
 
     def test_invalidate_caches_clears_rows(self, world):
         grid, env, net = world
         db = PathLossDatabase.from_environment(net, env, seed=4)
         first = db.gain_row_db(0, 4.0)
         db.invalidate_caches()
-        assert len(db._row_db_cache) == 0
+        assert db._row_db.cache_info().currsize == 0
         second = db.gain_row_db(0, 4.0)
         assert second is not first
         assert np.array_equal(second, first)
@@ -266,7 +329,8 @@ class TestDbRows:
         bad, = FaultInjector(plan).corrupt_pathloss(db)
         with pytest.raises(ValueError, match="corrupted after construction"):
             db.gain_row_db(bad, 4.0)
-        assert len(db._row_db_cache) == 0   # nothing corrupt was kept
+        # nothing corrupt was kept
+        assert db._row_db.cache_info().currsize == 0
 
 
 # ----------------------------------------------------------------------

@@ -144,9 +144,11 @@ class TestPackedStore:
             shadowing_sigma_db=0.0, seed=0, tilt_model="shared-delta")
         for tilt in np.linspace(0.0, 8.0, DEFAULT_PROFILE_CACHE_SIZE * 3):
             db.gain_matrix(0, float(tilt))
-        assert len(db._shared_profiles) <= DEFAULT_PROFILE_CACHE_SIZE
+        info = db.shared_profile.cache_info()
+        assert info.maxsize == DEFAULT_PROFILE_CACHE_SIZE
+        assert info.currsize == DEFAULT_PROFILE_CACHE_SIZE
         db.invalidate_caches()
-        assert len(db._shared_profiles) == 0
+        assert db.shared_profile.cache_info().currsize == 0
 
 
 # ----------------------------------------------------------------------

@@ -768,8 +768,9 @@ class TestScoreMemoExact:
             rung = ladder[0]
             ev.utility_of(rung)
             ev.score_candidates(self._power_fan(network, rung), parent=rung)
-            scored = {config: value for config, (held, value)
-                      in ev._cache.items() if held is None}
+            # Every entry but the canonical ``base`` is a windowed score.
+            scored = {config: value for config, (_, value)
+                      in ev._cache.items() if config != base}
             assert len(scored) == len(ev._cache) - 1, world.name
             incumbents = [engine.evaluate_with_incumbent(anchor, density)[1]
                           for anchor in (base, rung)]

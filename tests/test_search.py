@@ -247,7 +247,7 @@ class TestCapturePrefilter:
         c_before = network.planned_configuration()
         tune_power(ev, network, c_before.with_offline([4, 5]),
                    ev.state_of(c_before), [4, 5])
-        assert len(db._row_db_cache) > 0
+        assert db._row_db.cache_info().currsize > 0
 
 
 # ----------------------------------------------------------------------

@@ -103,7 +103,7 @@ class TestCaptureMerge:
     def test_timer_merge_folds_within_ring_bounds(self):
         """Merged ring stays <= ring_size; count/total/min/max exact."""
         parent = MetricsRegistry()
-        ring_size = parent.timer("t")._ring_size
+        ring_size = parent.timer("t")._ring.maxlen
         n_per_worker = ring_size // 2 + 500     # 2 workers overflow it
         for worker in range(2):
             registry = MetricsRegistry()
@@ -127,7 +127,7 @@ class TestCaptureMerge:
 
     def test_timer_merge_onto_same_label_respects_ring_bound(self):
         parent = MetricsRegistry()
-        ring_size = parent.timer("t")._ring_size
+        ring_size = parent.timer("t")._ring.maxlen
         label = worker_label(1, 1)
         total = 0
         for chunk in range(3):
