@@ -16,10 +16,10 @@ additionally accept ``--metrics-out FILE.json`` (write the run's
 :class:`~repro.obs.RunReport`), ``--trace`` (print the span tree),
 ``--trace-out FILE.json`` (export parent *and* worker spans in the
 Chrome trace-event format for Perfetto / ``chrome://tracing``) and
-``--flight-out FILE.json`` (dump the structured flight-recorder event
-ring).  Every exit path — including the SIGPIPE guard and the
-structured aborts with exit codes 3/4 — flushes each requested
-artifact exactly once.
+``--flight-out FILE.json`` (dump the registry's structured event ring,
+worker events included).  Every exit path — including the SIGPIPE
+guard and the structured aborts with exit codes 3/4 — flushes each
+requested artifact exactly once.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .analysis.ascii_map import render_serving_map
 from .analysis.report import format_series, format_table
 from .core.magus import TUNING_STRATEGIES
 from .faults import ChaosInjector, ChaosPlan, FaultInjector, FaultPlan
-from .obs import (FlightRecorder, MetricsRegistry, RunReport,
-                  export_chrome_trace, get_flight_recorder, get_logger,
-                  get_registry, set_flight_recorder, set_registry,
-                  setup_logging, trace, verbosity_to_level)
+from .obs import (MetricsRegistry, RunReport, export_chrome_trace,
+                  get_logger, get_registry, set_registry, setup_logging,
+                  trace, verbosity_to_level)
 from .synthetic.calendar import (UpgradeCalendarGenerator, duration_stats,
                                  weekday_histogram)
 from .synthetic.market import build_area
@@ -185,10 +184,10 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "trace-event format — open in Perfetto or "
                              "chrome://tracing")
     parser.add_argument("--flight-out", metavar="FILE.json", default=None,
-                        help="dump the flight recorder (rollout steps, "
-                             "faults, retries, pool fallbacks, search "
-                             "passes) as JSON; aborted runs dump it "
-                             "automatically")
+                        help="dump the run's event ring (rollout steps, "
+                             "faults, retries, pool decisions, search "
+                             "passes, pool workers' included) as JSON; "
+                             "aborted runs dump it automatically")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -212,24 +211,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "pack": _cmd_pack,
     }[args.command]
 
-    observing = bool(getattr(args, "metrics_out", None)
-                     or getattr(args, "trace", False)
-                     or getattr(args, "trace_out", None))
-    # The recorder runs whenever there is a consumer: an explicit
-    # --flight-out, or a fault/chaos plan whose abort path will flush it.
-    recording = bool(getattr(args, "flight_out", None)
-                     or getattr(args, "faults", None)
-                     or getattr(args, "chaos", None))
+    # One registry whenever there is a consumer of metrics, spans or
+    # events: a report or trace flag, an explicit --flight-out, or a
+    # fault/chaos plan whose abort path will flush the event ring.
+    observing = any(getattr(args, flag, None) for flag in (
+        "metrics_out", "trace", "trace_out", "flight_out", "faults",
+        "chaos"))
     sink = _ObsSink(args)
     previous_registry = None
-    previous_recorder = None
     if observing:
-        previous_registry = set_registry(MetricsRegistry())
+        previous_registry = set_registry(
+            MetricsRegistry(flight_out=args.flight_out))
         if args.trace or args.trace_out:
             trace.enable()
-    if recording:
-        previous_recorder = set_flight_recorder(
-            FlightRecorder(dump_path=args.flight_out))
     try:
         status = handler(args, sink)
         sys.stdout.flush()
@@ -245,8 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Whatever path exits — success, structured aborts (codes
         # 3/4), SIGPIPE — every requested artifact lands exactly once.
         sink.finalize()
-        if recording:
-            set_flight_recorder(previous_recorder)
         if observing:
             trace.disable()
             trace.clear()
@@ -296,7 +288,7 @@ class _ObsSink:
         return True
 
     def finalize(self) -> None:
-        get_flight_recorder().flush()
+        get_registry().flush()
         self.write_trace()
         if self.metrics_out is not None and not self._metrics_written:
             # The handler exited before reaching its report emission

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..model.engine import AnalysisEngine
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_flight_recorder, get_logger, get_registry, trace
+from ..obs import get_logger, get_registry, trace
 from .azimuth import AzimuthSearchSettings, tune_azimuth
 from .brute import BruteForceSettings, tune_brute_force
 from .evaluation import Evaluator
@@ -118,29 +118,29 @@ class Magus:
             if not c_before.is_active(t):
                 raise ValueError(f"target sector {t} is already off-air")
         meter = self.evaluator.cost_meter()
-        recorder = get_flight_recorder()
+        registry = get_registry()
         with trace.span("magus.plan_mitigation", tuning=tuning,
                         targets=len(targets)):
-            recorder.record("search_pass", phase="baseline_eval",
+            registry.record("search_pass", phase="baseline_eval",
                             tuning=tuning, targets=list(targets))
             with trace.span("magus.baseline_eval"):
                 baseline_state = self.evaluator.state_of(c_before)
                 f_before = self.evaluator.utility_of(c_before)
-            recorder.record("search_pass", phase="upgrade_eval",
+            registry.record("search_pass", phase="upgrade_eval",
                             tuning=tuning, f_before=f_before)
             with trace.span("magus.upgrade_eval"):
                 c_upgrade = c_before.with_offline(targets)
                 f_upgrade = self.evaluator.utility_of(c_upgrade)
 
-            recorder.record("search_pass", phase="tuning", tuning=tuning,
+            registry.record("search_pass", phase="tuning", tuning=tuning,
                             f_upgrade=f_upgrade)
             with trace.span("magus.tuning", strategy=tuning):
                 result = self._run_tuner(tuning, c_upgrade,
                                          baseline_state, targets)
 
-        get_registry().counter("magus.plan.model_evaluations").inc(
+        registry.counter("magus.plan.model_evaluations").inc(
             meter.spent())
-        recorder.record("search_pass", phase="complete", tuning=tuning,
+        registry.record("search_pass", phase="complete", tuning=tuning,
                         f_after=result.final_utility,
                         evaluations=meter.spent(),
                         termination=result.termination)

@@ -258,7 +258,7 @@ class ChaosInjector:
 
     def _corrupt(self, path: str, strike: int) -> None:
         """Flip one seeded bit of ``path`` or truncate its tail."""
-        from ..obs.events import get_flight_recorder
+        from ..obs.registry import get_registry
         from ..synthetic.rng import substream
 
         size = os.path.getsize(path)
@@ -279,6 +279,6 @@ class ChaosInjector:
             keep = max(1, int(rng.integers(1, max(size // 2, 2))))
             os.truncate(path, keep)
             detail = {"truncated_to": keep}
-        get_flight_recorder().record(
+        get_registry().record(
             "chaos_artifact_corrupted", path=path,
             mode=faults.mode, **detail)

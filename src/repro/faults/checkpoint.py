@@ -250,12 +250,12 @@ def previous_path(path: str) -> str:
 
 def _record_checkpoint_fallback(path: str,
                                 error: Optional[ValueError]) -> None:
-    """Note a last-known-good fallback in metrics + flight recorder."""
-    from ..obs.events import get_flight_recorder
+    """Note a last-known-good fallback in the registry (metric + event)."""
     from ..obs.registry import get_registry
 
-    get_registry().counter("magus.faults.checkpoint_fallbacks").inc()
-    get_flight_recorder().record(
+    registry = get_registry()
+    registry.counter("magus.faults.checkpoint_fallbacks").inc()
+    registry.record(
         "checkpoint_fallback", path=path,
         reason="corrupt" if error is not None else "missing",
         error=str(error) if error is not None else None)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from ..core.evaluation import Evaluator
 from ..core.gradual import GradualResult
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_flight_recorder, get_logger, get_registry, trace
+from ..obs import get_logger, get_registry, trace
 from .checkpoint import RolloutCheckpoint, schedule_run_id
 from .errors import ConfigPushError
 from .injector import FaultInjector
@@ -170,8 +170,7 @@ class ResilientExecutor:
             result.configs.append(realized)
             result.utilities.append(self.evaluator.utility_of(realized))
 
-        recorder = get_flight_recorder()
-        recorder.record("rollout_start", run_id=run_id,
+        registry.record("rollout_start", run_id=run_id,
                         steps=len(configs) - 1,
                         resumed_from=start_step,
                         floor_utility=floor_utility)
@@ -186,7 +185,7 @@ class ResilientExecutor:
             # The rollout is done; a stale checkpoint must not hijack
             # the next run of a different schedule.
             self._write_checkpoint(result, complete=True)
-        recorder.record("rollout_complete", run_id=run_id,
+        registry.record("rollout_complete", run_id=run_id,
                         steps_applied=result.steps_applied,
                         retries=result.retries)
         return result
@@ -236,9 +235,10 @@ class ResilientExecutor:
         if not live_crashed:
             return config
         if result is not None:
-            get_registry().counter("magus.resilience.sector_crashes").inc(
+            registry = get_registry()
+            registry.counter("magus.resilience.sector_crashes").inc(
                 len(live_crashed))
-            get_flight_recorder().record(
+            registry.record(
                 "fault_injected", fault="sector_crash", step=step,
                 sectors=sorted(live_crashed))
             _LOG.warning("sector crash step=%d sectors=%s", step,
@@ -263,7 +263,7 @@ class ResilientExecutor:
                 backoff = self.policy.delay_for(attempt - 1)
                 registry.counter("magus.resilience.retries").inc()
                 result.retries += 1
-                get_flight_recorder().record(
+                registry.record(
                     "rollout_retry", step=step, attempt=attempt,
                     backoff_s=backoff)
                 _LOG.info("retry step=%d attempt=%d backoff=%.3fs",
@@ -282,7 +282,7 @@ class ResilientExecutor:
                 registry.counter(
                     "magus.resilience.degradation_events").inc()
                 result.degradation_events += 1
-                get_flight_recorder().record(
+                registry.record(
                     "floor_violation", step=step, utility=utility,
                     floor=result.floor_utility)
                 _LOG.warning(
@@ -295,7 +295,7 @@ class ResilientExecutor:
             result.utilities.append(utility)
             result.steps_applied += 1
             registry.counter("magus.resilience.steps_applied").inc()
-            get_flight_recorder().record(
+            registry.record(
                 "rollout_step", step=step, attempt=attempt,
                 utility=utility)
             if self.checkpoint_path is not None:
@@ -321,8 +321,9 @@ class ResilientExecutor:
                 self.apply_fn(target, step)
             return True
         except ConfigPushError as exc:
-            get_registry().counter("magus.resilience.push_failures").inc()
-            get_flight_recorder().record(
+            registry = get_registry()
+            registry.counter("magus.resilience.push_failures").inc()
+            registry.record(
                 "fault_injected", fault="push_failure", step=step,
                 attempt=attempt, error=str(exc))
             _LOG.info("push failed step=%d attempt=%d: %s",
@@ -334,8 +335,7 @@ class ResilientExecutor:
         result.status = "aborted"
         result.fell_back = True
         registry.counter("magus.resilience.fallbacks").inc()
-        recorder = get_flight_recorder()
-        recorder.record("rollout_fallback", run_id=result.run_id,
+        registry.record("rollout_fallback", run_id=result.run_id,
                         reason=result.reason,
                         steps_applied=result.steps_applied,
                         retries=result.retries)
@@ -355,7 +355,7 @@ class ResilientExecutor:
         # An abort is exactly when the operator needs the event ring:
         # dump it now (exactly-once — the CLI's exit flush is a no-op
         # unless more events landed after this point).
-        recorder.flush()
+        registry.flush()
 
     def _write_checkpoint(self, result: RolloutResult,
                           step: Optional[int] = None,
@@ -370,6 +370,6 @@ class ResilientExecutor:
             retries=result.retries,
             meta={"status": "complete" if complete else result.status})
         ckpt.save(self.checkpoint_path)
-        get_flight_recorder().record(
+        get_registry().record(
             "checkpoint_write", path=self.checkpoint_path, step=ckpt.step,
             complete=complete)

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, tracing spans and run reports.
+"""Observability: metrics and events registry, tracing spans, run reports.
 
 The package is dependency-free and disabled by default — the active
 registry is a shared no-op (:data:`NULL_REGISTRY`) and the tracer is
@@ -13,22 +13,22 @@ evaluation.  A run opts in::
     with trace.span("magus.tilt_pass"):
         ...
 
+    get_registry().record("search_pass", phase="tuning")
     snapshot = get_registry().snapshot()
 
-The CLI exposes the same switches as ``--metrics-out FILE.json`` and
-``--trace``; :class:`RunReport` turns a finished mitigation run into
-the JSON/tabular artifact both share.
+The registry also keeps the run's bounded event ring, which
+:meth:`MetricsRegistry.flush` dumps to its ``flight_out``.  The CLI
+exposes the switches as ``--metrics-out``, ``--trace`` and
+``--flight-out``; :class:`RunReport` turns a finished mitigation run
+into the JSON/tabular artifact of the first two.
 """
 
-from .events import (FLIGHT_SCHEMA, NULL_FLIGHT_RECORDER, FlightRecorder,
-                     NullFlightRecorder, get_flight_recorder,
-                     set_flight_recorder, use_flight_recorder)
 from .logging import (ROOT_LOGGER_NAME, get_logger, setup_logging,
                       verbosity_to_level)
-from .registry import (NULL_REGISTRY, Counter, CostMeter, Gauge,
-                       MetricsRegistry, NullRegistry, Timer, get_registry,
-                       labeled_metric, set_registry, split_metric_label,
-                       use_registry)
+from .registry import (FLIGHT_CAPACITY, FLIGHT_SCHEMA, NULL_REGISTRY,
+                       Counter, CostMeter, Gauge, MetricsRegistry,
+                       NullRegistry, Timer, get_registry, labeled_metric,
+                       set_registry, split_metric_label, use_registry)
 from .report import SCHEMA, RunReport
 from .telemetry import (CHROME_TRACE_SCHEMA, WorkerTelemetry,
                         chrome_trace_events, drain_worker_telemetry,
@@ -49,9 +49,7 @@ __all__ = [
     "merge_worker_telemetry",
     "chrome_trace_events", "export_chrome_trace", "validate_chrome_trace",
     "CHROME_TRACE_SCHEMA",
-    "FlightRecorder", "NullFlightRecorder", "NULL_FLIGHT_RECORDER",
-    "FLIGHT_SCHEMA", "get_flight_recorder", "set_flight_recorder",
-    "use_flight_recorder",
+    "FLIGHT_SCHEMA", "FLIGHT_CAPACITY",
     "ROOT_LOGGER_NAME", "get_logger", "setup_logging",
     "verbosity_to_level",
 ]

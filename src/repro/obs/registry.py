@@ -18,6 +18,11 @@ modes with very different cost profiles:
 Timers record integer nanoseconds (``time.perf_counter_ns``) into a
 bounded ring buffer, so percentiles stay O(ring) regardless of how many
 observations a long search produces.
+
+Metrics answer "how much"; the **event ring** answers "what happened,
+in what order" when a run dies: :meth:`MetricsRegistry.record` keeps the
+last :data:`FLIGHT_CAPACITY` structured events, and
+:meth:`MetricsRegistry.flush` dumps them to ``flight_out`` exactly once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,16 @@ __all__ = [
     "Counter", "CostMeter", "Gauge", "Timer", "MetricsRegistry",
     "NullRegistry", "NULL_REGISTRY", "get_registry", "set_registry",
     "use_registry", "labeled_metric", "split_metric_label",
+    "FLIGHT_SCHEMA", "FLIGHT_CAPACITY",
 ]
+
+#: Schema tag stamped into every flight dump.
+FLIGHT_SCHEMA = "magus.flight-recorder/1"
+
+#: Events the ring retains — generous for a mitigation run (a full
+#: gradual rollout with retries emits a few hundred events) while
+#: bounding a week-long sweep to a few hundred KB of memory.
+FLIGHT_CAPACITY = 2048
 
 
 def labeled_metric(name: str, label: str) -> str:
@@ -276,13 +290,22 @@ class Timer:
 
 # ----------------------------------------------------------------------
 class MetricsRegistry:
-    """One metric object per name; serializes to a plain dict."""
+    """One metric object per name, plus the run's bounded event ring.
 
-    def __init__(self) -> None:
+    Metrics serialize to a plain dict (:meth:`snapshot`), events to the
+    flight dump (:meth:`flight_snapshot`) that :meth:`flush` writes.
+    """
+
+    def __init__(self, flight_out: Optional[str] = None) -> None:
         self._metrics: Dict[str, object] = {}
         # Re-entrant: merge_capture holds the lock while calling the
         # accessors (counter/gauge/timer), which lock again.
         self._lock = threading.RLock()
+        self.flight_out = flight_out
+        self._events: Deque[dict] = deque(maxlen=FLIGHT_CAPACITY)
+        self._seq = 0
+        #: ``_seq`` at the last flush; None until the first one.
+        self._flushed_seq: Optional[int] = None
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -316,7 +339,10 @@ class MetricsRegistry:
         return sorted(self._metrics)
 
     def reset(self) -> None:
-        self._metrics.clear()
+        """Drop every metric and retained event."""
+        with self._lock:
+            self._metrics.clear()
+            self._events.clear()
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """All metrics as ``{name: {type, ...stats}}`` (JSON-safe)."""
@@ -361,6 +387,75 @@ class MetricsRegistry:
                 target = labeled_metric(name, label) if label else name
                 accessor(target).merge_state(state)
 
+    # -- the event ring ------------------------------------------------
+    def record(self, kind: str, **fields) -> None:
+        """Append one event; the oldest fall off a full ring.
+
+        Events are ``{"seq", "kind", "t_unix_s", "t_mono_ns", "data"}``;
+        ``seq`` counts every event ever recorded, so a dump shows how
+        many early events the ring dropped.
+        """
+        with self._lock:
+            self._events.append({
+                "seq": self._seq,
+                "kind": kind,
+                "t_unix_s": time.time(),
+                "t_mono_ns": time.monotonic_ns(),
+                "data": fields,
+            })
+            self._seq += 1
+
+    def adopt_events(self, events: List[dict], **tags) -> None:
+        """Append events recorded in another process, renumbered.
+
+        Each keeps its kind, timestamps and ``data``, takes the next
+        ``seq`` here and gains ``tags`` (a worker's ``pid``/``worker``).
+        """
+        with self._lock:
+            for event in events:
+                self._events.append({**event, "seq": self._seq, **tags})
+                self._seq += 1
+
+    def events(self, kind: Optional[str] = None) -> List[dict]:
+        """The retained events, oldest first, optionally one kind."""
+        with self._lock:
+            events = list(self._events)
+        if kind is not None:
+            events = [e for e in events if e["kind"] == kind]
+        return events
+
+    def flight_snapshot(self) -> Dict[str, object]:
+        """The flight dump: schema, ring stats and retained events."""
+        with self._lock:
+            return {
+                "schema": FLIGHT_SCHEMA,
+                "capacity": FLIGHT_CAPACITY,
+                "recorded": self._seq,
+                "dropped": self._seq - len(self._events),
+                "events": list(self._events),
+            }
+
+    def flush(self) -> Optional[str]:
+        """Write the flight dump to ``flight_out``; returns the path.
+
+        A no-op (None) without ``flight_out`` or when nothing was
+        recorded since the last flush.  The ring is marked flushed
+        *before* the write, so an event the write itself causes (a
+        chaos hook corrupting the dump) re-arms the next flush.
+        """
+        with self._lock:
+            if self.flight_out is None or self._flushed_seq == self._seq:
+                return None
+            payload = self.flight_snapshot()
+            self._flushed_seq = self._seq
+        # Lazy import: faults.durable is repro-import-free, but going
+        # through the faults package from obs at module scope would be
+        # circular (faults.executor imports obs).
+        from ..faults.durable import atomic_write_json
+
+        atomic_write_json(self.flight_out, payload, kind="flight")
+        return self.flight_out
+
 
 class _NullCounter(Counter):
     __slots__ = ()
@@ -403,9 +498,10 @@ class NullRegistry(MetricsRegistry):
     """The disabled-instrumentation registry: shared no-op singletons.
 
     Every accessor returns the same do-nothing metric object, so
-    instrumented call sites cost two attribute lookups and a no-op call.
-    Its :meth:`snapshot` is always empty — a key acceptance property
-    (disabled instrumentation must add no keys anywhere).
+    instrumented call sites cost two attribute lookups and a no-op call
+    (:meth:`record` included).  Its :meth:`snapshot` is always empty —
+    a key acceptance property (disabled instrumentation must add no
+    keys anywhere).
     """
 
     def __init__(self) -> None:
@@ -436,6 +532,12 @@ class NullRegistry(MetricsRegistry):
     def merge_capture(self, capture: Dict[str, Dict[str, object]],
                       label: Optional[str] = None) -> None:
         return None   # never mutate the shared no-op singletons
+
+    def record(self, kind: str, **fields) -> None:
+        return None
+
+    def adopt_events(self, events: List[dict], **tags) -> None:
+        return None
 
 
 #: Process-wide shared no-op registry (the default active registry).

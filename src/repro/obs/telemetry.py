@@ -8,13 +8,15 @@ chunk.  This module is the bridge:
 * **worker side** — :func:`reset_worker_observability` gives a freshly
   forked worker clean instruments (so pre-fork parent counts are not
   replayed), and :func:`drain_worker_telemetry` packages the worker's
-  registry capture plus completed spans into a picklable
-  :class:`WorkerTelemetry` after each chunk, resetting for the next;
+  registry capture, recorded events and completed spans into a
+  picklable :class:`WorkerTelemetry` after each chunk, resetting for
+  the next;
 * **parent side** — :func:`merge_worker_telemetry` folds one payload
   into the parent registry under a ``pid=…,worker=…`` label
   (counters summed, timer rings folded, see
-  :meth:`~repro.obs.registry.MetricsRegistry.merge_capture`) and
-  adopts the worker's spans into the parent tracer;
+  :meth:`~repro.obs.registry.MetricsRegistry.merge_capture`), appends
+  the worker's events to the parent's ring and adopts its spans into
+  the parent tracer;
 * **export** — :func:`export_chrome_trace` serializes any span
   collection (parent and adopted worker spans alike) to the Chrome
   trace-event JSON format, one track per process, loadable in
@@ -63,6 +65,7 @@ class WorkerTelemetry:
     busy_ns: int = 0
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
+    events: List[Dict[str, object]] = field(default_factory=list)
 
 
 def worker_label(pid: int, worker_id: int) -> str:
@@ -96,7 +99,7 @@ def reset_worker_observability() -> None:
 
 
 def drain_worker_telemetry(busy_ns: int = 0) -> WorkerTelemetry:
-    """Capture-and-reset this worker's registry and finished spans.
+    """Capture-and-reset this worker's registry, events and spans.
 
     Each call returns the *delta* since the previous one (the registry
     is reset and the tracer drained), so successive chunk payloads
@@ -104,12 +107,14 @@ def drain_worker_telemetry(busy_ns: int = 0) -> WorkerTelemetry:
     """
     registry = get_registry()
     metrics = registry.capture()
-    if metrics:
+    events = registry.events()
+    if metrics or events:
         registry.reset()
     spans = ([span_payload(span) for span in trace.drain()]
              if trace.enabled else [])
     return WorkerTelemetry(pid=os.getpid(), worker_id=_pool_worker_id(),
-                           busy_ns=busy_ns, metrics=metrics, spans=spans)
+                           busy_ns=busy_ns, metrics=metrics, spans=spans,
+                           events=events)
 
 
 # ----------------------------------------------------------------------
@@ -120,18 +125,22 @@ def merge_worker_telemetry(payload: WorkerTelemetry,
                            tracer: Optional[Tracer] = None) -> None:
     """Fold one worker payload into the parent's instruments.
 
-    Metrics land labeled (``name{pid=…,worker=…}``); spans are adopted
-    into the tracer with the same attribution in their tags, which is
-    what puts them on their own track in the Chrome trace export.
+    Metrics land labeled (``name{pid=…,worker=…}``); events join the
+    parent's ring with fresh ``seq`` numbers and ``pid``/``worker``
+    keys; spans are adopted into the tracer with the same attribution
+    in their tags, which is what puts them on their own track in the
+    Chrome trace export.
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else trace
+    tags = {_PID_TAG: payload.pid, _WORKER_TAG: payload.worker_id}
     if payload.metrics:
         registry.merge_capture(
             payload.metrics,
             label=worker_label(payload.pid, payload.worker_id))
+    if payload.events:
+        registry.adopt_events(payload.events, **tags)
     if payload.spans and tracer.enabled:
-        tags = {_PID_TAG: payload.pid, _WORKER_TAG: payload.worker_id}
         for span_dict in payload.spans:
             tracer.adopt(span_from_payload(span_dict, extra_tags=tags))
 

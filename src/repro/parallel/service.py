@@ -20,9 +20,12 @@ pool of worker processes.  Design constraints, in order:
    twice is *quarantined*: re-run serially in the parent while the
    rest of the dispatch stays on the pool, so one poisoned item
    degrades only itself.  Completed items are never recomputed.
-   Every decision lands in the flight recorder and the
+   Every decision lands in the registry's event ring (the flight
+   dump) and the
    ``magus.parallel.{chunk_retries,pool_respawns,chunks_quarantined}``
    counters (rendered in the run report's ``parallel:`` section).
+   Events a worker records (search passes, say) ride home in its
+   telemetry payload and join the same ring, tagged ``pid``/``worker``.
    A single-worker service or a daemonic caller returns ``None`` — the
    caller's serial loop answers instead, with identical results.
 
@@ -48,7 +51,7 @@ import numpy as np
 from ..model import roi as _roi
 from ..model.engine import AnalysisEngine, DeltaIncumbent
 from ..model.network import Configuration
-from ..obs import get_flight_recorder, get_logger, get_registry
+from ..obs import get_logger, get_registry
 from ..obs.telemetry import merge_worker_telemetry
 from . import worker as _worker
 
@@ -249,7 +252,6 @@ class EvaluationService:
         the rest of the dispatch stays on the pool.
         """
         registry = get_registry()
-        recorder = get_flight_recorder()
         deadline_s = self.chunk_deadline_s
         n = len(items)
         #: ``(result, telemetry)`` per item; telemetry is None for
@@ -309,7 +311,7 @@ class EvaluationService:
                 if current != pids:
                     if pids - current:
                         death_seen = True
-                        recorder.record(
+                        registry.record(
                             "worker_death",
                             lost_pids=sorted(pids - current),
                             in_flight=len(pending))
@@ -332,13 +334,13 @@ class EvaluationService:
             pool_suspect = False
             for i, reason, error in failed:
                 failures[i] += 1
-                recorder.record("chunk_failed", chunk=i, reason=reason,
+                registry.record("chunk_failed", chunk=i, reason=reason,
                                 error=error, attempt=failures[i])
                 pool_suspect = pool_suspect or reason != "worker_raised"
                 (quarantine if failures[i] >= 2 else retry).append(i)
             if retry and pool_suspect and respawns >= self.max_pool_respawns:
                 # Budget exhausted: no healthy pool to retry on.
-                recorder.record("respawn_budget_exhausted",
+                registry.record("respawn_budget_exhausted",
                                 chunks=sorted(retry))
                 quarantine.extend(retry)
                 retry = []
@@ -346,7 +348,7 @@ class EvaluationService:
                 if pool_suspect:
                     respawns += 1
                     registry.counter("magus.parallel.pool_respawns").inc()
-                    recorder.record("pool_respawn", attempt=respawns,
+                    registry.record("pool_respawn", attempt=respawns,
                                     chunks=sorted(retry))
                     self._shutdown_pool()
                     self._ensure_pool()
@@ -359,7 +361,7 @@ class EvaluationService:
                     registry.counter(
                         "magus.parallel.chunk_retries").inc(len(retry))
                     for i in retry:
-                        recorder.record("chunk_retry", chunk=i,
+                        registry.record("chunk_retry", chunk=i,
                                         attempt=failures[i] + 1)
                     submit(retry)
                     pids = self._worker_pids()
@@ -368,7 +370,7 @@ class EvaluationService:
             for i in quarantine:
                 registry.counter(
                     "magus.parallel.chunks_quarantined").inc()
-                recorder.record("chunk_quarantined", chunk=i,
+                registry.record("chunk_quarantined", chunk=i,
                                 failures=failures[i],
                                 rescued=serial_fn is not None)
                 if serial_fn is None:
@@ -377,7 +379,7 @@ class EvaluationService:
                         "is available; abandoning the dispatch "
                         "(completed items: %d/%d)",
                         i, failures[i], sum(done), n)
-                    recorder.record(
+                    registry.record(
                         "pool_fallback", reason="dispatch_failed",
                         completed=sum(done), submitted=n)
                     self._shutdown_pool()

@@ -22,7 +22,7 @@ from ..core.search import PowerSearchSettings
 from ..core.tilt import TiltSearchSettings
 from ..core.utility import UtilityFunction
 from ..handover.migration import MigrationStats, reduction_factor
-from ..obs import get_flight_recorder, get_logger, get_registry, trace
+from ..obs import get_logger, get_registry, trace
 from ..synthetic.market import StudyArea
 from .scenario import UpgradeScenario, select_targets
 
@@ -212,6 +212,6 @@ class _SweepProgress:
         registry.gauge("magus.sweep.scenarios_done").set(done)
         registry.gauge("magus.sweep.mitigations_per_hour").set(per_hour)
         registry.gauge("magus.sweep.eta_s").set(eta_s)
-        get_flight_recorder().record(
+        registry.record(
             "sweep_progress", done=done, total=self.total,
             mitigations_per_hour=per_hour, eta_s=eta_s)

@@ -36,8 +36,7 @@ from repro.faults.durable import (add_post_write_hook, atomic_write_json,
 from repro.model import plossdb
 from repro.model.plossdb import (load_packed, read_header, save_packed,
                                  verify_sections)
-from repro.obs import (FlightRecorder, MetricsRegistry, use_flight_recorder,
-                       use_registry)
+from repro.obs import MetricsRegistry, use_registry
 from repro.parallel import EvaluationService
 from repro.upgrades.planner import UpgradePlanner
 from repro.upgrades.scenario import UpgradeScenario
@@ -300,7 +299,7 @@ class TestChaosInjector:
         add_post_write_hook(hook)
         payload = b"A" * 256
         try:
-            with use_flight_recorder(FlightRecorder()):
+            with use_registry(MetricsRegistry()):
                 first = tmp_path / "first.ckpt"
                 atomic_write(str(first), payload, kind="checkpoint")
                 assert first.read_bytes() == payload   # before window
@@ -329,7 +328,7 @@ class TestChaosInjector:
         hook = injector.artifact_hook()
         add_post_write_hook(hook)
         try:
-            with use_flight_recorder(FlightRecorder()):
+            with use_registry(MetricsRegistry()):
                 path = tmp_path / "flight.json"
                 atomic_write(str(path), b"B" * 512, kind="flight")
                 assert 0 < os.path.getsize(path) < 512
@@ -344,7 +343,7 @@ class TestChaosInjector:
             hook = injector.artifact_hook()
             add_post_write_hook(hook)
             try:
-                with use_flight_recorder(FlightRecorder()):
+                with use_registry(MetricsRegistry()):
                     path = tmp_path / f"c{tag}.ckpt"
                     atomic_write(str(path), b"C" * 128, kind="checkpoint")
                 return path.read_bytes()
@@ -383,8 +382,7 @@ class TestSupervision:
         want = _plans(self._sweep(small_area, workers=1))
         chaos = ChaosInjector(ChaosPlan(kill=WorkerKill(at_chunk=0)),
                               str(tmp_path / "scratch"))
-        with use_registry(MetricsRegistry()) as registry, \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             got = _plans(self._sweep(small_area, chaos=chaos,
                                      chunk_deadline_s=30.0))
             assert got == want
@@ -395,7 +393,7 @@ class TestSupervision:
                 "magus.parallel.pool_respawns").value == 1
             assert registry.counter(
                 "magus.parallel.chunks_quarantined").value == 0
-            kinds = {e["kind"] for e in recorder.events()}
+            kinds = {e["kind"] for e in registry.events()}
             assert {"worker_death", "chunk_failed", "pool_respawn",
                     "chunk_retry"} <= kinds
         assert multiprocessing.active_children() == []
@@ -409,14 +407,13 @@ class TestSupervision:
         chaos = ChaosInjector(
             ChaosPlan(kill=WorkerKill(at_chunk=0, times=2)),
             str(tmp_path / "scratch"))
-        with use_registry(MetricsRegistry()) as registry, \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             got = _plans(self._sweep(small_area, chaos=chaos,
                                      chunk_deadline_s=30.0))
             assert got == want
             assert registry.counter(
                 "magus.parallel.chunks_quarantined").value == 1
-            quarantined = recorder.events("chunk_quarantined")
+            quarantined = registry.events("chunk_quarantined")
             assert [e["data"]["chunk"] for e in quarantined] == [0]
             assert quarantined[0]["data"]["rescued"] is True
 
@@ -425,15 +422,14 @@ class TestSupervision:
         chaos = ChaosInjector(
             ChaosPlan(delay=ChunkDelay(at_chunk=0, seconds=5.0)),
             str(tmp_path / "scratch"))
-        with use_registry(MetricsRegistry()) as registry, \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             got = _plans(self._sweep(small_area, chaos=chaos,
                                      chunk_deadline_s=0.5))
             assert got == want
             assert registry.counter(
                 "magus.parallel.chunk_retries").value >= 1
             reasons = {e["data"]["reason"]
-                       for e in recorder.events("chunk_failed")}
+                       for e in registry.events("chunk_failed")}
             assert "deadline" in reasons
 
     def test_exhausted_respawn_budget_quarantines(self, tmp_path,
@@ -441,8 +437,7 @@ class TestSupervision:
         chaos = ChaosInjector(ChaosPlan(kill=WorkerKill(at_chunk=0)),
                               str(tmp_path / "scratch"))
         items = list(range(6))
-        with use_registry(MetricsRegistry()) as registry, \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             with EvaluationService(toy_engine, toy_density, _UTILITY, 2,
                                    chaos=chaos, chunk_deadline_s=30.0,
                                    max_pool_respawns=0) as service:
@@ -452,7 +447,7 @@ class TestSupervision:
                 "magus.parallel.pool_respawns").value == 0
             assert registry.counter(
                 "magus.parallel.chunks_quarantined").value >= 1
-            assert recorder.events("respawn_budget_exhausted")
+            assert registry.events("respawn_budget_exhausted")
         assert multiprocessing.active_children() == []
 
 
@@ -567,13 +562,12 @@ class TestCheckpointDurability:
         self._checkpoint(toy_network, step=2).save(path)
         text = open(path).read()
         open(path, "w").write(text.replace('"step": 2', '"step": 3'))
-        with use_registry(MetricsRegistry()) as registry, \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             loaded = RolloutCheckpoint.load_if_exists(path)
             assert loaded is not None and loaded.step == 1
             assert registry.counter(
                 "magus.faults.checkpoint_fallbacks").value == 1
-            events = recorder.events("checkpoint_fallback")
+            events = registry.events("checkpoint_fallback")
             assert events and events[0]["data"]["reason"] == "corrupt"
 
     def test_torn_rotation_falls_back_to_prev(self, toy_network,
@@ -582,11 +576,10 @@ class TestCheckpointDurability:
         path = str(tmp_path / "run.ckpt")
         self._checkpoint(toy_network, step=1).save(path)
         os.replace(path, previous_path(path))
-        with use_registry(MetricsRegistry()), \
-                use_flight_recorder(FlightRecorder()) as recorder:
+        with use_registry(MetricsRegistry()) as registry:
             loaded = RolloutCheckpoint.load_if_exists(path)
             assert loaded is not None and loaded.step == 1
-            events = recorder.events("checkpoint_fallback")
+            events = registry.events("checkpoint_fallback")
             assert events and events[0]["data"]["reason"] == "missing"
 
     def test_both_generations_corrupt_raises(self, toy_network,
@@ -736,8 +729,7 @@ class TestEndToEndChaos:
         hook = chaos.artifact_hook()
         add_post_write_hook(hook)
         try:
-            with use_registry(MetricsRegistry()) as registry, \
-                    use_flight_recorder(FlightRecorder()) as recorder:
+            with use_registry(MetricsRegistry()) as registry:
                 chaotic = UpgradePlanner(small_area, workers=2,
                                          chunk_deadline_s=30.0,
                                          chaos=chaos)
@@ -760,7 +752,7 @@ class TestEndToEndChaos:
                         apply_fn=dying_apply,
                         checkpoint_path=ckpt).execute(schedule)
                 # Chaos flipped a bit of the last checkpoint write.
-                assert recorder.events("chaos_artifact_corrupted")
+                assert registry.events("chaos_artifact_corrupted")
                 with pytest.raises(ChecksumError):
                     RolloutCheckpoint.load(ckpt)
 

@@ -196,7 +196,7 @@ class TestTelemetryCli:
         import json
         from repro import cli as cli_mod
         from repro.faults import FaultPlan, PushFaults
-        from repro.obs import FLIGHT_SCHEMA, FlightRecorder, RunReport
+        from repro.obs import FLIGHT_SCHEMA, MetricsRegistry, RunReport
         from repro.obs.telemetry import validate_chrome_trace
         from repro.synthetic import market
         from conftest import SMALL_DIMS
@@ -215,10 +215,10 @@ class TestTelemetryCli:
             writes["report"] += 1
             return real_write(self, path)
 
-        real_flush = FlightRecorder.flush
+        real_flush = MetricsRegistry.flush
 
-        def counting_flush(self, path=None):
-            target = real_flush(self, path)
+        def counting_flush(self):
+            target = real_flush(self)
             if target is not None:       # only actual writes count
                 writes["flight"] += 1
             return target
@@ -226,7 +226,7 @@ class TestTelemetryCli:
         monkeypatch.setattr(cli_mod, "export_chrome_trace",
                             counting_export)
         monkeypatch.setattr(RunReport, "write", counting_write)
-        monkeypatch.setattr(FlightRecorder, "flush", counting_flush)
+        monkeypatch.setattr(MetricsRegistry, "flush", counting_flush)
 
         plan = tmp_path / "plan.json"
         FaultPlan(seed=1, push=PushFaults(
@@ -258,12 +258,11 @@ class TestTelemetryCli:
         still flushes the metrics report and flight dump."""
         import json
         from repro import cli as cli_mod
-        from repro.obs import (FLIGHT_SCHEMA, get_flight_recorder,
-                               get_registry)
+        from repro.obs import FLIGHT_SCHEMA, get_registry
 
         def broken_handler(args, sink):
             get_registry().counter("magus.testbed.measurements").inc(3)
-            get_flight_recorder().record("sweep_progress", done=1)
+            get_registry().record("sweep_progress", done=1)
             raise BrokenPipeError("consumer closed the pipe")
 
         monkeypatch.setattr(cli_mod, "_cmd_testbed", broken_handler)

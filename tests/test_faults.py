@@ -467,18 +467,17 @@ class TestResilientExecutor:
             names = registry.names()
         assert not any(n.startswith("magus.faults.") for n in names)
 
-    def test_flight_recorder_dumped_on_abort(self, toy_evaluator,
-                                             toy_network, toy_schedule,
-                                             tmp_path):
-        """A fault-injected abort flushes the flight recorder: the dump
+    def test_flight_dump_written_on_abort(self, toy_evaluator,
+                                          toy_network, toy_schedule,
+                                          tmp_path):
+        """A fault-injected abort flushes the event ring: the dump
         file exists, carries the schema, and tells the failure story
         (injected faults, retries, the fallback) in order."""
-        from repro.obs import FLIGHT_SCHEMA, FlightRecorder, \
-            use_flight_recorder
+        from repro.obs import FLIGHT_SCHEMA
         dump = tmp_path / "flight.json"
         plan = FaultPlan(push=PushFaults(fail_steps=(2,),
                                          fail_attempts=99))
-        with use_flight_recorder(FlightRecorder(dump_path=str(dump))):
+        with use_registry(MetricsRegistry(flight_out=str(dump))):
             executor = ResilientExecutor(
                 toy_evaluator, network=toy_network,
                 injector=FaultInjector(plan),
@@ -501,19 +500,18 @@ class TestResilientExecutor:
         fallback = payload["events"][-1]["data"]
         assert fallback["reason"] == "push-exhausted"
 
-    def test_flight_recorder_silent_on_success(self, toy_evaluator,
-                                               toy_network, toy_schedule,
-                                               tmp_path):
+    def test_flight_dump_silent_on_success(self, toy_evaluator,
+                                           toy_network, toy_schedule,
+                                           tmp_path):
         """A clean rollout records events but never dumps a file of its
         own accord (flush fires only on the abort path)."""
-        from repro.obs import FlightRecorder, use_flight_recorder
         dump = tmp_path / "flight.json"
-        with use_flight_recorder(
-                FlightRecorder(dump_path=str(dump))) as recorder:
+        with use_registry(MetricsRegistry(flight_out=str(dump))) \
+                as registry:
             result = ResilientExecutor(
                 toy_evaluator, network=toy_network).execute(toy_schedule)
             assert result.completed
-            kinds = [e["kind"] for e in recorder.events()]
+            kinds = [e["kind"] for e in registry.events()]
         assert kinds[0] == "rollout_start"
         assert kinds[-1] == "rollout_complete"
         assert not dump.exists()

@@ -4,10 +4,11 @@ Covers the snapshot/merge bridge between worker processes and the
 parent registry (order-independence and sum-exactness of counter
 merging, bounded timer-ring folding, RLock safety under concurrent
 merges), the span transport and Chrome trace-event exporter, the
-bounded flight recorder with exactly-once flushing, and — end to end —
-the acceptance criterion: a ``workers=2`` scenario sweep whose labeled
-``magus.engine.evaluations`` entries sum to exactly the serial count,
-with at least one adopted span per participating worker process.
+registry's bounded event ring with exactly-once flushing, and — end to
+end — the acceptance criterion: a ``workers=2`` scenario sweep whose
+labeled ``magus.engine.evaluations`` entries sum to exactly the serial
+count, with at least one adopted span per participating worker process
+and the serial sweep's search-pass events in its flight dump.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import PerformanceUtility
-from repro.obs import (FLIGHT_SCHEMA, NULL_FLIGHT_RECORDER, FlightRecorder,
-                       MetricsRegistry, NullFlightRecorder,
-                       get_flight_recorder, labeled_metric,
-                       set_flight_recorder, split_metric_label, trace,
-                       use_flight_recorder, use_registry)
+from repro.obs import (FLIGHT_CAPACITY, FLIGHT_SCHEMA, NULL_REGISTRY,
+                       MetricsRegistry, get_registry, labeled_metric,
+                       split_metric_label, trace, use_registry)
 from repro.obs.telemetry import (WorkerTelemetry, chrome_trace_events,
                                  drain_worker_telemetry, export_chrome_trace,
                                  merge_worker_telemetry, span_from_payload,
@@ -200,6 +199,16 @@ class TestWorkerTelemetry:
             assert drain_worker_telemetry().metrics == {}
             assert registry.counter("magus.engine.evaluations").value == 0
 
+    def test_drain_ships_and_resets_events_without_metrics(self):
+        with use_registry(MetricsRegistry()) as registry:
+            registry.record("search_pass", phase="tuning")
+            payload = drain_worker_telemetry()
+            assert payload.metrics == {}
+            assert [e["data"] for e in payload.events] == \
+                [{"phase": "tuning"}]
+            # Reset even with no metrics: the next drain ships nothing.
+            assert drain_worker_telemetry().events == []
+
     def test_drain_under_null_registry_is_empty(self):
         payload = drain_worker_telemetry()
         assert payload.metrics == {}
@@ -228,13 +237,23 @@ class TestWorkerTelemetry:
         span.start_ns, span.end_ns = 10, 20
         payload = WorkerTelemetry(pid=999, worker_id=2,
                                   metrics=worker_registry.capture(),
-                                  spans=[span_payload(span)])
+                                  spans=[span_payload(span)],
+                                  events=[{"seq": 0, "kind": "search_pass",
+                                           "t_unix_s": 1.0, "t_mono_ns": 2,
+                                           "data": {"phase": "tuning"}}])
         parent, tracer = MetricsRegistry(), Tracer()
         tracer.enable()
+        parent.record("sweep_progress", done=0)
         merge_worker_telemetry(payload, registry=parent, tracer=tracer)
         name = labeled_metric("magus.engine.evaluations",
                               worker_label(999, 2))
         assert parent.counter(name).value == 5
+        # The worker event keeps its kind, timestamps and data, takes
+        # the parent's next seq and gains the worker's attribution.
+        assert parent.events()[1:] == [{
+            "seq": 1, "kind": "search_pass", "t_unix_s": 1.0,
+            "t_mono_ns": 2, "data": {"phase": "tuning"}, "pid": 999,
+            "worker": 2}]
         adopted = tracer.peek()
         assert len(adopted) == 1
         assert adopted[0].tags["pid"] == 999
@@ -336,97 +355,104 @@ class TestChromeTrace:
 
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
+    """The registry's bounded event ring and its flight dump."""
+
     def test_ring_bounds_and_drop_accounting(self):
-        recorder = FlightRecorder(capacity=4)
-        for i in range(10):
-            recorder.record("rollout_step", step=i)
-        assert len(recorder) == 4
-        assert recorder.recorded == 10
-        assert recorder.dropped == 6
-        retained = recorder.events()
-        assert [e["data"]["step"] for e in retained] == [6, 7, 8, 9]
-        assert [e["seq"] for e in retained] == [6, 7, 8, 9]
+        registry = MetricsRegistry()
+        for i in range(FLIGHT_CAPACITY + 6):
+            registry.record("rollout_step", step=i)
+        snapshot = registry.flight_snapshot()
+        assert snapshot["capacity"] == FLIGHT_CAPACITY
+        assert snapshot["recorded"] == FLIGHT_CAPACITY + 6
+        assert snapshot["dropped"] == 6
+        retained = snapshot["events"]
+        assert len(retained) == FLIGHT_CAPACITY
+        assert [e["data"]["step"] for e in retained] == \
+            list(range(6, FLIGHT_CAPACITY + 6))
+        assert [e["seq"] for e in retained] == \
+            list(range(6, FLIGHT_CAPACITY + 6))
         assert all(e["kind"] == "rollout_step" for e in retained)
 
     def test_kind_filter(self):
-        recorder = FlightRecorder()
-        recorder.record("rollout_step", step=0)
-        recorder.record("fault_injected", fault="push_failure")
-        recorder.record("rollout_step", step=1)
-        assert len(recorder.events("rollout_step")) == 2
-        assert len(recorder.events("fault_injected")) == 1
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        registry = MetricsRegistry()
+        registry.record("rollout_step", step=0)
+        registry.record("fault_injected", fault="push_failure")
+        registry.record("rollout_step", step=1)
+        assert len(registry.events("rollout_step")) == 2
+        assert len(registry.events("fault_injected")) == 1
 
     def test_snapshot_schema(self):
-        recorder = FlightRecorder(capacity=8)
-        recorder.record("checkpoint_write", path="x.json")
-        snapshot = recorder.snapshot()
+        registry = MetricsRegistry()
+        registry.record("checkpoint_write", path="x.json")
+        snapshot = registry.flight_snapshot()
         assert snapshot["schema"] == FLIGHT_SCHEMA
-        assert snapshot["capacity"] == 8
+        assert snapshot["capacity"] == FLIGHT_CAPACITY
         assert snapshot["recorded"] == 1
         assert snapshot["dropped"] == 0
         assert snapshot["events"][0]["kind"] == "checkpoint_write"
+        assert set(snapshot["events"][0]) == \
+            {"seq", "kind", "t_unix_s", "t_mono_ns", "data"}
+        # Events stay out of the metrics snapshot the run report reads.
+        assert registry.snapshot() == {}
 
     def test_flush_exactly_once(self, tmp_path):
         out = tmp_path / "flight.json"
-        recorder = FlightRecorder(dump_path=str(out))
-        recorder.record("rollout_start", run_id="r1")
-        assert recorder.flush() == str(out)
+        registry = MetricsRegistry(flight_out=str(out))
+        registry.record("rollout_start", run_id="r1")
+        assert registry.flush() == str(out)
         first = out.read_text(encoding="utf-8")
         # Same content, same path: the second flush is a no-op.
-        assert recorder.flush() is None
+        assert registry.flush() is None
         assert out.read_text(encoding="utf-8") == first
         # New events re-arm the flush.
-        recorder.record("rollout_fallback", reason="aborted")
-        assert recorder.flush() == str(out)
+        registry.record("rollout_fallback", reason="aborted")
+        assert registry.flush() == str(out)
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert [e["kind"] for e in payload["events"]] == \
             ["rollout_start", "rollout_fallback"]
 
-    def test_flush_without_target_is_noop(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.record("rollout_start")
-        assert recorder.flush() is None
-        explicit = tmp_path / "explicit.json"
-        assert recorder.flush(str(explicit)) == str(explicit)
-        assert json.loads(explicit.read_text(
-            encoding="utf-8"))["schema"] == FLIGHT_SCHEMA
+    def test_flush_writes_an_empty_ring_once(self, tmp_path):
+        out = tmp_path / "flight.json"
+        registry = MetricsRegistry(flight_out=str(out))
+        assert registry.flush() == str(out)
+        assert json.loads(out.read_text(encoding="utf-8"))["events"] == []
+        assert registry.flush() is None
+
+    def test_flush_without_target_is_noop(self):
+        registry = MetricsRegistry()
+        registry.record("rollout_start")
+        assert registry.flush() is None
 
     def test_clear_rearms(self, tmp_path):
+        """``reset`` clears the ring; a new event re-arms the flush."""
         out = tmp_path / "flight.json"
-        recorder = FlightRecorder(dump_path=str(out))
-        recorder.record("sweep_progress", done=1)
-        assert recorder.flush() == str(out)
-        recorder.clear()
-        assert len(recorder) == 0
-        recorder.record("sweep_progress", done=2)
-        assert recorder.flush() == str(out)
+        registry = MetricsRegistry(flight_out=str(out))
+        registry.record("sweep_progress", done=1)
+        assert registry.flush() == str(out)
+        registry.reset()
+        assert registry.events() == []
+        registry.record("sweep_progress", done=2)
+        assert registry.flush() == str(out)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert [e["data"]["done"] for e in payload["events"]] == [2]
 
     def test_null_recorder_noops(self):
-        null = NullFlightRecorder()
-        null.record("anything", x=1)
-        assert len(null) == 0
-        assert null.events() == []
-        assert null.flush("/nonexistent/never-written.json") is None
-        assert null.snapshot()["events"] == []
-        assert not null.enabled
+        NULL_REGISTRY.record("anything", x=1)
+        NULL_REGISTRY.adopt_events([{"kind": "anything", "data": {}}],
+                                   pid=1, worker=1)
+        assert NULL_REGISTRY.events() == []
+        assert NULL_REGISTRY.flush() is None
+        assert NULL_REGISTRY.flight_snapshot()["events"] == []
+        assert NULL_REGISTRY.snapshot() == {}
+        assert not NULL_REGISTRY.enabled
 
     def test_active_recorder_accessors(self):
-        assert get_flight_recorder() is NULL_FLIGHT_RECORDER
-        recorder = FlightRecorder()
-        previous = set_flight_recorder(recorder)
-        try:
-            assert previous is NULL_FLIGHT_RECORDER
-            assert get_flight_recorder() is recorder
-        finally:
-            set_flight_recorder(previous)
-        assert get_flight_recorder() is NULL_FLIGHT_RECORDER
-        with use_flight_recorder(recorder) as active:
-            assert active is recorder
-        assert get_flight_recorder() is NULL_FLIGHT_RECORDER
+        assert get_registry() is NULL_REGISTRY
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            get_registry().record("sweep_progress", done=1)
+        assert get_registry() is NULL_REGISTRY
+        assert [e["kind"] for e in registry.events()] == ["sweep_progress"]
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +533,38 @@ class TestParallelTelemetryAcceptance:
             finally:
                 trace.disable()
                 trace.clear()
+
+    def test_pooled_sweep_dump_holds_the_serial_search_passes(
+            self, small_area, tmp_path):
+        """Events recorded inside pool workers reach the parent's
+        flight dump: a 2-worker sweep dumps the same search passes as
+        the serial sweep, each tagged with the worker that ran it."""
+        from repro.upgrades.planner import UpgradePlanner
+        from repro.upgrades.scenario import UpgradeScenario
+        scenarios = list(UpgradeScenario)
+        planner = UpgradePlanner(small_area)
+
+        def dumped_search_passes(workers):
+            out = tmp_path / f"flight-{workers}.json"
+            with use_registry(MetricsRegistry(flight_out=str(out))) \
+                    as registry:
+                planner.sweep_scenarios(scenarios, workers=workers,
+                                        tuning="power")
+                registry.flush()
+            events = json.loads(out.read_text(encoding="utf-8"))["events"]
+            return [e for e in events if e["kind"] == "search_pass"]
+
+        serial = dumped_search_passes(1)
+        pooled = dumped_search_passes(2)
+        assert serial
+
+        def multiset(events):
+            return sorted(json.dumps(e["data"], sort_keys=True)
+                          for e in events)
+
+        assert multiset(pooled) == multiset(serial)
+        assert all(e["pid"] != os.getpid() and e["worker"] >= 1
+                   for e in pooled)
 
     def test_busy_ns_rides_in_payload_not_registry_doublecount(
             self, toy_engine, toy_density):
