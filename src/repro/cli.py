@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="checkpoint every accepted rollout step to "
                                "this file and resume from it if present")
     mitigate.add_argument("--plossdb", metavar="FILE.plossdb", default=None,
-                          help="memory-map the packed path-loss database "
+                          help="read the packed path-loss database "
                                "from this magus.plossdb file (building "
                                "it first, streamed, if missing); switches "
                                "evaluation to float32 planes")
@@ -393,7 +393,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.plossdb:
-        print(f"path-loss database memory-mapped from {args.plossdb} "
+        print(f"path-loss database loaded from {args.plossdb} "
               f"({area.pathloss.packed_store.nbytes / 1e6:.0f} MB packed, "
               f"float32 planes)")
     if injector is not None and fault_plan.pathloss is not None:

@@ -104,6 +104,11 @@ def plane_footprint(plane: np.ndarray) -> tuple:
 #: live assignment resident.
 DEFAULT_TENSOR_CACHE_SIZE = 8
 
+#: Byte bound for each row cache, which holds the fewer of ``8·S`` rows
+#: and this many bytes of them: at paper scale (1020 sectors, 600×600
+#: float32 rows of 1.44 MB) 186 rows, not 8160 (11.7 GB).
+ROW_CACHE_BYTES = 256 * 1024 * 1024
+
 #: Bound for the shared-delta radial-profile cache: one profile per
 #: distinct target tilt.  Real tilt catalogues carry ~17 settings, so
 #: 64 keeps every plausible ladder resident while still bounding a
@@ -129,13 +134,14 @@ class PathLossDatabase:
     (one sector) or :meth:`gain_tensor` (all sectors).  The engine
     reads one sector's linear-domain row at a time
     (:meth:`gain_matrix_mw`, cached per sector, tilt and azimuth
-    offset); with a packed store attached an on-ladder row is a view
-    of the stored tensor.
+    offset); with a packed store attached an on-ladder row is read
+    from the store, once per cache miss.
 
     Four ``functools.lru_cache`` wrappers, private to each database,
     memoize what is derived from the rasters: the mW and dB rows
-    (``8·S`` entries each for ``S`` sectors), the shared-delta profiles
-    (64) and the clipped footprints (``64·S``).  Eviction drops the
+    (``8·S`` entries each for ``S`` sectors, at most
+    :data:`ROW_CACHE_BYTES` of them), the shared-delta profiles (64)
+    and the clipped footprints (``64·S``).  Eviction drops the
     least recently used entry; concurrent misses on one key may both
     compute it, never corrupt it.  A pickled database arrives with the
     caches empty, and fork-inherited copies are their owner's alone.
@@ -167,16 +173,16 @@ class PathLossDatabase:
         #: unclipped planes reach.
         self.clip_floor_db = (None if clip_floor_db is None
                               else float(clip_floor_db))
-        self._new_caches()
         #: Optional packed tilt-major mW tensor (:mod:`repro.model.plossdb`).
-        #: When attached, on-ladder queries are index-and-view operations
-        #: and every plane this database emits is float32.
+        #: When attached, on-ladder rows come from it and every plane
+        #: this database emits is float32.
         self._packed: Optional["PackedGainStore"] = None
         #: dtype of every mW plane handed to the engine.  float64 for the
         #: dict-backed path; float32 once a packed store is attached (and
         #: it stays float32 after detach, so full/delta/batch paths keep
         #: comparing like against like within one run).
         self.plane_dtype: np.dtype = np.dtype(np.float64)
+        self._new_caches()
         #: Bumped on every invalidation; delta incumbents built against
         #: an older epoch are stale and must be re-prepared.
         self.cache_epoch = 0
@@ -185,14 +191,16 @@ class PathLossDatabase:
 
     def _new_caches(self) -> None:
         sectors = max(self.network.n_sectors, 1)
-        rows = DEFAULT_TENSOR_CACHE_SIZE * sectors
+        rows = max(1, min(DEFAULT_TENSOR_CACHE_SIZE * sectors,
+                          ROW_CACHE_BYTES // (self.grid.n_cells
+                                              * self.plane_dtype.itemsize)))
         # The wrappers see the database through a proxy: bound methods
         # would make a cycle, keeping a dropped database's rasters
         # alive until the garbage collector runs.
         me = weakref.proxy(self)
         cls = type(self)
-        # Per-(sector, tilt, offset) linear-domain rows: lets a
-        # single-sector tilt change rebuild one plane, not the stack.
+        # Per-(sector, tilt, offset) linear-domain rows, packed or
+        # computed: a single-sector tilt change reads one plane.
         self._row_mw = functools.lru_cache(rows)(
             functools.partial(cls._compute_row_mw, me))
         # The dB twin, filled only by gain_row_db.
@@ -228,21 +236,22 @@ class PathLossDatabase:
         clean-feed assumption hides) must fail here, naming the bad
         sectors, instead of silently propagating NaN into SINR.  With a
         packed store attached the precomputed tensor is scanned too —
-        vectorized, one ``isfinite`` reduction per sector block — and
+        one ``isfinite`` reduction per sector, or per read block of a
+        file-backed store — and
         the clean result includes an ROI sparsity report: the fraction
         of the grid inside each sector's footprint box (averaged over
         its tilt ladder), the quantity the windowed engine's speedup
         scales with.  Returns ``None`` for dict-backed databases.
         """
-        bad = []
-        for sid, raster in enumerate(self._rasters):
-            if not (np.isfinite(raster.loss_db).all()
-                    and np.isfinite(raster.horiz_att_db).all()
-                    and np.isfinite(raster.theta_deg).all()):
-                bad.append(sid)
-        if self._packed is not None:
-            bad.extend(b for b in self._packed.bad_sectors() if b not in bad)
-            bad.sort()
+        # The packed scan first: a file cut short after loading fails
+        # it with an error before the mapped sidecars are touched.
+        bad = set() if self._packed is None else set(
+            self._packed.bad_sectors())
+        bad.update(sid for sid, raster in enumerate(self._rasters)
+                   if not (np.isfinite(raster.loss_db).all()
+                           and np.isfinite(raster.horiz_att_db).all()
+                           and np.isfinite(raster.theta_deg).all()))
+        bad = sorted(bad)
         if bad:
             raise ValueError(
                 f"path-loss database contains NaN/inf entries for "
@@ -297,16 +306,15 @@ class PathLossDatabase:
             raise ValueError(
                 f"packed store grid {(H, W)} does not match analysis "
                 f"grid {self.grid.shape}")
-        self._row_mw.cache_clear()
-        # Boxes cached against float64 dict planes no longer describe
-        # the float32 rows this database now emits.
-        self._footprint_box.cache_clear()
         if self.clip_floor_db is None and store.clip_floor_db is not None:
             # Adopt the floor the planes were packed under so off-ladder
             # fallback rows clip the same way the stored rows did.
             self.clip_floor_db = store.clip_floor_db
         self._packed = store
         self.plane_dtype = np.dtype(np.float32)
+        # Rows and boxes cached against float64 dict planes no longer
+        # describe the float32 rows (and row bound) of this database.
+        self._new_caches()
 
     @property
     def packed_store(self) -> Optional["PackedGainStore"]:
@@ -398,17 +406,17 @@ class PathLossDatabase:
 
         Cached per ``(sector, tilt, offset)`` triple: the
         exponentiated :meth:`gain_matrix` output or, with a packed
-        store attached and an on-ladder tilt, a view of the stored
-        float32 row.  Read-only, since every caller shares it.
+        store attached and an on-ladder tilt, the stored float32 row.
+        Read-only, since every caller shares it.
         """
-        if self._packed is not None and azimuth_offset_deg == 0.0:
-            idx = self._packed.index_of(tilt_deg)
-            if idx is not None:
-                return self._packed.row(sector_id, idx)
         return self._row_mw(sector_id, tilt_deg, azimuth_offset_deg)
 
     def _compute_row_mw(self, sector_id: int, tilt_deg: float,
                         azimuth_offset_deg: float) -> np.ndarray:
+        if self._packed is not None and azimuth_offset_deg == 0.0:
+            idx = self._packed.index_of(tilt_deg)
+            if idx is not None:
+                return self._packed.row(sector_id, idx)
         gain_db = self._finite_gain_db(sector_id, tilt_deg,
                                        azimuth_offset_deg)
         row = np.power(10.0, gain_db / 10.0)

@@ -8,8 +8,8 @@ re-exponentiates those planes through LRU caches on every query and
 cannot hold a market in RAM.  This module stores them *once*, packed:
 :class:`PackedGainStore` holds one contiguous float32 tensor of shape
 ``(n_sectors, n_tilts, H, W)`` of linear-domain (mW) gains
-``10^(L/10)``, tilt-major so a (sector, tilt) query is an index-and-view,
-plus the ``(S, T, 4)`` table of each plane's nonzero bounding box.
+``10^(L/10)``, tilt-major so a (sector, tilt) row is one contiguous
+read, plus the ``(S, T, 4)`` table of each plane's nonzero bounding box.
 
 On-disk layout (``"version": 3``, the only version): ``16-byte magic``
 (``magus.plossdb/1\\n``) · ``uint64-LE header length`` · UTF-8 JSON
@@ -23,11 +23,13 @@ identity, the tilt ladder and model, the ``clip_floor_db`` the planes
 were quantized under, the file size and, per section, ``offset``,
 ``shape``, ``dtype``, ``nbytes`` and a ``checksum`` stamp;
 :func:`read_header` checks all of it and names the file and the key of
-the first violation.  Sections are opened read-only with ``np.memmap``.
-The engine reads one (sector, tilt) row at a time, inside its box, so
-only the pages of the rows it touches come in; the NaN/inf scan of
-``validate()`` drops the mapped pages (``madvise(MADV_DONTNEED)``) after
-each block of sectors.
+the first violation.  A loaded :class:`PackedGainStore` maps nothing
+of ``gains_mw``: each (sector, tilt) row the engine asks for is one
+positioned read (``os.preadv``) into a fresh array, held by the
+database's row cache, and ``validate()``'s NaN/inf scan reads block by
+block into one reused buffer.  The ``roi`` table is read once; the
+five sidecars, read only by off-ladder and azimuth-offset queries,
+are read-only ``np.memmap`` views.
 
 **Float32 parity contract**: planes come from one producer,
 :func:`sector_planes_mw` — the float64 ``gain_matrix`` composition
@@ -53,8 +55,8 @@ from __future__ import annotations
 
 import functools
 import json
-import mmap
 import os
+import weakref
 from typing import (IO, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -88,8 +90,9 @@ _PREAMBLE = len(MAGIC) + 8             # magic + uint64-LE header length
 #: total size is at or below this; beyond it verification is opt-in so
 #: market-scale loads stay O(milliseconds).
 _VERIFY_AUTO_BYTES = 256 * 1024 * 1024
-#: Read granularity for streaming section checksums.
-_CRC_BLOCK_BYTES = 64 * 1024 * 1024
+#: Read granularity for streaming section checksums and the NaN/inf
+#: scan: each reads into one reused buffer of at most this many bytes.
+_CRC_BLOCK_BYTES = 1024 * 1024
 
 #: Fixed-width placeholder stamped into section specs at layout time;
 #: the real CRC (same encoded width) replaces it when the writer
@@ -108,40 +111,39 @@ def _section_layout(S: int, T: int, H: int, W: int) -> Dict[str, tuple]:
             **dict.fromkeys(_SIDECARS, ((S, H, W), "<f4")),
             "roi": ((S, T, 4), "<i4")}
 
-#: Per-block budget for the vectorized finite scan (``bad_sectors``):
-#: bounds transient RSS while keeping the reduction vectorized.
-_SCAN_BLOCK_BYTES = 256 * 1024 * 1024
-
 
 def _align_up(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
 class PackedGainStore:
-    """The packed tilt-major float32 mW tensor, in-memory or mmap.
+    """The packed tilt-major float32 mW tensor, in memory or on disk.
 
-    ``gains_mw[s, t]`` is sector ``s``'s linear-domain gain plane at
-    the ladder tilt ``tilt_values[t]`` and ``roi[s, t]`` its nonzero
-    bounding box.  Arrays are read-only; views handed out by
-    :meth:`row` share storage with the tensor.
+    ``row(s, t)`` is sector ``s``'s linear-domain gain plane at the
+    ladder tilt ``tilt_values[t]`` and ``roi[s, t]`` its nonzero
+    bounding box: a read-only view of ``gains_mw``, or, for a
+    file-backed store (``gains_mw`` is ``None``), a fresh read-only
+    array read from ``path`` at the header's ``gains_mw`` ``section``.
     """
 
-    def __init__(self, gains_mw: np.ndarray,
+    def __init__(self, gains_mw: Optional[np.ndarray],
                  tilt_values: Sequence[float],
                  roi: np.ndarray,
                  path: Optional[str] = None,
-                 clip_floor_db: Optional[float] = None) -> None:
-        if gains_mw.ndim != 4:
+                 clip_floor_db: Optional[float] = None,
+                 section: Optional[Dict] = None) -> None:
+        if gains_mw is None:
+            self.shape: Tuple[int, ...] = tuple(section["shape"])
+            self._offset = int(section["offset"])
+        elif gains_mw.ndim != 4:
             raise ValueError("gains tensor must be (S, T, H, W)")
-        if gains_mw.dtype != np.float32:
+        elif gains_mw.dtype != np.float32:
             raise ValueError("gains tensor must be float32")
-        if gains_mw.shape[1] != len(tilt_values):
+        else:
+            self.shape = gains_mw.shape
+        if self.shape[1] != len(tilt_values):
             raise ValueError("one tilt value per tensor column required")
         self.gains_mw = gains_mw
-        # The same buffer as a plain ndarray (no copy): row slices of a
-        # memmap run its Python __getitem__/__array_finalize__ hooks,
-        # and every candidate window slices a row.
-        self._rows = np.asarray(gains_mw)
         self.tilt_values: Tuple[float, ...] = tuple(
             float(t) for t in tilt_values)
         # Exact-float lookup is intentional: ladder tilts are produced
@@ -151,10 +153,13 @@ class PackedGainStore:
         self._tilt_index: Dict[float, int] = {
             t: i for i, t in enumerate(self.tilt_values)}
         self.path = os.fspath(path) if path is not None else None
+        #: Opened on the first read, closed when the store is dropped;
+        #: ``preadv`` ignores the file offset, so forked children share it.
+        self._fd: Optional[int] = None
         #: Per-(sector, tilt) nonzero bounding boxes, ``(S, T, 4)``
         #: int32 half-open rows/cols (see :func:`clip_planes`).
         self.roi = np.asarray(roi, dtype=np.int32)
-        if self.roi.shape != gains_mw.shape[:2] + (4,):
+        if self.roi.shape != self.shape[:2] + (4,):
             raise ValueError("roi table must be (S, T, 4)")
         #: The clip floor the planes were quantized under (header
         #: field); informational — clipping happened at pack time.
@@ -163,24 +168,27 @@ class PackedGainStore:
 
     # -- identity ------------------------------------------------------
     @property
-    def shape(self) -> Tuple[int, int, int, int]:
-        return self.gains_mw.shape
-
-    @property
     def n_sectors(self) -> int:
-        return self.gains_mw.shape[0]
+        return self.shape[0]
 
     @property
     def nbytes(self) -> int:
-        return self.gains_mw.size * self.gains_mw.itemsize
+        return int(np.prod(self.shape)) * 4
 
     # -- queries -------------------------------------------------------
     def index_of(self, tilt_deg: float) -> Optional[int]:
         return self._tilt_index.get(float(tilt_deg))
 
     def row(self, sector_id: int, tilt_index: int) -> np.ndarray:
-        """One (sector, tilt) plane — a zero-copy read-only view."""
-        return self._rows[sector_id, tilt_index]
+        """One (sector, tilt) plane: a view of the in-memory tensor, or
+        a fresh array read from the file."""
+        if self.gains_mw is not None:
+            return self.gains_mw[sector_id, tilt_index]
+        row = np.empty(self.shape[2:], dtype=np.float32)
+        self._read(row, (sector_id * self.shape[1] + tilt_index)
+                   * row.nbytes)
+        row.setflags(write=False)
+        return row
 
     def footprint(self, sector_id: int,
                   tilt_index: int) -> Tuple[int, int, int, int]:
@@ -189,39 +197,52 @@ class PackedGainStore:
         return tuple(self.roi[sector_id, tilt_index].tolist())
 
     def bad_sectors(self) -> List[int]:
-        """Sector ids whose packed planes contain NaN/inf — one
-        vectorized ``isfinite`` reduction per block of sectors.  A
-        file-backed scan drops the mapped pages after each block, so
-        scanning a market-scale file keeps one block resident, not the
-        whole tensor."""
-        S, T, H, W = self.shape
-        per_sector = T * H * W * self.gains_mw.itemsize
-        block = max(1, _SCAN_BLOCK_BYTES // max(per_sector, 1))
-        # Only a memmap carries an mmap (and only some platforms madvise).
-        drop_pages = getattr(getattr(self.gains_mw, "_mmap", None),
-                             "madvise", None)
+        """Sector ids whose packed planes contain NaN/inf.  A
+        file-backed store reads each sector in blocks of at most
+        ``_CRC_BLOCK_BYTES`` into one reused buffer, so a market-scale
+        scan holds one block, not the tensor."""
+        if self.gains_mw is not None:
+            ok = np.isfinite(self.gains_mw).all(axis=(1, 2, 3))
+            return np.flatnonzero(~ok).tolist()
+        per_sector = self.nbytes // self.n_sectors
+        block = np.empty(max(1, min(per_sector, _CRC_BLOCK_BYTES) // 4),
+                         dtype=np.float32)
         bad: List[int] = []
-        for start in range(0, S, block):
-            chunk = self.gains_mw[start:start + block]
-            ok = np.isfinite(chunk).all(axis=(1, 2, 3))
-            bad.extend(int(start + i) for i in np.flatnonzero(~ok))
-            if drop_pages is not None:
-                drop_pages(mmap.MADV_DONTNEED)
+        for s in range(self.n_sectors):
+            for start in range(0, per_sector, block.nbytes):
+                chunk = block[:(per_sector - start) // 4]
+                self._read(chunk, s * per_sector + start)
+                if not np.isfinite(chunk).all():
+                    bad.append(s)
+                    break
         return bad
 
+    def _read(self, out: np.ndarray, start: int) -> None:
+        """Fill ``out`` from byte ``start`` of the ``gains_mw`` section."""
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDONLY)
+            weakref.finalize(self, os.close, self._fd)
+        offset = self._offset + start
+        if os.preadv(self._fd, [out], offset) != out.nbytes:
+            raise ValueError(
+                f"{self.path}: section 'gains_mw' came back short at bytes "
+                f"{offset}..{offset + out.nbytes}: the file was truncated "
+                f"or rewritten after it was loaded; re-run `repro-magus "
+                f"pack`")
+
     # -- pickling (spawn workers) --------------------------------------
-    # File-backed stores ship only their path and reopen the memmap on
-    # the far side; in-memory stores pickle the (small) tensor itself.
+    # File-backed stores ship only their path, never the descriptor;
+    # in-memory stores pickle the (small) tensor itself.
     def __getstate__(self) -> dict:
         if self.path is not None:
             return {"path": self.path}
-        return {"gains_mw": np.asarray(self.gains_mw),
+        return {"gains_mw": self.gains_mw,
                 "tilt_values": self.tilt_values, "roi": self.roi,
                 "clip_floor_db": self.clip_floor_db}
 
     def __setstate__(self, state: dict) -> None:
         if "path" in state:
-            state = _mapped_store(state["path"], read_header(state["path"]))
+            state = _file_store(state["path"], read_header(state["path"]))
         else:
             state["gains_mw"].setflags(write=False)
         self.__init__(**state)
@@ -456,15 +477,19 @@ class PackedDatabaseWriter:
 def _stream_checksum(fh: IO[bytes], offset: int, nbytes: int,
                      algorithm: str = CHECKSUM_ALGORITHM) -> str:
     """``"<algorithm>:…"`` over ``nbytes`` of ``fh`` starting at
-    ``offset``, read in bounded blocks so checksumming never
-    materializes a section."""
+    ``offset``, read into one reused buffer of at most
+    ``_CRC_BLOCK_BYTES``, so checksumming never materializes a section.
+    A file that ends early hashes what it holds, so its stamp fails."""
     fh.seek(offset)
+    buf = memoryview(bytearray(min(nbytes, _CRC_BLOCK_BYTES)))
     value = 0
     remaining = nbytes
     while remaining > 0:
-        block = fh.read(min(remaining, _CRC_BLOCK_BYTES))
-        value = checksum_value(algorithm, block, value)
-        remaining -= _CRC_BLOCK_BYTES
+        n = fh.readinto(buf[:remaining])
+        if not n:
+            break
+        value = checksum_value(algorithm, buf[:n], value)
+        remaining -= n
     return f"{algorithm}:{value:08x}"
 
 
@@ -659,13 +684,13 @@ def _open_section(path: str, header: Dict, name: str) -> np.ndarray:
                      shape=tuple(spec["shape"]))
 
 
-def _mapped_store(path: str, header: Dict) -> Dict:
-    """:class:`PackedGainStore` arguments over a plossdb file's
-    memory-mapped ``gains_mw`` and ``roi`` sections."""
-    return {"gains_mw": _open_section(path, header, "gains_mw"),
-            "tilt_values": header["tilt_values"],
-            "roi": _open_section(path, header, "roi"),
-            "path": path, "clip_floor_db": header["clip_floor_db"]}
+def _file_store(path: str, header: Dict) -> Dict:
+    """:class:`PackedGainStore` arguments that read a plossdb file's
+    ``gains_mw`` section on demand, with its ``roi`` table in memory."""
+    return {"gains_mw": None, "tilt_values": header["tilt_values"],
+            "roi": np.array(_open_section(path, header, "roi")),
+            "path": path, "clip_floor_db": header["clip_floor_db"],
+            "section": header["sections"]["gains_mw"]}
 
 
 def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
@@ -709,11 +734,13 @@ def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
 def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
     """Open a plossdb file as a fully functional ``PathLossDatabase``.
 
-    Gains and sidecar rasters are read-only memory maps — nothing is
-    materialized until queried, so market-scale files load in
-    milliseconds, and an evaluation faults in only the rows it reads.
-    Construction-time ``validate()`` is skipped (it would fault in the
-    whole tensor); call it explicitly to scan a suspect file.
+    Nothing is materialized until queried, so market-scale files load
+    in milliseconds: gain rows are read with positioned reads when the
+    engine first asks for them (see :class:`PackedGainStore`), the
+    sidecar rasters are read-only memory maps, and only the small
+    ``roi`` table is read up front.  Construction-time ``validate()``
+    is skipped (it would read the whole tensor); call it explicitly to
+    scan a suspect file.
 
     ``verify`` controls checksum verification: ``True`` always streams
     every section through the CRC its stamp names (``crc32``, or the
@@ -747,7 +774,7 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
     db = PathLossDatabase(grid, network, rasters,
                           tilt_model=header["tilt_model"],
                           validate=False, clip_floor_db=clip_floor_db)
-    db.attach_packed(PackedGainStore(**_mapped_store(path, header)))
+    db.attach_packed(PackedGainStore(**_file_store(path, header)))
     return db
 
 

@@ -140,7 +140,7 @@ def build_area(area_type: AreaType, seed: int = 0,
     networks are (pass ``planning=PlanningSettings(max_passes=0)`` to
     skip it).
 
-    ``plossdb`` names a ``magus.plossdb`` file to memory-map instead of
+    ``plossdb`` names a ``magus.plossdb`` file to load instead of
     computing rasters (built first — streamed, one sector at a time —
     if it does not exist yet); it switches the evaluation pipeline to
     float32 planes.

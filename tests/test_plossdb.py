@@ -11,16 +11,23 @@ delta parity).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.evaluation import Evaluator
 from repro.core.planning import PlanningSettings
+from repro.core.utility import PerformanceUtility
+from repro.model import plossdb
 from repro.model.engine import AnalysisEngine
+from repro.model.geometry import GridSpec, Region
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB,
                                   DEFAULT_PROFILE_CACHE_SIZE,
                                   PathLossDatabase)
@@ -278,6 +285,148 @@ class TestLoadedDatabase:
             assert np.array_equal(full.serving, delta.serving)
             assert np.array_equal(full.sinr_db, delta.sinr_db)
             assert np.array_equal(full.rate_bps, delta.rate_bps)
+
+
+# ----------------------------------------------------------------------
+def _gains_range(path):
+    """``(offset, end)`` of the ``gains_mw`` section of ``path``."""
+    spec = read_header(path)["sections"]["gains_mw"]
+    return spec["offset"], spec["offset"] + spec["nbytes"]
+
+
+class TestPositionedReads:
+    """A loaded database reads its gain rows with positioned reads:
+    nothing maps the tensor, reads stay inside its section, a file cut
+    short under a loaded store fails loudly, and descriptors neither
+    pickle nor leak."""
+
+    @pytest.fixture
+    def path(self, tmp_path, toy_pathloss):
+        path = str(tmp_path / "toy.plossdb")
+        save_packed(toy_pathloss, path)
+        return path
+
+    def test_no_memmap_over_gains(self, path, monkeypatch):
+        offsets = []
+        real = np.memmap
+
+        def spy(*args, **kwargs):
+            offsets.append(kwargs.get("offset", 0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "memmap", spy)
+        loaded = load_packed(path)
+        rows = [loaded.gain_matrix_mw(s, t)
+                for s in range(loaded.network.n_sectors)
+                for t in loaded.packed_store.tilt_values]
+        start, end = _gains_range(path)
+        assert offsets and not any(start <= o < end for o in offsets)
+        assert loaded.packed_store.gains_mw is None
+        assert not any(isinstance(r, real) or isinstance(r.base, real)
+                       for r in rows)
+        assert not any(r.flags.writeable for r in rows)
+
+    def test_anchor_and_batch_read_inside_gains(self, path, toy_density,
+                                                monkeypatch):
+        """A dense anchor plus one ``score_candidates`` batch on a
+        clipped file-backed world: every read lands in ``gains_mw``."""
+        reads = []
+        real = os.preadv
+
+        def spy(fd, buffers, offset):
+            reads.append((offset, sum(memoryview(b).nbytes
+                                      for b in buffers)))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", spy)
+        loaded = load_packed(path)
+        assert loaded.clip_floor_db == DEFAULT_CLIP_FLOOR_DB
+        network = loaded.network
+        base = network.planned_configuration()
+        ev = Evaluator(AnalysisEngine(loaded), toy_density,
+                       PerformanceUtility())
+        ev.utility_of(base)
+        configs = [base.with_power(0, base.power_dbm(0) + 1.0),
+                   base.with_tilt(1, base.tilt_deg(1) + 1.0),
+                   base.with_offline([2])]
+        assert len(ev.score_candidates(configs, parent=base)) == 3
+        start, end = _gains_range(path)
+        assert reads
+        assert all(start <= o and o + n <= end for o, n in reads)
+
+    def test_truncated_after_load_fails_loudly(self, path):
+        loaded = load_packed(path)
+        store = loaded.packed_store
+        first = loaded.gain_matrix_mw(0, store.tilt_values[0])  # cached
+        start, _ = _gains_range(path)
+        # Keep sector 0's planes, cut every later byte.
+        os.truncate(path, start + store.nbytes // store.n_sectors)
+        assert loaded.gain_matrix_mw(0, store.tilt_values[0]) is first
+        message = (rf"{path}: section 'gains_mw' came back short at "
+                   rf"bytes \d+\.\.\d+.*re-run `repro-magus pack`")
+        with pytest.raises(ValueError, match=message):
+            loaded.gain_matrix_mw(1, store.tilt_values[0])
+        with pytest.raises(ValueError, match=message):
+            store.bad_sectors()
+
+    def test_pickled_store_ships_path_only(self, path):
+        store = load_packed(path).packed_store
+        ladder = range(len(store.tilt_values))
+        want = [store.row(s, t).tobytes()
+                for s in range(store.n_sectors) for t in ladder]
+        assert store._fd is not None
+        assert store.__getstate__() == {"path": path}
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone._fd is None and clone.gains_mw is None
+        assert [clone.row(s, t).tobytes()
+                for s in range(store.n_sectors) for t in ladder] == want
+        assert np.array_equal(clone.roi, store.roi)
+
+    def test_load_and_drop_keeps_fd_count(self, path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd on this platform")
+        gc.collect()          # descriptors of earlier tests' stores
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            loaded = load_packed(path)
+            loaded.gain_matrix_mw(1, loaded.packed_store.tilt_values[0])
+            loaded.validate()
+            del loaded
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_packed_nan_scan_names_sector(self, tmp_path, toy_network,
+                                          monkeypatch):
+        """A NaN under a valid stamp passes the checksums and is named
+        by ``validate()``; the scan allocates at most two blocks."""
+        path = str(tmp_path / "nan.plossdb")
+        grid = GridSpec(Region.square(3_000.0), cell_size=50.0)
+        db = PathLossDatabase.from_environment(
+            toy_network, Environment.flat(grid), shadowing_sigma_db=0.0)
+        ladder = default_tilt_values(toy_network)
+        H, W = grid.shape
+        with PackedDatabaseWriter(path, grid, toy_network,
+                                  ladder) as writer:
+            for s, raster in enumerate(db._rasters):
+                planes = np.full((len(ladder), H, W), 1e-9, np.float32)
+                if s == 2:
+                    planes[len(ladder) - 1, H - 1, W - 1] = np.nan
+                writer.write_sector(s, raster, planes)
+        loaded = load_packed(path, verify=True)
+        with pytest.raises(ValueError, match=r"sectors \[2\]"):
+            loaded.validate()
+        block = 16 * 1024
+        monkeypatch.setattr(plossdb, "_CRC_BLOCK_BYTES", block)
+        store = loaded.packed_store
+        assert store.nbytes // store.n_sectors > 4 * block
+        store.bad_sectors()                # opens the descriptor
+        tracemalloc.start()
+        try:
+            assert store.bad_sectors() == [2]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block
 
 
 # ----------------------------------------------------------------------
