@@ -53,10 +53,10 @@ Three evaluation strategy names are accepted (``strategy=`` knob):
 
 :meth:`score_candidates` scores single-sector candidates through their
 region-of-influence windows (the whole grid where a footprint is
-unknown), each group sharing an incumbent in one stacked pass of
-:func:`repro.model.roi.score_windows` (:func:`~repro.model.roi.score_candidate`
-is its one-candidate call) against a :class:`~repro.model.roi.RoiBaseline`,
-a view of that incumbent.  A windowed score walks the same pairwise
+unknown), each group sharing an incumbent in one pass of the engine's
+windowed kernel, through :func:`repro.model.roi.score_windows`, against
+a :class:`~repro.model.roi.RoiBaseline`, a view of that incumbent.  A
+delta runs the same kernel.  A windowed score walks the same pairwise
 sector-sum tree as a full evaluation, so it equals
 :meth:`~Evaluator.utility_of` bit for bit whatever its anchor, and it
 goes into the ``f(C)`` memo under its candidate: searches take a
@@ -253,26 +253,18 @@ class Evaluator:
                         changed: Sequence[int]) -> List[float]:
         """Score single-sector ``configs`` through their ROI windows;
         ``changed`` names the sector each config flips vs.
-        ``incumbent``."""
+        ``incumbent``, a ring anchor (so it has a state to build a
+        baseline from).  Its baseline is kept, most recent last, until
+        ``_remember`` drops the anchor."""
+        baseline = (self._roi_baselines.pop(incumbent.config, None)
+                    or _roi.RoiBaseline.from_incumbent(
+                        incumbent, self.utility, self.ue_density))
+        self._roi_baselines[incumbent.config] = baseline
         windows = [(sector, self.engine.roi_window(incumbent, config,
                                                    sector))
                    for config, sector in zip(configs, changed)]
-        return _roi.score_windows(
-            self.engine, self._roi_baseline(incumbent), configs, windows,
-            self.ue_density, self.utility)
-
-    def _roi_baseline(self,
-                      incumbent: DeltaIncumbent) -> _roi.RoiBaseline:
-        # Ring incumbents all ran ``_finish``, so the baseline exists.
-        hit = self._roi_baselines.get(incumbent.config)
-        if hit is not None:
-            self._roi_baselines.move_to_end(incumbent.config)
-            return hit
-        baseline = _roi.RoiBaseline.from_incumbent(
-            incumbent, self.utility, self.ue_density)
-        # Mirrors the two-anchor ring: ``_remember`` drops the rest.
-        self._roi_baselines[incumbent.config] = baseline
-        return baseline
+        return _roi.score_windows(self.engine, baseline, configs, windows,
+                                  self.ue_density, self.utility)
 
     # ------------------------------------------------------------------
     def _check_epoch(self) -> None:

@@ -4,55 +4,37 @@ Given the path-loss database, a configuration and a UE population, the
 engine computes received power, serving assignment, SINR, single-user
 rate and load-shared actual rate for every grid — the "Analysis Model"
 box of the paper's Figure 6.  This is the inner loop of every search
-algorithm, so everything is NumPy-tensorized around one kernel:
+algorithm, and one windowed kernel runs it, :meth:`~AnalysisEngine._window_pass`:
 
-* **one kernel** — every evaluation is a delta
-  (:meth:`_evaluate_delta_windowed`).  Formula 1 runs one sector at a
-  time (:meth:`_sector_row`): the sector's cached linear-domain gain
-  row ``10^(L/10)`` (:meth:`PathLossDatabase.gain_matrix_mw`) times
-  the scalar ``10^(P/10)``, computed inside its footprint box only;
-  no path builds an ``(n_sectors, rows, cols)`` stack.  A dense
-  evaluation is a delta from the *dark anchor*, where every sector is
-  off-air and every array is zero, to the configuration: every sector
-  changes, and the window is the union of their boxes.  The
-  total-power plane is the root of a fixed pairwise sum tree over the
-  rows (:func:`_sum_tree`), so a one-sector change moves only
-  ``ceil(log2 S)`` node planes.
-* **delta evaluation** — :meth:`evaluate_delta` answers a
-  configuration that differs from a :class:`DeltaIncumbent` in any
-  number of sectors.  The incumbent holds copy-on-write per-sector mW
-  rows with their footprint boxes and sum-tree node planes, plus
-  derived serving/best arrays; a delta replaces the k changed rows
-  and their ancestors, shares the rest, and recomputes the serving
-  assignment and the transcendental rasters only inside the union of
-  the changed sectors' region-of-influence windows
-  (:meth:`roi_window`).  The result is
-  *bitwise identical* to :meth:`evaluate`, the delta from the dark
-  anchor (see DESIGN.md, "Evaluation strategies", for the invariants).
-* **region-of-influence windows** — with footprint boxes available
-  (``clip_floor_db`` zeroed sub-floor gains at packing, see
-  :meth:`PathLossDatabase.footprint`) a sector's window is the union
-  of its old and new footprints; where a footprint is unknown
-  (unclipped dict backend, rotated pattern) it is the whole grid.
-  :func:`repro.model.roi.score_windows` scores single-sector
-  candidate groups through the same windows and the same sum tree, in
-  one stacked pass, against one serving comparator per window.  A
-  candidate whose new row dominates its old one
-  (:func:`~repro.model.network.dominates`: a power increase, or an
-  off-air sector lit) keeps every cell it
-  served, so its comparator is the incumbent's own best/serving
-  window; any other candidate compares against
-  :meth:`DeltaIncumbent.runner_up`, whose argmax helper also repairs
-  a delta's serving at the cells its non-dominating sectors served.
-* **the dense batch reference** — :meth:`evaluate_batch` stacks K
-  single-sector neighbors along a batch axis and scores them in one
-  vectorized pass against the incumbent, its comparator a masked
-  stack argmax and its total the incremental ``total + (new - old)``.
-  No search path calls it; it is the serving/comparator reference of
-  the windowed scorer.
+* **candidates near an anchor** — a :class:`DeltaIncumbent` holds one
+  configuration's copy-on-write mW rows (Formula 1, one sector at a
+  time inside its footprint box: :meth:`~AnalysisEngine._sector_row`),
+  the planes of a fixed pairwise sum tree whose root is the total
+  power (:func:`_sum_tree`), the serving argmax and its state.  A
+  candidate's window is the union of its changed sectors' old and new
+  footprints (:meth:`~AnalysisEngine.roi_window`; the grid where one
+  is unknown); outside it every raster is the anchor's, bit for bit.
+* **one serving routine** — per window, the anchor's comparator
+  (:meth:`DeltaIncumbent.comparator`: its own best/serving, except at
+  the cells a sector that may lose them served, where the best of the
+  other rows) with each changed row folded in by the first-index tie
+  rule (:func:`_capture`).
+* **one tail** — interference, SINR and CQI→rate over the windows laid
+  end to end, then Formula 3's loads and Formula 4's shared rates over
+  a ``(k, H, W)`` stack of each window patched into the anchor's
+  rasters, all in the engine's :class:`Workspace`.
 
-The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
-which owns strategy selection and fallback accounting.
+Callers keep their own ends.  :meth:`~AnalysisEngine.evaluate_delta`
+builds the child anchor's rows and tree nodes, passes the new root's
+window as the total and copies a :class:`NetworkState` out; a dense
+evaluation is the delta from the *dark anchor* (every sector off-air).
+:func:`repro.model.roi.score_windows` passes sibling-walk totals and
+reduces utilities.  Every raster and score is *bitwise identical* to
+:meth:`~AnalysisEngine.evaluate` (DESIGN.md, "Evaluation strategies").
+:meth:`~AnalysisEngine.evaluate_batch`, a dense stacked pass with a
+masked-argmax comparator, is the parity suites' reference; no search
+calls it.  Searches reach the engine through
+:class:`~repro.core.evaluation.Evaluator`.
 """
 
 from __future__ import annotations
@@ -136,11 +118,9 @@ class DeltaIncumbent:
     winning values.  Rows and node planes are read-only and
     copy-on-write: a delta child shares every plane it does not change
     with its parent, so no delta copies the plane stack.  ``state`` is
-    the finished :class:`NetworkState` this incumbent was evaluated
-    into (set by ``_finish``); windowed delta evaluations copy its
-    rasters and recompute only the window.  The dark anchor a dense
-    evaluation starts from (:meth:`AnalysisEngine._evaluate_dense`) has
-    no state, so its child's rasters are all computed fresh.
+    the finished :class:`NetworkState`, whose rasters windowed
+    evaluations patch; the dark anchor of a dense evaluation
+    (:meth:`AnalysisEngine._evaluate_dense`) has none.
     """
 
     __slots__ = ("config", "rows", "boxes", "nodes", "node_boxes",
@@ -185,31 +165,39 @@ class DeltaIncumbent:
                 out.append(plane[_slices(box)])
         return out
 
-    def runner_up(self, changed: int, box: Box
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """The serving comparator of a one-sector change inside ``box``.
-
-        Value and sector per window cell: where ``changed`` serves,
-        the first-index argmax over the other rows (the best of the
-        others); everywhere else :attr:`best_mw` / :attr:`raw_serving`.
-        Rows whose box misses the cells ``changed`` serves are zero
-        there and are not read.  A cell where every other row is zero
-        gets index 0, or 1 when ``changed == 0`` (with one sector there
-        is no other row, so that is every cell).  Each cell's result
-        depends on that cell alone, not on the window (see DESIGN.md,
-        "Window comparator").  Only a change that may lose cells needs
-        it: where :func:`~repro.model.network.dominates` holds,
-        :attr:`best_mw` / :attr:`raw_serving` are an exact comparator
-        on their own.
+    def comparator(self, losing: Sequence[int], box: Box
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """The serving comparator of a change inside ``box``, which the
+        changed rows fold into (:func:`_capture`): :attr:`best_mw` /
+        :attr:`raw_serving`, except where a ``losing`` sector served.
+        There it is the first-index argmax over the other rows (rows
+        whose box misses those cells are zero there and not read), and
+        the first index not in ``losing`` where they are all zero, so a
+        losing row must fold over the whole window.  A changed row that
+        dominates its old one (:func:`~repro.model.network.dominates`)
+        keeps every cell it served: it need not lose, and folds over its
+        own box.  Each cell's result depends on that cell alone (see
+        DESIGN.md, "Window comparator"); with nothing losing it is views
+        of the incumbent's arrays.
         """
         win = _slices(box)
-        comp_idx = self.raw_serving[win].copy()
-        comp_val = self.best_mw[win].copy()
-        mask = comp_idx == changed
-        if mask.any():
-            comp_val[mask], comp_idx[mask] = _argmax_rows(
-                self.rows, self.boxes, box, mask, skip=changed)
+        comp_val, comp_idx = self.best_mw[win], self.raw_serving[win]
+        if losing:
+            mask = comp_idx == losing[0]
+            for sector in losing[1:]:
+                mask |= comp_idx == sector
+            if mask.any():
+                comp_val, comp_idx = comp_val.copy(), comp_idx.copy()
+                comp_val[mask], comp_idx[mask] = _argmax_rows(
+                    self.rows, self.boxes, box, mask, skip=losing)
         return comp_val, comp_idx
+
+    def runner_up(self, changed: int, box: Box
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The comparator of a one-sector change that may lose cells:
+        where ``changed`` serves, the best of the other rows; index 0,
+        or 1 when ``changed == 0``, where they are all zero."""
+        return self.comparator((changed,), box)
 
 
 @dataclass(frozen=True)
@@ -267,8 +255,8 @@ class AnalysisEngine:
         # it through the ``evaluations`` property); the active metrics
         # registry is additionally updated on every evaluation.
         self._eval_counter = Counter("engine.evaluations")
-        #: Scratch for the transient raster passes of ``_finish`` and
-        #: the stacked ROI kernel (see :class:`Workspace`).
+        #: Scratch for the window pass (:meth:`_window_pass`, see
+        #: :class:`Workspace`).
         self.workspace = Workspace()
 
     def __getstate__(self) -> dict:
@@ -297,10 +285,7 @@ class AnalysisEngine:
     def evaluate(self, config: Configuration,
                  ue_density: np.ndarray) -> NetworkState:
         """Full grid/sector snapshot for ``config`` (Formulae 1-4)."""
-        self._eval_counter.inc()
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc()
-        with registry.timer("magus.engine.evaluate").time():
+        with get_registry().timer("magus.engine.evaluate").time():
             return self._evaluate(config, ue_density)
 
     def _evaluate(self, config: Configuration,
@@ -318,10 +303,7 @@ class AnalysisEngine:
         computed from, so later configurations a few sectors away can
         be answered by :meth:`evaluate_delta`.
         """
-        self._eval_counter.inc()
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc()
-        with registry.timer("magus.engine.evaluate").time():
+        with get_registry().timer("magus.engine.evaluate").time():
             return self._evaluate_dense(config, ue_density)
 
     def _evaluate_dense(self, config: Configuration, ue_density: np.ndarray
@@ -329,12 +311,12 @@ class AnalysisEngine:
         """``config`` as a delta from the dark anchor (every sector
         off-air; one shared read-only zero plane for every row, tree
         node and best; empty boxes; serving 0; no state): every sector
-        changes, and the window is the union of their boxes.  Exact
-        with no special case: every new row dominates, so the serving
-        repair never runs; the rows fold in ascending order from index
-        0, so a row wins a cell only by exceeding the best so far, as a
-        stack argmax has it; every tree node is recomputed over its new
-        box; and every row is zero outside the window.
+        changes.  Exact with no special case: every new row dominates,
+        so the comparator reads no row; the rows fold in ascending order
+        from index 0, so a row wins a cell only by exceeding the best so
+        far, as a stack argmax has it; every tree node is recomputed
+        over its new box; and with no state to patch, the window pass
+        runs over the whole grid.
         """
         self._validate(config, ue_density)
         n = config.n_sectors
@@ -348,7 +330,7 @@ class AnalysisEngine:
             np.zeros(self.grid.shape, dtype=np.int32), zero,
             self.pathloss.cache_epoch)
         return self._evaluate_delta_windowed(dark, config, range(n),
-                                             ue_density)[:2]
+                                             ue_density)
 
     # ------------------------------------------------------------------
     # delta evaluation
@@ -389,7 +371,7 @@ class AnalysisEngine:
 
         Only the changed sectors' mW rows and their ancestors in the
         sum tree are rebuilt, and only inside the union of their
-        :meth:`roi_window` boxes: the serving argmax is repaired
+        :meth:`roi_window` boxes: the serving argmax is resolved
         locally, and every derived raster is bitwise identical to
         :meth:`evaluate`.  Any number of sectors may change.  Returns
         ``None`` when the configurations are identical or the
@@ -398,45 +380,30 @@ class AnalysisEngine:
         changed = self.changed_sectors(incumbent, config)
         if changed is None:
             return None
-        self._eval_counter.inc()
         registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc()
         registry.counter("magus.engine.delta_evaluations").inc()
         with registry.timer("magus.engine.evaluate").time():
             self._validate(config, ue_density)
-            state, child, box = self._evaluate_delta_windowed(
-                incumbent, config, changed, ue_density)
-            registry.counter("magus.engine.roi_evaluations").inc()
-            registry.counter("magus.engine.roi_cells").inc(box_area(box))
-            return state, child
+            return self._evaluate_delta_windowed(incumbent, config,
+                                                 changed, ue_density)
 
     def _evaluate_delta_windowed(
             self, incumbent: DeltaIncumbent, config: Configuration,
             changed: Sequence[int], ue_density: np.ndarray
-            ) -> Tuple[NetworkState, DeltaIncumbent, Box]:
-        """The one evaluation kernel: a delta confined to its window.
+            ) -> Tuple[NetworkState, DeltaIncumbent]:
+        """A delta confined to its window: the child's rows, boxes and
+        sum-tree nodes (:meth:`_sum_nodes`), one :meth:`_window_pass`,
+        and the state.
 
         The window is the union of the changed sectors' old and new
-        boxes (each sector's :meth:`roi_window`), returned with the
-        state and the child.  Outside it every changed row is exactly
-        zero in both configurations, so every plane is elementwise
-        unchanged there: the incumbent's total and serving are reused
-        outside the window.
-
-        The total is the root of the pairwise sum tree (:func:`_sum_tree`):
-        each internal node is the elementwise sum of its two children.
-        Only the ancestors of the changed rows are recomputed, bottom
-        up, each over the union of its old and new boxes inside the
-        window; outside that union the node is zero before and after.
-        An elementwise add does not depend on the slice it runs over,
-        so any window of a node equals the full plane's, and a
-        candidate's total is the same leaf-to-root walk
-        (:meth:`DeltaIncumbent.siblings`).
-
-        Inside the window the serving argmax is repaired from the rows
-        that meet it, at the cells of the changed sectors whose new row
-        does not dominate the old one (see DESIGN.md, "Evaluation
-        strategies").
+        boxes (each sector's :meth:`roi_window`).  Outside it every
+        changed row is exactly zero in both configurations, so the
+        incumbent's total, serving and rasters hold there bit for bit;
+        the dark anchor has none to reuse, so its window is the grid.
+        A sector whose new row does not dominate its old one is losing:
+        the comparator reads the other rows where it served, and its
+        row folds over the whole window; any other folds over its new
+        box (see DESIGN.md, "Window comparator").
         """
         rows, boxes = list(incumbent.rows), incumbent.boxes.copy()
         box, new_boxes = EMPTY_BOX, []
@@ -448,57 +415,127 @@ class AnalysisEngine:
         boxes.flags.writeable = False
         nodes, node_boxes = self._sum_nodes(incumbent, rows, boxes,
                                             changed, box)
-        r0, r1, c0, c1 = box
-        win = (slice(r0, r1), slice(c0, c1))
-
-        # Cells the old winner still holds: it is the first-index max
-        # of the unchanged rows, so folding in each changed row with
-        # the first-index tie rule yields the full argmax.  A changed
-        # row is zero outside its box, where it can never win.  The tie
-        # term fires only where a higher index holds the cell, so it is
-        # skipped while ``top`` (no lower than any index in the window)
-        # is not above the sector: always, from the dark anchor.
-        s0 = incumbent.raw_serving[win]
-        raw_w = s0.copy()
-        best_w = incumbent.best_mw[win].copy()
-        top = int(s0.max(initial=0))
-        for sector, (q0, q1, p0, p1) in zip(changed, new_boxes):
-            if q0 >= q1 or p0 >= p1:
-                continue
-            rel = (slice(q0 - r0, q1 - r0), slice(p0 - c0, p1 - c0))
-            new = rows[sector][q0:q1, p0:p1]
-            best, idx = best_w[rel], raw_w[rel]
-            wins = new > best
-            if sector < top:
-                wins |= (new == best) & (sector < idx)
-            top = max(top, sector)
-            np.copyto(best, new, where=wins)
-            np.copyto(idx, np.int32(sector), where=wins)
-        # Cells a changed sector served: the argmax over the rows that
-        # meet them (the rest are zero there); an all-zero cell takes
-        # index 0, as the full stack's argmax does.  A sector whose new
-        # row dominates its old one keeps every cell it served (any
-        # row tying its old value there has a higher index), so the
-        # fold above already holds the argmax at its cells.
+        prior = incumbent.state
+        if prior is None:
+            box = (0, self.grid.shape[0], 0, self.grid.shape[1])
+        win = _slices(box)
         settings = incumbent.config.settings
-        losing = [sector for sector in changed
-                  if not dominates(settings[sector],
-                                   config.settings[sector])]
-        if losing:
-            mask = s0 == losing[0]
-            for sector in losing[1:]:
-                mask |= s0 == sector
-            if mask.any():
-                best_w[mask], raw_w[mask] = _argmax_rows(rows, boxes, box,
-                                                         mask)
+        losing = tuple(sector for sector in changed
+                       if not dominates(settings[sector],
+                                        config.settings[sector]))
+        folds = [box if sector in losing else new
+                 for sector, new in zip(changed, new_boxes)]
+        total = (nodes[-1] if nodes else rows[0])[win]
+        (best, raw, sinr), (serving, rmax, load, rate) = self._window_pass(
+            incumbent, [(box, incumbent.comparator(losing, box),
+                         [(sector, fold, rows[sector][_slices(fold)])
+                          for sector, fold in zip(changed, folds)])],
+            total.ravel(), ue_density)
+        shape = total.shape
+        best, raw, sinr = (best.reshape(shape), raw.reshape(shape),
+                           sinr.reshape(shape))
         child = DeltaIncumbent(
             config, rows, boxes, nodes, node_boxes,
-            _patched(incumbent.raw_serving, win, raw_w),
-            _patched(incumbent.best_mw, win, best_w),
+            _patched(incumbent.raw_serving, win, raw),
+            _patched(incumbent.best_mw, win, best),
             self.pathloss.cache_epoch)
-        state = self._finish(child, ue_density, prior=incumbent.state,
-                             box=box)
-        return state, child, box
+
+        def copied(part: np.ndarray, name: str) -> np.ndarray:
+            # A window raster out of the workspace, into the prior's.
+            return (part.copy() if prior is None
+                    else _patched(getattr(prior, name), win, part))
+
+        work = self.workspace
+        rp_best_dbm = copied(self._dbm_raster(
+            best, out=work.take("dbm", best.dtype, shape)), "rp_best_dbm")
+        interference_dbm = copied(self._dbm_raster(
+            self._interference_mw(total, best, out=work.take(
+                "interference", best.dtype, shape)),
+            out=work.take("dbm", best.dtype, shape)), "interference_dbm")
+        child.state = NetworkState(
+            grid=self.grid, config=config, serving=serving[0].copy(),
+            rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
+            sinr_db=copied(sinr, "sinr_db"), max_rate_bps=rmax[0].copy(),
+            n_ue=load[0].copy(), rate_bps=rate[0].copy(),
+            ue_density=np.asarray(ue_density, dtype=float),
+            raw_serving=child.raw_serving)
+        return child.state, child
+
+    def _window_pass(self, incumbent: DeltaIncumbent, candidates,
+                     totals: np.ndarray, ue_density: np.ndarray):
+        """The one windowed kernel: serving and Formulae 2-4 for each
+        candidate configuration near ``incumbent``, inside its window.
+
+        A candidate is ``(box, comparator, folds)``: its window, its
+        serving comparator there (:meth:`DeltaIncumbent.comparator`) and
+        its changed rows as ascending ``(sector, region, row)``, ``row``
+        the new row over ``region``, a box inside the window.
+        ``totals`` holds their total-power windows end to end (it may be
+        the workspace's own ``total`` buffer).  Serving folds the rows
+        into the comparator (:func:`_capture`); SINR and the single-user
+        rate run once over the windows end to end; loads and shared
+        rates (Formula 3 couples each window to the whole grid) over a
+        ``(k, H, W)`` stack of the windows patched into the incumbent's
+        rasters, so an incumbent without a state takes whole-grid
+        windows.  No step mixes candidates.  Returns ``(best, raw,
+        sinr)``, the window rasters end to end, and the ``(serving,
+        rmax, load, rate)`` stacks, views of the :attr:`workspace`.
+        Counts one engine evaluation per candidate, a windowed one
+        against a finished incumbent (a delta or a scored candidate).
+        """
+        work = self.workspace
+        areas = [box_area(candidate[0]) for candidate in candidates]
+        size = sum(areas)
+        plane = incumbent.best_mw.dtype
+        best = work.take("best", plane, size)
+        raw = work.take("raw", np.int32, size)
+        scratch = (work.take("wins", bool, size), work.take("tie", bool, size))
+        at = 0
+        for (box, comparator, folds), area in zip(candidates, areas):
+            cut = slice(at, at + area)
+            at += area
+            shape = (box[1] - box[0], box[3] - box[2])
+            _capture(best[cut].reshape(shape), raw[cut].reshape(shape),
+                     comparator, box, folds, scratch)
+        interference = self._interference_mw(
+            totals, best, out=work.take("total", plane, size))
+        sinr = self._sinr_raster(interference, best, out=interference)
+        rmax, serving = self._link_rasters(
+            sinr, best, raw, work.take("rmax", np.float64, size),
+            work.take("serving", np.int32, size))
+
+        k, state = len(candidates), incumbent.state
+        shape = (k,) + self.grid.shape
+        cells = shape[1] * shape[2]
+        if size == k * cells:
+            serving_k, rmax_k = serving.reshape(shape), rmax.reshape(shape)
+        else:
+            serving_k = work.take("serving_stack", np.int32, shape)
+            rmax_k = work.take("rmax_stack", np.float64, shape)
+            at = 0
+            for j, (candidate, area) in enumerate(zip(candidates, areas)):
+                r0, r1, c0, c1 = candidate[0]
+                if area < cells:
+                    serving_k[j] = state.serving
+                    rmax_k[j] = state.max_rate_bps
+                window = (j, slice(r0, r1), slice(c0, c1))
+                serving_k[window] = serving[at:at + area].reshape(
+                    r1 - r0, c1 - c0)
+                rmax_k[window] = rmax[at:at + area].reshape(r1 - r0,
+                                                            c1 - c0)
+                at += area
+        load_k = self._shared_load_batch(
+            serving_k, ue_density, out=work.take("load", np.float64, shape))
+        rate_k = self._shared_rate(rmax_k, load_k,
+                                   out=work.take("rate", np.float64, shape))
+
+        self._eval_counter.inc(k)
+        registry = get_registry()
+        registry.counter("magus.engine.evaluations").inc(k)
+        if state is not None:
+            registry.counter("magus.engine.roi_evaluations").inc(k)
+            registry.counter("magus.engine.roi_cells").inc(size)
+        return (best, raw, sinr), (serving_k, rmax_k, load_k, rate_k)
 
     @staticmethod
     def _sum_nodes(incumbent: DeltaIncumbent, rows: Sequence[np.ndarray],
@@ -506,8 +543,12 @@ class AnalysisEngine:
                    ) -> Tuple[List[np.ndarray], List[Box]]:
         """The sum tree's internal planes and boxes over the new
         ``rows``: the incumbent's, with the ancestors of ``changed``
-        recomputed inside ``window`` (see
-        :meth:`_evaluate_delta_windowed`)."""
+        recomputed bottom up, each over the union of its old and new
+        boxes inside ``window`` (outside it the node is zero before
+        and after).  An elementwise add does not depend on the slice it
+        runs over, so any window of a node equals the full plane's, and
+        a candidate's total is the same leaf-to-root walk
+        (:meth:`DeltaIncumbent.siblings`)."""
         children, paths = _sum_tree(len(rows))
         nodes, node_boxes = list(incumbent.nodes), list(incumbent.node_boxes)
         # Post-order numbering: a node's descendants come before it.
@@ -589,13 +630,9 @@ class AnalysisEngine:
         carries the incremental total-power update (see
         :class:`BatchResult`).
         """
-        changed: List[int] = []
-        for config in configs:
-            sector = self.single_sector_change(incumbent, config)
-            if sector is None:
-                return None
-            changed.append(sector)
-        if not changed:
+        changed = [self.single_sector_change(incumbent, config)
+                   for config in configs]
+        if not changed or None in changed:
             return None
         self._validate(configs[0], ue_density)
         k = len(configs)
@@ -607,16 +644,11 @@ class AnalysisEngine:
             b_idx = np.asarray(changed, dtype=np.int32)
             # Full-plane products, not footprint rows, so that this
             # reference stays independent of the boxes.
-            new_rows = np.zeros((k,) + self.grid.shape,
+            grid = (0, self.grid.shape[0], 0, self.grid.shape[1])
+            new_rows = np.empty((k,) + self.grid.shape,
                                 dtype=self.pathloss.plane_dtype)
             for out, config, b in zip(new_rows, configs, changed):
-                setting = config.settings[b]
-                if setting.active:
-                    gain_mw = self.pathloss.gain_matrix_mw(
-                        b, setting.tilt_deg, setting.azimuth_offset_deg)
-                    np.multiply(gain_mw,
-                                _plane_factor(config, b, gain_mw.dtype),
-                                out=out)
+                self._sector_plane_mw_window(config, b, grid, out=out)
             old_rows = np.stack([incumbent.rows[b] for b in changed])
             total_mw = incumbent.total_mw[None] + (new_rows - old_rows)
 
@@ -666,72 +698,6 @@ class AnalysisEngine:
         if np.any(ue_density < 0):
             raise ValueError("UE density must be non-negative")
 
-    def _finish(self, incumbent: DeltaIncumbent, ue_density: np.ndarray,
-                prior: Optional[NetworkState] = None,
-                box: Optional[Box] = None) -> NetworkState:
-        """Formulae 2-4 from the prepared linear-domain arrays.
-
-        With a ``prior`` state and a ``box`` smaller than the grid, the
-        dB rasters and the single-user rate are recomputed only inside
-        the box: they are elementwise in ``total_mw``/``best_mw``,
-        which are untouched outside it, so the prior state's values
-        are bitwise reusable there.  Otherwise every raster is computed
-        fresh.  Loads and shared rates couple globally through
-        Formula 3 and are always rebuilt over the whole grid (cheap,
-        non-transcendental).  Transient passes run in the
-        :attr:`workspace`; every raster of the state is a fresh array.
-        """
-        rows, cols = self.grid.shape
-        if prior is None or box is None or box_area(box) == rows * cols:
-            prior, box = None, (0, rows, 0, cols)
-        win = _slices(box)
-        shape = (box[1] - box[0], box[3] - box[2])
-
-        def raster(dtype):
-            # The whole grid computes straight into the state's rasters;
-            # a window into fresh window-sized arrays, patched into
-            # copies of the prior's rasters below.
-            return np.empty(shape, dtype=dtype) if prior is None else None
-
-        plane = incumbent.best_mw.dtype
-        best_w = incumbent.best_mw[win]
-        sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
-            incumbent.total_mw[win], best_w, raster(plane), raster(plane),
-            raster(plane))
-        rmax, serving = self._link_rasters(
-            sinr_db, best_w, incumbent.raw_serving[win],
-            raster(np.float64), raster(incumbent.raw_serving.dtype))
-        if prior is not None:
-            sinr_db = _patched(prior.sinr_db, win, sinr_db)
-            rp_best_dbm = _patched(prior.rp_best_dbm, win, rp_best_dbm)
-            interference_dbm = _patched(prior.interference_dbm, win,
-                                        interference_dbm)
-            rmax = _patched(prior.max_rate_bps, win, rmax)
-            serving = _patched(prior.serving, win, serving)
-        n_ue = self._shared_load_batch(serving[None], ue_density)[0]
-        state = NetworkState(
-            grid=self.grid, config=incumbent.config, serving=serving,
-            rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
-            sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
-            rate_bps=self._shared_rate(rmax, n_ue),
-            ue_density=np.asarray(ue_density, dtype=float),
-            raw_serving=incumbent.raw_serving)
-        incumbent.state = state
-        return state
-
-    def _radio_rasters(self, total_mw: np.ndarray, best_mw: np.ndarray,
-                       sinr_db: Optional[np.ndarray] = None,
-                       rp_best_dbm: Optional[np.ndarray] = None,
-                       interference_dbm: Optional[np.ndarray] = None):
-        """Formula 2 rasters (dB domain) from linear power planes, into
-        the given output arrays (fresh ones where omitted)."""
-        interference_mw = self._interference_mw(
-            total_mw, best_mw, out=self.workspace.take(
-                "interference", best_mw.dtype, best_mw.shape))
-        return (self._sinr_raster(interference_mw, best_mw, out=sinr_db),
-                self._dbm_raster(best_mw, out=rp_best_dbm),
-                self._dbm_raster(interference_mw, out=interference_dbm))
-
     @staticmethod
     def _interference_mw(total_mw: np.ndarray, best_mw: np.ndarray,
                          out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -773,8 +739,7 @@ class AnalysisEngine:
         """The single-user rate and the serving map: CQI -> rate, the
         RSRP-style floor (compared in the linear domain), and
         ``NO_SERVICE`` wherever the rate is 0.  Into the given outputs
-        (fresh ones where omitted); ``serving`` may be ``raw_serving``
-        itself."""
+        (fresh ones where omitted)."""
         rmax = self.link.max_rate_bps(sinr_db, out=rmax, scratch=(
             self.workspace.take("cqi", np.intp, sinr_db.shape),
             self.workspace.take("mask", bool, sinr_db.shape)))
@@ -782,7 +747,7 @@ class AnalysisEngine:
                           _dbm_to_mw_scalar(self.min_rp_dbm), 0.0)
         if serving is None:
             serving = raw_serving.copy()
-        elif serving is not raw_serving:
+        else:
             np.copyto(serving, raw_serving)
         self._fill_unless(serving, np.greater, rmax, 0.0, NO_SERVICE)
         return rmax, serving
@@ -790,7 +755,7 @@ class AnalysisEngine:
     def _shared_rate(self, rmax: np.ndarray, n_ue: np.ndarray,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
         """Formula 4: ``r(g) = rmax(g) / N(g)``, and ``rmax`` where no
-        UE shares the sector.  ``out`` may be ``n_ue`` itself."""
+        UE shares the sector."""
         shared = np.greater(n_ue, 0, out=self.workspace.take(
             "mask", bool, n_ue.shape))
         rate = np.maximum(n_ue, 1e-12, out=out)
@@ -808,10 +773,9 @@ class AnalysisEngine:
 
     def _sector_plane_mw_window(self, config: Configuration,
                                 sector_id: int, box: Box,
-                                out: Optional[np.ndarray] = None
-                                ) -> np.ndarray:
+                                out: np.ndarray) -> np.ndarray:
         """One sector's plane restricted to ``box``, into ``out`` (the
-        box's shape) when given.
+        box's shape).
 
         Bitwise identical to the full-plane product
         ``gain_matrix_mw(...) * _plane_factor(...)`` inside ``box``: the
@@ -821,9 +785,6 @@ class AnalysisEngine:
         r0, r1, c0, c1 = box
         setting = config.settings[sector_id]
         if not setting.active:
-            if out is None:
-                return np.zeros((r1 - r0, c1 - c0),
-                                dtype=self.pathloss.plane_dtype)
             out.fill(0)
             return out
         gain_mw = self.pathloss.gain_matrix_mw(
@@ -940,35 +901,27 @@ def _intersection(a: Box, b: Box) -> Box:
             max(a[2], b[2]), min(a[3], b[3]))
 
 
-def _meeting(boxes: np.ndarray, window: Box
-             ) -> Tuple[List[int], List[List[int]]]:
-    """The sectors whose box meets ``window``, ascending, and their
-    boxes clipped to it."""
-    w0, w1, v0, v1 = window
-    clips = np.minimum(np.maximum(boxes, (w0, w0, v0, v0)),
-                       (w1, w1, v1, v1))
-    ids = np.flatnonzero((clips[:, 0] < clips[:, 1])
-                         & (clips[:, 2] < clips[:, 3]))
-    return ids.tolist(), clips[ids].tolist()
-
-
 def _argmax_rows(rows: Sequence[np.ndarray], boxes: np.ndarray, box: Box,
-                 mask: np.ndarray, skip: Optional[int] = None
+                 mask: np.ndarray, skip: Sequence[int] = ()
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """First-index argmax of the row stack with row ``skip`` left out,
-    at the cells of window ``box`` where ``mask`` holds (at least one):
-    the value and sector per cell.
+    """First-index argmax of the row stack with the rows in ``skip``
+    left out, at the cells of window ``box`` where ``mask`` holds (at
+    least one): the value and sector per cell.
 
     Only the rows whose box meets those cells are read; the rest are
     zero there.  A cell where every row read is zero gets the stack
-    argmax's index, the first row other than ``skip``.
+    argmax's index, the first row not in ``skip``.
     """
     mr, mc = np.nonzero(mask)
     mr += box[0]
     mc += box[2]
-    ids, _ = _meeting(boxes, (mr.min(), mr.max() + 1,
-                              mc.min(), mc.max() + 1))
-    ids = [s for s in ids if s != skip]
+    # Clip every box to the cells' bounding box in one pass.
+    w0, w1, v0, v1 = mr.min(), mr.max() + 1, mc.min(), mc.max() + 1
+    clips = np.minimum(np.maximum(boxes, (w0, w0, v0, v0)),
+                       (w1, w1, v1, v1))
+    ids = [s for s in np.flatnonzero((clips[:, 0] < clips[:, 1])
+                                     & (clips[:, 2] < clips[:, 3])).tolist()
+           if s not in skip]
     cells = mr * rows[0].shape[1] + mc
     sub = np.zeros((max(len(ids), 1), cells.size), dtype=rows[0].dtype)
     for j, s in enumerate(ids):
@@ -977,8 +930,42 @@ def _argmax_rows(rows: Sequence[np.ndarray], boxes: np.ndarray, box: Box,
     arg = sub.argmax(axis=0)
     top = sub[arg, np.arange(cells.size)]
     sector_of = np.asarray(ids or [0], dtype=np.int32)
-    return top, np.where(top > 0, sector_of[arg],
-                         np.int32(1 if skip == 0 else 0))
+    zero = next(s for s in range(len(skip) + 1) if s not in skip)
+    return top, np.where(top > 0, sector_of[arg], np.int32(zero))
+
+
+def _capture(best: np.ndarray, idx: np.ndarray, comparator, box: Box,
+             folds, scratch: Tuple[np.ndarray, np.ndarray]) -> None:
+    """The serving fold: ``best``/``idx`` (window ``box``) become the
+    comparator pair with each changed row folded in.
+
+    Each ``(sector, region, row)`` of ``folds``, in ascending sector
+    order, takes the cells of ``region`` where ``row > best | (row ==
+    best & sector < idx)``: the first-index tie rule of a stack argmax.
+    The tie term fires only where a higher index holds the cell, so it
+    is skipped while ``top`` (no lower than any index in the window) is
+    not above the sector: always, from the dark anchor.  ``scratch`` is
+    two flat boolean buffers of at least the window's size.
+    """
+    np.copyto(best, comparator[0])
+    np.copyto(idx, comparator[1])
+    r0, c0 = box[0], box[2]
+    top = int(idx.max(initial=0))
+    for sector, (q0, q1, p0, p1), row in folds:
+        if q0 >= q1 or p0 >= p1:
+            continue
+        rel = (slice(q0 - r0, q1 - r0), slice(p0 - c0, p1 - c0))
+        b, i = best[rel], idx[rel]
+        wins = np.greater(row, b, out=scratch[0][:row.size].reshape(
+            row.shape))
+        if sector < top:
+            tie = np.equal(row, b, out=scratch[1][:row.size].reshape(
+                row.shape))
+            np.greater(i, sector, out=tie, where=tie)
+            wins |= tie
+        top = max(top, sector)
+        np.copyto(b, row, where=wins)
+        np.copyto(i, sector, where=wins)
 
 
 def _slices(box: Box) -> Tuple[slice, slice]:
@@ -1000,7 +987,10 @@ def _plane_factor(config: Configuration, sector_id: int, dtype):
 
 
 def _patched(base: np.ndarray, win, part: np.ndarray) -> np.ndarray:
-    """A copy of ``base`` with ``part`` written into window ``win``."""
+    """A copy of ``base`` with ``part`` written into window ``win``
+    (a copy of ``part`` alone where the window is the whole grid)."""
+    if part.shape == base.shape:
+        return part.copy()
     out = base.copy()
     out[win] = part
     return out

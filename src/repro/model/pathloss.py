@@ -243,14 +243,14 @@ class PathLossDatabase:
         its tilt ladder), the quantity the windowed engine's speedup
         scales with.  Returns ``None`` for dict-backed databases.
         """
-        # The packed scan first: a file cut short after loading fails
-        # it with an error before the mapped sidecars are touched.
         bad = set() if self._packed is None else set(
             self._packed.bad_sectors())
-        bad.update(sid for sid, raster in enumerate(self._rasters)
-                   if not (np.isfinite(raster.loss_db).all()
-                           and np.isfinite(raster.horiz_att_db).all()
-                           and np.isfinite(raster.theta_deg).all()))
+        for sid in range(len(self._rasters)):
+            raster = self._raster(sid)
+            if not (np.isfinite(raster.loss_db).all()
+                    and np.isfinite(raster.horiz_att_db).all()
+                    and np.isfinite(raster.theta_deg).all()):
+                bad.add(sid)
         bad = sorted(bad)
         if bad:
             raise ValueError(
@@ -364,7 +364,7 @@ class PathLossDatabase:
         to the planned azimuth (the azimuth-tuning extension).
         """
         return sector_gain_db(self.network.sector(sector_id),
-                              self._rasters[sector_id], tilt_deg,
+                              self._raster(sector_id), tilt_deg,
                               self.tilt_model, self.shared_profile,
                               azimuth_offset_deg)
 
@@ -491,7 +491,15 @@ class PathLossDatabase:
 
     def distance_matrix(self, sector_id: int) -> np.ndarray:
         """Distance (m) from the sector to each grid center."""
-        return self._rasters[sector_id].distance_m
+        return self._raster(sector_id).distance_m
+
+    def _raster(self, sector_id: int) -> _SectorRaster:
+        """Sector ``sector_id``'s geometry rasters: every query reads
+        them here, after a file-backed store has checked that its file
+        still holds them (:meth:`PackedGainStore.check_sidecars`)."""
+        if self._packed is not None:
+            self._packed.check_sidecars(sector_id)
+        return self._rasters[sector_id]
 
 
 _PROFILE_STEP_M = 50.0

@@ -29,7 +29,9 @@ positioned read (``os.preadv``) into a fresh array, held by the
 database's row cache, and ``validate()``'s NaN/inf scan reads block by
 block into one reused buffer.  The ``roi`` table is read once; the
 five sidecars, read only by off-ladder and azimuth-offset queries,
-are read-only ``np.memmap`` views.
+are read-only ``np.memmap`` views, and every read of them first checks
+the file's size (:meth:`PackedGainStore.check_sidecars`), so a file
+cut short after loading fails loudly instead of faulting.
 
 **Float32 parity contract**: planes come from one producer,
 :func:`sector_planes_mw` — the float64 ``gain_matrix`` composition
@@ -131,7 +133,8 @@ class PackedGainStore:
                  roi: np.ndarray,
                  path: Optional[str] = None,
                  clip_floor_db: Optional[float] = None,
-                 section: Optional[Dict] = None) -> None:
+                 section: Optional[Dict] = None,
+                 sidecars: Optional[Dict[str, Dict]] = None) -> None:
         if gains_mw is None:
             self.shape: Tuple[int, ...] = tuple(section["shape"])
             self._offset = int(section["offset"])
@@ -156,6 +159,8 @@ class PackedGainStore:
         #: Opened on the first read, closed when the store is dropped;
         #: ``preadv`` ignores the file offset, so forked children share it.
         self._fd: Optional[int] = None
+        #: The header's specs of the mapped sidecar sections.
+        self._sidecars = sidecars or {}
         #: Per-(sector, tilt) nonzero bounding boxes, ``(S, T, 4)``
         #: int32 half-open rows/cols (see :func:`clip_planes`).
         self.roi = np.asarray(roi, dtype=np.int32)
@@ -217,18 +222,38 @@ class PackedGainStore:
                     break
         return bad
 
-    def _read(self, out: np.ndarray, start: int) -> None:
-        """Fill ``out`` from byte ``start`` of the ``gains_mw`` section."""
+    def check_sidecars(self, sector_id: int) -> None:
+        """Raise unless the file still holds sector ``sector_id``'s
+        sidecar planes: one ``fstat`` of the store's descriptor before
+        its mapped pages are read, so a file cut short after loading
+        fails like a short ``gains_mw`` read instead of with SIGBUS.
+        A no-op for an in-memory store."""
+        if not self._sidecars:
+            return
+        size = os.fstat(self._descriptor()).st_size
+        for name, spec in self._sidecars.items():
+            plane = int(spec["nbytes"]) // self.n_sectors
+            start = int(spec["offset"]) + sector_id * plane
+            if size < start + plane:
+                raise self._short(name, start, start + plane)
+
+    def _descriptor(self) -> int:
         if self._fd is None:
             self._fd = os.open(self.path, os.O_RDONLY)
             weakref.finalize(self, os.close, self._fd)
+        return self._fd
+
+    def _read(self, out: np.ndarray, start: int) -> None:
+        """Fill ``out`` from byte ``start`` of the ``gains_mw`` section."""
         offset = self._offset + start
-        if os.preadv(self._fd, [out], offset) != out.nbytes:
-            raise ValueError(
-                f"{self.path}: section 'gains_mw' came back short at bytes "
-                f"{offset}..{offset + out.nbytes}: the file was truncated "
-                f"or rewritten after it was loaded; re-run `repro-magus "
-                f"pack`")
+        if os.preadv(self._descriptor(), [out], offset) != out.nbytes:
+            raise self._short("gains_mw", offset, offset + out.nbytes)
+
+    def _short(self, section: str, start: int, end: int) -> ValueError:
+        return ValueError(
+            f"{self.path}: section {section!r} came back short at bytes "
+            f"{start}..{end}: the file was truncated or rewritten after "
+            f"it was loaded; re-run `repro-magus pack`")
 
     # -- pickling (spawn workers) --------------------------------------
     # File-backed stores ship only their path, never the descriptor;
@@ -686,11 +711,14 @@ def _open_section(path: str, header: Dict, name: str) -> np.ndarray:
 
 def _file_store(path: str, header: Dict) -> Dict:
     """:class:`PackedGainStore` arguments that read a plossdb file's
-    ``gains_mw`` section on demand, with its ``roi`` table in memory."""
+    ``gains_mw`` section on demand, with its ``roi`` table in memory
+    and the specs of its sidecar sections."""
+    sections = header["sections"]
     return {"gains_mw": None, "tilt_values": header["tilt_values"],
             "roi": np.array(_open_section(path, header, "roi")),
             "path": path, "clip_floor_db": header["clip_floor_db"],
-            "section": header["sections"]["gains_mw"]}
+            "section": sections["gains_mw"],
+            "sidecars": {name: sections[name] for name in _SIDECARS}}
 
 
 def verify_sections(path: str, header: Optional[Dict] = None) -> List[str]:
@@ -737,7 +765,8 @@ def load_packed(path: str, verify: object = "auto") -> PathLossDatabase:
     Nothing is materialized until queried, so market-scale files load
     in milliseconds: gain rows are read with positioned reads when the
     engine first asks for them (see :class:`PackedGainStore`), the
-    sidecar rasters are read-only memory maps, and only the small
+    sidecar rasters are read-only memory maps (each read checked
+    against the file's size), and only the small
     ``roi`` table is read up front.  Construction-time ``validate()``
     is skipped (it would read the whole tensor); call it explicitly to
     scan a suspect file.

@@ -15,6 +15,10 @@ import gc
 import json
 import os
 import pickle
+import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -368,6 +372,49 @@ class TestPositionedReads:
             loaded.gain_matrix_mw(1, store.tilt_values[0])
         with pytest.raises(ValueError, match=message):
             store.bad_sectors()
+
+    def test_sidecars_truncated_after_load_fail_loudly(self, path):
+        """A file cut at the first sidecar section after loading: every
+        sidecar read (off-ladder and azimuth rows, dB rows, distances,
+        off-ladder footprints, the NaN scan) names the section instead
+        of faulting on a mapped page.  In a subprocess, so that a
+        regression fails this test instead of killing the run."""
+        probe = textwrap.dedent("""
+            import os, sys
+            from repro.model.plossdb import load_packed, read_header
+            path = sys.argv[1]
+            loaded = load_packed(path)
+            ladder = loaded.packed_store.tilt_values
+            off = (ladder[0] + ladder[1]) / 2
+            os.truncate(path, read_header(path)["sections"]
+                        ["horiz_att_db"]["offset"])
+            for query in (lambda: loaded.gain_matrix_mw(0, off),
+                          lambda: loaded.gain_matrix_mw(1, ladder[0], 10.0),
+                          lambda: loaded.gain_row_db(0, ladder[0]),
+                          lambda: loaded.distance_matrix(2),
+                          lambda: loaded.footprint(1, off),
+                          loaded.validate):
+                try:
+                    query()
+                except ValueError as exc:
+                    print(exc)
+                else:
+                    print("no error")
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", probe, path],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            assert re.fullmatch(
+                rf"{re.escape(path)}: section 'horiz_att_db' came back "
+                rf"short at bytes \d+\.\.\d+: .*re-run `repro-magus "
+                rf"pack`", line), line
 
     def test_pickled_store_ships_path_only(self, path):
         store = load_packed(path).packed_store

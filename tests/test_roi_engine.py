@@ -378,11 +378,15 @@ class TestAnyKDeltaParity:
             incumbent = engine.evaluate_with_incumbent(config, density)[1]
             # Sector 0 down and back up (in the twins world the way
             # back ties sector 1 in every cell it serves), then a
-            # rotated pattern: a whole-grid window.
+            # rotated pattern: a whole-grid window.  Last, sector 1
+            # relit beside sectors 0 and 2 powering down: in the twins
+            # world both of those lose cells in the one delta.
             chain = [[("power", 0, -3.0), ("tilt", 2, 1.0)],
                      [("power", 0, 3.0), ("tilt", 2, -1.0)],
                      [("azimuth", 2, 2.0), ("toggle", 1, 0.0),
-                      ("power", 0, -3.0)]] + links
+                      ("power", 0, -3.0)],
+                     [("toggle", 1, 0.0), ("power", 0, -6.0),
+                      ("power", 2, -6.0)]] + links
             for link in chain:
                 new_config = config
                 for move in link:
@@ -720,13 +724,13 @@ class TestBatchComposition:
                 "magus.engine.roi_evaluations", "magus.engine.roi_cells")}
 
         chunks = []
-        score_chunk = roi._score_chunk
+        candidates_of = roi._candidates
 
-        def spy(engine, baseline, configs, *args):
-            chunks.append(len(configs))
-            return score_chunk(engine, baseline, configs, *args)
+        def spy(engine, baseline, chunk):
+            chunks.append(len(chunk))
+            return candidates_of(engine, baseline, chunk)
 
-        monkeypatch.setattr(roi, "_score_chunk", spy)
+        monkeypatch.setattr(roi, "_candidates", spy)
         whole, whole_counts = run()
         assert chunks == [len(candidates)]
         chunks.clear()
@@ -939,6 +943,25 @@ def _assert_comparator_parity(incumbent, windows=()):
             assert np.array_equal(got_idx, want_idx[r0:r1, c0:c1])
 
 
+def _assert_losing_fold(incumbent, planes, losing, new, box):
+    """The window pass's serving routine for a change of the
+    ``losing`` rows to ``new``: the comparator with each new row folded
+    over the window equals the stack argmax of the changed stack."""
+    stack = planes.copy()
+    stack[losing] = new
+    want_idx = stack.argmax(axis=0).astype(np.int32)
+    want_val = np.take_along_axis(stack, want_idx[None], axis=0)[0]
+    r0, r1, c0, c1 = box
+    best = np.empty((r1 - r0, c1 - c0), dtype=planes.dtype)
+    idx = np.empty(best.shape, dtype=np.int32)
+    scratch = (np.empty(best.size, bool), np.empty(best.size, bool))
+    engine_module._capture(
+        best, idx, incumbent.comparator(tuple(losing), box), box,
+        [(s, box, stack[s][r0:r1, c0:c1]) for s in losing], scratch)
+    assert np.array_equal(idx, want_idx[r0:r1, c0:c1])
+    assert best.tobytes() == want_val[r0:r1, c0:c1].tobytes()
+
+
 def _stack_incumbent(planes, boxes) -> DeltaIncumbent:
     """An incumbent over a bare plane stack; a ``None`` box is an
     unknown footprint (stored as the whole grid)."""
@@ -1024,6 +1047,20 @@ class TestRunnerUpParity:
         incumbent = _stack_incumbent(planes, table)
         _assert_comparator_parity(
             incumbent, [data.draw(_windows_of(planes.shape[1:]))])
+        # Several losing sectors in one change: the comparator reads
+        # the other rows where any of them served, and their new rows
+        # (lowered or zeroed at random cells) fold over the window.
+        n, rows, cols = planes.shape
+        if n >= 2:
+            losing = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                              min_size=2)))
+            keep = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                                      min_size=rows * cols,
+                                      max_size=rows * cols))
+            new = planes[losing] * np.asarray(
+                keep, dtype=planes.dtype).reshape(rows, cols)
+            _assert_losing_fold(incumbent, planes, losing, new,
+                                data.draw(_windows_of((rows, cols))))
 
     @settings(max_examples=200, deadline=None)
     @given(planes=_sparse_stacks(), data=st.data())
@@ -1308,7 +1345,7 @@ class TestRoiFallbacks:
             toy_network.planned_configuration(), density)
         baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
         assert baseline is not None
-        incumbent.state = None          # as if it never ran _finish
+        incumbent.state = None          # as if it were the dark anchor
         assert RoiBaseline.from_incumbent(incumbent, _UTILITY,
                                           density) is None
 
