@@ -9,7 +9,10 @@ bench compares the three prefilter modes on the same scenario:
 * ``sinr``  — the capture-test prefilter (no evaluation needed).
 
 Expected shape: all three reach essentially the same utility, but the
-``sinr`` prefilter spends the fewest model evaluations.
+``sinr`` prefilter spends the fewest model evaluations.  A run's cost is
+what the evaluator's cost meter counts around ``tune_power``: every
+candidate scored, the start configuration and rejected iterations
+included.
 """
 
 from repro.analysis.export import write_csv
@@ -29,17 +32,14 @@ def test_ablation_candidate_pruning(suburban_area, benchmark):
     def run_all():
         out = {}
         for prefilter in ("none", "rate", "sinr"):
-            # Pinned to the full strategy: this ablation compares the
-            # *model-evaluation budgets* of the prefilter modes, and the
-            # batched delta path counts whole candidate screens at once.
-            evaluator = Evaluator(area.engine, area.ue_density,
-                                  strategy="full")
+            evaluator = Evaluator(area.engine, area.ue_density)
             baseline = evaluator.state_of(c_before)
+            meter = evaluator.cost_meter()
             result = tune_power(
                 evaluator, area.network, c_upgrade, baseline, targets,
                 PowerSearchSettings(prefilter=prefilter))
-            out[prefilter] = (result.final_utility,
-                              result.total_evaluations, result.n_steps)
+            out[prefilter] = (result.final_utility, meter.spent(),
+                              result.n_steps)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -55,8 +55,6 @@ def test_ablation_candidate_pruning(suburban_area, benchmark):
               ["prefilter", "final_utility", "evaluations", "steps"],
               rows)
 
-    f_upgrade = results["none"][0] - (results["none"][0]
-                                      - min(r[0] for r in results.values()))
     # All modes land within a whisker of each other...
     utilities = [r[0] for r in results.values()]
     assert max(utilities) - min(utilities) < \

@@ -46,7 +46,7 @@ def test_emit_telemetry_artifacts(small_bench_area):
             RunReport.from_registry(
                 command="bench-sweep", registry=registry, tracer=trace,
                 total_model_evaluations=sum(
-                    o.plan.tuning.total_evaluations for o in outcomes),
+                    o.plan.evaluations for o in outcomes),
                 meta={"source": "bench_telemetry_artifacts.py",
                       "workers": 2}).write(str(out / "run-report.json"))
         finally:

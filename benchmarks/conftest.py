@@ -207,6 +207,6 @@ def sweep_rows() -> List[SweepRow]:
                         f_upgrade=plan.f_upgrade,
                         f_after=plan.f_after,
                         steps=plan.tuning.n_steps,
-                        evaluations=plan.tuning.total_evaluations))
+                        evaluations=plan.evaluations))
             del area
     return rows

@@ -419,8 +419,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
             _print_plan(outcome.plan, outcome.gradual, outcome.direct_stats)
         _emit_mitigate_artifacts(args, sink, lambda: RunReport.from_registry(
             command="mitigate", registry=get_registry(), tracer=trace,
-            total_model_evaluations=sum(
-                o.plan.tuning.total_evaluations for o in outcomes),
+            total_model_evaluations=sum(o.plan.evaluations for o in outcomes),
             meta=meta))
         return 0
     targets = select_targets(area, scenarios[0])

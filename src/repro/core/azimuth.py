@@ -78,7 +78,7 @@ def tune_azimuth(evaluator: Evaluator, network: CellularNetwork,
                                     parameter=Parameter.AZIMUTH,
                                     old_value=current_offset,
                                     new_value=new_offset),
-                utility=f_trial, candidates_evaluated=1))
+                utility=f_trial))
             config = trial
             f_current = f_trial
 

@@ -129,17 +129,13 @@ class Evaluator:
         """Distinct (cache-missing) model evaluations performed."""
         return self._eval_counter.value
 
-    @model_evaluations.setter
-    def model_evaluations(self, value: int) -> None:
-        self._eval_counter.reset(value)
-
     def cost_meter(self) -> CostMeter:
         """A zero-point meter over the model-evaluation counter.
 
         ``meter = evaluator.cost_meter(); ...; meter.spent()`` reads how
-        many distinct evaluations the enclosed work consumed — the
-        search algorithms' cost metric — without the before/after
-        counter-diff idiom.
+        many distinct evaluations the enclosed work consumed — a plan's
+        search cost, ``MitigationResult.evaluations`` — without the
+        before/after counter-diff idiom.
         """
         return self._eval_counter.meter()
 
@@ -232,9 +228,7 @@ class Evaluator:
                 for i, value in zip(group, values):
                     scores[i] = value
                     self._store(configs[i], None, value)
-                self._eval_counter.inc(len(group))
-                registry.counter(
-                    "magus.evaluator.model_evaluations").inc(len(group))
+                self._count(len(group))
                 remaining = [i for i in remaining if scores[i] is None]
                 if not remaining:
                     break
@@ -277,6 +271,11 @@ class Evaluator:
             self._incumbents = []
             self._roi_baselines.clear()
 
+    def _count(self, n: int) -> None:
+        """Count ``n`` distinct model evaluations (meters and registry)."""
+        self._eval_counter.inc(n)
+        get_registry().counter("magus.evaluator.model_evaluations").inc(n)
+
     def _store(self, config: Configuration,
                state: Optional[NetworkState], value: float) -> None:
         """Memoize ``config`` (when the memo has room at all), evicting
@@ -309,8 +308,7 @@ class Evaluator:
         else:                     # "delta" and "parallel" share the path
             state = self._anchor(config).state
         value = self.utility.evaluate(state)
-        self._eval_counter.inc()
-        get_registry().counter("magus.evaluator.model_evaluations").inc()
+        self._count(1)
         self._store(config, state if pin or self.strategy == "full"
                     else None, value)
         return state, value

@@ -8,8 +8,9 @@ alone, roughly doubling power-tuning's recovery.
 
 The composition is literal: the tilt pass's final configuration seeds
 Algorithm 1.  The combined :class:`~repro.core.plan.TuningResult`
-concatenates both traces so step counts / evaluation budgets stay
-comparable with the single-knob runs.
+concatenates both traces so step counts stay comparable with the
+single-knob runs.  A plan's search cost is what the evaluator's cost
+meter counted over the whole pass, the losing branch included.
 """
 
 from __future__ import annotations

@@ -120,8 +120,7 @@ def rebalance(evaluator: Evaluator, network: CellularNetwork,
         steps.append(SearchStep(
             change=ConfigChange(hot_sector, Parameter.POWER,
                                 old_power, new_power),
-            utility=evaluator.utility_of(trial),
-            candidates_evaluated=1))
+            utility=evaluator.utility_of(trial)))
         current = trial
 
     final_state = evaluator.state_of(current)

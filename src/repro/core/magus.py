@@ -23,6 +23,7 @@ One :meth:`Magus.plan_mitigation` always runs in-process.  ``workers``,
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,6 +111,15 @@ class Magus:
         :data:`TUNING_STRATEGIES`); ``c_before`` defaults to the
         operator-planned configuration.
         """
+        return self._plan(target_sectors, tuning, c_before,
+                          functools.partial(self._run_tuner, tuning))
+
+    def _plan(self, target_sectors: Sequence[int], tuning: str,
+              c_before: Optional[Configuration], tune) -> MitigationResult:
+        """The one plan path: check the targets, evaluate ``C_before``
+        and ``C_upgrade``, run ``tune(c_upgrade, baseline_state,
+        targets)`` and report the evaluations the cost meter counted
+        over all of it as the plan's ``evaluations``."""
         targets = tuple(target_sectors)
         if not targets:
             raise ValueError("need at least one target sector")
@@ -135,27 +145,26 @@ class Magus:
             registry.record("search_pass", phase="tuning", tuning=tuning,
                             f_upgrade=f_upgrade)
             with trace.span("magus.tuning", strategy=tuning):
-                result = self._run_tuner(tuning, c_upgrade,
-                                         baseline_state, targets)
+                result = tune(c_upgrade, baseline_state, targets)
 
-        registry.counter("magus.plan.model_evaluations").inc(
-            meter.spent())
+        evaluations = meter.spent()
+        registry.counter("magus.plan.model_evaluations").inc(evaluations)
         registry.record("search_pass", phase="complete", tuning=tuning,
                         f_after=result.final_utility,
-                        evaluations=meter.spent(),
+                        evaluations=evaluations,
                         termination=result.termination)
         _LOG.info("plan tuning=%s targets=%s recovery=%.4f evals=%d "
                   "steps=%d termination=%s", tuning, list(targets),
                   recovery_ratio(f_before, f_upgrade,
                                  result.final_utility),
-                  meter.spent(), result.n_steps, result.termination)
+                  evaluations, result.n_steps, result.termination)
         return MitigationResult(
             target_sectors=targets,
             c_before=c_before, c_upgrade=c_upgrade,
             c_after=result.final_config,
             f_before=f_before, f_upgrade=f_upgrade,
             f_after=result.final_utility,
-            tuning=result,
+            tuning=result, evaluations=evaluations,
             utility_name=self.evaluator.utility.name)
 
     def _run_tuner(self, tuning: str, c_upgrade: Configuration,
@@ -193,22 +202,13 @@ class Magus:
                          settings: Optional[BruteForceSettings] = None
                          ) -> MitigationResult:
         """Exhaustive ``C_after`` for tiny instances (validation only)."""
-        targets = tuple(target_sectors)
-        c_before = self.default_config
-        f_before = self.evaluator.utility_of(c_before)
-        c_upgrade = c_before.with_offline(targets)
-        f_upgrade = self.evaluator.utility_of(c_upgrade)
-        neighbors = self.network.neighbors_of(
-            targets, radius_m=self.power_settings.neighbor_radius_m,
-            max_neighbors=self.power_settings.max_neighbors)
-        result = tune_brute_force(self.evaluator, self.network, c_upgrade,
-                                  neighbors, settings)
-        return MitigationResult(
-            target_sectors=targets, c_before=c_before,
-            c_upgrade=c_upgrade, c_after=result.final_config,
-            f_before=f_before, f_upgrade=f_upgrade,
-            f_after=result.final_utility, tuning=result,
-            utility_name=self.evaluator.utility.name)
+        def tune(c_upgrade, _baseline_state, targets):
+            neighbors = self.network.neighbors_of(
+                targets, radius_m=self.power_settings.neighbor_radius_m,
+                max_neighbors=self.power_settings.max_neighbors)
+            return tune_brute_force(self.evaluator, self.network, c_upgrade,
+                                    neighbors, settings)
+        return self._plan(target_sectors, "brute-force", None, tune)
 
     # ------------------------------------------------------------------
     def gradual_schedule(self, plan: MitigationResult,

@@ -66,9 +66,9 @@ def tune_naive(evaluator: Evaluator, network: CellularNetwork,
                                         parameter=Parameter.POWER,
                                         old_value=old_power,
                                         new_value=trial.power_dbm(b)),
-                    utility=f_trial, candidates_evaluated=1))
-                _LOG.info("naive sector=%d knob=power delta_utility=%+.6g "
-                          "evals=1", b, f_trial - f_current)
+                    utility=f_trial))
+                _LOG.info("naive sector=%d knob=power delta_utility=%+.6g",
+                          b, f_trial - f_current)
                 config = trial
                 f_current = f_trial
 

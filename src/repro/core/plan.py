@@ -3,7 +3,9 @@
 These are the artifacts the search algorithms hand back: individual
 parameter changes, the step-by-step trace of a search, and the final
 mitigation result with the paper's ``C_before / C_upgrade / C_after``
-triple and the recovery ratio of Formula 7.
+triple, the recovery ratio of Formula 7 and the plan's search cost.
+The cost is one number per plan, counted by the evaluator's cost
+meter; a step records what it changed, not what it cost.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class SearchStep:
 
     change: ConfigChange
     utility: float               # f after applying the change
-    candidates_evaluated: int    # model evaluations spent this iteration
 
 
 @dataclass
@@ -72,11 +73,6 @@ class TuningResult:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def total_evaluations(self) -> int:
-        """Model evaluations across the run (search cost metric)."""
-        return sum(s.candidates_evaluated for s in self.steps)
 
     @property
     def utility_gain(self) -> float:
@@ -125,7 +121,10 @@ class MitigationResult:
 
     ``f_*`` values are under the optimization utility; recovery under a
     *different* utility (Table 2) is obtained via
-    :meth:`cross_recovery`.
+    :meth:`cross_recovery`.  ``evaluations`` is the plan's search cost
+    (the paper's Fig. 12 x-axis): the distinct model evaluations the
+    evaluator's cost meter counted over the whole plan, the two
+    baseline evaluations of ``C_before`` and ``C_upgrade`` included.
     """
 
     target_sectors: Tuple[int, ...]
@@ -136,6 +135,7 @@ class MitigationResult:
     f_upgrade: float
     f_after: float
     tuning: TuningResult
+    evaluations: int
     utility_name: str = "performance"
 
     @property
@@ -156,7 +156,7 @@ class MitigationResult:
             f"f(C_after)={self.f_after:.2f}",
             f"recovery ratio: {self.recovery * 100.0:.1f}%  "
             f"({self.tuning.n_steps} steps, "
-            f"{self.tuning.total_evaluations} evaluations, "
+            f"{self.evaluations} evaluations, "
             f"{self.tuning.termination})",
         ]
         lines += ["  " + c.describe() for c in self.tuning.changes()]

@@ -109,11 +109,9 @@ def tune_power(evaluator: Evaluator, network: CellularNetwork,
             registry.counter("magus.search.power.candidates").inc(
                 len(candidates))
 
-            meter = evaluator.cost_meter()
             best = _best_candidate(evaluator, network, config, state,
                                    affected, candidates, unit,
                                    settings.prefilter, f_current)
-            spent = meter.spent()
 
             if best is not None and best[1] > f_current + _EPS:
                 sector_id, f_new, new_config = best[0], best[1], best[2]
@@ -122,20 +120,18 @@ def tune_power(evaluator: Evaluator, network: CellularNetwork,
                         sector_id=sector_id, parameter=Parameter.POWER,
                         old_value=config.power_dbm(sector_id),
                         new_value=new_config.power_dbm(sector_id)),
-                    utility=f_new, candidates_evaluated=spent))
+                    utility=f_new))
                 registry.counter("magus.search.power.accepted_steps").inc()
                 _LOG.info(
                     "power iteration=%d sector=%d knob=power "
-                    "delta_utility=%+.6g evals=%d unit_db=%.1f",
-                    iteration + 1, sector_id, f_new - f_current, spent,
-                    unit)
+                    "delta_utility=%+.6g unit_db=%.1f",
+                    iteration + 1, sector_id, f_new - f_current, unit)
                 config = new_config
                 f_current = f_new
                 unit = settings.unit_db       # reset after progress
             else:
-                _LOG.debug(
-                    "power iteration=%d no-improvement evals=%d "
-                    "unit_db=%.1f", iteration + 1, spent, unit)
+                _LOG.debug("power iteration=%d no-improvement unit_db=%.1f",
+                           iteration + 1, unit)
                 unit += settings.unit_db      # paper: "increment T if needed"
                 if unit > settings.max_unit_db:
                     termination = "no-improvement"

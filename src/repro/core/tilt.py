@@ -113,9 +113,9 @@ def _sweep_sector(evaluator: Evaluator, network: CellularNetwork,
             change=ConfigChange(sector_id=sector_id,
                                 parameter=Parameter.TILT,
                                 old_value=old_tilt, new_value=new_tilt),
-            utility=f_trial, candidates_evaluated=1))
+            utility=f_trial))
         registry.counter("magus.search.tilt.accepted_steps").inc()
-        _LOG.info("tilt sector=%d knob=tilt delta_utility=%+.6g evals=1 "
+        _LOG.info("tilt sector=%d knob=tilt delta_utility=%+.6g "
                   "tilt_deg=%.1f", sector_id, f_trial - f_current, new_tilt)
         config = trial
         f_current = f_trial

@@ -122,9 +122,6 @@ class CostMeter:
     def spent(self) -> int:
         return self._counter.value - self._zero
 
-    def restart(self) -> None:
-        self._zero = self._counter.value
-
 
 class Gauge:
     """A set-to-latest float metric (also tracks min/max seen)."""

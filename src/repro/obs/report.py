@@ -17,10 +17,10 @@ Schema (all keys always present)::
         {"name": "magus.tilt_pass", "calls": 1,
          "wall_time_s": 0.81, "mean_s": 0.81}, ...],
       "iterations": [                         # one per accepted step
-        {"step": 1, "sector": 12, "knob": "tilt",
-         "utility": 812.4, "delta_utility": 3.2, "evaluations": 5}, ...],
+        {"step": 1, "sector": 12, "knob": "tilt", "old_value": 6.0,
+         "new_value": 5.0, "utility": 812.4, "delta_utility": 3.2}, ...],
       "utility_trajectory": [809.2, 812.4, ...],   # initial + per step
-      "total_model_evaluations": 118,         # == tuning trace total
+      "total_model_evaluations": 118,         # the plan's evaluations
       "metrics": {...},                       # full registry snapshot
       "resources": {                          # getrusage(RUSAGE_SELF)
         "peak_rss_mb": 344.9,                 #   when the report is
@@ -72,11 +72,11 @@ class RunReport:
                         ) -> "RunReport":
         """Build from a :class:`~repro.core.plan.MitigationResult`.
 
-        ``total_model_evaluations`` and the trajectory come from the
-        tuning trace itself, so they agree with
-        ``result.tuning.total_evaluations`` by construction; the
-        registry contributes per-phase wall time and the raw metric
-        snapshot on top.
+        ``total_model_evaluations`` is ``result.evaluations``, the
+        evaluations the plan's cost meter counted (the same number
+        ``magus.plan.model_evaluations`` grew by); the trajectory comes
+        from the tuning trace.  The registry contributes per-phase wall
+        time and the raw metric snapshot on top.
         """
         registry = registry if registry is not None else get_registry()
         tuning = result.tuning
@@ -102,9 +102,8 @@ class RunReport:
                 "utility": step.utility,
                 "delta_utility": step.utility
                                  - report.utility_trajectory[i],
-                "evaluations": step.candidates_evaluated,
             })
-        report.total_model_evaluations = tuning.total_evaluations
+        report.total_model_evaluations = result.evaluations
         report.attach_registry(registry)
         if tracer is not None and tracer.enabled:
             report.spans = [s.to_dict() for s in tracer.drain()]

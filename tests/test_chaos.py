@@ -361,7 +361,7 @@ _SCENARIOS = (UpgradeScenario.SINGLE_SECTOR, UpgradeScenario.FULL_SITE,
 def _plans(outcomes):
     """Everything a sweep outcome's plan is compared on, bit for bit."""
     return [(encode_config(o.plan.c_after), repr(o.plan.f_after),
-             o.plan.tuning.total_evaluations) for o in outcomes]
+             o.plan.evaluations) for o in outcomes]
 
 
 def _square(x):

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.core.brute import BruteForceSettings
+from repro.core.evaluation import Evaluator
 from repro.core.magus import Magus, TUNING_STRATEGIES
+from repro.core.search import tune_power
+from repro.core.tilt import tune_tilt
+from repro.obs import MetricsRegistry, use_registry
 
 
 @pytest.fixture
@@ -57,12 +62,63 @@ class TestPlanMitigation:
 
 class TestBruteForcePlan:
     def test_brute_dominates_heuristic(self, magus):
-        from repro.core.brute import BruteForceSettings
         heuristic = magus.plan_mitigation([1], tuning="power")
         brute = magus.brute_force_plan(
             [1], BruteForceSettings(unit_db=1.0, max_delta_db=3.0))
         assert brute.f_after >= \
             min(heuristic.f_after, brute.f_upgrade) - 1e-9
+
+    def test_empty_targets_rejected(self, magus):
+        with pytest.raises(ValueError, match="at least one target"):
+            magus.brute_force_plan([])
+
+    def test_already_offline_target_rejected(self, toy_network, toy_engine,
+                                             toy_density):
+        dark = toy_network.planned_configuration().with_offline([1])
+        magus = Magus(toy_network, toy_engine, toy_density,
+                      default_config=dark)
+        with pytest.raises(ValueError, match="off-air"):
+            magus.brute_force_plan([1])
+
+
+class TestSearchCost:
+    """A plan's ``evaluations`` is its one search-cost number: the
+    distinct model evaluations the evaluator's cost meter counted over
+    the whole plan, the two baseline evaluations included."""
+
+    @pytest.mark.parametrize("tuning", TUNING_STRATEGIES + ("brute",))
+    def test_plan_reports_metered_evaluations(self, magus, tuning):
+        with use_registry(MetricsRegistry()) as registry:
+            meter = magus.evaluator.cost_meter()
+            if tuning == "brute":
+                plan = magus.brute_force_plan(
+                    [1], BruteForceSettings(max_delta_db=3.0))
+            else:
+                plan = magus.plan_mitigation([1], tuning=tuning)
+            spent = meter.spent()
+        counted = registry.counter("magus.plan.model_evaluations").value
+        assert plan.evaluations == spent == counted > 2
+
+    def test_joint_counts_both_branches(self, toy_network, toy_engine,
+                                        toy_density):
+        """Tilt accepts steps for target 1, so joint runs tilt then
+        power, and the pure power plan besides: its cost exceeds a
+        fresh power plan's and the tilt-then-power branch's alone,
+        whichever branch wins."""
+        joint = Magus(toy_network, toy_engine,
+                      toy_density).plan_mitigation([1], tuning="joint")
+        power = Magus(toy_network, toy_engine,
+                      toy_density).plan_mitigation([1], tuning="power")
+        ev = Evaluator(toy_engine, toy_density)
+        meter = ev.cost_meter()
+        c_before = toy_network.planned_configuration()
+        baseline = ev.state_of(c_before)
+        c_upgrade = c_before.with_offline([1])
+        ev.utility_of(c_upgrade)
+        tilted = tune_tilt(ev, toy_network, c_upgrade, [1])
+        tune_power(ev, toy_network, tilted.final_config, baseline, [1])
+        assert tilted.n_steps > 0
+        assert joint.evaluations > max(power.evaluations, meter.spent())
 
 
 class TestGradualAndFeedback:

@@ -44,5 +44,12 @@ class TestNaive:
 
     def test_one_eval_per_step_plus_rejections(self, toy_evaluator,
                                                toy_network, c_upgrade):
+        """The start, then one evaluation per accepted step and at
+        most one rejected trial per neighbor."""
+        neighbors = toy_network.neighbors_of(
+            [1], radius_m=NaiveSettings().neighbor_radius_m,
+            max_neighbors=NaiveSettings().max_neighbors)
+        meter = toy_evaluator.cost_meter()
         result = tune_naive(toy_evaluator, toy_network, c_upgrade, [1])
-        assert result.total_evaluations == result.n_steps
+        assert (result.n_steps + 1 <= meter.spent()
+                <= result.n_steps + 1 + len(neighbors))

@@ -279,10 +279,11 @@ class TestScenarioSweep:
         want, serial_total, serial_labeled = run(1)
         got, pooled_total, pooled_labeled = run(None)   # Magus's 2
         assert [(o.plan.c_after, o.plan.f_after,
-                 o.plan.tuning.total_evaluations) for o in got] \
+                 o.plan.evaluations) for o in got] \
             == [(o.plan.c_after, o.plan.f_after,
-                 o.plan.tuning.total_evaluations) for o in want]
+                 o.plan.evaluations) for o in want]
         assert serial_total > 0 and serial_labeled == 0
+        assert sum(o.plan.evaluations for o in got) == serial_total
         assert pooled_total == serial_total
         assert pooled_labeled >= 1
         assert multiprocessing.active_children() == []

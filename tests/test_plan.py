@@ -47,7 +47,7 @@ class TestTuningResult:
         c0 = net.planned_configuration()
         c1 = c0.with_power(1, 44.0)
         steps = [SearchStep(ConfigChange(1, Parameter.POWER, 43.0, 44.0),
-                            utility=12.0, candidates_evaluated=3)]
+                            utility=12.0)]
         return TuningResult(initial_config=c0, final_config=c1,
                             initial_utility=10.0, final_utility=12.0,
                             steps=steps)
@@ -55,7 +55,6 @@ class TestTuningResult:
     def test_aggregates(self):
         r = self._result()
         assert r.n_steps == 1
-        assert r.total_evaluations == 3
         assert r.utility_gain == 2.0
         assert r.utility_trace() == [10.0, 12.0]
         assert len(r.changes()) == 1
@@ -73,7 +72,7 @@ class TestMitigationResult:
         return MitigationResult(target_sectors=(0,), c_before=c0,
                                 c_upgrade=c_up, c_after=c_after,
                                 f_before=10.0, f_upgrade=4.0, f_after=8.0,
-                                tuning=tuning)
+                                tuning=tuning, evaluations=7)
 
     def test_recovery_property(self):
         m = self._mitigation()
@@ -87,3 +86,4 @@ class TestMitigationResult:
         text = "\n".join(self._mitigation().describe())
         assert "recovery ratio" in text
         assert "f(C_before)" in text
+        assert "7 evaluations" in text

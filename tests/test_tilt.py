@@ -102,7 +102,7 @@ def _eager_sweep_sector(evaluator, network, config, f_current, sector_id,
                                 parameter=Parameter.TILT,
                                 old_value=config.tilt_deg(sector_id),
                                 new_value=new_tilt),
-            utility=score, candidates_evaluated=1))
+            utility=score))
         config = trial
         f_current = score
     return config, f_current
@@ -164,10 +164,8 @@ def _search(world, tunings, strategy, allow_downtilt):
 
 
 def _assert_same_result(got, want):
-    assert [(s.change, repr(s.utility), s.candidates_evaluated)
-            for s in got.steps] == \
-        [(s.change, repr(s.utility), s.candidates_evaluated)
-         for s in want.steps]
+    assert [(s.change, repr(s.utility)) for s in got.steps] == \
+        [(s.change, repr(s.utility)) for s in want.steps]
     assert got.final_config == want.final_config
     assert repr(got.final_utility) == repr(want.final_utility)
     assert got.termination == want.termination
