@@ -28,29 +28,23 @@ def test_emit_telemetry_artifacts(small_bench_area):
     if not out_dir:
         pytest.skip("BENCH_PR6_ARTIFACTS not set")
     from repro.obs import (MetricsRegistry, RunReport, export_chrome_trace,
-                           trace, use_registry, validate_chrome_trace)
+                           use_registry, validate_chrome_trace)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with use_registry(MetricsRegistry()) as registry:
-        trace.enable()
-        try:
-            planner = UpgradePlanner(small_bench_area, workers=2)
-            outcomes = planner.sweep_scenarios(list(UpgradeScenario),
-                                               tuning="joint")
-            payload = export_chrome_trace(str(out / "trace.json"),
-                                          tracer=trace)
-            validate_chrome_trace(payload)
-            worker_pids = {e["pid"] for e in payload["traceEvents"]
-                           if e["ph"] == "X" and e["pid"] != os.getpid()}
-            assert worker_pids, "no worker tracks in the sweep's trace"
-            RunReport.from_registry(
-                command="bench-sweep", registry=registry, tracer=trace,
-                total_model_evaluations=sum(
-                    o.plan.evaluations for o in outcomes),
-                meta={"source": "bench_telemetry_artifacts.py",
-                      "workers": 2}).write(str(out / "run-report.json"))
-        finally:
-            trace.disable()
-            trace.clear()
+    with use_registry(MetricsRegistry(keep_spans=True)) as registry:
+        planner = UpgradePlanner(small_bench_area, workers=2)
+        outcomes = planner.sweep_scenarios(list(UpgradeScenario),
+                                           tuning="joint")
+        payload = export_chrome_trace(str(out / "trace.json"))
+        validate_chrome_trace(payload)
+        worker_pids = {e["pid"] for e in payload["traceEvents"]
+                       if e["ph"] == "X" and e["pid"] != os.getpid()}
+        assert worker_pids, "no worker tracks in the sweep's trace"
+        RunReport.from_registry(
+            command="bench-sweep", registry=registry,
+            total_model_evaluations=sum(
+                o.plan.evaluations for o in outcomes),
+            meta={"source": "bench_telemetry_artifacts.py",
+                  "workers": 2}).write(str(out / "run-report.json"))
     report(f"\ntelemetry artifacts written to {out} "
            f"({len(worker_pids)} worker tracks)")

@@ -33,7 +33,7 @@ from .core import (Evaluator, GradualResult, GradualSettings, Magus,
                    TiltSearchSettings, TuningResult, TUNING_STRATEGIES,
                    get_utility, recovery_ratio)
 from .obs import (MetricsRegistry, RunReport, get_registry, set_registry,
-                  setup_logging, trace, use_registry)
+                  setup_logging, use_registry)
 from .model import (AnalysisEngine, AntennaPattern, CellularNetwork,
                     Configuration, Environment, GridSpec, LinkAdaptation,
                     NetworkState, PathLossDatabase, Region, Sector)
@@ -55,6 +55,6 @@ __all__ = [
     "build_area", "build_market",
     "UpgradeOutcome", "UpgradePlanner", "UpgradeScenario", "select_targets",
     "MetricsRegistry", "RunReport", "get_registry", "set_registry",
-    "setup_logging", "trace", "use_registry",
+    "setup_logging", "use_registry",
     "__version__",
 ]

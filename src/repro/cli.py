@@ -35,7 +35,7 @@ from .core.magus import TUNING_STRATEGIES
 from .faults import ChaosInjector, ChaosPlan, FaultInjector, FaultPlan
 from .obs import (MetricsRegistry, RunReport, export_chrome_trace,
                   get_logger, get_registry, set_registry, setup_logging,
-                  trace, verbosity_to_level)
+                  verbosity_to_level)
 from .synthetic.calendar import (UpgradeCalendarGenerator, duration_stats,
                                  weekday_histogram)
 from .synthetic.market import build_area
@@ -220,10 +220,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sink = _ObsSink(args)
     previous_registry = None
     if observing:
-        previous_registry = set_registry(
-            MetricsRegistry(flight_out=args.flight_out))
-        if args.trace or args.trace_out:
-            trace.enable()
+        previous_registry = set_registry(MetricsRegistry(
+            flight_out=args.flight_out,
+            keep_spans=bool(args.trace or args.trace_out)))
     try:
         status = handler(args, sink)
         sys.stdout.flush()
@@ -240,8 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # 3/4), SIGPIPE — every requested artifact lands exactly once.
         sink.finalize()
         if observing:
-            trace.disable()
-            trace.clear()
             set_registry(previous_registry)
 
 
@@ -270,15 +267,11 @@ class _ObsSink:
         self._trace_written = False
 
     def write_trace(self) -> None:
-        """Export the Chrome trace (non-destructive peek of the spans).
-
-        Called *before* the run report is built: the report drains the
-        tracer, so ordering matters.
-        """
+        """Export the registry's spans as the Chrome trace."""
         if self.trace_out is None or self._trace_written:
             return
         self._trace_written = True
-        export_chrome_trace(self.trace_out, tracer=trace)
+        export_chrome_trace(self.trace_out)
 
     def write_report(self, report: RunReport) -> bool:
         if self.metrics_out is None or self._metrics_written:
@@ -295,8 +288,7 @@ class _ObsSink:
             # (structured abort, SIGPIPE): still honor --metrics-out
             # with the registry-only report.
             self.write_report(RunReport.from_registry(
-                command=self.command, registry=get_registry(),
-                tracer=trace))
+                command=self.command, registry=get_registry()))
 
 
 def _emit_report(report: RunReport, args, sink: _ObsSink) -> None:
@@ -383,7 +375,8 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
         return 2
     strategy = "full" if args.no_delta else "delta"
     try:
-        with trace.span("magus.build_area", area_type=args.area_type):
+        with get_registry().span("magus.build_area",
+                                 area_type=args.area_type):
             area = build_area(AreaType(args.area_type), seed=args.seed,
                               evaluation_strategy=strategy,
                               plossdb=args.plossdb)
@@ -418,7 +411,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
             print(f"scenario ({outcome.scenario.value}):")
             _print_plan(outcome.plan, outcome.gradual, outcome.direct_stats)
         _emit_mitigate_artifacts(args, sink, lambda: RunReport.from_registry(
-            command="mitigate", registry=get_registry(), tracer=trace,
+            command="mitigate", registry=get_registry(),
             total_model_evaluations=sum(o.plan.evaluations for o in outcomes),
             meta=meta))
         return 0
@@ -465,8 +458,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
                   f"fallback=last-known-good", file=sys.stderr)
             status = EXIT_ROLLOUT_ABORTED
     _emit_mitigate_artifacts(args, sink, lambda: RunReport.from_mitigation(
-        plan, command="mitigate", registry=get_registry(), tracer=trace,
-        meta=meta))
+        plan, command="mitigate", registry=get_registry(), meta=meta))
     return status
 
 
@@ -474,8 +466,6 @@ def _emit_mitigate_artifacts(args, sink: _ObsSink, make_report) -> None:
     """Write the trace, then the report ``make_report()`` builds."""
     if not (args.metrics_out or args.trace or args.trace_out):
         return
-    # Chrome trace first: it peeks at the finished spans, while the
-    # report construction drains them.
     sink.write_trace()
     _emit_report(make_report(), args, sink)
     if args.trace_out:
@@ -491,6 +481,8 @@ def _print_plan(plan, gradual, direct) -> None:
     print()
     for line in gradual.stats().describe():
         print(line)
+    print(f"schedule evaluations: {gradual.evaluations} "
+          f"(plan: {plan.evaluations})")
     print(f"direct-tuning peak: "
           f"{direct.peak_simultaneous_ues:.0f} UEs "
           f"(x{gradual.reduction_vs(direct):.1f} reduction)")
@@ -519,7 +511,7 @@ def _cmd_testbed(args, sink: _ObsSink) -> int:
         measurements = registry.counter(
             "magus.testbed.measurements").value
         report = RunReport.from_registry(
-            command="testbed", registry=registry, tracer=trace,
+            command="testbed", registry=registry,
             utility_trajectory=list(tl.reactive),
             total_model_evaluations=measurements,
             meta={"scenario": args.scenario, "seed": args.seed,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import ConfigChange, Parameter
 
@@ -106,7 +106,7 @@ def reactive_feedback(evaluator: Evaluator, network: CellularNetwork,
     realistic = 0
 
     registry = get_registry()
-    with trace.span("magus.feedback_pass", neighbors=len(neighbors)):
+    with registry.span("magus.feedback_pass", neighbors=len(neighbors)):
         for iteration in range(settings.max_steps):
             candidates = _candidate_moves(network, config, neighbors,
                                           settings)
@@ -115,7 +115,6 @@ def reactive_feedback(evaluator: Evaluator, network: CellularNetwork,
             realistic += len(candidates)  # every candidate gets measured
             registry.counter("magus.feedback.realistic_steps").inc(
                 len(candidates))
-            meter = evaluator.cost_meter()
             best: Optional[Tuple[float, Configuration, ConfigChange]] = None
             for trial_cfg, change in candidates:
                 f_trial = measure(evaluator.utility_of(trial_cfg))
@@ -127,9 +126,9 @@ def reactive_feedback(evaluator: Evaluator, network: CellularNetwork,
             idealized += 1
             registry.counter("magus.feedback.idealized_steps").inc()
             _LOG.info("feedback iteration=%d sector=%d knob=%s "
-                      "delta_utility=%+.6g evals=%d", iteration + 1,
+                      "delta_utility=%+.6g", iteration + 1,
                       best[2].sector_id, best[2].parameter.value,
-                      best[0] - f_current, meter.spent())
+                      best[0] - f_current)
             f_current, config = best[0], best[1]
             changes.append(best[2])
             utility_trace.append(f_current)

@@ -26,7 +26,7 @@ from ..handover.events import HandoverBatch, classify_batch
 from ..handover.migration import (MigrationStats, reduction_factor,
                                   summarize_batches)
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import ConfigChange, Parameter
 
@@ -56,6 +56,7 @@ class GradualResult:
     compensation_steps: List[int]    # step indices where Magus compensated
     floor_utility: float             # f(C_after), the guaranteed floor
     jumped: bool                     # had to jump straight to C_after
+    evaluations: int                 # model evaluations the schedule cost
 
     @property
     def final_config(self) -> Configuration:
@@ -87,11 +88,14 @@ def gradual_migration(evaluator: Evaluator, network: CellularNetwork,
     ``c_after`` must have the target sectors off-air (it is the tuned
     post-upgrade configuration the planner produced); the compensation
     move list is derived from the neighbor-setting diff between
-    ``c_before`` and ``c_after``.
+    ``c_before`` and ``c_after``.  The result's ``evaluations`` are the
+    distinct model evaluations one cost meter counted over the whole
+    schedule.
     """
     settings = settings or GradualSettings()
     targets = list(target_sectors)
     _check_targets(c_after, targets)
+    meter = evaluator.cost_meter()
     registry = get_registry()
     floor = evaluator.utility_of(c_after)
     registry.gauge("magus.gradual.floor_utility").set(floor)
@@ -106,8 +110,8 @@ def gradual_migration(evaluator: Evaluator, network: CellularNetwork,
     jumped = False
     config = c_before
 
-    with trace.span("magus.gradual_migration", targets=len(targets),
-                    pending_moves=len(pending)):
+    with registry.span("magus.gradual_migration", targets=len(targets),
+                       pending_moves=len(pending)):
         for step in range(settings.max_steps):
             if _no_target_ues(evaluator, config, targets) or \
                     _targets_at_floor_power(network, config, targets):
@@ -115,7 +119,6 @@ def gradual_migration(evaluator: Evaluator, network: CellularNetwork,
             trial = _step_down_targets(network, config, targets,
                                        settings.target_step_db)
             compensated = False
-            meter = evaluator.cost_meter()
             while evaluator.utility_of(trial) < floor - _EPS and pending:
                 trial = _compensate(evaluator, network, trial, pending,
                                     floor)
@@ -129,9 +132,8 @@ def gradual_migration(evaluator: Evaluator, network: CellularNetwork,
             registry.counter("magus.gradual.steps").inc()
             _commit(evaluator, configs, utilities, batches, trial)
             _LOG.info("gradual step=%d knob=power delta_utility=%+.6g "
-                      "evals=%d compensated=%s", step + 1,
-                      utilities[-1] - utilities[-2], meter.spent(),
-                      compensated)
+                      "compensated=%s", step + 1,
+                      utilities[-1] - utilities[-2], compensated)
             config = trial
 
         # The upgrade instant: apply any remaining compensation and take
@@ -146,7 +148,8 @@ def gradual_migration(evaluator: Evaluator, network: CellularNetwork,
     return GradualResult(configs=configs, utilities=utilities,
                          batches=batches,
                          compensation_steps=compensation_steps,
-                         floor_utility=floor, jumped=jumped)
+                         floor_utility=floor, jumped=jumped,
+                         evaluations=meter.spent())
 
 
 def simulate_direct(evaluator: Evaluator, c_before: Configuration,

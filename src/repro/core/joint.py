@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..model.network import CellularNetwork, Configuration
 from ..model.snapshot import NetworkState
-from ..obs import get_logger, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import TuningResult
 from .search import PowerSearchSettings, tune_power
@@ -52,7 +52,7 @@ def tune_joint(evaluator: Evaluator, network: CellularNetwork,
     so the joint pass inherits the incremental-evaluation speedup; the
     span tags record which strategy served the run.
     """
-    with trace.span("magus.joint_pass", strategy=evaluator.strategy):
+    with get_registry().span("magus.joint_pass", strategy=evaluator.strategy):
         tilt_result = tune_tilt(evaluator, network, start_config,
                                 target_sectors, settings=tilt_settings)
         power_result = tune_power(evaluator, network,

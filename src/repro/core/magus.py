@@ -30,7 +30,7 @@ import numpy as np
 
 from ..model.engine import AnalysisEngine
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .azimuth import AzimuthSearchSettings, tune_azimuth
 from .brute import BruteForceSettings, tune_brute_force
 from .evaluation import Evaluator
@@ -129,22 +129,22 @@ class Magus:
                 raise ValueError(f"target sector {t} is already off-air")
         meter = self.evaluator.cost_meter()
         registry = get_registry()
-        with trace.span("magus.plan_mitigation", tuning=tuning,
-                        targets=len(targets)):
+        with registry.span("magus.plan_mitigation", tuning=tuning,
+                           targets=len(targets)):
             registry.record("search_pass", phase="baseline_eval",
                             tuning=tuning, targets=list(targets))
-            with trace.span("magus.baseline_eval"):
+            with registry.span("magus.baseline_eval"):
                 baseline_state = self.evaluator.state_of(c_before)
                 f_before = self.evaluator.utility_of(c_before)
             registry.record("search_pass", phase="upgrade_eval",
                             tuning=tuning, f_before=f_before)
-            with trace.span("magus.upgrade_eval"):
+            with registry.span("magus.upgrade_eval"):
                 c_upgrade = c_before.with_offline(targets)
                 f_upgrade = self.evaluator.utility_of(c_upgrade)
 
             registry.record("search_pass", phase="tuning", tuning=tuning,
                             f_upgrade=f_upgrade)
-            with trace.span("magus.tuning", strategy=tuning):
+            with registry.span("magus.tuning", strategy=tuning):
                 result = tune(c_upgrade, baseline_state, targets)
 
         evaluations = meter.spent()

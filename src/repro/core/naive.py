@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import ConfigChange, Parameter, SearchStep, TuningResult
 
@@ -47,7 +47,7 @@ def tune_naive(evaluator: Evaluator, network: CellularNetwork,
     initial_utility = f_current
     steps: List[SearchStep] = []
 
-    with trace.span("magus.naive_pass", neighbors=len(neighbors)):
+    with get_registry().span("magus.naive_pass", neighbors=len(neighbors)):
         for b in neighbors:
             if not config.is_active(b):
                 continue

@@ -34,7 +34,7 @@ import numpy as np
 from ..model.network import CellularNetwork, Configuration
 from ..model.pathloss import PathLossDatabase
 from ..model.snapshot import NetworkState
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import ConfigChange, Parameter, SearchStep, TuningResult
 
@@ -93,8 +93,8 @@ def tune_power(evaluator: Evaluator, network: CellularNetwork,
     unit = settings.unit_db
     termination = "max-iterations"
 
-    with trace.span("magus.power_pass", prefilter=settings.prefilter,
-                    neighbors=len(neighbors)):
+    with registry.span("magus.power_pass", prefilter=settings.prefilter,
+                       neighbors=len(neighbors)):
         for iteration in range(settings.max_iterations):
             state = evaluator.state_of(config)
             affected = state.degraded_grids(baseline_state)

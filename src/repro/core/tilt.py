@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .evaluation import Evaluator
 from .plan import ConfigChange, Parameter, SearchStep, TuningResult
 
@@ -63,7 +63,7 @@ def tune_tilt(evaluator: Evaluator, network: CellularNetwork,
     initial_utility = f_current
     steps: List[SearchStep] = []
 
-    with trace.span("magus.tilt_pass", neighbors=len(neighbors)):
+    with get_registry().span("magus.tilt_pass", neighbors=len(neighbors)):
         for b in neighbors:
             if not config.is_active(b):
                 continue

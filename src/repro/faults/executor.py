@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from ..core.evaluation import Evaluator
 from ..core.gradual import GradualResult
 from ..model.network import CellularNetwork, Configuration
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from .checkpoint import RolloutCheckpoint, schedule_run_id
 from .errors import ConfigPushError
 from .injector import FaultInjector
@@ -174,8 +174,8 @@ class ResilientExecutor:
                         steps=len(configs) - 1,
                         resumed_from=start_step,
                         floor_utility=floor_utility)
-        with trace.span("magus.resilient_rollout", steps=len(configs) - 1,
-                        resumed_from=start_step):
+        with registry.span("magus.resilient_rollout", steps=len(configs) - 1,
+                           resumed_from=start_step):
             for step in range(start_step + 1, len(configs)):
                 ok = self._apply_step(configs[step], step, result, registry)
                 if not ok:

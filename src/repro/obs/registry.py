@@ -23,6 +23,14 @@ Metrics answer "how much"; the **event ring** answers "what happened,
 in what order" when a run dies: :meth:`MetricsRegistry.record` keeps the
 last :data:`FLIGHT_CAPACITY` structured events, and
 :meth:`MetricsRegistry.flush` dumps them to ``flight_out`` exactly once.
+
+Phases are **spans**: ``with get_registry().span("magus.tilt_pass"):``
+times the block into the ``span.<name>`` timer (this is how
+``RunReport`` gets per-phase wall time), and a registry built with
+``keep_spans=True`` (CLI ``--trace``/``--trace-out``) also keeps the
+finished span trees — name, tags, ns bounds, status, children — for
+printing, the report and the Chrome trace.  An exception marks its
+span ``error`` and propagates.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ __all__ = [
     "Counter", "CostMeter", "Gauge", "Timer", "MetricsRegistry",
     "NullRegistry", "NULL_REGISTRY", "get_registry", "set_registry",
     "use_registry", "labeled_metric", "split_metric_label",
-    "FLIGHT_SCHEMA", "FLIGHT_CAPACITY",
+    "FLIGHT_SCHEMA", "FLIGHT_CAPACITY", "Span", "SPAN_TIMER_PREFIX",
 ]
 
 #: Schema tag stamped into every flight dump.
@@ -47,6 +55,9 @@ FLIGHT_SCHEMA = "magus.flight-recorder/1"
 #: gradual rollout with retries emits a few hundred events) while
 #: bounding a week-long sweep to a few hundred KB of memory.
 FLIGHT_CAPACITY = 2048
+
+#: Registry-timer prefix under which span durations are recorded.
+SPAN_TIMER_PREFIX = "span."
 
 
 def labeled_metric(name: str, label: str) -> str:
@@ -285,15 +296,77 @@ class Timer:
         self._ring.extend(int(sample) for sample in state.get("ring") or ())
 
 
+class Span:
+    """One traced phase: a node of a kept span tree."""
+
+    __slots__ = ("name", "tags", "start_ns", "end_ns", "status",
+                 "error", "children")
+
+    def __init__(self, name: str, tags: Optional[Dict[str, object]] = None
+                 ) -> None:
+        self.name = name
+        self.tags: Dict[str, object] = dict(tags or {})
+        self.start_ns = 0
+        self.end_ns = 0
+        self.status = "ok"
+        self.error: Optional[str] = None
+        self.children: List["Span"] = []
+
+    @property
+    def duration_ns(self) -> int:
+        return max(self.end_ns - self.start_ns, 0)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The subtree as the run report's nested span dicts."""
+        out: Dict[str, object] = {
+            "name": self.name,
+            "duration_ns": self.duration_ns,
+            "status": self.status,
+        }
+        if self.tags:
+            out["tags"] = dict(self.tags)
+        if self.error is not None:
+            out["error"] = self.error
+        if self.children:
+            out["children"] = [c.to_dict() for c in self.children]
+        return out
+
+
+class _SpanContext:
+    """One live span of a registry that keeps span trees."""
+
+    __slots__ = ("_registry", "_span")
+
+    def __init__(self, registry: "MetricsRegistry", span: Span) -> None:
+        self._registry = registry
+        self._span = span
+
+    def __enter__(self) -> Span:
+        self._registry._open.append(self._span)
+        self._span.start_ns = time.perf_counter_ns()
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        span = self._span
+        span.end_ns = time.perf_counter_ns()
+        if exc_type is not None:
+            span.status = "error"
+            span.error = f"{exc_type.__name__}: {exc}"
+        self._registry._close(span)
+
+
 # ----------------------------------------------------------------------
 class MetricsRegistry:
-    """One metric object per name, plus the run's bounded event ring.
+    """One metric object per name, the run's bounded event ring and,
+    with ``keep_spans``, its finished span trees.
 
     Metrics serialize to a plain dict (:meth:`snapshot`), events to the
-    flight dump (:meth:`flight_snapshot`) that :meth:`flush` writes.
+    flight dump (:meth:`flight_snapshot`) that :meth:`flush` writes,
+    spans to :meth:`spans`.
     """
 
-    def __init__(self, flight_out: Optional[str] = None) -> None:
+    def __init__(self, flight_out: Optional[str] = None,
+                 keep_spans: bool = False) -> None:
         self._metrics: Dict[str, object] = {}
         # Re-entrant: merge_capture holds the lock while calling the
         # accessors (counter/gauge/timer), which lock again.
@@ -303,6 +376,9 @@ class MetricsRegistry:
         self._seq = 0
         #: ``_seq`` at the last flush; None until the first one.
         self._flushed_seq: Optional[int] = None
+        self.keep_spans = keep_spans
+        self._open: List[Span] = []         # open spans, innermost last
+        self._spans: List[Span] = []        # finished root spans
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -336,10 +412,11 @@ class MetricsRegistry:
         return sorted(self._metrics)
 
     def reset(self) -> None:
-        """Drop every metric and retained event."""
+        """Drop every metric, retained event and finished span."""
         with self._lock:
             self._metrics.clear()
             self._events.clear()
+            self._spans.clear()
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """All metrics as ``{name: {type, ...stats}}`` (JSON-safe)."""
@@ -383,6 +460,37 @@ class MetricsRegistry:
                     continue
                 target = labeled_metric(name, label) if label else name
                 accessor(target).merge_state(state)
+
+    # -- spans ---------------------------------------------------------
+    def span(self, name: str, **tags):
+        """``with registry.span(name, **tags):`` times the block into
+        the ``span.<name>`` timer; with ``keep_spans`` the block also
+        becomes a node of the run's span tree."""
+        if not self.keep_spans:
+            return self.timer(SPAN_TIMER_PREFIX + name).time()
+        return _SpanContext(self, Span(name, tags))
+
+    def _close(self, span: Span) -> None:
+        stack = self._open
+        del stack[stack.index(span):]  # and any span left open inside it
+        self.timer(SPAN_TIMER_PREFIX + span.name).observe_ns(
+            span.duration_ns)
+        if stack:
+            stack[-1].children.append(span)
+        else:
+            self.adopt_span(span)
+
+    def adopt_span(self, span: Span) -> None:
+        """Keep a finished root span (with ``keep_spans`` only) — also
+        one a pool worker recorded and shipped home."""
+        if self.keep_spans:
+            with self._lock:
+                self._spans.append(span)
+
+    def spans(self) -> List[Span]:
+        """The finished root spans, oldest first; reading keeps them."""
+        with self._lock:
+            return list(self._spans)
 
     # -- the event ring ------------------------------------------------
     def record(self, kind: str, **fields) -> None:
@@ -496,9 +604,9 @@ class NullRegistry(MetricsRegistry):
 
     Every accessor returns the same do-nothing metric object, so
     instrumented call sites cost two attribute lookups and a no-op call
-    (:meth:`record` included).  Its :meth:`snapshot` is always empty —
-    a key acceptance property (disabled instrumentation must add no
-    keys anywhere).
+    (:meth:`record` and :meth:`span` included).  Its :meth:`snapshot`
+    is always empty — a key acceptance property (disabled
+    instrumentation must add no keys anywhere).
     """
 
     def __init__(self) -> None:
@@ -515,6 +623,9 @@ class NullRegistry(MetricsRegistry):
 
     def timer(self, name: str) -> Timer:
         return self._timer
+
+    def span(self, name: str, **tags) -> _NullTimerHandle:
+        return _NULL_TIMER_HANDLE
 
     @property
     def enabled(self) -> bool:

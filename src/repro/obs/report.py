@@ -36,8 +36,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .registry import MetricsRegistry, get_registry, split_metric_label
-from .tracer import SPAN_TIMER_PREFIX, Tracer
+from .registry import (SPAN_TIMER_PREFIX, MetricsRegistry, get_registry,
+                       split_metric_label)
 
 try:
     import resource
@@ -67,7 +67,6 @@ class RunReport:
     @classmethod
     def from_mitigation(cls, result, command: str = "mitigate",
                         registry: Optional[MetricsRegistry] = None,
-                        tracer: Optional[Tracer] = None,
                         meta: Optional[Dict[str, object]] = None
                         ) -> "RunReport":
         """Build from a :class:`~repro.core.plan.MitigationResult`.
@@ -76,7 +75,7 @@ class RunReport:
         evaluations the plan's cost meter counted (the same number
         ``magus.plan.model_evaluations`` grew by); the trajectory comes
         from the tuning trace.  The registry contributes per-phase wall
-        time and the raw metric snapshot on top.
+        time, the raw metric snapshot and any kept spans on top.
         """
         registry = registry if registry is not None else get_registry()
         tuning = result.tuning
@@ -105,14 +104,11 @@ class RunReport:
             })
         report.total_model_evaluations = result.evaluations
         report.attach_registry(registry)
-        if tracer is not None and tracer.enabled:
-            report.spans = [s.to_dict() for s in tracer.drain()]
         return report
 
     @classmethod
     def from_registry(cls, command: str,
                       registry: Optional[MetricsRegistry] = None,
-                      tracer: Optional[Tracer] = None,
                       utility_trajectory: Optional[List[float]] = None,
                       total_model_evaluations: int = 0,
                       meta: Optional[Dict[str, object]] = None
@@ -124,15 +120,15 @@ class RunReport:
                      total_model_evaluations=total_model_evaluations)
         report.attach_registry(
             registry if registry is not None else get_registry())
-        if tracer is not None and tracer.enabled:
-            report.spans = [s.to_dict() for s in tracer.drain()]
         return report
 
     def attach_registry(self, registry: MetricsRegistry) -> None:
-        """Snapshot ``registry`` into :attr:`metrics` and derive phases;
-        read the process's :attr:`resources` at the same moment."""
+        """Snapshot ``registry`` into :attr:`metrics` and derive phases,
+        copy its kept :attr:`spans` (reading leaves them for other
+        consumers) and read the process's :attr:`resources`."""
         self.metrics = registry.snapshot()
         self.phases = _phases_from_metrics(self.metrics)
+        self.spans = [span.to_dict() for span in registry.spans()]
         self.resources = _resources()
 
     # -- serialization -------------------------------------------------

@@ -1,22 +1,22 @@
 """Cross-process telemetry: worker capture/merge and Chrome trace export.
 
-PR 5's process-pool workers run with *copies* of the parent's metrics
-registry and tracer (fork semantics), so everything they recorded —
-engine evaluation counters, batch timers, spans — used to die with the
-chunk.  This module is the bridge:
+Process-pool workers run with a *copy* of the parent's registry (fork
+semantics), so everything they record — engine evaluation counters,
+batch timers, events, spans — would die with the chunk.  This module
+is the bridge:
 
 * **worker side** — :func:`reset_worker_observability` gives a freshly
-  forked worker clean instruments (so pre-fork parent counts are not
-  replayed), and :func:`drain_worker_telemetry` packages the worker's
-  registry capture, recorded events and completed spans into a
-  picklable :class:`WorkerTelemetry` after each chunk, resetting for
-  the next;
+  forked worker a fresh registry (so pre-fork parent counts are not
+  replayed and the parent's open spans are not inherited), and
+  :func:`drain_worker_telemetry` packages the worker's registry
+  capture, recorded events and finished spans into a picklable
+  :class:`WorkerTelemetry` after each chunk, resetting for the next;
 * **parent side** — :func:`merge_worker_telemetry` folds one payload
   into the parent registry under a ``pid=…,worker=…`` label
   (counters summed, timer rings folded, see
   :meth:`~repro.obs.registry.MetricsRegistry.merge_capture`), appends
-  the worker's events to the parent's ring and adopts its spans into
-  the parent tracer;
+  the worker's events to the parent's ring and adopts its spans, with
+  the same attribution in their tags;
 * **export** — :func:`export_chrome_trace` serializes any span
   collection (parent and adopted worker spans alike) to the Chrome
   trace-event JSON format, one track per process, loadable in
@@ -36,8 +36,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .registry import MetricsRegistry, get_registry
-from .tracer import Span, Tracer, trace
+from .registry import MetricsRegistry, Span, get_registry, set_registry
 
 __all__ = [
     "WorkerTelemetry", "worker_label",
@@ -83,35 +82,35 @@ def _pool_worker_id() -> int:
 
 
 def reset_worker_observability() -> None:
-    """Give a freshly forked worker clean instruments.
+    """Give a freshly forked worker a clean registry.
 
-    A ``fork`` child inherits the parent's *populated* registry and any
-    finished spans; capturing those would replay pre-fork parent counts
-    into the merge.  Called from the pool initializer: when telemetry
-    is on (a real registry was active at fork time), install a fresh
-    registry and drop inherited spans; when it is off, leave the null
-    registry untouched.
+    A ``fork`` child inherits the parent's *populated* registry, its
+    finished spans and the spans open at fork time (e.g.
+    ``magus.tuning`` mid-search); capturing those would replay parent
+    counts into the merge, and the worker's own spans would nest under
+    phantom open ones.  Called from the pool initializer: when
+    telemetry is on (a real registry was active at fork time), install
+    a fresh registry with the parent's ``keep_spans``; when it is off,
+    leave the null registry untouched.
     """
-    from .registry import set_registry
-    if get_registry().enabled:
-        set_registry(MetricsRegistry())
-    trace.reset()
+    registry = get_registry()
+    if registry.enabled:
+        set_registry(MetricsRegistry(keep_spans=registry.keep_spans))
 
 
 def drain_worker_telemetry(busy_ns: int = 0) -> WorkerTelemetry:
     """Capture-and-reset this worker's registry, events and spans.
 
     Each call returns the *delta* since the previous one (the registry
-    is reset and the tracer drained), so successive chunk payloads
-    merge into the parent without double counting.
+    is reset), so successive chunk payloads merge into the parent
+    without double counting.
     """
     registry = get_registry()
     metrics = registry.capture()
     events = registry.events()
-    if metrics or events:
+    spans = [span_payload(span) for span in registry.spans()]
+    if metrics or events or spans:
         registry.reset()
-    spans = ([span_payload(span) for span in trace.drain()]
-             if trace.enabled else [])
     return WorkerTelemetry(pid=os.getpid(), worker_id=_pool_worker_id(),
                            busy_ns=busy_ns, metrics=metrics, spans=spans,
                            events=events)
@@ -121,18 +120,17 @@ def drain_worker_telemetry(busy_ns: int = 0) -> WorkerTelemetry:
 # parent side
 # ----------------------------------------------------------------------
 def merge_worker_telemetry(payload: WorkerTelemetry,
-                           registry: Optional[MetricsRegistry] = None,
-                           tracer: Optional[Tracer] = None) -> None:
-    """Fold one worker payload into the parent's instruments.
+                           registry: Optional[MetricsRegistry] = None
+                           ) -> None:
+    """Fold one worker payload into the parent's registry.
 
     Metrics land labeled (``name{pid=…,worker=…}``); events join the
     parent's ring with fresh ``seq`` numbers and ``pid``/``worker``
-    keys; spans are adopted into the tracer with the same attribution
-    in their tags, which is what puts them on their own track in the
-    Chrome trace export.
+    keys; spans are adopted with the same attribution in their tags,
+    which is what puts them on their own track in the Chrome trace
+    export.
     """
     registry = registry if registry is not None else get_registry()
-    tracer = tracer if tracer is not None else trace
     tags = {_PID_TAG: payload.pid, _WORKER_TAG: payload.worker_id}
     if payload.metrics:
         registry.merge_capture(
@@ -140,9 +138,8 @@ def merge_worker_telemetry(payload: WorkerTelemetry,
             label=worker_label(payload.pid, payload.worker_id))
     if payload.events:
         registry.adopt_events(payload.events, **tags)
-    if payload.spans and tracer.enabled:
-        for span_dict in payload.spans:
-            tracer.adopt(span_from_payload(span_dict, extra_tags=tags))
+    for span_dict in payload.spans:
+        registry.adopt_span(span_from_payload(span_dict, extra_tags=tags))
 
 
 # ----------------------------------------------------------------------
@@ -248,16 +245,15 @@ def chrome_trace_events(spans: Sequence[Span],
 
 def export_chrome_trace(path: str,
                         spans: Optional[Sequence[Span]] = None,
-                        tracer: Optional[Tracer] = None,
                         parent_pid: Optional[int] = None) -> dict:
-    """Write ``spans`` (default: the tracer's finished spans, without
-    draining them) as a Chrome trace-event JSON file.
+    """Write ``spans`` (default: the active registry's finished spans)
+    as a Chrome trace-event JSON file.
 
     The file loads directly in Perfetto (https://ui.perfetto.dev) or
     ``chrome://tracing``.  Returns the written payload.
     """
     if spans is None:
-        spans = (tracer if tracer is not None else trace).peek()
+        spans = get_registry().spans()
     payload = {
         "traceEvents": chrome_trace_events(spans, parent_pid=parent_pid),
         "displayTimeUnit": "ms",

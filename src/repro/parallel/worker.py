@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from ..obs import get_registry, trace
+from ..obs import get_registry
 from ..obs.telemetry import drain_worker_telemetry, reset_worker_observability
 
 __all__ = ["run_item"]
@@ -36,9 +36,9 @@ _CHAOS = None
 def _init_worker(chaos=None) -> None:
     """Pool initializer: bind the chaos injector, reset telemetry.
 
-    The fork inherits the parent's *populated* registry and finished
-    spans; reset both so the telemetry each item ships home is a clean
-    worker-local delta.
+    The fork inherits the parent's *populated* registry, open and
+    finished spans included; a fresh one makes the telemetry each item
+    ships home a clean worker-local delta.
     """
     global _CHAOS
     _CHAOS = chaos
@@ -57,10 +57,10 @@ def run_item(fn: Callable, index: int, item):
         # Chaos injection point: may SIGKILL this worker or stall the
         # item past its deadline (the supervision tests' trigger).
         _CHAOS.on_chunk(index)
-    with trace.span("magus.parallel.run_item", item=index):
+    registry = get_registry()
+    with registry.span("magus.parallel.run_item", item=index):
         result = fn(item)
     busy_ns = time.perf_counter_ns() - t0
-    registry = get_registry()
     registry.counter("magus.parallel.chunks").inc()
     registry.counter("magus.parallel.worker_busy_ns").inc(busy_ns)
     return result, drain_worker_telemetry(busy_ns)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..obs import get_logger, trace
+from ..obs import get_logger, get_registry
 from .testbed import LTETestbed, UpgradeTimeline
 
 __all__ = ["Fig2Result", "run_upgrade_experiment"]
@@ -56,24 +56,24 @@ def run_upgrade_experiment(bed: LTETestbed, target_enb: int,
     neighbors = [e for e in all_enbs if e != target_enb]
 
     # (1) best normal-conditions configuration.
-    with trace.span("magus.testbed.optimize_before"):
+    with get_registry().span("magus.testbed.optimize_before"):
         c_before = bed.optimize_attenuations(all_enbs,
                                              level_step=level_step)
         f_before = bed.utility()
 
     # (2) the un-mitigated upgrade.
-    with trace.span("magus.testbed.upgrade_eval"):
+    with get_registry().span("magus.testbed.upgrade_eval"):
         bed.take_offline(target_enb)
         f_upgrade = bed.utility()
 
     # (3) best mitigation configuration.
-    with trace.span("magus.testbed.optimize_after"):
+    with get_registry().span("magus.testbed.optimize_after"):
         c_after = bed.optimize_attenuations(neighbors,
                                             level_step=level_step)
         f_after = bed.utility()
 
     # (4) reactive climb: single-cell attenuation decreases, measured.
-    with trace.span("magus.testbed.reactive_climb"):
+    with get_registry().span("magus.testbed.reactive_climb"):
         reactive_trace = _reactive_climb(bed, c_before, neighbors,
                                          target_enb, level_step)
     _LOG.info("testbed target=%d f_before=%.3f f_upgrade=%.3f "

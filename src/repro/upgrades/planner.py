@@ -22,7 +22,7 @@ from ..core.search import PowerSearchSettings
 from ..core.tilt import TiltSearchSettings
 from ..core.utility import UtilityFunction
 from ..handover.migration import MigrationStats, reduction_factor
-from ..obs import get_logger, get_registry, trace
+from ..obs import get_logger, get_registry
 from ..synthetic.market import StudyArea
 from .scenario import UpgradeScenario, select_targets
 
@@ -97,8 +97,8 @@ class UpgradePlanner:
         """
         targets = (tuple(target_sectors) if target_sectors is not None
                    else select_targets(self.area, scenario))
-        with trace.span("magus.upgrade_outcome", area=self.area.name,
-                        scenario=scenario.value, tuning=tuning):
+        with get_registry().span("magus.upgrade_outcome", area=self.area.name,
+                                 scenario=scenario.value, tuning=tuning):
             plan = self.magus.plan_mitigation(targets, tuning=tuning)
             gradual = None
             direct = None

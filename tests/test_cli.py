@@ -74,9 +74,15 @@ class TestCommands:
 
     def test_testbed_metrics_out(self, capsys, tmp_path):
         import json
+        from repro.obs import MetricsRegistry, get_registry, use_registry
         path = tmp_path / "tb.json"
-        assert main(["testbed", "--scenario", "2",
-                     "--metrics-out", str(path), "--trace"]) == 0
+        with use_registry(MetricsRegistry()) as previous:
+            assert main(["testbed", "--scenario", "2",
+                         "--metrics-out", str(path), "--trace"]) == 0
+            # The run's registry is torn down and the previous one,
+            # untouched, is active again.
+            assert get_registry() is previous
+        assert previous.snapshot() == {} and previous.spans() == []
         out = capsys.readouterr().out
         assert "trace:" in out
         data = json.loads(path.read_text())
@@ -84,10 +90,9 @@ class TestCommands:
         assert data["total_model_evaluations"] > 0
         assert any(p["name"].startswith("magus.testbed.")
                    for p in data["phases"])
-        # Observability is torn down again after the run.
-        from repro.obs import NULL_REGISTRY, get_registry, trace
-        assert get_registry() is NULL_REGISTRY
-        assert not trace.enabled
+        assert [s["name"] for s in data["spans"]] == [
+            "magus.testbed.optimize_before", "magus.testbed.upgrade_eval",
+            "magus.testbed.optimize_after", "magus.testbed.reactive_climb"]
 
     @pytest.mark.slow
     def test_area_command(self, capsys, monkeypatch):
@@ -138,18 +143,17 @@ class TestTelemetryCli:
     def test_testbed_trace_out(self, capsys, tmp_path):
         import json
         from repro.obs.telemetry import validate_chrome_trace
+        from repro.obs import NULL_REGISTRY, get_registry
         path = tmp_path / "trace.json"
         assert main(["testbed", "--scenario", "2",
                      "--trace-out", str(path)]) == 0
+        # Observability is torn down again after the run.
+        assert get_registry() is NULL_REGISTRY
         out = capsys.readouterr().out
         assert f"chrome trace written to {path}" in out
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) > 0
         assert payload["otherData"]["schema"] == "magus.chrome-trace/1"
-        # Observability is torn down again after the run.
-        from repro.obs import NULL_REGISTRY, get_registry, trace
-        assert get_registry() is NULL_REGISTRY
-        assert not trace.enabled
 
     @pytest.mark.slow
     def test_mitigate_trace_out_covers_workers(self, capsys, monkeypatch,

@@ -128,6 +128,17 @@ class TestGradualAndFeedback:
         assert gradual.final_config == plan.c_after
         assert gradual.floor_utility == pytest.approx(plan.f_after)
 
+    def test_gradual_schedule_reports_its_evaluations(
+            self, toy_network, toy_engine, toy_density):
+        """The schedule reports the evaluations one meter counts over
+        the whole call; compensating steps make it spend some."""
+        magus = Magus(toy_network, toy_engine, toy_density)
+        plan = magus.plan_mitigation([1], tuning="joint")
+        meter = magus.evaluator.cost_meter()
+        gradual = magus.gradual_schedule(plan)
+        assert gradual.compensation_steps
+        assert gradual.evaluations == meter.spent() > 0
+
     def test_direct_stats(self, magus):
         plan = magus.plan_mitigation([1], tuning="joint")
         direct = magus.direct_migration_stats(plan)

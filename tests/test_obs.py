@@ -10,7 +10,7 @@ from repro.core.evaluation import Evaluator
 from repro.core.search import PowerSearchSettings, tune_power
 from repro.obs import (NULL_REGISTRY, Counter, Gauge, MetricsRegistry,
                        NullRegistry, RunReport, Timer, get_logger,
-                       get_registry, set_registry, setup_logging, trace,
+                       get_registry, set_registry, setup_logging,
                        use_registry, verbosity_to_level)
 
 
@@ -164,61 +164,71 @@ class TestActiveRegistry:
 
 
 class TestTracer:
+    """Spans: ``registry.span`` times phases and, with ``keep_spans``,
+    keeps their trees."""
+
     def test_spans_noop_when_disabled(self):
-        # Neither tracing nor a registry: the span must be a no-op.
-        with trace.span("outer"):
-            assert trace.current() is None
-        assert trace.drain() == []
+        # No real registry: the span is the shared no-op context.
+        assert NULL_REGISTRY.span("a", k=1) is NULL_REGISTRY.span("b")
+        with get_registry().span("outer"):
+            with get_registry().span("inner"):
+                pass
+        assert NULL_REGISTRY.spans() == []
+        assert NULL_REGISTRY.snapshot() == {}
 
     def test_span_nesting(self):
-        trace.enable()
-        try:
-            with trace.span("outer") as outer:
-                with trace.span("inner") as inner:
-                    assert trace.current() is inner
-                assert trace.current() is outer
-            roots = trace.drain()
-        finally:
-            trace.disable()
-        assert [s.name for s in roots] == ["outer"]
-        assert [c.name for c in roots[0].children] == ["inner"]
-        assert roots[0].duration_ns >= roots[0].children[0].duration_ns
+        reg = MetricsRegistry(keep_spans=True)
+        with reg.span("outer") as outer:
+            with reg.span("inner") as inner:
+                pass
+            with reg.span("sibling") as sibling:
+                pass
+        roots = reg.spans()
+        assert roots == [outer]
+        assert outer.children == [inner, sibling]
+        assert outer.duration_ns >= inner.duration_ns
+        # Reading keeps the spans; reset drops them.
+        assert reg.spans() == [outer]
+        reg.reset()
+        assert reg.spans() == []
 
     def test_span_exception_safety(self):
-        trace.enable()
-        try:
-            with pytest.raises(ValueError):
-                with trace.span("outer"):
-                    with trace.span("failing"):
-                        raise ValueError("bad")
-            assert trace.current() is None       # stack fully unwound
-            roots = trace.drain()
-        finally:
-            trace.disable()
+        reg = MetricsRegistry(keep_spans=True)
+        with pytest.raises(ValueError):
+            with reg.span("outer"):
+                with reg.span("failing"):
+                    raise ValueError("bad")
+        # The stack is fully unwound: the next span is a root.
+        with reg.span("next"):
+            pass
+        roots = reg.spans()
+        assert [s.name for s in roots] == ["outer", "next"]
         outer = roots[0]
         failing = outer.children[0]
         assert failing.status == "error"
         assert "ValueError" in failing.error
         assert outer.status == "error"
+        # Failed spans are still timed.
+        assert reg.timer("span.failing").count == 1
 
     def test_span_records_registry_timer(self):
         with use_registry(MetricsRegistry()) as reg:
-            with trace.span("magus.test_phase"):
+            with reg.span("magus.test_phase"):
                 pass
             snap = reg.snapshot()
         assert snap["span.magus.test_phase"]["count"] == 1
+        # Without keep_spans the span is only the timer: no tree.
+        assert reg.spans() == []
 
     def test_span_tags_and_dict(self):
-        trace.enable()
-        try:
-            with trace.span("tagged", knob="power", n=3):
-                pass
-            span = trace.drain()[0]
-        finally:
-            trace.disable()
+        reg = MetricsRegistry(keep_spans=True)
+        with reg.span("tagged", knob="power", n=3):
+            pass
+        span = reg.spans()[0]
         d = span.to_dict()
         assert d["tags"] == {"knob": "power", "n": 3}
         assert d["status"] == "ok"
+        assert reg.snapshot()["span.tagged"]["count"] == 1
 
 
 class TestRunReport:

@@ -23,14 +23,14 @@ from hypothesis import strategies as st
 
 from repro.core.utility import PerformanceUtility
 from repro.obs import (FLIGHT_CAPACITY, FLIGHT_SCHEMA, NULL_REGISTRY,
-                       MetricsRegistry, get_registry, labeled_metric,
-                       split_metric_label, trace, use_registry)
+                       MetricsRegistry, RunReport, Span, get_registry,
+                       labeled_metric, split_metric_label, use_registry)
 from repro.obs.telemetry import (WorkerTelemetry, chrome_trace_events,
                                  drain_worker_telemetry, export_chrome_trace,
-                                 merge_worker_telemetry, span_from_payload,
-                                 span_payload, validate_chrome_trace,
-                                 worker_label)
-from repro.obs.tracer import Span, Tracer
+                                 merge_worker_telemetry,
+                                 reset_worker_observability,
+                                 span_from_payload, span_payload,
+                                 validate_chrome_trace, worker_label)
 from repro.parallel import EvaluationService
 
 _UTILITY = PerformanceUtility()
@@ -241,10 +241,9 @@ class TestWorkerTelemetry:
                                   events=[{"seq": 0, "kind": "search_pass",
                                            "t_unix_s": 1.0, "t_mono_ns": 2,
                                            "data": {"phase": "tuning"}}])
-        parent, tracer = MetricsRegistry(), Tracer()
-        tracer.enable()
+        parent = MetricsRegistry(keep_spans=True)
         parent.record("sweep_progress", done=0)
-        merge_worker_telemetry(payload, registry=parent, tracer=tracer)
+        merge_worker_telemetry(payload, registry=parent)
         name = labeled_metric("magus.engine.evaluations",
                               worker_label(999, 2))
         assert parent.counter(name).value == 5
@@ -254,7 +253,7 @@ class TestWorkerTelemetry:
             "seq": 1, "kind": "search_pass", "t_unix_s": 1.0,
             "t_mono_ns": 2, "data": {"phase": "tuning"}, "pid": 999,
             "worker": 2}]
-        adopted = tracer.peek()
+        adopted = parent.spans()
         assert len(adopted) == 1
         assert adopted[0].tags["pid"] == 999
         assert adopted[0].tags["worker"] == 2
@@ -262,25 +261,37 @@ class TestWorkerTelemetry:
     def test_reset_drops_inherited_open_spans(self):
         """Fork hygiene: a worker inherits the parent's *open* span
         stack; after reset, its own spans must finish as roots."""
-        tracer = Tracer()
-        tracer.enable()
-        inherited = tracer.span("magus.tuning")
-        inherited.__enter__()              # left open, as across a fork
-        tracer.reset()
-        with tracer.span("magus.parallel.score_chunk"):
-            pass
-        assert [s.name for s in tracer.peek()] == \
-            ["magus.parallel.score_chunk"]
+        inherited = MetricsRegistry(keep_spans=True)
+        with use_registry(inherited):
+            with inherited.span("magus.sweep"):
+                open_span = inherited.span("magus.tuning")
+                open_span.__enter__()      # left open, as across a fork
+                reset_worker_observability()
+                worker = get_registry()
+                assert worker is not inherited
+                assert worker.keep_spans   # the parent's setting
+                with worker.span("magus.parallel.score_chunk"):
+                    pass
+                assert [s.name for s in worker.spans()] == \
+                    ["magus.parallel.score_chunk"]
+                payload = drain_worker_telemetry()
+                assert [s["name"] for s in payload.spans] == \
+                    ["magus.parallel.score_chunk"]
+                assert worker.spans() == []
+        # A registry without kept spans stays without in the worker.
+        with use_registry(MetricsRegistry()):
+            reset_worker_observability()
+            assert not get_registry().keep_spans
 
     def test_adoption_noop_when_tracing_disabled(self):
         span = Span("s")
         payload = WorkerTelemetry(pid=1, worker_id=1,
                                   spans=[span_payload(span)])
-        tracer = Tracer()                  # disabled
-        merge_worker_telemetry(payload, registry=MetricsRegistry(),
-                               tracer=tracer)
-        tracer.enable()
-        assert tracer.peek() == []
+        registry = MetricsRegistry()       # keeps no spans
+        merge_worker_telemetry(payload, registry=registry)
+        assert registry.spans() == []
+        merge_worker_telemetry(payload, registry=NULL_REGISTRY)
+        assert NULL_REGISTRY.spans() == []
 
 
 # ----------------------------------------------------------------------
@@ -323,15 +334,33 @@ class TestChromeTrace:
         assert on_disk["otherData"]["schema"] == "magus.chrome-trace/1"
 
     def test_export_defaults_to_tracer_peek(self, tmp_path):
-        tracer = Tracer()
-        tracer.enable()
+        """Without ``spans``, export reads the active registry's kept
+        spans and leaves them in place."""
         span = Span("magus.test")
         span.start_ns, span.end_ns = 1, 2
-        tracer.adopt(span)
-        payload = export_chrome_trace(str(tmp_path / "t.json"),
-                                      tracer=tracer)
+        with use_registry(MetricsRegistry(keep_spans=True)) as registry:
+            registry.adopt_span(span)
+            payload = export_chrome_trace(str(tmp_path / "t.json"))
         assert validate_chrome_trace(payload) == 2    # metadata + span
-        assert tracer.peek(), "export must not drain the tracer"
+        assert registry.spans() == [span], "export must keep the spans"
+
+    def test_report_before_export_keeps_every_span(self, tmp_path):
+        """Report and trace read the same spans in either order."""
+        with use_registry(MetricsRegistry(keep_spans=True)) as registry:
+            with registry.span("magus.plan_mitigation"):
+                with registry.span("magus.tuning"):
+                    pass
+            with registry.span("magus.gradual_migration"):
+                pass
+            report = RunReport.from_registry("test", registry=registry)
+            payload = export_chrome_trace(str(tmp_path / "t.json"))
+        assert [s["name"] for s in report.spans] == \
+            ["magus.plan_mitigation", "magus.gradual_migration"]
+        complete = [e["name"] for e in payload["traceEvents"]
+                    if e["ph"] == "X"]
+        assert sorted(complete) == ["magus.gradual_migration",
+                                    "magus.plan_mitigation",
+                                    "magus.tuning"]
 
     @pytest.mark.parametrize("payload", [
         [],                                            # not an object
@@ -478,61 +507,55 @@ class TestParallelTelemetryAcceptance:
                 "magus.engine.evaluations").value
         assert serial_count > 0
 
-        # Pooled run: workers inherit the registry/tracer at fork.
-        with use_registry(MetricsRegistry()) as registry:
-            trace.enable()
-            try:
-                # Fork under an open parent span, so worker spans must
-                # survive the inherited stack.
-                with trace.span("magus.sweep"):
-                    got = planner.sweep_scenarios(scenarios, workers=2,
-                                                  tuning="power")
-                assert [(o.plan.c_after, o.plan.f_after) for o in got] \
-                    == [(o.plan.c_after, o.plan.f_after) for o in want]
-                labeled = {}
-                for name in registry.names():
-                    metric, label = split_metric_label(name)
-                    if (metric == "magus.engine.evaluations"
-                            and label is not None):
-                        labeled[label] = registry.counter(name).value
-                assert labeled, "no per-worker labeled evaluations merged"
-                assert sum(labeled.values()) == serial_count
-                for label in labeled:
-                    tags = dict(part.split("=", 1)
-                                for part in label.split(","))
-                    assert int(tags["pid"]) != os.getpid()
-                    assert int(tags["worker"]) >= 1
+        # Pooled run: workers inherit the registry at fork.
+        with use_registry(MetricsRegistry(keep_spans=True)) as registry:
+            # Fork under an open parent span, so worker spans must
+            # survive the inherited stack.
+            with registry.span("magus.sweep"):
+                got = planner.sweep_scenarios(scenarios, workers=2,
+                                              tuning="power")
+            assert [(o.plan.c_after, o.plan.f_after) for o in got] \
+                == [(o.plan.c_after, o.plan.f_after) for o in want]
+            labeled = {}
+            for name in registry.names():
+                metric, label = split_metric_label(name)
+                if (metric == "magus.engine.evaluations"
+                        and label is not None):
+                    labeled[label] = registry.counter(name).value
+            assert labeled, "no per-worker labeled evaluations merged"
+            assert sum(labeled.values()) == serial_count
+            for label in labeled:
+                tags = dict(part.split("=", 1)
+                            for part in label.split(","))
+                assert int(tags["pid"]) != os.getpid()
+                assert int(tags["worker"]) >= 1
 
-                # At least one adopted span per participating worker.
-                span_pids = {span.tags.get("pid")
-                             for span in trace.peek()
-                             if "pid" in span.tags}
-                labeled_pids = {int(dict(
-                    part.split("=", 1)
-                    for part in label.split(","))["pid"])
-                    for label in labeled}
-                assert labeled_pids <= span_pids
+            # At least one adopted span per participating worker.
+            span_pids = {span.tags.get("pid")
+                         for span in registry.spans()
+                         if "pid" in span.tags}
+            labeled_pids = {int(dict(
+                part.split("=", 1)
+                for part in label.split(","))["pid"])
+                for label in labeled}
+            assert labeled_pids <= span_pids
 
-                # Chrome export covers the worker tracks.
-                out = tmp_path / "trace.json"
-                payload = export_chrome_trace(str(out), tracer=trace)
-                validate_chrome_trace(payload)
-                event_pids = {e["pid"]
-                              for e in payload["traceEvents"]
-                              if e["ph"] == "X"}
-                assert labeled_pids <= event_pids
+            # Chrome export covers the worker tracks.
+            out = tmp_path / "trace.json"
+            payload = export_chrome_trace(str(out))
+            validate_chrome_trace(payload)
+            event_pids = {e["pid"]
+                          for e in payload["traceEvents"]
+                          if e["ph"] == "X"}
+            assert labeled_pids <= event_pids
 
-                # The run report renders the merged utilization.
-                from repro.obs import RunReport
-                report = RunReport.from_registry(
-                    command="test", registry=registry, tracer=trace)
-                rows = report.worker_utilization()
-                assert {row["pid"] for row in rows} == labeled_pids
-                assert all(row["chunks"] >= 1 for row in rows)
-                assert "parallel:" in report.to_table()
-            finally:
-                trace.disable()
-                trace.clear()
+            # The run report renders the merged utilization.
+            report = RunReport.from_registry(
+                command="test", registry=registry)
+            rows = report.worker_utilization()
+            assert {row["pid"] for row in rows} == labeled_pids
+            assert all(row["chunks"] >= 1 for row in rows)
+            assert "parallel:" in report.to_table()
 
     def test_pooled_sweep_dump_holds_the_serial_search_passes(
             self, small_area, tmp_path):
