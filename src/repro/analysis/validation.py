@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..model.snapshot import NetworkState
 
@@ -120,6 +119,8 @@ def validate_against(state: NetworkState,
             measured_list.append(s.measured_sinr_db)
     errors_arr = np.asarray(errors)
     if len(predicted_list) >= 2:
+        # Imported here so that importing the package loads no scipy.
+        from scipy import stats as scipy_stats
         rho = float(scipy_stats.spearmanr(predicted_list,
                                           measured_list).statistic)
     else:

@@ -27,6 +27,7 @@ deterministic for a given seed so the whole evaluation is reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Iterator, Literal, Optional,
@@ -34,7 +35,7 @@ from typing import (TYPE_CHECKING, Callable, Iterator, Literal, Optional,
 
 import numpy as np
 
-from .fields import correlated_gaussian_field
+from .fields import correlated_gaussian_fields
 from .geometry import GridSpec
 from .network import CellularNetwork, Sector
 from .propagation import Environment, PropagationModel, SPMParameters, Transmitter
@@ -566,25 +567,27 @@ def sector_rasters(network: CellularNetwork, environment: Environment,
     and the streaming packer.  Environment terms are computed once per
     call, site terms once per run of consecutive sectors whose
     ``(x, y, height_m)`` match — only one site's at a time — and only
-    the azimuth pattern and shadowing draw per sector.  Co-sited rasters
-    share the site's read-only ``distance_m``, ``bearing_deg`` and
-    ``theta_deg``; ``loss_db`` and ``horiz_att_db`` are their own.
+    the azimuth pattern and shadowing draw per sector.  A site's
+    shadowing fields are smoothed in one stacked call, each drawn from
+    its own sector's seed.  Co-sited rasters share the site's read-only
+    ``distance_m``, ``bearing_deg`` and ``theta_deg``; ``loss_db`` and
+    ``horiz_att_db`` are their own.
     """
     grid = environment.grid
     model = PropagationModel(environment, spm=spm)
     corr_cells = shadowing_corr_m / grid.cell_size
-    key = site = None
-    for sector in network.sectors:
-        if (sector.x, sector.y, sector.height_m) != key:
-            key = (sector.x, sector.y, sector.height_m)
-            site = model.site_terms(Transmitter(
-                x=sector.x, y=sector.y, height_m=sector.height_m))
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, sector.sector_id]))
-        loss = site.loss_db + correlated_gaussian_field(
-            grid.shape, corr_cells, shadowing_sigma_db, rng)
-        yield sector, _SectorRaster(
-            horiz_att_db=sector.antenna.horizontal_attenuation(
-                site.bearing_deg - sector.azimuth_deg),
-            theta_deg=site.theta_deg, loss_db=loss,
-            distance_m=site.distance_m, bearing_deg=site.bearing_deg)
+    for _, run in itertools.groupby(
+            network.sectors, key=lambda s: (s.x, s.y, s.height_m)):
+        sectors = list(run)
+        site = model.site_terms(Transmitter(
+            x=sectors[0].x, y=sectors[0].y, height_m=sectors[0].height_m))
+        shadows = correlated_gaussian_fields(
+            grid.shape, corr_cells, shadowing_sigma_db,
+            [np.random.default_rng(np.random.SeedSequence(
+                [seed, sector.sector_id])) for sector in sectors])
+        for sector, shadow in zip(sectors, shadows):
+            yield sector, _SectorRaster(
+                horiz_att_db=sector.antenna.horizontal_attenuation(
+                    site.bearing_deg - sector.azimuth_deg),
+                theta_deg=site.theta_deg, loss_db=site.loss_db + shadow,
+                distance_m=site.distance_m, bearing_deg=site.bearing_deg)

@@ -73,8 +73,7 @@ from .network import CellularNetwork, Sector
 from .pathloss import (DEFAULT_CLIP_FLOOR_DB, DEFAULT_SHADOWING_CORR_M,
                        DEFAULT_SHADOWING_SIGMA_DB, PathLossDatabase,
                        TiltModelName, _SectorRaster, clip_gains_mw,
-                       plane_footprint, sector_gain_db, sector_rasters,
-                       shared_tilt_profile)
+                       sector_gain_db, sector_rasters, shared_tilt_profile)
 from .propagation import Environment, SPMParameters
 
 __all__ = ["PackedGainStore", "PackedDatabaseWriter", "pack_database",
@@ -301,11 +300,21 @@ def sector_planes_mw(sector: Sector, raster: _SectorRaster,
 def clip_planes(planes: np.ndarray,
                 clip_floor_db: Optional[float]) -> np.ndarray:
     """Zero a sector's float32 planes below the floor, in place, and
-    return their ``(T, 4)`` int32 nonzero bounding boxes."""
+    return their ``(T, 4)`` int32 nonzero bounding boxes.
+
+    Each row is :func:`plane_footprint` of its plane, found for all T
+    planes at once: the first and last live row and column by
+    ``argmax``, and ``(0, 0, 0, 0)`` for an all-zero plane.
+    """
     clip_gains_mw(planes, clip_floor_db)
-    boxes = np.empty((len(planes), 4), dtype=np.int32)
-    for j, plane in enumerate(planes):
-        boxes[j] = plane_footprint(plane)
+    rows = planes.any(axis=2)
+    cols = planes.any(axis=1)
+    boxes = np.stack([rows.argmax(axis=1),
+                      rows.shape[1] - rows[:, ::-1].argmax(axis=1),
+                      cols.argmax(axis=1),
+                      cols.shape[1] - cols[:, ::-1].argmax(axis=1)],
+                     axis=1).astype(np.int32)
+    boxes[~rows.any(axis=1)] = 0
     return boxes
 
 

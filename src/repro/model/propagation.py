@@ -272,18 +272,21 @@ class PropagationModel:
         wavelength = 299.792458 / tx.frequency_mhz  # meters
         max_v = np.full(dist.shape, -np.inf)
         n = self._PROFILE_SAMPLES
+        # Grid offsets vary by column (dx) and by row (dy) alone, so each
+        # sample's terrain cells are an outer product of rows and columns.
+        col_dx, row_dy = dx[0], dy[:, 0]
+        rise = self._rx_z - tx_z
+        two_dist = 2.0 * dist
         for i in range(1, n):
             t = i / n
-            px = tx.x + dx * t
-            py = tx.y + dy * t
-            ground = self._sample_terrain(px, py)
-            los_z = tx_z + (self._rx_z - tx_z) * t
+            ground = self._sample_terrain(tx.x + col_dx * t, tx.y + row_dy * t)
+            los_z = tx_z + rise * t
             clearance = ground - los_z  # positive when terrain blocks LOS
             d1 = dist * t
             d2 = dist * (1.0 - t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = clearance * np.sqrt(
-                    2.0 * dist / (wavelength * np.maximum(d1 * d2, 1.0)))
+                    two_dist / (wavelength * np.maximum(d1 * d2, 1.0)))
             max_v = np.maximum(max_v, v)
 
         loss = np.zeros(dist.shape)
@@ -294,11 +297,12 @@ class PropagationModel:
         return loss
 
     def _sample_terrain(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Nearest-cell terrain height at arbitrary metric points."""
+        """Nearest-cell terrain height at every point ``(px[j], py[i])``:
+        a ``(len(py), len(px))`` raster from column and row coordinates."""
         grid = self._grid
         region = grid.region
         rows = np.clip(((py - region.y0) // grid.cell_size).astype(int),
                        0, grid.n_rows - 1)
         cols = np.clip(((px - region.x0) // grid.cell_size).astype(int),
                        0, grid.n_cols - 1)
-        return self.environment.terrain_m[rows, cols]
+        return self.environment.terrain_m[np.ix_(rows, cols)]

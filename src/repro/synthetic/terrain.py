@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
-from ..model.fields import power_law_field
+from ..model.fields import gaussian_filter, power_law_field
 from ..model.geometry import GridSpec
 from ..model.propagation import ClutterClass, Environment
 from .rng import stream
@@ -86,7 +85,7 @@ def generate_clutter(grid: GridSpec, terrain_m: np.ndarray,
 
     # Water along terrain minima (rivers/lakes), sparing the core.
     if params.water_fraction > 0:
-        smooth = ndimage.gaussian_filter(terrain_m, sigma=2.0)
+        smooth = gaussian_filter(terrain_m, 2.0)
         cut = np.quantile(smooth, params.water_fraction)
         water = (smooth <= cut) & (dist > urban_r)
         clutter[water] = int(ClutterClass.WATER)

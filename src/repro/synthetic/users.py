@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy import ndimage
 
+from ..model.fields import gaussian_filter
 from ..model.geometry import GridSpec
 from ..model.network import CellularNetwork
 from ..model.propagation import ClutterClass
@@ -81,7 +81,7 @@ def population_field(grid: GridSpec, clutter: np.ndarray,
     base = np.zeros(grid.shape)
     for cls_, weight in _CLUTTER_POPULATION_WEIGHT.items():
         base[clutter == int(cls_)] = weight
-    base = ndimage.gaussian_filter(base, sigma=1.0)
+    base = gaussian_filter(base, 1.0)
 
     hotspots = np.zeros(grid.shape)
     rows, cols = grid.shape
@@ -91,7 +91,7 @@ def population_field(grid: GridSpec, clutter: np.ndarray,
         peak = np.zeros(grid.shape)
         peak[r, c] = 1.0
         sigma_cells = rng.uniform(2.0, 6.0)
-        hotspots += ndimage.gaussian_filter(peak, sigma=sigma_cells)
+        hotspots += gaussian_filter(peak, sigma_cells)
     if hotspots.max() > 0:
         hotspots *= (base.max() / hotspots.max())
     field = (1.0 - hotspot_weight) * base + hotspot_weight * hotspots

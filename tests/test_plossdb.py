@@ -34,10 +34,10 @@ from repro.model.engine import AnalysisEngine
 from repro.model.geometry import GridSpec, Region
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB,
                                   DEFAULT_PROFILE_CACHE_SIZE,
-                                  PathLossDatabase)
+                                  PathLossDatabase, plane_footprint)
 from repro.model.plossdb import (FORMAT_NAME, FORMAT_VERSION, MAGIC,
                                  PackedDatabaseWriter, PackedGainStore,
-                                 default_tilt_values, load_packed,
+                                 clip_planes, default_tilt_values, load_packed,
                                  pack_database, read_header, save_packed,
                                  stream_database, verify_sections)
 from repro.model.propagation import Environment
@@ -551,6 +551,30 @@ def _rewrite_header(path, edit) -> None:
 
 class TestRoiFormat:
     """The v3 ROI sidecar: persisted boxes, the one version, sparsity."""
+
+    @pytest.mark.parametrize("shape", [(7, 9), (1, 1), (1, 6), (5, 1)])
+    def test_clip_planes_boxes_equal_plane_footprint(self, shape):
+        """One pass over a sector's planes gives each plane's own
+        footprint: whole, clipped, all-zero and single-cell planes."""
+        rng = np.random.default_rng(sum(shape))
+        planes = (rng.random((8,) + shape) ** 6).astype(np.float32)
+        planes[1] = 0.0
+        planes[2] = 0.0
+        planes[2, -1, -1] = 1.0
+        planes[3] = 0.0
+        planes[3, 0, 0] = 1.0
+        planes[4] = 0.0
+        planes[4, shape[0] // 2, shape[1] // 2] = 1.0
+        planes[5] = 1e-20
+        clipped = planes.copy()
+        boxes = clip_planes(clipped, -60.0)
+        assert boxes.dtype == np.int32 and boxes.shape == (8, 4)
+        assert np.array_equal(boxes[1], [0, 0, 0, 0])
+        assert np.array_equal(boxes[5], [0, 0, 0, 0])
+        for plane, box in zip(clipped, boxes):
+            assert tuple(box) == plane_footprint(plane)
+        assert np.array_equal(clip_planes(planes, None),
+                              [plane_footprint(plane) for plane in planes])
 
     def test_v3_header_and_roi_section(self, tmp_path, toy_pathloss):
         path = tmp_path / "toy.plossdb"

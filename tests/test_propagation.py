@@ -138,6 +138,27 @@ class TestPathGain:
         g_flat = PropagationModel(flat).path_gain_db(tx)
         assert np.allclose(g_flat - g_shadowed, 7.0)
 
+    def test_profile_terrain_is_nearest_cell_per_point(self, grid):
+        """Sampling terrain on a row of x and a column of y gives every
+        grid point's nearest-cell height, clamped into the grid."""
+        rng = np.random.default_rng(4)
+        terrain = rng.uniform(0.0, 80.0, grid.shape)
+        flat = Environment.flat(grid)
+        model = PropagationModel(Environment(
+            grid=grid, terrain_m=terrain, clutter=flat.clutter.copy()))
+        gx, gy = grid.cell_centers()
+        px = 350.0 + (gx[0] - 350.0) * 1.4
+        py = -90.0 + (gy[:, 0] + 90.0) * 1.4
+        got = model._sample_terrain(px, py)
+        assert got.shape == grid.shape
+        for i, y in enumerate(py):
+            for j, x in enumerate(px):
+                row = min(max(int((y - grid.region.y0) // grid.cell_size), 0),
+                          grid.n_rows - 1)
+                col = min(max(int((x - grid.region.x0) // grid.cell_size), 0),
+                          grid.n_cols - 1)
+                assert got[i, j] == terrain[row, col]
+
     def test_deterministic(self, flat_env):
         model = PropagationModel(flat_env)
         tx = Transmitter(x=100.0, y=-200.0, azimuth_deg=120.0)
