@@ -55,18 +55,18 @@ DEFAULT_SHADOWING_SIGMA_DB = 6.0
 DEFAULT_SHADOWING_CORR_M = 150.0
 
 #: Linear-domain gains below this (dB) are zeroed at the quantization
-#: point so per-sector footprints are exactly sparse.  −150 dB gain at
-#: the hottest catalogue power (46 dBm) is −104 dBm received — 7 dB
-#: under the thermal noise floor, so even interference-free the SINR
-#: sits below the bottom CQI threshold (−6.7 dB) and the cell was
-#: unservable by that sector anyway; as an interferer it is noise-
-#: dominated, the regime the PPP coverage analysis (PAPERS.md) shows
-#: contributes negligibly.  That holds at this default, not at higher
-#: floors: at −115 dB a 41 dBm urban sector's clipped gains arrive near
-#: −74 dBm, 23 dB above the noise floor, and on a 117-sector urban
-#: market mean recovery read 0.2376 against 0.1515 unclipped, with all
-#: 16 plans worse once re-scored without the clip.  ``None`` opts out
-#: (no clipping, dense footprints).
+#: point so per-sector footprints are exactly sparse.  A floor drops at
+#: most ``Σ P_s·10^(floor/10)`` mW at a cell, over the sectors clipped
+#: there: at −150 dB and 46 dBm, −104 dBm per sector, 7 dB under thermal
+#: noise, so even interference-free the SINR sits below the bottom CQI
+#: threshold (−6.7 dB), and as interference it is noise-dominated, the
+#: regime the PPP coverage analysis (PAPERS.md) finds negligible.  At
+#: −115 dB a 41 dBm sector's clipped gains arrive near −74 dBm; on a
+#: 117-sector urban market mean recovery read 0.2376 against 0.1515
+#: unclipped, all 16 plans worse re-scored unclipped.  ``None`` opts
+#: out.  Packing computes only cells whose bound ``(gain_dbi −
+#: min(horiz, front_back)) − loss`` is within 1 dB of the floor, since
+#: float32 rounding can lift a gain just under the floor onto it.
 DEFAULT_CLIP_FLOOR_DB = -150.0
 
 

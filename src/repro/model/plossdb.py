@@ -67,6 +67,7 @@ import numpy as np
 from ..faults.durable import (CHECKSUM_ALGORITHM, JSON_INT, JSON_NUMBER,
                               JSON_TEXT, SUPPORTED_CHECKSUMS, ChecksumError,
                               check_schema, checksum_value)
+from ..obs import get_registry
 from .antenna import AntennaPattern, TiltRange
 from .geometry import GridSpec, Region
 from .network import CellularNetwork, Sector
@@ -104,6 +105,11 @@ _CHECKSUM_PLACEHOLDER = f"{CHECKSUM_ALGORITHM}:00000000"
 #: section order.  Field names match ``_SectorRaster``.
 _SIDECARS = ("horiz_att_db", "theta_deg", "loss_db",
              "distance_m", "bearing_deg")
+
+#: :func:`sector_planes_mw` computes cells whose gain bound is within
+#: this many dB under the floor; float32 rounding (about 3e-7 dB) can
+#: lift a gain just under the floor onto it, past the strict ``<``.
+_LIVE_MARGIN_DB = 1.0
 
 
 def _section_layout(S: int, T: int, H: int, W: int) -> Dict[str, tuple]:
@@ -285,16 +291,37 @@ def default_tilt_values(network: CellularNetwork) -> Tuple[float, ...]:
 def sector_planes_mw(sector: Sector, raster: _SectorRaster,
                      tilt_values: Sequence[float],
                      tilt_model: TiltModelName,
-                     shared_profile: Callable[[float], np.ndarray]
-                     ) -> np.ndarray:
+                     shared_profile: Callable[[float], np.ndarray],
+                     clip_floor_db: Optional[float] = None) -> np.ndarray:
     """One sector's ``(T, H, W)`` float32 mW planes: the float64
-    :func:`sector_gain_db` of ``gain_matrix``, cast once on assignment."""
-    planes = np.empty((len(tilt_values),) + raster.distance_m.shape,
-                      dtype=np.float32)
-    for j, tilt in enumerate(tilt_values):
-        planes[j] = np.power(10.0, sector_gain_db(
-            sector, raster, tilt, tilt_model, shared_profile) / 10.0)
-    return planes
+    :func:`sector_gain_db` of ``gain_matrix``, cast once on assignment,
+    at the cells whose bound can clear ``clip_floor_db`` (see
+    :data:`DEFAULT_CLIP_FLOOR_DB`); the rest stay 0.0, as clipped.  A
+    NaN in the bound's terms or in the depression angle keeps a cell."""
+    planes = np.zeros((len(tilt_values), raster.distance_m.size), np.float32)
+    live, cells, last, exponentiated = slice(None), raster, None, 0
+    if clip_floor_db is not None:
+        ant = sector.antenna
+        bound = (ant.gain_dbi - np.minimum(raster.horiz_att_db,
+                 ant.front_back_db) - raster.loss_db).reshape(-1)
+        bound[np.isnan(raster.theta_deg).reshape(-1)] = np.nan
+        cut = clip_floor_db - _LIVE_MARGIN_DB
+    for plane, tilt in zip(planes, tilt_values):
+        lift = 0.0 if tilt_model == "exact" else shared_profile(tilt).max()
+        if clip_floor_db is not None and lift != last:  # once if exact
+            live = np.flatnonzero(~(bound + lift < cut))
+            cells = _SectorRaster(**{f: getattr(raster, f).reshape(-1)[live]
+                                     for f in _SIDECARS})
+            last = lift
+        plane[live] = np.power(10.0, sector_gain_db(
+            sector, cells, tilt, tilt_model, shared_profile).reshape(-1)
+            / 10.0)
+        exponentiated += cells.distance_m.size
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("magus.pack.plane_cells").inc(planes.size)
+        registry.counter("magus.pack.exponentiated_cells").inc(exponentiated)
+    return planes.reshape(planes.shape[:1] + raster.distance_m.shape)
 
 
 def clip_planes(planes: np.ndarray,
@@ -342,7 +369,8 @@ def pack_database(db: PathLossDatabase,
     roi = np.empty((S, T, 4), dtype=np.int32)
     for s, sector in enumerate(db.network.sectors):
         planes = sector_planes_mw(sector, db._rasters[s], tilt_values,
-                                  db.tilt_model, db.shared_profile)
+                                  db.tilt_model, db.shared_profile,
+                                  clip_floor_db)
         roi[s] = clip_planes(planes, clip_floor_db)
         gains[s] = planes
     gains.setflags(write=False)
@@ -447,13 +475,12 @@ class PackedDatabaseWriter:
         self._roi[sector_id] = clip_planes(planes, self.clip_floor_db)
         self._fh.seek(self._sections["gains_mw"]["offset"]
                       + sector_id * self._sector_gain_bytes)
-        self._fh.write(planes.tobytes())
+        self._fh.write(planes)          # through the buffer protocol
         for name in _SIDECARS:
-            plane = np.ascontiguousarray(
-                getattr(raster, name), dtype=np.float32)
             self._fh.seek(self._sections[name]["offset"]
                           + sector_id * self._plane_bytes)
-            self._fh.write(plane.tobytes())
+            self._fh.write(np.ascontiguousarray(getattr(raster, name),
+                                                dtype=np.float32))
         self._written.add(sector_id)
 
     def close(self) -> None:
@@ -471,9 +498,8 @@ class PackedDatabaseWriter:
             raise ValueError(
                 f"plossdb build incomplete: sectors {missing[:8]}"
                 f"{'...' if len(missing) > 8 else ''} never written")
-        roi = np.ascontiguousarray(self._roi, dtype=np.dtype("<i4"))
         self._fh.seek(self._sections["roi"]["offset"])
-        self._fh.write(roi.tobytes())
+        self._fh.write(np.ascontiguousarray(self._roi, dtype="<i4"))
         self._fh.flush()
         expected_len = len(self._header_bytes)
         for name, spec in self._sections.items():
@@ -581,12 +607,11 @@ def _write_packed(path: str, grid: GridSpec, network: CellularNetwork,
         for s, (sector, raster) in enumerate(rasters):
             writer.write_sector(s, raster, sector_planes_mw(
                 sector, raster, writer.tilt_values, tilt_model,
-                shared_profile))
+                shared_profile, writer.clip_floor_db))
             del raster        # before the generator builds the next one
             if progress is not None:
                 progress(s + 1, network.n_sectors)
-        header = writer.header
-    return header
+    return writer.header
 
 
 # ----------------------------------------------------------------------

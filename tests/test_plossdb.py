@@ -11,6 +11,7 @@ delta parity).
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
@@ -34,13 +35,16 @@ from repro.model.engine import AnalysisEngine
 from repro.model.geometry import GridSpec, Region
 from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB,
                                   DEFAULT_PROFILE_CACHE_SIZE,
-                                  PathLossDatabase, plane_footprint)
+                                  PathLossDatabase, plane_footprint,
+                                  sector_gain_db)
 from repro.model.plossdb import (FORMAT_NAME, FORMAT_VERSION, MAGIC,
                                  PackedDatabaseWriter, PackedGainStore,
                                  clip_planes, default_tilt_values, load_packed,
                                  pack_database, read_header, save_packed,
-                                 stream_database, verify_sections)
+                                 sector_planes_mw, stream_database,
+                                 verify_sections)
 from repro.model.propagation import Environment
+from repro.obs import MetricsRegistry, use_registry
 from repro.synthetic.market import (AreaDimensions, build_area,
                                     pack_area_database)
 from repro.synthetic.placement import AreaType
@@ -474,6 +478,134 @@ class TestPositionedReads:
         finally:
             tracemalloc.stop()
         assert peak < 2 * block
+
+
+# ----------------------------------------------------------------------
+def _dense_planes(db, sector_id, raster, floor):
+    """The reference producer: every cell of every tilt exponentiated
+    in float64, cast to float32, then clipped.  Returns the planes and
+    their boxes."""
+    ladder = default_tilt_values(db.network)
+    planes = np.empty((len(ladder),) + db.grid.shape, np.float32)
+    for j, tilt in enumerate(ladder):
+        planes[j] = np.power(10.0, sector_gain_db(
+            db.network.sector(sector_id), raster, tilt, db.tilt_model,
+            db.shared_profile) / 10.0)
+    return planes, clip_planes(planes, floor)
+
+
+def _produced_planes(db, sector_id, raster, floor):
+    """:func:`sector_planes_mw` under ``floor``, clipped as a pack is."""
+    planes = sector_planes_mw(db.network.sector(sector_id), raster,
+                              default_tilt_values(db.network),
+                              db.tilt_model, db.shared_profile, floor)
+    return planes, clip_planes(planes, floor)
+
+
+def _assert_same_bits(got, want):
+    assert got[0].dtype == want[0].dtype == np.float32
+    assert np.array_equal(got[0].view(np.uint32), want[0].view(np.uint32))
+    assert np.array_equal(got[1], want[1])
+
+
+def _weakest_cell(db, sector_id):
+    gain = db.gain_matrix(sector_id, db.network.sector(sector_id)
+                          .planned_tilt_deg)
+    return np.unravel_index(np.argmin(gain), gain.shape)
+
+
+def _with_nan(raster, field, cell):
+    values = getattr(raster, field).copy()
+    values[cell] = np.nan
+    return dataclasses.replace(raster, **{field: values})
+
+
+@pytest.fixture(params=["toy", "rough"])
+def producer_world(request, toy_grid, toy_network):
+    if request.param == "toy":
+        return toy_network, Environment.flat(toy_grid), 0.0
+    grid, env, net = request.getfixturevalue("rough_world")
+    return net, env, 6.0
+
+
+class TestPlaneProducer:
+    """The floor-aware plane producer against the dense reference: the
+    cells it skips are exactly cells the clip would zero."""
+
+    @pytest.mark.parametrize("floor", [None, -60.0, -110.0, -150.0])
+    @pytest.mark.parametrize("tilt_model", ["exact", "shared-delta"])
+    def test_producer_equals_dense_reference(self, producer_world, floor,
+                                             tilt_model):
+        """Bit for bit, boxes included, with a NaN in sector 0's loss
+        and sector 1's depression angle at each one's weakest cell."""
+        net, env, sigma = producer_world
+        db = PathLossDatabase.from_environment(
+            net, env, shadowing_sigma_db=sigma, seed=7,
+            tilt_model=tilt_model)
+        rasters = list(db._rasters)
+        rasters[0] = _with_nan(rasters[0], "loss_db", _weakest_cell(db, 0))
+        rasters[1] = _with_nan(rasters[1], "theta_deg",
+                               _weakest_cell(db, 1))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for s, raster in enumerate(rasters):
+                want = _dense_planes(db, s, raster, floor)
+                _assert_same_bits(_produced_planes(db, s, raster, floor),
+                                  want)
+                if s < 2:
+                    assert np.isnan(want[0]).sum() == len(want[0])
+        count = registry.snapshot()
+        cells = count["magus.pack.plane_cells"]["value"]
+        done = count["magus.pack.exponentiated_cells"]["value"]
+        assert cells == sum(r.loss_db.size for r in rasters) * len(
+            default_tilt_values(net))
+        if floor is None:
+            assert done == cells
+        elif floor == -60.0:
+            assert done < cells // 100       # nothing clears -60 dB here
+        elif floor == -110.0:
+            assert 0 < done < cells // 2
+
+    def test_floor_at_a_cells_own_gain(self, toy_pathloss):
+        """A back-lobe cell's gain equals its bound.  With the floor one
+        float64 step above that gain, the cell's float32 value rounds to
+        the floor's and survives the strict clip, so the margin must keep
+        it live."""
+        db, sector_id = toy_pathloss, 1
+        sector, raster = db.network.sector(sector_id), db._rasters[sector_id]
+        ant = sector.antenna
+        bound = ((ant.gain_dbi - np.minimum(raster.horiz_att_db,
+                                            ant.front_back_db))
+                 - raster.loss_db)
+        gain = db.gain_matrix(sector_id, default_tilt_values(db.network)[0])
+        cell = np.unravel_index(
+            np.argmax(np.where(gain == bound, gain, -np.inf)), gain.shape)
+        floor = float(np.nextafter(gain[cell], np.inf))
+        want = _dense_planes(db, sector_id, raster, floor)
+        assert gain[cell] < floor and want[0][0][cell] > 0.0
+        _assert_same_bits(_produced_planes(db, sector_id, raster, floor),
+                          want)
+
+    @pytest.mark.parametrize("field", ["loss_db", "theta_deg"])
+    def test_nan_raster_cell_lands_in_the_pack(self, tmp_path, toy_pathloss,
+                                               field):
+        """A NaN at a cell far under the floor is still computed, stored
+        and found by the packed NaN scan."""
+        db = toy_pathloss
+        cell = _weakest_cell(db, 2)
+        rasters = list(db._rasters)
+        rasters[2] = _with_nan(rasters[2], field, cell)
+        bad = PathLossDatabase(db.grid, db.network, rasters,
+                               validate=False)
+        path = tmp_path / "nan.plossdb"
+        save_packed(bad, path, clip_floor_db=-60.0)
+        loaded = load_packed(path, verify=True)
+        store = loaded.packed_store
+        assert all(np.isnan(store.row(2, t)[cell])
+                   for t in range(len(store.tilt_values)))
+        assert store.bad_sectors() == [2]
+        with pytest.raises(ValueError, match=r"sectors \[2\]"):
+            loaded.validate()
 
 
 # ----------------------------------------------------------------------
