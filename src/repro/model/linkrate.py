@@ -147,12 +147,9 @@ def _bin_index(sinr: np.ndarray, scratch: np.ndarray | None = None,
     """
     f = np.fmax(sinr, _BIN_LO, out=scratch)
     f = np.floor(np.fmin(f, _BIN_HI, out=scratch), out=scratch)
-    if index is None:
-        index = f.astype(np.intp)
-    else:
-        # Every value is integral and in range, so the cast is exact.
-        np.copyto(index, f, casting="unsafe")
-    index -= _BIN_LO
+    # Every value is integral and in range, so the cast is exact.
+    index = np.subtract(f, _BIN_LO, out=index, dtype=np.intp,
+                        casting="unsafe")
     hit = np.greater_equal(
         sinr, _BIN_CUT.take(index, out=scratch, mode="clip"), out=mask)
     index *= 2
@@ -254,10 +251,13 @@ class LinkAdaptation:
         index, mask = scratch if scratch is not None else (None, None)
         index = _bin_index(sinr, scratch=out, index=index, mask=mask)
         # Out-of-service grids read index 0: the lowest bin, CQI 0.  A
-        # float64 bound: under NEP 50 a Python float against a float32
-        # array would compare in float32.
-        index *= np.greater_equal(sinr, np.float64(self.sinr_min_db),
-                                  out=mask)
+        # cutoff at or under the CQI-1 threshold cuts nothing the
+        # lookup has not already mapped to CQI 0, NaN included, so it
+        # is skipped.  A float64 bound: under NEP 50 a Python float
+        # against a float32 array would compare in float32.
+        if not self.sinr_min_db <= CQI_SINR_THRESHOLDS_DB[0]:
+            index *= np.greater_equal(sinr, np.float64(self.sinr_min_db),
+                                      out=mask)
         # asarray: a scalar or 0-d input still gets a 0-d array back.
         return np.asarray(self._bin_rates.take(index, out=out, mode="clip"))
 

@@ -82,7 +82,10 @@ def clip_gains_mw(planes: np.ndarray,
     survives.
     """
     if clip_floor_db is not None:
-        planes[planes < 10.0 ** (float(clip_floor_db) / 10.0)] = 0.0
+        # putmask skips the boolean index's gather of the True cells; a
+        # NaN cell compares False and stays NaN either way.
+        np.putmask(planes, planes < 10.0 ** (float(clip_floor_db) / 10.0),
+                   0.0)
     return planes
 
 
@@ -377,9 +380,8 @@ class PathLossDatabase:
         ``tilts`` gives each sector's tilt (and ``azimuth_offsets``,
         when given, each sector's pattern rotation).  The
         :meth:`gain_row_db` rows, stacked afresh on every call
-        (read-only); only hand verification
-        (``AnalysisEngine._received_power_dbm``), tests and benchmarks
-        read it.
+        (read-only); only tests (Formula 1 verified by hand) and
+        benchmarks read it.
         """
         tilts, offsets = self._check_assignment(tilts, azimuth_offsets)
         stack = np.stack([self.gain_row_db(i, t, o)

@@ -13,14 +13,14 @@ whole grid.
 :func:`score_windows` scores a group of single-sector candidates
 against one anchor in the engine's one windowed kernel
 (:meth:`~repro.model.engine.AnalysisEngine._window_pass`, which runs
-every delta too), and keeps only its own ends:
+every delta too, in one straight sequence for any number of
+candidates), and keeps only its own ends, candidate by candidate:
 
 * **window totals** — the engine's pairwise sector-sum tree walked
   from the changed leaf to the root: the new row's window plus each
-  sibling window on the path
-  (:meth:`~repro.model.engine.DeltaIncumbent.siblings`), added once per
-  run of candidates that share the changed sector and the window.  It
-  is the total a full evaluation computes, bit for bit.
+  sibling window on the path in turn
+  (:meth:`~repro.model.engine.DeltaIncumbent.siblings`).  It is the
+  total a full evaluation computes, bit for bit.
 * **comparators** — a candidate whose new row dominates the old one
   (:func:`~repro.model.network.dominates`) keeps every cell its sector
   served and compares against the incumbent's own best/serving window;
@@ -30,8 +30,9 @@ every delta too), and keeps only its own ends:
 * **the utility reduction** — Formula 3 couples the window to the
   whole grid (a serving flip changes the shared rate of every cell on
   the affected sectors), so the kernel returns full-grid rate rasters;
-  ``per_ue`` then runs only at cells whose rate moved, and the
-  baseline's cached ``per_ue(rate) * density`` raster fills the rest.
+  ``per_ue`` then runs only at cells whose rate moved (gathered by one
+  flat index and put back), and the baseline's cached
+  ``per_ue(rate) * density`` raster fills the rest.
 
 So every score equals ``Evaluator.utility_of`` of its candidate, and
 does not depend on what else is in the batch, at O(|ROI| +
@@ -43,10 +44,7 @@ ROI evaluation".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,13 +143,13 @@ def score_windows(engine, baseline: RoiBaseline,
     engine's window pass in chunks of at most :data:`STACK_CELLS`
     cells (at least one candidate each), which counts every one.
     """
-    configs, windows = list(configs), list(windows)
+    pairs = list(zip(configs, windows))
     work, state = engine.workspace, baseline.incumbent.state
     cells = state.serving.size
     step = max(1, STACK_CELLS // cells)
     values: List[float] = []
-    for lo in range(0, len(configs), step):
-        chunk = list(zip(configs[lo:lo + step], windows[lo:lo + step]))
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo:lo + step]
         _, (_, _, weighted, rate) = engine._window_pass(
             baseline.incumbent, *_candidates(engine, baseline, chunk),
             ue_density)
@@ -162,24 +160,20 @@ def score_windows(engine, baseline: RoiBaseline,
         # float64 raster, exactly as the dense batch's row-wise
         # reduction does.  The load stack is spent, so the weighted
         # terms take its place.  Stale rates and densities are gathered
-        # by one flat index (modulo the grid for densities), weighted
-        # in place and scattered back.
+        # by one flat index (wrapped onto the grid for densities) into
+        # the workspace, weighted in place and put back; a buffered
+        # ``take`` (the default mode) would allocate its output.
         weighted[...] = baseline.weighted
-        stale = np.not_equal(rate, state.rate_bps,
-                             out=work.take("wins", bool, rate.shape))
-        flat = np.flatnonzero(stale)
+        flat = np.not_equal(rate, state.rate_bps, out=work.take(
+            "mask", bool, rate.shape)).reshape(-1).nonzero()[0]
         n = flat.size
-        if n:
-            rates = np.take(rate.reshape(-1), flat,
-                            out=work.take("stale_rate", np.float64, n))
-            density = np.take(ue_density.reshape(-1), np.remainder(
-                flat, cells, out=flat),
-                out=work.take("stale_ue", np.float64, n))
-            del flat
-            terms = utility.per_ue(rates)
-            np.place(weighted, stale, np.multiply(terms, density, out=terms))
-        values += [float(v) for v in weighted.reshape(len(chunk), cells)
-                   .sum(axis=1)]
+        stale = work.take("stale", np.float64, 2 * n)
+        terms = utility.per_ue(rate.reshape(-1).take(
+            flat, out=stale[:n], mode="clip"))
+        np.multiply(terms, ue_density.reshape(-1).take(
+            flat, out=stale[n:], mode="wrap"), out=terms)
+        weighted.put(flat, terms)
+        values += weighted.reshape(len(chunk), cells).sum(axis=1).tolist()
     return values
 
 
@@ -191,9 +185,9 @@ def _candidates(engine, baseline: RoiBaseline,
     interference into, see DESIGN.md, "Scoring workspace").
 
     A window total is the sum tree's walk from the changed leaf to the
-    root: the new row's window plus each sibling window on the path,
-    added once per run of candidates that share the changed sector and
-    the window.  The changed row folds over the whole window.
+    root: the new row's window plus each sibling window on the path in
+    turn, the first add straight out of the new row.  The changed row
+    folds over the whole window.
     """
     work = engine.workspace
     plane = baseline.incumbent.total_mw.dtype
@@ -201,22 +195,22 @@ def _candidates(engine, baseline: RoiBaseline,
     news = work.take("new", plane, size)
     totals = work.take("total", plane, size)
     candidates, at = [], 0
-    for (changed, box), run in groupby(chunk, key=itemgetter(1)):
-        run = [config for config, _ in run]
+    for config, (changed, box) in chunk:
         # An explicit shape: an empty window cannot infer a -1 axis.
-        shape = (len(run), box[1] - box[0], box[3] - box[2])
-        cut = slice(at, at + math.prod(shape))
-        at = cut.stop
-        new, total = news[cut].reshape(shape), totals[cut].reshape(shape)
-        for config, out in zip(run, new):
-            engine._sector_plane_mw_window(config, changed, box, out=out)
-        inputs = [_window_inputs(baseline, config, changed, box)
-                  for config in run]
-        np.copyto(total, new)
-        for sibling in inputs[0][0]:
+        shape = (box[1] - box[0], box[3] - box[2])
+        stop = at + shape[0] * shape[1]
+        new = engine._sector_plane_mw_window(
+            config, changed, box, out=news[at:stop].reshape(shape))
+        total = totals[at:stop].reshape(shape)
+        at = stop
+        siblings, comparator = _window_inputs(baseline, config, changed, box)
+        if siblings:
+            np.add(new, siblings[0], out=total)
+        else:
+            np.copyto(total, new)
+        for sibling in siblings[1:]:
             np.add(total, sibling, out=total)
-        candidates += [(box, comparator, [(changed, box, row)])
-                       for row, (_, comparator) in zip(new, inputs)]
+        candidates.append((box, comparator, ((changed, box, new),)))
     return candidates, totals
 
 

@@ -10,7 +10,7 @@ Two tiers are provided:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -48,6 +48,21 @@ def make_sectors(positions: Sequence[tuple],
             tilt_range=TiltRange(normal_deg=4.0, min_deg=0.0,
                                  max_deg=8.0, step_deg=1.0)))
     return sectors
+
+
+def received_power_dbm(pathloss: PathLossDatabase, config,
+                       sectors: Optional[Sequence[int]] = None
+                       ) -> np.ndarray:
+    """Formula 1 per sector, ``RP_b(g) = P_b + L_b(T_b, g)`` in dB, for
+    the rows ``sectors`` (default: all, in order); off-air rows radiate
+    nothing and read -inf.  The hand-verification reference: the
+    engine works in the linear domain."""
+    rows = np.arange(config.n_sectors) if sectors is None else np.asarray(
+        sectors, dtype=np.intp)
+    gains = pathloss.gain_tensor(config.tilts(), config.azimuth_offsets())
+    rp = config.powers()[rows, None, None] + gains[rows]
+    rp[~config.active_mask()[rows]] = -np.inf
+    return rp
 
 
 def assert_step_utilities_exact(result, engine: AnalysisEngine,

@@ -16,7 +16,7 @@ from repro.model.linkrate import LinkAdaptation
 from repro.model.load import uniform_per_sector_density
 from repro.model.pathloss import PathLossDatabase
 
-from conftest import assert_step_utilities_exact
+from conftest import assert_step_utilities_exact, received_power_dbm
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ def _full_grid_can_help(rp, state, affected, sector_id, unit):
 
 
 def _reference_prefilter(engine, config, state, affected, candidates, unit):
-    rows = engine._received_power_dbm(config, candidates)
+    rows = received_power_dbm(engine.pathloss, config, candidates)
     return [b for b, rp in zip(candidates, rows)
             if _full_grid_can_help(rp, state, affected, b, unit)]
 
