@@ -22,13 +22,22 @@ asked for through :meth:`~Evaluator.state_of` (or
 lives.  Every other entry holds its value alone, whether it came from
 :meth:`~Evaluator.utility_of`, which only needs the float, or from a
 windowed score (below); the two-entry delta ring holds the states of
-its anchors.  When ``state_of`` meets an entry without a state, it
-takes the state of the ring anchor with that configuration, if there
-is one.  Otherwise it rebuilds it: the configuration is anchored into
-the ring like a fresh evaluation, but the memo already counted its one
-model evaluation, so neither the distinct-evaluation counter nor any
-cost meter moves; ``magus.evaluator.state_rebuilds`` counts it.  Under
+its anchors and answers a configuration one of them holds.  When
+``state_of`` meets an entry without a state that no ring anchor holds,
+it rebuilds it: the configuration is anchored into the ring like a
+fresh evaluation, but the memo already counted its one model
+evaluation, so neither the distinct-evaluation counter nor any cost
+meter moves; ``magus.evaluator.state_rebuilds`` counts it.  Under
 ``strategy="full"`` no ring holds a state, so the memo pins every one.
+
+A ring may start from an adopted anchor (:meth:`~Evaluator.adopt`): a
+study area keeps the anchor of the dense evaluation of ``C_before``
+that :func:`~repro.synthetic.market.build_area` runs anyway, and
+:meth:`~repro.core.magus.Magus.from_area` hands it over, so a ticket
+starts from it instead of a dense evaluation of its own.  Its first
+lookup of ``C_before`` is still a memo miss and counts its one distinct
+evaluation, so plans, utilities and cost meters read as on a cold
+ring; only the engine sees one dense evaluation fewer.
 
 Three evaluation strategy names are accepted (``strategy=`` knob):
 
@@ -45,11 +54,8 @@ Three evaluation strategy names are accepted (``strategy=`` knob):
     baseline, also reachable via the CLI's ``--no-delta``.
 
 ``"parallel"``
-    An alias of ``"delta"``, kept so that callers which pair it with
-    ``Magus(workers=N)`` keep working.  Parallelism lives one level up,
-    at the grain of whole mitigations
-    (:meth:`UpgradePlanner.sweep_scenarios`); an evaluator always
-    scores in-process.
+    An alias of ``"delta"``: parallelism lives one level up, at whole
+    mitigations (:meth:`UpgradePlanner.sweep_scenarios`).
 
 :meth:`score_candidates` scores single-sector candidates through their
 region-of-influence windows (the whole grid where a footprint is
@@ -130,13 +136,9 @@ class Evaluator:
         return self._eval_counter.value
 
     def cost_meter(self) -> CostMeter:
-        """A zero-point meter over the model-evaluation counter.
-
-        ``meter = evaluator.cost_meter(); ...; meter.spent()`` reads how
-        many distinct evaluations the enclosed work consumed — a plan's
-        search cost, ``MitigationResult.evaluations`` — without the
-        before/after counter-diff idiom.
-        """
+        """A zero-point meter over the model-evaluation counter: its
+        ``spent()`` is the distinct evaluations the enclosed work took,
+        a plan's search cost (``MitigationResult.evaluations``)."""
         return self._eval_counter.meter()
 
     # ------------------------------------------------------------------
@@ -164,32 +166,40 @@ class Evaluator:
                          cache_size=self._cache_size,
                          strategy=self.strategy)
 
+    def adopt(self, incumbent: DeltaIncumbent) -> bool:
+        """Put a finished anchor, such as a study area's ``C_before``,
+        into the ring (see the module docstring); moves no counter.
+        Refused (``False``) under ``strategy="full"``, from another
+        cache epoch, or over another UE raster object."""
+        self._check_epoch()
+        if (self.strategy == "full" or incumbent.epoch != self._epoch
+                or incumbent.state.ue_density is not self.ue_density):
+            return False
+        self._remember(None, incumbent)
+        return True
+
     # ------------------------------------------------------------------
     def score_candidates(self, configs: Sequence[Configuration],
                          parent: Optional[Configuration] = None
                          ) -> List[float]:
         """``f(C)`` for each candidate, windowed where possible.
 
-        Memo hits are answered from the ``f(C)`` memo.  Candidates that
-        differ from a recent incumbent in exactly one sector are scored
-        through their region-of-influence windows against that
-        incumbent's :class:`~repro.model.roi.RoiBaseline`; the rest (and
-        everything under ``strategy="full"`` or a custom
-        ``UtilityFunction.evaluate`` override) go through the canonical
-        memoized path.  Every score equals :meth:`utility_of` of its
-        candidate bit for bit, whichever anchor it was scored against,
-        and is memoized under its candidate; each miss counts one model
-        evaluation.
+        Memo hits are answered from the ``f(C)`` memo.  Candidates one
+        sector from a ring anchor are scored through their
+        region-of-influence windows against its
+        :class:`~repro.model.roi.RoiBaseline`; the rest (and everything
+        under ``strategy="full"`` or a custom ``UtilityFunction.evaluate``
+        override) go through the canonical memoized path.  Every score
+        equals :meth:`utility_of` of its candidate bit for bit, whichever
+        anchor it was scored against, and is memoized under its
+        candidate; each miss counts one model evaluation.
 
         ``parent`` is a configuration the candidates are one sector
         from, typically where the caller's line search or ladder
-        started.  When no delta anchor holds it, it is anchored here —
-        otherwise every candidate, two sectors from any anchor, could
-        not be scored through a window and would pay its own canonical
-        evaluation.  A parent not yet memoized goes through the
-        ``f(C)`` memo, so it is memoized and counted once; a memoized
-        one whose anchor was evicted is re-anchored, counted by
-        ``magus.evaluator.reanchors``.
+        started.  When no ring anchor holds it, it is anchored here, or
+        every candidate would pay its own canonical evaluation: through
+        the ``f(C)`` memo if it is not memoized (counted once), else
+        re-anchored (``magus.evaluator.reanchors``).
         """
         self._check_epoch()
         configs = list(configs)
@@ -245,11 +255,9 @@ class Evaluator:
     def _score_windowed(self, incumbent: DeltaIncumbent,
                         configs: Sequence[Configuration],
                         changed: Sequence[int]) -> List[float]:
-        """Score single-sector ``configs`` through their ROI windows;
-        ``changed`` names the sector each config flips vs.
-        ``incumbent``, a ring anchor (so it has a state to build a
-        baseline from).  Its baseline is kept, most recent last, until
-        ``_remember`` drops the anchor."""
+        """Score single-sector ``configs`` (``changed``: the sector each
+        flips) through their ROI windows against the baseline of ring
+        anchor ``incumbent``, kept until ``_remember`` drops it."""
         baseline = (self._roi_baselines.pop(incumbent.config, None)
                     or _roi.RoiBaseline.from_incumbent(
                         incumbent, self.utility, self.ue_density))
@@ -287,10 +295,8 @@ class Evaluator:
 
     def _lookup(self, config: Configuration, pin: bool = False
                 ) -> Tuple[Optional[NetworkState], float]:
-        """``config``'s memo entry: ``(state, f(C))``, the state being
-        ``None`` on a hit without ``pin``.  With ``pin`` the entry
-        holds its state from then on, taken from the ring or rebuilt
-        first if the entry held none."""
+        """``config``'s memo entry ``(state, f(C))``, the state ``None``
+        on a hit without ``pin``; with ``pin`` the entry keeps one."""
         self._check_epoch()
         hit = self._cache.get(config)
         if hit is not None:
@@ -300,7 +306,7 @@ class Evaluator:
             if not pin:
                 return None, value
             if state is None:
-                state = self._rebuild(config)
+                state = self._anchor(config, rebuild=True).state
                 self._cache[config] = (state, value)
             return state, value
         if self.strategy == "full":
@@ -313,40 +319,31 @@ class Evaluator:
                     else None, value)
         return state, value
 
-    def _rebuild(self, config: Configuration) -> NetworkState:
-        """The state of a memoized ``config`` whose entry holds none.
-
-        A ring anchor holding ``config`` answers as it is, and the
-        ring order stays.  Otherwise ``config`` is re-anchored: the
-        memo already counted its one model evaluation, so neither the
-        distinct-evaluation counter nor any cost meter moves (the
-        engine's own counters still see the evaluation);
-        ``magus.evaluator.state_rebuilds`` counts it.
-        """
-        for incumbent in self._incumbents:
-            if incumbent.config == config:
-                return incumbent.state
-        get_registry().counter("magus.evaluator.state_rebuilds").inc()
-        return self._anchor(config).state
-
-    def _anchor(self, config: Configuration) -> DeltaIncumbent:
+    def _anchor(self, config: Configuration,
+                rebuild: bool = False) -> DeltaIncumbent:
         """Evaluate ``config`` into the delta-anchor ring.
 
-        A delta from the first ring incumbent with the fewest changed
-        sectors; a full evaluation only when none is usable, as on a
-        cold ring (``magus.engine.delta_fallbacks``).  A one-sector
-        child is remembered with its parent; any other result goes
-        where a full evaluation's would, so the ring (and the anchor
-        later windowed scores group against) does not depend on how
-        the state was computed.  Leaves the memo cache and the
-        distinct-evaluation counter to the caller.
+        A ring anchor holding ``config`` answers as it is, the ring
+        order kept; else a delta from the first ring incumbent with the
+        fewest changed sectors, or a full evaluation when none is usable
+        (``magus.engine.delta_fallbacks``).  A one-sector child is
+        remembered with its parent, any other result where a full
+        evaluation's would go, so the ring does not depend on how a
+        state was computed.  The memo and the distinct-evaluation
+        counter are the caller's; ``rebuild`` (a memoized ``config``
+        whose entry holds no state) counts a re-evaluation in
+        ``magus.evaluator.state_rebuilds``.
         """
         parent, fewest = None, None
         for incumbent in self._incumbents:
+            if incumbent.config == config:
+                return incumbent
             changed = self.engine.changed_sectors(incumbent, config)
             if changed is not None and (fewest is None
                                         or len(changed) < len(fewest)):
                 parent, fewest = incumbent, changed
+        if rebuild:
+            get_registry().counter("magus.evaluator.state_rebuilds").inc()
         if parent is not None:
             child = self.engine.evaluate_delta(parent, config,
                                                self.ue_density)[1]

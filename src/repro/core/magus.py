@@ -84,11 +84,16 @@ class Magus:
         """Bind to a :class:`~repro.synthetic.market.StudyArea`.
 
         Uses the area's *planned* (pre-optimized) configuration as the
-        default ``C_before``.
+        default ``C_before``, and hands the area's finished anchor of it
+        to the evaluator (:meth:`Evaluator.adopt`), so a plan starts
+        from it instead of a dense evaluation; the evaluator refuses an
+        anchor from a stale cache epoch.
         """
         kwargs.setdefault("default_config", area.c_before)
-        return cls(area.network, area.engine, area.ue_density,
-                   utility=utility, **kwargs)
+        magus = cls(area.network, area.engine, area.ue_density,
+                    utility=utility, **kwargs)
+        magus.evaluator.adopt(area.anchor)
+        return magus
 
     # ------------------------------------------------------------------
     def close(self) -> None:

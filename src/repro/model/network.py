@@ -19,6 +19,7 @@ intermediate) can be kept and compared safely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -120,16 +121,16 @@ class SectorSetting:
     def power_factor(self) -> np.float64:
         """The linear transmit power ``10^(P/10)``, exactly 0 off-air.
 
-        Computed once per setting and cached like the hash.  ``float``
-        keeps an ``np.float32`` power in float64, and a one-element
-        ``np.power`` equals the matching element of a vector call, so
-        this is the element a whole-network float64 vector would hold.
+        Cached per setting like the hash, and per ``(power, active)``
+        across settings (:func:`_power_factor`).  ``float`` keeps an
+        ``np.float32`` power in float64, and a one-element ``np.power``
+        equals the matching element of a vector call, so this is the
+        element a whole-network float64 vector would hold.
         """
         try:
             return self.__dict__["_power_factor"]
         except KeyError:
-            value = _power_factors(np.asarray([float(self.power_dbm)]),
-                                   np.asarray([self.active]))[0]
+            value = _power_factor(float(self.power_dbm), bool(self.active))
             object.__setattr__(self, "_power_factor", value)
             return value
 
@@ -231,13 +232,22 @@ class Configuration:
         return [i for i, s in enumerate(self.settings) if s.active]
 
     # -- derivation -----------------------------------------------------
-    def _replaced(self, sector_id: int, **changes) -> "Configuration":
+    def _replaced(self, sector_id: int, power_dbm: Optional[float] = None,
+                  tilt_deg: Optional[float] = None,
+                  azimuth_offset_deg: Optional[float] = None
+                  ) -> "Configuration":
         # The other settings were checked and hashed when this
         # configuration was built; only the changed one needs the
-        # finiteness check and a hash.
+        # finiteness check and a hash.  ``None`` keeps a field; the
+        # constructor costs under half of ``dataclasses.replace``.
         if not 0 <= sector_id < self.n_sectors:
             raise IndexError(f"unknown sector {sector_id}")
-        setting = replace(self.settings[sector_id], **changes)
+        old = self.settings[sector_id]
+        setting = SectorSetting(
+            old.power_dbm if power_dbm is None else power_dbm,
+            old.tilt_deg if tilt_deg is None else tilt_deg, old.active,
+            old.azimuth_offset_deg if azimuth_offset_deg is None
+            else azimuth_offset_deg)
         if not setting.is_finite():
             _check_finite([sector_id])
         new = list(self.settings)
@@ -355,6 +365,13 @@ def _without_derived(state: dict) -> dict:
     """An instance ``__dict__`` minus its cached derived values."""
     return {k: v for k, v in state.items()
             if k not in ("_hash", "_hashes", "_power_factor")}
+
+
+@functools.lru_cache(maxsize=4096)
+def _power_factor(power_dbm: float, active: bool) -> np.float64:
+    """One element of :func:`_power_factors`, memoized: searches derive
+    thousands of settings from a few dozen distinct powers."""
+    return _power_factors(np.asarray([power_dbm]), np.asarray([active]))[0]
 
 
 def _power_factors(powers: np.ndarray, active: np.ndarray) -> np.ndarray:

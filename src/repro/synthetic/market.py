@@ -7,7 +7,7 @@ area types whose sector densities differ by an order of magnitude.
 
 :class:`StudyArea` bundles everything one experiment needs — network,
 environment, path-loss database, analysis engine, the fixed UE raster
-and the ``C_before`` baseline snapshot.  :func:`build_area` constructs
+and the delta anchor of ``C_before``.  :func:`build_area` constructs
 one; :func:`build_market` yields the paper's rural/suburban/urban trio
 for one market seed.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.evaluation import Evaluator
 from ..core.planning import PlanningSettings, optimize_planned_configuration
-from ..model.engine import AnalysisEngine
+from ..model.engine import AnalysisEngine, DeltaIncumbent
 from ..model.geometry import GridSpec, Region
 from ..model.linkrate import LinkAdaptation
 from ..model.load import uniform_per_sector_density
@@ -88,7 +88,13 @@ def _terrain_for_area(area: AreaType) -> TerrainParameters:
 
 @dataclass
 class StudyArea:
-    """One evaluation area: topology, physics, engine and baseline."""
+    """One evaluation area: topology, physics, engine and ``C_before``.
+
+    ``anchor`` is the delta anchor of the planned configuration over
+    ``ue_density``, finished and read-only: :attr:`baseline` is its
+    state, and every :meth:`~repro.core.magus.Magus.from_area` hands it
+    to its evaluator, so no ticket evaluates ``C_before`` densely again.
+    """
 
     name: str
     area_type: AreaType
@@ -103,7 +109,12 @@ class StudyArea:
     ue_density: np.ndarray
     sector_ues: Mapping[int, float]
     planned_config: Configuration    # after the offline planning pass
-    baseline: NetworkState           # the C_before snapshot
+    anchor: DeltaIncumbent           # C_before's delta anchor
+
+    @property
+    def baseline(self) -> NetworkState:
+        """The ``C_before`` snapshot: the anchor's state."""
+        return self.anchor.state
 
     @property
     def c_before(self) -> Configuration:
@@ -138,7 +149,8 @@ def build_area(area_type: AreaType, seed: int = 0,
     raster to the serving map, and finally run the offline *planning*
     pass so ``C_before`` is locally optimal the way operator-planned
     networks are (pass ``planning=PlanningSettings(max_passes=0)`` to
-    skip it).
+    skip it).  The last step, the dense evaluation of ``C_before``, is
+    kept as the area's read-only :attr:`StudyArea.anchor`.
 
     ``plossdb`` names a ``magus.plossdb`` file to load instead of
     computing rasters (built first — streamed, one sector at a time —
@@ -177,7 +189,8 @@ def build_area(area_type: AreaType, seed: int = 0,
     if planned != c_default:
         density = uniform_per_sector_density(
             engine.evaluate(planned, density), per_sector)
-    baseline = engine.evaluate(planned, density)
+    anchor = engine.evaluate_with_incumbent(planned, density)[1]
+    _freeze(anchor)
 
     return StudyArea(
         name=name or f"{area_type.value}-{seed}",
@@ -185,7 +198,18 @@ def build_area(area_type: AreaType, seed: int = 0,
         tuning_region=tuning_region, analysis_region=analysis_region,
         grid=grid, environment=environment, network=network,
         pathloss=pathloss, engine=engine, ue_density=density,
-        sector_ues=per_sector, planned_config=planned, baseline=baseline)
+        sector_ues=per_sector, planned_config=planned, anchor=anchor)
+
+
+def _freeze(anchor: DeltaIncumbent) -> None:
+    """Make the rasters of a shared anchor read-only (its rows and tree
+    nodes already are): every evaluator that adopts it reads them."""
+    state = anchor.state
+    for raster in (anchor.best_mw, state.serving, state.rp_best_dbm,
+                   state.interference_dbm, state.sinr_db,
+                   state.max_rate_bps, state.n_ue, state.rate_bps,
+                   state.raw_serving):
+        raster.flags.writeable = False
 
 
 def _load_or_pack(path: str, network: CellularNetwork,

@@ -279,18 +279,26 @@ class TestStateLifetime:
     def test_baselines_only_of_ring_anchors(self, toy_engine, toy_network,
                                             toy_density):
         """A baseline whose anchor leaves the ring is dropped with it,
-        so no baseline pins an incumbent the ring let go of."""
+        so no baseline pins an incumbent the ring let go of.  Only the
+        incumbents made after the evaluator count: a study area built
+        earlier in the session keeps its ``C_before`` anchor alive."""
         import gc
         from repro.model.engine import DeltaIncumbent
+
+        def live():
+            gc.collect()
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, DeltaIncumbent)]
+
+        before = live()                 # held, so their ids stay unique
         ev = Evaluator(toy_engine, toy_density)
         self._chain(ev, toy_network.planned_configuration(), 6)
         assert ev._roi_baselines
         anchors = {inc.config for inc in ev._incumbents}
         assert set(ev._roi_baselines) <= anchors
-        gc.collect()
-        live = [obj for obj in gc.get_objects()
-                if isinstance(obj, DeltaIncumbent)]
-        assert len(live) <= len(ev._incumbents)
+        old = {id(obj) for obj in before}
+        new = [obj for obj in live() if id(obj) not in old]
+        assert len(new) <= len(ev._incumbents)
 
     def test_state_of_twice_is_one_object(self, registry, toy_engine,
                                           toy_network, toy_density):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.model.antenna import TiltRange
 from repro.model.network import (CellularNetwork, Configuration, Sector,
-                                  SectorSetting, dominates)
+                                  SectorSetting, _power_factor,
+                                  _power_factors, dominates)
 
 from conftest import make_sectors
 
@@ -210,6 +211,52 @@ class TestDominates:
                                azimuth_offset_deg=5.0)
         assert not dominates(self.BASE, turned)
         assert not dominates(turned, self.BASE)
+
+
+class TestPowerFactor:
+    """``SectorSetting.power_factor`` is memoized per ``(power,
+    active)`` across settings and still equals the element a
+    whole-network ``_power_factors`` vector holds."""
+
+    def _vector(self, powers, active):
+        return _power_factors(np.asarray(powers, dtype=np.float64),
+                              np.asarray(active))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("active", [True, False])
+    def test_memo_equals_vector_element(self, dtype, active):
+        powers = np.concatenate([
+            np.arange(-20.0, 60.0, 0.05),
+            43.0 + np.linspace(-1e-6, 1e-6, 41)]).astype(dtype)
+        want = self._vector(powers, [active] * len(powers))
+        for rep in range(2):             # cold, then from the memo
+            got = [SectorSetting(power_dbm=p, tilt_deg=4.0,
+                                 active=active).power_factor()
+                   for p in powers]
+            assert [float(g).hex() for g in got] == \
+                [float(w).hex() for w in want]
+        if not active:
+            assert set(map(float, got)) == {0.0}
+
+    def test_memo_is_bounded_and_shared(self):
+        _power_factor.cache_clear()
+        first = SectorSetting(power_dbm=41.5, tilt_deg=4.0)
+        again = SectorSetting(power_dbm=np.float32(41.5), tilt_deg=9.0)
+        assert first.power_factor() == again.power_factor()
+        info = _power_factor.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize is not None
+
+    def test_replaced_setting_equals_dataclass_replace(self):
+        from dataclasses import replace
+        base = Configuration((SectorSetting(43.0, 4.0, True, 2.0),
+                              SectorSetting(40.0, 6.0, False, -3.0)))
+        for sector, changes in [(0, {"power_dbm": 44.0}),
+                                (1, {"tilt_deg": 8.0}),
+                                (1, {"azimuth_offset_deg": 0.0}),
+                                (0, {"power_dbm": 0.0})]:
+            got = base._replaced(sector, **changes).settings[sector]
+            assert got == replace(base.settings[sector], **changes)
 
 
 class TestConfigurationValidation:
